@@ -19,12 +19,10 @@ from residuum import (
     Flag,
     Polyhedron,
     canonicalize_hyperplane,
-    enumerate_flags,
-    jacobian,
+    flag_table,
     permutation_stability_probe,
     truncated_iterated_residue,
 )
-from residuum.exact_linalg import minor_profile
 from residuum.symfun import ExpRationalFunction
 
 
@@ -66,11 +64,10 @@ def main() -> None:
     for _ in range(args.count):
         arr = random_arrangement(rng)
         poly = random_cone(rng)
-        for flag in enumerate_flags(arr, 2):
-            prof = minor_profile(jacobian(arr, flag.indices, poly))
-            value = truncated_iterated_residue(arr, flag, poly)
+        for entry in flag_table(arr, poly):
+            value = truncated_iterated_residue(arr, entry.flag, poly)
             truncation_checked += 1
-            if not prof.in_bruhat_cell:
+            if not entry.profile.in_bruhat_cell:
                 assert value == mpc(0), "truncation law violated"
                 truncation_zero += 1
         probe = permutation_stability_probe(arr, poly)

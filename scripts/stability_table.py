@@ -7,14 +7,8 @@ decide each verdict.
 
 from fractions import Fraction
 
-from residuum import (
-    Polyhedron,
-    compatibility_audit,
-    enumerate_flags,
-    jacobian,
-)
+from residuum import Polyhedron, compatibility_audit, flag_table
 from residuum.dsl import parse_problem
-from residuum.exact_linalg import minor_profile
 
 PROBLEM = """\
 vars x y;
@@ -39,19 +33,20 @@ def main() -> None:
         )
         print(f"cone {gens} ({name})")
         print(f"  {'flag':<10}{'stable':<8}{'compatible':<12}{'p':<10}q>0")
-        for flag in enumerate_flags(arr, arr.dim):
-            prof = minor_profile(jacobian(arr, flag.indices, poly))
+        table = flag_table(arr, poly)
+        for entry in table:
+            prof = entry.profile
             ps = ",".join(str(x) for x in prof.p)
             bad_q = ",".join(
                 f"q{j}{l}={v}" for (j, l), v in prof.q if v > 0
             )
             print(
-                f"  {flag.label():<10}"
+                f"  {entry.flag.label():<10}"
                 f"{'yes' if prof.stable else 'no':<8}"
                 f"{'yes' if prof.compatible else 'no':<12}"
                 f"{ps:<10}{bad_q}"
             )
-        audit = compatibility_audit(arr, poly)
+        audit = compatibility_audit(arr, poly, table)
         verdict = "all compatible" if audit.all_compatible else "violations found"
         print(f"  audit: {verdict} ({audit.flags_checked} collections)\n")
 

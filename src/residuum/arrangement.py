@@ -6,6 +6,9 @@ locus).  A polyhedron is an ordered rational basis (v_1, ..., v_r) spanning a
 cone; its coordinates z are the dual basis.  The Jacobian of an ordered
 hyperplane collection with respect to a polyhedron has entries f_j(v_k), and
 its exact minor profile decides solubility, stability, and compatibility.
+``flag_table`` computes every complete flag's Jacobian and profile once per
+(arrangement, polyhedron) pair; the audit, the stable flags, the engine and
+the reports all read that one table.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -33,11 +36,9 @@ from .exact_linalg import (
     RationalMatrix,
     determinant,
     inverse,
-    leading_principal_minor,
     minor_profile,
-    q_minor,
-    r_minor,
     rank,
+    row_combinations,
     solve_linear,
 )
 from .symfun import (
@@ -297,13 +298,35 @@ def enumerate_flags(arr: Arrangement, depth: int) -> list[Flag]:
     return out
 
 
-def stable_flags(arr: Arrangement, poly: Polyhedron) -> list[Flag]:
+@dataclass(frozen=True)
+class FlagEntry:
+    """One complete flag with its chart Jacobian and minor profile."""
+
+    flag: Flag
+    jacobian: RationalMatrix
+    profile: MinorProfile
+
+
+def flag_table(arr: Arrangement, poly: Polyhedron) -> tuple[FlagEntry, ...]:
+    """Every complete flag, in enumeration order, with its Jacobian and profile.
+
+    The one place the pair's minor profiles are computed; build it once per
+    call and hand it to whatever reads the verdicts.
+    """
+    out = []
+    for g in enumerate_flags(arr, arr.dim):
+        jac = jacobian(arr, g.indices, poly)
+        out.append(FlagEntry(g, jac, minor_profile(jac)))
+    return tuple(out)
+
+
+def stable_flags(
+    arr: Arrangement, poly: Polyhedron, table: Sequence[FlagEntry] | None = None
+) -> list[Flag]:
     """Complete ordered collections whose Jacobian is stable."""
-    return [
-        g
-        for g in enumerate_flags(arr, arr.dim)
-        if minor_profile(jacobian(arr, g.indices, poly)).stable
-    ]
+    if table is None:
+        table = flag_table(arr, poly)
+    return [e.flag for e in table if e.profile.stable]
 
 
 @dataclass(frozen=True)
@@ -325,26 +348,28 @@ class AuditReport:
 MAX_REPORTED_VIOLATIONS = 100
 
 
-def compatibility_audit(arr: Arrangement, poly: Polyhedron) -> AuditReport:
+def compatibility_audit(
+    arr: Arrangement, poly: Polyhedron, table: Sequence[FlagEntry] | None = None
+) -> AuditReport:
     """Check every complete ordered collection for stable-but-incompatible."""
+    if table is None:
+        table = flag_table(arr, poly)
     violations: list[Violation] = []
-    checked = 0
     truncated = False
-    for g in enumerate_flags(arr, arr.dim):
-        checked += 1
-        prof = minor_profile(jacobian(arr, g.indices, poly))
+    for e in table:
+        prof = e.profile
         if prof.stable and not prof.compatible:
             if len(violations) < MAX_REPORTED_VIOLATIONS:
                 positive = tuple(
                     (pos, val) for pos, val in prof.q if val > 0
                 )
-                violations.append(Violation(g, positive))
+                violations.append(Violation(e.flag, positive))
             else:
                 truncated = True
     return AuditReport(
         all_compatible=not violations and not truncated,
         violations=tuple(violations),
-        flags_checked=checked,
+        flags_checked=len(table),
         truncated=truncated,
     )
 
@@ -415,63 +440,26 @@ def z_star(
     return ZStarResult(tuple(values), arises, boundary, prof)
 
 
-def _combination_on_rows(basis: RationalMatrix, target_row: Sequence[Fraction]):
-    """Coefficients c with c . basis = target_row, or None if inconsistent.
-
-    Exact elimination on the transposed augmented system.
-    """
-    k = basis.rows
-    r = basis.cols
-    aug = [[basis[j, i] for j in range(k)] + [Fraction(target_row[i])] for i in range(r)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(row, r) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(r):
-            if i != row and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    coeffs = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        coeffs[col] = aug[i][k]
-    for i in range(row, r):
-        if aug[i][k] != 0:
-            return None
-    return coeffs
-
-
 def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
     """Whether two ordered collections cut out the same chain of subspaces.
 
-    Level by level: the span of the first k linear forms must agree exactly,
-    and the affine offsets must be consistent (each equation of one prefix is
-    implied by the other's).
+    Level by level: the first k linear forms of ``a`` must be independent and
+    span those of ``b`` exactly, and the affine offsets must be consistent
+    (each equation of ``b``'s prefix is implied by ``a``'s).
     """
     if len(a) != len(b):
         return False
+
+    def f_rows(indices) -> RationalMatrix:
+        return RationalMatrix.from_rows(
+            [arr.hyperplanes[i].f_row() for i in indices]
+        )
+
     for k in range(1, len(a) + 1):
-        rows_a = RationalMatrix.from_rows(
-            [arr.hyperplanes[i].f_row() for i in a.indices[:k]]
-        )
-        stacked = RationalMatrix.from_rows(
-            list(rows_a.entries)
-            + [arr.hyperplanes[i].f_row() for i in b.indices[:k]]
-        )
-        if rank(stacked) != k:
+        combos = row_combinations(f_rows(a.indices[:k]), f_rows(b.indices[:k]))
+        if combos is None:
             return False
-        for idx in b.indices[:k]:
-            coeffs = _combination_on_rows(
-                rows_a, arr.hyperplanes[idx].f_row()
-            )
-            if coeffs is None:
-                return False
+        for idx, coeffs in zip(b.indices[:k], combos):
             implied = sum(
                 (
                     to_mpc(c) * to_mpc(arr.hyperplanes[j].s)

@@ -24,11 +24,9 @@ from .arrangement import (
     Arrangement,
     Polyhedron,
     compatibility_audit,
-    enumerate_flags,
-    jacobian,
+    flag_table,
 )
 from .dsl import ProblemError, ProblemSpec, format_expr, load_problem
-from .exact_linalg import minor_profile
 from .oracle import (
     DEFAULT_BOX,
     DEFAULT_TOL,
@@ -41,10 +39,8 @@ from .oracle import (
 from .residue_engine import (
     EmptyStableSet,
     EngineOptions,
-    canonical_grouping,
+    canonical_grouping_points,
     evaluate_integral,
-    grothendieck_residue,
-    points_of_grouping,
 )
 from .symfun import AffineForm, working_precision
 
@@ -227,13 +223,12 @@ def _problem_dict(spec: ProblemSpec, arr: Arrangement, poly: Polyhedron) -> dict
     }
 
 
-def _stability_rows(arr: Arrangement, poly: Polyhedron, with_jacobian: bool):
+def _stability_rows(table, with_jacobian: bool):
     rows = []
-    for flag in enumerate_flags(arr, arr.dim):
-        mat = jacobian(arr, flag.indices, poly)
-        prof = minor_profile(mat)
+    for entry in table:
+        prof = entry.profile
         row = {
-            "flag": flag.label(),
+            "flag": entry.flag.label(),
             "stable": prof.stable,
             "compatible": prof.compatible,
             "in_bruhat_cell": prof.in_bruhat_cell,
@@ -242,7 +237,7 @@ def _stability_rows(arr: Arrangement, poly: Polyhedron, with_jacobian: bool):
             "r": {f"({j},{l})": str(v) for (j, l), v in prof.r_minors},
         }
         if with_jacobian:
-            row["jacobian"] = [[str(x) for x in r] for r in mat.entries]
+            row["jacobian"] = [[str(x) for x in r] for r in entry.jacobian.entries]
         rows.append(row)
     return tuple(rows)
 
@@ -260,12 +255,13 @@ def _violation_rows(audit) -> tuple:
 def cmd_analyze(spec: ProblemSpec) -> Report:
     arr = spec.arrangement()
     poly = spec.polyhedron()
-    audit = compatibility_audit(arr, poly)
+    table = flag_table(arr, poly)
+    audit = compatibility_audit(arr, poly, table)
     return Report(
         command="analyze",
         problem=_problem_dict(spec, arr, poly),
         passed=audit.all_compatible,
-        stability_table=_stability_rows(arr, poly, with_jacobian=True),
+        stability_table=_stability_rows(table, with_jacobian=True),
         violations=_violation_rows(audit),
         certificate={
             "certified": audit.all_compatible,
@@ -302,7 +298,7 @@ def cmd_eval(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
         command="eval",
         problem=_problem_dict(spec, arr, poly),
         passed=result.certificate.certified,
-        stability_table=_stability_rows(arr, poly, with_jacobian=False),
+        stability_table=_stability_rows(result.flag_table, with_jacobian=False),
         value=_cplx(result.value),
         contributions=contributions,
         certificate=certificate,
@@ -407,7 +403,7 @@ def cmd_verify(
         command="verify",
         problem=_problem_dict(spec, arr, poly),
         passed=passed,
-        stability_table=_stability_rows(arr, poly, with_jacobian=False),
+        stability_table=_stability_rows(result.flag_table, with_jacobian=False),
         value=_cplx(result.value),
         contributions=contributions,
         certificate=certificate,
@@ -424,7 +420,7 @@ def cmd_grouping(spec: ProblemSpec, options: EngineOptions | None = None) -> Rep
     poly = spec.polyhedron()
     with working_precision(opts.precision):
         try:
-            grouping = canonical_grouping(arr, poly)
+            grouping, points = canonical_grouping_points(arr, poly)
         except EmptyStableSet as exc:
             return Report(
                 command="grouping",
@@ -432,16 +428,14 @@ def cmd_grouping(spec: ProblemSpec, options: EngineOptions | None = None) -> Rep
                 passed=False,
                 notes=(f"no canonical grouping: {exc}",),
             )
-        entries = []
-        for point, flags in points_of_grouping(arr, grouping):
-            res = grothendieck_residue(arr, grouping, point, poly)
-            entries.append(
-                {
-                    "point": [_cplx(c) for c in point],
-                    "flags": [f.label() for f in flags],
-                    "residue": _cplx(res),
-                }
-            )
+        entries = [
+            {
+                "point": [_cplx(c) for c in point],
+                "flags": [f.label() for f in flags],
+                "residue": _cplx(res),
+            }
+            for point, flags, res in points
+        ]
     return Report(
         command="grouping",
         problem=_problem_dict(spec, arr, poly),

@@ -1,9 +1,13 @@
 """Exact rational linear algebra: matrices over Q, determinantal minors, and
 the sign tests built from them.
 
-Everything here is exact.  Matrix entries are `fractions.Fraction`; determinants
-are computed by fraction-free Bareiss elimination after clearing denominators,
-so no floating point ever enters a sign decision.
+Everything here is exact.  Matrix entries are `fractions.Fraction`.  After
+denominators are cleared row by row, one fraction-free Bareiss elimination on
+Python ints (``_bareiss``) serves every routine: ``determinant`` reads its last
+pivot, ``rank`` counts its pivots, ``inverse`` carries an identity block
+through its Gauss-Jordan form, ``solve_linear`` applies that exact inverse,
+and ``row_combinations`` (which decides ``arrangement.same_flag``) carries
+target rows.  No floating point ever enters a sign decision.
 
 Three families of minors of a k-by-r matrix J = (a_ij) drive the rest of the
 package:
@@ -93,42 +97,67 @@ class RationalMatrix:
         )
 
 
-def _bareiss_int_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
+def _integer_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those lcms."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return [[int(x * d) for x in row] for row, d in zip(rows, scales)], scales
+
+
+def _bareiss(
+    m: list[list[int]], width: int, reduce: bool = False
+) -> tuple[list[int], int]:
+    """Fraction-free elimination of integer rows, in place (Bareiss 1968).
+
+    Pivots are sought left to right in the first ``width`` columns; later
+    columns are carried along as right-hand sides.  Every entry stays an
+    integer minor of the input, so each division is exact.  Rows below a pivot
+    are cleared; with ``reduce`` the rows above it are too (Gauss-Jordan), and
+    then every pivot row holds the last pivot on its pivot column.  Returns the
+    pivot columns in row order and the sign of the row permutation; the last
+    pivot of a nonsingular square matrix is its determinant times that sign.
+    """
+    n = len(m)
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for col in range(width):
+        row = len(pivots)
+        if row == n:
+            break
+        piv = next((i for i in range(row, n) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            sign = -sign
+        prow = m[row]
+        p = prow[col]
+        for i in range(n) if reduce else range(row + 1, n):
+            if i == row:
+                continue
+            mi = m[i]
+            c = mi[col]
+            # left of col, the rows below the pivot row hold only zeros
+            s = 0 if i < row else col
+            mi[s:] = [(a * p - c * b) // prev for a, b in zip(mi[s:], prow[s:])]
+        prev = p
+        pivots.append(col)
+    return pivots, sign
 
 
 def determinant(mat: RationalMatrix) -> Fraction:
     """Exact determinant; denominators are cleared row by row first."""
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for row in mat.entries:
-        d = math.lcm(*(x.denominator for x in row)) if row else 1
-        scale *= d
-        int_rows.append([int(x * d) for x in row])
-    return Fraction(_bareiss_int_det(int_rows)) / scale
+    if mat.rows == 0:
+        return Fraction(1)
+    m, scales = _integer_rows(mat.entries)
+    pivots, sign = _bareiss(m, mat.cols)
+    if len(pivots) < mat.rows:
+        return Fraction(0)
+    return Fraction(sign * m[-1][-1], math.prod(scales))
 
 
 def leading_principal_minor(mat: RationalMatrix, k: int) -> Fraction:
@@ -216,90 +245,63 @@ def minor_profile(mat: RationalMatrix) -> MinorProfile:
 
 
 def rank(mat: RationalMatrix) -> int:
-    """Rank by exact Gaussian elimination."""
-    m = [list(row) for row in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    rk = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rk += 1
-        if row == nrows:
-            break
-    return rk
+    """Rank: the number of pivots of the elimination."""
+    return len(_bareiss(_integer_rows(mat.entries)[0], mat.cols)[0])
 
 
 def inverse(mat: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan elimination."""
+    """Exact inverse.
+
+    With D clearing the row denominators, eliminating [D A | I] leaves
+    [d I | d (D A)^-1], and A^-1 = (D A)^-1 D.
+    """
     n = mat.rows
     if n != mat.cols:
         raise ValueError("inverse of a non-square matrix")
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat.entries)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[col])]
-    return RationalMatrix(tuple(tuple(row[n:]) for row in m))
+    m, scales = _integer_rows(mat.entries)
+    for i, row in enumerate(m):
+        row.extend(int(i == j) for j in range(n))
+    if len(_bareiss(m, n, reduce=True)[0]) < n:
+        raise ValueError("singular matrix")
+    return RationalMatrix(
+        tuple(
+            tuple(Fraction(row[n + j] * d, row[i]) for j, d in enumerate(scales))
+            for i, row in enumerate(m)
+        )
+    )
 
 
 def solve_linear(mat: RationalMatrix, rhs: Sequence) -> list:
     """Solve mat @ x = rhs where mat is exact rational and invertible.
 
-    The right-hand side may hold arbitrary scalars (complex, mpmath); pivoting
-    decisions only ever look at the exact matrix entries.
+    The right-hand side may hold arbitrary scalars (complex, mpmath): x is the
+    exact inverse applied to it, so only exact entries decide pivots.
     """
-    n = mat.rows
-    if n != mat.cols or len(rhs) != n:
+    if len(rhs) != mat.rows:
         raise ValueError("square system required")
-    m = [list(row) for row in mat.entries]
-    b = list(rhs)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                c = m[i][col] / m[col][col]
-                m[i] = [a - c * p for a, p in zip(m[i], m[col])]
-                b[i] = b[i] - b[col] * c
-    x = [None] * n
-    for i in reversed(range(n)):
-        acc = b[i]
-        for j in range(i + 1, n):
-            acc = acc - x[j] * m[i][j]
-        x[i] = acc / m[i][i]
-    return x
+    return [
+        sum(b * c for b, c in zip(rhs, row)) for row in inverse(mat).entries
+    ]
+
+
+def row_combinations(
+    basis: RationalMatrix, targets: RationalMatrix
+) -> list[list[Fraction]] | None:
+    """Coefficients c with c . basis = t for each target row t.
+
+    None when the basis rows are dependent or a target lies outside their
+    span.  Eliminates the transposed system [basis^T | targets^T].
+    """
+    k = basis.rows
+    m, _ = _integer_rows(list(zip(*basis.entries, *targets.entries)))
+    if len(_bareiss(m, k, reduce=True)[0]) < k or any(
+        any(row[k:]) for row in m[k:]
+    ):
+        return None
+    return [
+        [Fraction(m[j][k + t], m[j][j]) for j in range(k)]
+        for t in range(targets.rows)
+    ]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mpc
-from scipy.special import erfc
 
 from .arrangement import Arrangement, Flag, pole_location
 from .exact_linalg import RationalMatrix, determinant, inverse
@@ -175,11 +174,12 @@ def _tan_axis(scale: float, n: int):
 _WINDOW_EDGE = 2.75
 _WINDOW_CENTER = 1.5
 _WINDOW_SIGMA = 0.25
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _window_weight(x, x_flat):
     sigma = _WINDOW_SIGMA * x_flat
-    return 0.5 * erfc((np.abs(x) - _WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
+    return 0.5 * _erfc((np.abs(x) - _WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
 
 
 def _window_axis(x_flat: float, width: float):

@@ -28,12 +28,13 @@ from mpmath import mpc, mpf, pi
 
 from .arrangement import (
     Arrangement,
+    AuditReport,
     Flag,
     InsolubleFlag,
     Polyhedron,
     compatibility_audit,
-    enumerate_flags,
     flag_classes,
+    flag_table,
     jacobian,
     pole_location,
     stable_flags,
@@ -86,6 +87,7 @@ class ResidueResult:
     value: mpc
     flag_contributions: dict
     certificate: Certificate
+    flag_table: tuple
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,14 @@ def _bounded_on_cone(func: ExpRationalFunction, poly: Polyhedron) -> bool:
     return True
 
 
-def convergence_heuristic(arr: Arrangement, poly: Polyhedron) -> Convergence:
-    """Syntactic sufficient conditions for the expansion to converge."""
-    if not compatibility_audit(arr, poly).all_compatible:
+def convergence_heuristic(
+    arr: Arrangement, poly: Polyhedron, audit: AuditReport | None = None
+) -> Convergence:
+    """Syntactic sufficient conditions for the expansion to converge.
+
+    ``audit``, the pair's compatibility audit, is run here when not given.
+    """
+    if not (audit or compatibility_audit(arr, poly)).all_compatible:
         return Convergence.UNKNOWN
     numerator = arr.numerator
     total_degree = arr.total_denominator_degree
@@ -222,12 +229,13 @@ def evaluate_integral(
     """
     opts = options or EngineOptions()
     with working_precision(opts.precision):
-        audit = compatibility_audit(arr, poly)
-        verdict = convergence_heuristic(arr, poly)
+        table = flag_table(arr, poly)
+        audit = compatibility_audit(arr, poly, table)
+        verdict = convergence_heuristic(arr, poly, audit)
         if verdict is Convergence.UNKNOWN and opts.assert_convergence:
             verdict = Convergence.USER_ASSERTED
         warnings: list[str] = []
-        classes = flag_classes(arr, stable_flags(arr, poly))
+        classes = flag_classes(arr, stable_flags(arr, poly, table))
         contributions: dict[Flag, mpc] = {}
         total = mpc(0)
         for cls in classes:
@@ -244,7 +252,8 @@ def evaluate_integral(
                     "outside the polyhedron"
                 )
                 continue
-            value = iterated_residue(arr, rep, poly)
+            # stable flags lie in the open Bruhat cell (every p_k > 0)
+            value = _iterate_residues(arr, rep, poly)
             contributions[rep] = value
             total += value
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
@@ -257,6 +266,7 @@ def evaluate_integral(
             value=scale * total,
             flag_contributions=contributions,
             certificate=certificate,
+            flag_table=table,
         )
 
 
@@ -349,7 +359,7 @@ def grothendieck_residue(
         )
 
     if soluble_in(poly):
-        return sum((iterated_residue(arr, rep, poly) for rep in reps), mpc(0))
+        return sum((_iterate_residues(arr, rep, poly) for rep in reps), mpc(0))
 
     orientation = 1 if poly.det() > 0 else -1
     for count, chart in enumerate(_chart_candidates(arr.dim)):
@@ -357,7 +367,7 @@ def grothendieck_residue(
             break
         if soluble_in(chart):
             classical = sum(
-                (iterated_residue(arr, rep, chart) for rep in reps), mpc(0)
+                (_iterate_residues(arr, rep, chart) for rep in reps), mpc(0)
             )
             return orientation * classical
     raise BruhatViolation(
@@ -366,10 +376,11 @@ def grothendieck_residue(
     )
 
 
-def canonical_grouping(arr: Arrangement, poly: Polyhedron) -> DivisorGrouping:
-    """Union the k-th members of all stable collections into divisor D_k.
+def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
+    """The canonical grouping, and (point, arriving flags, residue) per point.
 
-    The defining identity (sum of Grothendieck residues over the grouping's
+    Unions the k-th members of all stable collections into divisor D_k.  The
+    defining identity (sum of Grothendieck residues over the grouping's
     terminal points = sum of stable-flag residues) is checked numerically.
     """
     stable = stable_flags(arr, poly)
@@ -381,12 +392,14 @@ def canonical_grouping(arr: Arrangement, poly: Polyhedron) -> DivisorGrouping:
     grouping = DivisorGrouping(tuple(groups))
 
     flag_sum = sum(
-        (iterated_residue(arr, cls[0], poly) for cls in flag_classes(arr, stable)),
+        (_iterate_residues(arr, cls[0], poly) for cls in flag_classes(arr, stable)),
         mpc(0),
     )
-    point_sum = mpc(0)
-    for point, _ in points_of_grouping(arr, grouping):
-        point_sum += grothendieck_residue(arr, grouping, point, poly)
+    points = [
+        (point, flags, grothendieck_residue(arr, grouping, point, poly))
+        for point, flags in points_of_grouping(arr, grouping)
+    ]
+    point_sum = sum((res for _, _, res in points), mpc(0))
     mismatch = abs(point_sum - flag_sum)
     scale = max(mpf(1), abs(point_sum), abs(flag_sum))
     if not is_negligible(mismatch, scale):
@@ -394,7 +407,12 @@ def canonical_grouping(arr: Arrangement, poly: Polyhedron) -> DivisorGrouping:
             "grouping identity failed: grouped residues "
             f"{point_sum} != stable flag sum {flag_sum}"
         )
-    return grouping
+    return grouping, points
+
+
+def canonical_grouping(arr: Arrangement, poly: Polyhedron) -> DivisorGrouping:
+    """The grouping of ``canonical_grouping_points``, without its points."""
+    return canonical_grouping_points(arr, poly)[0]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
@@ -33,7 +33,12 @@ from residuum.arrangement import (
     stable_flags,
     z_star,
 )
-from residuum.exact_linalg import GaussianRational, RationalMatrix, minor_profile
+from residuum.exact_linalg import (
+    GaussianRational,
+    RationalMatrix,
+    minor_profile,
+    rank,
+)
 from residuum.symfun import to_mpc, working_precision
 
 
@@ -335,6 +340,43 @@ def test_stability_matches_sampled_arising():
                 always = False
                 break
         assert always == prof.stable, g.indices
+
+
+small_rows = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+@given(
+    small_rows,
+    small_rows,
+    small_rows,
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+)
+@settings(max_examples=60, deadline=None)
+def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
+    """(H1,H2) and (H1,H) agree exactly when H lies on the chain's span."""
+    rows = RationalMatrix.from_rows([f1, f2, f3])
+    assume(rank(rows) == 3)
+    combo = [c[0] * a + c[1] * b for a, b in zip(f1, f2)]
+    offset = c[0] * s[0] + c[1] * s[1]
+    hps = [
+        canonicalize_hyperplane(f1, -1j * s[0]),
+        canonicalize_hyperplane(f2, -1j * s[1]),
+        # on the span of H1 and H2, through their intersection
+        canonicalize_hyperplane(combo, -1j * offset),
+        # on the span, but shifted off the intersection
+        canonicalize_hyperplane(combo, -1j * (offset + 1)),
+        # off the span
+        canonicalize_hyperplane([x + y for x, y in zip(combo, f3)], -1j * offset),
+    ]
+    arr = Arrangement.build(3, hps)
+    assert len(arr.hyperplanes) == 5
+    assert same_flag(arr, Flag((0, 1)), Flag((0, 2)))
+    assert same_flag(arr, Flag((0, 2)), Flag((0, 1)))
+    assert not same_flag(arr, Flag((0, 1)), Flag((0, 3)))
+    assert not same_flag(arr, Flag((0, 1)), Flag((0, 4)))
+    assert not same_flag(arr, Flag((0, 1)), Flag((1, 0)))
+    assert same_flag(arr, Flag((0, 1, 4)), Flag((0, 2, 4)))
 
 
 def test_same_flag_classes():

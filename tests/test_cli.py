@@ -1,11 +1,14 @@
 """Command surface: reports, exit codes, JSON stability, diagnostics."""
 
 import json
+import sys
 
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from conftest import three_plane_value
+from residuum import exact_linalg
+from residuum.arrangement import enumerate_flags
 from residuum.cli import (
     cmd_analyze,
     cmd_eval,
@@ -61,6 +64,35 @@ def _write(tmp_path, text):
     path = tmp_path / "problem.rsd"
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [EX1_PIB, EX1_PIA, EX2, PI_1D, ZERO_1D],
+    ids=["pib", "pia", "ex2", "pi_1d", "zero_1d"],
+)
+def test_one_minor_profile_per_flag(monkeypatch, text):
+    """analyze and eval compute each complete flag's minor profile once."""
+    original = exact_linalg.minor_profile
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return original(mat)
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("residuum"):
+            continue
+        if vars(module).get("minor_profile") is original:
+            monkeypatch.setattr(module, "minor_profile", counted)
+    spec = parse_problem(text)
+    arr = spec.arrangement()
+    flags = len(enumerate_flags(arr, arr.dim))
+    for command in (cmd_analyze, cmd_eval):
+        calls.clear()
+        with mp.workprec(128):
+            command(spec)
+        assert len(calls) == flags, command.__name__
 
 
 def test_eval_three_plane_value():

@@ -6,6 +6,7 @@ hypothesis against randomly generated rational matrices.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from residuum.exact_linalg import (
     q_minor,
     r_minor,
     rank,
+    row_combinations,
     solve_linear,
 )
 
@@ -65,6 +67,44 @@ def wide_matrices():
             max_size=kr[0],
         )
     )
+
+
+def low_rank_matrices():
+    """Rectangular n-by-c products of n-by-b and b-by-c factors: rank <= b."""
+    return st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+    ).flatmap(
+        lambda dims: st.tuples(
+            st.lists(
+                st.lists(fracs, min_size=dims[2], max_size=dims[2]),
+                min_size=dims[0],
+                max_size=dims[0],
+            ),
+            st.lists(
+                st.lists(fracs, min_size=dims[1], max_size=dims[1]),
+                min_size=dims[2],
+                max_size=dims[2],
+            ),
+        ).map(
+            lambda ab: [
+                [sum(x * y for x, y in zip(row, col)) for col in zip(*ab[1])]
+                for row in ab[0]
+            ]
+        )
+    )
+
+
+def minor_rank(rows: list[list[Fraction]]) -> int:
+    """Independent rank oracle: the order of the largest nonzero minor."""
+    n, c = len(rows), len(rows[0])
+    for k in range(min(n, c), 0, -1):
+        for ri in combinations(range(n), k):
+            for ci in combinations(range(c), k):
+                if cofactor_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
 
 
 @given(square_matrices())
@@ -166,15 +206,42 @@ def test_bruhat_cell_is_unpivoted_lu(rows):
     assert in_cell == lu_ok
 
 
-@given(square_matrices(4))
-@settings(max_examples=80, deadline=None)
-def test_inverse_and_solve(rows):
+@given(st.one_of(square_matrices(4), low_rank_matrices()), st.data())
+@settings(max_examples=160, deadline=None)
+def test_inverse_and_solve(rows, data):
     mat = RationalMatrix.from_rows(rows)
+    assert rank(mat) == minor_rank(rows)
+
+    # targets: combinations of the rows, some pushed off their span
+    coeffs = data.draw(
+        st.lists(st.lists(fracs, min_size=mat.rows, max_size=mat.rows), max_size=3)
+    )
+    def combine(cs):
+        return [sum(c * mat[i, j] for i, c in enumerate(cs)) for j in range(mat.cols)]
+
+    targets = [combine(cs) for cs in coeffs]
+    for t in targets:
+        if data.draw(st.booleans()):
+            t[data.draw(st.integers(0, mat.cols - 1))] += 1
+    target_mat = RationalMatrix.from_rows(targets)
+    combos = row_combinations(mat, target_mat)
+    stacked = RationalMatrix.from_rows(rows + targets)
+    spans = rank(mat) == mat.rows and rank(stacked) == mat.rows
+    assert (combos is not None) == spans
+    for cs, t in zip(combos or (), targets):
+        assert combine(cs) == t
+
     n = mat.rows
+    if n != mat.cols:
+        with pytest.raises(ValueError):
+            inverse(mat)
+        return
     if determinant(mat) == 0:
         assert rank(mat) < n
         with pytest.raises(ValueError):
             inverse(mat)
+        with pytest.raises(ValueError):
+            solve_linear(mat, [1] * n)
         return
     assert rank(mat) == n
     inv = inverse(mat)
