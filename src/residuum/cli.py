@@ -7,7 +7,8 @@ so byte-identical inputs produce byte-identical output.
 
 Exit status: 0 only when the run is certified (all stable collections
 compatible, convergence rule known) and, for ``verify``, the oracle agrees
-within tolerance; 1 otherwise; 2 for malformed problem files or usage errors.
+within tolerance; 1 otherwise; 2 for malformed problem files, usage errors,
+or a residue step that exceeds the term cap (``symfun.MAX_RESIDUE_TERMS``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .residue_engine import (
     canonical_grouping_points,
     evaluate_integral,
 )
-from .symfun import AffineForm, working_precision
+from .symfun import AffineForm, TermBudgetExceeded, working_precision
 
 VALUE_DIGITS = 24
 BOUND_DIGITS = 17
@@ -524,7 +525,7 @@ def main(argv=None) -> int:
             else:
                 report = cmd_grouping(spec, options)
             payload = report.to_json_dict() if args.json else None
-    except ProblemError as exc:
+    except (ProblemError, TermBudgetExceeded) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     if args.json:

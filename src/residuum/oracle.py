@@ -114,12 +114,14 @@ def compile_numeric(func: ExpRationalFunction):
                     if p:
                         mono = mono * points[j] ** p
                 acc += mono
+            # in place: one full-size temporary fewer at the memory peak
             val = coeff * acc
+            del acc
             if has_expo:
-                val = val * np.exp(expo_c @ points + expo_0)
+                val *= np.exp(expo_c @ points + expo_0)
             for row, const, mult in denom:
                 lin = row @ points + const
-                val = val / lin**mult
+                val /= lin**mult
             out += val
         return out
 

@@ -110,14 +110,56 @@ class DivisorGrouping:
         return "(" + ",".join(parts) + ")"
 
 
-def _chart_flag_forms(arr: Arrangement, flag: Flag, poly: Polyhedron):
-    """Defining forms of the flag's hyperplanes in the chart coordinates."""
-    j = jacobian(arr, flag.indices, poly)
-    forms = []
-    for row, idx in enumerate(flag.indices):
-        coeffs = [to_mpc(c) for c in j.row(row)]
-        forms.append(AffineForm.make(coeffs, -mpc(0, 1) * arr.hyperplanes[idx].s))
-    return forms
+class ChartResidues:
+    """Iterated residues of one arrangement in one chart, shared by flag prefix.
+
+    The function left after taking residues along the first hyperplanes of a
+    flag, and every other hyperplane written in the variables still free,
+    depend only on that prefix.  Each is computed once, on first use, so
+    flags that share a prefix share the work.  An instance serves one engine
+    call; nothing outlives it.
+    """
+
+    def __init__(self, arr: Arrangement, poly: Polyhedron):
+        self.arr = arr
+        self.poly = poly
+        # prefix -> (residue function, {hyperplane index: defining form})
+        self._steps: dict[tuple[int, ...], tuple] = {}
+
+    def _chart_forms(self) -> dict:
+        """Defining forms of all hyperplanes in the chart coordinates."""
+        arr = self.arr
+        rows = RationalMatrix.from_rows([h.f_row() for h in arr.hyperplanes])
+        j = rows.matmul(self.poly.basis_matrix())
+        return {
+            idx: AffineForm.make(
+                [to_mpc(c) for c in j.row(idx)], -mpc(0, 1) * h.s
+            )
+            for idx, h in enumerate(arr.hyperplanes)
+        }
+
+    def _step(self, prefix: tuple[int, ...]):
+        step = self._steps.get(prefix)
+        if step is None:
+            if not prefix:
+                step = (self.arr.integrand_in(self.poly), self._chart_forms())
+            else:
+                func, forms = self._step(prefix[:-1])
+                pole = forms[prefix[-1]].solve_for(0)
+                step = (
+                    func.residue_1d(0, pole),
+                    {
+                        idx: _substitute_first(form, pole)
+                        for idx, form in forms.items()
+                        if idx != prefix[-1]
+                    },
+                )
+            self._steps[prefix] = step
+        return step
+
+    def value(self, flag: Flag) -> mpc:
+        """Iterated residue along a flag soluble in this chart."""
+        return self._step(flag.indices)[0].evaluate(())
 
 
 def _substitute_first(form: AffineForm, pole: AffineForm) -> AffineForm:
@@ -128,16 +170,6 @@ def _substitute_first(form: AffineForm, pole: AffineForm) -> AffineForm:
     return form.compose(subs)
 
 
-def _iterate_residues(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
-    func = arr.integrand_in(poly)
-    forms = _chart_flag_forms(arr, flag, poly)
-    for k in range(len(forms)):
-        pole = forms[k].solve_for(0)
-        func = func.residue_1d(0, pole)
-        forms[k + 1 :] = [_substitute_first(f, pole) for f in forms[k + 1 :]]
-    return func.evaluate(())
-
-
 def truncated_iterated_residue(
     arr: Arrangement, flag: Flag, poly: Polyhedron
 ) -> mpc:
@@ -145,7 +177,7 @@ def truncated_iterated_residue(
     profile = minor_profile(jacobian(arr, flag.indices, poly))
     if not profile.in_bruhat_cell:
         return mpc(0)
-    return _iterate_residues(arr, flag, poly)
+    return ChartResidues(arr, poly).value(flag)
 
 
 def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
@@ -154,7 +186,7 @@ def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
         raise InsolubleFlag(
             f"flag {flag.label()} has a vanishing leading principal minor"
         )
-    return _iterate_residues(arr, flag, poly)
+    return ChartResidues(arr, poly).value(flag)
 
 
 def terminal_point_position(arr: Arrangement, flag: Flag, poly: Polyhedron):
@@ -236,6 +268,7 @@ def evaluate_integral(
             verdict = Convergence.USER_ASSERTED
         warnings: list[str] = []
         classes = flag_classes(arr, stable_flags(arr, poly, table))
+        residues = ChartResidues(arr, poly)
         contributions: dict[Flag, mpc] = {}
         total = mpc(0)
         for cls in classes:
@@ -253,7 +286,7 @@ def evaluate_integral(
                 )
                 continue
             # stable flags lie in the open Bruhat cell (every p_k > 0)
-            value = _iterate_residues(arr, rep, poly)
+            value = residues.value(rep)
             contributions[rep] = value
             total += value
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
@@ -329,6 +362,7 @@ def grothendieck_residue(
     point,
     poly: Polyhedron,
     max_charts: int = 4000,
+    residues: ChartResidues | None = None,
 ) -> mpc:
     """Residue of the form at one terminal point of a divisor grouping.
 
@@ -336,7 +370,8 @@ def grothendieck_residue(
     at the point, in the polyhedron's chart.  When some arising flag is
     insoluble there, a positively oriented auxiliary chart soluble for every
     arising flag is searched; the classical value computed there is then
-    reported in the polyhedron's own orientation.
+    reported in the polyhedron's own orientation.  ``residues``, residues
+    already taken in the polyhedron's chart, is reused when given.
     """
     if len(grouping.groups) != arr.dim:
         raise ValueError("grouping must have one divisor per dimension")
@@ -359,16 +394,19 @@ def grothendieck_residue(
         )
 
     if soluble_in(poly):
-        return sum((_iterate_residues(arr, rep, poly) for rep in reps), mpc(0))
+        if residues is None:
+            residues = ChartResidues(arr, poly)
+        elif residues.arr is not arr or residues.poly != poly:
+            raise ValueError("residues were taken for another arrangement or chart")
+        return sum((residues.value(rep) for rep in reps), mpc(0))
 
     orientation = 1 if poly.det() > 0 else -1
     for count, chart in enumerate(_chart_candidates(arr.dim)):
         if count >= max_charts:
             break
         if soluble_in(chart):
-            classical = sum(
-                (_iterate_residues(arr, rep, chart) for rep in reps), mpc(0)
-            )
+            aux = ChartResidues(arr, chart)
+            classical = sum((aux.value(rep) for rep in reps), mpc(0))
             return orientation * classical
     raise BruhatViolation(
         f"grouping {grouping.label(arr)} has a flag insoluble in every "
@@ -391,12 +429,17 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
         groups.append(frozenset(flag.indices[k] for flag in stable))
     grouping = DivisorGrouping(tuple(groups))
 
+    residues = ChartResidues(arr, poly)
     flag_sum = sum(
-        (_iterate_residues(arr, cls[0], poly) for cls in flag_classes(arr, stable)),
+        (residues.value(cls[0]) for cls in flag_classes(arr, stable)),
         mpc(0),
     )
     points = [
-        (point, flags, grothendieck_residue(arr, grouping, point, poly))
+        (
+            point,
+            flags,
+            grothendieck_residue(arr, grouping, point, poly, residues=residues),
+        )
         for point, flags in points_of_grouping(arr, grouping)
     ]
     point_sum = sum((res for _, _, res in points), mpc(0))

@@ -10,6 +10,13 @@ engine needs: partial differentiation, affine substitution (including linear
 changes of variables), and taking the coefficient of (z_v - pole)^{-1} in one
 variable.
 
+A residue at a pole of order n + 1 is read off truncated Taylor series in
+t = z_v - pole rather than by differentiating n times: the t^n coefficient of
+the product of the series of P, of exp(L) and of each non-vanishing factor
+A_i^{-m_i}, which costs a number of terms polynomial in n.  Like terms (same
+exponent, same denominator, compared bit for bit) are merged, and a step that
+would produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
+
 Scalars live at whatever mpmath precision is ambient; callers that care wrap
 their work in ``working_precision``.  Exact inputs (int, Fraction, exact
 complex rationals) convert losslessly at the ambient precision.
@@ -37,6 +44,14 @@ class IdenticallyZeroDenominator(ValueError):
 
 class PoleHit(ArithmeticError):
     """Evaluation was requested at (or numerically too near) a pole."""
+
+
+# Most terms one residue step may produce, counted before like terms merge.
+MAX_RESIDUE_TERMS = 200_000
+
+
+class TermBudgetExceeded(Exception):
+    """A residue step would produce more than MAX_RESIDUE_TERMS terms."""
 
 
 @contextmanager
@@ -458,39 +473,48 @@ class ExpRationalFunction:
 
         ``pole`` is affine in the remaining variables (zero coefficient at
         ``var``).  Terms with no denominator factor vanishing along
-        z_var = pole contribute nothing.
+        z_var = pole contribute nothing; a pole of order n + 1 contributes the
+        t^n coefficient of ``_series_residue``.  Like terms of the result are
+        merged.  Raises TermBudgetExceeded when the step would produce more
+        than MAX_RESIDUE_TERMS terms.
         """
         if pole.arity != self.arity:
             raise ValueError("pole arity mismatch")
-        result = ExpRationalFunction.zero(self.arity - 1)
+        subs = [
+            pole.drop_var(var)
+            if i == var
+            else AffineForm.unit(self.arity - 1, i - (i > var))
+            for i in range(self.arity)
+        ]
+        restricted: dict = {}
+
+        def at_pole(form: AffineForm) -> AffineForm:
+            if form not in restricted:
+                restricted[form] = form.compose(subs)
+            return restricted[form]
+
+        out: list[Term] = []
         for t in self.terms:
-            vanishing: list[int] = []
-            order = 0
-            for i, (form, mult) in enumerate(t.denom):
-                at_pole = form.compose(_pole_insertion_forms(self.arity, var, pole))
-                if at_pole.is_zero():
-                    vanishing.append(i)
-                    order += mult
-            if order == 0:
-                continue
             coeff = t.coeff
+            order = 0
             kept = []
-            for i, (form, mult) in enumerate(t.denom):
-                if i in vanishing:
+            for form, mult in t.denom:
+                base = at_pole(form)
+                if base.is_zero():
                     # A = a_v (z_var - pole) exactly, so A^m contributes a_v^m
                     coeff = coeff / (form.coeffs[var] ** mult)
+                    order += mult
                 else:
-                    kept.append((form, mult))
-            g = ExpRationalFunction(
-                self.arity, [Term.make(coeff, t.poly, t.expo, kept)]
+                    kept.append((base, mult, form.coeffs[var]))
+            if order == 0:
+                continue
+            out.extend(
+                _series_residue(
+                    coeff, t, var, order - 1, subs, at_pole(t.expo), kept,
+                    MAX_RESIDUE_TERMS - len(out),
+                )
             )
-            for _ in range(order - 1):
-                g = g.differentiate(var)
-            g = g.substitute_affine(var, pole).scale(
-                Fraction(1, math.factorial(order - 1))
-            )
-            result = result.add(g)
-        return result
+        return ExpRationalFunction(self.arity - 1, _merge_like_terms(out))
 
     # ---- evaluation ------------------------------------------------------
 
@@ -519,16 +543,118 @@ class ExpRationalFunction:
         return f"ExpRationalFunction(arity={self.arity}, terms={len(self.terms)})"
 
 
-def _pole_insertion_forms(arity: int, var: int, pole: AffineForm) -> list[AffineForm]:
-    """Forms sending z_var to the pole and fixing the other variables.
+def _series_residue(
+    coeff, term: Term, var: int, n: int, subs, expo: AffineForm, kept, budget: int
+) -> list[Term]:
+    """The t^n coefficient of coeff * P * exp(L) / prod(kept) at z_var = pole + t.
 
-    Arity is preserved (the freed slot keeps a zero coefficient), which lets a
-    factor be tested for vanishing without reindexing.
+    Every piece is a Taylor series in t truncated after t^n: P gives
+    d^j P / j! at the pole, exp(L) gives exp(L at the pole) * l^j / j! with l
+    the coefficient of z_var in L, and a kept factor A = B + a t gives
+
+        (B + a t)^{-m} = sum_j C(m + j - 1, j) (-a)^j t^j B^{-(m + j)}.
+
+    One term is emitted per choice of the kept factors' exponents j; its
+    polynomial collects the polynomial and exponential parts of degree
+    n - sum(j).  ``kept`` lists (B, m, a) with B already at the pole, ``subs``
+    sets z_var to the pole and ``expo`` is L there.  Raises TermBudgetExceeded
+    rather than emit more than ``budget`` terms.
     """
-    forms = []
-    for i in range(arity):
-        if i == var:
-            forms.append(pole)
+    taylor = []
+    p = term.poly
+    for j in range(n + 1):
+        if j:
+            p = p.differentiate(var).scale(Fraction(1, j))
+            if p.is_zero():
+                break
+        taylor.append(p.compose(subs))
+    lv = term.expo.coeffs[var]
+    exp_series = [to_mpc(1)]
+    for k in range(1, n + 1):
+        exp_series.append(exp_series[-1] * lv / k)
+    # rest[s]: the polynomial that multiplies the kept factors' t^s part
+    rest = []
+    for s in range(n + 1):
+        acc = None
+        for j, q in enumerate(taylor[: n - s + 1]):
+            k = n - s - j
+            if k and lv == 0:
+                continue
+            piece = q if k == 0 else q.scale(exp_series[k])
+            acc = piece if acc is None else acc.add(piece)
+        rest.append(acc if acc is not None and not acc.is_zero() else None)
+
+    # proportional kept factors share one monic unit, as in Term.make; a
+    # factor's j-th series coefficient is C(m + j - 1, j) (-a)^j / lead^(m + j)
+    units: list[AffineForm] = []
+    factors = []
+    for base, mult, a in kept:
+        unit, lead = base.normalized()
+        for cls, u in enumerate(units):
+            if u.close_to(unit):
+                break
         else:
-            forms.append(AffineForm.unit(arity, i))
-    return forms
+            cls = len(units)
+            units.append(unit)
+        series = [
+            math.comb(mult + j - 1, j) * (-a) ** j / lead ** (mult + j)
+            for j in range(1, n + 1 if a != 0 else 1)
+        ]
+        factors.append((cls, mult, lead**mult, series))
+    class_order = sorted(range(len(units)), key=lambda c: _affine_sort_key(units[c]))
+
+    active = sum(1 for f in factors if f[3])
+    count = sum(
+        math.comb(s + active - 1, s) if active else int(s == 0)
+        for s in range(n + 1)
+        if rest[s] is not None
+    )
+    if count > budget:
+        raise TermBudgetExceeded(
+            f"a residue step would produce more than {MAX_RESIDUE_TERMS} terms"
+        )
+
+    out: list[Term] = []
+    degrees = [0] * len(units)
+
+    def expand(i: int, c, left: int) -> None:
+        """Choose the exponents j of factors i, i + 1, ... with sum <= left."""
+        if i == len(factors):
+            poly = rest[n - left]
+            if poly is not None:
+                denom = tuple((units[cls], degrees[cls]) for cls in class_order)
+                out.append(Term(c, poly, expo, denom))
+            return
+        cls, mult, lead_power, series = factors[i]
+        for j in range(min(len(series), left) + 1):
+            degrees[cls] += mult + j
+            expand(i + 1, c / lead_power if j == 0 else c * series[j - 1], left - j)
+            degrees[cls] -= mult + j
+
+    expand(0, coeff, n)
+    return out
+
+
+def _form_key(form: AffineForm) -> tuple:
+    return tuple(x._mpc_ for x in form.coeffs) + (form.const._mpc_,)
+
+
+def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:
+    """Sum the terms whose exponent and denominator agree to the last bit."""
+    groups: dict = {}
+    for t in terms:
+        key = (_form_key(t.expo), tuple((_form_key(f), m) for f, m in t.denom))
+        groups.setdefault(key, []).append(t)
+    out = []
+    for members in groups.values():
+        first = members[0]
+        if len(members) == 1:
+            out.append(first)
+            continue
+        coeffs: dict = {}
+        for t in members:
+            for e, v in t.poly.items():
+                coeffs[e] = coeffs.get(e, 0) + t.coeff * v
+        poly = Polynomial(first.poly.arity, coeffs)
+        out.append(Term(to_mpc(1), poly, first.expo, first.denom))
+    return out

@@ -2,13 +2,14 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from conftest import three_plane_value
-from residuum import exact_linalg
-from residuum.arrangement import enumerate_flags
+from residuum import exact_linalg, symfun
+from residuum.arrangement import enumerate_flags, flag_classes, jacobian, stable_flags
 from residuum.cli import (
     cmd_analyze,
     cmd_eval,
@@ -17,7 +18,15 @@ from residuum.cli import (
     main,
 )
 from residuum.dsl import parse_problem
-from residuum.residue_engine import EngineOptions
+from residuum.exact_linalg import minor_profile
+from residuum.residue_engine import (
+    EngineOptions,
+    canonical_grouping_points,
+    evaluate_integral,
+)
+from residuum.symfun import ExpRationalFunction
+
+SAMPLES = Path(__file__).resolve().parents[1] / "problems"
 
 EX1_PIB = """\
 vars x y;
@@ -53,6 +62,22 @@ ZERO_1D = """\
 vars x;
 cone (1);
 den (-x - i) (-x - 2*i);
+"""
+
+
+# six planes through one point, from the benchmark's coincident family
+SQUARED_POLES = """\
+vars v1 v2 v3;
+cone (1,0,0) (0,1,0) (0,0,1);
+num 1*exp(i*(v1 - v2));
+den (-v1 + 2*v2 - 3*i)^2 (v1 + 2*v2 - 2*v3 - 3*i)^2 (2*v1 + v2 + 2*v3 - 6*i)^2 \
+(v1 - v2 + 2*v3 - 1*i)^2 (v3 - 1*i)^2 (v1 + v2 + 2*v3 - 5*i)^2;
+"""
+CUBED_POLES = """\
+vars v1 v2 v3;
+cone (1,0,0) (0,1,0) (0,0,1);
+den (-v2 + 2*v3 - 2*i)^3 (2*v1 + 2*v2 - v3 - 6*i)^3 (-v1 + v2 + v3 - 2*i) \
+(v1 - v2 + v3 - 2*i) (v1 + 2*v2 + 2*v3 - 10*i) (2*v1 + 2*v2 + v3 - 10*i);
 """
 
 
@@ -93,6 +118,49 @@ def test_one_minor_profile_per_flag(monkeypatch, text):
         with mp.workprec(128):
             command(spec)
         assert len(calls) == flags, command.__name__
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],
+    ids=["coincident_point", "squared", "cubed"],
+)
+def test_one_residue_step_per_flag_prefix(monkeypatch, text):
+    """eval and grouping take each flag prefix's residue once per chart."""
+    spec = parse_problem(text)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    with mp.workprec(128):
+        contributing = list(evaluate_integral(arr, poly).flag_contributions)
+        _, points = canonical_grouping_points(arr, poly)
+    grouped = [cls[0] for cls in flag_classes(arr, stable_flags(arr, poly))]
+    for _, flags, _ in points:
+        grouped += [cls[0] for cls in flag_classes(arr, flags)]
+    # no auxiliary chart: every arriving flag is soluble in the cone's chart
+    assert all(
+        minor_profile(jacobian(arr, f.indices, poly)).in_bruhat_cell for f in grouped
+    )
+    original = ExpRationalFunction.residue_1d
+    calls = []
+
+    def counted(self, var, pole):
+        calls.append(pole)
+        return original(self, var, pole)
+
+    monkeypatch.setattr(ExpRationalFunction, "residue_1d", counted)
+    for command, flags in ((cmd_eval, contributing), (cmd_grouping, grouped)):
+        prefixes = {f.indices[:k] for f in flags for k in range(1, arr.dim + 1)}
+        calls.clear()
+        with mp.workprec(128):
+            command(spec)
+        assert len(calls) == len(prefixes), command.__name__
+
+
+def test_term_budget_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    path = _write(tmp_path, EX2)
+    monkeypatch.setattr(symfun, "MAX_RESIDUE_TERMS", 0)
+    assert main(["eval", path, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: a residue step would produce more than 0 terms")
 
 
 def test_eval_three_plane_value():

@@ -159,6 +159,29 @@ def test_torus_matches_iterated():
         assert abs(torus - chart) < mpf("1e-8") * abs(chart)
 
 
+def test_torus_matches_iterated_fourth_order_poles():
+    """(1 + xy) e^{i(x+2y)} / ((x-i)^4 (y-2i)^4 (x+y-6i)) at (i, 2i).
+
+    Both flag hyperplanes have multiplicity 4, so each residue step expands
+    to third order; H3 is a kept factor in both steps.
+    """
+    with working_precision(128):
+        hps = [
+            canonicalize_hyperplane([1, 0], mpc(0, -1)),
+            canonicalize_hyperplane([0, 1], mpc(0, -2)),
+            canonicalize_hyperplane([1, 1], mpc(0, -6)),
+        ]
+        num = ExpRationalFunction.from_parts(
+            2,
+            poly=Polynomial(2, {(0, 0): mpc(1), (1, 1): mpc(1)}),
+            expo=AffineForm.make([mpc(0, 1), mpc(0, 2)], 0),
+        )
+        arr = Arrangement.build(2, hps, numerator=num, multiplicities=[4, 4, 1])
+        chart = iterated_residue(arr, Flag((0, 1)), cone(*CONE_UPPER))
+        torus = torus_residue(arr, (0, 1))
+        assert abs(torus - chart) < mpf("1e-9") * abs(chart)
+
+
 def test_torus_epsilon_independence():
     arr = three_plane_problem(2, 3)
     base = torus_residue(arr, (0, 2))

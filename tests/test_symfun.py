@@ -2,16 +2,21 @@
 
 Derivatives are checked against central finite differences; one-variable
 residues against direct numerical contour integrals (mpmath quad over an
-explicit circle).  Both oracles are independent of the code under test.
+explicit circle) and against the residue taken as an (order - 1)-th
+derivative (``residue_by_differentiation``).  The oracles are independent of
+the truncated-series code under test.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, quad
 
+from residuum import symfun
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
@@ -19,6 +24,7 @@ from residuum.symfun import (
     PoleHit,
     Polynomial,
     Term,
+    TermBudgetExceeded,
     to_mpc,
     working_precision,
 )
@@ -271,3 +277,149 @@ def test_fraction_scalars_are_exact():
         (term,) = f.terms
         # monic normalization moved the 3 into the coefficient: 1/3 / 3 = 1/9
         assert abs(term.coeff - mpf(1) / 9) < mpf(10) ** -35
+
+
+def residue_by_differentiation(f, var, pole):
+    """Coefficient of (z_var - pole)^{-1} as the (order - 1)-th derivative.
+
+    Differentiates each term's regular part order - 1 times, substitutes the
+    pole and divides by (order - 1)!; no like terms are merged.
+    """
+    insert = [pole if i == var else AffineForm.unit(f.arity, i) for i in range(f.arity)]
+    result = ExpRationalFunction.zero(f.arity - 1)
+    for t in f.terms:
+        coeff = t.coeff
+        order = 0
+        kept = []
+        for form, mult in t.denom:
+            if form.compose(insert).is_zero():
+                coeff = coeff / (form.coeffs[var] ** mult)
+                order += mult
+            else:
+                kept.append((form, mult))
+        if order == 0:
+            continue
+        g = ExpRationalFunction(f.arity, [Term.make(coeff, t.poly, t.expo, kept)])
+        for _ in range(order - 1):
+            g = g.differentiate(var)
+        g = g.substitute_affine(var, pole).scale(
+            Fraction(1, math.factorial(order - 1))
+        )
+        result = result.add(g)
+    return result
+
+
+def gaussian_ints():
+    return st.builds(mpc, small_ints, small_ints)
+
+
+@st.composite
+def residue_cases(draw):
+    """(f, var, pole, point): up to 3 variables, pole order <= 3, up to 3
+    kept factors, polynomials of degree <= 2, z_var in every exponent."""
+    arity = draw(st.integers(1, 3))
+    var = draw(st.integers(0, arity - 1))
+    pole = AffineForm.make(
+        [0 if i == var else draw(small_ints) for i in range(arity)],
+        draw(gaussian_ints()),
+    )
+    # vanishing factors a (z_var - pole), multiplicities summing to the order
+    order = draw(st.integers(1, 3))
+    denom = []
+    while order:
+        mult = draw(st.integers(1, order))
+        order -= mult
+        a = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        coeffs = [-a * c for c in pole.coeffs]
+        coeffs[var] = a
+        denom.append((AffineForm.make(coeffs, -a * pole.const), mult))
+    vanishing = len(denom)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [draw(small_ints) for _ in range(arity)]
+        const = mpc(draw(small_ints), 1 + abs(draw(small_ints)))
+        denom.append((AffineForm.make(coeffs, const), draw(st.integers(1, 2))))
+    monomials = [e for e in itertools.product(range(3), repeat=arity) if sum(e) <= 2]
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        poly = draw(
+            st.dictionaries(
+                st.sampled_from(monomials), gaussian_ints(), min_size=1, max_size=3
+            )
+        )
+        expo = [mpc(0, draw(small_ints)) for _ in range(arity)]
+        expo[var] = mpc(0, draw(st.sampled_from([-2, -1, 1, 2])))
+        terms.append(
+            Term.make(
+                draw(gaussian_ints()),
+                Polynomial(arity, poly),
+                AffineForm.make(expo, 0),
+                denom,
+            )
+        )
+    point = [mpf(draw(small_ints)) / 3 for _ in range(arity)]
+    point[var] = pole.evaluate(point)
+    # the kept factors stay clear of the point, which lies on the pole
+    assume(all(abs(form.evaluate(point)) > mpf(1) / 4 for form, _ in denom[vanishing:]))
+    rest = point[:var] + point[var + 1 :]
+    return ExpRationalFunction(arity, terms), var, pole, rest
+
+
+@given(residue_cases())
+@settings(max_examples=80, deadline=None)
+def test_series_residue_matches_differentiation(case):
+    with working_precision(128):
+        f, var, pole, point = case
+        got = f.residue_1d(var, pole).evaluate(point)
+        want = residue_by_differentiation(f, var, pole).evaluate(point)
+        assert abs(got - want) <= mpf("1e-25") * max(mpf(1), abs(want))
+
+
+def five_factor_order_four_pole():
+    """1 / ((z0 - z1 - i)^4 prod_{k=1..5} (z0 + k z1)) in z0."""
+    pole_factor = AffineForm.make([1, -1], mpc(0, -1))
+    denom = [(pole_factor, 4)]
+    denom += [(AffineForm.make([1, k], 0), 1) for k in range(1, 6)]
+    return ExpRationalFunction.from_parts(2, denom=denom), pole_factor.solve_for(0)
+
+
+def test_series_residue_term_count():
+    """Constant numerator, order-4 pole, 5 kept factors: C(7, 4) terms.
+
+    Only exponent patterns (j_1..j_5) with sum 3 survive; differentiating
+    three times instead gives 5^3 terms.
+    """
+    with working_precision(128):
+        f, pole = five_factor_order_four_pole()
+        res = f.residue_1d(0, pole)
+        assert len(res.terms) == math.comb(7, 4) == 35
+        slow = residue_by_differentiation(f, 0, pole)
+        assert len(slow.terms) == 5**3
+        t = [mpc("0.3", "0.1")]
+        assert abs(res.evaluate(t) - slow.evaluate(t)) <= mpf("1e-25") * abs(
+            slow.evaluate(t)
+        )
+
+
+def test_term_budget(monkeypatch):
+    with working_precision(128):
+        f, pole = five_factor_order_four_pole()
+        monkeypatch.setattr(symfun, "MAX_RESIDUE_TERMS", 35)
+        assert len(f.residue_1d(0, pole).terms) == 35
+        monkeypatch.setattr(symfun, "MAX_RESIDUE_TERMS", 34)
+        with pytest.raises(TermBudgetExceeded, match="more than 34 terms"):
+            f.residue_1d(0, pole)
+
+
+def test_like_terms_merge():
+    """Terms that differ only in their polynomial leave one term."""
+    with working_precision(128):
+        w = mpc(0, 1)
+        denom = [(AffineForm.make([1, 0], -w), 1), (AffineForm.make([1, 1], 2), 1)]
+        f = ExpRationalFunction.from_parts(
+            2, poly=Polynomial(2, {(1, 0): to_mpc(1)}), denom=denom
+        ).add(ExpRationalFunction.from_parts(2, coeff=3, denom=denom))
+        res = f.residue_1d(0, AffineForm.constant(2, w))
+        # (z0 + 3) / (z0 + z1 + 2) at z0 = i
+        assert len(res.terms) == 1
+        z1 = mpc("0.5", "-0.25")
+        assert abs(res.evaluate([z1]) - (w + 3) / (w + z1 + 2)) < mpf(10) ** -30
