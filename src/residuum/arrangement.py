@@ -8,7 +8,9 @@ hyperplane collection with respect to a polyhedron has entries f_j(v_k), and
 its exact minor profile decides solubility, stability, and compatibility.
 ``flag_table`` computes every complete flag's Jacobian and profile once per
 (arrangement, polyhedron) pair; the audit, the stable flags, the engine and
-the reports all read that one table.
+the reports all read that one table.  Each flag's Jacobian is its rows of
+the chart matrix C (all hyperplanes against the generators), so each of its
+minors is a signed subset determinant of C, computed once per table.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from mpmath import mpc, mpf
+from mpmath import mpc
 
 from .exact_linalg import (
     GaussianRational,
@@ -182,14 +184,6 @@ class Polyhedron:
     def det(self) -> Fraction:
         return determinant(self.basis_matrix())
 
-    def scale_generators(self, factors: Sequence[Fraction]) -> "Polyhedron":
-        return Polyhedron(
-            tuple(
-                tuple(Fraction(c) * x for x in v)
-                for c, v in zip(factors, self.generators)
-            )
-        )
-
 
 @dataclass(frozen=True)
 class Flag:
@@ -276,8 +270,6 @@ def jacobian(
     """Rows f_j of the chosen hyperplanes evaluated on the cone generators."""
     if not indices:
         raise ValueError("empty hyperplane collection")
-    if len(indices) > arr.dim:
-        raise ValueError("more hyperplanes than dimensions")
     f_rows = RationalMatrix.from_rows(
         [arr.hyperplanes[i].f_row() for i in indices]
     )
@@ -285,17 +277,16 @@ def jacobian(
 
 
 def enumerate_flags(arr: Arrangement, depth: int) -> list[Flag]:
-    """All ordered depth-tuples of distinct hyperplanes with full-rank f-rows."""
+    """All ordered depth-tuples of distinct hyperplanes with full-rank f-rows,
+    in ``itertools.permutations`` order; each row set is ranked once."""
     if not (1 <= depth <= arr.dim):
         raise ValueError("depth out of range")
+    f_rows = [h.f_row() for h in arr.hyperplanes]
     out = []
-    for combo in itertools.permutations(range(len(arr.hyperplanes)), depth):
-        rows = RationalMatrix.from_rows(
-            [arr.hyperplanes[i].f_row() for i in combo]
-        )
-        if rank(rows) == depth:
-            out.append(Flag(combo))
-    return out
+    for combo in itertools.combinations(range(len(f_rows)), depth):
+        if rank(RationalMatrix.from_rows([f_rows[i] for i in combo])) == depth:
+            out.extend(itertools.permutations(combo))
+    return [Flag(combo) for combo in sorted(out)]
 
 
 @dataclass(frozen=True)
@@ -311,13 +302,20 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> tuple[FlagEntry, ...]:
     """Every complete flag, in enumeration order, with its Jacobian and profile.
 
     The one place the pair's minor profiles are computed; build it once per
-    call and hand it to whatever reads the verdicts.
+    call and hand it to whatever reads the verdicts.  The profiles share one
+    dict of the chart matrix's subset determinants.
     """
-    out = []
-    for g in enumerate_flags(arr, arr.dim):
-        jac = jacobian(arr, g.indices, poly)
-        out.append(FlagEntry(g, jac, minor_profile(jac)))
-    return tuple(out)
+    chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
+    cols = range(arr.dim)
+    dets: dict = {}
+    return tuple(
+        FlagEntry(
+            g,
+            chart.submatrix(g.indices, cols),
+            minor_profile(chart, g.indices, dets),
+        )
+        for g in enumerate_flags(arr, arr.dim)
+    )
 
 
 def stable_flags(

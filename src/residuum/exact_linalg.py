@@ -19,10 +19,17 @@ package:
 For a 2x2 matrix [[a, b], [c, d]] these are p1 = a, p2 = ad - bc, q12 = b,
 r12 = c.  ``minor_profile`` packages all of them together with the derived
 verdicts (stable / compatible / in the open Bruhat cell).
+
+When J is a selection of rows of a matrix C, each of these minors is a
+signed subset determinant of C: its determinant on the same rows in
+ascending order, times the sign of the permutation that sorts them.
+``minor_profile`` looks each up in a dict of C's determinants that callers
+share across all row selections of C.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,26 +79,13 @@ class RationalMatrix:
             tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         )
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def scale_rows(self, factors: Sequence[Fraction]) -> "RationalMatrix":
-        if len(factors) != self.rows:
-            raise ValueError("one factor per row required")
-        return RationalMatrix(
-            tuple(
-                tuple(_frac(c) * x for x in row)
-                for c, row in zip(factors, self.entries)
-            )
-        )
-
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose()
+        cols = list(zip(*other.entries))
         return RationalMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot.entries)
+                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.entries
             )
         )
@@ -160,32 +154,6 @@ def determinant(mat: RationalMatrix) -> Fraction:
     return Fraction(sign * m[-1][-1], math.prod(scales))
 
 
-def leading_principal_minor(mat: RationalMatrix, k: int) -> Fraction:
-    """p_k: determinant of the top-left k-by-k block.  p_0 = 1."""
-    if k < 0 or k > min(mat.rows, mat.cols):
-        raise ValueError(f"leading principal minor order {k} out of range")
-    if k == 0:
-        return Fraction(1)
-    idx = range(k)
-    return determinant(mat.submatrix(idx, idx))
-
-
-def q_minor(mat: RationalMatrix, k: int, l: int) -> Fraction:
-    """q_{k,l}: rows 1..k against columns 1..k-1 and column l (1-based, l > k)."""
-    if not (1 <= k < l <= mat.cols) or k > mat.rows:
-        raise ValueError(f"q minor ({k},{l}) out of range")
-    cols = list(range(k - 1)) + [l - 1]
-    return determinant(mat.submatrix(range(k), cols))
-
-
-def r_minor(mat: RationalMatrix, j: int, k: int) -> Fraction:
-    """r_{j,k}: rows 1..k with row j removed, columns 1..k-1 (1-based, j < k)."""
-    if not (1 <= j < k <= mat.rows) or k - 1 > mat.cols:
-        raise ValueError(f"r minor ({j},{k}) out of range")
-    rows = [i for i in range(k) if i != j - 1]
-    return determinant(mat.submatrix(rows, range(k - 1)))
-
-
 @dataclass(frozen=True)
 class MinorProfile:
     """All minors of the three families, plus the derived sign verdicts.
@@ -210,25 +178,45 @@ class MinorProfile:
         return dict(self.r_minors)
 
 
-def minor_profile(mat: RationalMatrix) -> MinorProfile:
-    """Compute every minor of the three families for a k-by-r matrix, k <= r.
+def minor_profile(
+    mat: RationalMatrix,
+    rows: Sequence[int] | None = None,
+    dets: dict | None = None,
+) -> MinorProfile:
+    """Every minor of the three families of J = mat[rows] (all rows by default).
 
-    q minors range over 1 <= j <= k, j < l <= r (columns may exceed the row
-    count); r minors range over 1 <= j < l <= k.  The verdicts use exactly
-    these index sets.
+    J has k <= r rows.  q minors range over 1 <= j <= k, j < l <= r (columns
+    may exceed the row count); r minors range over 1 <= j < l <= k.  The
+    verdicts use exactly these index sets.  ``dets`` maps (ascending rows,
+    columns) to a determinant of mat, each computed once.
     """
-    k, r = mat.rows, mat.cols
+    rows = tuple(range(mat.rows)) if rows is None else tuple(rows)
+    k, r = len(rows), mat.cols
     if k > r:
         raise ValueError("more rows than columns; transpose the data")
-    p = tuple(leading_principal_minor(mat, i) for i in range(1, k + 1))
-    q_items = []
-    for j in range(1, k + 1):
-        for l in range(j + 1, r + 1):
-            q_items.append(((j, l), q_minor(mat, j, l)))
-    r_items = []
-    for j in range(1, k + 1):
-        for l in range(j + 1, k + 1):
-            r_items.append(((j, l), r_minor(mat, j, l)))
+    if dets is None:
+        dets = {}
+
+    def minor(picked: Iterable[int], cols: tuple[int, ...]) -> Fraction:
+        chosen = [rows[i] for i in picked]
+        key = (tuple(sorted(chosen)), cols)
+        det = dets.get(key)
+        if det is None:
+            det = dets[key] = determinant(mat.submatrix(*key))
+        swaps = sum(a > b for a, b in itertools.combinations(chosen, 2))
+        return -det if swaps % 2 else det
+
+    p = tuple(minor(range(i), tuple(range(i))) for i in range(1, k + 1))
+    q_items = [
+        ((j, l), minor(range(j), (*range(j - 1), l - 1)))
+        for j in range(1, k + 1)
+        for l in range(j + 1, r + 1)
+    ]
+    r_items = [
+        ((j, l), minor([i for i in range(l) if i != j - 1], tuple(range(l - 1))))
+        for j in range(1, k + 1)
+        for l in range(j + 1, k + 1)
+    ]
     stable = all(x > 0 for x in p) and all(
         (Fraction(-1) ** (l - j)) * val >= 0 for (j, l), val in r_items
     )

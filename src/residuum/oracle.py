@@ -198,7 +198,7 @@ def _window_axis(x_flat: float, width: float):
     return nodes, weights
 
 
-def _tensor_sum(fn, axes, chunk_points=2_000_000):
+def _tensor_sum(fn, axes, chunk_points=600_000):
     """Sum fn over the tensor grid, chunked along axis 0, fixed order."""
     r = len(axes)
     if r == 1:

@@ -20,7 +20,7 @@ value, so the two paths agree exactly on positively oriented charts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -129,8 +129,7 @@ class ChartResidues:
     def _chart_forms(self) -> dict:
         """Defining forms of all hyperplanes in the chart coordinates."""
         arr = self.arr
-        rows = RationalMatrix.from_rows([h.f_row() for h in arr.hyperplanes])
-        j = rows.matmul(self.poly.basis_matrix())
+        j = jacobian(arr, range(len(arr.hyperplanes)), self.poly)
         return {
             idx: AffineForm.make(
                 [to_mpc(c) for c in j.row(idx)], -mpc(0, 1) * h.s
@@ -474,13 +473,15 @@ def permutation_stability_probe(
     arr: Arrangement, poly: Polyhedron
 ) -> PermutationProbe:
     """Search all row permutations of each stable collection for a second
-    stable ordering (a counterexample to the uniqueness heuristic)."""
-    stable = stable_flags(arr, poly)
-    extras = []
-    for flag in stable:
-        for perm in itertools.permutations(flag.indices):
-            if perm == flag.indices:
-                continue
-            if minor_profile(jacobian(arr, perm, poly)).stable:
-                extras.append((flag, Flag(perm)))
+    stable ordering (a counterexample to the uniqueness heuristic).  Every
+    ordering of a complete collection is in the flag table."""
+    table = flag_table(arr, poly)
+    stable = [e.flag for e in table if e.profile.stable]
+    stable_orders = {g.indices for g in stable}
+    extras = [
+        (flag, Flag(perm))
+        for flag in stable
+        for perm in itertools.permutations(flag.indices)
+        if perm != flag.indices and perm in stable_orders
+    ]
     return PermutationProbe(tuple(stable), tuple(extras))

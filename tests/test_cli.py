@@ -1,6 +1,9 @@
 """Command surface: reports, exit codes, JSON stability, diagnostics."""
 
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,9 +104,9 @@ def test_one_minor_profile_per_flag(monkeypatch, text):
     original = exact_linalg.minor_profile
     calls = []
 
-    def counted(mat):
-        calls.append(mat)
-        return original(mat)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if not name.startswith("residuum"):
@@ -118,6 +121,57 @@ def test_one_minor_profile_per_flag(monkeypatch, text):
         with mp.workprec(128):
             command(spec)
         assert len(calls) == flags, command.__name__
+
+
+@pytest.mark.parametrize(
+    "text", [EX1_PIB, EX2, PI_1D, SQUARED_POLES], ids=["pib", "ex2", "pi_1d", "squared"]
+)
+def test_each_subset_determinant_once(monkeypatch, text):
+    """analyze computes each subset determinant of the chart matrix once.
+
+    Every p/q/r minor of a flag is a signed determinant of the chart matrix
+    on a k-subset of its R rows, against columns 1..k-1 plus one column
+    l >= k: at most sum_k C(R, k) (r - k + 1) of them.  Rank is taken once
+    per r-subset of hyperplane rows.
+    """
+    spec = parse_problem(text)
+    arr = spec.arrangement()
+    basis = spec.polyhedron().basis_matrix()
+    r, big_r = arr.dim, len(arr.hyperplanes)
+    calls = {"determinant": [], "rank": []}
+    for fn in calls:
+        original = getattr(exact_linalg, fn)
+
+        def counted(mat, fn=fn, original=original):
+            calls[fn].append(mat)
+            return original(mat)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("residuum") and vars(module).get(fn) is original:
+                monkeypatch.setattr(module, fn, counted)
+    with mp.workprec(128):
+        cmd_analyze(spec)
+    # the polyhedron's own: its independence check and its determinant
+    own = sum(1 for mat in calls["determinant"] if mat == basis)
+    bound = sum(math.comb(big_r, k) * (r - k + 1) for k in range(1, r + 1))
+    assert len(calls["determinant"]) - own <= bound
+    assert len(calls["rank"]) == math.comb(big_r, r)
+
+
+def test_python_dash_m_runs_cleanly():
+    """``python -m residuum`` runs the command line without warnings."""
+    env = dict(os.environ)
+    src = str(SAMPLES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "residuum", "analyze", str(SAMPLES / "arctangent.rsd")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -1,26 +1,34 @@
 """Exact linear algebra tests.
 
 The determinant oracle is naive cofactor expansion, independent of the Bareiss
-code under test.  Verdict invariances (positive row scaling) are checked with
-hypothesis against randomly generated rational matrices.
+code under test.  The minor oracle computes each p/q/r minor of a flag's own
+Jacobian by a fresh determinant, independent of the shared signed subset
+determinants the flag table uses.  Verdict invariances (positive row scaling)
+are checked with hypothesis against randomly generated rational matrices.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpc
 
+from residuum.arrangement import (
+    Arrangement,
+    Hyperplane,
+    Polyhedron,
+    flag_table,
+    jacobian,
+)
 from residuum.exact_linalg import (
     GaussianRational,
+    MinorProfile,
     RationalMatrix,
     determinant,
     inverse,
-    leading_principal_minor,
     minor_profile,
-    q_minor,
-    r_minor,
     rank,
     row_combinations,
     solve_linear,
@@ -40,6 +48,53 @@ def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
         sign = Fraction(-1) ** j
         total += sign * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def leading_principal_minor(mat: RationalMatrix, k: int) -> Fraction:
+    """p_k: determinant of the top-left k-by-k block.  p_0 = 1."""
+    if k < 0 or k > min(mat.rows, mat.cols):
+        raise ValueError(f"leading principal minor order {k} out of range")
+    if k == 0:
+        return Fraction(1)
+    idx = range(k)
+    return determinant(mat.submatrix(idx, idx))
+
+
+def q_minor(mat: RationalMatrix, k: int, l: int) -> Fraction:
+    """q_{k,l}: rows 1..k against columns 1..k-1 and column l (1-based, l > k)."""
+    if not (1 <= k < l <= mat.cols) or k > mat.rows:
+        raise ValueError(f"q minor ({k},{l}) out of range")
+    cols = list(range(k - 1)) + [l - 1]
+    return determinant(mat.submatrix(range(k), cols))
+
+
+def r_minor(mat: RationalMatrix, j: int, k: int) -> Fraction:
+    """r_{j,k}: rows 1..k with row j removed, columns 1..k-1 (1-based, j < k)."""
+    if not (1 <= j < k <= mat.rows) or k - 1 > mat.cols:
+        raise ValueError(f"r minor ({j},{k}) out of range")
+    rows = [i for i in range(k) if i != j - 1]
+    return determinant(mat.submatrix(rows, range(k - 1)))
+
+
+def oracle_profile(mat: RationalMatrix) -> MinorProfile:
+    """The profile from one determinant per minor, verdicts by definition."""
+    k, r = mat.rows, mat.cols
+    p = tuple(leading_principal_minor(mat, i) for i in range(1, k + 1))
+    q = tuple(
+        ((j, l), q_minor(mat, j, l)) for j in range(1, k + 1) for l in range(j + 1, r + 1)
+    )
+    rm = tuple(
+        ((j, l), r_minor(mat, j, l)) for j in range(1, k + 1) for l in range(j + 1, k + 1)
+    )
+    stable = all(x > 0 for x in p) and all((-1) ** (l - j) * v >= 0 for (j, l), v in rm)
+    return MinorProfile(
+        p=p,
+        q=q,
+        r_minors=rm,
+        stable=stable,
+        compatible=not stable or all(v <= 0 for _, v in q),
+        in_bruhat_cell=all(x != 0 for x in p),
+    )
 
 
 fracs = st.builds(
@@ -173,13 +228,67 @@ def test_profile_wide_matrix_q_range():
     assert not prof.compatible  # q13 = 5 > 0
 
 
+@st.composite
+def arrangements(draw):
+    """Small integer rows in r <= 4 variables, some repeated, and a cone.
+
+    Repeated rows are parallel hyperplanes (distinct s keeps them apart);
+    entries in -1..1 often make a leading principal minor vanish.
+    """
+    r = draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=-1, max_value=1)
+    row = st.lists(entries, min_size=r, max_size=r).filter(any)
+    rows = draw(st.lists(row, min_size=r, max_size=r + 1))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=1))
+    gens = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r),
+            min_size=r,
+            max_size=r,
+        ).filter(lambda g: determinant(RationalMatrix.from_rows(g)) != 0)
+    )
+    return rows, gens
+
+
+@given(arrangements())
+# H2 parallel to H1; flags starting with H3 have p1 = 0
+@example(([[1, 0], [1, 0], [0, 1]], [[1, 0], [0, 1]]))
+# H5 parallel to H2; (H1,H2,...) has p2 = 0 while (H2,H1,...) has p1 = 0
+@example(
+    (
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_flag_table_matches_minor_oracle(data):
+    """Shared signed subset determinants give every flag's oracle profile."""
+    rows, gens = data
+    r = len(gens)
+    hps = [Hyperplane(tuple(f), mpc(i + 1)) for i, f in enumerate(rows)]
+    arr = Arrangement.build(r, hps)
+    poly = Polyhedron.from_generators(gens)
+    table = flag_table(arr, poly)
+    assert [e.flag.indices for e in table] == [
+        c
+        for c in permutations(range(len(rows)), r)
+        if rank(RationalMatrix.from_rows([rows[i] for i in c])) == r
+    ]
+    for e in table:
+        jac = jacobian(arr, e.flag.indices, poly)
+        assert e.jacobian == jac
+        assert e.profile == oracle_profile(jac)
+
+
 @given(wide_matrices(), st.lists(fracs, min_size=4, max_size=4))
 @settings(max_examples=120, deadline=None)
 def test_positive_row_scaling_preserves_verdicts(rows, raw_factors):
     """Multiplying rows by positive scalars never changes any verdict."""
     mat = RationalMatrix.from_rows(rows)
     factors = [abs(f) + Fraction(1, 7) for f in raw_factors[: mat.rows]]
-    scaled = mat.scale_rows(factors)
+    scaled = RationalMatrix.from_rows(
+        [[c * x for x in row] for c, row in zip(factors, mat.entries)]
+    )
     a, b = minor_profile(mat), minor_profile(scaled)
     assert a.stable == b.stable
     assert a.compatible == b.compatible

@@ -500,8 +500,9 @@ def test_scaling_generators_keeps_value():
     with working_precision(128):
         arr = three_plane_problem(2, 3)
         base = evaluate_integral(arr, cone(*CONE_LEFT)).value
-        scaled_poly = cone(*CONE_LEFT).scale_generators(
-            [Fraction(7, 2), Fraction(1, 3)]
+        factors = (Fraction(7, 2), Fraction(1, 3))
+        scaled_poly = cone(
+            *[[c * x for x in g] for c, g in zip(factors, CONE_LEFT)]
         )
         scaled = evaluate_integral(arr, scaled_poly).value
         assert abs(base - scaled) / abs(base) < mpf("1e-30")
