@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -451,6 +452,29 @@ def cmd_grouping(spec: ProblemSpec, options: EngineOptions | None = None) -> Rep
     )
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def _precision_bits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    # the oracle works in float64, so the engine never goes below double
+    if value < 53:
+        raise argparse.ArgumentTypeError(f"must be at least 53 bits, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="residuum",
@@ -465,21 +489,28 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("file", help="problem file")
     common.add_argument(
         "--precision",
-        type=int,
+        type=_precision_bits,
         default=128,
-        help="working precision in bits (default 128)",
+        help="working precision in bits, at least 53 (default 128)",
     )
     common.add_argument(
         "--box",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_BOX,
-        help="oracle window half-width (verify only)",
+        help=(
+            "oracle length scale, finite and > 0 (verify only): the "
+            "tangent-map scale without oscillation, the base window "
+            "half-width with it"
+        ),
     )
     common.add_argument(
         "--tol",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_TOL,
-        help="oracle tolerance and verify comparison tolerance",
+        help=(
+            "oracle tolerance and verify comparison tolerance, finite "
+            "and > 0"
+        ),
     )
     common.add_argument(
         "--json", action="store_true", help="emit a JSON report"

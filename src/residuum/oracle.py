@@ -3,22 +3,42 @@ diagnostics, and torus-cycle residues.
 
 Everything here runs in float64 numpy, independent of the exact residue
 machinery; the only shared ingredient is the symbolic function container,
-which is compiled once into a vectorized closure.  quad_integral picks one
-of three regimes:
+which is compiled once into a vectorized closure.
 
-* no oscillation: tangent-mapped tensor Gauss-Legendre over the whole
-  space (no truncation error at all), node-doubling until stable;
-* oscillatory exponentials: smoothly windowed boxes at half-widths T, 2T,
-  4T.  The C^2 window suppresses oscillatory truncation error
+quad_integral uses one rule for every deterministic integral: the
+trapezoid (midpoint) sum on a uniform tensor grid, under one of two maps.
+
+* no oscillation: x = box * tan(u) per axis, midpoint rule in u on
+  (-pi/2, pi/2).  The map covers the whole space, so nothing is
+  truncated.  1/x = cot(u)/box is analytic through u = +-pi/2, so in each
+  u the mapped rational integrand is analytic and pi-periodic; where a
+  factor couples the axes it can be singular at the corners of the
+  square, and convergence there is slower.  The midpoint rule never
+  evaluates u = +-pi/2, where the mapped integrand is nonzero when the
+  decay degree is 2;
+* oscillatory exponentials: the integrand times a smooth erfc window on
+  [-2.75X, 2.75X].  The base window X = box is refined from spacing
+  2 pi / (f + _ALIAS) on each axis of frequency f; windows at 2X and 4X,
+  while the node budget admits them, are summed once at its coarser
+  spacing.  The window suppresses oscillatory truncation error
   superalgebraically, so the remaining tail is a clean power series in
   1/X that Richardson extrapolation across the windows removes;
 * three variables: importance-sampled Monte Carlo with Cauchy proposals
   and a fixed seed, statistical error reported.
 
+Both maps share one refinement loop (_refine): node counts double per
+axis, capped at the budget, and a sum is accepted when it agrees with the
+previous level's.  The reported error is that difference.  On a function
+that is periodic and analytic in a strip, or analytic and rapidly
+decaying on the line, the trapezoid error falls geometrically with the
+number of nodes (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56, 2014), so the finer sum is far more
+accurate than the difference says.
+
 tail_estimate deliberately ignores oscillatory cancellation: it bounds
 the raw mass beyond the last window from the decay degree, so it is
-conservative but always an upper bound.  Quadrature panels are evaluated
-as vectorized blocks in a fixed order; repeated calls are bitwise
+conservative but always an upper bound.  Grids are evaluated as
+vectorized blocks in a fixed order; repeated calls are bitwise
 reproducible.
 """
 
@@ -39,10 +59,8 @@ DEFAULT_TOL = 1e-6
 DEFAULT_NODE_BUDGET = 4096
 DEFAULT_TORUS_NODES = 256
 _MC_SEED = 20260816
+# Gauss-Legendre points per panel of the semicircle arc rule
 _PER_PANEL = 12
-# phase advance per panel a 12-point Gauss rule still resolves to ~1e-14
-_PHASE_PER_PANEL = 8.0
-_PHASE_HARD_CAP = 12.0
 
 
 class NonDecaying(Exception):
@@ -153,20 +171,11 @@ def _decay_profile(arr: Arrangement):
     return freqs, worst
 
 
-_leg_cache: dict = {}
-
-
-def _leggauss(n: int):
-    if n not in _leg_cache:
-        _leg_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leg_cache[n]
-
-
 def _tan_axis(scale: float, n: int):
-    x, w = _leggauss(n)
-    u = (np.pi / 2.0) * x
+    """Midpoint rule in u on (-pi/2, pi/2) for x = scale * tan(u)."""
+    u = np.pi * ((np.arange(n) + 0.5) / n - 0.5)
     nodes = scale * np.tan(u)
-    weights = scale * (np.pi / 2.0) * w / np.cos(u) ** 2
+    weights = scale * (np.pi / n) / np.cos(u) ** 2
     return nodes, weights
 
 
@@ -177,6 +186,13 @@ _WINDOW_EDGE = 2.75
 _WINDOW_CENTER = 1.5
 _WINDOW_SIGMA = 0.25
 _erfc = np.vectorize(math.erfc, otypes=[float])
+# Spacing d = 2 pi / (f + _ALIAS) on an axis of frequency f puts the first
+# alias of the sum at frequency _ALIAS past the integrand's own, where the
+# transform of a factor analytic in a strip of half-width a is down to
+# exp(-a * _ALIAS): 2e-9 for poles at unit distance, so that the first two
+# levels already agree to the default tolerance.  At the default box and
+# budget the 2X window then fits for f up to 26.
+_ALIAS = 20.0
 
 
 def _window_weight(x, x_flat):
@@ -184,18 +200,12 @@ def _window_weight(x, x_flat):
     return 0.5 * _erfc((np.abs(x) - _WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
 
 
-def _window_axis(x_flat: float, width: float):
-    """Composite Gauss panels on [-2.75X, 2.75X] with a Gaussian cutoff."""
+def _window_axis(x_flat: float, n: int):
+    """n equally spaced midpoints of [-2.75X, 2.75X] with a Gaussian cutoff."""
     edge = _WINDOW_EDGE * x_flat
-    panels = max(8, int(math.ceil(2.0 * edge / width)))
-    xg, wg = _leggauss(_PER_PANEL)
-    bounds = np.linspace(-edge, edge, panels + 1)
-    half = (bounds[1:] - bounds[:-1]) / 2.0
-    centers = (bounds[1:] + bounds[:-1]) / 2.0
-    nodes = (centers[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    weights = weights * _window_weight(nodes, x_flat)
-    return nodes, weights
+    spacing = 2.0 * edge / n
+    nodes = spacing * (np.arange(n) + 0.5) - edge
+    return nodes, spacing * _window_weight(nodes, x_flat)
 
 
 def _tensor_sum(fn, axes, chunk_points=600_000):
@@ -227,68 +237,42 @@ def _tensor_sum(fn, axes, chunk_points=600_000):
     return total
 
 
-def _tan_map_quad(fn, r, box, tol, budget):
-    n = 64
-    prev = None
-    while True:
-        axes = [_tan_axis(box, n)] * r
-        val = _tensor_sum(fn, axes)
-        if prev is not None:
-            delta = abs(val - prev)
-            if delta <= tol * max(1.0, abs(val)):
-                return QuadratureReport(
-                    estimate=mpc(val),
-                    error_bound=float(delta),
-                    box_halfwidth=float(box),
-                    nodes_per_axis=n,
-                    tail_estimate=0.0,
-                )
-        prev = val
-        if 2 * n > budget:
-            raise BudgetExceeded(
-                f"mapped quadrature did not stabilize within {budget} "
-                "nodes per axis"
-            )
-        n *= 2
+def _refine(total, counts, budget, limit):
+    """Sums at node counts doubling per axis, capped at budget.
 
-
-def _window_widths(freqs, x_flat, budget):
-    widths = []
-    length = 2.0 * _WINDOW_EDGE * x_flat
-    for f in freqs:
-        w = 2.0 if f == 0.0 else min(2.0, _PHASE_PER_PANEL / f)
-        w_budget = length * _PER_PANEL / budget
-        if f > 0.0 and w_budget > _PHASE_HARD_CAP / f:
-            return None
-        widths.append(max(w, w_budget))
-    return widths
-
-
-def _window_estimate(fn, r, x_flat, widths, tol, budget):
-    """One windowed box; error gauged against a 1.5x coarser grid.
-
-    The last element of the tuple reports whether the estimate
-    stabilized below tol/4 within the node budget.
+    total maps per-axis node counts to a sum.  Stops once a sum is within
+    limit * max(1, |sum|) of the previous level's, or when every axis is
+    at the budget.  Returns the last two levels as (counts, sum) pairs,
+    coarser first, and whether they agree.
     """
-    length = 2.0 * _WINDOW_EDGE * x_flat
-    nodes_used = 0
+    coarse = None
     while True:
-        axes = [_window_axis(x_flat, w) for w in widths]
-        nodes_used = max(nodes_used, max(len(a[0]) for a in axes))
-        fine = _tensor_sum(fn, axes)
-        coarse = _tensor_sum(
-            fn, [_window_axis(x_flat, 1.5 * w) for w in widths]
+        val = total(counts)
+        if coarse is not None and abs(val - coarse[1]) <= limit * max(1.0, abs(val)):
+            return coarse, (counts, val), True
+        if all(n >= budget for n in counts):
+            return coarse, (counts, val), False
+        coarse = (counts, val)
+        counts = [min(2 * n, budget) for n in counts]
+
+
+def _tan_map_quad(fn, r, box, tol, budget):
+    coarse, (counts, val), ok = _refine(
+        lambda counts: _tensor_sum(fn, [_tan_axis(box, n) for n in counts]),
+        [64] * r, budget, tol,
+    )
+    if not ok:
+        raise BudgetExceeded(
+            f"mapped quadrature did not stabilize within {budget} "
+            "nodes per axis"
         )
-        delta = abs(fine - coarse)
-        if delta <= tol / 4.0:
-            return fine, delta, nodes_used, True
-        halved_fits = all(
-            math.ceil(length / (0.5 * w)) * _PER_PANEL <= budget
-            for w in widths
-        )
-        if not halved_fits:
-            return fine, delta, nodes_used, False
-        widths = [0.5 * w for w in widths]
+    return QuadratureReport(
+        estimate=mpc(val),
+        error_bound=float(abs(val - coarse[1])),
+        box_halfwidth=float(box),
+        nodes_per_axis=max(counts),
+        tail_estimate=0.0,
+    )
 
 
 def _shell_tail(fn, r, edge, decay):
@@ -311,34 +295,36 @@ def _shell_tail(fn, r, edge, decay):
     return peak * r * (2.0**r) * edge**r / (decay - r)
 
 
-def _windowed_quad(fn, arr, freqs, decay, box, tol, budget):
-    r = arr.dim
-    windows = []
-    for k in (0, 1, 2):
-        x = box * 2.0**k
-        widths = _window_widths(freqs, x, budget)
-        if widths is None:
-            if k == 0:
-                raise BudgetExceeded(
-                    f"budget {budget} cannot resolve the oscillation even "
-                    "on the base window"
-                )
+def _windowed_quad(fn, r, freqs, decay, box, tol, budget):
+    def window_sum(x_flat, counts):
+        return _tensor_sum(fn, [_window_axis(x_flat, n) for n in counts])
+
+    length = 2.0 * _WINDOW_EDGE * box
+    start = [math.ceil(length * (f + _ALIAS) / (2.0 * np.pi)) for f in freqs]
+    if max(start) >= budget:
+        raise BudgetExceeded(
+            f"budget {budget} cannot resolve the oscillation even on the "
+            "base window"
+        )
+    (counts, base), (fine_counts, fine), ok = _refine(
+        lambda counts: window_sum(box, counts), start, budget, tol / 4.0
+    )
+    vals = [base]
+    x_last = box
+    nodes_used = max(fine_counts)
+    # The aliasing error of a sum at spacing d is the integrand's transform
+    # near 2 pi / d - f, smoothed by the window's transform, whose width
+    # 4 / X is small beside it.  So wider windows at the base window's
+    # coarser spacing carry the aliasing error of its coarser sum, and
+    # fine - base removes it from all of them at once.  An unresolved base
+    # window gets no wider ones: they would poison the extrapolation.
+    for k in (1, 2):
+        wider = [n * 2**k for n in counts]
+        if not ok or max(wider) > budget:
             break
-        windows.append((x, widths))
-    vals = []
-    inner_delta = 0.0
-    nodes_used = 0
-    for x, widths in windows:
-        val, delta, nodes, ok = _window_estimate(fn, r, x, widths, tol, budget)
-        if not ok and vals:
-            # an under-resolved wide window would poison the extrapolation
-            break
-        vals.append(val)
-        inner_delta = max(inner_delta, delta)
-        nodes_used = max(nodes_used, nodes)
-        if not ok:
-            break
-    windows = windows[: len(vals)]
+        vals.append(window_sum(box * 2.0**k, wider))
+        x_last = box * 2.0**k
+        nodes_used = max(nodes_used, max(wider))
     if len(vals) == 3:
         est = (8.0 * vals[2] - 6.0 * vals[1] + vals[0]) / 3.0
         check = 2.0 * vals[2] - vals[1]
@@ -349,19 +335,18 @@ def _windowed_quad(fn, arr, freqs, decay, box, tol, budget):
     else:
         est = vals[0]
         extrap_err = 0.0
-    x_last = windows[-1][0]
     tail = _shell_tail(fn, r, _WINDOW_EDGE * x_last, decay)
     return QuadratureReport(
-        estimate=mpc(est),
-        error_bound=float(extrap_err + inner_delta),
+        estimate=mpc(est + (fine - base)),
+        error_bound=float(extrap_err + abs(fine - base)),
         box_halfwidth=float(_WINDOW_EDGE * x_last),
         nodes_per_axis=nodes_used,
         tail_estimate=float(tail),
     )
 
 
-def _monte_carlo(fn, r, box, seed):
-    rng = np.random.default_rng(seed)
+def _monte_carlo(fn, r, box):
+    rng = np.random.default_rng(_MC_SEED)
     scale = min(float(box), 10.0)
     batches = 16
     per_batch = 250_000
@@ -392,9 +377,11 @@ def quad_integral(
     box: float = DEFAULT_BOX,
     tol: float = DEFAULT_TOL,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    seed: int = _MC_SEED,
 ) -> QuadratureReport:
     """Direct quadrature of the integral over the whole space."""
+    for name, value in (("box", box), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     r = arr.dim
     if r > 3:
         raise ValueError("quadrature supports at most three variables")
@@ -404,10 +391,10 @@ def quad_integral(
     freqs, decay = _decay_profile(arr)
     fn = compile_numeric(func)
     if r == 3:
-        return _monte_carlo(fn, r, box, seed)
+        return _monte_carlo(fn, r, box)
     if all(f == 0.0 for f in freqs):
         return _tan_map_quad(fn, r, box, tol, node_budget)
-    return _windowed_quad(fn, arr, freqs, decay, box, tol, node_budget)
+    return _windowed_quad(fn, r, freqs, decay, box, tol, node_budget)
 
 
 def torus_residue(
@@ -504,6 +491,7 @@ def semicircle_check(
         for f, _ in t.denom:
             forms.append((complex(f.coeffs[0]), complex(f.const)))
     lo, hi = (0.0, np.pi) if orientation == "upper" else (np.pi, 2.0 * np.pi)
+    xg, wg = np.polynomial.legendre.leggauss(_PER_PANEL)
     sampled = []
     mags = []
     peaks = []
@@ -512,7 +500,6 @@ def semicircle_check(
         for attempt in (0, 1):
             n = int(min(200_000, max(256, 8 * (1 + freq * r_eff))))
             panels = max(8, int(math.ceil(n / _PER_PANEL)))
-            xg, wg = _leggauss(_PER_PANEL)
             bounds = np.linspace(lo, hi, panels + 1)
             half = (bounds[1:] - bounds[:-1]) / 2.0
             centers = (bounds[1:] + bounds[:-1]) / 2.0

@@ -7,12 +7,16 @@ Two reference problems recur everywhere:
   (2 pi i)^2 i max(n1,n2)^(-(s1+s2+s3)) / (s1+s2+s3) for a suitable cone;
 * the coincident-point problem: exp(2 pi i (x+2y)) over (x-i)(y-i)(x+y-2i),
   where all three hyperplanes pass through (i, i).
+
+trace_residue is an independent numerical oracle for two-variable
+Grothendieck residues; it uses no flags and no charts.
 """
 
 from fractions import Fraction
 
+import mpmath
 from mpmath import log as mp_log
-from mpmath import mpc, pi
+from mpmath import mpc, mpf, pi
 
 from residuum.arrangement import Arrangement, Polyhedron, canonicalize_hyperplane
 from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc
@@ -109,3 +113,66 @@ def single_pole_problem(s=1) -> Arrangement:
     ]
     num = ExpRationalFunction.from_parts(1, coeff=-1)
     return Arrangement.build(1, hps, numerator=num)
+
+
+def trace_residue(arr, groups, point, radii=(mpf("1e-8"), mpf("1e-4")), nodes=8):
+    """Res_p[h dz / (F_1 F_2)] for r = 2 by the trace formula.
+
+    F_k is the product of the defining forms of the hyperplanes in
+    groups[k], h the numerator; one group must be a single hyperplane.
+    The residue is the mean over the torus |w_k| = radii[k] of
+    sum h(z) / det J_F(z) over the preimages z of F(z) = w near the point
+    (Griffiths & Harris, Principles of Algebraic Geometry, ch. 5).  The
+    sum is holomorphic in w, so the mean recovers its value at w = 0.
+    The preimages come from solving the linear group for one variable and
+    taking the roots of the product group, a polynomial in the other, with
+    mpmath.polyroots.  The default radii keep the torus off the branch
+    locus w_lin^2 = +-4 w_prod of two factors through the point.
+    """
+    assert arr.dim == 2 and all(m == 1 for m in arr.multiplicities)
+    forms = [[arr.hyperplanes[i].defining_form() for i in sorted(g)] for g in groups]
+    lin = 0 if len(forms[0]) == 1 else 1
+    assert len(forms[lin]) == 1, "one group must be a single hyperplane"
+    (a,) = forms[lin]
+    e = 0 if abs(a.coeffs[0]) >= abs(a.coeffs[1]) else 1  # eliminated variable
+    o = 1 - e
+
+    def gradient(group, z):
+        grad = [mpc(0), mpc(0)]
+        for k, g in enumerate(group):
+            rest = mpc(1)
+            for l, other in enumerate(group):
+                if l != k:
+                    rest *= other.evaluate(z)
+            grad = [grad[j] + g.coeffs[j] * rest for j in range(2)]
+        return grad
+
+    total = mpc(0)
+    for j0 in range(nodes):
+        for j1 in range(nodes):
+            w = [
+                radii[0] * mpmath.expjpi(mpf(2 * j0) / nodes),
+                radii[1] * mpmath.expjpi(mpf(2 * j1) / nodes),
+            ]
+            # z_e = (w_lin - a_const - a_o z_o) / a_e, so each factor of the
+            # product group is beta z_o + delta; coefficients lowest first
+            poly = [mpc(1)]
+            for b in forms[1 - lin]:
+                beta = b.coeffs[o] - b.coeffs[e] * a.coeffs[o] / a.coeffs[e]
+                delta = b.const + b.coeffs[e] * (w[lin] - a.const) / a.coeffs[e]
+                poly = [
+                    (poly[k] if k < len(poly) else 0) * delta
+                    + (poly[k - 1] * beta if k > 0 else 0)
+                    for k in range(len(poly) + 1)
+                ]
+            poly[0] -= w[1 - lin]
+            for t in mpmath.polyroots(poly[::-1], maxsteps=200, extraprec=64):
+                z = [None, None]
+                z[o] = t
+                z[e] = (w[lin] - a.const - a.coeffs[o] * t) / a.coeffs[e]
+                if max(abs(z[k] - point[k]) for k in range(2)) > mpf("1e-2"):
+                    continue
+                rows = [gradient(forms[0], z), gradient(forms[1], z)]
+                jac = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+                total += arr.numerator.evaluate(z) / jac
+    return total / nodes**2

@@ -256,14 +256,17 @@ def test_criterion_4():
         assert _rel(g1, dx) <= 1e-10
         assert _rel(g2, -dy) <= 1e-10
         assert perf_counter() - start < 5.0
-        # The expected value below takes the x-integral around the grouped
-        # divisor H1H2 to pick up the x = i pole only, which gives
-        # partial_y h(i,i).  Near (i,i) the cycle {|g1 g2| = eps1} is a double
-        # cover of its base circle and also encloses the x = -y + 2i pole, so
-        # the cycle residue is partial_y h - partial_x h.  The assertion
-        # records the single-pole reading; the engine integrates the cycle.
-        assert _rel(g3, dy) <= 1e-10, (
-            f"grouping (H1H2,H3) residue {g3} != partial_y h {dy}"
+        # Grouping (H1H2,H3): with u = x - i, v = y - i the divisor map is
+        # F = (uv, u + v), det J_F = v - u, and the preimages of (w1, w2)
+        # are (t1, t2) and (t2, t1) for the roots of t^2 - w2 t + w1.  The
+        # trace formula (Griffiths & Harris, ch. 5) gives
+        # lim [h(t1, t2) - h(t2, t1)] / (t2 - t1) = partial_y h - partial_x h,
+        # which conftest.trace_residue confirms numerically
+        # (test_residue_engine.test_trace_formula_oracle).  For this h it
+        # equals partial_x h.
+        assert _rel(g3, dy - dx) <= 1e-10, (
+            f"grouping (H1H2,H3) residue {g3} != partial_y h - partial_x h "
+            f"{dy - dx}"
         )
 
 

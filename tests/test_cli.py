@@ -337,6 +337,33 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "not affine" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, sample, option, value",
+    [
+        ("verify", "arctangent", "--box", "-5"),
+        ("verify", "arctangent", "--box", "0"),
+        ("verify", "arctangent", "--box", "inf"),
+        ("verify", "arctangent", "--box", "nan"),
+        ("verify", "arctangent", "--tol", "inf"),
+        ("verify", "arctangent", "--tol", "0"),
+        ("verify", "arctangent", "--tol", "-1"),
+        ("verify", "arctangent", "--tol", "nan"),
+        ("eval", "arctangent", "--precision", "0"),
+        ("eval", "arctangent", "--precision", "1"),
+        ("eval", "coincident_point", "--precision", "2"),
+        ("eval", "coincident_point", "--precision", "52"),
+    ],
+)
+def test_out_of_range_numeric_flags_are_usage_errors(
+    capsys, command, sample, option, value
+):
+    path = str(SAMPLES / f"{sample}.rsd")
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+
+
 def test_main_rejects_unknown_command(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.rsd"])

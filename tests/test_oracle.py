@@ -136,10 +136,48 @@ def test_quad_rejects_nondecaying():
         quad_integral(grower)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"box": 0.0}, {"box": -5.0}, {"box": math.inf}, {"tol": 0.0},
+     {"tol": -1.0}, {"tol": math.inf}, {"tol": math.nan}],
+)
+def test_quad_rejects_out_of_range_box_and_tol(kwargs):
+    with pytest.raises(ValueError):
+        quad_integral(single_pole_problem(), **kwargs)
+
+
 def test_quad_budget_guard():
     arr = oscillatory_line_problem(200)
     with pytest.raises(BudgetExceeded):
         quad_integral(arr, node_budget=64)
+
+
+def test_no_large_gauss_rule(monkeypatch):
+    """Only the 12-point arc panels use Gauss-Legendre nodes; every full-line
+    and windowed integral is a trapezoid sum."""
+    import numpy
+
+    real = numpy.polynomial.legendre.leggauss
+
+    def small_only(deg):
+        if deg > 12:
+            raise AssertionError(f"leggauss({deg}) called")
+        return real(deg)
+
+    monkeypatch.setattr(numpy.polynomial.legendre, "leggauss", small_only)
+    quad_integral(single_pole_problem())
+    # past the default budget too: a degree no earlier call has asked for
+    with pytest.raises(BudgetExceeded):
+        quad_integral(single_pole_problem(), box=1e4, node_budget=8192)
+    quad_integral(oscillatory_line_problem(1))
+    quad_integral(three_plane_problem(2, 3), box=5.0)
+    func = _one_var_function(
+        denom=(
+            (AffineForm.make([1], -mpc(0, 1)), 1),
+            (AffineForm.make([1], mpc(0, 1)), 1),
+        )
+    )
+    semicircle_check(func, (10, 100))
 
 
 def test_torus_unit_residue():

@@ -3,7 +3,9 @@
 Two independent oracles sit at the top.  tiny_torus integrates the form
 over the torus cycle |g_j| = eps around a simple terminal point (classical,
 chart-free value); direct_flag_value evaluates the simple-transverse-flag
-residue formula in the chart without the residue machinery.
+residue formula in the chart without the residue machinery.  A third,
+conftest.trace_residue, gives Grothendieck residues of grouped divisors by
+the trace formula.
 """
 
 import random
@@ -24,6 +26,7 @@ from conftest import (
     single_pole_problem,
     three_plane_problem,
     three_plane_value,
+    trace_residue,
 )
 from residuum.arrangement import (
     Arrangement,
@@ -391,29 +394,32 @@ def test_grothendieck_groupings_at_coincident_point():
         assert abs(dx - (-dy)) > mpf("1e-10")
 
 
+def _asymmetric_problem():
+    """exp(2 pi i (3x + 5y)) over the coincident-point hyperplanes, with
+    partial_x h and partial_y h at (i, i); here partial_y h - partial_x h
+    differs from partial_x h."""
+    from residuum.symfun import AffineForm
+
+    numerator = ExpRationalFunction.from_parts(
+        2,
+        expo=AffineForm.make([2 * pi * mpc(0, 3), 2 * pi * mpc(0, 5)], 0),
+    )
+    hps = [
+        canonicalize_hyperplane([1, 0], -mpc(0, 1)),
+        canonicalize_hyperplane([0, 1], -mpc(0, 1)),
+        canonicalize_hyperplane([1, 1], -mpc(0, 2)),
+    ]
+    arr = Arrangement.build(2, hps, numerator=numerator)
+    h_at = exp(mpc(0, 1) * 2 * pi * (3 * mpc(0, 1) + 5 * mpc(0, 1)))
+    return arr, mpc(0, 1) * 2 * pi * 3 * h_at, mpc(0, 1) * 2 * pi * 5 * h_at
+
+
 def test_grouping_asymmetric_numerator():
     """Terminal-point residues distinguish the three groupings sharply."""
     with working_precision(128):
-        from residuum.symfun import AffineForm
-
-        numerator = ExpRationalFunction.from_parts(
-            2,
-            expo=AffineForm.make(
-                [2 * pi * mpc(0, 3), 2 * pi * mpc(0, 5)], 0
-            ),
-        )
-        hps = [
-            canonicalize_hyperplane([1, 0], -mpc(0, 1)),
-            canonicalize_hyperplane([0, 1], -mpc(0, 1)),
-            canonicalize_hyperplane([1, 1], -mpc(0, 2)),
-        ]
-        arr = Arrangement.build(2, hps, numerator=numerator)
+        arr, dx, dy = _asymmetric_problem()
         poly = cone(*CONE_WIDE)
         m = (mpc(0, 1), mpc(0, 1))
-        h_at = exp(mpc(0, 1) * 2 * pi * (3 * mpc(0, 1) + 5 * mpc(0, 1)))
-        dx = mpc(0, 1) * 2 * pi * 3 * h_at
-        dy = mpc(0, 1) * 2 * pi * 5 * h_at
-
         pairs = (
             (DivisorGrouping.of({2, 0}, {1}), dx),
             (DivisorGrouping.of({2, 1}, {0}), -dy),
@@ -422,6 +428,30 @@ def test_grouping_asymmetric_numerator():
         for grouping, expected in pairs:
             value = grothendieck_residue(arr, grouping, m, poly)
             assert abs(value - expected) / abs(expected) < mpf("1e-25")
+
+
+def test_trace_formula_oracle():
+    """trace_residue against closed forms: first the two groupings whose
+    values nobody disputes, then all three on a numerator for which
+    partial_y h - partial_x h and partial_x h differ."""
+    m = (mpc(0, 1), mpc(0, 1))
+    with working_precision(128):
+        arr = coincident_point_problem()
+        dx, dy = h_partials()
+        for groups, expected in ((({0, 2}, {1}), dx), (({1, 2}, {0}), -dy)):
+            value = trace_residue(arr, groups, m)
+            assert abs(value - expected) / abs(expected) < mpf("1e-20")
+
+        arr, dx, dy = _asymmetric_problem()
+        assert abs((dy - dx) - dx) > mpf("0.1") * abs(dx)
+        pairs = (
+            (({0, 2}, {1}), dx),
+            (({1, 2}, {0}), -dy),
+            (({0, 1}, {2}), dy - dx),
+        )
+        for groups, expected in pairs:
+            value = trace_residue(arr, groups, m)
+            assert abs(value - expected) / abs(expected) < mpf("1e-20")
 
 
 def test_canonical_grouping_values():
