@@ -383,61 +383,6 @@ def pole_location(arr: Arrangement, flag: Flag) -> list[mpc]:
     return solve_linear(f_rows, rhs)
 
 
-@dataclass(frozen=True)
-class ZStarResult:
-    """Sequential pole positions and the arising verdict for one flag."""
-
-    values: tuple[mpc, ...]
-    arises: bool
-    boundary: bool
-    profile: MinorProfile
-
-
-def z_star(
-    arr: Arrangement,
-    flag: Flag,
-    poly: Polyhedron,
-    x: Sequence | None = None,
-) -> ZStarResult:
-    """Evaluate the sequential pole formula; x holds the trailing real samples.
-
-    Raises InsolubleFlag when a leading principal minor vanishes.  The arising
-    verdict (every Im z_k* > 0) is x-independent; boundary marks Im z_k* = 0
-    within the noise floor.
-    """
-    k_total = len(flag)
-    jac = jacobian(arr, flag.indices, poly)
-    prof = minor_profile(jac)
-    if any(p == 0 for p in prof.p):
-        raise InsolubleFlag(flag)
-    xs = [to_mpc(v) for v in (x if x is not None else [0] * arr.dim)]
-    if len(xs) < arr.dim:
-        raise ValueError("x must supply a sample for every coordinate")
-    r_map = prof.r_map()
-    q_map = prof.q_map()
-    s_vals = [to_mpc(arr.hyperplanes[i].s) for i in flag.indices]
-    p_prev = [Fraction(1)] + list(prof.p)
-    values: list[mpc] = []
-    arises = True
-    boundary = False
-    for k in range(1, k_total + 1):
-        acc = s_vals[k - 1] * to_mpc(p_prev[k - 1])
-        for j in range(1, k):
-            sign = -1 if (k - j) % 2 else 1
-            acc = acc + sign * s_vals[j - 1] * to_mpc(r_map[(j, k)])
-        total = acc * mpc(0, 1)
-        for l in range(k + 1, arr.dim + 1):
-            total = total - xs[l - 1] * to_mpc(q_map[(k, l)])
-        zk = total / to_mpc(prof.p[k - 1])
-        values.append(zk)
-        if is_negligible(zk.imag, abs(zk)):
-            boundary = True
-            arises = False
-        elif zk.imag < 0:
-            arises = False
-    return ZStarResult(tuple(values), arises, boundary, prof)
-
-
 def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
     """Whether two ordered collections cut out the same chain of subspaces.
 

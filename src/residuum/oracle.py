@@ -2,8 +2,11 @@
 diagnostics, and torus-cycle residues.
 
 Everything here runs in float64 numpy, independent of the exact residue
-machinery; the only shared ingredient is the symbolic function container,
-which is compiled once into a vectorized closure.
+machinery; the only shared ingredient is the symbolic function container.
+Its terms are read once into one float64 spec per term (_term_specs), from
+which two evaluators are built: _tensor_sum for sums over tensor grids and
+the pointwise closure of compile_numeric for everything else (Monte Carlo
+points, the shell-tail faces, tori and arcs).
 
 quad_integral uses one rule for every deterministic integral: the
 trapezoid (midpoint) sum on a uniform tensor grid, under one of two maps.
@@ -37,9 +40,15 @@ accurate than the difference says.
 
 tail_estimate deliberately ignores oscillatory cancellation: it bounds
 the raw mass beyond the last window from the decay degree, so it is
-conservative but always an upper bound.  Grids are evaluated as
-vectorized blocks in a fixed order; repeated calls are bitwise
-reproducible.
+conservative but always an upper bound.
+
+On a tensor grid every term factors along the axes: its exponential
+exp(a_0 x_0 + a_1 x_1 + c) is a product of one vector per axis, which
+also carries that axis's weights, and each linear factor is the outer sum
+of one vector per axis.  So a grid sum computes exponentials once per
+axis node, not once per point; only the polynomial and the divisions are
+done per point, in blocks of axis-0 rows contracted with the per-axis
+vectors in a fixed order.  Repeated calls are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -104,46 +113,127 @@ class SemicircleDiagnostic:
     sampled_radii: tuple
 
 
-def compile_numeric(func: ExpRationalFunction):
-    """Compile a symbolic function into a closure on (arity, N) arrays."""
-    spec = []
+def _term_specs(func: ExpRationalFunction):
+    """The float64 data of each term, shared by both evaluators.
+
+    One (coeff, poly, expo, expo_0, denom) tuple per term.  poly lists
+    (exponents, value) monomials, or is None when the polynomial is a
+    single constant, which is then folded into coeff.  expo holds the
+    exponent's per-axis coefficients and expo_0 its constant, or both are
+    None when the term has no exponential.  denom lists (row, const, mult)
+    per linear factor, in the term's order.
+    """
+    specs = []
     for t in func.terms:
         poly = [(tuple(e), complex(v)) for e, v in t.poly.items()]
         if not poly:
             continue
-        expo_c = np.array([complex(a) for a in t.expo.coeffs], dtype=complex)
+        coeff = complex(t.coeff)
+        if len(poly) == 1 and not any(poly[0][0]):
+            coeff *= poly[0][1]
+            poly = None
+        expo = np.array([complex(a) for a in t.expo.coeffs], dtype=complex)
         expo_0 = complex(t.expo.const)
-        has_expo = bool(expo_c.any()) or expo_0 != 0
+        if not (expo.any() or expo_0 != 0):
+            expo = expo_0 = None
         denom = [
             (np.array([complex(a) for a in f.coeffs], dtype=complex),
              complex(f.const), m)
             for f, m in t.denom
         ]
-        spec.append((complex(t.coeff), poly, expo_c, expo_0, has_expo, denom))
+        specs.append((coeff, poly, expo, expo_0, denom))
+    return specs
+
+
+def compile_numeric(func: ExpRationalFunction):
+    """Compile a symbolic function into a closure on (arity, N) arrays."""
+    specs = _term_specs(func)
 
     def evaluate(points):
         n = points.shape[1]
         out = np.zeros(n, dtype=np.complex128)
-        for coeff, poly, expo_c, expo_0, has_expo, denom in spec:
-            acc = np.zeros(n, dtype=np.complex128)
-            for e, v in poly:
-                mono = np.full(n, v, dtype=np.complex128)
-                for j, p in enumerate(e):
-                    if p:
-                        mono = mono * points[j] ** p
-                acc += mono
-            # in place: one full-size temporary fewer at the memory peak
-            val = coeff * acc
-            del acc
-            if has_expo:
-                val *= np.exp(expo_c @ points + expo_0)
+        for coeff, poly, expo, expo_0, denom in specs:
+            # a scalar until a factor makes it an array; each product or
+            # quotient goes into the factor's own fresh temporary, one
+            # full-size array fewer at the memory peak
+            val = coeff
+            if poly is not None:
+                acc = np.zeros(n, dtype=np.complex128)
+                for e, v in poly:
+                    mono = np.full(n, v, dtype=np.complex128)
+                    for j, p in enumerate(e):
+                        if p:
+                            mono = mono * points[j] ** p
+                    acc += mono
+                val = np.multiply(coeff, acc, out=acc)
+            if expo is not None:
+                phase = np.exp(expo @ points + expo_0)
+                val = np.multiply(val, phase, out=phase)
             for row, const, mult in denom:
                 lin = row @ points + const
-                val /= lin**mult
+                if mult > 1:
+                    lin = lin**mult
+                val = np.divide(val, lin, out=lin)
             out += val
         return out
 
     return evaluate
+
+
+def _tensor_sum(specs, axes, chunk_points=600_000):
+    """Weighted sum of the integrand over the tensor grid of r <= 2 axes.
+
+    Per term, the weights and the exponential fold into per-axis vectors
+    g_k = w_k exp(a_k x_k), with coeff exp(c) on axis 0, and each linear
+    form is the outer sum (a_0 x_0 + c) + (a_1 x_1).  The polynomial and
+    the divisions are built per point, in blocks of axis-0 rows of about
+    chunk_points points, and each block is contracted with g_0 and g_1.
+    No BLAS routine takes part, so the sum does not depend on the thread
+    count.
+    """
+    xs = [nodes for nodes, _ in axes]
+
+    def grid(parts, rows, op):
+        # a fresh array: axis-0 rows of the outer op of per-axis vectors
+        head = parts[0][rows]
+        return head.copy() if len(parts) == 1 else op.outer(head, parts[1])
+
+    rest = tuple(len(x) for x in xs[1:])
+    block = max(1, chunk_points // math.prod(rest))
+    total = 0.0 + 0.0j
+    for coeff, poly, expo, expo_0, denom in specs:
+        g = [weights.astype(np.complex128) for _, weights in axes]
+        g[0] *= coeff
+        if expo is not None:
+            g[0] *= np.exp(expo[0] * xs[0] + expo_0)
+            for k in range(1, len(xs)):
+                g[k] *= np.exp(expo[k] * xs[k])
+        monos = [
+            [v * xs[0] ** e[0]] + [x ** p for x, p in zip(xs[1:], e[1:])]
+            for e, v in poly or ()
+        ]
+        forms = [
+            ([row[0] * xs[0] + const] + [a * x for a, x in zip(row[1:], xs[1:])], mult)
+            for row, const, mult in denom
+        ]
+        for start in range(0, len(xs[0]), block):
+            rows = slice(start, start + block)
+            val = None  # the constant 1 until a factor is applied
+            for parts in monos:
+                mono = grid(parts, rows, np.multiply)
+                val = mono if val is None else np.add(val, mono, out=val)
+            for parts, mult in forms:
+                lin = grid(parts, rows, np.add)
+                if mult > 1:
+                    lin = lin**mult
+                val = np.divide(1.0 if val is None else val, lin, out=lin)
+            g0 = g[0][rows]
+            if val is None:
+                val = np.ones((g0.size,) + rest, dtype=np.complex128)
+            if len(g) == 2:
+                val = np.einsum("ij,j->i", val, g[1])
+            total += complex(np.sum(val * g0))
+    return total
 
 
 def _decay_profile(arr: Arrangement):
@@ -208,35 +298,6 @@ def _window_axis(x_flat: float, n: int):
     return nodes, spacing * _window_weight(nodes, x_flat)
 
 
-def _tensor_sum(fn, axes, chunk_points=600_000):
-    """Sum fn over the tensor grid, chunked along axis 0, fixed order."""
-    r = len(axes)
-    if r == 1:
-        nodes, weights = axes[0]
-        return complex(np.sum(fn(nodes[None, :]) * weights))
-    rest = axes[1:]
-    mesh = np.meshgrid(*[a[0] for a in rest], indexing="ij")
-    rest_nodes = [m.ravel() for m in mesh]
-    wmesh = np.meshgrid(*[a[1] for a in rest], indexing="ij")
-    rest_weights = np.ones_like(rest_nodes[0])
-    for wm in wmesh:
-        rest_weights = rest_weights * wm.ravel()
-    m = rest_nodes[0].size
-    nodes0, weights0 = axes[0]
-    block = max(1, chunk_points // m)
-    total = 0.0 + 0.0j
-    for i in range(0, nodes0.size, block):
-        sub = nodes0[i : i + block]
-        subw = weights0[i : i + block]
-        pts = np.empty((r, sub.size * m), dtype=np.complex128)
-        pts[0] = np.repeat(sub, m)
-        for k, rn in enumerate(rest_nodes):
-            pts[k + 1] = np.tile(rn, sub.size)
-        w = np.repeat(subw, m) * np.tile(rest_weights, sub.size)
-        total += complex(np.sum(fn(pts) * w))
-    return total
-
-
 def _refine(total, counts, budget, limit):
     """Sums at node counts doubling per axis, capped at budget.
 
@@ -256,9 +317,9 @@ def _refine(total, counts, budget, limit):
         counts = [min(2 * n, budget) for n in counts]
 
 
-def _tan_map_quad(fn, r, box, tol, budget):
+def _tan_map_quad(specs, r, box, tol, budget):
     coarse, (counts, val), ok = _refine(
-        lambda counts: _tensor_sum(fn, [_tan_axis(box, n) for n in counts]),
+        lambda counts: _tensor_sum(specs, [_tan_axis(box, n) for n in counts]),
         [64] * r, budget, tol,
     )
     if not ok:
@@ -295,9 +356,11 @@ def _shell_tail(fn, r, edge, decay):
     return peak * r * (2.0**r) * edge**r / (decay - r)
 
 
-def _windowed_quad(fn, r, freqs, decay, box, tol, budget):
+def _windowed_quad(func, r, freqs, decay, box, tol, budget):
+    specs = _term_specs(func)
+
     def window_sum(x_flat, counts):
-        return _tensor_sum(fn, [_window_axis(x_flat, n) for n in counts])
+        return _tensor_sum(specs, [_window_axis(x_flat, n) for n in counts])
 
     length = 2.0 * _WINDOW_EDGE * box
     start = [math.ceil(length * (f + _ALIAS) / (2.0 * np.pi)) for f in freqs]
@@ -335,7 +398,7 @@ def _windowed_quad(fn, r, freqs, decay, box, tol, budget):
     else:
         est = vals[0]
         extrap_err = 0.0
-    tail = _shell_tail(fn, r, _WINDOW_EDGE * x_last, decay)
+    tail = _shell_tail(compile_numeric(func), r, _WINDOW_EDGE * x_last, decay)
     return QuadratureReport(
         estimate=mpc(est + (fine - base)),
         error_bound=float(extrap_err + abs(fine - base)),
@@ -389,12 +452,11 @@ def quad_integral(
     if not func.terms:
         return QuadratureReport(mpc(0), 0.0, float(box), 0, 0.0)
     freqs, decay = _decay_profile(arr)
-    fn = compile_numeric(func)
     if r == 3:
-        return _monte_carlo(fn, r, box)
+        return _monte_carlo(compile_numeric(func), r, box)
     if all(f == 0.0 for f in freqs):
-        return _tan_map_quad(fn, r, box, tol, node_budget)
-    return _windowed_quad(fn, r, freqs, decay, box, tol, node_budget)
+        return _tan_map_quad(_term_specs(func), r, box, tol, node_budget)
+    return _windowed_quad(func, r, freqs, decay, box, tol, node_budget)
 
 
 def torus_residue(

@@ -9,17 +9,29 @@ Two reference problems recur everywhere:
   where all three hyperplanes pass through (i, i).
 
 trace_residue is an independent numerical oracle for two-variable
-Grothendieck residues; it uses no flags and no charts.
+Grothendieck residues; it uses no flags and no charts.  z_star evaluates the
+sequential pole formula of one flag, the closed form the stability verdicts
+are checked against.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 from mpmath import log as mp_log
 from mpmath import mpc, mpf, pi
 
-from residuum.arrangement import Arrangement, Polyhedron, canonicalize_hyperplane
-from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc
+from residuum.arrangement import (
+    Arrangement,
+    Flag,
+    InsolubleFlag,
+    Polyhedron,
+    canonicalize_hyperplane,
+    jacobian,
+)
+from residuum.exact_linalg import MinorProfile, minor_profile
+from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
 
 
 def cone(*generators) -> Polyhedron:
@@ -176,3 +188,58 @@ def trace_residue(arr, groups, point, radii=(mpf("1e-8"), mpf("1e-4")), nodes=8)
                 jac = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
                 total += arr.numerator.evaluate(z) / jac
     return total / nodes**2
+
+
+@dataclass(frozen=True)
+class ZStarResult:
+    """Sequential pole positions and the arising verdict for one flag."""
+
+    values: tuple[mpc, ...]
+    arises: bool
+    boundary: bool
+    profile: MinorProfile
+
+
+def z_star(
+    arr: Arrangement,
+    flag: Flag,
+    poly: Polyhedron,
+    x: Sequence | None = None,
+) -> ZStarResult:
+    """Evaluate the sequential pole formula; x holds the trailing real samples.
+
+    Raises InsolubleFlag when a leading principal minor vanishes.  The arising
+    verdict (every Im z_k* > 0) is x-independent; boundary marks Im z_k* = 0
+    within the noise floor.
+    """
+    k_total = len(flag)
+    jac = jacobian(arr, flag.indices, poly)
+    prof = minor_profile(jac)
+    if any(p == 0 for p in prof.p):
+        raise InsolubleFlag(flag)
+    xs = [to_mpc(v) for v in (x if x is not None else [0] * arr.dim)]
+    if len(xs) < arr.dim:
+        raise ValueError("x must supply a sample for every coordinate")
+    r_map = prof.r_map()
+    q_map = prof.q_map()
+    s_vals = [to_mpc(arr.hyperplanes[i].s) for i in flag.indices]
+    p_prev = [Fraction(1)] + list(prof.p)
+    values: list[mpc] = []
+    arises = True
+    boundary = False
+    for k in range(1, k_total + 1):
+        acc = s_vals[k - 1] * to_mpc(p_prev[k - 1])
+        for j in range(1, k):
+            sign = -1 if (k - j) % 2 else 1
+            acc = acc + sign * s_vals[j - 1] * to_mpc(r_map[(j, k)])
+        total = acc * mpc(0, 1)
+        for l in range(k + 1, arr.dim + 1):
+            total = total - xs[l - 1] * to_mpc(q_map[(k, l)])
+        zk = total / to_mpc(prof.p[k - 1])
+        values.append(zk)
+        if is_negligible(zk.imag, abs(zk)):
+            boundary = True
+            arises = False
+        elif zk.imag < 0:
+            arises = False
+    return ZStarResult(tuple(values), arises, boundary, prof)

@@ -29,6 +29,7 @@ from conftest import (
     single_pole_problem,
     three_plane_problem,
     three_plane_value,
+    z_star,
 )
 from residuum.arrangement import (
     Arrangement,
@@ -40,7 +41,6 @@ from residuum.arrangement import (
     enumerate_flags,
     jacobian,
     stable_flags,
-    z_star,
 )
 from residuum.cli import main as cli_main
 from residuum.exact_linalg import RationalMatrix, minor_profile

@@ -15,6 +15,7 @@ from conftest import (
     coincident_point_problem,
     cone,
     three_plane_problem,
+    z_star,
 )
 from residuum.arrangement import (
     Arrangement,
@@ -31,7 +32,6 @@ from residuum.arrangement import (
     pole_location,
     same_flag,
     stable_flags,
-    z_star,
 )
 from residuum.exact_linalg import (
     GaussianRational,

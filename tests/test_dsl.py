@@ -9,18 +9,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
+from residuum.arrangement import Polyhedron
 from residuum.dsl import (
     Bin,
     ExpCall,
+    Expr,
     Name,
+    Neg,
     Num,
     ParseError,
     ProblemError,
     ProblemSpec,
     load_problem,
     parse_problem,
-    random_spec,
 )
+
+def random_spec(rng) -> ProblemSpec:
+    """Draw a small random problem for parser round-trip checks."""
+    nvars = rng.choice([1, 2, 3])
+    variables = tuple(("x", "y", "z")[:nvars])
+    while True:
+        cone = tuple(
+            tuple(
+                Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+                for _ in range(nvars)
+            )
+            for _ in range(nvars)
+        )
+        try:
+            Polyhedron.from_generators(cone)
+            break
+        except ValueError:
+            continue
+    n_params = rng.randint(0, 2)
+    param_pool = ["s1", "n1", "a", "b"]
+    rng.shuffle(param_pool)
+    names = param_pool[:n_params]
+
+    def tree(depth: int, atoms) -> Expr:
+        kind = rng.randint(0, 6 if depth > 0 else 1)
+        if kind <= 1:
+            return atoms[rng.randint(0, len(atoms) - 1)]
+        if kind == 2:
+            return Neg(tree(depth - 1, atoms))
+        if kind == 6:
+            return ExpCall(tree(depth - 1, atoms))
+        op = rng.choice(["+", "-", "*", "/", "^"])
+        return Bin(op, tree(depth - 1, atoms), tree(depth - 1, atoms))
+
+    # parameter values may not mention the integration variables
+    scalar_atoms = [Num(rng.randint(0, 9)) for _ in range(3)] + [
+        Name("i"),
+        Name("pi"),
+    ]
+    parameters = []
+    for pos_in_list, name in enumerate(names):
+        pool = scalar_atoms + [Name(n) for n in names[:pos_in_list]]
+        parameters.append((name, tree(2, pool)))
+    parameters = tuple(parameters)
+    atoms = (
+        scalar_atoms
+        + [Name(v) for v in variables]
+        + [Name(n) for n in names]
+    )
+    numerator = tree(3, atoms) if rng.random() < 0.8 else None
+    denominator = tuple(
+        (tree(2, atoms), rng.choice([1, 1, 1, 2, 3]))
+        for _ in range(rng.randint(1, 3))
+    )
+    return ProblemSpec(
+        variables=variables,
+        cone=cone,
+        parameters=parameters,
+        numerator=numerator,
+        denominator=denominator,
+    )
+
 
 EXAMPLE = """\
 vars x y;

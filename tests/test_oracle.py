@@ -10,7 +10,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import exp, mpc, mpf, pi
 
 from conftest import (
@@ -22,6 +25,7 @@ from conftest import (
     three_plane_problem,
     three_plane_value,
 )
+from residuum import oracle
 from residuum.arrangement import Arrangement, Flag, canonicalize_hyperplane
 from residuum.oracle import (
     BudgetExceeded,
@@ -38,6 +42,7 @@ from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
     Polynomial,
+    Term,
     working_precision,
 )
 
@@ -96,18 +101,20 @@ def test_quad_coincident_point():
     assert abs(report.estimate - closed) / abs(closed) < mpf("1e-3")
 
 
-def test_quad_three_variable_product():
+def _product_problem(r):
+    """prod_k 1/(x_k^2 + 1), each factor as (x_k - i)(-x_k - i): no
+    oscillation, value pi^r."""
     hps = []
-    for j in range(3):
-        f_pos = [Fraction(0)] * 3
-        f_neg = [Fraction(0)] * 3
-        f_pos[j] = Fraction(1)
-        f_neg[j] = Fraction(-1)
-        hps.append(canonicalize_hyperplane(f_pos, -mpc(0, 1)))
-        hps.append(canonicalize_hyperplane(f_neg, -mpc(0, 1)))
-    num = ExpRationalFunction.from_parts(3, coeff=-1)
-    arr = Arrangement.build(3, hps, numerator=num)
-    report = quad_integral(arr)
+    for j in range(r):
+        unit = [Fraction(int(k == j)) for k in range(r)]
+        hps.append(canonicalize_hyperplane(unit, -mpc(0, 1)))
+        hps.append(canonicalize_hyperplane([-u for u in unit], -mpc(0, 1)))
+    num = ExpRationalFunction.from_parts(r, coeff=(-1) ** r)
+    return Arrangement.build(r, hps, numerator=num)
+
+
+def test_quad_three_variable_product():
+    report = quad_integral(_product_problem(3))
     closed = pi**3
     assert abs(report.estimate - closed) / closed < mpf("0.02")
     assert report.error_bound > 0
@@ -178,6 +185,111 @@ def test_no_large_gauss_rule(monkeypatch):
         )
     )
     semicircle_check(func, (10, 100))
+
+
+_small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _grid_case(draw):
+    """An exp-rational function of r <= 2 variables and a tensor grid."""
+    r = draw(st.integers(min_value=1, max_value=2))
+    monomials = [e for e in np.ndindex(*(3,) * r) if sum(e) <= 2]
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        poly = {
+            e: mpc(draw(_small), draw(_small))
+            for e in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3))
+        }
+        # purely imaginary exponent coefficients plus a constant
+        expo = AffineForm.make(
+            [mpc(0, draw(_small)) for _ in range(r)],
+            mpc(draw(_small) / 4, draw(_small)),
+        )
+        denom = []
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            row = [draw(_small) for _ in range(r)]
+            if not any(row):
+                row[0] = 1
+            # an imaginary offset keeps every real point off the factor
+            offset = mpc(draw(_small), draw(st.sampled_from([-2, -1, 1, 2])))
+            denom.append((AffineForm.make(row, offset), draw(st.integers(1, 3))))
+        terms.append(
+            Term.make(mpc(draw(_small), 1), Polynomial(r, poly), expo, denom)
+        )
+    axes = [
+        draw(st.sampled_from([
+            oracle._tan_axis(2.0, 24),
+            oracle._window_axis(3.0, 30),
+            oracle._window_axis(1.0, 17),
+        ]))
+        for _ in range(r)
+    ]
+    chunk = draw(st.sampled_from([7, 100, 600_000]))
+    return ExpRationalFunction(r, terms), axes, chunk
+
+
+def _pointwise_grid_sum(func, axes):
+    """The grid sum through the pointwise closure, and the sum of |terms|."""
+    mesh = np.meshgrid(*[nodes for nodes, _ in axes], indexing="ij")
+    points = np.stack([m.ravel() for m in mesh]).astype(np.complex128)
+    weights = np.ones(points.shape[1])
+    for wm in np.meshgrid(*[w for _, w in axes], indexing="ij"):
+        weights = weights * wm.ravel()
+    total = complex(np.sum(oracle.compile_numeric(func)(points) * weights))
+    scale = sum(
+        float(np.sum(np.abs(
+            oracle.compile_numeric(ExpRationalFunction(func.arity, [t]))(points)
+            * weights
+        )))
+        for t in func.terms
+    )
+    return total, scale
+
+
+@given(_grid_case())
+@settings(max_examples=60, deadline=None)
+def test_grid_sum_matches_pointwise_closure(case):
+    """The separable grid evaluator and the pointwise closure agree on the
+    same tensor grid, in any block size."""
+    func, axes, chunk = case
+    grid = oracle._tensor_sum(oracle._term_specs(func), axes, chunk_points=chunk)
+    pointwise, scale = _pointwise_grid_sum(func, axes)
+    assert abs(grid - pointwise) <= 1e-12 * scale
+
+
+def test_grid_sums_skip_pointwise_closure(monkeypatch):
+    """Sums on r <= 2 tensor grids never go through the pointwise closure:
+    it sees only the shell-tail points, 64 on each face of the square."""
+    real = oracle.compile_numeric
+    seen = []
+
+    def counting(func):
+        evaluate = real(func)
+
+        def counted(points):
+            seen.append(points.shape[1])
+            return evaluate(points)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "compile_numeric", counting)
+    quad_integral(three_plane_problem(2, 3))
+    assert sum(seen) == 4 * 64
+    seen.clear()
+    report = quad_integral(_product_problem(2))
+    assert abs(report.estimate - pi**2) < mpf("1e-6")
+    assert seen == []
+
+
+def test_grid_sums_are_bitwise_repeatable():
+    """No BLAS routine takes part in a grid sum, so neither the run nor the
+    thread count changes a digit."""
+    arr = three_plane_problem(2, 3)
+    first = quad_integral(arr, box=5.0)
+    second = quad_integral(arr, box=5.0)
+    assert first.estimate == second.estimate
+    assert first == second
 
 
 def test_torus_unit_residue():

@@ -27,6 +27,7 @@ from conftest import (
     three_plane_problem,
     three_plane_value,
     trace_residue,
+    z_star,
 )
 from residuum.arrangement import (
     Arrangement,
@@ -38,7 +39,6 @@ from residuum.arrangement import (
     flag_classes,
     jacobian,
     pole_location,
-    z_star,
 )
 from residuum.exact_linalg import RationalMatrix, determinant, inverse, minor_profile
 from residuum.residue_engine import (
