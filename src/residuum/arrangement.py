@@ -37,7 +37,6 @@ from .exact_linalg import (
     MinorProfile,
     RationalMatrix,
     determinant,
-    inverse,
     minor_profile,
     rank,
     row_combinations,
@@ -176,10 +175,6 @@ class Polyhedron:
     def basis_matrix(self) -> RationalMatrix:
         """M with columns v_1..v_r, so v = M z."""
         return self._basis_matrix_of(self.generators)
-
-    def z_matrix(self) -> RationalMatrix:
-        """Rows are the coordinate forms z_1..z_r (the inverse of M)."""
-        return inverse(self.basis_matrix())
 
     def det(self) -> Fraction:
         return determinant(self.basis_matrix())

@@ -39,12 +39,13 @@ from .oracle import (
     semicircle_check,
 )
 from .residue_engine import (
+    ChartResidues,
     EmptyStableSet,
     EngineOptions,
     canonical_grouping_points,
     evaluate_integral,
 )
-from .symfun import AffineForm, TermBudgetExceeded, working_precision
+from .symfun import TermBudgetExceeded, working_precision
 
 VALUE_DIGITS = 24
 BOUND_DIGITS = 17
@@ -61,11 +62,6 @@ def _cplx(z) -> dict:
         "re": mpmath.nstr(z.real, VALUE_DIGITS),
         "im": mpmath.nstr(z.imag, VALUE_DIGITS),
     }
-
-
-def _cplx_text(z) -> str:
-    d = _cplx(z)
-    return f"{d['re']} + {d['im']}i"
 
 
 @dataclass(frozen=True)
@@ -308,14 +304,6 @@ def cmd_eval(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
     )
 
 
-def _chart_forms(arr: Arrangement, poly: Polyhedron) -> list[AffineForm]:
-    m = poly.basis_matrix()
-    subs = [
-        AffineForm.make(list(m.entries[k]), 0) for k in range(arr.dim)
-    ]
-    return [h.defining_form().compose(subs) for h in arr.hyperplanes]
-
-
 def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron) -> tuple:
     """Arc checks for the contour steps the residue formula would close.
 
@@ -324,25 +312,23 @@ def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron) -> tuple:
     on expanding upper semicircular arcs.  Arcs that do not vanish witness
     that the closed contour drops a nonzero boundary term.
     """
-    entries = []
+    if arr.dim > 2:
+        return ()
+    residues = ChartResidues(arr, poly)
+    integrand, forms = residues.step(())
     if arr.dim == 1:
-        candidates = [("the integrand's", arr.integrand_in(poly))]
-    elif arr.dim == 2:
-        integrand = arr.integrand_in(poly)
-        forms = _chart_forms(arr, poly)
+        candidates = [("the integrand's", integrand)]
+    else:
         sample = mpf("0.37109375")
         candidates = []
-        for j, g in enumerate(forms):
+        for j, g in forms.items():
             if mpmath.fabs(g.coeffs[0]) < mpf("1e-30"):
                 continue
             pole = g.solve_for(0)
             if mpmath.im(pole.evaluate([0, sample])) <= 0:
                 continue
-            candidates.append(
-                (f"H{j + 1}", integrand.residue_1d(0, pole))
-            )
-    else:
-        return ()
+            candidates.append((f"H{j + 1}", residues.step((j,))[0]))
+    entries = []
     for label, func in candidates:
         if func.is_zero():
             continue

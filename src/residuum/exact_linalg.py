@@ -171,12 +171,6 @@ class MinorProfile:
     compatible: bool
     in_bruhat_cell: bool
 
-    def q_map(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.q)
-
-    def r_map(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.r_minors)
-
 
 def minor_profile(
     mat: RationalMatrix,

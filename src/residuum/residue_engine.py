@@ -15,6 +15,10 @@ reproduces the real integral directly:
 The classical (chart-free) residue of the form differs from the chart value
 by sign(det M); torus-cycle quadrature in the oracle recovers the classical
 value, so the two paths agree exactly on positively oriented charts.
+
+Per-flag facts come from one place: Jacobians, profiles and a grouping's
+collections from ``arrangement.flag_table``; chart forms and residue steps
+from ``ChartResidues``, which the CLI's arc diagnostics read too.
 """
 
 from __future__ import annotations
@@ -30,16 +34,18 @@ from .arrangement import (
     Arrangement,
     AuditReport,
     Flag,
+    FlagEntry,
     InsolubleFlag,
     Polyhedron,
     compatibility_audit,
+    enumerate_flags,
     flag_classes,
     flag_table,
     jacobian,
     pole_location,
     stable_flags,
 )
-from .exact_linalg import RationalMatrix, determinant, minor_profile, rank
+from .exact_linalg import RationalMatrix, determinant, minor_profile, solve_linear
 from .symfun import (
     DEFAULT_PRECISION,
     AffineForm,
@@ -126,24 +132,23 @@ class ChartResidues:
         # prefix -> (residue function, {hyperplane index: defining form})
         self._steps: dict[tuple[int, ...], tuple] = {}
 
-    def _chart_forms(self) -> dict:
-        """Defining forms of all hyperplanes in the chart coordinates."""
-        arr = self.arr
-        j = jacobian(arr, range(len(arr.hyperplanes)), self.poly)
-        return {
-            idx: AffineForm.make(
-                [to_mpc(c) for c in j.row(idx)], -mpc(0, 1) * h.s
-            )
-            for idx, h in enumerate(arr.hyperplanes)
-        }
-
-    def _step(self, prefix: tuple[int, ...]):
+    def step(self, prefix: tuple[int, ...]):
+        """(function, {hyperplane index: defining form}) left after residues
+        along ``prefix``; the empty prefix gives the chart integrand and every
+        hyperplane's form in the chart coordinates."""
         step = self._steps.get(prefix)
         if step is None:
             if not prefix:
-                step = (self.arr.integrand_in(self.poly), self._chart_forms())
+                j = jacobian(self.arr, range(len(self.arr.hyperplanes)), self.poly)
+                forms = {
+                    idx: AffineForm.make(
+                        [to_mpc(c) for c in j.row(idx)], -mpc(0, 1) * h.s
+                    )
+                    for idx, h in enumerate(self.arr.hyperplanes)
+                }
+                step = (self.arr.integrand_in(self.poly), forms)
             else:
-                func, forms = self._step(prefix[:-1])
+                func, forms = self.step(prefix[:-1])
                 pole = forms[prefix[-1]].solve_for(0)
                 step = (
                     func.residue_1d(0, pole),
@@ -158,7 +163,7 @@ class ChartResidues:
 
     def value(self, flag: Flag) -> mpc:
         """Iterated residue along a flag soluble in this chart."""
-        return self._step(flag.indices)[0].evaluate(())
+        return self.step(flag.indices)[0].evaluate(())
 
 
 def _substitute_first(form: AffineForm, pole: AffineForm) -> AffineForm:
@@ -167,16 +172,6 @@ def _substitute_first(form: AffineForm, pole: AffineForm) -> AffineForm:
     subs = [pole.drop_var(0)]
     subs.extend(AffineForm.unit(n - 1, v - 1) for v in range(1, n))
     return form.compose(subs)
-
-
-def truncated_iterated_residue(
-    arr: Arrangement, flag: Flag, poly: Polyhedron
-) -> mpc:
-    """Iterated residue along the flag, or 0 outside the open Bruhat cell."""
-    profile = minor_profile(jacobian(arr, flag.indices, poly))
-    if not profile.in_bruhat_cell:
-        return mpc(0)
-    return ChartResidues(arr, poly).value(flag)
 
 
 def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
@@ -188,24 +183,28 @@ def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
     return ChartResidues(arr, poly).value(flag)
 
 
-def terminal_point_position(arr: Arrangement, flag: Flag, poly: Polyhedron):
-    """(inside, boundary) for the flag's terminal point against the polyhedron.
+def truncated_iterated_residue(
+    arr: Arrangement, flag: Flag, poly: Polyhedron
+) -> mpc:
+    """Iterated residue along the flag, or 0 outside the open Bruhat cell."""
+    try:
+        return iterated_residue(arr, flag, poly)
+    except InsolubleFlag:
+        return mpc(0)
 
-    Membership is tested on the imaginary parts of the chart coordinates;
+
+def terminal_point_position(arr: Arrangement, entry: FlagEntry):
+    """(inside, boundary) for a flag table entry's terminal point.
+
+    The point's chart coordinates solve J z = i s, J the entry's Jacobian;
     the polyhedron is the closed region Im z_k >= 0.
     """
-    point = pole_location(arr, flag)
-    z = poly.z_matrix()
-    inside = True
-    boundary = False
-    scale = max([mpf(1)] + [abs(c) for c in point])
-    for i in range(z.rows):
-        coord = sum((to_mpc(z[i, k]) * point[k] for k in range(z.cols)), mpc(0))
-        if is_negligible(coord.imag, scale):
-            boundary = True
-        elif coord.imag < 0:
-            inside = False
-    return inside, boundary
+    rhs = [to_mpc(arr.hyperplanes[i].s) * mpc(0, 1) for i in entry.flag.indices]
+    z = solve_linear(entry.jacobian, rhs)
+    scale = max([mpf(1)] + [abs(c) for c in z])
+    on_face = [is_negligible(c.imag, scale) for c in z]
+    inside = all(edge or c.imag > 0 for c, edge in zip(z, on_face))
+    return inside, any(on_face)
 
 
 def _bounded_on_cone(func: ExpRationalFunction, poly: Polyhedron) -> bool:
@@ -267,12 +266,13 @@ def evaluate_integral(
             verdict = Convergence.USER_ASSERTED
         warnings: list[str] = []
         classes = flag_classes(arr, stable_flags(arr, poly, table))
+        entries = {e.flag: e for e in table}
         residues = ChartResidues(arr, poly)
         contributions: dict[Flag, mpc] = {}
         total = mpc(0)
         for cls in classes:
             rep = cls[0]
-            inside, boundary = terminal_point_position(arr, rep, poly)
+            inside, boundary = terminal_point_position(arr, entries[rep])
             if boundary:
                 warnings.append(
                     f"terminal point of {rep.label()} lies on the polyhedron "
@@ -302,17 +302,28 @@ def evaluate_integral(
         )
 
 
-def _collections_of_grouping(arr: Arrangement, grouping: DivisorGrouping):
-    """Ordered independent hyperplane selections H_k in D_k."""
-    out = []
-    for choice in itertools.product(*(sorted(g) for g in grouping.groups)):
-        if len(set(choice)) != len(choice):
-            continue
-        rows = [arr.hyperplanes[i].f_row() for i in choice]
-        if rank(RationalMatrix.from_rows(rows)) != len(choice):
-            continue
-        out.append(Flag(tuple(choice)))
-    return out
+def _collections(arr: Arrangement, flags, grouping: DivisorGrouping) -> list[Flag]:
+    """The complete flags, of ``flags``, whose k-th hyperplane lies in D_k."""
+    if len(grouping.groups) != arr.dim:
+        raise ValueError("grouping must have one divisor per dimension")
+    groups = grouping.groups
+    return [f for f in flags if all(i in g for i, g in zip(f.indices, groups))]
+
+
+def _clusters(arr: Arrangement, collections) -> list[tuple[list, list[Flag]]]:
+    """Each collection's terminal point, solved once; points that agree
+    within working precision are merged."""
+    clusters: list[tuple[list, list[Flag]]] = []
+    for flag in collections:
+        point = pole_location(arr, flag)
+        scale = max([mpf(1)] + [abs(c) for c in point])
+        for existing, members in clusters:
+            if all(is_negligible(a - b, scale) for a, b in zip(existing, point)):
+                members.append(flag)
+                break
+        else:
+            clusters.append((point, [flag]))
+    return clusters
 
 
 def points_of_grouping(arr: Arrangement, grouping: DivisorGrouping):
@@ -321,22 +332,13 @@ def points_of_grouping(arr: Arrangement, grouping: DivisorGrouping):
     Returns a list of (point, flag list); points are merged when they agree
     within working precision.
     """
-    clusters: list[tuple[list, list[Flag]]] = []
-    for flag in _collections_of_grouping(arr, grouping):
-        point = pole_location(arr, flag)
-        scale = max([mpf(1)] + [abs(c) for c in point])
-        for existing, members in clusters:
-            if all(
-                is_negligible(a - b, scale) for a, b in zip(existing, point)
-            ):
-                members.append(flag)
-                break
-        else:
-            clusters.append((point, [flag]))
-    return clusters
+    flags = enumerate_flags(arr, arr.dim)
+    return _clusters(arr, _collections(arr, flags, grouping))
 
 
 _CHART_SEARCH_ENTRIES = (0, 1, -1, 2, -2)
+# auxiliary charts tried before a grouping is declared a BruhatViolation
+_MAX_CHARTS = 4000
 
 
 def _chart_candidates(dim: int):
@@ -355,55 +357,30 @@ def _chart_candidates(dim: int):
             yield Polyhedron.from_generators(cols)
 
 
-def grothendieck_residue(
+def _point_residue(
     arr: Arrangement,
     grouping: DivisorGrouping,
-    point,
-    poly: Polyhedron,
-    max_charts: int = 4000,
-    residues: ChartResidues | None = None,
+    flags: list[Flag],
+    profiles: dict,
+    residues: ChartResidues,
 ) -> mpc:
-    """Residue of the form at one terminal point of a divisor grouping.
+    """Residue at one terminal point: the iterated residues of the classes
+    of ``flags``, the grouping's flags arriving there.
 
-    Sums truncated iterated residues of the flags arising from the grouping
-    at the point, in the polyhedron's chart.  When some arising flag is
-    insoluble there, a positively oriented auxiliary chart soluble for every
-    arising flag is searched; the classical value computed there is then
-    reported in the polyhedron's own orientation.  ``residues``, residues
-    already taken in the polyhedron's chart, is reused when given.
+    The flag table's ``profiles`` decide solubility in the polyhedron's
+    chart.  When some class is insoluble there, a positively oriented
+    auxiliary chart soluble for every class is searched; the classical value
+    computed there is reported in the polyhedron's own orientation.
     """
-    if len(grouping.groups) != arr.dim:
-        raise ValueError("grouping must have one divisor per dimension")
-    point = [to_mpc(c) for c in point]
-    scale = max([mpf(1)] + [abs(c) for c in point])
-    at_point = []
-    for flag in _collections_of_grouping(arr, grouping):
-        terminal = pole_location(arr, flag)
-        if all(is_negligible(a - b, scale) for a, b in zip(terminal, point)):
-            at_point.append(flag)
-    if not at_point:
-        raise ValueError("no flag of the grouping terminates at the point")
-    classes = flag_classes(arr, at_point)
-    reps = [cls[0] for cls in classes]
-
-    def soluble_in(chart: Polyhedron) -> bool:
-        return all(
+    reps = [cls[0] for cls in flag_classes(arr, flags)]
+    if all(profiles[rep].in_bruhat_cell for rep in reps):
+        return sum((residues.value(rep) for rep in reps), mpc(0))
+    orientation = 1 if residues.poly.det() > 0 else -1
+    for chart in itertools.islice(_chart_candidates(arr.dim), _MAX_CHARTS):
+        if all(
             minor_profile(jacobian(arr, rep.indices, chart)).in_bruhat_cell
             for rep in reps
-        )
-
-    if soluble_in(poly):
-        if residues is None:
-            residues = ChartResidues(arr, poly)
-        elif residues.arr is not arr or residues.poly != poly:
-            raise ValueError("residues were taken for another arrangement or chart")
-        return sum((residues.value(rep) for rep in reps), mpc(0))
-
-    orientation = 1 if poly.det() > 0 else -1
-    for count, chart in enumerate(_chart_candidates(arr.dim)):
-        if count >= max_charts:
-            break
-        if soluble_in(chart):
+        ):
             aux = ChartResidues(arr, chart)
             classical = sum((aux.value(rep) for rep in reps), mpc(0))
             return orientation * classical
@@ -413,33 +390,53 @@ def grothendieck_residue(
     )
 
 
+def grothendieck_residue(
+    arr: Arrangement, grouping: DivisorGrouping, point, poly: Polyhedron
+) -> mpc:
+    """Residue of the form at one terminal point of a divisor grouping.
+
+    Sums the iterated residues of the grouping's flags arriving at the
+    point, read against the pair's flag table (see ``_point_residue``).
+    """
+    profiles = {e.flag: e.profile for e in flag_table(arr, poly)}
+    point = [to_mpc(c) for c in point]
+    scale = max([mpf(1)] + [abs(c) for c in point])
+    at_point = []
+    for flag in _collections(arr, profiles, grouping):
+        terminal = pole_location(arr, flag)
+        if all(is_negligible(a - b, scale) for a, b in zip(terminal, point)):
+            at_point.append(flag)
+    if not at_point:
+        raise ValueError("no flag of the grouping terminates at the point")
+    return _point_residue(arr, grouping, at_point, profiles, ChartResidues(arr, poly))
+
+
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     """The canonical grouping, and (point, arriving flags, residue) per point.
 
     Unions the k-th members of all stable collections into divisor D_k.  The
-    defining identity (sum of Grothendieck residues over the grouping's
-    terminal points = sum of stable-flag residues) is checked numerically.
+    grouping's collections are the flag table's flags with H_k in D_k; each
+    terminal point is solved once.  The defining identity (sum of
+    Grothendieck residues over the grouping's terminal points = sum of
+    stable-flag residues) is checked numerically.
     """
-    stable = stable_flags(arr, poly)
+    table = flag_table(arr, poly)
+    stable = stable_flags(arr, poly, table)
     if not stable:
         raise EmptyStableSet("no stable ordered collection for this polyhedron")
-    groups = []
-    for k in range(arr.dim):
-        groups.append(frozenset(flag.indices[k] for flag in stable))
-    grouping = DivisorGrouping(tuple(groups))
+    grouping = DivisorGrouping(
+        tuple(frozenset(flag.indices[k] for flag in stable) for k in range(arr.dim))
+    )
 
+    profiles = {e.flag: e.profile for e in table}
     residues = ChartResidues(arr, poly)
     flag_sum = sum(
         (residues.value(cls[0]) for cls in flag_classes(arr, stable)),
         mpc(0),
     )
     points = [
-        (
-            point,
-            flags,
-            grothendieck_residue(arr, grouping, point, poly, residues=residues),
-        )
-        for point, flags in points_of_grouping(arr, grouping)
+        (point, flags, _point_residue(arr, grouping, flags, profiles, residues))
+        for point, flags in _clusters(arr, _collections(arr, profiles, grouping))
     ]
     point_sum = sum((res for _, _, res in points), mpc(0))
     mismatch = abs(point_sum - flag_sum)

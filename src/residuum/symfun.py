@@ -228,12 +228,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._coeffs)
-
-    def constant_value(self) -> mpc:
-        return self._coeffs.get((0,) * self.arity, to_mpc(0))
-
     def degree(self) -> int:
         return max((sum(e) for e in self._coeffs), default=0)
 
@@ -379,9 +373,6 @@ class ExpRationalFunction:
 
     def neg(self) -> "ExpRationalFunction":
         return self.scale(-1)
-
-    def sub(self, other: "ExpRationalFunction") -> "ExpRationalFunction":
-        return self.add(other.neg())
 
     def scale(self, factor) -> "ExpRationalFunction":
         return ExpRationalFunction(self.arity, [t.scale(factor) for t in self.terms])

@@ -220,8 +220,8 @@ def z_star(
     xs = [to_mpc(v) for v in (x if x is not None else [0] * arr.dim)]
     if len(xs) < arr.dim:
         raise ValueError("x must supply a sample for every coordinate")
-    r_map = prof.r_map()
-    q_map = prof.q_map()
+    r_map = dict(prof.r_minors)
+    q_map = dict(prof.q)
     s_vals = [to_mpc(arr.hyperplanes[i].s) for i in flag.indices]
     p_prev = [Fraction(1)] + list(prof.p)
     values: list[mpc] = []

@@ -36,6 +36,7 @@ from residuum.arrangement import (
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
+    inverse,
     minor_profile,
     rank,
 )
@@ -108,7 +109,7 @@ def test_canonicalize_errors():
 def test_polyhedron_inverse_relation():
     poly = cone((1, 0), (-1, 1))
     m = poly.basis_matrix()
-    z = poly.z_matrix()
+    z = inverse(poly.basis_matrix())
     prod = z.matmul(m)
     assert prod == RationalMatrix.from_rows([[1, 0], [0, 1]])
     assert poly.det() == 1

@@ -5,14 +5,21 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf, pi
 
 from conftest import three_plane_value
-from residuum import exact_linalg, symfun
-from residuum.arrangement import enumerate_flags, flag_classes, jacobian, stable_flags
+from residuum import arrangement, exact_linalg, symfun
+from residuum.arrangement import (
+    enumerate_flags,
+    flag_classes,
+    flag_table,
+    jacobian,
+    stable_flags,
+)
 from residuum.cli import (
     cmd_analyze,
     cmd_eval,
@@ -209,6 +216,50 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text):
         assert len(calls) == len(prefixes), command.__name__
 
 
+@pytest.mark.parametrize(
+    "text",
+    [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],
+    ids=["coincident_point", "squared", "cubed"],
+)
+def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
+    """grouping ranks, profiles and solves nothing the flag table holds.
+
+    It ranks each r-subset of hyperplane rows once, profiles each complete
+    flag once and solves each grouping collection's terminal point once;
+    eval inverts one Jacobian per stable flag class and no cone basis.
+    """
+    spec = parse_problem(text)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    with mp.workprec(128):
+        table = flag_table(arr, poly)
+        _, points = canonical_grouping_points(arr, poly)
+    entries = {e.flag: e for e in table}
+    reps = [cls[0] for cls in flag_classes(arr, stable_flags(arr, poly, table))]
+    collections = sum(len(flags) for _, flags, _ in points)
+    calls = {"rank": [], "minor_profile": [], "pole_location": [], "inverse": []}
+    for fn in calls:
+        original = getattr(arrangement if fn == "pole_location" else exact_linalg, fn)
+
+        def counted(*args, fn=fn, original=original):
+            calls[fn].append(args[0])
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("residuum") and vars(module).get(fn) is original:
+                monkeypatch.setattr(module, fn, counted)
+    with mp.workprec(128):
+        cmd_grouping(spec)
+    assert len(calls["rank"]) == math.comb(len(arr.hyperplanes), arr.dim)
+    assert len(calls["minor_profile"]) == len(table)
+    assert len(calls["pole_location"]) == collections
+    for fn in calls:
+        calls[fn].clear()
+    with mp.workprec(128):
+        cmd_eval(spec)
+    # exactly the class representatives' Jacobians, so no cone basis
+    assert Counter(calls["inverse"]) == Counter(entries[rep].jacobian for rep in reps)
+
+
 def test_term_budget_is_a_usage_error(monkeypatch, tmp_path, capsys):
     path = _write(tmp_path, EX2)
     monkeypatch.setattr(symfun, "MAX_RESIDUE_TERMS", 0)
@@ -388,6 +439,31 @@ def test_json_reports_are_byte_stable(tmp_path, capsys):
     # keys are emitted sorted
     assert first.index('"command"') < first.index('"problem"')
     assert first.index('"problem"') < first.index('"schema"')
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_INPUTS = {
+    **{p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.rsd"))},
+    "squared_poles": SQUARED_POLES,
+    "cubed_poles": CUBED_POLES,
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "eval", "grouping"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_json_reports_match_golden(tmp_path, capsys, name, command):
+    """``--json`` stdout and exit status match the recorded runs byte for byte.
+
+    ``tests/golden/<name>.<command>.json`` holds the stdout of
+    ``main([command, file, "--json"])``, and ``exit_status.json`` its return
+    value.  Record them again only for a change meant to alter a report.
+    verify is left out: its oracle digits depend on the numpy build.
+    """
+    path = _write(tmp_path, GOLDEN_INPUTS[name])
+    status = json.loads((GOLDEN / "exit_status.json").read_text())
+    assert main([command, path, "--json"]) == status[f"{name}.{command}"]
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
 def test_json_verify_sections(tmp_path, capsys):

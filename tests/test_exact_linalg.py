@@ -193,13 +193,13 @@ def test_profile_golden_matrices():
     # [[1, 1], [-1, 0]]: stable (r12 = -1, sign ok) but q12 = 1 > 0.
     prof = minor_profile(RationalMatrix.from_rows([[1, 1], [-1, 0]]))
     assert prof.p == (1, 1)
-    assert prof.q_map()[(1, 2)] == 1
-    assert prof.r_map()[(1, 2)] == -1
+    assert dict(prof.q)[(1, 2)] == 1
+    assert dict(prof.r_minors)[(1, 2)] == -1
     assert prof.stable and not prof.compatible and prof.in_bruhat_cell
 
     # [[1, 0], [1, 1]]: r12 = 1 violates the alternating sign rule.
     prof = minor_profile(RationalMatrix.from_rows([[1, 0], [1, 1]]))
-    assert prof.r_map()[(1, 2)] == 1
+    assert dict(prof.r_minors)[(1, 2)] == 1
     assert not prof.stable
     assert prof.compatible  # unstable collections are compatible by definition
 
@@ -222,7 +222,7 @@ def test_profile_wide_matrix_q_range():
     # one row, three columns: q minors are just the later entries
     prof = minor_profile(RationalMatrix.from_rows([[2, -3, 5]]))
     assert prof.p == (2,)
-    assert prof.q_map() == {(1, 2): -3, (1, 3): 5}
+    assert dict(prof.q) == {(1, 2): -3, (1, 3): 5}
     assert prof.r_minors == ()
     assert prof.stable
     assert not prof.compatible  # q13 = 5 > 0
