@@ -187,12 +187,50 @@ def test_no_large_gauss_rule(monkeypatch):
     semicircle_check(func, (10, 100))
 
 
+def _reference_closure(func):
+    """The integrand evaluated one linear factor at a time, the differential
+    reference for the blocked kernel: each form is a matrix product, each
+    power a complex power, each factor a complex division, and every
+    intermediate a full-size array."""
+    specs = oracle._term_specs(func)
+
+    def evaluate(points):
+        n = points.shape[1]
+        out = np.zeros(n, dtype=np.complex128)
+        for coeff, poly, expo, expo_0, denom in specs:
+            val = coeff
+            if poly is not None:
+                acc = np.zeros(n, dtype=np.complex128)
+                for e, v in poly:
+                    mono = np.full(n, v, dtype=np.complex128)
+                    for j, p in enumerate(e):
+                        if p:
+                            mono = mono * points[j] ** p
+                    acc += mono
+                val = np.multiply(coeff, acc, out=acc)
+            if expo is not None:
+                phase = np.exp(expo @ points + expo_0)
+                val = np.multiply(val, phase, out=phase)
+            for row, const, mult in denom:
+                lin = row @ points + const
+                if mult > 1:
+                    lin = lin**mult
+                val = np.divide(val, lin, out=lin)
+            out += val
+        return out
+
+    return evaluate
+
+
 _small = st.integers(min_value=-3, max_value=3)
+# block sizes: a few points, a few rows, the default, and more than any grid
+_BLOCKS = [7, 100, 32_768, 1_000_000]
 
 
 @st.composite
 def _grid_case(draw):
-    """An exp-rational function of r <= 2 variables and a tensor grid."""
+    """An exp-rational function of r <= 2 variables, a tensor grid, a block
+    size, and an imaginary shift for the pointwise evaluation."""
     r = draw(st.integers(min_value=1, max_value=2))
     monomials = [e for e in np.ndindex(*(3,) * r) if sum(e) <= 2]
     terms = []
@@ -222,25 +260,33 @@ def _grid_case(draw):
             oracle._tan_axis(2.0, 24),
             oracle._window_axis(3.0, 30),
             oracle._window_axis(1.0, 17),
+            oracle._tan_axis(5.0, 190),
         ]))
         for _ in range(r)
     ]
-    chunk = draw(st.sampled_from([7, 100, 600_000]))
-    return ExpRationalFunction(r, terms), axes, chunk
+    block = draw(st.sampled_from(_BLOCKS))
+    # imaginary parts up to 0.1 per coordinate move no factor's imaginary
+    # part, at least 1 on real points, by more than 0.6
+    shift = draw(st.sampled_from([0.0, 0.1]))
+    return ExpRationalFunction(r, terms), axes, block, shift
 
 
-def _pointwise_grid_sum(func, axes):
-    """The grid sum through the pointwise closure, and the sum of |terms|."""
+def _grid_points(axes):
+    """The tensor grid as (r, N) points, and the product weight of each."""
     mesh = np.meshgrid(*[nodes for nodes, _ in axes], indexing="ij")
     points = np.stack([m.ravel() for m in mesh]).astype(np.complex128)
     weights = np.ones(points.shape[1])
     for wm in np.meshgrid(*[w for _, w in axes], indexing="ij"):
         weights = weights * wm.ravel()
-    total = complex(np.sum(oracle.compile_numeric(func)(points) * weights))
+    return points, weights
+
+
+def _reference_sum(func, points, weights):
+    """The weighted sum through the reference, and the sum of |terms|."""
+    total = complex(np.sum(_reference_closure(func)(points) * weights))
     scale = sum(
         float(np.sum(np.abs(
-            oracle.compile_numeric(ExpRationalFunction(func.arity, [t]))(points)
-            * weights
+            _reference_closure(ExpRationalFunction(func.arity, [t]))(points) * weights
         )))
         for t in func.terms
     )
@@ -249,13 +295,83 @@ def _pointwise_grid_sum(func, axes):
 
 @given(_grid_case())
 @settings(max_examples=60, deadline=None)
-def test_grid_sum_matches_pointwise_closure(case):
-    """The separable grid evaluator and the pointwise closure agree on the
-    same tensor grid, in any block size."""
-    func, axes, chunk = case
-    grid = oracle._tensor_sum(oracle._term_specs(func), axes, chunk_points=chunk)
-    pointwise, scale = _pointwise_grid_sum(func, axes)
-    assert abs(grid - pointwise) <= 1e-12 * scale
+def test_blocked_kernel_matches_reference(case):
+    """The grid sum and the pointwise closure agree with the per-factor
+    reference in any block size, whole or partial blocks alike."""
+    func, axes, block, shift = case
+    points, weights = _grid_points(axes)
+    grid = oracle._tensor_sum(oracle._term_specs(func), axes, chunk_points=block)
+    expect, scale = _reference_sum(func, points, weights)
+    assert abs(grid - expect) <= 1e-12 * scale
+
+    points = points + 1j * shift * np.sin(np.arange(points.size)).reshape(points.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_POINTS", block)
+        values = oracle.compile_numeric(func)(points)
+    expect, scale = _reference_sum(func, points, weights)
+    assert abs(complex(np.sum(values * weights)) - expect) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", ["overflow", "underflow"])
+def test_factor_products_stay_in_float64_range(case):
+    """A term may carry 8 linear factors of multiplicity 16, the DSL's cap
+    on a power, whose full product leaves float64's range; the kernel's
+    grouped products must not."""
+    if case == "overflow":
+        # |x| is 8.7e3 to 1.3e5 on the 16 outermost nodes: the product
+        # reaches 1e650
+        nodes, weights = oracle._tan_axis(50.0, 4096)
+        outer = np.r_[0:8, 4088:4096]
+        nodes, weights = nodes[outer], weights[outer]
+        coeff = 1
+        offsets = [mpc(0, k) for k in range(1, 9)]
+    else:
+        # |x| <= 1e-3 and every factor is 1e-3 to 2.2e-3 in size: the
+        # product is 1e-365 to 1e-352, and the coefficient keeps the values
+        # between 1e252 and 1e265
+        nodes, weights = oracle._tan_axis(1e-4, 16)
+        coeff = mpf("1e-100")
+        offsets = [mpc(0, mpf("1e-3") * (1 + mpf(k) / 8)) for k in range(8)]
+    func = ExpRationalFunction.from_parts(
+        1, coeff=coeff, denom=[(AffineForm.make([1], -c), 16) for c in offsets]
+    )
+    ((_, _, _, _, denom),) = oracle._term_specs(func)
+    assert [m for _, _, m in denom] == [16] * 8
+
+    points = nodes[None, :].astype(np.complex128)
+    expect = _reference_closure(func)(points)
+    assert np.all(np.isfinite(expect))
+    values = oracle.compile_numeric(func)(points)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values - expect) <= 1e-12 * np.abs(expect))
+
+    grid = oracle._tensor_sum(oracle._term_specs(func), [(nodes, weights)])
+    assert math.isfinite(abs(grid))
+    total = complex(np.sum(expect * weights))
+    assert abs(grid - total) <= 1e-12 * float(np.sum(np.abs(expect * weights)))
+
+
+def test_factor_groups_isolate_factors_that_may_vanish():
+    """On a torus around a pole the pole's factor has no positive lower
+    bound on the points' boxes, so each of its copies stands alone; the
+    closure still matches the reference there."""
+    func = ExpRationalFunction.from_parts(
+        1,
+        denom=[
+            (AffineForm.make([1], -mpc(0, 1)), 3),
+            (AffineForm.make([1], mpc(0, 2)), 2),
+        ],
+    )
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    points = (1j + 0.1 * np.exp(1j * theta))[None, :]
+    specs = oracle._term_specs(func)
+    boxes = [oracle._box(x) for x in points]
+    groups = oracle._factor_groups(specs[0][4], boxes)
+    pole = next(i for i, (_, c, _) in enumerate(specs[0][4]) if c == -1j)
+    assert [g for g in groups if any(i == pole for i, _ in g)] == [[(pole, 1)]] * 3
+    values = oracle.compile_numeric(func)(points)
+    expect = _reference_closure(func)(points)
+    assert np.all(np.abs(values - expect) <= 1e-12 * np.abs(expect))
 
 
 def test_grid_sums_skip_pointwise_closure(monkeypatch):
@@ -425,6 +541,30 @@ def test_semicircle_pole_perturbation():
     )
     with pytest.raises(PoleOnArc):
         semicircle_check(trap, (1.0,))
+
+
+def test_semicircle_ignores_arcs_below_rounding_floor():
+    """1/(z^2 + 1) + 1e-6 (e^{iz} - e^{-iz}): the second part integrates to
+    exactly 0 over every arc, since sin is entire and odd, but its arc
+    integrand reaches 1e35 at R = 90.  The R = 90 arc sum is float64 noise, far above the
+    true 0.035; it sits below its rounding floor and is left out, so the
+    decaying arcs at R = 10 and 30 decide."""
+    decay = _one_var_function(
+        denom=(
+            (AffineForm.make([1], -mpc(0, 1)), 1),
+            (AffineForm.make([1], mpc(0, 1)), 1),
+        )
+    )
+    one = Polynomial(1, {(0,): mpc(1)})
+    sine = [
+        Term.make(mpc(sign * mpf("1e-6")), one, AffineForm.make([mpc(0, sign)], 0), ())
+        for sign in (1, -1)
+    ]
+    func = ExpRationalFunction(1, list(decay.terms) + sine)
+    diag = semicircle_check(func, (10, 30, 90))
+    assert diag.magnitudes[1] < 0.5 * diag.magnitudes[0]
+    assert diag.magnitudes[2] > 1e6 * diag.magnitudes[0]
+    assert diag.trending_to_zero
 
 
 def test_report_shape():
