@@ -484,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_float,
         default=DEFAULT_BOX,
         help=(
-            "oracle length scale, finite and > 0 (verify only): the "
-            "tangent-map scale without oscillation, the base window "
-            "half-width with it"
+            "oracle length in its hyperplane coordinates, finite and > 0 "
+            "(verify only): the tangent-map scale without oscillation, "
+            "the base window half-width with it"
         ),
     )
     common.add_argument(

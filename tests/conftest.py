@@ -8,12 +8,16 @@ Two reference problems recur everywhere:
 * the coincident-point problem: exp(2 pi i (x+2y)) over (x-i)(y-i)(x+y-2i),
   where all three hyperplanes pass through (i, i).
 
+disguise rewrites an arrangement by a det-1 integer substitution and a
+renaming of its hyperplanes, which leave every integral unchanged.
+
 trace_residue is an independent numerical oracle for two-variable
 Grothendieck residues; it uses no flags and no charts.  z_star evaluates the
 sequential pole formula of one flag, the closed form the stability verdicts
 are checked against.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,6 +29,7 @@ from mpmath import mpc, mpf, pi
 from residuum.arrangement import (
     Arrangement,
     Flag,
+    Hyperplane,
     InsolubleFlag,
     Polyhedron,
     canonicalize_hyperplane,
@@ -125,6 +130,41 @@ def single_pole_problem(s=1) -> Arrangement:
     ]
     num = ExpRationalFunction.from_parts(1, coeff=-1)
     return Arrangement.build(1, hps, numerator=num)
+
+
+def disguise(arr: Arrangement, seed: int, shear_steps: int = 3) -> Arrangement:
+    """The same integrand in new coordinates, for r >= 2.
+
+    v = U u for a det-1 integer U made of shear_steps random elementary
+    shears, so each row f_j becomes f_j U and the numerator N(U u); the
+    hyperplanes are then renamed by a random permutation.  The integral
+    over R^r is unchanged.  (The benchmark's problems.disguise does the
+    same to problem text; the tests do not import the benchmark.)
+    """
+    rng = random.Random(seed)
+    r = arr.dim
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(shear_steps):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice((-1, 1))
+        # column j += c column i
+        for row in u:
+            row[j] += c * row[i]
+    order = list(range(len(arr.hyperplanes)))
+    rng.shuffle(order)
+    hps = [
+        Hyperplane(
+            f=tuple(sum(a * row[k] for a, row in zip(h.f, u)) for k in range(r)),
+            s=h.s,
+        )
+        for h in (arr.hyperplanes[p] for p in order)
+    ]
+    return Arrangement.build(
+        r,
+        hps,
+        numerator=arr.numerator.compose_linear(u),
+        multiplicities=[arr.multiplicities[p] for p in order],
+    )
 
 
 def trace_residue(arr, groups, point, radii=(mpf("1e-8"), mpf("1e-4")), nodes=8):

@@ -7,6 +7,7 @@ infinite-interval oscillatory quadrature.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +21,7 @@ from conftest import (
     CONE_UPPER,
     coincident_point_problem,
     cone,
+    disguise,
     h_partials,
     single_pole_problem,
     three_plane_problem,
@@ -37,7 +39,7 @@ from residuum.oracle import (
     semicircle_check,
     torus_residue,
 )
-from residuum.residue_engine import iterated_residue
+from residuum.residue_engine import evaluate_integral, iterated_residue
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
@@ -114,10 +116,86 @@ def _product_problem(r):
 
 
 def test_quad_three_variable_product():
-    report = quad_integral(_product_problem(3))
-    closed = pi**3
-    assert abs(report.estimate - closed) / closed < mpf("0.02")
-    assert report.error_bound > 0
+    """The aligned product in three variables converges at box 5 on the
+    3-axis tensor grid."""
+    report = quad_integral(_product_problem(3), box=5.0)
+    err = abs(report.estimate - pi**3)
+    assert err < mpf("1e-12") * pi**3
+    assert err <= report.error_bound
+
+
+def test_quad_three_variable_budget_at_default_box():
+    """At box 50 the tan map needs more nodes than the 256 per axis that the
+    default budget allows in three variables: a clean BudgetExceeded."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="within 256 nodes per axis"):
+        quad_integral(_product_problem(3))
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_axis_cap_is_the_largest_admissible(r):
+    """Nodes per axis: the largest n <= budget with n**r <= budget**2."""
+    for budget in (1, 2, 7, 64, 255, 4096, 4097, 10**6):
+        n = oracle._axis_cap(budget, r)
+        assert n <= budget and n**r <= budget**2
+        assert n == budget or (n + 1) ** r > budget**2
+    assert oracle._axis_cap(4096, r) == (4096 if r < 3 else 256)
+
+
+def _coincident_3d_problem():
+    """Six simple planes through the point (2i, 2i, 2i), constant numerator:
+    f_j(v) = i s_j with s_j = 2 (f_j1 + f_j2 + f_j3)."""
+    rows = ((2, 2, -1), (-1, 2, 1), (2, 1, 1), (2, -1, 2), (1, 0, 1), (0, 1, 2))
+    hps = [canonicalize_hyperplane(row, -mpc(0, 2 * sum(row))) for row in rows]
+    return Arrangement.build(3, hps)
+
+
+def test_quad_three_variable_coincident_point():
+    """The oracle confirms the certified value of a three-variable problem
+    at the default box, as verify would."""
+    arr = _coincident_3d_problem()
+    result = evaluate_integral(arr, cone((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert result.certificate.certified
+    report = quad_integral(arr)
+    tol = oracle.DEFAULT_TOL
+    assert abs(result.value - report.estimate) <= tol * max(1, abs(result.value))
+
+
+def _sheared_product_problem():
+    """1/(((v1 + v2)^2 + 1)(v2^2 + 1)), value pi^2: a ridge along the
+    diagonal of the v grid."""
+    rows = ([1, 1], [-1, -1], [0, 1], [0, -1])
+    return Arrangement.build(2, [canonicalize_hyperplane(f, -mpc(0, 1)) for f in rows])
+
+
+def test_quad_sheared_product():
+    """In v coordinates the tan-mapped sums of this product tend to 2 pi^2;
+    in the hyperplanes' own coordinates it is a product of two lines."""
+    report = quad_integral(_sheared_product_problem())
+    assert abs(report.estimate - pi**2) < mpf("1e-9") * pi**2
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: three_plane_problem(2, 3),
+        coincident_point_problem,
+        _sheared_product_problem,
+        _coincident_3d_problem,
+    ],
+    ids=["three_plane", "coincident_point", "sheared_product", "coincident_3d"],
+)
+def test_quad_invariant_under_disguise(problem):
+    """A det-1 substitution and a renaming of the hyperplanes change neither
+    the chosen chart nor the integrand in it, so neither the nodes nor the
+    estimate."""
+    arr = problem()
+    report = quad_integral(arr)
+    for seed in range(3):
+        other = quad_integral(disguise(arr, seed))
+        assert other.nodes_per_axis == report.nodes_per_axis
+        assert abs(other.estimate - report.estimate) <= 1e-12 * abs(report.estimate)
 
 
 def test_quad_rejects_nondecaying():
@@ -229,9 +307,9 @@ _BLOCKS = [7, 100, 32_768, 1_000_000]
 
 @st.composite
 def _grid_case(draw):
-    """An exp-rational function of r <= 2 variables, a tensor grid, a block
+    """An exp-rational function of r <= 3 variables, a tensor grid, a block
     size, and an imaginary shift for the pointwise evaluation."""
-    r = draw(st.integers(min_value=1, max_value=2))
+    r = draw(st.integers(min_value=1, max_value=3))
     monomials = [e for e in np.ndindex(*(3,) * r) if sum(e) <= 2]
     terms = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -255,15 +333,14 @@ def _grid_case(draw):
         terms.append(
             Term.make(mpc(draw(_small), 1), Polynomial(r, poly), expo, denom)
         )
-    axes = [
-        draw(st.sampled_from([
-            oracle._tan_axis(2.0, 24),
-            oracle._window_axis(3.0, 30),
-            oracle._window_axis(1.0, 17),
-            oracle._tan_axis(5.0, 190),
-        ]))
-        for _ in range(r)
+    choices = [
+        oracle._tan_axis(2.0, 24),
+        oracle._window_axis(3.0, 30),
+        oracle._window_axis(1.0, 17),
+        oracle._tan_axis(5.0, 190),
     ]
+    # three axes of 190 nodes would give the reference 7 million points
+    axes = [draw(st.sampled_from(choices[: 3 if r == 3 else 4])) for _ in range(r)]
     block = draw(st.sampled_from(_BLOCKS))
     # imaginary parts up to 0.1 per coordinate move no factor's imaginary
     # part, at least 1 on real points, by more than 0.6
@@ -375,7 +452,7 @@ def test_factor_groups_isolate_factors_that_may_vanish():
 
 
 def test_grid_sums_skip_pointwise_closure(monkeypatch):
-    """Sums on r <= 2 tensor grids never go through the pointwise closure:
+    """Sums on tensor grids never go through the pointwise closure:
     it sees only the shell-tail points, 64 on each face of the square."""
     real = oracle.compile_numeric
     seen = []
@@ -400,12 +477,12 @@ def test_grid_sums_skip_pointwise_closure(monkeypatch):
 
 def test_grid_sums_are_bitwise_repeatable():
     """No BLAS routine takes part in a grid sum, so neither the run nor the
-    thread count changes a digit."""
-    arr = three_plane_problem(2, 3)
-    first = quad_integral(arr, box=5.0)
-    second = quad_integral(arr, box=5.0)
-    assert first.estimate == second.estimate
-    assert first == second
+    thread count changes a digit, on two axes or three."""
+    for arr in (three_plane_problem(2, 3), _product_problem(3)):
+        first = quad_integral(arr, box=5.0)
+        second = quad_integral(arr, box=5.0)
+        assert first.estimate == second.estimate
+        assert first == second
 
 
 def test_torus_unit_residue():
