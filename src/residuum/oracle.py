@@ -52,11 +52,13 @@ conservative but always an upper bound.
 One kernel, _term_block, evaluates a term on a block of about 32,768
 points, for the grid sums and the closure alike, in buffers that stay in
 L2 cache.  On a tensor grid each term's exponential and weights are one
-vector per axis, so exponentials are computed once per axis node; only the
-polynomial and the linear factors are done per point.  The linear factors
-are multiplied together in groups whose products provably stay within
-float64's range (_factor_groups), and the numerator is divided once per
-group.  No BLAS routine takes part, so repeated sums are bitwise equal.
+vector per axis, and so is each linear factor that depends on one axis,
+as the chosen hyperplanes' own do in w, while the vector stays in range;
+a term with no other factor is a product of 1-D sums.  Only the
+polynomial and the other factors are done per point, multiplied in groups
+whose products provably stay within float64's range (_factor_groups),
+and the numerator is divided once per group.  No BLAS routine takes
+part, so repeated sums are bitwise equal.
 """
 
 from __future__ import annotations
@@ -304,8 +306,12 @@ def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
     """Weighted sum of the integrand over the tensor grid of 1 to 3 axes.
 
     Per term, the weights and the exponential fold into per-axis vectors
-    g_k = w_k exp(a_k x_k), with exp(c) on axis 0; monomials and linear
-    forms are outer products and sums of per-axis vectors, by broadcasting.
+    g_k = w_k exp(a_k x_k), with exp(c) on axis 0, and each copy of a
+    linear factor that depends on axis k alone is divided into g_k unless
+    some |g_k| would leave 2**+-_RANGE_EXP.  A term with no factor left
+    sums to coeff * sum_monomials v * prod_k sum_j x_kj**e_k g_kj; in the
+    others, monomials and the remaining linear forms are outer products
+    and sums of per-axis vectors, by broadcasting.
     _term_block evaluates the term in blocks of axis-0 rows, of shape
     (rows, n_1, n_2) and about chunk_points points, and einsum contracts
     each block with g_{r-1}, ..., g_0 in turn: 2-3 ns per point on a 2-vCPU
@@ -339,15 +345,33 @@ def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
             g[0] *= np.exp(expo[0] * xs[0] + expo_0)
             for k in range(1, r):
                 g[k] *= np.exp(expo[k] * xs[k])
+        coupled = []
+        for row, const, mult in denom:
+            (on,) = np.nonzero(row)
+            while len(on) == 1 and mult:
+                k = on[0]
+                folded = g[k] / (row[k] * xs[k] + const)
+                mag = np.abs(folded)
+                if not (mag.min() >= 2.0**-_RANGE_EXP and mag.max() <= 2.0**_RANGE_EXP):
+                    break
+                g[k], mult = folded, mult - 1
+            if mult:
+                coupled.append((row, const, mult))
+        if not coupled:
+            total += coeff * sum(
+                v * math.prod(complex(np.sum(x**p * g_k)) for x, p, g_k in zip(xs, e, g))
+                for e, v in poly or [((0,) * r, 1.0)]
+            )
+            continue
         monos = [
             spread([coeff * v * xs[0] ** e[0]] + [x**p for x, p in zip(xs[1:], e[1:])])
             for e, v in poly or ()
         ]
         forms = [
             spread([row[0] * xs[0] + const] + [a * x for a, x in zip(row[1:], xs[1:])])
-            for row, const, _ in denom
+            for row, const, _ in coupled
         ]
-        groups = _factor_groups(denom, boxes)
+        groups = _factor_groups(coupled, boxes)
         for start in range(0, len(xs[0]), rows):
             sl = slice(start, start + rows)
             num, den, lin = (buf[: len(xs[0][sl])] for buf in bufs)
@@ -389,18 +413,40 @@ def _chart_key(arr: Arrangement, inv: RationalMatrix):
     return planes, numerator
 
 
+def _permuted_key(key, p):
+    """_chart_key of the chart whose coordinate k is coordinate p[k]."""
+    planes, numerator = key
+    return (
+        sorted((tuple(row[k] for k in p), s, m) for row, s, m in planes),
+        sorted(
+            ([a[k] for k in p], a_0, c, sorted((tuple(e[k] for k in p), v) for e, v in poly))
+            for a, a_0, c, poly in numerator
+        ),
+    )
+
+
 def _hyperplane_chart(arr: Arrangement):
     """F_B^-1 and |det F_B| for the rows F_B of r hyperplanes, in some
     order, with the largest |det F_B|; ties go to the smallest _chart_key,
-    which no det-1 substitution or renaming of the hyperplanes changes."""
+    which no det-1 substitution or renaming of the hyperplanes changes, then
+    to the first indices.  Each set of r rows takes one determinant and one
+    inverse: reordering the rows permutes the columns of F_B^-1."""
     rows = [h.f_row() for h in arr.hyperplanes]
-    charts = [RationalMatrix.from_rows(p) for p in itertools.permutations(rows, arr.dim)]
-    dets = [abs(determinant(m)) for m in charts]
+    sets = list(itertools.combinations(range(len(rows)), arr.dim))
+    mats = [RationalMatrix.from_rows(rows[i] for i in s) for s in sets]
+    dets = [abs(determinant(m)) for m in mats]
     top = max(dets, default=0)
     if top == 0:
         raise NonDecaying("the hyperplanes do not span the space")
-    invs = [inverse(m) for m, d in zip(charts, dets) if d == top]
-    return min(invs, key=lambda inv: _chart_key(arr, inv)), top
+    ranked = []
+    for s, m, d in zip(sets, mats, dets):
+        if d == top:
+            inv = inverse(m)
+            key = _chart_key(arr, inv)
+            for p in itertools.permutations(range(arr.dim)):
+                ranked.append((_permuted_key(key, p), [s[k] for k in p], inv, p))
+    *_, inv, perm = min(ranked, key=lambda c: c[:2])
+    return RationalMatrix(tuple(tuple(row[p] for p in perm) for row in inv.entries)), top
 
 
 def _decay_profile(func: ExpRationalFunction):
@@ -502,17 +548,12 @@ def _tan_map_quad(specs, r, box, tol, budget):
 
 
 def _shell_tail(fn, r, edge, decay):
-    """Conservative mass bound past the box from the decay degree."""
+    """Conservative mass bound past the box from the decay degree and the
+    integrand's peak on each face, sampled at 64 points per free axis."""
     side = np.linspace(-edge, edge, 64)
-    faces = []
-    for j in range(r):
-        for sign in (-1.0, 1.0):
-            block = np.empty((r, side.size))
-            block[j] = sign * edge
-            for k in range(r):
-                if k != j:
-                    block[k] = side
-            faces.append(block)
+    mesh = np.meshgrid(*[side] * max(r - 1, 1), indexing="ij")
+    free = np.stack([m.ravel() for m in mesh])[: r - 1]
+    faces = [np.insert(free, j, sign * edge, axis=0) for j in range(r) for sign in (-1.0, 1.0)]
     pts = np.concatenate(faces, axis=1).astype(np.complex128)
     peak = float(np.max(np.abs(fn(pts))))
     return peak * r * (2.0**r) * edge**r / (decay - r)

@@ -457,13 +457,40 @@ def test_json_reports_match_golden(tmp_path, capsys, name, command):
     ``tests/golden/<name>.<command>.json`` holds the stdout of
     ``main([command, file, "--json"])``, and ``exit_status.json`` its return
     value.  Record them again only for a change meant to alter a report.
-    verify is left out: its oracle digits depend on the numpy build.
+    verify has its own test: its oracle digits depend on the order of the
+    quadrature's floating-point operations.
     """
     path = _write(tmp_path, GOLDEN_INPUTS[name])
     status = json.loads((GOLDEN / "exit_status.json").read_text())
     assert main([command, path, "--json"]) == status[f"{name}.{command}"]
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SAMPLES.glob("*.rsd")))
+def test_verify_reports_match_golden(tmp_path, capsys, name):
+    """``verify --json`` on the samples matches ``<name>.verify.json``.
+
+    The exit status, the sections outside the oracle's, and the oracle's
+    verdict, node count, box and tail estimate agree exactly.  The estimate,
+    its error bound and its difference from the value agree to within
+    max(1e-13 |estimate|, 1e-2 error_bound): a reordering of the sum's
+    floating-point operations moves them by far less than the bound.
+    """
+    path = _write(tmp_path, GOLDEN_INPUTS[name])
+    status = json.loads((GOLDEN / "exit_status.json").read_text())
+    assert main(["verify", path, "--json"]) == status[f"{name}.verify"]
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"{name}.verify.json").read_text())
+    oracle, expect = got.pop("oracle"), want.pop("oracle")
+    assert got == want
+    for key in ("within_tolerance", "nodes_per_axis", "box_halfwidth", "tail_estimate"):
+        assert oracle[key] == expect[key]
+    estimate = _val(expect["estimate"])
+    slack = max(mpf("1e-13") * abs(estimate), mpf("1e-2") * mpf(expect["error_bound"]))
+    assert abs(_val(oracle["estimate"]) - estimate) <= slack
+    for key in ("error_bound", "difference"):
+        assert abs(mpf(oracle[key]) - mpf(expect[key])) <= slack
 
 
 def test_json_verify_sections(tmp_path, capsys):

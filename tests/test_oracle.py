@@ -6,6 +6,7 @@ and for the oscillatory line integral also from mpmath's independent
 infinite-interval oscillatory quadrature.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -29,6 +30,7 @@ from conftest import (
 )
 from residuum import oracle
 from residuum.arrangement import Arrangement, Flag, canonicalize_hyperplane
+from residuum.exact_linalg import RationalMatrix, determinant, inverse
 from residuum.oracle import (
     BudgetExceeded,
     ForeignPoleInsideTorus,
@@ -198,6 +200,118 @@ def test_quad_invariant_under_disguise(problem):
         assert abs(other.estimate - report.estimate) <= 1e-12 * abs(report.estimate)
 
 
+def _brute_force_chart(arr):
+    """_hyperplane_chart by exhaustion, its reference: a determinant, an
+    inverse and a _chart_key for every ordered r-tuple of rows."""
+    rows = [h.f_row() for h in arr.hyperplanes]
+    charts = [RationalMatrix.from_rows(p) for p in itertools.permutations(rows, arr.dim)]
+    dets = [abs(determinant(m)) for m in charts]
+    top = max(dets, default=0)
+    if top == 0:
+        raise NonDecaying("the hyperplanes do not span the space")
+    invs = [inverse(m) for m, d in zip(charts, dets) if d == top]
+    return min(invs, key=lambda inv: oracle._chart_key(arr, inv)), top
+
+
+_CHART_PROBLEMS = {
+    "three_plane": lambda: three_plane_problem(2, 3),
+    "coincident_point": coincident_point_problem,
+    "sheared_product": _sheared_product_problem,
+    "coincident_3d": _coincident_3d_problem,
+    "product_2": lambda: _product_problem(2),
+    "product_3": lambda: _product_problem(3),
+}
+
+
+@pytest.mark.parametrize("problem", list(_CHART_PROBLEMS.values()), ids=list(_CHART_PROBLEMS))
+def test_hyperplane_chart_matches_brute_force(problem):
+    """One determinant and one inverse per set of r rows pick the same
+    chart, to the exact inverse, as trying every ordering of every set."""
+    arr = problem()
+    for other in [arr] + [disguise(arr, seed) for seed in range(2)]:
+        assert oracle._hyperplane_chart(other) == _brute_force_chart(other)
+
+
+@st.composite
+def _chart_arrangement(draw):
+    """Up to 6 hyperplanes with small integer rows, often with tied |det|,
+    and a numerator with a polynomial and an oscillating exponential."""
+    r = draw(st.integers(1, 3))
+    hps, mults = [], []
+    for _ in range(draw(st.integers(r, 6))):
+        row = [draw(st.integers(-2, 2)) for _ in range(r)]
+        if not any(row):
+            row[0] = 1
+        s = mpc(draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1])))
+        hps.append(canonicalize_hyperplane(row, -mpc(0, 1) * s))
+        mults.append(draw(st.integers(1, 2)))
+    monomials = [e for e in np.ndindex(*(3,) * r) if sum(e) <= 2]
+    poly = {
+        e: mpc(draw(_small), draw(_small))
+        for e in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3))
+    }
+    expo = AffineForm.make([mpc(0, draw(_small)) for _ in range(r)], 0)
+    num = ExpRationalFunction.from_parts(r, poly=Polynomial(r, poly), expo=expo)
+    return Arrangement.build(r, hps, numerator=num, multiplicities=mults)
+
+
+def _chart_or_error(chart, arr):
+    try:
+        return chart(arr)
+    except NonDecaying:
+        return NonDecaying
+
+
+@given(_chart_arrangement())
+@settings(max_examples=40, deadline=None)
+def test_hyperplane_chart_matches_brute_force_on_draws(arr):
+    assert _chart_or_error(oracle._hyperplane_chart, arr) == _chart_or_error(
+        _brute_force_chart, arr
+    )
+
+
+def test_hyperplane_chart_one_determinant_per_row_set(monkeypatch):
+    """At most C(R, r) exact determinants: one per set of r rows, not one
+    per ordering (20 against 120 for six planes in three variables)."""
+    real = oracle.determinant
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(oracle, "determinant", counting)
+    for problem in _CHART_PROBLEMS.values():
+        arr = problem()
+        calls.clear()
+        oracle._hyperplane_chart(arr)
+        assert 0 < len(calls) <= math.comb(len(arr.hyperplanes), arr.dim)
+
+
+def test_shell_tail_bounds_dense_face_peak():
+    """The mass bound past a 3-D box rests on the integrand's peak over the
+    whole of each face.  Here that peak lies off the faces' diagonals: on
+    the faces v2 = 2 and v3 = -2, at the other coordinates (0, -1) and
+    (0, 1).  tail_estimate is at least the bound that the peak of a
+    401 x 401 grid on every face gives, up to the 64-point grid's offset
+    from the peak."""
+    edge, decay = 2.0, 5
+
+    def fn(p):
+        return 1 / ((p[0] - 0.5j) * (p[1] - 1 - 0.5j) * (p[2] + 1 - 0.5j))
+
+    side = np.linspace(-edge, edge, 401)
+    a, b = (m.ravel() for m in np.meshgrid(side, side, indexing="ij"))
+    peak = 0.0
+    for j in range(3):
+        for sign in (-1.0, 1.0):
+            free = [a, b]
+            free.insert(j, np.full(a.size, sign * edge))
+            peak = max(peak, float(np.max(np.abs(fn(np.stack(free))))))
+    bound = peak * 3 * 2.0**3 * edge**3 / (decay - 3)
+    assert oracle._shell_tail(fn, 3, edge, decay) >= 0.99 * bound
+
+
 def test_quad_rejects_nondecaying():
     thin = Arrangement.build(
         2,
@@ -306,9 +420,14 @@ _BLOCKS = [7, 100, 32_768, 1_000_000]
 
 
 @st.composite
-def _grid_case(draw):
+def _grid_case(draw, factors="any"):
     """An exp-rational function of r <= 3 variables, a tensor grid, a block
-    size, and an imaginary shift for the pointwise evaluation."""
+    size, and an imaginary shift for the pointwise evaluation.
+
+    factors "any" draws 0-2 linear factors per term with free rows;
+    "single" draws 1-3 whose rows have one nonzero entry each, and "mixed"
+    draws 1-3 of either kind.
+    """
     r = draw(st.integers(min_value=1, max_value=3))
     monomials = [e for e in np.ndindex(*(3,) * r) if sum(e) <= 2]
     terms = []
@@ -323,10 +442,15 @@ def _grid_case(draw):
             mpc(draw(_small) / 4, draw(_small)),
         )
         denom = []
-        for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            row = [draw(_small) for _ in range(r)]
-            if not any(row):
-                row[0] = 1
+        low = 0 if factors == "any" else 1
+        for _ in range(draw(st.integers(min_value=low, max_value=low + 2))):
+            if factors == "single" or (factors == "mixed" and draw(st.booleans())):
+                row = [0] * r
+                row[draw(st.integers(0, r - 1))] = draw(_small.filter(bool))
+            else:
+                row = [draw(_small) for _ in range(r)]
+                if not any(row):
+                    row[0] = 1
             # an imaginary offset keeps every real point off the factor
             offset = mpc(draw(_small), draw(st.sampled_from([-2, -1, 1, 2])))
             denom.append((AffineForm.make(row, offset), draw(st.integers(1, 3))))
@@ -387,6 +511,71 @@ def test_blocked_kernel_matches_reference(case):
         values = oracle.compile_numeric(func)(points)
     expect, scale = _reference_sum(func, points, weights)
     assert abs(complex(np.sum(values * weights)) - expect) <= 1e-12 * scale
+
+
+@given(st.sampled_from(["single", "mixed"]).flatmap(_grid_case))
+@settings(max_examples=60, deadline=None)
+def test_folded_factors_match_reference(case):
+    """Factors that depend on one axis are divided into that axis' vector,
+    and a term with no other factor is summed as a product of 1-D sums; the
+    grid sum still agrees with the per-factor reference."""
+    func, axes, block, _ = case
+    points, weights = _grid_points(axes)
+    grid = oracle._tensor_sum(oracle._term_specs(func), axes, chunk_points=block)
+    expect, scale = _reference_sum(func, points, weights)
+    assert abs(grid - expect) <= 1e-12 * scale
+
+
+def _counting_term_block(monkeypatch):
+    """Patch _term_block to record, per call, the factor copies it divides."""
+    real = oracle._term_block
+    copies = []
+
+    def counting(val, factor, groups, num, den, lin):
+        copies.append(sum(c for group in groups for _, c in group))
+        return real(val, factor, groups, num, den, lin)
+
+    monkeypatch.setattr(oracle, "_term_block", counting)
+    return copies
+
+
+def test_only_coupled_factors_stay_per_point(monkeypatch):
+    """In the chosen hyperplanes' coordinates their own factors depend on
+    one axis each: the r=3 product needs no per-point kernel at all, and
+    three_plane_problem keeps one factor per point, its third hyperplane."""
+    copies = _counting_term_block(monkeypatch)
+    report = quad_integral(_product_problem(3), box=5.0)
+    assert abs(report.estimate - pi**3) < mpf("1e-12") * pi**3
+    assert copies == []
+
+    arr = three_plane_problem(2, 3)
+    inv, det = oracle._hyperplane_chart(arr)
+    func = arr.integrand().compose_linear(inv.entries).scale(1 / det)
+    oracle._tensor_sum(oracle._term_specs(func), [oracle._window_axis(5.0, 300)] * 2)
+    assert copies and set(copies) == {1}
+
+
+def test_folded_factors_stay_in_float64_range(monkeypatch):
+    """Two axes; axis 0 carries 8 factors of multiplicity 16 whose product
+    is 1e-365 to 1e-352 on its nodes, so folding every copy into g_0 would
+    take it past 2**960.  The copies that would do so stay per point, and
+    the sum stays finite and matches the reference."""
+    x0, w0 = oracle._tan_axis(1e-4, 16)
+    offsets = [mpc(0, mpf("1e-3") * (1 + mpf(k) / 8)) for k in range(8)]
+    denom = [(AffineForm.make([1, 0], -c), 16) for c in offsets]
+    denom.append((AffineForm.make([0, 1], -mpc(0, 1)), 2))
+    func = ExpRationalFunction.from_parts(2, coeff=mpf("1e-100"), denom=denom)
+    axes = [(x0, w0), oracle._tan_axis(1.0, 24)]
+    folded = np.log2(w0) - 16 * sum(np.log2(np.abs(x0 - complex(c))) for c in offsets)
+    assert folded.max() > oracle._RANGE_EXP
+
+    copies = _counting_term_block(monkeypatch)
+    grid = oracle._tensor_sum(oracle._term_specs(func), axes)
+    assert copies and all(0 < c < 8 * 16 for c in copies)
+    assert math.isfinite(abs(grid))
+    expect, scale = _reference_sum(func, *_grid_points(axes))
+    assert math.isfinite(scale)
+    assert abs(grid - expect) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("case", ["overflow", "underflow"])
