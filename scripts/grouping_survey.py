@@ -13,6 +13,7 @@ from mpmath import mp, nstr
 from residuum import (
     DivisorGrouping,
     canonical_grouping,
+    flag_table,
     grothendieck_residue,
     points_of_grouping,
 )
@@ -32,6 +33,7 @@ def main() -> None:
     arr = spec.arrangement()
     poly = spec.polyhedron()
     n = len(arr.hyperplanes)
+    table = flag_table(arr, poly)
     print("grouping      residues at the common points")
     for first_size in range(1, n):
         for combo in itertools.combinations(range(n), first_size):
@@ -39,7 +41,7 @@ def main() -> None:
             grouping = DivisorGrouping.of(set(combo), set(rest))
             parts = []
             for point, _ in points_of_grouping(arr, grouping):
-                value = grothendieck_residue(arr, grouping, point, poly)
+                value = grothendieck_residue(arr, grouping, point, poly, table)
                 coords = ",".join(nstr(c, 8) for c in point)
                 parts.append(f"({coords}): {nstr(value, 12)}")
             print(f"{grouping.label(arr):<14}" + "; ".join(parts))

@@ -10,7 +10,11 @@ its exact minor profile decides solubility, stability, and compatibility.
 (arrangement, polyhedron) pair; the audit, the stable flags, the engine and
 the reports all read that one table.  Each flag's Jacobian is its rows of
 the chart matrix C (all hyperplanes against the generators), so each of its
-minors is a signed subset determinant of C, computed once per table.
+minors is a signed subset determinant of C, computed once per table.  The
+table walks the flags as a prefix tree: a flag's level-k minors depend on
+its first k hyperplanes only, so each level is computed once per prefix, and
+a flag is kept when its p_r is nonzero, which is when its f-rows are
+independent.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -37,10 +41,12 @@ from .exact_linalg import (
     MinorProfile,
     RationalMatrix,
     determinant,
-    minor_profile,
+    fold_levels,
+    minor_level,
     rank,
     row_combinations,
     solve_linear,
+    subset_determinant,
 )
 from .symfun import (
     AffineForm,
@@ -297,20 +303,40 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> tuple[FlagEntry, ...]:
     """Every complete flag, in enumeration order, with its Jacobian and profile.
 
     The one place the pair's minor profiles are computed; build it once per
-    call and hand it to whatever reads the verdicts.  The profiles share one
-    dict of the chart matrix's subset determinants.
+    call and hand it to whatever reads the verdicts.  Flags are walked as a
+    prefix tree, depth first with the unused hyperplanes in ascending order
+    (``itertools.permutations`` order).  A flag's level k minors depend on
+    its first k rows only, so each level is computed once per prefix, and
+    only for prefixes of flags that are kept; all levels share one dict of
+    the chart matrix's subset determinants.  A flag is kept when p_r != 0:
+    C = F M with M nonsingular, so p_r = +-det C[S] vanishes exactly when the
+    f-rows F[S] are dependent.
     """
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
-    cols = range(arr.dim)
+    r = arr.dim
+    cols = tuple(range(r))
     dets: dict = {}
-    return tuple(
-        FlagEntry(
-            g,
-            chart.submatrix(g.indices, cols),
-            minor_profile(chart, g.indices, dets),
+    # the levels 1..r-1 of the last kept flag, ``last``
+    path: list = []
+    last: tuple[int, ...] = ()
+    table = []
+    for flag in itertools.permutations(range(len(arr.hyperplanes)), r):
+        if not subset_determinant(chart, tuple(sorted(flag)), cols, dets):
+            continue
+        shared = 0
+        while shared < len(path) and flag[shared] == last[shared]:
+            shared += 1
+        del path[shared:]
+        path.extend(minor_level(chart, flag[:k], dets) for k in range(shared + 1, r))
+        last = flag
+        table.append(
+            FlagEntry(
+                Flag(flag),
+                RationalMatrix(tuple(chart.entries[i] for i in flag)),
+                fold_levels([*path, minor_level(chart, flag, dets)]),
+            )
         )
-        for g in enumerate_flags(arr, arr.dim)
-    )
+    return tuple(table)
 
 
 def stable_flags(

@@ -22,9 +22,16 @@ verdicts (stable / compatible / in the open Bruhat cell).
 
 When J is a selection of rows of a matrix C, each of these minors is a
 signed subset determinant of C: its determinant on the same rows in
-ascending order, times the sign of the permutation that sorts them.
-``minor_profile`` looks each up in a dict of C's determinants that callers
-share across all row selections of C.
+ascending order, times the sign of the permutation that sorts them.  Each
+is looked up in a dict of C's determinants that callers share across all
+row selections of C.
+
+Every minor belongs to one level k and needs exactly the first k rows of J:
+p_k, the q_{k,l} and the r_{j,k}.  ``minor_level`` computes one level, and
+``minor_profile`` folds the levels of J's prefixes into its profile
+(``fold_levels``).  Row selections that share a prefix share its levels;
+``arrangement.flag_table`` walks the flags as a prefix tree to compute each
+level once per prefix.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -96,7 +103,10 @@ def _integer_rows(
 ) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those lcms."""
     scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return [[int(x * d) for x in row] for row, d in zip(rows, scales)], scales
+    return [
+        [x.numerator * (d // x.denominator) for x in row]
+        for row, d in zip(rows, scales)
+    ], scales
 
 
 def _bareiss(
@@ -172,58 +182,100 @@ class MinorProfile:
     in_bruhat_cell: bool
 
 
-def minor_profile(
-    mat: RationalMatrix,
-    rows: Sequence[int] | None = None,
-    dets: dict | None = None,
-) -> MinorProfile:
-    """Every minor of the three families of J = mat[rows] (all rows by default).
+class MinorLevel(NamedTuple):
+    """The minors of J that need exactly its first k rows: level k.
+
+    ``p`` is p_k, ``q`` holds q_{k,l} for k < l <= r, ``r_minors`` holds
+    r_{j,k} for j < k, and ``stable`` says p_k > 0 and every
+    (-1)^(k-j) r_{j,k} >= 0.
+    """
+
+    p: Fraction
+    q: tuple[tuple[tuple[int, int], Fraction], ...]
+    r_minors: tuple[tuple[tuple[int, int], Fraction], ...]
+    stable: bool
+
+
+def subset_determinant(
+    mat: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...], dets: dict
+) -> Fraction:
+    """det mat[rows; cols] for ascending ``rows``, computed once per ``dets``."""
+    key = (rows, cols)
+    det = dets.get(key)
+    if det is None:
+        det = dets[key] = determinant(mat.submatrix(rows, cols))
+    return det
+
+
+def _signed_det(
+    mat: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...], dets: dict
+) -> Fraction:
+    """det mat[rows; cols] for rows in any order: the determinant on the
+    ascending rows, negated when sorting them takes an odd permutation."""
+    det = subset_determinant(mat, tuple(sorted(rows)), cols, dets)
+    swaps = sum(a > b for a, b in itertools.combinations(rows, 2))
+    return -det if swaps % 2 else det
+
+
+def minor_level(
+    mat: RationalMatrix, rows: Sequence[int], dets: dict
+) -> MinorLevel:
+    """Level k = len(rows) of J = mat[rows]: p_k, the q_{k,l} and the r_{j,k}.
+
+    Each is a signed subset determinant of mat read from ``dets``, which
+    maps (ascending rows, columns) to a determinant of mat.  A flag's level
+    k depends on its first k rows only, so flags that share a prefix share
+    its levels.
+    """
+    rows = tuple(rows)
+    k, r = len(rows), mat.cols
+    head = tuple(range(k - 1))
+    p = _signed_det(mat, rows, (*head, k - 1), dets)
+    # tuples are built from lists, at their size at once: built from
+    # generators, they are allocated at 10 slots and shrunk, and that churn
+    # raised the peak RSS of a run of analyze/eval commands by 0.3 MB
+    q = tuple([
+        ((k, l), _signed_det(mat, rows, (*head, l - 1), dets))
+        for l in range(k + 1, r + 1)
+    ])
+    r_minors = tuple([
+        ((j, k), _signed_det(mat, rows[: j - 1] + rows[j:], head, dets))
+        for j in range(1, k)
+    ])
+    stable = p > 0 and all(
+        val <= 0 if (k - j) % 2 else val >= 0 for (j, _), val in r_minors
+    )
+    return MinorLevel(p, q, r_minors, stable)
+
+
+def fold_levels(levels: Sequence[MinorLevel]) -> MinorProfile:
+    """The profile of J from its levels 1..k, r minors in j-major order."""
+    p = tuple([level.p for level in levels])
+    q = tuple([item for level in levels for item in level.q])
+    stable = all(level.stable for level in levels)
+    return MinorProfile(
+        p=p,
+        q=q,
+        # levels hold r_{j,l} l-major; the profile lists them j-major
+        r_minors=tuple(sorted(item for level in levels for item in level.r_minors)),
+        stable=stable,
+        compatible=(not stable) or all(val <= 0 for _, val in q),
+        in_bruhat_cell=0 not in p,
+    )
+
+
+def minor_profile(mat: RationalMatrix) -> MinorProfile:
+    """Every minor of the three families of J = mat.
 
     J has k <= r rows.  q minors range over 1 <= j <= k, j < l <= r (columns
     may exceed the row count); r minors range over 1 <= j < l <= k.  The
-    verdicts use exactly these index sets.  ``dets`` maps (ascending rows,
-    columns) to a determinant of mat, each computed once.
+    verdicts use exactly these index sets.  The profile is the fold of
+    ``minor_level`` over the prefixes of J's rows.
     """
-    rows = tuple(range(mat.rows)) if rows is None else tuple(rows)
-    k, r = len(rows), mat.cols
-    if k > r:
+    if mat.rows > mat.cols:
         raise ValueError("more rows than columns; transpose the data")
-    if dets is None:
-        dets = {}
-
-    def minor(picked: Iterable[int], cols: tuple[int, ...]) -> Fraction:
-        chosen = [rows[i] for i in picked]
-        key = (tuple(sorted(chosen)), cols)
-        det = dets.get(key)
-        if det is None:
-            det = dets[key] = determinant(mat.submatrix(*key))
-        swaps = sum(a > b for a, b in itertools.combinations(chosen, 2))
-        return -det if swaps % 2 else det
-
-    p = tuple(minor(range(i), tuple(range(i))) for i in range(1, k + 1))
-    q_items = [
-        ((j, l), minor(range(j), (*range(j - 1), l - 1)))
-        for j in range(1, k + 1)
-        for l in range(j + 1, r + 1)
-    ]
-    r_items = [
-        ((j, l), minor([i for i in range(l) if i != j - 1], tuple(range(l - 1))))
-        for j in range(1, k + 1)
-        for l in range(j + 1, k + 1)
-    ]
-    stable = all(x > 0 for x in p) and all(
-        (Fraction(-1) ** (l - j)) * val >= 0 for (j, l), val in r_items
-    )
-    compatible = (not stable) or all(val <= 0 for _, val in q_items)
-    bruhat = all(x != 0 for x in p)
-    return MinorProfile(
-        p=p,
-        q=tuple(q_items),
-        r_minors=tuple(r_items),
-        stable=stable,
-        compatible=compatible,
-        in_bruhat_cell=bruhat,
-    )
+    dets: dict = {}
+    return fold_levels([minor_level(mat, range(k), dets) for k in range(1, mat.rows + 1)])
 
 
 def rank(mat: RationalMatrix) -> int:

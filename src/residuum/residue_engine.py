@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from mpmath import mpc, mpf, pi
 
@@ -391,14 +392,22 @@ def _point_residue(
 
 
 def grothendieck_residue(
-    arr: Arrangement, grouping: DivisorGrouping, point, poly: Polyhedron
+    arr: Arrangement,
+    grouping: DivisorGrouping,
+    point,
+    poly: Polyhedron,
+    table: Sequence[FlagEntry] | None = None,
 ) -> mpc:
     """Residue of the form at one terminal point of a divisor grouping.
 
     Sums the iterated residues of the grouping's flags arriving at the
     point, read against the pair's flag table (see ``_point_residue``).
+    A caller asking for several points or groupings builds the table once
+    and passes it.
     """
-    profiles = {e.flag: e.profile for e in flag_table(arr, poly)}
+    if table is None:
+        table = flag_table(arr, poly)
+    profiles = {e.flag: e.profile for e in table}
     point = [to_mpc(c) for c in point]
     scale = max([mpf(1)] + [abs(c) for c in point])
     at_point = []

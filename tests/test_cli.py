@@ -1,5 +1,6 @@
 """Command surface: reports, exit codes, JSON stability, diagnostics."""
 
+import gc
 import json
 import math
 import os
@@ -91,6 +92,15 @@ den (-v2 + 2*v3 - 2*i)^3 (2*v1 + 2*v2 - v3 - 6*i)^3 (-v1 + v2 + v3 - 2*i) \
 """
 
 
+# generic (4, 7) #1 of the benchmark's pool 1: every four rows independent
+GENERIC_4_7 = """\
+vars v1 v2 v3 v4;
+cone (1,0,0,0) (0,1,0,0) (0,0,1,0) (0,0,0,1);
+den (v2 - v4 - 4*i) (v1 + v2 + 2*v3 + v4 - 3*i) (-2*v1 + v2 - 4*i) (2*v1 + v3 - 4*i) \
+(-v1 + 2*v2 - v3 + 2*v4 - 3*i) (v2 + v3 - 2*v4 - 3*i) (-2*v2 - v3 - 3*i);
+"""
+
+
 def _val(d):
     return mpc(mpf(d["re"]), mpf(d["im"]))
 
@@ -101,33 +111,56 @@ def _write(tmp_path, text):
     return str(path)
 
 
+def _count_calls(monkeypatch, calls: dict) -> None:
+    """Append each call's first argument to ``calls[name]``, for every name
+    the residuum modules import from ``exact_linalg`` or ``arrangement``.
+    ``calls["MinorProfile"]`` gets each profile built."""
+    for fn in calls:
+        if fn == "MinorProfile":
+            init = exact_linalg.MinorProfile.__init__
+
+            def counted_init(self, *args, init=init, **kwargs):
+                calls["MinorProfile"].append(self)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(exact_linalg.MinorProfile, "__init__", counted_init)
+            continue
+        original = getattr(arrangement if fn == "pole_location" else exact_linalg, fn)
+
+        def counted(*args, fn=fn, original=original):
+            calls[fn].append(args[0])
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("residuum") and vars(module).get(fn) is original:
+                monkeypatch.setattr(module, fn, counted)
+
+
+def _prefixes(arr) -> int:
+    """Flag prefixes of every length: the level kernel's budget per table."""
+    return sum(math.perm(len(arr.hyperplanes), k) for k in range(1, arr.dim + 1))
+
+
 @pytest.mark.parametrize(
     "text",
     [EX1_PIB, EX1_PIA, EX2, PI_1D, ZERO_1D],
     ids=["pib", "pia", "ex2", "pi_1d", "zero_1d"],
 )
 def test_one_minor_profile_per_flag(monkeypatch, text):
-    """analyze and eval compute each complete flag's minor profile once."""
-    original = exact_linalg.minor_profile
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("residuum"):
-            continue
-        if vars(module).get("minor_profile") is original:
-            monkeypatch.setattr(module, "minor_profile", counted)
+    """analyze and eval build each complete flag's minor profile once, from
+    at most one minor level per flag prefix."""
+    calls = {"MinorProfile": [], "minor_level": []}
+    _count_calls(monkeypatch, calls)
     spec = parse_problem(text)
     arr = spec.arrangement()
     flags = len(enumerate_flags(arr, arr.dim))
     for command in (cmd_analyze, cmd_eval):
-        calls.clear()
+        for fn in calls:
+            calls[fn].clear()
         with mp.workprec(128):
             command(spec)
-        assert len(calls) == flags, command.__name__
+        assert len(calls["MinorProfile"]) == flags, command.__name__
+        assert len(calls["minor_level"]) <= _prefixes(arr), command.__name__
 
 
 @pytest.mark.parametrize(
@@ -138,31 +171,39 @@ def test_each_subset_determinant_once(monkeypatch, text):
 
     Every p/q/r minor of a flag is a signed determinant of the chart matrix
     on a k-subset of its R rows, against columns 1..k-1 plus one column
-    l >= k: at most sum_k C(R, k) (r - k + 1) of them.  Rank is taken once
-    per r-subset of hyperplane rows.
+    l >= k: at most sum_k C(R, k) (r - k + 1) of them.  Nothing is ranked:
+    a flag's f-rows are independent exactly when its p_r is nonzero.
     """
     spec = parse_problem(text)
     arr = spec.arrangement()
     basis = spec.polyhedron().basis_matrix()
     r, big_r = arr.dim, len(arr.hyperplanes)
     calls = {"determinant": [], "rank": []}
-    for fn in calls:
-        original = getattr(exact_linalg, fn)
-
-        def counted(mat, fn=fn, original=original):
-            calls[fn].append(mat)
-            return original(mat)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("residuum") and vars(module).get(fn) is original:
-                monkeypatch.setattr(module, fn, counted)
+    _count_calls(monkeypatch, calls)
     with mp.workprec(128):
         cmd_analyze(spec)
     # the polyhedron's own: its independence check and its determinant
     own = sum(1 for mat in calls["determinant"] if mat == basis)
     bound = sum(math.comb(big_r, k) * (r - k + 1) for k in range(1, r + 1))
     assert len(calls["determinant"]) - own <= bound
-    assert len(calls["rank"]) == math.comb(big_r, r)
+    assert calls["rank"] == []
+
+
+def test_flag_table_leaves_no_reference_cycles():
+    """The flag table and its determinants are freed by reference counting:
+    with the cyclic collector off, nothing is left for it to collect."""
+    spec = parse_problem(GENERIC_4_7)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(flag_table(arr, poly)) == math.perm(7, 4)
+        assert gc.collect() == 0
+        with mp.workprec(128):
+            cmd_analyze(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_python_dash_m_runs_cleanly():
@@ -224,9 +265,10 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text):
 def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     """grouping ranks, profiles and solves nothing the flag table holds.
 
-    It ranks each r-subset of hyperplane rows once, profiles each complete
-    flag once and solves each grouping collection's terminal point once;
-    eval inverts one Jacobian per stable flag class and no cone basis.
+    It ranks nothing, profiles each complete flag once from at most one
+    minor level per flag prefix and solves each grouping collection's
+    terminal point once; eval inverts one Jacobian per stable flag class and
+    no cone basis.
     """
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
@@ -236,21 +278,19 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     entries = {e.flag: e for e in table}
     reps = [cls[0] for cls in flag_classes(arr, stable_flags(arr, poly, table))]
     collections = sum(len(flags) for _, flags, _ in points)
-    calls = {"rank": [], "minor_profile": [], "pole_location": [], "inverse": []}
-    for fn in calls:
-        original = getattr(arrangement if fn == "pole_location" else exact_linalg, fn)
-
-        def counted(*args, fn=fn, original=original):
-            calls[fn].append(args[0])
-            return original(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("residuum") and vars(module).get(fn) is original:
-                monkeypatch.setattr(module, fn, counted)
+    calls = {
+        "rank": [],
+        "MinorProfile": [],
+        "minor_level": [],
+        "pole_location": [],
+        "inverse": [],
+    }
+    _count_calls(monkeypatch, calls)
     with mp.workprec(128):
         cmd_grouping(spec)
-    assert len(calls["rank"]) == math.comb(len(arr.hyperplanes), arr.dim)
-    assert len(calls["minor_profile"]) == len(table)
+    assert calls["rank"] == []
+    assert len(calls["MinorProfile"]) == len(table)
+    assert len(calls["minor_level"]) <= _prefixes(arr)
     assert len(calls["pole_location"]) == collections
     for fn in calls:
         calls[fn].clear()

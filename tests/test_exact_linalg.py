@@ -260,6 +260,15 @@ def arrangements(draw):
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     )
 )
+# r = 4: levels hold r_{1,4} after r_{2,3}, profiles list it before
+@example(
+    (
+        [[1, 1, 0, -1], [0, 1, 1, 1], [1, -1, 1, 0], [-1, 0, 1, 1], [1, 1, 1, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    )
+)
+# f3 = f1 + f2: dependent but pairwise independent, so p_3 = 0 on {H1,H2,H3}
+@example(([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
 @settings(max_examples=40, deadline=None)
 def test_flag_table_matches_minor_oracle(data):
     """Shared signed subset determinants give every flag's oracle profile."""

@@ -8,8 +8,11 @@ conftest.trace_residue, gives Grothendieck residues of grouped divisors by
 the trace formula.
 """
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import exp, mp, mpc, mpf, pi
@@ -29,6 +32,7 @@ from conftest import (
     trace_residue,
     z_star,
 )
+from residuum import arrangement
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -37,6 +41,7 @@ from residuum.arrangement import (
     canonicalize_hyperplane,
     enumerate_flags,
     flag_classes,
+    flag_table,
     jacobian,
     pole_location,
 )
@@ -384,14 +389,41 @@ def test_grothendieck_groupings_at_coincident_point():
 
         # the remaining grouping engages two flags soluble only in an
         # auxiliary chart; its value is the antisymmetric combination
-        value = grothendieck_residue(arr, DivisorGrouping.of({0, 1}, {2}), m, poly)
+        grouping = DivisorGrouping.of({0, 1}, {2})
+        value = grothendieck_residue(arr, grouping, m, poly)
         expected = dy - dx
         assert abs(value - expected) / abs(expected) < mpf("1e-25")
+        table = flag_table(arr, poly)
+        assert grothendieck_residue(arr, grouping, m, poly, table) == value
 
         # groupings sum residues of the same form over cycles around one
         # point yet disagree; here dy - dx happens to equal dx since the
         # exponent is 2*pi*i*(x + 2y), so only the -dy grouping separates
         assert abs(dx - (-dy)) > mpf("1e-10")
+
+
+def test_grouping_survey_builds_one_flag_table(monkeypatch, capsys):
+    """The survey asks for every grouping's residues against one table;
+    ``canonical_grouping`` builds the only other one."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "grouping_survey.py"
+    spec = importlib.util.spec_from_file_location("grouping_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    original = arrangement.flag_table
+    tables = []
+
+    def counted(*args):
+        tables.append(args)
+        return original(*args)
+
+    residuum = [m for name, m in sys.modules.items() if name.startswith("residuum")]
+    for module in [*residuum, survey]:
+        if vars(module).get("flag_table") is original:
+            monkeypatch.setattr(module, "flag_table", counted)
+    with working_precision(mp.prec):
+        survey.main()
+    assert len(tables) == 2
+    assert "canonical grouping: (H1H3,H2)" in capsys.readouterr().out
 
 
 def _asymmetric_problem():
