@@ -1,0 +1,92 @@
+"""Profile one round of a benchmark workload and list residuum's hot spots.
+
+Builds the round of ``flags`` or ``poles`` exactly as
+``perfbench/run.py`` does (its ``pooled_round``, seed 1, pool 1), runs
+every operation in this process as ``cli.main([cmd, file, "--json"])``
+under cProfile, and prints the residuum functions with the largest
+cumulative time.  The problem files go to a temporary directory; nothing
+under ``perfbench/`` is written.
+
+Usage: python scripts/profile_round.py flags|poles [--top N]
+"""
+
+import argparse
+import cProfile
+import contextlib
+import io
+import pstats
+import random
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import residuum
+from residuum.cli import main as cli_main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FAMILIES = {"flags": "generic", "poles": "coincident"}
+SEED = 1
+POOL_SEED = 1
+
+
+def build_round(workload: str, directory: Path) -> list:
+    """The benchmark's operations for one round, as (command, path) pairs."""
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+
+    rng = random.Random(f"perfbench:{workload}:{SEED}")
+    ops = run.pooled_round(rng, FAMILIES[workload], POOL_SEED, 0, directory)
+    return [(op.cmd, op.path) for op in ops]
+
+
+def profile_ops(ops: list) -> tuple[pstats.Stats, float, int]:
+    """Run every operation under one profiler: (stats, wall seconds, crashes)."""
+    profiler = cProfile.Profile()
+    crashes = 0
+    start = perf_counter()
+    for cmd, path in ops:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            profiler.enable()
+            try:
+                cli_main([cmd, str(path), "--json"])
+            except Exception:  # a workload's known crashes stay in the profile
+                crashes += 1
+            finally:
+                profiler.disable()
+    return pstats.Stats(profiler), perf_counter() - start, crashes
+
+
+def hot_spots(stats: pstats.Stats, top: int) -> list:
+    """(cumulative s, own s, calls, name) of residuum's top functions."""
+    package = str(Path(residuum.__file__).resolve().parent)
+    rows = []
+    for (filename, line, function), entry in stats.stats.items():
+        _, calls, own, cumulative, _ = entry
+        path = Path(filename).resolve()
+        if str(path.parent) == package:
+            rows.append((cumulative, own, calls, f"{path.name}:{line}({function})"))
+    rows.sort(key=lambda row: (-row[0], row[3]))
+    return rows[:top]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=sorted(FAMILIES))
+    parser.add_argument("--top", type=int, default=20)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = build_round(args.workload, Path(tmp))
+        stats, wall, crashes = profile_ops(ops)
+    print(
+        f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
+        f"{wall:.2f} s under cProfile"
+    )
+    print(f"{'cumulative s':>12} {'own s':>8} {'calls':>9}  function")
+    for cumulative, own, calls, name in hot_spots(stats, args.top):
+        print(f"{cumulative:12.3f} {own:8.3f} {calls:9d}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ or a residue step that exceeds the term cap (``symfun.MAX_RESIDUE_TERMS``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -461,7 +462,10 @@ def _precision_bits(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building one leaves
+    reference cycles (argparse's help formatters) for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="residuum",
         description=(

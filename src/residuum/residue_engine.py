@@ -123,8 +123,12 @@ class ChartResidues:
     The function left after taking residues along the first hyperplanes of a
     flag, and every other hyperplane written in the variables still free,
     depend only on that prefix.  Each is computed once, on first use, so
-    flags that share a prefix share the work.  An instance serves one engine
-    call; nothing outlives it.
+    flags that share a prefix share the work.  A step takes the residue in
+    the first free variable with ``residue_1d``, which restricts, classifies
+    and normalizes each distinct denominator form once (its per-step memo),
+    and writes every other hyperplane's form at the pole with
+    ``AffineForm.restrict``.  An instance serves one engine call; nothing
+    outlives it.
     """
 
     def __init__(self, arr: Arrangement, poly: Polyhedron):
@@ -154,7 +158,7 @@ class ChartResidues:
                 step = (
                     func.residue_1d(0, pole),
                     {
-                        idx: _substitute_first(form, pole)
+                        idx: form.restrict(0, pole)
                         for idx, form in forms.items()
                         if idx != prefix[-1]
                     },
@@ -165,14 +169,6 @@ class ChartResidues:
     def value(self, flag: Flag) -> mpc:
         """Iterated residue along a flag soluble in this chart."""
         return self.step(flag.indices)[0].evaluate(())
-
-
-def _substitute_first(form: AffineForm, pole: AffineForm) -> AffineForm:
-    """Replace variable 0 by a pole form (zero coefficient at 0), reindex."""
-    n = form.arity
-    subs = [pole.drop_var(0)]
-    subs.extend(AffineForm.unit(n - 1, v - 1) for v in range(1, n))
-    return form.compose(subs)
 
 
 def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:

@@ -17,6 +17,15 @@ A_i^{-m_i}, which costs a number of terms polynomial in n.  Like terms (same
 exponent, same denominator, compared bit for bit) are merged, and a step that
 would produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
 
+A residue step computes each fact about an affine form once: one memo per
+``residue_1d`` call holds each form's restriction to the pole
+(``AffineForm.restrict``, which sets z_v to the pole directly instead of
+composing with unit forms), whether each denominator form vanishes there,
+the monic unit and leading entry of each non-vanishing restriction, and the
+``close_to`` verdict of each pair of units.  Every term reads them from the
+memo, with the same arithmetic in the same order as computing them afresh, so
+the result does not depend on it; nothing outlives the call.
+
 Scalars live at whatever mpmath precision is ambient; callers that care wrap
 their work in ``working_precision``.  Exact inputs (int, Fraction, exact
 complex rationals) convert losslessly at the ambient precision.
@@ -24,6 +33,7 @@ complex rationals) convert losslessly at the ambient precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,7 +89,13 @@ def _noise_floor() -> mpf:
     Half the ambient mantissa is far below any genuine quantity in this
     package and far above accumulated rounding error of short computations.
     """
-    return mpf(2) ** (-(mp.prec // 2))
+    return _noise_floor_at(mp.prec)
+
+
+@functools.cache
+def _noise_floor_at(prec: int) -> mpf:
+    # a power of two, exact at every precision: one value per precision
+    return mpf(2) ** (-(prec // 2))
 
 
 def is_negligible(x, scale=1) -> bool:
@@ -133,12 +149,35 @@ class AffineForm:
         )
 
     def compose(self, forms: Sequence["AffineForm"]) -> "AffineForm":
-        """Substitute z_i = forms[i](w); all forms share one new arity."""
-        new_arity = forms[0].arity if forms else 0
-        acc = AffineForm.constant(new_arity, self.const)
+        """Substitute z_i = forms[i](w); all forms share one new arity.
+
+        Each entry of the result is c + sum_i a_i phi_i, summed in the order
+        of i; a term with a_i == 0 is skipped, since adding it is exact.
+        """
+        coeffs = [to_mpc(0)] * (forms[0].arity if forms else 0)
+        const = self.const
         for a, phi in zip(self.coeffs, forms):
-            acc = acc.add(phi.scale(a))
-        return acc
+            if a == 0:
+                continue
+            coeffs = [c + x * a for c, x in zip(coeffs, phi.coeffs)]
+            const = const + phi.const * a
+        return AffineForm(tuple(coeffs), const)
+
+    def restrict(self, var: int, pole: "AffineForm") -> "AffineForm":
+        """Set z_var = pole (zero coefficient at ``var``); drop z_var.
+
+        Entry j is c_j + p_j a and the constant c + p a, with a the
+        coefficient of z_var: ``compose`` with the pole and unit forms,
+        without the products that are exactly zero.
+        """
+        a = self.coeffs[var]
+        coeffs = self.coeffs[:var] + self.coeffs[var + 1 :]
+        if a == 0:
+            return AffineForm(coeffs, self.const)
+        p = pole.coeffs[:var] + pole.coeffs[var + 1 :]
+        return AffineForm(
+            tuple(c + x * a for c, x in zip(coeffs, p)), self.const + pole.const * a
+        )
 
     def solve_for(self, var: int) -> "AffineForm":
         """On the zero locus, express z_var as an affine form of the others.
@@ -271,13 +310,14 @@ class Polynomial:
     def compose(self, forms: Sequence[AffineForm]) -> "Polynomial":
         """Substitute z_i = forms[i](w) for every variable."""
         new_arity = forms[0].arity if forms else 0
-        basis = [Polynomial.from_affine(f) for f in forms]
+        occurring = {i for e in self._coeffs for i, k in enumerate(e) if k}
+        basis = {i: Polynomial.from_affine(forms[i]) for i in occurring}
         acc = Polynomial(new_arity)
         for e, v in self.items():
             mono = Polynomial.constant(new_arity, v)
-            for p, k in zip(basis, e):
+            for i, k in enumerate(e):
                 for _ in range(k):
-                    mono = mono.mul(p)
+                    mono = mono.mul(basis[i])
             acc = acc.add(mono)
         return acc
 
@@ -477,32 +517,26 @@ class ExpRationalFunction:
             else AffineForm.unit(self.arity - 1, i - (i > var))
             for i in range(self.arity)
         ]
-        restricted: dict = {}
-
-        def at_pole(form: AffineForm) -> AffineForm:
-            if form not in restricted:
-                restricted[form] = form.compose(subs)
-            return restricted[form]
-
+        memo = _PoleMemo(var, pole)
         out: list[Term] = []
         for t in self.terms:
             coeff = t.coeff
             order = 0
             kept = []
             for form, mult in t.denom:
-                base = at_pole(form)
-                if base.is_zero():
+                k = memo.factor(form)
+                if k is None:
                     # A = a_v (z_var - pole) exactly, so A^m contributes a_v^m
                     coeff = coeff / (form.coeffs[var] ** mult)
                     order += mult
                 else:
-                    kept.append((base, mult, form.coeffs[var]))
+                    kept.append((k, mult, form.coeffs[var]))
             if order == 0:
                 continue
             out.extend(
                 _series_residue(
-                    coeff, t, var, order - 1, subs, at_pole(t.expo), kept,
-                    MAX_RESIDUE_TERMS - len(out),
+                    coeff, t, var, order - 1, subs, memo.restrict(t.expo), kept,
+                    memo, MAX_RESIDUE_TERMS - len(out),
                 )
             )
         return ExpRationalFunction(self.arity - 1, _merge_like_terms(out))
@@ -534,8 +568,70 @@ class ExpRationalFunction:
         return f"ExpRationalFunction(arity={self.arity}, terms={len(self.terms)})"
 
 
+class _PoleMemo:
+    """What one residue step at z_var = pole knows of each affine form.
+
+    ``restrict`` gives an exponent form at the pole.  ``factor`` classifies
+    a denominator form: None when it vanishes there, else the index of its
+    restriction in ``units`` and ``leads``, the monic form and the leading
+    entry of ``normalized``.  ``close`` is ``close_to`` between two of those
+    units.  Each is computed once per distinct form or pair; a memo serves one
+    ``residue_1d`` call and nothing outlives it.
+    """
+
+    def __init__(self, var: int, pole: AffineForm):
+        self.var = var
+        self.pole = pole
+        self.units: list[AffineForm] = []
+        self.leads: list[mpc] = []
+        self._restricted: dict = {}  # form -> its restriction
+        self._factors: dict = {}  # denominator form -> index or None
+        self._indices: dict = {}  # non-vanishing restriction -> index
+        self._close: dict = {}  # (index, index) -> close_to verdict
+
+    def restrict(self, form: AffineForm) -> AffineForm:
+        base = self._restricted.get(form)
+        if base is None:
+            base = self._restricted[form] = form.restrict(self.var, self.pole)
+        return base
+
+    def factor(self, form: AffineForm) -> int | None:
+        try:
+            return self._factors[form]
+        except KeyError:
+            pass
+        base = form.restrict(self.var, self.pole)
+        if base.is_zero():
+            k = None
+        else:
+            k = self._indices.get(base)
+            if k is None:
+                unit, lead = base.normalized()
+                k = self._indices[base] = len(self.units)
+                self.units.append(unit)
+                self.leads.append(lead)
+        self._factors[form] = k
+        return k
+
+    def close(self, i: int, k: int) -> bool:
+        if i == k:
+            return True  # close_to of a form with itself
+        verdict = self._close.get((i, k))
+        if verdict is None:
+            verdict = self._close[i, k] = self.units[i].close_to(self.units[k])
+        return verdict
+
+
 def _series_residue(
-    coeff, term: Term, var: int, n: int, subs, expo: AffineForm, kept, budget: int
+    coeff,
+    term: Term,
+    var: int,
+    n: int,
+    subs,
+    expo: AffineForm,
+    kept,
+    memo: _PoleMemo,
+    budget: int,
 ) -> list[Term]:
     """The t^n coefficient of coeff * P * exp(L) / prod(kept) at z_var = pole + t.
 
@@ -547,9 +643,10 @@ def _series_residue(
 
     One term is emitted per choice of the kept factors' exponents j; its
     polynomial collects the polynomial and exponential parts of degree
-    n - sum(j).  ``kept`` lists (B, m, a) with B already at the pole, ``subs``
-    sets z_var to the pole and ``expo`` is L there.  Raises TermBudgetExceeded
-    rather than emit more than ``budget`` terms.
+    n - sum(j).  ``kept`` lists (k, m, a) with k the index of B, A at the
+    pole, in ``memo``; ``subs`` sets z_var to the pole and ``expo`` is L
+    there.  Raises TermBudgetExceeded rather than emit more than ``budget``
+    terms.
     """
     taylor = []
     p = term.poly
@@ -577,21 +674,22 @@ def _series_residue(
 
     # proportional kept factors share one monic unit, as in Term.make; a
     # factor's j-th series coefficient is C(m + j - 1, j) (-a)^j / lead^(m + j)
-    units: list[AffineForm] = []
+    firsts: list[int] = []  # the memo index of each class's first factor
     factors = []
-    for base, mult, a in kept:
-        unit, lead = base.normalized()
-        for cls, u in enumerate(units):
-            if u.close_to(unit):
+    for k, mult, a in kept:
+        lead = memo.leads[k]
+        for cls, first in enumerate(firsts):
+            if memo.close(first, k):
                 break
         else:
-            cls = len(units)
-            units.append(unit)
+            cls = len(firsts)
+            firsts.append(k)
         series = [
             math.comb(mult + j - 1, j) * (-a) ** j / lead ** (mult + j)
             for j in range(1, n + 1 if a != 0 else 1)
         ]
         factors.append((cls, mult, lead**mult, series))
+    units = [memo.units[k] for k in firsts]
     class_order = sorted(range(len(units)), key=lambda c: _affine_sort_key(units[c]))
 
     active = sum(1 for f in factors if f[3])
@@ -605,24 +703,25 @@ def _series_residue(
             f"a residue step would produce more than {MAX_RESIDUE_TERMS} terms"
         )
 
+    # depth first over the exponents (j_0, j_1, ...) with sum <= n, j_0
+    # slowest, each coefficient built along its path from the root
     out: list[Term] = []
-    degrees = [0] * len(units)
-
-    def expand(i: int, c, left: int) -> None:
-        """Choose the exponents j of factors i, i + 1, ... with sum <= left."""
+    stack = [(0, coeff, n, ())]
+    while stack:
+        i, c, left, js = stack.pop()
         if i == len(factors):
             poly = rest[n - left]
             if poly is not None:
+                degrees = [0] * len(units)
+                for (cls, mult, _, _), j in zip(factors, js):
+                    degrees[cls] += mult + j
                 denom = tuple((units[cls], degrees[cls]) for cls in class_order)
                 out.append(Term(c, poly, expo, denom))
-            return
+            continue
         cls, mult, lead_power, series = factors[i]
-        for j in range(min(len(series), left) + 1):
-            degrees[cls] += mult + j
-            expand(i + 1, c / lead_power if j == 0 else c * series[j - 1], left - j)
-            degrees[cls] -= mult + j
-
-    expand(0, coeff, n)
+        for j in reversed(range(min(len(series), left) + 1)):
+            child = c / lead_power if j == 0 else c * series[j - 1]
+            stack.append((i + 1, child, left - j, js + (j,)))
     return out
 
 

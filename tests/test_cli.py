@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from mpmath import mp, mpc, mpf, pi
@@ -89,6 +90,15 @@ vars v1 v2 v3;
 cone (1,0,0) (0,1,0) (0,0,1);
 den (-v2 + 2*v3 - 2*i)^3 (2*v1 + 2*v2 - v3 - 6*i)^3 (-v1 + v2 + v3 - 2*i) \
 (v1 - v2 + v3 - 2*i) (v1 + 2*v2 + 2*v3 - 10*i) (2*v1 + 2*v2 + v3 - 10*i);
+"""
+# coincident ((3, 2, 2, 1, 1, 1), True) #1 of the benchmark's pool 1: poles
+# of order 3, 2 and 1 at one point, as the poles workload runs them
+MIXED_POLES = """\
+vars v1 v2 v3;
+cone (1,0,0) (0,1,0) (0,0,1);
+num 1*exp(i*(v1 - v3));
+den (2*v1 + 2*v2 + v3 - 6*i)^3 (v1 + 2*v3 - 5*i)^2 (v1 - 2*v2 + v3 - 1*i)^2 \
+(-v1 + 2*v3 - 3*i) (-v2 + 2*v3 - 3*i) (v1 + v2 + 2*v3 - 6*i);
 """
 
 
@@ -204,6 +214,47 @@ def test_flag_table_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("text", [SQUARED_POLES, CUBED_POLES], ids=["squared", "cubed"])
+def test_residue_steps_leave_no_reference_cycles(text):
+    """eval and grouping free their residue steps' terms by reference
+    counting: with the cyclic collector off, nothing is left for it."""
+    spec = parse_problem(text)
+    gc.collect()
+    gc.disable()
+    try:
+        for command in (cmd_eval, cmd_grouping):
+            with mp.workprec(128):
+                command(spec)
+            assert gc.collect() == 0, command.__name__
+    finally:
+        gc.enable()
+
+
+def test_main_leaves_no_cyclic_garbage(tmp_path, capsys):
+    """Repeated ``main`` calls leave argparse and residuum objects to
+    reference counting alone.  The json encoder's own closures, a cycle per
+    ``json.dumps`` with indent, are not residuum's."""
+    path = _write(tmp_path, SQUARED_POLES)
+    main(["grouping", path, "--json"])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert main(["grouping", path, "--json"]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        owners = {
+            (obj.__module__ if isinstance(obj, FunctionType) else type(obj).__module__)
+            for obj in gc.garbage
+        }
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert not {m for m in owners if m.split(".")[0] in ("argparse", "residuum")}
 
 
 def test_python_dash_m_runs_cleanly():
@@ -486,6 +537,7 @@ GOLDEN_INPUTS = {
     **{p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.rsd"))},
     "squared_poles": SQUARED_POLES,
     "cubed_poles": CUBED_POLES,
+    "mixed_poles": MIXED_POLES,
 }
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, quad
 
 from residuum import symfun
+from residuum.exact_linalg import GaussianRational
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
@@ -25,6 +26,7 @@ from residuum.symfun import (
     Polynomial,
     Term,
     TermBudgetExceeded,
+    _form_key,
     to_mpc,
     working_precision,
 )
@@ -254,6 +256,121 @@ def test_compose_linear():
         g = f.compose_linear([[1, 1], [0, 1]])  # z0 = w0 + w1, z1 = w1
         w = [mpc("0.2", "0.1"), mpc("-0.4", "0.3")]
         assert abs(g.evaluate(w) - f.evaluate([w[0] + w[1], w[1]])) < mpf(10) ** -30
+
+
+def compose_oracle(form, forms):
+    """The general substitution loop: one scaled form added at a time."""
+    acc = AffineForm.constant(forms[0].arity if forms else 0, form.const)
+    for a, phi in zip(form.coeffs, forms):
+        acc = acc.add(phi.scale(a))
+    return acc
+
+
+def restrict_oracle(form, var, pole):
+    """z_var set to the pole and the other variables renumbered, by
+    ``compose_oracle``."""
+    n = form.arity
+    subs = [
+        pole.drop_var(var) if i == var else AffineForm.unit(n - 1, i - (i > var))
+        for i in range(n)
+    ]
+    return compose_oracle(form, subs)
+
+
+# exact zeros, Gaussian rationals (rounded at the ambient precision) and
+# doubles from 1e-30 to 1e30 (exact; far apart they take mpmath's shortcut
+# for sums beyond the precision)
+raw_scalars = st.one_of(
+    st.just(0),
+    st.builds(
+        GaussianRational,
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    ),
+    st.builds(
+        complex,
+        st.floats(-1e30, 1e30, allow_nan=False, allow_subnormal=False),
+        st.floats(-1e30, 1e30, allow_nan=False, allow_subnormal=False),
+    ),
+)
+
+
+def raw_forms(arity):
+    return st.tuples(st.lists(raw_scalars, min_size=arity, max_size=arity), raw_scalars)
+
+
+@st.composite
+def compose_cases(draw):
+    """(form, forms): arity 1-4 into arity 0-4."""
+    arity, new_arity = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    forms = st.lists(raw_forms(new_arity), min_size=arity, max_size=arity)
+    return draw(raw_forms(arity)), draw(forms)
+
+
+@st.composite
+def restrict_cases(draw):
+    """(form, var, pole): the pole has arity of the form, zero at var."""
+    arity = draw(st.integers(1, 4))
+    var = draw(st.integers(0, arity - 1))
+    coeffs, const = draw(raw_forms(arity))
+    coeffs[var] = 0
+    return draw(raw_forms(arity)), var, (coeffs, const)
+
+
+@given(compose_cases(), st.sampled_from([53, 128]))
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_oracle_bit_for_bit(case, prec):
+    with working_precision(prec):
+        form, forms = AffineForm.make(*case[0]), [AffineForm.make(*f) for f in case[1]]
+        assert _form_key(form.compose(forms)) == _form_key(compose_oracle(form, forms))
+
+
+@given(restrict_cases(), st.sampled_from([53, 128]))
+@settings(max_examples=150, deadline=None)
+def test_restrict_matches_oracle_bit_for_bit(case, prec):
+    """restrict(var, pole) is composing with the pole at var and unit forms."""
+    with working_precision(prec):
+        form, var, pole = AffineForm.make(*case[0]), case[1], AffineForm.make(*case[2])
+        want = restrict_oracle(form, var, pole)
+        assert _form_key(form.restrict(var, pole)) == _form_key(want)
+
+
+def test_one_normalization_per_restricted_factor(monkeypatch):
+    """A residue step normalizes each distinct denominator form at the pole
+    once, not once for every term that carries it."""
+    with working_precision(128):
+        i = mpc(0, 1)
+        denom = [
+            (AffineForm.make([1, -1], -i), 3),
+            (AffineForm.make([1, 1], 1), 1),
+            (AffineForm.make([1, -2], 2), 2),
+        ]
+        f = ExpRationalFunction.zero(2)
+        for k in range(4):
+            f = f.add(
+                ExpRationalFunction.from_parts(
+                    2,
+                    poly=Polynomial(2, {(0, k): to_mpc(1)}),
+                    expo=AffineForm.make([k * i, 0], 0),
+                    denom=denom,
+                )
+            )
+        pole = denom[0][0].solve_for(0)
+        at_pole = [
+            restrict_oracle(form, 0, pole) for t in f.terms for form, _ in t.denom
+        ]
+        restricted = {_form_key(form) for form in at_pole if not form.is_zero()}
+        calls = []
+        original = AffineForm.normalized
+
+        def counted(self):
+            calls.append(_form_key(self))
+            return original(self)
+
+        monkeypatch.setattr(AffineForm, "normalized", counted)
+        res = f.residue_1d(0, pole)
+    assert len(f.terms) == 4 and len(res.terms) > 4
+    assert len(calls) == len(set(calls)) and set(calls) <= restricted
 
 
 def test_zero_denominator_rejected():
