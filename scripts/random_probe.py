@@ -9,7 +9,9 @@ Usage: python scripts/random_probe.py [--count N] [--seed S]
 """
 
 import argparse
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc
@@ -20,10 +22,37 @@ from residuum import (
     Polyhedron,
     canonicalize_hyperplane,
     flag_table,
-    permutation_stability_probe,
     truncated_iterated_residue,
 )
 from residuum.symfun import ExpRationalFunction
+
+
+@dataclass(frozen=True)
+class PermutationProbe:
+    """Stable orderings found among row permutations of stable collections."""
+
+    collections: tuple[Flag, ...]
+    extra_stable_orderings: tuple[tuple[Flag, Flag], ...]
+
+    @property
+    def conjecture_holds(self) -> bool:
+        return not self.extra_stable_orderings
+
+
+def permutation_stability_probe(arr: Arrangement, poly: Polyhedron) -> PermutationProbe:
+    """Search all row permutations of each stable collection for a second
+    stable ordering (a counterexample to the uniqueness heuristic).  Every
+    ordering of a complete collection is in the flag table."""
+    table = flag_table(arr, poly)
+    stable = [e.flag for e in table if e.profile.stable]
+    stable_orders = {g.indices for g in stable}
+    extras = [
+        (flag, Flag(perm))
+        for flag in stable
+        for perm in itertools.permutations(flag.indices)
+        if perm != flag.indices and perm in stable_orders
+    ]
+    return PermutationProbe(tuple(stable), tuple(extras))
 
 
 def random_arrangement(rng: random.Random) -> Arrangement:

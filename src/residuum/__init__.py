@@ -49,20 +49,17 @@ from .oracle import (
     torus_residue,
 )
 from .residue_engine import (
-    BruhatViolation,
     Certificate,
     Convergence,
     DivisorGrouping,
     EmptyStableSet,
     EngineOptions,
-    PermutationProbe,
     ResidueResult,
     canonical_grouping,
     convergence_heuristic,
     evaluate_integral,
     grothendieck_residue,
     iterated_residue,
-    permutation_stability_probe,
     points_of_grouping,
     truncated_iterated_residue,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "AffineForm",
     "Arrangement",
     "AuditReport",
-    "BruhatViolation",
     "BudgetExceeded",
     "Certificate",
     "Convergence",
@@ -97,7 +93,6 @@ __all__ = [
     "NonDecaying",
     "NotAlignable",
     "ParseError",
-    "PermutationProbe",
     "PoleOnArc",
     "Polyhedron",
     "Polynomial",
@@ -127,7 +122,6 @@ __all__ = [
     "load_problem",
     "main",
     "parse_problem",
-    "permutation_stability_probe",
     "pole_location",
     "points_of_grouping",
     "quad_integral",

@@ -57,10 +57,6 @@ from .symfun import (
 )
 
 
-class BruhatViolation(Exception):
-    """A grouping-arising flag is insoluble in every searched chart."""
-
-
 class EmptyStableSet(Exception):
     """No ordered hyperplane collection is stable for the polyhedron."""
 
@@ -333,58 +329,66 @@ def points_of_grouping(arr: Arrangement, grouping: DivisorGrouping):
     return _clusters(arr, _collections(arr, flags, grouping))
 
 
-_CHART_SEARCH_ENTRIES = (0, 1, -1, 2, -2)
-# auxiliary charts tried before a grouping is declared a BruhatViolation
-_MAX_CHARTS = 4000
+def _soluble_chart(
+    arr: Arrangement, reps: Sequence[Flag], poly: Polyhedron, profiles: dict
+) -> Polyhedron:
+    """A chart N in which every flag of ``reps`` is soluble, built column
+    by column; ``poly`` itself when the table's ``profiles`` already say so.
 
+    The leading minor p_k of F N depends on the first k rows of a flag's
+    rows F and the first k columns of N.  Column k is the polyhedron's k-th
+    generator when that keeps every p_k nonzero, and otherwise the first
+    moment-curve point (1, t, ..., t^(r-1)), t = 0, 1, 2, ..., that does.
+    Once p_(k-1) != 0, p_k is a nonzero linear function of column k, so on
+    the moment curve a nonzero polynomial in t of degree at most r - 1:
+    each column takes at most (r - 1) #reps + 1 tries.  Negating the last
+    column, when needed, gives N the polyhedron's orientation and changes
+    only the sign of p_r.
+    """
+    if all(profiles[rep].in_bruhat_cell for rep in reps):
+        return poly
+    r = arr.dim
+    flag_rows = [[arr.hyperplanes[i].f_row() for i in rep.indices] for rep in reps]
 
-def _chart_candidates(dim: int):
-    """Positively oriented small-integer bases, nearest to the identity first."""
-    vectors = [
-        v
-        for v in itertools.product(_CHART_SEARCH_ENTRIES, repeat=dim)
-        if any(x != 0 for x in v)
-    ]
-    vectors.sort(key=lambda v: sum(x * x for x in v))
-    for cols in itertools.permutations(vectors, dim):
-        mat = RationalMatrix.from_rows(
-            [[Fraction(cols[j][i]) for j in range(dim)] for i in range(dim)]
+    def leading_minor(f_rows, cols) -> Fraction:
+        return determinant(
+            RationalMatrix.from_rows(
+                [[sum(a * b for a, b in zip(f, c)) for c in cols] for f in f_rows]
+            )
         )
-        if determinant(mat) > 0:
-            yield Polyhedron.from_generators(cols)
+
+    cols: list[tuple] = []
+    for k in range(r):
+        moment_curve = (tuple(t**e for e in range(r)) for t in itertools.count())
+        cols.append(
+            next(
+                col
+                for col in itertools.chain([poly.generators[k]], moment_curve)
+                if all(leading_minor(f[: k + 1], (*cols, col)) for f in flag_rows)
+            )
+        )
+    chart = Polyhedron.from_generators(cols)
+    if (chart.det() > 0) != (poly.det() > 0):
+        chart = Polyhedron.from_generators([*cols[:-1], tuple(-x for x in cols[-1])])
+    return chart
 
 
 def _point_residue(
-    arr: Arrangement,
-    grouping: DivisorGrouping,
-    flags: list[Flag],
-    profiles: dict,
-    residues: ChartResidues,
+    arr: Arrangement, flags: list[Flag], profiles: dict, residues: ChartResidues
 ) -> mpc:
     """Residue at one terminal point: the iterated residues of the classes
     of ``flags``, the grouping's flags arriving there.
 
-    The flag table's ``profiles`` decide solubility in the polyhedron's
-    chart.  When some class is insoluble there, a positively oriented
-    auxiliary chart soluble for every class is searched; the classical value
-    computed there is reported in the polyhedron's own orientation.
+    They are taken in the polyhedron's chart, with the shared ``residues``,
+    when the flag table's ``profiles`` find every class soluble there, and
+    otherwise in the chart ``_soluble_chart`` builds for them.  That chart
+    has the polyhedron's orientation, so its values need no sign change.
     """
     reps = [cls[0] for cls in flag_classes(arr, flags)]
-    if all(profiles[rep].in_bruhat_cell for rep in reps):
-        return sum((residues.value(rep) for rep in reps), mpc(0))
-    orientation = 1 if residues.poly.det() > 0 else -1
-    for chart in itertools.islice(_chart_candidates(arr.dim), _MAX_CHARTS):
-        if all(
-            minor_profile(jacobian(arr, rep.indices, chart)).in_bruhat_cell
-            for rep in reps
-        ):
-            aux = ChartResidues(arr, chart)
-            classical = sum((aux.value(rep) for rep in reps), mpc(0))
-            return orientation * classical
-    raise BruhatViolation(
-        f"grouping {grouping.label(arr)} has a flag insoluble in every "
-        "searched chart"
-    )
+    chart = _soluble_chart(arr, reps, residues.poly, profiles)
+    if chart is not residues.poly:
+        residues = ChartResidues(arr, chart)
+    return sum((residues.value(rep) for rep in reps), mpc(0))
 
 
 def grothendieck_residue(
@@ -397,9 +401,11 @@ def grothendieck_residue(
     """Residue of the form at one terminal point of a divisor grouping.
 
     Sums the iterated residues of the grouping's flags arriving at the
-    point, read against the pair's flag table (see ``_point_residue``).
-    A caller asking for several points or groupings builds the table once
-    and passes it.
+    point, one per flag class, in the polyhedron's chart when the pair's
+    flag table finds every class soluble there and otherwise in one chart
+    built for them with the same orientation (see ``_point_residue``);
+    every point has a value.  A caller asking for several points or
+    groupings builds the table once and passes it.
     """
     if table is None:
         table = flag_table(arr, poly)
@@ -413,7 +419,7 @@ def grothendieck_residue(
             at_point.append(flag)
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _point_residue(arr, grouping, at_point, profiles, ChartResidues(arr, poly))
+    return _point_residue(arr, at_point, profiles, ChartResidues(arr, poly))
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -440,7 +446,7 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
         mpc(0),
     )
     points = [
-        (point, flags, _point_residue(arr, grouping, flags, profiles, residues))
+        (point, flags, _point_residue(arr, flags, profiles, residues))
         for point, flags in _clusters(arr, _collections(arr, profiles, grouping))
     ]
     point_sum = sum((res for _, _, res in points), mpc(0))
@@ -457,33 +463,3 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
 def canonical_grouping(arr: Arrangement, poly: Polyhedron) -> DivisorGrouping:
     """The grouping of ``canonical_grouping_points``, without its points."""
     return canonical_grouping_points(arr, poly)[0]
-
-
-@dataclass(frozen=True)
-class PermutationProbe:
-    """Stable orderings found among row permutations of stable collections."""
-
-    collections: tuple[Flag, ...]
-    extra_stable_orderings: tuple[tuple[Flag, Flag], ...]
-
-    @property
-    def conjecture_holds(self) -> bool:
-        return not self.extra_stable_orderings
-
-
-def permutation_stability_probe(
-    arr: Arrangement, poly: Polyhedron
-) -> PermutationProbe:
-    """Search all row permutations of each stable collection for a second
-    stable ordering (a counterexample to the uniqueness heuristic).  Every
-    ordering of a complete collection is in the flag table."""
-    table = flag_table(arr, poly)
-    stable = [e.flag for e in table if e.profile.stable]
-    stable_orders = {g.indices for g in stable}
-    extras = [
-        (flag, Flag(perm))
-        for flag in stable
-        for perm in itertools.permutations(flag.indices)
-        if perm != flag.indices and perm in stable_orders
-    ]
-    return PermutationProbe(tuple(stable), tuple(extras))

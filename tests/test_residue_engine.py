@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi
 
 from conftest import (
@@ -47,18 +49,17 @@ from residuum.arrangement import (
 )
 from residuum.exact_linalg import RationalMatrix, determinant, inverse, minor_profile
 from residuum.residue_engine import (
-    BruhatViolation,
     Certificate,
     Convergence,
     DivisorGrouping,
     EmptyStableSet,
     EngineOptions,
+    _soluble_chart,
     canonical_grouping,
     convergence_heuristic,
     evaluate_integral,
     grothendieck_residue,
     iterated_residue,
-    permutation_stability_probe,
     points_of_grouping,
     truncated_iterated_residue,
 )
@@ -387,8 +388,8 @@ def test_grothendieck_groupings_at_coincident_point():
         value = grothendieck_residue(arr, DivisorGrouping.of({2, 1}, {0}), m, poly)
         assert abs(value + dy) / abs(dy) < mpf("1e-25")
 
-        # the remaining grouping engages two flags soluble only in an
-        # auxiliary chart; its value is the antisymmetric combination
+        # the remaining grouping engages two flags soluble only in a chart
+        # built for them; its value is the antisymmetric combination
         grouping = DivisorGrouping.of({0, 1}, {2})
         value = grothendieck_residue(arr, grouping, m, poly)
         expected = dy - dx
@@ -402,13 +403,109 @@ def test_grothendieck_groupings_at_coincident_point():
         assert abs(dx - (-dy)) > mpf("1e-10")
 
 
+# (f, s) of seven hyperplanes f(v) = i s in three variables
+SEVEN_PLANES = (
+    ((2, -1, 1), 3),
+    ((2, -1, 0), 1),
+    ((1, 2, 2), 3),
+    ((2, 1, 0), 4),
+    ((2, 1, 2), 4),
+    ((2, 0, -1), 3),
+    ((-1, -1, 2), 4),
+)
+IDENTITY_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# a negatively oriented cone, and a sheared one
+SWAPPED_3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+SHEARED_3 = ((1, 1, 0), (0, 1, 0), (0, -1, 1))
+
+
+def _seven_plane_problem():
+    hps = [canonicalize_hyperplane(f, -mpc(0, s)) for f, s in SEVEN_PLANES]
+    numerator = ExpRationalFunction.from_parts(3, coeff=3)
+    return Arrangement.build(3, hps, numerator=numerator)
+
+
+def test_grothendieck_residue_in_a_built_chart():
+    """Only (H2,H1,H4) arrives at (1.25i, 1.5i, 2i).  H2 and H1 agree on
+    the cone's first two generators, so p_2 = 0 in the cone's chart.  The
+    point is simple, so its residue is 3 / (det F_flag * prod of the other
+    g_j at the point)."""
+    with working_precision(128):
+        arr = _seven_plane_problem()
+        poly = cone(*IDENTITY_3)
+        grouping = DivisorGrouping.of({1, 2, 6}, {0, 4, 5}, {3})
+        point = [mpc(0, "1.25"), mpc(0, "1.5"), mpc(0, 2)]
+        flag = Flag((1, 0, 3))
+        assert not minor_profile(jacobian(arr, flag.indices, poly)).in_bruhat_cell
+        f_flag = RationalMatrix.from_rows(
+            [arr.hyperplanes[i].f_row() for i in flag.indices]
+        )
+        others = mpc(1)
+        for j, h in enumerate(arr.hyperplanes):
+            if j not in flag.indices:
+                others *= h.defining_form().evaluate(point)
+        expected = 3 / (to_mpc(determinant(f_flag)) * others)
+        assert abs(expected - mpf(-2) / 385) < mpf("1e-35")
+        value = grothendieck_residue(arr, grouping, point, poly)
+        assert abs(value - expected) < mpf("1e-30")
+
+
+def _check_soluble_charts(arr, poly, grouping) -> int:
+    """Every point's chart: each arriving class soluble in it, the cone's
+    orientation, and the cone itself when the table finds the classes
+    soluble there.  Returns how many points needed a built chart."""
+    profiles = {e.flag: e.profile for e in flag_table(arr, poly)}
+    built = 0
+    for _, flags in points_of_grouping(arr, grouping):
+        reps = [cls[0] for cls in flag_classes(arr, flags)]
+        chart = _soluble_chart(arr, reps, poly, profiles)
+        for rep in reps:
+            assert minor_profile(jacobian(arr, rep.indices, chart)).in_bruhat_cell
+        assert (chart.det() > 0) == (poly.det() > 0)
+        if all(profiles[rep].in_bruhat_cell for rep in reps):
+            assert chart is poly
+        else:
+            built += 1
+    return built
+
+
+@given(
+    st.lists(st.integers(0, 2), min_size=7, max_size=7),
+    st.sampled_from([IDENTITY_3, SWAPPED_3, SHEARED_3]),
+)
+@example([1, 0, 0, 2, 1, 1, 0], IDENTITY_3)
+# the moment-curve chart has the opposite orientation to the cone's here
+@example([0, 0, 0, 0, 1, 0, 2], SWAPPED_3)
+@settings(max_examples=30, deadline=None)
+def test_soluble_chart_on_seven_planes(groups, generators):
+    assume(set(groups) == {0, 1, 2})
+    grouping = DivisorGrouping.of(
+        *({i for i, g in enumerate(groups) if g == k} for k in range(3))
+    )
+    with working_precision(128):
+        _check_soluble_charts(_seven_plane_problem(), cone(*generators), grouping)
+
+
+def test_soluble_chart_at_coincident_point():
+    with working_precision(128):
+        arr = coincident_point_problem()
+        grouping = DivisorGrouping.of({0, 1}, {2})
+        assert _check_soluble_charts(arr, cone(*CONE_WIDE), grouping) == 1
+
+
+def _load_script(name):
+    """The module ``scripts/<name>.py``, loaded without running its main."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_grouping_survey_builds_one_flag_table(monkeypatch, capsys):
     """The survey asks for every grouping's residues against one table;
     ``canonical_grouping`` builds the only other one."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "grouping_survey.py"
-    spec = importlib.util.spec_from_file_location("grouping_survey", path)
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
+    survey = _load_script("grouping_survey")
     original = arrangement.flag_table
     tables = []
 
@@ -571,11 +668,12 @@ def test_scaling_generators_keeps_value():
 
 
 def test_permutation_probe():
+    probe_of = _load_script("random_probe").permutation_stability_probe
     with working_precision(128):
         arr = three_plane_problem(2, 3)
-        probe = permutation_stability_probe(arr, cone(*CONE_LEFT))
+        probe = probe_of(arr, cone(*CONE_LEFT))
         assert [f.indices for f in probe.collections] == [(0, 2)]
         assert probe.conjecture_holds
 
-        probe = permutation_stability_probe(single_pole_problem(), cone((1,)))
+        probe = probe_of(single_pole_problem(), cone((1,)))
         assert probe.conjecture_holds
