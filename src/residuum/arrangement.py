@@ -6,6 +6,9 @@ locus).  A polyhedron is an ordered rational basis (v_1, ..., v_r) spanning a
 cone; its coordinates z are the dual basis.  The Jacobian of an ordered
 hyperplane collection with respect to a polyhedron has entries f_j(v_k), and
 its exact minor profile decides solubility, stability, and compatibility.
+The integrand has one pullback to the chart v = M z, ``Arrangement.pullback``:
+factor j is (row j of the exact F M) . z - i s_j, rounded once, so a 0 of
+F M stays exactly 0.
 ``flag_table`` computes every complete flag's Jacobian and profile once per
 (arrangement, polyhedron) pair; the audit, the stable flags, the engine and
 the reports all read that one table.  Each flag's Jacobian is its rows of
@@ -51,6 +54,7 @@ from .exact_linalg import (
 from .symfun import (
     AffineForm,
     ExpRationalFunction,
+    Term,
     is_negligible,
     to_mpc,
 )
@@ -247,22 +251,37 @@ class Arrangement:
         return sum(self.multiplicities)
 
     def integrand(self) -> ExpRationalFunction:
-        """G(v) = numerator / prod (f_j(v) - i s_j)^{m_j} in v-coordinates."""
-        denom = [
-            (h.defining_form(), m)
-            for h, m in zip(self.hyperplanes, self.multiplicities)
-        ]
-        return self.numerator.mul(
-            ExpRationalFunction.from_parts(self.dim, denom=denom)
-        )
+        """G(v) = numerator / prod (f_j(v) - i s_j)^{m_j}: the identity chart."""
+        eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        return self.integrand_in(Polyhedron.from_generators(eye))
 
     def integrand_in(self, poly: Polyhedron) -> ExpRationalFunction:
         """The function F with int_{R^r} G dv = int_{R^r} F dz: F = |det M| G(Mz)."""
-        m = poly.basis_matrix()
-        composed = self.integrand().compose_linear(
-            [[row_entry for row_entry in row] for row in m.entries]
-        )
-        return composed.scale(abs(poly.det()))
+        return self.pullback(poly)[0]
+
+    def pullback(self, poly: Polyhedron) -> tuple[ExpRationalFunction, dict]:
+        """The integrand F in the chart v = M z and {j: form j}, from the exact
+        rows F M of ``jacobian``: form j is (row j of F M) . z - i s_j, rounded
+        once.  Each numerator term, composed with M, takes |det M| and every
+        form, and is normalized by one ``Term.make``."""
+        rows = jacobian(self, range(len(self.hyperplanes)), poly)
+        forms = {
+            j: AffineForm.make(row, -mpc(0, 1) * h.s)
+            for j, (row, h) in enumerate(zip(rows.entries, self.hyperplanes))
+        }
+        factors = list(zip(forms.values(), self.multiplicities))
+        subs = [AffineForm.make(row) for row in poly.basis_matrix().entries]
+        weight = to_mpc(abs(poly.det()))
+        terms = [
+            Term.make(
+                t.coeff * weight,
+                t.poly.compose(subs),
+                t.expo.compose(subs),
+                [(form.compose(subs), m) for form, m in t.denom] + factors,
+            )
+            for t in self.numerator.terms
+        ]
+        return ExpRationalFunction(self.dim, terms), forms
 
 
 def jacobian(

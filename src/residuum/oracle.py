@@ -12,9 +12,9 @@ quad_integral integrates in hyperplane coordinates w = F_B v, F_B holding
 the rows f_j of r hyperplanes with the largest |det F_B|: the trapezoid rule
 converges geometrically only where the integrand is smooth along the grid
 axes, and the poles lie on the hyperplanes.  A det-1 substitution v = U u
-changes neither det F_B nor any row f_j F_B^-1, so the integrand in w, and
-every node and sum, does not depend on how the problem is written.  Box
-lengths are lengths in w.
+changes neither det F_B nor any row f_j F_B^-1, so the integrand in w,
+Arrangement.integrand_in of the chart F_B^-1, and every node and sum, does
+not depend on how the problem is written.  Box lengths are lengths in w.
 
 In r <= 3 variables one rule serves every integral: the trapezoid
 (midpoint) sum on a uniform tensor grid, under one of two maps.
@@ -53,7 +53,8 @@ One kernel, _term_block, evaluates a term on a block of about 32,768
 points, for the grid sums and the closure alike, in buffers that stay in
 L2 cache.  On a tensor grid each term's exponential and weights are one
 vector per axis, and so is each linear factor that depends on one axis,
-as the chosen hyperplanes' own do in w, while the vector stays in range;
+while the vector stays in range: the chosen hyperplanes' own do, since
+their rows in w are built from the exact f_j F_B^-1, unit vectors;
 a term with no other factor is a product of 1-D sums.  Only the
 polynomial and the other factors are done per point, multiplied in groups
 whose products provably stay within float64's range (_factor_groups),
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mpc
 
-from .arrangement import Arrangement, Flag, pole_location
+from .arrangement import Arrangement, Flag, Polyhedron, jacobian, pole_location
 from .exact_linalg import RationalMatrix, determinant, inverse
 from .symfun import ExpRationalFunction
 
@@ -395,20 +396,17 @@ def _rounded(z):
     return float(f"{z.real:.8e}"), float(f"{z.imag:.8e}")
 
 
-def _chart_key(arr: Arrangement, inv: RationalMatrix):
-    """The integrand in w = F_B v, given F_B^-1: each hyperplane's row
-    f_j F_B^-1 with its s and multiplicity, as a multiset, and the
-    numerator composed with F_B^-1."""
-    cols = list(zip(*inv.entries))
-    planes = sorted(
-        (tuple(sum(a * c for a, c in zip(h.f_row(), col)) for col in cols),
-         _rounded(h.s), m)
-        for h, m in zip(arr.hyperplanes, arr.multiplicities)
-    )
+def _chart_key(arr: Arrangement, chart: Polyhedron):
+    """The integrand in w = F_B v, given the chart v = F_B^-1 w: each
+    hyperplane's exact row f_j F_B^-1 with its s and multiplicity, as a
+    multiset, and the numerator composed with F_B^-1."""
+    rows = jacobian(arr, range(len(arr.hyperplanes)), chart)
+    s = [_rounded(h.s) for h in arr.hyperplanes]
+    planes = sorted(zip(rows.entries, s, arr.multiplicities))
     numerator = sorted(
         ([_rounded(a) for a in t.expo.coeffs], _rounded(t.expo.const),
          _rounded(t.coeff), sorted((e, _rounded(v)) for e, v in t.poly.items()))
-        for t in arr.numerator.compose_linear(inv.entries).terms
+        for t in arr.numerator.compose_linear(chart.basis_matrix().entries).terms
     )
     return planes, numerator
 
@@ -425,12 +423,12 @@ def _permuted_key(key, p):
     )
 
 
-def _hyperplane_chart(arr: Arrangement):
-    """F_B^-1 and |det F_B| for the rows F_B of r hyperplanes, in some
+def _hyperplane_chart(arr: Arrangement) -> Polyhedron:
+    """The chart v = F_B^-1 w, for the rows F_B of r hyperplanes, in some
     order, with the largest |det F_B|; ties go to the smallest _chart_key,
     which no det-1 substitution or renaming of the hyperplanes changes, then
     to the first indices.  Each set of r rows takes one determinant and one
-    inverse: reordering the rows permutes the columns of F_B^-1."""
+    inverse: reordering the rows permutes the generators, F_B^-1's columns."""
     rows = [h.f_row() for h in arr.hyperplanes]
     sets = list(itertools.combinations(range(len(rows)), arr.dim))
     mats = [RationalMatrix.from_rows(rows[i] for i in s) for s in sets]
@@ -441,12 +439,12 @@ def _hyperplane_chart(arr: Arrangement):
     ranked = []
     for s, m, d in zip(sets, mats, dets):
         if d == top:
-            inv = inverse(m)
-            key = _chart_key(arr, inv)
+            chart = Polyhedron(tuple(zip(*inverse(m).entries)))
+            key = _chart_key(arr, chart)
             for p in itertools.permutations(range(arr.dim)):
-                ranked.append((_permuted_key(key, p), [s[k] for k in p], inv, p))
-    *_, inv, perm = min(ranked, key=lambda c: c[:2])
-    return RationalMatrix(tuple(tuple(row[p] for p in perm) for row in inv.entries)), top
+                ranked.append((_permuted_key(key, p), [s[k] for k in p], chart, p))
+    *_, chart, perm = min(ranked, key=lambda c: c[:2])
+    return Polyhedron(tuple(chart.generators[k] for k in perm))
 
 
 def _decay_profile(func: ExpRationalFunction):
@@ -625,11 +623,9 @@ def quad_integral(
     r = arr.dim
     if r > 3:
         raise ValueError("quadrature supports at most three variables")
-    func = arr.integrand()
-    if not func.terms:
+    if arr.numerator.is_zero():
         return QuadratureReport(mpc(0), 0.0, float(box), 0, 0.0)
-    inv, det = _hyperplane_chart(arr)
-    func = func.compose_linear(inv.entries).scale(1 / det)
+    func = arr.integrand_in(_hyperplane_chart(arr))
     freqs, decay = _decay_profile(func)
     budget = _axis_cap(node_budget, r)
     if all(f == 0.0 for f in freqs):

@@ -49,7 +49,6 @@ from .arrangement import (
 from .exact_linalg import RationalMatrix, determinant, minor_profile, solve_linear
 from .symfun import (
     DEFAULT_PRECISION,
-    AffineForm,
     ExpRationalFunction,
     is_negligible,
     to_mpc,
@@ -64,14 +63,12 @@ class EmptyStableSet(Exception):
 class Convergence(Enum):
     BOUNDED_NUMERATOR = "BoundedNumeratorRule"
     DECAY = "DecayRule"
-    USER_ASSERTED = "UserAsserted"
     UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
 class EngineOptions:
     precision: int = DEFAULT_PRECISION
-    assert_convergence: bool = False
 
 
 @dataclass(frozen=True)
@@ -117,14 +114,15 @@ class ChartResidues:
     """Iterated residues of one arrangement in one chart, shared by flag prefix.
 
     The function left after taking residues along the first hyperplanes of a
-    flag, and every other hyperplane written in the variables still free,
-    depend only on that prefix.  Each is computed once, on first use, so
-    flags that share a prefix share the work.  A step takes the residue in
-    the first free variable with ``residue_1d``, which restricts, classifies
-    and normalizes each distinct denominator form once (its per-step memo),
-    and writes every other hyperplane's form at the pole with
-    ``AffineForm.restrict``.  An instance serves one engine call; nothing
-    outlives it.
+    flag, and every other hyperplane's form in the variables still free,
+    depend only on that prefix; for the empty prefix both come from the exact
+    chart rows F M (``Arrangement.pullback``).  Each is computed once, on
+    first use, so flags that share a prefix share the work.  A step takes the
+    residue in the first free variable with ``residue_1d``, which restricts,
+    classifies and normalizes each distinct denominator form once (its
+    per-step memo), and writes every other hyperplane's form at the pole
+    with ``AffineForm.restrict``.  An instance serves one engine call;
+    nothing outlives it.
     """
 
     def __init__(self, arr: Arrangement, poly: Polyhedron):
@@ -135,19 +133,11 @@ class ChartResidues:
 
     def step(self, prefix: tuple[int, ...]):
         """(function, {hyperplane index: defining form}) left after residues
-        along ``prefix``; the empty prefix gives the chart integrand and every
-        hyperplane's form in the chart coordinates."""
+        along ``prefix``; the empty prefix gives ``Arrangement.pullback``."""
         step = self._steps.get(prefix)
         if step is None:
             if not prefix:
-                j = jacobian(self.arr, range(len(self.arr.hyperplanes)), self.poly)
-                forms = {
-                    idx: AffineForm.make(
-                        [to_mpc(c) for c in j.row(idx)], -mpc(0, 1) * h.s
-                    )
-                    for idx, h in enumerate(self.arr.hyperplanes)
-                }
-                step = (self.arr.integrand_in(self.poly), forms)
+                step = self.arr.pullback(self.poly)
             else:
                 func, forms = self.step(prefix[:-1])
                 pole = forms[prefix[-1]].solve_for(0)
@@ -255,8 +245,6 @@ def evaluate_integral(
         table = flag_table(arr, poly)
         audit = compatibility_audit(arr, poly, table)
         verdict = convergence_heuristic(arr, poly, audit)
-        if verdict is Convergence.UNKNOWN and opts.assert_convergence:
-            verdict = Convergence.USER_ASSERTED
         warnings: list[str] = []
         classes = flag_classes(arr, stable_flags(arr, poly, table))
         entries = {e.flag: e for e in table}
@@ -352,9 +340,7 @@ def _soluble_chart(
 
     def leading_minor(f_rows, cols) -> Fraction:
         return determinant(
-            RationalMatrix.from_rows(
-                [[sum(a * b for a, b in zip(f, c)) for c in cols] for f in f_rows]
-            )
+            RationalMatrix.from_rows(f_rows).matmul(RationalMatrix.from_rows(zip(*cols)))
         )
 
     cols: list[tuple] = []

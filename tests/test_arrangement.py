@@ -20,6 +20,7 @@ from conftest import (
 from residuum.arrangement import (
     Arrangement,
     Flag,
+    Hyperplane,
     InsolubleFlag,
     MeetsRealLocus,
     NotAlignable,
@@ -40,7 +41,7 @@ from residuum.exact_linalg import (
     minor_profile,
     rank,
 )
-from residuum.symfun import to_mpc, working_precision
+from residuum.symfun import AffineForm, to_mpc, working_precision
 
 
 def test_canonicalize_goldens():
@@ -393,3 +394,80 @@ def test_same_flag_classes():
     arr3 = three_plane_problem(2, 3)
     # generic arrangement: every ordered pair is its own flag
     assert len(flag_classes(arr3, enumerate_flags(arr3, 2))) == 6
+
+
+def test_chart_factor_keeps_exact_zero():
+    """Row (3, -1, 1) of F on the chart (1,0,-1), (1,1,-2), (0,0,1) is
+    exactly (2, 0, 1), so its factor in the chart is (1, 0, 1/2) . z - i/2
+    with an exact 0 in the middle, not the rounding residue of composing a
+    form that was normalized before."""
+    with working_precision(128):
+        hps = [Hyperplane(f, mpc(1)) for f in ((3, -1, 1), (1, 0, 0), (0, 1, 0))]
+        arr = Arrangement.build(3, hps)
+        poly = Polyhedron.from_generators([(1, 0, -1), (1, 1, -2), (0, 0, 1)])
+        assert jacobian(arr, [0], poly).row(0) == (2, 0, 1)
+        (term,) = arr.integrand_in(poly).terms
+        (form,) = [f for f, _ in term.denom if f.coeffs[2] != 0]
+        assert form.coeffs[1] == 0
+        assert form.coeffs == (1, 0, mpf(0.5)) and form.const == mpc(0, -0.5)
+
+
+@st.composite
+def _sheared_arrangement(draw):
+    """Small integer rows and a unimodular integer chart: the identity after
+    at most three shears, each adding k times one column to another."""
+    r = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(any),
+            min_size=r,
+            max_size=5,
+        )
+    )
+    hps = [
+        canonicalize_hyperplane(row, mpc(0, -draw(st.sampled_from([1, 2]))))
+        for row in rows
+    ]
+    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    for _ in range(draw(st.integers(0, 3)) if r > 1 else 0):
+        src, dst = draw(st.permutations(range(r)))[:2]
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        cols[dst] = [a + k * b for a, b in zip(cols[dst], cols[src])]
+    return Arrangement.build(r, hps), Polyhedron.from_generators(cols)
+
+
+@given(_sheared_arrangement())
+@settings(max_examples=60, deadline=None)
+def test_chart_factors_are_exact_rows_rounded_once(case):
+    """Each factor of the chart integrand is row j of the exact F M over its
+    first nonzero entry, every coefficient rounded once from that exact
+    quotient: bit for bit to_mpc of it."""
+    arr, poly = case
+    with working_precision(128):
+        expected = set()
+        for h in arr.hyperplanes:
+            row = [sum(a * c for a, c in zip(h.f, col)) for col in poly.generators]
+            lead = next(x for x in row if x)
+            expected.add(tuple(to_mpc(Fraction(x, lead))._mpc_ for x in row))
+        (term,) = arr.integrand_in(poly).terms
+    got = {tuple(c._mpc_ for c in form.coeffs) for form, _ in term.denom}
+    assert got == expected
+
+
+def test_one_normalization_per_chart_factor(monkeypatch):
+    """Building the chart integrand of R hyperplanes with a one-term
+    numerator normalizes each factor once: R calls, not one per pass."""
+    with working_precision(128):
+        arr = coincident_point_problem()
+        poly = cone(*CONE_WIDE)
+        calls = []
+        original = AffineForm.normalized
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AffineForm, "normalized", counted)
+        func = arr.integrand_in(poly)
+    assert len(arr.numerator.terms) == 1 and len(func.terms) == 1
+    assert len(calls) == len(arr.hyperplanes)

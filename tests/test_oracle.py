@@ -29,7 +29,8 @@ from conftest import (
     three_plane_value,
 )
 from residuum import oracle
-from residuum.arrangement import Arrangement, Flag, canonicalize_hyperplane
+from residuum.arrangement import Arrangement, Flag, Polyhedron, canonicalize_hyperplane
+from residuum.dsl import parse_problem
 from residuum.exact_linalg import RationalMatrix, determinant, inverse
 from residuum.oracle import (
     BudgetExceeded,
@@ -209,8 +210,9 @@ def _brute_force_chart(arr):
     top = max(dets, default=0)
     if top == 0:
         raise NonDecaying("the hyperplanes do not span the space")
-    invs = [inverse(m) for m, d in zip(charts, dets) if d == top]
-    return min(invs, key=lambda inv: oracle._chart_key(arr, inv)), top
+    cands = [inverse(m) for m, d in zip(charts, dets) if d == top]
+    cands = [Polyhedron(tuple(zip(*inv.entries))) for inv in cands]
+    return min(cands, key=lambda chart: oracle._chart_key(arr, chart))
 
 
 _CHART_PROBLEMS = {
@@ -539,20 +541,37 @@ def _counting_term_block(monkeypatch):
     return copies
 
 
+# a disguised draw: the chart's rows f_j F_B^-1 of the three chosen
+# hyperplanes are exact unit vectors, but f_j times a normalized
+# F_B^-1 is not
+_DISGUISED_DRAW = (
+    "vars v1 v2 v3; cone (1,0,0) (-1,1,0) (-1,1,1); "
+    "den (v1 + 2*v2 - 2*v3 - 2*i) (-2*v1 - v2 - v3 - 2*i) (-v1 + v2 - 2*i) "
+    "(2*v1 + 3*v2 + v3 - 1*i) (v1 + v2 + v3 - 4*i) (v1 - v3 - 1*i);"
+)
+
+
 def test_only_coupled_factors_stay_per_point(monkeypatch):
     """In the chosen hyperplanes' coordinates their own factors depend on
-    one axis each: the r=3 product needs no per-point kernel at all, and
-    three_plane_problem keeps one factor per point, its third hyperplane."""
+    one axis each, because the chart rows are exact: the r=3 product needs
+    no per-point kernel at all, three_plane_problem keeps one factor per
+    point, its third hyperplane, and each of a disguised draw's three chosen
+    factors has one nonzero entry."""
     copies = _counting_term_block(monkeypatch)
     report = quad_integral(_product_problem(3), box=5.0)
     assert abs(report.estimate - pi**3) < mpf("1e-12") * pi**3
     assert copies == []
 
     arr = three_plane_problem(2, 3)
-    inv, det = oracle._hyperplane_chart(arr)
-    func = arr.integrand().compose_linear(inv.entries).scale(1 / det)
+    func = arr.integrand_in(oracle._hyperplane_chart(arr))
     oracle._tensor_sum(oracle._term_specs(func), [oracle._window_axis(5.0, 300)] * 2)
     assert copies and set(copies) == {1}
+
+    with working_precision(128):
+        arr = parse_problem(_DISGUISED_DRAW).arrangement()
+        func = arr.integrand_in(oracle._hyperplane_chart(arr))
+    ((*_, denom),) = oracle._term_specs(func)
+    assert sorted(np.count_nonzero(row) for row, _, _ in denom) == [1, 1, 1, 3, 3, 3]
 
 
 def test_folded_factors_stay_in_float64_range(monkeypatch):

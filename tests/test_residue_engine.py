@@ -53,7 +53,6 @@ from residuum.residue_engine import (
     Convergence,
     DivisorGrouping,
     EmptyStableSet,
-    EngineOptions,
     _soluble_chart,
     canonical_grouping,
     convergence_heuristic,
@@ -647,12 +646,6 @@ def test_convergence_verdicts():
         ]
         arr_poly = Arrangement.build(1, hps, numerator=linear)
         assert convergence_heuristic(arr_poly, cone((1,))) is Convergence.DECAY
-
-        # user assertion surfaces in the certificate when rules fail
-        arr_eq_result = evaluate_integral(
-            arr_eq, cone((1,)), EngineOptions(assert_convergence=True)
-        )
-        assert arr_eq_result.certificate.convergence is Convergence.USER_ASSERTED
 
 
 def test_scaling_generators_keeps_value():
