@@ -292,17 +292,18 @@ def _eval_parts(spec: ProblemSpec, options: EngineOptions):
 
 def cmd_eval(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
     opts = options or EngineOptions()
-    arr, poly, result, contributions, certificate = _eval_parts(spec, opts)
-    return Report(
-        command="eval",
-        problem=_problem_dict(spec, arr, poly),
-        passed=result.certificate.certified,
-        stability_table=_stability_rows(result.flag_table, with_jacobian=False),
-        value=_cplx(result.value),
-        contributions=contributions,
-        certificate=certificate,
-        warnings=tuple(result.certificate.warnings),
-    )
+    with working_precision(opts.precision):
+        arr, poly, result, contributions, certificate = _eval_parts(spec, opts)
+        return Report(
+            command="eval",
+            problem=_problem_dict(spec, arr, poly),
+            passed=result.certificate.certified,
+            stability_table=_stability_rows(result.flag_table, with_jacobian=False),
+            value=_cplx(result.value),
+            contributions=contributions,
+            certificate=certificate,
+            warnings=tuple(result.certificate.warnings),
+        )
 
 
 def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron) -> tuple:
@@ -356,58 +357,59 @@ def cmd_verify(
     tol: float = DEFAULT_TOL,
 ) -> Report:
     opts = options or EngineOptions()
-    arr, poly, result, contributions, certificate = _eval_parts(spec, opts)
-    notes: list[str] = []
-    oracle: dict
-    within = False
-    try:
-        quad = quad_integral(arr, box=box, tol=tol)
-        diff = mpmath.fabs(result.value - quad.estimate)
-        bound = mpf(tol) * max(mpf(1), mpmath.fabs(result.value))
-        within = bool(diff <= bound)
-        oracle = {
-            "estimate": _cplx(quad.estimate),
-            "error_bound": _fmt(quad.error_bound),
-            "tail_estimate": _fmt(quad.tail_estimate),
-            "box_halfwidth": _fmt(quad.box_halfwidth),
-            "nodes_per_axis": quad.nodes_per_axis,
-            "difference": _fmt(diff),
-            "tolerance": _fmt(tol),
-            "within_tolerance": within,
-        }
-    except (NonDecaying, BudgetExceeded, ValueError) as exc:
-        oracle = {"error": str(exc)}
-        notes.append(f"numerical verification unavailable: {exc}")
-    passed = result.certificate.certified and within
-    diagnostics: tuple = ()
-    if not result.certificate.all_compatible:
-        diagnostics = _divergence_diagnostics(arr, poly)
-        if any(not d["trending_to_zero"] for d in diagnostics):
-            notes.append(
-                "a second-stage arc integral does not vanish, so closing "
-                "the contour drops a boundary term; the stable-flag sum "
-                "does not represent this integral"
-            )
-    return Report(
-        command="verify",
-        problem=_problem_dict(spec, arr, poly),
-        passed=passed,
-        stability_table=_stability_rows(result.flag_table, with_jacobian=False),
-        value=_cplx(result.value),
-        contributions=contributions,
-        certificate=certificate,
-        oracle=oracle,
-        diagnostics=diagnostics,
-        warnings=tuple(result.certificate.warnings),
-        notes=tuple(notes),
-    )
+    with working_precision(opts.precision):
+        arr, poly, result, contributions, certificate = _eval_parts(spec, opts)
+        notes: list[str] = []
+        oracle: dict
+        within = False
+        try:
+            quad = quad_integral(arr, box=box, tol=tol)
+            diff = mpmath.fabs(result.value - quad.estimate)
+            bound = mpf(tol) * max(mpf(1), mpmath.fabs(result.value))
+            within = bool(diff <= bound)
+            oracle = {
+                "estimate": _cplx(quad.estimate),
+                "error_bound": _fmt(quad.error_bound),
+                "tail_estimate": _fmt(quad.tail_estimate),
+                "box_halfwidth": _fmt(quad.box_halfwidth),
+                "nodes_per_axis": quad.nodes_per_axis,
+                "difference": _fmt(diff),
+                "tolerance": _fmt(tol),
+                "within_tolerance": within,
+            }
+        except (NonDecaying, BudgetExceeded, ValueError) as exc:
+            oracle = {"error": str(exc)}
+            notes.append(f"numerical verification unavailable: {exc}")
+        passed = result.certificate.certified and within
+        diagnostics: tuple = ()
+        if not result.certificate.all_compatible:
+            diagnostics = _divergence_diagnostics(arr, poly)
+            if any(not d["trending_to_zero"] for d in diagnostics):
+                notes.append(
+                    "a second-stage arc integral does not vanish, so closing "
+                    "the contour drops a boundary term; the stable-flag sum "
+                    "does not represent this integral"
+                )
+        return Report(
+            command="verify",
+            problem=_problem_dict(spec, arr, poly),
+            passed=passed,
+            stability_table=_stability_rows(result.flag_table, with_jacobian=False),
+            value=_cplx(result.value),
+            contributions=contributions,
+            certificate=certificate,
+            oracle=oracle,
+            diagnostics=diagnostics,
+            warnings=tuple(result.certificate.warnings),
+            notes=tuple(notes),
+        )
 
 
 def cmd_grouping(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
     opts = options or EngineOptions()
-    arr = spec.arrangement()
-    poly = spec.polyhedron()
     with working_precision(opts.precision):
+        arr = spec.arrangement()
+        poly = spec.polyhedron()
         try:
             grouping, points = canonical_grouping_points(arr, poly)
         except EmptyStableSet as exc:
@@ -425,18 +427,18 @@ def cmd_grouping(spec: ProblemSpec, options: EngineOptions | None = None) -> Rep
             }
             for point, flags, res in points
         ]
-    return Report(
-        command="grouping",
-        problem=_problem_dict(spec, arr, poly),
-        passed=True,
-        grouping={
-            "label": grouping.label(arr),
-            "groups": [
-                sorted(f"H{i + 1}" for i in g) for g in grouping.groups
-            ],
-            "points": entries,
-        },
-    )
+        return Report(
+            command="grouping",
+            problem=_problem_dict(spec, arr, poly),
+            passed=True,
+            grouping={
+                "label": grouping.label(arr),
+                "groups": [
+                    sorted(f"H{i + 1}" for i in g) for g in grouping.groups
+                ],
+                "points": entries,
+            },
+        )
 
 
 def _positive_float(text: str) -> float:

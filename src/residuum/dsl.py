@@ -27,6 +27,7 @@ the principal branch of the logarithm.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
@@ -44,7 +45,7 @@ from .arrangement import (
     canonicalize_hyperplane,
 )
 from .exact_linalg import GaussianRational
-from .symfun import AffineForm, ExpRationalFunction, Polynomial
+from .symfun import AffineForm, ExpRationalFunction, Polynomial, to_mpc
 
 STATEMENT_KEYWORDS = ("cone", "den", "num", "param", "vars")
 RESERVED_NAMES = frozenset(STATEMENT_KEYWORDS) | {"exp", "i", "pi"}
@@ -111,9 +112,9 @@ def _tokenize(text: str) -> list[Token]:
                 k += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = k
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and (text[j] == "." or text[j].isalpha()):
                 raise ParseError(
@@ -128,7 +129,9 @@ def _tokenize(text: str) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             j = k
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (
+                text[j].isalpha() or text[j].isdecimal() or text[j] == "_"
+            ):
                 j += 1
             toks.append(Token("ident", text[k:j], line, start_col))
             col += j - k
@@ -351,6 +354,57 @@ class _Parser:
         self.expect(")", ("','", "')'"))
         return tuple(entries)
 
+    # list statements
+
+    def items(self, kind: str, label: str, item) -> list:
+        """keyword, item, {item}, ";": the rule of vars, param, cone and den.
+
+        An item starts at a token of ``kind`` that is not a statement
+        keyword; ``item`` parses one, given the items before it.
+        """
+        out: list = []
+        while (
+            self.peek().kind == kind and self.peek().text not in STATEMENT_KEYWORDS
+        ):
+            out.append(item(out))
+        if not out:
+            tok = self.peek()
+            raise ParseError(
+                f"unexpected {_describe(tok)}", tok.line, tok.col, (label,)
+            )
+        self.expect(";", (label, "';'"))
+        return out
+
+    def fresh_name(self, taken, what: str) -> str:
+        tok = self.advance()
+        if tok.text in RESERVED_NAMES:
+            raise ParseError(f"'{tok.text}' is reserved", tok.line, tok.col)
+        if tok.text in taken:
+            raise ParseError(
+                f"duplicate {what} '{tok.text}'", tok.line, tok.col
+            )
+        return tok.text
+
+    def binding(self, before: list) -> tuple[str, Expr]:
+        name = self.fresh_name([n for n, _ in before], "parameter")
+        self.expect("=", ("'='",))
+        return name, self.expr()
+
+    def factor(self) -> tuple[Expr, int]:
+        self.advance()
+        expr = self.expr()
+        self.expect(")", ("')'",))
+        mult = 1
+        if self.peek().kind == "^":
+            self.advance()
+            mtok = self.expect("int", ("integer",))
+            mult = int(mtok.text)
+            if mult < 1:
+                raise ParseError(
+                    "multiplicity must be positive", mtok.line, mtok.col
+                )
+        return expr, mult
+
 
 def _describe(tok: Token) -> str:
     if tok.kind == "eof":
@@ -425,14 +479,14 @@ class ProblemSpec:
 
     def _environment(self) -> dict:
         env: dict[str, object] = {
-            "i": _Scalar(GaussianRational(Fraction(0), Fraction(1)), mpc(0, 1)),
-            "pi": _Scalar(None, mpc(+mp.pi)),
+            "i": GaussianRational(Fraction(0), Fraction(1)),
+            "pi": mpc(+mp.pi),
         }
         for k, name in enumerate(self.variables):
             env[name] = _affine_unit(self.dim, k)
         for name, expr in self.parameters:
             value = _eval(expr, env, self.dim)
-            if not isinstance(value, _Scalar):
+            if not _is_scalar(value):
                 raise ProblemError(
                     f"parameter '{name}' must be a scalar value",
                     *expr.pos,
@@ -444,7 +498,7 @@ class ProblemSpec:
 def parse_problem(text: str) -> ProblemSpec:
     parser = _Parser(_tokenize(text))
     seen: dict[str, Token] = {}
-    variables: tuple[str, ...] = ()
+    variables: list[str] = []
     cone: list[tuple[Fraction, ...]] = []
     parameters: list[tuple[str, Expr]] = []
     numerator: Expr | None = None
@@ -466,90 +520,18 @@ def parse_problem(text: str) -> ProblemSpec:
         seen[head.text] = head
 
         if head.text == "vars":
-            names = []
-            while (
-                parser.peek().kind == "ident"
-                and parser.peek().text not in STATEMENT_KEYWORDS
-            ):
-                tok = parser.advance()
-                if tok.text in RESERVED_NAMES:
-                    raise ParseError(
-                        f"'{tok.text}' is reserved", tok.line, tok.col
-                    )
-                if tok.text in names:
-                    raise ParseError(
-                        f"duplicate variable '{tok.text}'", tok.line, tok.col
-                    )
-                names.append(tok.text)
-            if not names:
-                tok = parser.peek()
-                raise ParseError(
-                    f"unexpected {_describe(tok)}",
-                    tok.line,
-                    tok.col,
-                    ("name",),
-                )
-            parser.expect(";", ("name", "';'"))
-            variables = tuple(names)
+            variables = parser.items(
+                "ident", "name", lambda names: parser.fresh_name(names, "variable")
+            )
         elif head.text == "cone":
-            while parser.peek().kind == "(":
-                cone.append(parser.vector())
-            if not cone:
-                tok = parser.peek()
-                raise ParseError(
-                    f"unexpected {_describe(tok)}", tok.line, tok.col, ("'('",)
-                )
-            parser.expect(";", ("'('", "';'"))
+            cone = parser.items("(", "'('", lambda _: parser.vector())
         elif head.text == "param":
-            while (
-                parser.peek().kind == "ident"
-                and parser.peek().text not in STATEMENT_KEYWORDS
-            ):
-                name_tok = parser.advance()
-                if name_tok.text in RESERVED_NAMES:
-                    raise ParseError(
-                        f"'{name_tok.text}' is reserved",
-                        name_tok.line,
-                        name_tok.col,
-                    )
-                if any(n == name_tok.text for n, _ in parameters):
-                    raise ParseError(
-                        f"duplicate parameter '{name_tok.text}'",
-                        name_tok.line,
-                        name_tok.col,
-                    )
-                parser.expect("=", ("'='",))
-                parameters.append((name_tok.text, parser.expr()))
-            if not parameters:
-                tok = parser.peek()
-                raise ParseError(
-                    f"unexpected {_describe(tok)}", tok.line, tok.col, ("name",)
-                )
-            parser.expect(";", ("name", "';'"))
+            parameters = parser.items("ident", "name", parser.binding)
         elif head.text == "num":
             numerator = parser.expr()
             parser.expect(";", ("';'",))
         else:
-            while parser.peek().kind == "(":
-                parser.advance()
-                expr = parser.expr()
-                parser.expect(")", ("')'",))
-                mult = 1
-                if parser.peek().kind == "^":
-                    parser.advance()
-                    mtok = parser.expect("int", ("integer",))
-                    mult = int(mtok.text)
-                    if mult < 1:
-                        raise ParseError(
-                            "multiplicity must be positive", mtok.line, mtok.col
-                        )
-                denominator.append((expr, mult))
-            if not denominator:
-                tok = parser.peek()
-                raise ParseError(
-                    f"unexpected {_describe(tok)}", tok.line, tok.col, ("'('",)
-                )
-            parser.expect(";", ("'('", "';'"))
+            denominator = parser.items("(", "'('", lambda _: parser.factor())
 
     for statement in ("vars", "cone", "den"):
         if statement not in seen:
@@ -559,7 +541,7 @@ def parse_problem(text: str) -> ProblemSpec:
             )
 
     spec = ProblemSpec(
-        variables=variables,
+        variables=tuple(variables),
         cone=tuple(cone),
         parameters=tuple(parameters),
         numerator=numerator,
@@ -622,75 +604,48 @@ def _validate(spec: ProblemSpec, seen: dict[str, Token]) -> None:
 # ---------------------------------------------------------------------------
 # expression values
 #
-# Scalars keep an exact Gaussian-rational shadow next to the working-precision
-# approximation; the exact side survives +, -, *, / and integer powers and is
-# what denominator lowering requires.  pi and exp() produce inexact scalars.
+# A scalar is a GaussianRational while it is exact and an mpc once pi or
+# exp() enters it; _scalar_op keeps + * / exact when both operands are, and
+# integer powers of an exact scalar stay exact.  Denominator lowering needs
+# exact linear coefficients.  A value is rounded once, where _form and _lift
+# hand it to symfun.  Affine expressions in the variables are _Affine, with
+# scalar coefficients; everything else is an ExpRationalFunction.
 
-
-@dataclass(frozen=True)
-class _Scalar:
-    exact: GaussianRational | None
-    approx: mpc
+_ONE = GaussianRational.of(1)
+_ZERO = GaussianRational.of(0)
 
 
 @dataclass(frozen=True)
 class _Affine:
-    coeffs: tuple[_Scalar, ...]
-    const: _Scalar
+    coeffs: tuple
+    const: GaussianRational | mpc
 
 
-def _scalar_int(n: int) -> _Scalar:
-    return _Scalar(GaussianRational.of(n), mpc(n))
+def _is_scalar(v) -> bool:
+    return isinstance(v, (GaussianRational, mpc))
+
+
+def _is_zero(s) -> bool:
+    return s.is_zero if isinstance(s, GaussianRational) else s == 0
+
+
+def _scalar_op(op, a, b):
+    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
+        return op(a, b)
+    return op(to_mpc(a), to_mpc(b))
 
 
 def _affine_unit(nvars: int, k: int) -> _Affine:
-    coeffs = tuple(
-        _scalar_int(1 if j == k else 0) for j in range(nvars)
-    )
-    return _Affine(coeffs, _scalar_int(0))
-
-
-def _s_add(a: _Scalar, b: _Scalar) -> _Scalar:
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = a.exact + b.exact
-    return _Scalar(exact, a.approx + b.approx)
-
-
-def _s_mul(a: _Scalar, b: _Scalar) -> _Scalar:
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = a.exact * b.exact
-    return _Scalar(exact, a.approx * b.approx)
-
-
-def _s_neg(a: _Scalar) -> _Scalar:
-    exact = None if a.exact is None else -a.exact
-    return _Scalar(exact, -a.approx)
-
-
-def _s_is_zero(a: _Scalar) -> bool:
-    if a.exact is not None:
-        return a.exact.is_zero
-    return a.approx == 0
-
-
-def _s_div(a: _Scalar, b: _Scalar) -> _Scalar:
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = a.exact / b.exact
-    return _Scalar(exact, a.approx / b.approx)
+    return _Affine(tuple(_ONE if j == k else _ZERO for j in range(nvars)), _ZERO)
 
 
 def _form(aff: _Affine) -> AffineForm:
-    return AffineForm.make(
-        [c.approx for c in aff.coeffs], aff.const.approx
-    )
+    return AffineForm.make(aff.coeffs, aff.const)
 
 
 def _lift(value, nvars: int) -> ExpRationalFunction:
-    if isinstance(value, _Scalar):
-        return ExpRationalFunction.from_parts(nvars, coeff=value.approx)
+    if _is_scalar(value):
+        return ExpRationalFunction.from_parts(nvars, coeff=value)
     if isinstance(value, _Affine):
         return ExpRationalFunction.from_parts(
             nvars, poly=Polynomial.from_affine(_form(value))
@@ -698,17 +653,15 @@ def _lift(value, nvars: int) -> ExpRationalFunction:
     return value
 
 
-def _as_int(s: _Scalar) -> int | None:
-    if s.exact is None:
-        return None
-    if s.exact.im != 0 or s.exact.re.denominator != 1:
-        return None
-    return int(s.exact.re)
+def _as_int(s) -> int | None:
+    if isinstance(s, GaussianRational) and s.im == 0 and s.re.denominator == 1:
+        return int(s.re)
+    return None
 
 
 def _eval(node: Expr, env: dict, nvars: int):
     if isinstance(node, Num):
-        return _scalar_int(node.value)
+        return GaussianRational.of(node.value)
     if isinstance(node, Name):
         try:
             return env[node.name]
@@ -734,61 +687,63 @@ def _eval(node: Expr, env: dict, nvars: int):
 
 
 def _v_neg(v, nvars: int):
-    if isinstance(v, _Scalar):
-        return _s_neg(v)
+    if _is_scalar(v):
+        return -v
     if isinstance(v, _Affine):
-        return _Affine(tuple(_s_neg(c) for c in v.coeffs), _s_neg(v.const))
+        return _Affine(tuple(-c for c in v.coeffs), -v.const)
     return v.neg()
 
 
 def _v_add(a, b, nvars: int):
-    if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-        return _s_add(a, b)
-    if isinstance(a, _Scalar) and isinstance(b, _Affine):
+    if _is_scalar(a) and _is_scalar(b):
+        return _scalar_op(operator.add, a, b)
+    if _is_scalar(a) and isinstance(b, _Affine):
         a, b = b, a
-    if isinstance(a, _Affine) and isinstance(b, _Scalar):
-        return _Affine(a.coeffs, _s_add(a.const, b))
+    if isinstance(a, _Affine) and _is_scalar(b):
+        return _Affine(a.coeffs, _scalar_op(operator.add, a.const, b))
     if isinstance(a, _Affine) and isinstance(b, _Affine):
-        coeffs = tuple(_s_add(x, y) for x, y in zip(a.coeffs, b.coeffs))
-        return _Affine(coeffs, _s_add(a.const, b.const))
+        coeffs = tuple(
+            _scalar_op(operator.add, x, y) for x, y in zip(a.coeffs, b.coeffs)
+        )
+        return _Affine(coeffs, _scalar_op(operator.add, a.const, b.const))
     return _lift(a, nvars).add(_lift(b, nvars))
 
 
 def _v_mul(a, b, nvars: int):
-    if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-        return _s_mul(a, b)
-    if isinstance(a, _Affine) and isinstance(b, _Scalar):
+    if _is_scalar(a) and _is_scalar(b):
+        return _scalar_op(operator.mul, a, b)
+    if isinstance(a, _Affine) and _is_scalar(b):
         a, b = b, a
-    if isinstance(a, _Scalar) and isinstance(b, _Affine):
-        coeffs = tuple(_s_mul(a, c) for c in b.coeffs)
-        return _Affine(coeffs, _s_mul(a, b.const))
-    if isinstance(a, _Scalar):
-        return b.scale(a.approx)
-    if isinstance(b, _Scalar):
-        return a.scale(b.approx)
+    if _is_scalar(a) and isinstance(b, _Affine):
+        coeffs = tuple(_scalar_op(operator.mul, a, c) for c in b.coeffs)
+        return _Affine(coeffs, _scalar_op(operator.mul, a, b.const))
+    if _is_scalar(a):
+        return b.scale(a)
+    if _is_scalar(b):
+        return a.scale(b)
     return _lift(a, nvars).mul(_lift(b, nvars))
 
 
 def _v_div(a, b, nvars: int, pos):
-    if not isinstance(b, _Scalar):
+    if not _is_scalar(b):
         raise ProblemError(
             "division is only defined by scalar values "
             "(denominator factors belong in the den statement)",
             *pos,
         )
-    if _s_is_zero(b):
+    if _is_zero(b):
         raise ProblemError("division by zero", *pos)
-    if isinstance(a, _Scalar):
-        return _s_div(a, b)
+    if _is_scalar(a):
+        return _scalar_op(operator.truediv, a, b)
     if isinstance(a, _Affine):
-        coeffs = tuple(_s_div(c, b) for c in a.coeffs)
-        return _Affine(coeffs, _s_div(a.const, b))
-    return a.scale(1 / b.approx)
+        coeffs = tuple(_scalar_op(operator.truediv, c, b) for c in a.coeffs)
+        return _Affine(coeffs, _scalar_op(operator.truediv, a.const, b))
+    return a.scale(_scalar_op(operator.truediv, _ONE, b))
 
 
 def _v_exp(v, nvars: int, pos):
-    if isinstance(v, _Scalar):
-        return _Scalar(None, mpc(mpmath.exp(v.approx)))
+    if _is_scalar(v):
+        return mpmath.exp(to_mpc(v))
     if isinstance(v, _Affine):
         return ExpRationalFunction.from_parts(nvars, expo=_form(v))
     raise ProblemError(
@@ -796,32 +751,20 @@ def _v_exp(v, nvars: int, pos):
     )
 
 
-def _scalar_int_pow(base: _Scalar, n: int, pos) -> _Scalar:
-    if n == 0:
-        return _scalar_int(1)
-    if _s_is_zero(base) and n < 0:
-        raise ProblemError("zero raised to a negative power", *pos)
-    exact = None
-    if base.exact is not None:
-        acc = GaussianRational.of(1)
-        for _ in range(abs(n)):
-            acc = acc * base.exact
-        exact = acc if n > 0 else GaussianRational.of(1) / acc
-    return _Scalar(exact, base.approx**n)
-
-
 def _v_pow(a, b, nvars: int, pos):
-    if isinstance(b, _Scalar):
+    if _is_scalar(b):
         n = _as_int(b)
         if n is not None:
-            if isinstance(a, _Scalar):
-                return _scalar_int_pow(a, n, pos)
+            if n == 0:
+                return _ONE
+            if _is_scalar(a):
+                if n < 0 and _is_zero(a):
+                    raise ProblemError("zero raised to a negative power", *pos)
+                return a**n
             if n < 0:
                 raise ProblemError(
                     "negative power of a non-scalar expression", *pos
                 )
-            if n == 0:
-                return _scalar_int(1)
             if isinstance(a, _Affine):
                 if n == 1:
                     return a
@@ -838,54 +781,43 @@ def _v_pow(a, b, nvars: int, pos):
             for _ in range(n - 1):
                 acc = acc.mul(a)
             return acc
-        if isinstance(a, _Scalar):
-            if _s_is_zero(a):
+        if _is_scalar(a):
+            if _is_zero(a):
                 raise ProblemError("zero base with non-integer power", *pos)
-            return _Scalar(None, mpc(a.approx**b.approx))
+            return to_mpc(a) ** to_mpc(b)
         raise ProblemError(
             "non-integer powers need a scalar base", *pos
         )
     if isinstance(b, _Affine):
-        if not isinstance(a, _Scalar):
+        if not _is_scalar(a):
             raise ProblemError(
                 "an affine exponent needs a scalar base", *pos
             )
-        if _s_is_zero(a):
+        if _is_zero(a):
             raise ProblemError("zero base with an affine exponent", *pos)
-        log_base = mpc(mpmath.log(a.approx))
         return ExpRationalFunction.from_parts(
-            nvars, expo=_form(b).scale(log_base)
+            nvars, expo=_form(b).scale(mpmath.log(to_mpc(a)))
         )
     raise ProblemError("unsupported exponent expression", *pos)
 
 
 def _lower_factor(expr: Expr, env: dict, nvars: int) -> Hyperplane:
     value = _eval(expr, env, nvars)
-    if isinstance(value, _Scalar):
-        raise ProblemError(
-            "denominator factor is constant in the variables", *expr.pos
-        )
-    if not isinstance(value, _Affine):
+    if isinstance(value, ExpRationalFunction):
         raise ProblemError(
             "denominator factor is not affine in the variables", *expr.pos
         )
-    if all(_s_is_zero(c) for c in value.coeffs):
+    if _is_scalar(value) or all(_is_zero(c) for c in value.coeffs):
         raise ProblemError(
             "denominator factor is constant in the variables", *expr.pos
         )
-    coeffs = []
-    for c in value.coeffs:
-        if c.exact is None:
-            raise ProblemError(
-                "denominator coefficients must be exact rationals "
-                "(rational multiples of 1 and i; pi and exp are not allowed)",
-                *expr.pos,
-            )
-        coeffs.append(c.exact)
-    const = value.const.exact
-    if const is None:
-        const = value.const.approx
+    if not all(isinstance(c, GaussianRational) for c in value.coeffs):
+        raise ProblemError(
+            "denominator coefficients must be exact rationals "
+            "(rational multiples of 1 and i; pi and exp are not allowed)",
+            *expr.pos,
+        )
     try:
-        return canonicalize_hyperplane(coeffs, const)
+        return canonicalize_hyperplane(value.coeffs, value.const)
     except (NotAlignable, MeetsRealLocus, ValueError) as exc:
         raise ProblemError(str(exc), *expr.pos) from exc

@@ -346,49 +346,35 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     @classmethod
-    def of(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(_frac(x), Fraction(0))
-        if isinstance(x, float):
-            return cls(Fraction(x), Fraction(0))
-        if isinstance(x, complex):
-            return cls(Fraction(x.real), Fraction(x.imag))
-        raise TypeError(f"not exactly representable: {x!r}")
+    def of(cls, x: int | Fraction) -> "GaussianRational":
+        return cls(_frac(x), Fraction(0))
 
-    def __add__(self, other):
-        o = GaussianRational.of(other)
+    def __add__(self, o: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) - self
-
-    def __mul__(self, other):
-        o = GaussianRational.of(other)
+    def __mul__(self, o: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational.of(other)
+    def __truediv__(self, o: "GaussianRational") -> "GaussianRational":
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero")
         return self * GaussianRational(o.re / n, -o.im / n)
 
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+    def __pow__(self, n: int) -> "GaussianRational":
+        """Integer power by repeated squaring."""
+        acc, square, k = GaussianRational.of(1), self, abs(n)
+        while k:
+            if k & 1:
+                acc = acc * square
+            k >>= 1
+            if k:
+                square = square * square
+        return acc if n >= 0 else GaussianRational.of(1) / acc
 
-    def __neg__(self):
+    def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def conjugate(self) -> "GaussianRational":

@@ -559,6 +559,25 @@ def test_json_reports_match_golden(tmp_path, capsys, name, command):
     assert out == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", [cmd_eval, cmd_grouping])
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_commands_run_at_their_options_precision(name, command):
+    """Called at mpmath's default 53 bits, a command still lowers, evaluates
+    and formats at ``options.precision``: its report is the recorded one,
+    and verify's value is eval's."""
+    spec = parse_problem(GOLDEN_INPUTS[name])
+    with mp.workprec(53):
+        report = command(spec, EngineOptions(precision=128))
+    out = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    golden = GOLDEN / f"{name}.{command.__name__.removeprefix('cmd_')}.json"
+    assert out.encode() == golden.read_bytes()
+    if command is cmd_eval:
+        with mp.workprec(53):
+            report = cmd_verify(spec, EngineOptions(precision=128))
+        want = json.loads(golden.read_text())
+        assert report.value == want["value"]
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in SAMPLES.glob("*.rsd")))
 def test_verify_reports_match_golden(tmp_path, capsys, name):
     """``verify --json`` on the samples matches ``<name>.verify.json``.

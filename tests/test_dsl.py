@@ -1,11 +1,14 @@
 """Problem-file parser: grammar, diagnostics, lowering, print round-trip."""
 
+import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
@@ -23,6 +26,10 @@ from residuum.dsl import (
     load_problem,
     parse_problem,
 )
+from residuum.exact_linalg import GaussianRational
+from residuum.symfun import to_mpc, working_precision
+
+from dsl_corpus import CORPUS, outcome
 
 def random_spec(rng) -> ProblemSpec:
     """Draw a small random problem for parser round-trip checks."""
@@ -404,3 +411,127 @@ def test_ast_equality_ignores_positions():
     assert parse_problem(
         "vars x; cone (1); num exp(x); den (x - i);"
     ).numerator == ExpCall(Name("x"))
+
+
+def test_power_of_an_exact_scalar_is_exact_and_fast():
+    """(3/2)^n is formed by repeated squaring and rounded once."""
+    for n in (7, -7, 60_000):
+        start = time.perf_counter()
+        with working_precision(128):
+            text = f"vars x; cone (1); num (3/2)^{n}; den (x - i);"
+            coeff = parse_problem(text).arrangement().numerator.terms[0].coeff
+            assert coeff == to_mpc(Fraction(3, 2) ** n)
+        assert time.perf_counter() - start < 0.5
+    z = GaussianRational(Fraction(1, 2), Fraction(-2, 3))
+    assert z**5 == z * z * z * z * z
+    assert z**-2 == GaussianRational.of(1) / (z * z)
+    assert z**0 == GaussianRational.of(1)
+
+
+def _rational_text(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}"
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=2,
+        max_size=4,
+    ),
+    st.sampled_from(["+", "*"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_numerator_coefficient_is_the_exact_value_rounded_once(values, op):
+    """Exact scalar arithmetic is rounded once, where lowering hands it on."""
+    exact = sum(values) if op == "+" else math.prod(values)
+    expr = f" {op} ".join(_rational_text(v) for v in values)
+    text = f"vars x; cone (1); num ({expr})*x; den (x - i);"
+    with working_precision(128):
+        terms = parse_problem(text).arrangement().numerator.terms
+        coeffs = [c for t in terms for _, c in t.poly.items()]
+        assert coeffs == ([to_mpc(exact)] if exact else [])
+
+
+# Exponents are literals, so no power tower can grow.  "٣" is a decimal
+# digit; "²", "³" and "½" are numeric characters that are not.
+_SCALAR_ATOMS = ("1", "2", "3", "1/2", "٣", "i", "pi", "0")
+_ATOMS = _SCALAR_ATOMS + ("x", "y", "a")
+_EXPONENTS = ("0", "1", "2", "3", "-1", "(1/2)", "x", "(i*x)")
+
+
+def _expr_texts(atoms, depth: int):
+    atom = st.sampled_from(atoms)
+    if depth == 0:
+        return atom
+    sub = _expr_texts(atoms, depth - 1)
+    return st.one_of(
+        atom,
+        atom.map(lambda a: f"exp({a})"),
+        sub.map(lambda e: f"-({e})"),
+        st.tuples(sub, st.sampled_from(" + - * / ".split()), sub).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+        ),
+        st.tuples(sub, st.sampled_from(_EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+def _with_digit(text: str, digit: str | None, k: int) -> str:
+    spots = [j for j, ch in enumerate(text) if ch in "0123456789"]
+    if digit is None or not spots:
+        return text
+    j = spots[k % len(spots)]
+    return text[:j] + digit + text[j + 1:]
+
+
+_COEFF = _expr_texts(_SCALAR_ATOMS, 1)
+_FACTOR = st.builds(
+    "({})*x + ({})*y - ({})*i{}".format,
+    _COEFF,
+    _COEFF,
+    _COEFF,
+    st.one_of(st.just(""), _expr_texts(_ATOMS, 2).map(" + ({})".format)),
+)
+_FRONT_END_TEXTS = st.builds(
+    _with_digit,
+    st.builds(
+        "vars x y;\ncone {};\n{}{}den {};\n".format,
+        st.sampled_from(["(1,0) (0,1)", "(-1,1) (0,1)", "(1/2,0) (1,1)"]),
+        st.one_of(st.just(""), _expr_texts(_SCALAR_ATOMS, 2).map("param a={};\n".format)),
+        st.one_of(st.just(""), _expr_texts(_ATOMS, 3).map("num {};\n".format)),
+        st.lists(
+            st.tuples(_FACTOR, st.sampled_from(["", "^2", "^3"])).map(
+                lambda t: f"({t[0]}){t[1]}"
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(" ".join),
+    ),
+    st.sampled_from([None] * 6 + ["²", "³", "½"]),
+    st.integers(0, 99),
+).filter(lambda text: len(text) <= 400)
+
+
+@given(_FRONT_END_TEXTS)
+@example("vars x; cone (1); den (x - ²*i);\n")
+@example("vars x; cone (²); den (x - i);\n")
+@settings(max_examples=300, deadline=None)
+def test_front_end_fails_only_with_problem_error(text):
+    """Any text either lowers or is rejected as a ProblemError (exit 2)."""
+    try:
+        parse_problem(text).arrangement()
+    except ProblemError:
+        pass
+
+
+def test_mutation_corpus_replays():
+    """Every mutated text of tests/golden/dsl_corpus.json ends as recorded.
+
+    The outcomes were recorded by tests/dsl_corpus.py; see its docstring.
+    """
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    changed = [
+        (entry["text"], entry["outcome"], got)
+        for entry in corpus["entries"]
+        if (got := outcome(entry["text"])) != entry["outcome"]
+    ]
+    assert not changed, changed[:3]
