@@ -1,8 +1,9 @@
 """Random two-variable arrangements: truncation law and permutation probe.
 
 Draws random integer hyperplane rows and cone generators, then
-  - confirms that the truncated residue vanishes exactly when some leading
-    principal minor of the linearized flag vanishes, and
+  - confirms that the iterated residue is truncated (raises InsolubleFlag)
+    exactly when some leading principal minor of the linearized flag
+    vanishes, and
   - tallies how often permuting a stable collection keeps it stable.
 
 Usage: python scripts/random_probe.py [--count N] [--seed S]
@@ -19,10 +20,11 @@ from mpmath import mp, mpc
 from residuum import (
     Arrangement,
     Flag,
+    InsolubleFlag,
     Polyhedron,
     canonicalize_hyperplane,
     flag_table,
-    truncated_iterated_residue,
+    iterated_residue,
 )
 from residuum.symfun import ExpRationalFunction
 
@@ -94,11 +96,14 @@ def main() -> None:
         arr = random_arrangement(rng)
         poly = random_cone(rng)
         for entry in flag_table(arr, poly):
-            value = truncated_iterated_residue(arr, entry.flag, poly)
+            try:
+                iterated_residue(arr, entry.flag, poly)
+                soluble = True
+            except InsolubleFlag:
+                soluble = False
             truncation_checked += 1
-            if not entry.profile.in_bruhat_cell:
-                assert value == mpc(0), "truncation law violated"
-                truncation_zero += 1
+            assert soluble == entry.profile.in_bruhat_cell, "truncation law violated"
+            truncation_zero += not soluble
         probe = permutation_stability_probe(arr, poly)
         stable_total += len(probe.collections)
         counterexamples.extend(probe.extra_stable_orderings)

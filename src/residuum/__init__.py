@@ -39,14 +39,12 @@ from .dsl import (
 )
 from .oracle import (
     BudgetExceeded,
-    ForeignPoleInsideTorus,
     NonDecaying,
     PoleOnArc,
     QuadratureReport,
     SemicircleDiagnostic,
     quad_integral,
     semicircle_check,
-    torus_residue,
 )
 from .residue_engine import (
     Certificate,
@@ -61,7 +59,6 @@ from .residue_engine import (
     grothendieck_residue,
     iterated_residue,
     points_of_grouping,
-    truncated_iterated_residue,
 )
 from .symfun import (
     AffineForm,
@@ -86,7 +83,6 @@ __all__ = [
     "ExpRationalFunction",
     "Flag",
     "FlagEntry",
-    "ForeignPoleInsideTorus",
     "Hyperplane",
     "InsolubleFlag",
     "MeetsRealLocus",
@@ -127,7 +123,5 @@ __all__ = [
     "quad_integral",
     "semicircle_check",
     "stable_flags",
-    "torus_residue",
-    "truncated_iterated_residue",
     "working_precision",
 ]

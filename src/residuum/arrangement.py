@@ -19,6 +19,10 @@ its first k hyperplanes only, so each level is computed once per prefix, and
 a flag is kept when its p_r is nonzero, which is when its f-rows are
 independent.
 
+``terminal_classes`` keys each flag once by the hyperplanes through its
+terminal point (``incidence``, the one tolerance decision of flag identity)
+and the exact spans of its prefixes; the evaluator and the grouping read it.
+
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
 
@@ -35,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import mpc
 
@@ -47,7 +51,7 @@ from .exact_linalg import (
     fold_levels,
     minor_level,
     rank,
-    row_combinations,
+    row_echelon,
     solve_linear,
     subset_determinant,
 )
@@ -423,47 +427,52 @@ def pole_location(arr: Arrangement, flag: Flag) -> list[mpc]:
     return solve_linear(f_rows, rhs)
 
 
-def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
-    """Whether two ordered collections cut out the same chain of subspaces.
+def incidence(arr: Arrangement, point) -> frozenset[int]:
+    """The hyperplanes through ``point``, H_j when |f_j . p - i s_j| <=
+    floor max(1, |s_j|): the one tolerance decision of flag identity."""
+    return frozenset(
+        j
+        for j, h in enumerate(arr.hyperplanes)
+        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - mpc(0, 1) * h.s, h.s)
+    )
 
-    Level by level: the first k linear forms of ``a`` must be independent and
-    span those of ``b`` exactly, and the affine offsets must be consistent
-    (each equation of ``b``'s prefix is implied by ``a``'s).
+
+class FlagClass(NamedTuple):
+    """Complete flags cutting out one flag, its point, and the hyperplanes through it."""
+
+    point: list[mpc]
+    incidence: frozenset[int]
+    flags: list[Flag]
+
+
+def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]:
+    """Group complete flags into classes cutting out the same flag, in the
+    order of their first flags, each class in ``Flag.indices`` order.
+
+    Two complete flags cut out the same flag exactly when they end at the
+    same point and, for every k, their first k rows span the same space:
+    level k is that point plus the kernel of those rows.  A flag's key is
+    the ``incidence`` of its point, solved once per set of hyperplanes, and
+    the ``row_echelon`` form of each proper prefix.
     """
-    if len(a) != len(b):
-        return False
-
-    def f_rows(indices) -> RationalMatrix:
-        return RationalMatrix.from_rows(
-            [arr.hyperplanes[i].f_row() for i in indices]
-        )
-
-    for k in range(1, len(a) + 1):
-        combos = row_combinations(f_rows(a.indices[:k]), f_rows(b.indices[:k]))
-        if combos is None:
-            return False
-        for idx, coeffs in zip(b.indices[:k], combos):
-            implied = sum(
-                (
-                    to_mpc(c) * to_mpc(arr.hyperplanes[j].s)
-                    for c, j in zip(coeffs, a.indices[:k])
-                ),
-                start=to_mpc(0),
-            )
-            target = to_mpc(arr.hyperplanes[idx].s)
-            if not is_negligible(implied - target, abs(target)):
-                return False
-    return True
+    points: dict[frozenset, tuple] = {}
+    spans: dict[frozenset, tuple] = {}
+    classes: dict[tuple, FlagClass] = {}
+    for flag in sorted(flags, key=lambda f: f.indices):
+        *proper, whole = (frozenset(flag.indices[:k]) for k in range(1, len(flag) + 1))
+        for prefix in proper:
+            if prefix not in spans:
+                rows = [arr.hyperplanes[i].f_row() for i in prefix]
+                spans[prefix] = row_echelon(RationalMatrix.from_rows(rows))
+        if whole not in points:
+            point = pole_location(arr, flag)
+            points[whole] = (point, incidence(arr, point))
+        point, through = points[whole]
+        key = (through, *(spans[prefix] for prefix in proper))
+        classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)
+    return list(classes.values())
 
 
 def flag_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[list[Flag]]:
-    """Group ordered collections into classes cutting out the same flag."""
-    classes: list[list[Flag]] = []
-    for g in sorted(flags, key=lambda f: f.indices):
-        for cls in classes:
-            if same_flag(arr, cls[0], g):
-                cls.append(g)
-                break
-        else:
-            classes.append([g])
-    return classes
+    """The flags of each ``terminal_classes`` class."""
+    return [cls.flags for cls in terminal_classes(arr, flags)]

@@ -251,24 +251,26 @@ def _violation_rows(audit) -> tuple:
     )
 
 
-def cmd_analyze(spec: ProblemSpec) -> Report:
-    arr = spec.arrangement()
-    poly = spec.polyhedron()
-    table = flag_table(arr, poly)
-    audit = compatibility_audit(arr, poly, table)
-    return Report(
-        command="analyze",
-        problem=_problem_dict(spec, arr, poly),
-        passed=audit.all_compatible,
-        stability_table=_stability_rows(table, with_jacobian=True),
-        violations=_violation_rows(audit),
-        certificate={
-            "certified": audit.all_compatible,
-            "all_compatible": audit.all_compatible,
-            "convergence": "NotChecked",
-            "warnings": [],
-        },
-    )
+def cmd_analyze(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
+    opts = options or EngineOptions()
+    with working_precision(opts.precision):
+        arr = spec.arrangement()
+        poly = spec.polyhedron()
+        table = flag_table(arr, poly)
+        audit = compatibility_audit(arr, poly, table)
+        return Report(
+            command="analyze",
+            problem=_problem_dict(spec, arr, poly),
+            passed=audit.all_compatible,
+            stability_table=_stability_rows(table, with_jacobian=True),
+            violations=_violation_rows(audit),
+            certificate={
+                "certified": audit.all_compatible,
+                "all_compatible": audit.all_compatible,
+                "convergence": "NotChecked",
+                "warnings": [],
+            },
+        )
 
 
 def _eval_parts(spec: ProblemSpec, options: EngineOptions):
@@ -538,21 +540,19 @@ def main(argv=None) -> int:
         return 2
     options = EngineOptions(precision=args.precision)
     try:
-        with working_precision(args.precision):
-            if args.command == "analyze":
-                report = cmd_analyze(spec)
-            elif args.command == "eval":
-                report = cmd_eval(spec, options)
-            elif args.command == "verify":
-                report = cmd_verify(spec, options, box=args.box, tol=args.tol)
-            else:
-                report = cmd_grouping(spec, options)
-            payload = report.to_json_dict() if args.json else None
+        if args.command == "analyze":
+            report = cmd_analyze(spec, options)
+        elif args.command == "eval":
+            report = cmd_eval(spec, options)
+        elif args.command == "verify":
+            report = cmd_verify(spec, options, box=args.box, tol=args.tol)
+        else:
+            report = cmd_grouping(spec, options)
     except (ProblemError, TermBudgetExceeded) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
         print(report.to_text(), end="")
     return 0 if report.passed else 1

@@ -52,6 +52,9 @@ RESERVED_NAMES = frozenset(STATEMENT_KEYWORDS) | {"exp", "i", "pi"}
 
 _MAX_POLY_POWER = 32
 _MAX_FUNC_POWER = 16
+# an exact power is refused when |n| times the largest bit length of the
+# base's numerators and denominators exceeds this
+_MAX_EXACT_POWER_BITS = 1 << 20
 
 
 class ProblemError(Exception):
@@ -760,6 +763,12 @@ def _v_pow(a, b, nvars: int, pos):
             if _is_scalar(a):
                 if n < 0 and _is_zero(a):
                     raise ProblemError("zero raised to a negative power", *pos)
+                if isinstance(a, GaussianRational):
+                    part = max(max(abs(x.numerator), x.denominator) for x in (a.re, a.im))
+                    if abs(n) * part.bit_length() > _MAX_EXACT_POWER_BITS:
+                        raise ProblemError(
+                            f"exact power exceeds {_MAX_EXACT_POWER_BITS} bits", *pos
+                        )
                 return a**n
             if n < 0:
                 raise ProblemError(

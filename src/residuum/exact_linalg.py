@@ -6,8 +6,9 @@ denominators are cleared row by row, one fraction-free Bareiss elimination on
 Python ints (``_bareiss``) serves every routine: ``determinant`` reads its last
 pivot, ``rank`` counts its pivots, ``inverse`` carries an identity block
 through its Gauss-Jordan form, ``solve_linear`` applies that exact inverse,
-and ``row_combinations`` (which decides ``arrangement.same_flag``) carries
-target rows.  No floating point ever enters a sign decision.
+and ``row_echelon`` scales its Gauss-Jordan rows to the reduced row echelon
+form, which ``arrangement.terminal_classes`` compares to tell whether two flag
+prefixes span the same space.  No floating point ever enters a sign decision.
 
 Three families of minors of a k-by-r matrix J = (a_ij) drive the rest of the
 package:
@@ -318,24 +319,15 @@ def solve_linear(mat: RationalMatrix, rhs: Sequence) -> list:
     ]
 
 
-def row_combinations(
-    basis: RationalMatrix, targets: RationalMatrix
-) -> list[list[Fraction]] | None:
-    """Coefficients c with c . basis = t for each target row t.
-
-    None when the basis rows are dependent or a target lies outside their
-    span.  Eliminates the transposed system [basis^T | targets^T].
-    """
-    k = basis.rows
-    m, _ = _integer_rows(list(zip(*basis.entries, *targets.entries)))
-    if len(_bareiss(m, k, reduce=True)[0]) < k or any(
-        any(row[k:]) for row in m[k:]
-    ):
-        return None
-    return [
-        [Fraction(m[j][k + t], m[j][j]) for j in range(k)]
-        for t in range(targets.rows)
-    ]
+def row_echelon(mat: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero rows of mat's reduced row echelon form, each scaled to a
+    leading 1: two matrices give the same tuple exactly when their rows span
+    the same space."""
+    m, _ = _integer_rows(mat.entries)
+    pivots, _ = _bareiss(m, mat.cols, reduce=True)
+    return tuple(
+        tuple(Fraction(x, row[col]) for x in row) for row, col in zip(m, pivots)
+    )
 
 
 @dataclass(frozen=True)

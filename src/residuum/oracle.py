@@ -1,12 +1,12 @@
-"""Numerical verification layer: full-space quadrature, semicircle arc
-diagnostics, and torus-cycle residues.
+"""Numerical verification layer: full-space quadrature and semicircle arc
+diagnostics.
 
 Everything here runs in float64 numpy, independent of the exact residue
 machinery; the only shared ingredient is the symbolic function container.
 Its terms are read once into one float64 spec per term (_term_specs), from
 which two evaluators are built: _tensor_sum for sums over tensor grids and
 the pointwise closure of compile_numeric for everything else (the
-shell-tail faces, tori and arcs).
+shell-tail faces and arcs).
 
 quad_integral integrates in hyperplane coordinates w = F_B v, F_B holding
 the rows f_j of r hyperplanes with the largest |det F_B|: the trapezoid rule
@@ -71,14 +71,13 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mpc
 
-from .arrangement import Arrangement, Flag, Polyhedron, jacobian, pole_location
+from .arrangement import Arrangement, Polyhedron, jacobian
 from .exact_linalg import RationalMatrix, determinant, inverse
 from .symfun import ExpRationalFunction
 
 DEFAULT_BOX = 50.0
 DEFAULT_TOL = 1e-6
 DEFAULT_NODE_BUDGET = 4096
-DEFAULT_TORUS_NODES = 256
 # Gauss-Legendre points per panel of the semicircle arc rule
 _PER_PANEL = 12
 # An arc sum below _ARC_FLOOR * sum |vals * wts|, 64 float64 epsilons of
@@ -96,10 +95,6 @@ class BudgetExceeded(Exception):
 
 class PoleOnArc(Exception):
     """A denominator factor vanishes on the sampled arc."""
-
-
-class ForeignPoleInsideTorus(Exception):
-    """A hyperplane outside the chosen collection meets the torus."""
 
 
 @dataclass(frozen=True)
@@ -631,78 +626,6 @@ def quad_integral(
     if all(f == 0.0 for f in freqs):
         return _tan_map_quad(_term_specs(func), r, box, tol, budget)
     return _windowed_quad(func, r, freqs, decay, box, tol, budget)
-
-
-def torus_residue(
-    arr: Arrangement,
-    indices,
-    eps=None,
-    nodes: int = DEFAULT_TORUS_NODES,
-) -> mpc:
-    """Residue over the torus cycle |g_j| = eps_j around a terminal point.
-
-    Oriented by the natural angle parametrization, normalized so the unit
-    example dz/(z - i) gives exactly 1.
-    """
-    indices = tuple(indices)
-    r = arr.dim
-    if len(indices) != r:
-        raise ValueError("need exactly one hyperplane per variable")
-    rows = [arr.hyperplanes[i].f_row() for i in indices]
-    a = RationalMatrix.from_rows(rows)
-    if determinant(a) == 0:
-        raise ValueError("chosen hyperplanes are not transverse")
-    m = pole_location(arr, Flag(indices))
-    a_inv = inverse(a)
-    foreign = []
-    for k, h in enumerate(arr.hyperplanes):
-        if k in indices:
-            continue
-        g = complex(h.defining_form().evaluate(m))
-        norm = math.sqrt(sum(float(c) ** 2 for c in h.f_row()))
-        foreign.append((k, abs(g) / norm))
-    if eps is None:
-        base = 0.1 * min((d for _, d in foreign), default=1.0)
-        eps_vec = [base] * r
-    elif np.isscalar(eps):
-        eps_vec = [float(eps)] * r
-    else:
-        eps_vec = [float(e) for e in eps]
-        if len(eps_vec) != r:
-            raise ValueError("need one radius per variable")
-    bad = [k for k, d in foreign if d <= max(eps_vec)]
-    if bad:
-        raise ForeignPoleInsideTorus(
-            f"hyperplane H{bad[0] + 1} is closer to the terminal point "
-            "than the torus radius"
-        )
-    fn = compile_numeric(arr.integrand())
-    ainv_np = np.array(
-        [[complex(a_inv[i, j]) for j in range(r)] for i in range(r)]
-    )
-    det_ainv = complex(determinant(a_inv))
-    m_np = np.array([complex(z) for z in m])
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    mesh = np.meshgrid(*([theta] * r), indexing="ij")
-    phases = np.stack([g.ravel() for g in mesh])
-    disc = np.exp(1j * phases)
-    for j in range(r):
-        disc[j] *= eps_vec[j]
-    pts = m_np[:, None] + ainv_np @ disc
-    # the cycle must stay clear of every foreign factor
-    for k, _ in foreign:
-        h = arr.hyperplanes[k]
-        row = np.array([complex(c) for c in h.f_row()])
-        const = complex(h.defining_form().const)
-        vals = row @ pts + const
-        if float(np.min(np.abs(vals))) < 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
-            raise ForeignPoleInsideTorus(
-                f"torus passes through hyperplane H{k + 1}"
-            )
-    integrand = fn(pts)
-    for j in range(r):
-        integrand = integrand * disc[j]
-    return mpc(det_ainv * complex(np.mean(integrand)))
 
 
 def semicircle_check(

@@ -17,8 +17,9 @@ by sign(det M); torus-cycle quadrature in the oracle recovers the classical
 value, so the two paths agree exactly on positively oriented charts.
 
 Per-flag facts come from one place: Jacobians, profiles and a grouping's
-collections from ``arrangement.flag_table``; chart forms and residue steps
-from ``ChartResidues``, which the CLI's arc diagnostics read too.
+collections from ``arrangement.flag_table``; flag classes and their points
+from ``arrangement.terminal_classes``; chart forms and residue steps from
+``ChartResidues``, which the CLI's arc diagnostics read too.
 """
 
 from __future__ import annotations
@@ -35,18 +36,19 @@ from .arrangement import (
     Arrangement,
     AuditReport,
     Flag,
+    FlagClass,
     FlagEntry,
     InsolubleFlag,
     Polyhedron,
     compatibility_audit,
     enumerate_flags,
-    flag_classes,
     flag_table,
+    incidence,
     jacobian,
-    pole_location,
     stable_flags,
+    terminal_classes,
 )
-from .exact_linalg import RationalMatrix, determinant, minor_profile, solve_linear
+from .exact_linalg import RationalMatrix, determinant, inverse, minor_profile
 from .symfun import (
     DEFAULT_PRECISION,
     ExpRationalFunction,
@@ -166,24 +168,10 @@ def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
     return ChartResidues(arr, poly).value(flag)
 
 
-def truncated_iterated_residue(
-    arr: Arrangement, flag: Flag, poly: Polyhedron
-) -> mpc:
-    """Iterated residue along the flag, or 0 outside the open Bruhat cell."""
-    try:
-        return iterated_residue(arr, flag, poly)
-    except InsolubleFlag:
-        return mpc(0)
-
-
-def terminal_point_position(arr: Arrangement, entry: FlagEntry):
-    """(inside, boundary) for a flag table entry's terminal point.
-
-    The point's chart coordinates solve J z = i s, J the entry's Jacobian;
-    the polyhedron is the closed region Im z_k >= 0.
-    """
-    rhs = [to_mpc(arr.hyperplanes[i].s) * mpc(0, 1) for i in entry.flag.indices]
-    z = solve_linear(entry.jacobian, rhs)
+def _position(basis_inverse: RationalMatrix, point):
+    """(inside, boundary) for a terminal point: its chart coordinates are
+    z = M^-1 p, and the polyhedron is the closed region Im z_k >= 0."""
+    z = [sum(b * c for b, c in zip(point, row)) for row in basis_inverse.entries]
     scale = max([mpf(1)] + [abs(c) for c in z])
     on_face = [is_negligible(c.imag, scale) for c in z]
     inside = all(edge or c.imag > 0 for c, edge in zip(z, on_face))
@@ -246,14 +234,13 @@ def evaluate_integral(
         audit = compatibility_audit(arr, poly, table)
         verdict = convergence_heuristic(arr, poly, audit)
         warnings: list[str] = []
-        classes = flag_classes(arr, stable_flags(arr, poly, table))
-        entries = {e.flag: e for e in table}
+        basis_inverse = inverse(poly.basis_matrix())
         residues = ChartResidues(arr, poly)
         contributions: dict[Flag, mpc] = {}
         total = mpc(0)
-        for cls in classes:
-            rep = cls[0]
-            inside, boundary = terminal_point_position(arr, entries[rep])
+        for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
+            rep = cls.flags[0]
+            inside, boundary = _position(basis_inverse, cls.point)
             if boundary:
                 warnings.append(
                     f"terminal point of {rep.label()} lies on the polyhedron "
@@ -291,30 +278,24 @@ def _collections(arr: Arrangement, flags, grouping: DivisorGrouping) -> list[Fla
     return [f for f in flags if all(i in g for i, g in zip(f.indices, groups))]
 
 
-def _clusters(arr: Arrangement, collections) -> list[tuple[list, list[Flag]]]:
-    """Each collection's terminal point, solved once; points that agree
-    within working precision are merged."""
-    clusters: list[tuple[list, list[Flag]]] = []
-    for flag in collections:
-        point = pole_location(arr, flag)
-        scale = max([mpf(1)] + [abs(c) for c in point])
-        for existing, members in clusters:
-            if all(is_negligible(a - b, scale) for a, b in zip(existing, point)):
-                members.append(flag)
-                break
-        else:
-            clusters.append((point, [flag]))
-    return clusters
+def _points(classes: list[FlagClass]) -> list[tuple[list, list[Flag], list[FlagClass]]]:
+    """(point, arriving flags, classes) per terminal point: the classes
+    grouped by the hyperplanes through their points."""
+    points: dict[frozenset, list[FlagClass]] = {}
+    for cls in classes:
+        points.setdefault(cls.incidence, []).append(cls)
+    return [
+        (at[0].point, sorted((f for c in at for f in c.flags), key=lambda f: f.indices), at)
+        for at in points.values()
+    ]
 
 
 def points_of_grouping(arr: Arrangement, grouping: DivisorGrouping):
-    """Terminal points of the grouping with the flags arriving at each.
-
-    Returns a list of (point, flag list); points are merged when they agree
-    within working precision.
-    """
-    flags = enumerate_flags(arr, arr.dim)
-    return _clusters(arr, _collections(arr, flags, grouping))
+    """Terminal points of the grouping with the flags arriving at each, as a
+    list of (point, flag list)."""
+    collections = _collections(arr, enumerate_flags(arr, arr.dim), grouping)
+    classes = terminal_classes(arr, collections)
+    return [(point, flags) for point, flags, _ in _points(classes)]
 
 
 def _soluble_chart(
@@ -360,17 +341,17 @@ def _soluble_chart(
 
 
 def _point_residue(
-    arr: Arrangement, flags: list[Flag], profiles: dict, residues: ChartResidues
+    arr: Arrangement, classes: list[FlagClass], profiles: dict, residues: ChartResidues
 ) -> mpc:
-    """Residue at one terminal point: the iterated residues of the classes
-    of ``flags``, the grouping's flags arriving there.
+    """Residue at one terminal point: the iterated residues of ``classes``,
+    the classes of the grouping's flags arriving there.
 
     They are taken in the polyhedron's chart, with the shared ``residues``,
     when the flag table's ``profiles`` find every class soluble there, and
     otherwise in the chart ``_soluble_chart`` builds for them.  That chart
     has the polyhedron's orientation, so its values need no sign change.
     """
-    reps = [cls[0] for cls in flag_classes(arr, flags)]
+    reps = [cls.flags[0] for cls in classes]
     chart = _soluble_chart(arr, reps, residues.poly, profiles)
     if chart is not residues.poly:
         residues = ChartResidues(arr, chart)
@@ -386,8 +367,8 @@ def grothendieck_residue(
 ) -> mpc:
     """Residue of the form at one terminal point of a divisor grouping.
 
-    Sums the iterated residues of the grouping's flags arriving at the
-    point, one per flag class, in the polyhedron's chart when the pair's
+    Sums the iterated residues of the grouping's flag classes whose points
+    have the point's ``incidence``, in the polyhedron's chart when the pair's
     flag table finds every class soluble there and otherwise in one chart
     built for them with the same orientation (see ``_point_residue``);
     every point has a value.  A caller asking for several points or
@@ -396,13 +377,9 @@ def grothendieck_residue(
     if table is None:
         table = flag_table(arr, poly)
     profiles = {e.flag: e.profile for e in table}
-    point = [to_mpc(c) for c in point]
-    scale = max([mpf(1)] + [abs(c) for c in point])
-    at_point = []
-    for flag in _collections(arr, profiles, grouping):
-        terminal = pole_location(arr, flag)
-        if all(is_negligible(a - b, scale) for a, b in zip(terminal, point)):
-            at_point.append(flag)
+    through = incidence(arr, [to_mpc(c) for c in point])
+    classes = terminal_classes(arr, _collections(arr, profiles, grouping))
+    at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
     return _point_residue(arr, at_point, profiles, ChartResidues(arr, poly))
@@ -412,10 +389,11 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     """The canonical grouping, and (point, arriving flags, residue) per point.
 
     Unions the k-th members of all stable collections into divisor D_k.  The
-    grouping's collections are the flag table's flags with H_k in D_k; each
-    terminal point is solved once.  The defining identity (sum of
-    Grothendieck residues over the grouping's terminal points = sum of
-    stable-flag residues) is checked numerically.
+    grouping's collections are the flag table's flags with H_k in D_k, classed
+    once; every stable flag is one, so the stable classes are the stable
+    members of those classes.  The defining identity (sum of Grothendieck
+    residues over the grouping's terminal points = sum of stable-flag
+    residues) is checked numerically.
     """
     table = flag_table(arr, poly)
     stable = stable_flags(arr, poly, table)
@@ -426,14 +404,16 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     )
 
     profiles = {e.flag: e.profile for e in table}
+    classes = terminal_classes(arr, _collections(arr, profiles, grouping))
+    # the first stable flag of each class represents the stable class
+    reps = [s[0] for cls in classes if (s := [f for f in cls.flags if profiles[f].stable])]
     residues = ChartResidues(arr, poly)
     flag_sum = sum(
-        (residues.value(cls[0]) for cls in flag_classes(arr, stable)),
-        mpc(0),
+        (residues.value(rep) for rep in sorted(reps, key=lambda f: f.indices)), mpc(0)
     )
     points = [
-        (point, flags, _point_residue(arr, flags, profiles, residues))
-        for point, flags in _clusters(arr, _collections(arr, profiles, grouping))
+        (point, flags, _point_residue(arr, at, profiles, residues))
+        for point, flags, at in _points(classes)
     ]
     point_sum = sum((res for _, _, res in points), mpc(0))
     mismatch = abs(point_sum - flag_sum)

@@ -1,0 +1,174 @@
+"""Reference implementations the suite checks the engine against.
+
+* ``same_flag`` and ``pairwise_flag_classes``: flag identity decided pair by
+  pair.  For each k, the first k rows of one collection must be independent
+  and span those of the other (``row_combinations``), and the offsets those
+  combinations imply must match the other's within the noise floor.
+  ``arrangement.flag_classes`` keys each flag once instead; the suite checks
+  the two agree.
+* ``torus_residue``: the residue at a terminal point as a float64 average
+  over the torus |g_j| = eps_j around it, independent of flags and charts.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from mpmath import mpc
+
+from residuum.arrangement import Arrangement, Flag, pole_location
+from residuum.exact_linalg import (
+    RationalMatrix,
+    _bareiss,
+    _integer_rows,
+    determinant,
+    inverse,
+)
+from residuum.oracle import compile_numeric
+from residuum.symfun import is_negligible, to_mpc
+
+DEFAULT_TORUS_NODES = 256
+
+
+class ForeignPoleInsideTorus(Exception):
+    """A hyperplane outside the chosen collection meets the torus."""
+
+
+def row_combinations(
+    basis: RationalMatrix, targets: RationalMatrix
+) -> list[list[Fraction]] | None:
+    """Coefficients c with c . basis = t for each target row t.
+
+    None when the basis rows are dependent or a target lies outside their
+    span.  Eliminates the transposed system [basis^T | targets^T].
+    """
+    k = basis.rows
+    m, _ = _integer_rows(list(zip(*basis.entries, *targets.entries)))
+    if len(_bareiss(m, k, reduce=True)[0]) < k or any(
+        any(row[k:]) for row in m[k:]
+    ):
+        return None
+    return [
+        [Fraction(m[j][k + t], m[j][j]) for j in range(k)]
+        for t in range(targets.rows)
+    ]
+
+
+def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
+    """Whether two ordered collections cut out the same chain of subspaces.
+
+    Level by level: the first k linear forms of ``a`` must be independent and
+    span those of ``b`` exactly, and the affine offsets must be consistent
+    (each equation of ``b``'s prefix is implied by ``a``'s).
+    """
+    if len(a) != len(b):
+        return False
+
+    def f_rows(indices) -> RationalMatrix:
+        return RationalMatrix.from_rows(
+            [arr.hyperplanes[i].f_row() for i in indices]
+        )
+
+    for k in range(1, len(a) + 1):
+        combos = row_combinations(f_rows(a.indices[:k]), f_rows(b.indices[:k]))
+        if combos is None:
+            return False
+        for idx, coeffs in zip(b.indices[:k], combos):
+            implied = sum(
+                (
+                    to_mpc(c) * to_mpc(arr.hyperplanes[j].s)
+                    for c, j in zip(coeffs, a.indices[:k])
+                ),
+                start=to_mpc(0),
+            )
+            target = to_mpc(arr.hyperplanes[idx].s)
+            if not is_negligible(implied - target, abs(target)):
+                return False
+    return True
+
+
+def pairwise_flag_classes(arr: Arrangement, flags) -> list[list[Flag]]:
+    """Classes by ``same_flag`` against each class's first flag."""
+    classes: list[list[Flag]] = []
+    for g in sorted(flags, key=lambda f: f.indices):
+        for cls in classes:
+            if same_flag(arr, cls[0], g):
+                cls.append(g)
+                break
+        else:
+            classes.append([g])
+    return classes
+
+
+def torus_residue(
+    arr: Arrangement,
+    indices,
+    eps=None,
+    nodes: int = DEFAULT_TORUS_NODES,
+) -> mpc:
+    """Residue over the torus cycle |g_j| = eps_j around a terminal point.
+
+    Oriented by the natural angle parametrization, normalized so the unit
+    example dz/(z - i) gives exactly 1.
+    """
+    indices = tuple(indices)
+    r = arr.dim
+    if len(indices) != r:
+        raise ValueError("need exactly one hyperplane per variable")
+    rows = [arr.hyperplanes[i].f_row() for i in indices]
+    a = RationalMatrix.from_rows(rows)
+    if determinant(a) == 0:
+        raise ValueError("chosen hyperplanes are not transverse")
+    m = pole_location(arr, Flag(indices))
+    a_inv = inverse(a)
+    foreign = []
+    for k, h in enumerate(arr.hyperplanes):
+        if k in indices:
+            continue
+        g = complex(h.defining_form().evaluate(m))
+        norm = math.sqrt(sum(float(c) ** 2 for c in h.f_row()))
+        foreign.append((k, abs(g) / norm))
+    if eps is None:
+        base = 0.1 * min((d for _, d in foreign), default=1.0)
+        eps_vec = [base] * r
+    elif np.isscalar(eps):
+        eps_vec = [float(eps)] * r
+    else:
+        eps_vec = [float(e) for e in eps]
+        if len(eps_vec) != r:
+            raise ValueError("need one radius per variable")
+    bad = [k for k, d in foreign if d <= max(eps_vec)]
+    if bad:
+        raise ForeignPoleInsideTorus(
+            f"hyperplane H{bad[0] + 1} is closer to the terminal point "
+            "than the torus radius"
+        )
+    fn = compile_numeric(arr.integrand())
+    ainv_np = np.array(
+        [[complex(a_inv[i, j]) for j in range(r)] for i in range(r)]
+    )
+    det_ainv = complex(determinant(a_inv))
+    m_np = np.array([complex(z) for z in m])
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    mesh = np.meshgrid(*([theta] * r), indexing="ij")
+    phases = np.stack([g.ravel() for g in mesh])
+    disc = np.exp(1j * phases)
+    for j in range(r):
+        disc[j] *= eps_vec[j]
+    pts = m_np[:, None] + ainv_np @ disc
+    # the cycle must stay clear of every foreign factor
+    for k, _ in foreign:
+        h = arr.hyperplanes[k]
+        row = np.array([complex(c) for c in h.f_row()])
+        const = complex(h.defining_form().const)
+        vals = row @ pts + const
+        if float(np.min(np.abs(vals))) < 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
+            raise ForeignPoleInsideTorus(
+                f"torus passes through hyperplane H{k + 1}"
+            )
+    integrand = fn(pts)
+    for j in range(r):
+        integrand = integrand * disc[j]
+    return mpc(det_ainv * complex(np.mean(integrand)))

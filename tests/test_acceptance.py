@@ -31,6 +31,7 @@ from conftest import (
     three_plane_value,
     z_star,
 )
+from reference import ForeignPoleInsideTorus, torus_residue
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -44,14 +45,13 @@ from residuum.arrangement import (
 )
 from residuum.cli import main as cli_main
 from residuum.exact_linalg import RationalMatrix, minor_profile
-from residuum.oracle import ForeignPoleInsideTorus, quad_integral, torus_residue
+from residuum.oracle import quad_integral
 from residuum.residue_engine import (
     DivisorGrouping,
     canonical_grouping,
     evaluate_integral,
     grothendieck_residue,
     iterated_residue,
-    truncated_iterated_residue,
 )
 from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc, working_precision
 
@@ -305,7 +305,10 @@ def test_criterion_6():
                 if len(arr.hyperplanes) < r:
                     continue
                 prof = minor_profile(jacobian(arr, flag.indices, poly))
-                value = truncated_iterated_residue(arr, flag, poly)
+                try:
+                    value = iterated_residue(arr, flag, poly)
+                except InsolubleFlag:
+                    value = mpc(0)
                 if any(p == 0 for p in prof.p):
                     assert value == mpc(0), rows
                     vanished += 1
@@ -356,9 +359,7 @@ def test_criterion_7():
                             clean = False
                             break
                         if zres.arises:
-                            selected += truncated_iterated_residue(
-                                arr, flag, poly
-                            )
+                            selected += iterated_residue(arr, flag, poly)
                     if not clean:
                         break
                 if not clean:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from conftest import (
     three_plane_problem,
     z_star,
 )
+from reference import pairwise_flag_classes, same_flag
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -29,9 +31,9 @@ from residuum.arrangement import (
     compatibility_audit,
     enumerate_flags,
     flag_classes,
+    flag_table,
     jacobian,
     pole_location,
-    same_flag,
     stable_flags,
 )
 from residuum.exact_linalg import (
@@ -347,6 +349,14 @@ def test_stability_matches_sampled_arising():
 small_rows = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
 
 
+def _same(arr, a, b) -> bool:
+    """Whether ``flag_classes`` puts two complete flags in one class; the
+    pairwise reference must agree."""
+    one = len(flag_classes(arr, [Flag(a), Flag(b)])) == 1
+    assert one == same_flag(arr, Flag(a), Flag(b)) == same_flag(arr, Flag(b), Flag(a))
+    return one
+
+
 @given(
     small_rows,
     small_rows,
@@ -356,7 +366,8 @@ small_rows = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
 )
 @settings(max_examples=60, deadline=None)
 def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
-    """(H1,H2) and (H1,H) agree exactly when H lies on the chain's span."""
+    """(H1,H2,H5) and (H1,H,H5) agree exactly when H lies on the span of H1
+    and H2 and through their intersection."""
     rows = RationalMatrix.from_rows([f1, f2, f3])
     assume(rank(rows) == 3)
     combo = [c[0] * a + c[1] * b for a, b in zip(f1, f2)]
@@ -373,27 +384,78 @@ def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
     ]
     arr = Arrangement.build(3, hps)
     assert len(arr.hyperplanes) == 5
-    assert same_flag(arr, Flag((0, 1)), Flag((0, 2)))
-    assert same_flag(arr, Flag((0, 2)), Flag((0, 1)))
-    assert not same_flag(arr, Flag((0, 1)), Flag((0, 3)))
-    assert not same_flag(arr, Flag((0, 1)), Flag((0, 4)))
-    assert not same_flag(arr, Flag((0, 1)), Flag((1, 0)))
-    assert same_flag(arr, Flag((0, 1, 4)), Flag((0, 2, 4)))
+    assert _same(arr, (0, 1, 4), (0, 2, 4))
+    assert not _same(arr, (0, 1, 4), (0, 3, 4))
+    assert not _same(arr, (0, 1, 4), (0, 4, 1))
+    assert not _same(arr, (0, 1, 4), (1, 0, 4))
 
 
 def test_same_flag_classes():
     arr = coincident_point_problem()
-    assert same_flag(arr, Flag((0, 1)), Flag((0, 2)))
-    assert same_flag(arr, Flag((2, 1)), Flag((2, 0)))
-    assert not same_flag(arr, Flag((0, 1)), Flag((2, 1)))
-
+    assert _same(arr, (0, 1), (0, 2))
+    assert _same(arr, (2, 1), (2, 0))
+    assert not _same(arr, (0, 1), (2, 1))
     classes = flag_classes(arr, enumerate_flags(arr, 2))
-    reps = sorted(tuple(sorted(c[0].indices)) for c in classes)
     assert len(classes) == 3
 
     arr3 = three_plane_problem(2, 3)
     # generic arrangement: every ordered pair is its own flag
     assert len(flag_classes(arr3, enumerate_flags(arr3, 2))) == 6
+
+
+@st.composite
+def incident_arrangements(draw):
+    """r <= 3 hyperplanes in general position plus up to three more: through
+    their common point, through the flat of the first two (a line when
+    r = 3), parallel to one of them, or free.  One offset may be pi."""
+    r = draw(st.integers(2, 3))
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    base = draw(st.lists(row, min_size=r, max_size=r))
+    assume(rank(RationalMatrix.from_rows(base)) == r)
+    # offset k is q_k + pi_k pi
+    offsets = [(Fraction(draw(st.integers(1, 4))), 0) for _ in range(r)]
+    pi_at = draw(st.none() | st.integers(0, r - 1))
+    if pi_at is not None:
+        offsets[pi_at] = (Fraction(0), 1)
+    hyperplanes = list(zip(base, offsets))
+    coeff = st.integers(-2, 2)
+    kinds = st.sampled_from(["point", "line", "parallel", "free"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "free":
+            hyperplanes.append((draw(row), (Fraction(draw(st.integers(1, 4))), 0)))
+            continue
+        if kind == "parallel":
+            f, (q, p) = hyperplanes[draw(st.integers(0, r - 1))]
+            hyperplanes.append((f, (q + draw(st.integers(1, 3)), p)))
+            continue
+        cs = draw(st.lists(coeff, min_size=r, max_size=r))
+        if kind == "line":
+            cs[2:] = [0] * (r - 2)
+        f = [sum(c * g[j] for c, (g, _) in zip(cs, hyperplanes)) for j in range(r)]
+        q = sum(c * o[0] for c, (_, o) in zip(cs, hyperplanes))
+        p = sum(c * o[1] for c, (_, o) in zip(cs, hyperplanes))
+        if any(f) and (q or p):
+            hyperplanes.append((f, (q, p)))
+    hps = []
+    for f, (q, p) in hyperplanes:
+        # the constant -i s of f(v) - i s
+        constant = mpc(0, -(q + p * mpmath.pi)) if p else GaussianRational(Fraction(0), -q)
+        try:
+            hps.append(canonicalize_hyperplane(f, constant))
+        except MeetsRealLocus:
+            pass
+    return Arrangement.build(r, hps)
+
+
+@given(incident_arrangements())
+@settings(max_examples=40, deadline=None)
+def test_flag_classes_match_pairwise_rule(arr):
+    """Keying each complete flag once by the incidence of its terminal point
+    and its exact prefix spans gives the classes, in order, of the pairwise
+    rule on every flag of the table."""
+    eye = [[int(i == j) for j in range(arr.dim)] for i in range(arr.dim)]
+    flags = [e.flag for e in flag_table(arr, Polyhedron.from_generators(eye))]
+    assert flag_classes(arr, flags) == pairwise_flag_classes(arr, flags)
 
 
 def test_chart_factor_keeps_exact_zero():

@@ -30,7 +30,7 @@ from residuum.cli import (
     main,
 )
 from residuum.dsl import parse_problem
-from residuum.exact_linalg import minor_profile
+from residuum.exact_linalg import RationalMatrix, minor_profile
 from residuum.residue_engine import (
     EngineOptions,
     canonical_grouping_points,
@@ -317,18 +317,29 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     """grouping ranks, profiles and solves nothing the flag table holds.
 
     It ranks nothing, profiles each complete flag once from at most one
-    minor level per flag prefix and solves each grouping collection's
-    terminal point once; eval inverts one Jacobian per stable flag class and
-    no cone basis.
+    minor level per flag prefix, and classes its collections once: it
+    solves one terminal point per set of hyperplanes among them.  eval
+    solves one per set of hyperplanes among the stable flags, and inverts
+    those sets' rows and the cone basis once each.
     """
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
     with mp.workprec(128):
         table = flag_table(arr, poly)
         _, points = canonical_grouping_points(arr, poly)
-    entries = {e.flag: e for e in table}
-    reps = [cls[0] for cls in flag_classes(arr, stable_flags(arr, poly, table))]
-    collections = sum(len(flags) for _, flags, _ in points)
+
+    def first_per_set(flags) -> list:
+        """The first flag, in index order, of each set of hyperplanes."""
+        firsts: dict = {}
+        for flag in sorted(flags, key=lambda f: f.indices):
+            firsts.setdefault(frozenset(flag.indices), flag)
+        return list(firsts.values())
+
+    def f_rows(flag):
+        return RationalMatrix.from_rows(arr.hyperplanes[i].f_row() for i in flag.indices)
+
+    collections = first_per_set(f for _, flags, _ in points for f in flags)
+    stable = first_per_set(stable_flags(arr, poly, table))
     calls = {
         "rank": [],
         "MinorProfile": [],
@@ -342,13 +353,27 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     assert calls["rank"] == []
     assert len(calls["MinorProfile"]) == len(table)
     assert len(calls["minor_level"]) <= _prefixes(arr)
-    assert len(calls["pole_location"]) == collections
+    assert len(calls["pole_location"]) == len(collections)
+    assert calls["inverse"] == [f_rows(f) for f in collections]
     for fn in calls:
         calls[fn].clear()
     with mp.workprec(128):
         cmd_eval(spec)
-    # exactly the class representatives' Jacobians, so no cone basis
-    assert Counter(calls["inverse"]) == Counter(entries[rep].jacobian for rep in reps)
+    assert len(calls["pole_location"]) == len(stable)
+    assert Counter(calls["inverse"]) == Counter(
+        [f_rows(f) for f in stable] + [poly.basis_matrix()]
+    )
+
+
+def test_analyze_lowers_at_its_own_precision():
+    """analyze, like its siblings, lowers the problem at its options'
+    precision (128 bits by default), not at the caller's."""
+    spec = parse_problem("vars x; cone (1); den (x - pi*i) (-x - i);")
+    with mp.workprec(53):
+        analyze = cmd_analyze(spec)
+        assert analyze.problem["hyperplanes"][0]["s"]["re"] == "3.14159265358979323846264"
+        assert cmd_eval(spec).problem == analyze.problem
+        assert cmd_analyze(spec, EngineOptions(precision=53)).problem != analyze.problem
 
 
 def test_term_budget_is_a_usage_error(monkeypatch, tmp_path, capsys):

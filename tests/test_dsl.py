@@ -428,6 +428,15 @@ def test_power_of_an_exact_scalar_is_exact_and_fast():
     assert z**0 == GaussianRational.of(1)
 
 
+def test_exact_power_size_cap():
+    """An exact power past _MAX_EXACT_POWER_BITS is refused before it is
+    computed; (3/2)^60000 above stays under the cap."""
+    start = time.perf_counter()
+    with pytest.raises(ProblemError, match="exact power exceeds"):
+        parse_problem("vars x; cone (1); num 3^3^20; den (x - i);").arrangement()
+    assert time.perf_counter() - start < 1.0
+
+
 def _rational_text(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 

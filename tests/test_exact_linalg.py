@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc
 
+from reference import row_combinations
 from residuum.arrangement import (
     Arrangement,
     Hyperplane,
@@ -30,7 +31,7 @@ from residuum.exact_linalg import (
     inverse,
     minor_profile,
     rank,
-    row_combinations,
+    row_echelon,
     solve_linear,
 )
 
@@ -348,6 +349,10 @@ def test_inverse_and_solve(rows, data):
     assert (combos is not None) == spans
     for cs, t in zip(combos or (), targets):
         assert combine(cs) == t
+    # the reduced row echelon forms agree exactly when the targets add no rank
+    echelon = row_echelon(mat)
+    assert len(echelon) == rank(mat)
+    assert (row_echelon(stacked) == echelon) == (rank(stacked) == rank(mat))
 
     n = mat.rows
     if n != mat.cols:

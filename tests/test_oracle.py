@@ -28,19 +28,18 @@ from conftest import (
     three_plane_problem,
     three_plane_value,
 )
+from reference import ForeignPoleInsideTorus, torus_residue
 from residuum import oracle
 from residuum.arrangement import Arrangement, Flag, Polyhedron, canonicalize_hyperplane
 from residuum.dsl import parse_problem
 from residuum.exact_linalg import RationalMatrix, determinant, inverse
 from residuum.oracle import (
     BudgetExceeded,
-    ForeignPoleInsideTorus,
     NonDecaying,
     PoleOnArc,
     QuadratureReport,
     quad_integral,
     semicircle_check,
-    torus_residue,
 )
 from residuum.residue_engine import evaluate_integral, iterated_residue
 from residuum.symfun import (
