@@ -8,6 +8,12 @@ which two evaluators are built: _tensor_sum for sums over tensor grids and
 the pointwise closure of compile_numeric for everything else (the
 shell-tail faces and arcs).
 
+numpy is imported inside each function that computes with it, never at
+module level, so importing this module, and residuum with it, loads none of
+it: analyze, eval and grouping run without numpy, which only verify and the
+numeric functions (quad_integral, semicircle_check, compile_numeric) load,
+on their first call.
+
 quad_integral integrates in hyperplane coordinates w = F_B v, F_B holding
 the rows f_j of r hyperplanes with the largest |det F_B|: the trapezoid rule
 converges geometrically only where the integrand is smooth along the grid
@@ -66,9 +72,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mpc
 
 from .arrangement import Arrangement, Polyhedron, jacobian
@@ -82,7 +88,7 @@ DEFAULT_NODE_BUDGET = 4096
 _PER_PANEL = 12
 # An arc sum below _ARC_FLOOR * sum |vals * wts|, 64 float64 epsilons of
 # the sum of its terms' magnitudes, is rounding noise.
-_ARC_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+_ARC_FLOOR = 64.0 * sys.float_info.epsilon
 
 
 class NonDecaying(Exception):
@@ -132,6 +138,8 @@ def _term_specs(func: ExpRationalFunction):
     None when the term has no exponential.  denom lists (row, const, mult)
     per linear factor, in the term's order.
     """
+    import numpy as np
+
     specs = []
     for t in func.terms:
         poly = [(tuple(e), complex(v)) for e, v in t.poly.items()]
@@ -167,6 +175,8 @@ _RANGE_EXP = 960
 
 def _box(values):
     """Per-axis node bounds: the rectangle in C that holds the values."""
+    import numpy as np
+
     re, im = np.real(values), np.imag(values)
     return float(re.min()), float(re.max()), float(im.min()), float(im.max())
 
@@ -228,6 +238,8 @@ def _term_block(val, factor, groups, num, den, lin):
     divided once per group.  num, den and lin are buffers of the block's
     shape; the values are returned in num.
     """
+    import numpy as np
+
     for group in groups:
         prod = None
         for i, copies in group:
@@ -244,6 +256,8 @@ def _term_block(val, factor, groups, num, den, lin):
 
 def compile_numeric(func: ExpRationalFunction):
     """Compile a symbolic function into a closure on (arity, N) arrays."""
+    import numpy as np
+
     specs = _term_specs(func)
 
     def evaluate(points):
@@ -282,6 +296,8 @@ def compile_numeric(func: ExpRationalFunction):
 
 def _monomial(coeff, exponents, p, out, tmp):
     """coeff * prod_j p_j ** e_j on a block of points, into out."""
+    import numpy as np
+
     out.fill(coeff)
     for j, k in enumerate(exponents):
         if k:
@@ -291,6 +307,8 @@ def _monomial(coeff, exponents, p, out, tmp):
 
 def _linear(row, const, p, out, tmp):
     """row . p + const on a block of points, one axis at a time, into out."""
+    import numpy as np
+
     out.fill(const)
     for j, a in enumerate(row):
         if a != 0:
@@ -315,6 +333,8 @@ def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
     optimize=False calls no BLAS routine, so the sum does not depend on the
     thread count.
     """
+    import numpy as np
+
     xs = [nodes for nodes, _ in axes]
     r = len(xs)
     rest = tuple(len(x) for x in xs[1:])
@@ -468,6 +488,8 @@ def _axis_cap(budget: int, r: int) -> int:
 
 def _tan_axis(scale: float, n: int):
     """Midpoint rule in u on (-pi/2, pi/2) for x = scale * tan(u)."""
+    import numpy as np
+
     u = np.pi * ((np.arange(n) + 0.5) / n - 0.5)
     nodes = scale * np.tan(u)
     weights = scale * (np.pi / n) / np.cos(u) ** 2
@@ -480,7 +502,6 @@ def _tan_axis(scale: float, n: int):
 _WINDOW_EDGE = 2.75
 _WINDOW_CENTER = 1.5
 _WINDOW_SIGMA = 0.25
-_erfc = np.vectorize(math.erfc, otypes=[float])
 # Spacing d = 2 pi / (f + _ALIAS) on an axis of frequency f puts the first
 # alias of the sum at frequency _ALIAS past the integrand's own, where the
 # transform of a factor analytic in a strip of half-width a is down to
@@ -491,12 +512,17 @@ _ALIAS = 20.0
 
 
 def _window_weight(x, x_flat):
+    import numpy as np
+
+    erfc = np.vectorize(math.erfc, otypes=[float])
     sigma = _WINDOW_SIGMA * x_flat
-    return 0.5 * _erfc((np.abs(x) - _WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
+    return 0.5 * erfc((np.abs(x) - _WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
 
 
 def _window_axis(x_flat: float, n: int):
     """n equally spaced midpoints of [-2.75X, 2.75X] with a Gaussian cutoff."""
+    import numpy as np
+
     edge = _WINDOW_EDGE * x_flat
     spacing = 2.0 * edge / n
     nodes = spacing * (np.arange(n) + 0.5) - edge
@@ -543,6 +569,8 @@ def _tan_map_quad(specs, r, box, tol, budget):
 def _shell_tail(fn, r, edge, decay):
     """Conservative mass bound past the box from the decay degree and the
     integrand's peak on each face, sampled at 64 points per free axis."""
+    import numpy as np
+
     side = np.linspace(-edge, edge, 64)
     mesh = np.meshgrid(*[side] * max(r - 1, 1), indexing="ij")
     free = np.stack([m.ravel() for m in mesh])[: r - 1]
@@ -559,7 +587,7 @@ def _windowed_quad(func, r, freqs, decay, box, tol, budget):
         return _tensor_sum(specs, [_window_axis(x_flat, n) for n in counts])
 
     length = 2.0 * _WINDOW_EDGE * box
-    start = [math.ceil(length * (f + _ALIAS) / (2.0 * np.pi)) for f in freqs]
+    start = [math.ceil(length * (f + _ALIAS) / (2.0 * math.pi)) for f in freqs]
     if max(start) >= budget:
         raise BudgetExceeded(
             f"the base window needs {max(start)} nodes per axis to resolve "
@@ -639,6 +667,8 @@ def semicircle_check(
     backs the residue expansion, growth flags divergence.  A radius whose
     arc sum is below its rounding floor takes no part in that verdict.
     """
+    import numpy as np
+
     if func.arity != 1:
         raise ValueError("semicircle diagnostics are one-variable only")
     if orientation not in ("upper", "lower"):

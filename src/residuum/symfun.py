@@ -21,10 +21,11 @@ A residue step computes each fact about an affine form once: one memo per
 ``residue_1d`` call holds each form's restriction to the pole
 (``AffineForm.restrict``, which sets z_v to the pole directly instead of
 composing with unit forms), whether each denominator form vanishes there,
-the monic unit and leading entry of each non-vanishing restriction, and the
-``close_to`` verdict of each pair of units.  Every term reads them from the
-memo, with the same arithmetic in the same order as computing them afresh, so
-the result does not depend on it; nothing outlives the call.
+the monic unit and leading entry of each non-vanishing restriction, the
+``close_to`` verdict of each pair of units, and the Taylor series of each
+kept factor at each multiplicity and order.  Every term reads them from the
+memo, with the same arithmetic in the same order as computing them afresh,
+so the result does not depend on it; nothing outlives the call.
 
 Scalars live at whatever mpmath precision is ambient; callers that care wrap
 their work in ``working_precision``.  Exact inputs (int, Fraction, exact
@@ -575,7 +576,8 @@ class _PoleMemo:
     a denominator form: None when it vanishes there, else the index of its
     restriction in ``units`` and ``leads``, the monic form and the leading
     entry of ``normalized``.  ``close`` is ``close_to`` between two of those
-    units.  Each is computed once per distinct form or pair; a memo serves one
+    units.  ``series`` is a kept factor's Taylor series at the pole.  Each is
+    computed once per distinct form, pair or series; a memo serves one
     ``residue_1d`` call and nothing outlives it.
     """
 
@@ -588,6 +590,7 @@ class _PoleMemo:
         self._factors: dict = {}  # denominator form -> index or None
         self._indices: dict = {}  # non-vanishing restriction -> index
         self._close: dict = {}  # (index, index) -> close_to verdict
+        self._series: dict = {}  # (index, m, a, n) -> (lead^m, series)
 
     def restrict(self, form: AffineForm) -> AffineForm:
         base = self._restricted.get(form)
@@ -620,6 +623,24 @@ class _PoleMemo:
         if verdict is None:
             verdict = self._close[i, k] = self.units[i].close_to(self.units[k])
         return verdict
+
+    def series(self, k: int, mult: int, a, n: int) -> tuple:
+        """lead^mult and the series C(mult + j - 1, j) (-a)^j / lead^(mult + j),
+        j = 1 .. n (empty when a = 0), of the kept factor (B + a t)^-mult
+        with B = lead * units[k]."""
+        key = (k, mult, a, n)
+        got = self._series.get(key)
+        if got is None:
+            got = self._series[key] = self._build_series(k, mult, a, n)
+        return got
+
+    def _build_series(self, k: int, mult: int, a, n: int) -> tuple:
+        lead = self.leads[k]
+        series = tuple(
+            math.comb(mult + j - 1, j) * (-a) ** j / lead ** (mult + j)
+            for j in range(1, n + 1 if a != 0 else 1)
+        )
+        return lead**mult, series
 
 
 def _series_residue(
@@ -672,23 +693,17 @@ def _series_residue(
             acc = piece if acc is None else acc.add(piece)
         rest.append(acc if acc is not None and not acc.is_zero() else None)
 
-    # proportional kept factors share one monic unit, as in Term.make; a
-    # factor's j-th series coefficient is C(m + j - 1, j) (-a)^j / lead^(m + j)
+    # proportional kept factors share one monic unit, as in Term.make
     firsts: list[int] = []  # the memo index of each class's first factor
     factors = []
     for k, mult, a in kept:
-        lead = memo.leads[k]
         for cls, first in enumerate(firsts):
             if memo.close(first, k):
                 break
         else:
             cls = len(firsts)
             firsts.append(k)
-        series = [
-            math.comb(mult + j - 1, j) * (-a) ** j / lead ** (mult + j)
-            for j in range(1, n + 1 if a != 0 else 1)
-        ]
-        factors.append((cls, mult, lead**mult, series))
+        factors.append((cls, mult, *memo.series(k, mult, a, n)))
     units = [memo.units[k] for k in firsts]
     class_order = sorted(range(len(units)), key=lambda c: _affine_sort_key(units[c]))
 

@@ -273,6 +273,44 @@ def test_python_dash_m_runs_cleanly():
     assert proc.stderr == ""
 
 
+# Which modules a fresh interpreter holds after importing residuum and after
+# each command; the commands' reports go to a buffer.
+COLD_START = """\
+import contextlib, io, json, sys
+import residuum
+loaded = {"import": ["numpy" in sys.modules, "residuum.oracle" in sys.modules]}
+for cmd in ("analyze", "eval", "grouping", "verify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = residuum.main([cmd, sys.argv[1], "--json"])
+    loaded[cmd] = [code, "numpy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_verify():
+    """``import residuum`` and analyze, eval and grouping leave numpy
+    unloaded; the oracle module is loaded with the package, and verify
+    loads numpy."""
+    env = dict(os.environ)
+    src = str(SAMPLES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(SAMPLES / "three_planes_left.rsd")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [False, True],
+        "analyze": [0, False],
+        "eval": [0, False],
+        "grouping": [0, False],
+        "verify": [0, True],
+    }
+
+
 @pytest.mark.parametrize(
     "text",
     [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],

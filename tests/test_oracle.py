@@ -313,6 +313,19 @@ def test_shell_tail_bounds_dense_face_peak():
     assert oracle._shell_tail(fn, 3, edge, decay) >= 0.99 * bound
 
 
+def test_oracle_constants_match_numpy():
+    """The arc floor is 64 float64 epsilons, and the window weight is the
+    erfc of np.vectorize(math.erfc), bit for bit."""
+    assert oracle._ARC_FLOOR == 64.0 * float(np.finfo(np.float64).eps)
+    x_flat = 3.0
+    x = np.linspace(-oracle._WINDOW_EDGE * x_flat, oracle._WINDOW_EDGE * x_flat, 1001)
+    sigma = oracle._WINDOW_SIGMA * x_flat
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    want = 0.5 * erfc((np.abs(x) - oracle._WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
+    got = oracle._window_weight(x, x_flat)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_quad_rejects_nondecaying():
     thin = Arrangement.build(
         2,

@@ -373,6 +373,56 @@ def test_one_normalization_per_restricted_factor(monkeypatch):
     assert len(calls) == len(set(calls)) and set(calls) <= restricted
 
 
+def _term_key(t: Term) -> tuple:
+    poly = tuple(sorted((e, v._mpc_) for e, v in t.poly.items()))
+    denom = tuple((_form_key(f), m) for f, m in t.denom)
+    return t.coeff._mpc_, poly, _form_key(t.expo), denom
+
+
+def test_one_series_per_kept_factor(monkeypatch):
+    """A residue step builds a kept factor's Taylor series once per
+    (factor, multiplicity, coefficient at the pole, order), not once for
+    every term that carries it, and the result is the one built afresh for
+    each term, bit for bit."""
+    with working_precision(128):
+        i = mpc(0, 1)
+        denom = [
+            (AffineForm.make([1, -1], -i), 3),
+            (AffineForm.make([1, 1], 1), 1),
+            (AffineForm.make([2, -1], 2), 2),
+        ]
+        f = ExpRationalFunction.zero(2)
+        for k in range(4):
+            f = f.add(
+                ExpRationalFunction.from_parts(
+                    2,
+                    poly=Polynomial(2, {(0, k): to_mpc(1)}),
+                    expo=AffineForm.make([k * i, 0], 0),
+                    denom=denom,
+                )
+            )
+        pole = denom[0][0].solve_for(0)
+        builds, uses = [], []
+        build, series = symfun._PoleMemo._build_series, symfun._PoleMemo.series
+
+        def counted_build(self, *key):
+            builds.append(key)
+            return build(self, *key)
+
+        def counted_series(self, *key):
+            uses.append(key)
+            return series(self, *key)
+
+        monkeypatch.setattr(symfun._PoleMemo, "_build_series", counted_build)
+        monkeypatch.setattr(symfun._PoleMemo, "series", counted_series)
+        res = f.residue_1d(0, pole)
+        monkeypatch.setattr(symfun._PoleMemo, "series", build)
+        fresh = f.residue_1d(0, pole)
+    assert len(f.terms) == 4 and len(uses) == 8
+    assert len(builds) == len(set(builds)) == len(set(uses)) == 2
+    assert [_term_key(t) for t in res.terms] == [_term_key(t) for t in fresh.terms]
+
+
 def test_zero_denominator_rejected():
     with working_precision(128):
         f = ExpRationalFunction.from_parts(
