@@ -4,8 +4,10 @@ Builds the round of ``flags`` or ``poles`` exactly as
 ``perfbench/run.py`` does (its ``pooled_round``, seed 1, pool 1), runs
 every operation in this process as ``cli.main([cmd, file, "--json"])``
 under cProfile, and prints the residuum functions with the largest
-cumulative time.  The problem files go to a temporary directory; nothing
-under ``perfbench/`` is written.
+cumulative time, then the functions outside the package (the standard
+library's json and fractions, mpmath, built-ins) with the largest
+cumulative time, leaving out this script and the profiler.  The problem
+files go to a temporary directory; nothing under ``perfbench/`` is written.
 
 Usage: python scripts/profile_round.py flags|poles [--top N]
 """
@@ -58,17 +60,35 @@ def profile_ops(ops: list) -> tuple[pstats.Stats, float, int]:
     return pstats.Stats(profiler), perf_counter() - start, crashes
 
 
-def hot_spots(stats: pstats.Stats, top: int) -> list:
-    """(cumulative s, own s, calls, name) of residuum's top functions."""
-    package = str(Path(residuum.__file__).resolve().parent)
-    rows = []
+def hot_spots(stats: pstats.Stats, top: int) -> tuple[list, list]:
+    """(cumulative s, own s, calls, name) of the top functions inside
+    residuum's package and of the top ones outside it, this script and the
+    profiler left out."""
+    package = Path(residuum.__file__).resolve().parent
+    harness = Path(__file__).resolve()
+    inside, outside = [], []
     for (filename, line, function), entry in stats.stats.items():
         _, calls, own, cumulative, _ = entry
+        if filename == "~":  # a built-in: pstats names it in ``function``
+            if "_lsprof" not in function:
+                outside.append((cumulative, own, calls, function))
+            continue
         path = Path(filename).resolve()
-        if str(path.parent) == package:
-            rows.append((cumulative, own, calls, f"{path.name}:{line}({function})"))
-    rows.sort(key=lambda row: (-row[0], row[3]))
-    return rows[:top]
+        if path.parent == package:
+            inside.append((cumulative, own, calls, f"{path.name}:{line}({function})"))
+        elif path != harness:
+            name = f"{path.parent.name}/{path.name}:{line}({function})"
+            outside.append((cumulative, own, calls, name))
+    for rows in (inside, outside):
+        rows.sort(key=lambda row: (-row[0], row[3]))
+    return inside[:top], outside[:top]
+
+
+def _print_rows(title: str, rows: list) -> None:
+    print(title)
+    print(f"{'cumulative s':>12} {'own s':>8} {'calls':>9}  function")
+    for cumulative, own, calls, name in rows:
+        print(f"{cumulative:12.3f} {own:8.3f} {calls:9d}  {name}")
 
 
 def main() -> None:
@@ -83,9 +103,9 @@ def main() -> None:
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
         f"{wall:.2f} s under cProfile"
     )
-    print(f"{'cumulative s':>12} {'own s':>8} {'calls':>9}  function")
-    for cumulative, own, calls, name in hot_spots(stats, args.top):
-        print(f"{cumulative:12.3f} {own:8.3f} {calls:9d}  {name}")
+    inside, outside = hot_spots(stats, args.top)
+    _print_rows("residuum:", inside)
+    _print_rows("outside residuum:", outside)
 
 
 if __name__ == "__main__":

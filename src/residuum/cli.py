@@ -2,8 +2,12 @@
 
 Each command parses a problem file, runs the exact engine, and emits a
 report either as aligned text or as JSON (``--json``).  JSON reports carry
-``"schema": 1``, print every number at a fixed precision, and sort all keys,
-so byte-identical inputs produce byte-identical output.
+``"schema": 1`` and print every number at a fixed precision.
+``Report.to_json`` writes a report in one pass, with sorted keys and a
+2-space indent, exactly as ``json.dumps(..., sort_keys=True, indent=2)``
+would: the stability table row by row from the flag table, every other
+section through ``json.dumps``.  Byte-identical inputs produce
+byte-identical output.
 
 Exit status: 0 only when the run is certified (all stable collections
 compatible, convergence rule known) and, for ``verify``, the oracle agrees
@@ -19,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import mpmath
 from mpmath import mpf
@@ -67,12 +72,18 @@ def _cplx(z) -> dict:
 
 @dataclass(frozen=True)
 class Report:
-    """One command's findings, already formatted for serialization."""
+    """One command's findings.
+
+    ``stability_table`` holds the pair's ``FlagEntry`` rows, and
+    ``jacobians`` says whether their JSON rows carry each flag's Jacobian;
+    every other section is already formatted for serialization.
+    """
 
     command: str
     problem: dict
     passed: bool
     stability_table: tuple = ()
+    jacobians: bool = False
     violations: tuple = ()
     value: dict | None = None
     contributions: tuple = ()
@@ -83,15 +94,14 @@ class Report:
     warnings: tuple = ()
     notes: tuple = ()
 
-    def to_json_dict(self) -> dict:
+    def _sections(self) -> dict:
+        """Every JSON section but the stability table."""
         out = {
             "schema": 1,
             "command": self.command,
             "passed": self.passed,
             "problem": self.problem,
         }
-        if self.stability_table:
-            out["stability_table"] = list(self.stability_table)
         if self.violations:
             out["violations"] = list(self.violations)
         if self.value is not None:
@@ -111,6 +121,29 @@ class Report:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
+
+    def to_json(self) -> str:
+        """The JSON report, as ``json.dumps(report, sort_keys=True, indent=2)``
+        writes it, in one pass: the stability table row by row from the flag
+        table, every other section by ``json.dumps`` one level in."""
+        # indenting a section's text by one level is exact: JSON text holds
+        # no raw newline inside a string
+        sections = {
+            key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            for key, value in self._sections().items()
+        }
+        if self.stability_table:
+            sections["stability_table"] = _table_json(
+                self.stability_table, self.jacobians
+            )
+        body = ",\n  ".join(
+            f"{_quote(key)}: {sections[key]}" for key in sorted(sections)
+        )
+        return "{\n  " + body + "\n}"
+
+    def to_json_dict(self) -> dict:
+        """The JSON report, parsed."""
+        return json.loads(self.to_json())
 
     def to_text(self) -> str:
         lines: list[str] = []
@@ -132,12 +165,13 @@ class Report:
             lines.append(
                 f"{'flag':<12}{'stable':<9}{'compatible':<12}p-minors"
             )
-            for row in self.stability_table:
-                pm = ", ".join(row["p"])
+            for entry in self.stability_table:
+                prof = entry.profile
+                pm = ", ".join(str(x) for x in prof.p)
                 lines.append(
-                    f"{row['flag']:<12}"
-                    f"{'yes' if row['stable'] else 'no':<9}"
-                    f"{'yes' if row['compatible'] else 'no':<12}{pm}"
+                    f"{entry.flag.label():<12}"
+                    f"{'yes' if prof.stable else 'no':<9}"
+                    f"{'yes' if prof.compatible else 'no':<12}{pm}"
                 )
         for v in self.violations:
             qs = ", ".join(f"q[{k}] = {val}" for k, val in v["positive_q"].items())
@@ -222,23 +256,82 @@ def _problem_dict(spec: ProblemSpec, arr: Arrangement, poly: Polyhedron) -> dict
     }
 
 
-def _stability_rows(table, with_jacobian: bool):
+def _json_list(items: list, depth: int) -> str:
+    """A JSON array of written ``items`` at nesting ``depth``, laid out as
+    ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+# one stability-table row at depth 2 of the report, its keys in sorted order;
+# the fourth field is empty or the row's "jacobian" entry
+_ROW = (
+    '{{\n      "compatible": {},\n      "flag": {},\n      "in_bruhat_cell": {},{}'
+    '\n      "p": {},\n      "q": {},\n      "r": {},\n      "stable": {}\n    }}'
+)
+
+
+def _table_json(table, jacobians: bool) -> str:
+    """The stability table as a JSON array at depth 1 of the report, one
+    ``_ROW`` per ``FlagEntry``.
+
+    Each minor and each chart row is written once per table (a flag's
+    Jacobian rows are rows of the chart matrix), its text keyed by ``id``,
+    which is sound because the table keeps every keyed object alive.  Each
+    sequence of (j, l) minor keys is laid out once, in the order in which
+    ``sort_keys`` writes their "(j,l)" strings ("(1,10)" before "(1,2)").
+    """
+    texts: dict = {}
+    layouts: dict = {}
+
+    def scalar(x) -> str:
+        text = texts.get(id(x))
+        if text is None:
+            text = texts[id(x)] = _quote(str(x))
+        return text
+
+    def minors(pairs) -> str:
+        if not pairs:
+            return "{}"
+        keys = tuple([jl for jl, _ in pairs])
+        layout = layouts.get(keys)
+        if layout is None:
+            names = [f"({j},{l})" for j, l in keys]
+            order = sorted(range(len(keys)), key=names.__getitem__)
+            layout = layouts[keys] = [
+                (i, ("{" if n == 0 else ",") + "\n        " + _quote(names[i]) + ": ")
+                for n, i in enumerate(order)
+            ]
+        return "".join([lead + scalar(pairs[i][1]) for i, lead in layout]) + "\n      }"
+
+    def chart_row(row) -> str:
+        text = texts.get(id(row))
+        if text is None:
+            text = texts[id(row)] = _json_list([scalar(x) for x in row], 4)
+        return text
+
     rows = []
     for entry in table:
         prof = entry.profile
-        row = {
-            "flag": entry.flag.label(),
-            "stable": prof.stable,
-            "compatible": prof.compatible,
-            "in_bruhat_cell": prof.in_bruhat_cell,
-            "p": [str(x) for x in prof.p],
-            "q": {f"({j},{l})": str(v) for (j, l), v in prof.q},
-            "r": {f"({j},{l})": str(v) for (j, l), v in prof.r_minors},
-        }
-        if with_jacobian:
-            row["jacobian"] = [[str(x) for x in r] for r in entry.jacobian.entries]
-        rows.append(row)
-    return tuple(rows)
+        jacobian = ""
+        if jacobians:
+            rows_text = [chart_row(row) for row in entry.jacobian.entries]
+            jacobian = f'\n      "jacobian": {_json_list(rows_text, 3)},'
+        rows.append(
+            _ROW.format(
+                "true" if prof.compatible else "false",
+                _quote(entry.flag.label()),
+                "true" if prof.in_bruhat_cell else "false",
+                jacobian,
+                _json_list([scalar(x) for x in prof.p], 3),
+                minors(prof.q),
+                minors(prof.r_minors),
+                "true" if prof.stable else "false",
+            )
+        )
+    return _json_list(rows, 1)
 
 
 def _violation_rows(audit) -> tuple:
@@ -262,7 +355,8 @@ def cmd_analyze(spec: ProblemSpec, options: EngineOptions | None = None) -> Repo
             command="analyze",
             problem=_problem_dict(spec, arr, poly),
             passed=audit.all_compatible,
-            stability_table=_stability_rows(table, with_jacobian=True),
+            stability_table=table,
+            jacobians=True,
             violations=_violation_rows(audit),
             certificate={
                 "certified": audit.all_compatible,
@@ -300,7 +394,7 @@ def cmd_eval(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
             command="eval",
             problem=_problem_dict(spec, arr, poly),
             passed=result.certificate.certified,
-            stability_table=_stability_rows(result.flag_table, with_jacobian=False),
+            stability_table=result.flag_table,
             value=_cplx(result.value),
             contributions=contributions,
             certificate=certificate,
@@ -396,7 +490,7 @@ def cmd_verify(
             command="verify",
             problem=_problem_dict(spec, arr, poly),
             passed=passed,
-            stability_table=_stability_rows(result.flag_table, with_jacobian=False),
+            stability_table=result.flag_table,
             value=_cplx(result.value),
             contributions=contributions,
             certificate=certificate,
@@ -552,7 +646,7 @@ def main(argv=None) -> int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+        print(report.to_json())
     else:
         print(report.to_text(), end="")
     return 0 if report.passed else 1

@@ -482,24 +482,6 @@ class ExpRationalFunction:
             raise ValueError("matrix must have one row per variable")
         return self.compose(rows)
 
-    def substitute_affine(self, var: int, repl: AffineForm) -> "ExpRationalFunction":
-        """Set z_var = repl(z_others); the result loses that variable.
-
-        ``repl`` has the same arity as self with a zero coefficient at ``var``.
-        """
-        if repl.arity != self.arity:
-            raise ValueError("replacement arity mismatch")
-        if not is_negligible(repl.coeffs[var], repl.max_abs()):
-            raise ValueError("replacement must not involve the variable it defines")
-        forms = []
-        for i in range(self.arity):
-            if i == var:
-                forms.append(repl.drop_var(var))
-            else:
-                new_index = i if i < var else i - 1
-                forms.append(AffineForm.unit(self.arity - 1, new_index))
-        return self.compose(forms)
-
     def residue_1d(self, var: int, pole: AffineForm) -> "ExpRationalFunction":
         """Coefficient of (z_var - pole)^{-1}, as a function of the other variables.
 

@@ -8,6 +8,11 @@
   the two agree.
 * ``torus_residue``: the residue at a terminal point as a float64 average
   over the torus |g_j| = eps_j around it, independent of flags and charts.
+* ``substitute_affine``: an exp-rational function with one variable set to
+  an affine form in the others, by ``ExpRationalFunction.compose``.
+* ``stability_rows`` and ``stability_lines``: the stability table as one
+  dict per flag, for ``json.dumps``, and as text lines; ``Report.to_json``
+  and ``Report.to_text`` write it straight from the flag table instead.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from residuum.exact_linalg import (
     inverse,
 )
 from residuum.oracle import compile_numeric
-from residuum.symfun import is_negligible, to_mpc
+from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
 
 DEFAULT_TORUS_NODES = 256
 
@@ -172,3 +177,58 @@ def torus_residue(
     for j in range(r):
         integrand = integrand * disc[j]
     return mpc(det_ainv * complex(np.mean(integrand)))
+
+
+def substitute_affine(
+    func: ExpRationalFunction, var: int, repl: AffineForm
+) -> ExpRationalFunction:
+    """Set z_var = repl(z_others) in ``func``; the result loses that variable.
+
+    ``repl`` has the same arity as ``func`` with a zero coefficient at ``var``.
+    """
+    if repl.arity != func.arity:
+        raise ValueError("replacement arity mismatch")
+    if not is_negligible(repl.coeffs[var], repl.max_abs()):
+        raise ValueError("replacement must not involve the variable it defines")
+    forms = []
+    for i in range(func.arity):
+        if i == var:
+            forms.append(repl.drop_var(var))
+        else:
+            new_index = i if i < var else i - 1
+            forms.append(AffineForm.unit(func.arity - 1, new_index))
+    return func.compose(forms)
+
+
+def stability_rows(table, with_jacobian: bool) -> tuple:
+    """One dict per ``FlagEntry``: the stability table as ``json.dumps``
+    serializes it in a report."""
+    rows = []
+    for entry in table:
+        prof = entry.profile
+        row = {
+            "flag": entry.flag.label(),
+            "stable": prof.stable,
+            "compatible": prof.compatible,
+            "in_bruhat_cell": prof.in_bruhat_cell,
+            "p": [str(x) for x in prof.p],
+            "q": {f"({j},{l})": str(v) for (j, l), v in prof.q},
+            "r": {f"({j},{l})": str(v) for (j, l), v in prof.r_minors},
+        }
+        if with_jacobian:
+            row["jacobian"] = [[str(x) for x in r] for r in entry.jacobian.entries]
+        rows.append(row)
+    return tuple(rows)
+
+
+def stability_lines(rows) -> list[str]:
+    """The stability table of a text report, from ``stability_rows``."""
+    lines = ["", f"{'flag':<12}{'stable':<9}{'compatible':<12}p-minors"]
+    for row in rows:
+        pm = ", ".join(row["p"])
+        lines.append(
+            f"{row['flag']:<12}"
+            f"{'yes' if row['stable'] else 'no':<9}"
+            f"{'yes' if row['compatible'] else 'no':<12}{pm}"
+        )
+    return lines

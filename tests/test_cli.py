@@ -7,15 +7,22 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import FunctionType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, pi
 
 from conftest import three_plane_value
+from reference import stability_lines, stability_rows
 from residuum import arrangement, exact_linalg, symfun
 from residuum.arrangement import (
+    Flag,
+    FlagEntry,
     enumerate_flags,
     flag_classes,
     flag_table,
@@ -23,6 +30,7 @@ from residuum.arrangement import (
     stable_flags,
 )
 from residuum.cli import (
+    Report,
     cmd_analyze,
     cmd_eval,
     cmd_grouping,
@@ -30,7 +38,7 @@ from residuum.cli import (
     main,
 )
 from residuum.dsl import parse_problem
-from residuum.exact_linalg import RationalMatrix, minor_profile
+from residuum.exact_linalg import MinorProfile, RationalMatrix, minor_profile
 from residuum.residue_engine import (
     EngineOptions,
     canonical_grouping_points,
@@ -447,19 +455,136 @@ def test_eval_violating_cone_is_zero_and_uncertified():
 def test_analyze_tables():
     good = cmd_analyze(parse_problem(EX1_PIB))
     assert good.passed
-    by_flag = {row["flag"]: row for row in good.stability_table}
+    rows = good.to_json_dict()["stability_table"]
+    by_flag = {row["flag"]: row for row in rows}
     assert len(by_flag) == 6
     assert by_flag["(H1,H3)"]["stable"]
-    assert all(row["compatible"] for row in good.stability_table)
+    assert all(row["compatible"] for row in rows)
     assert by_flag["(H1,H3)"]["jacobian"] == [["1", "0"], ["0", "1"]]
 
     bad = cmd_analyze(parse_problem(EX1_PIA))
     assert not bad.passed
-    by_flag = {row["flag"]: row for row in bad.stability_table}
+    by_flag = {row["flag"]: row for row in bad.to_json_dict()["stability_table"]}
     assert by_flag["(H3,H1)"]["stable"]
     assert not by_flag["(H3,H1)"]["compatible"]
     assert bad.violations[0]["flag"] == "(H3,H1)"
     assert bad.violations[0]["positive_q"] == {"(1,2)": "1"}
+
+
+# the stability table as Report.to_json writes it, against the dict rows
+# that json.dumps serialized before
+_WRITER_PROBLEM = {
+    "variables": ["x"],
+    "dim": 1,
+    "cone": [["1"]],
+    "cone_det": "1",
+    "hyperplanes": [
+        {"name": "H1", "f": ["-2"], "s": {"re": "1.5", "im": "0.0"}, "multiplicity": 2}
+    ],
+    "parameters": {"a": "1/2"},
+    "numerator": "exp(i*x)",
+}
+_WRITER_CERTIFICATE = {
+    "certified": False,
+    "all_compatible": False,
+    "convergence": "NotChecked",
+    "warnings": [],
+}
+# a non-ASCII character and an escaped newline inside strings
+_WRITER_NOTES = ("\u03c9 = 2\u03c0", "two\nlines")
+
+
+def _check_table_writer(table, jacobians: bool) -> str:
+    """Report.to_json, to_json_dict and to_text against the reference rows."""
+    report = Report(
+        command="analyze",
+        problem=_WRITER_PROBLEM,
+        passed=False,
+        stability_table=table,
+        jacobians=jacobians,
+        certificate=_WRITER_CERTIFICATE,
+        notes=_WRITER_NOTES,
+    )
+    rows = stability_rows(table, jacobians)
+    want = {
+        "schema": 1,
+        "command": "analyze",
+        "passed": False,
+        "problem": _WRITER_PROBLEM,
+        "stability_table": list(rows),
+        "certificate": _WRITER_CERTIFICATE,
+        "notes": list(_WRITER_NOTES),
+    }
+    text = report.to_json()
+    assert text == json.dumps(want, sort_keys=True, indent=2)
+    assert report.to_json_dict() == want
+    # the text report's table follows its problem lines: the summary, one
+    # line per hyperplane and the numerator
+    bare = replace(report, stability_table=()).to_text().split("\n")
+    head = 2 + len(_WRITER_PROBLEM["hyperplanes"])
+    assert report.to_text().split("\n") == (
+        bare[:head] + stability_lines(rows) + bare[head:]
+    )
+    return text
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _flag_tables(draw):
+    """Flag tables of r <= 4 over chart rows drawn from a small pool, so rows
+    repeat, minors vanish and fractions are negative."""
+    r = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[_fractions] * r), min_size=1, max_size=3))
+    chart = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r + 2))
+    flags = draw(
+        st.lists(st.permutations(range(len(chart))), min_size=1, max_size=6)
+    )
+    table = []
+    for order in flags:
+        jac = RationalMatrix(tuple(chart[i] for i in order[:r]))
+        table.append(FlagEntry(Flag(tuple(order[:r])), jac, minor_profile(jac)))
+    return tuple(table)
+
+
+@given(_flag_tables(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_table_writer_matches_dict_rows(table, jacobians):
+    _check_table_writer(table, jacobians)
+
+
+def test_table_writer_orders_minor_keys_as_strings():
+    """At r = 10, sort_keys puts "(1,10)" before "(1,2)"; so must the writer."""
+    r = 10
+    pairs = [(j, l) for j in range(1, r + 1) for l in range(j + 1, r + 1)]
+    profile = MinorProfile(
+        p=tuple(Fraction(k, 3) for k in range(1, r + 1)),
+        q=tuple(((j, l), Fraction(j - l, l)) for j, l in pairs),
+        r_minors=tuple(((j, l), Fraction(l - j)) for j, l in pairs),
+        stable=True,
+        compatible=False,
+        in_bruhat_cell=True,
+    )
+    eye = RationalMatrix(
+        tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
+    )
+    table = (FlagEntry(Flag(tuple(range(r))), eye, profile),)
+    for jacobians in (False, True):
+        text = _check_table_writer(table, jacobians)
+        assert text.index('"(1,10)"') < text.index('"(1,2)"')
+
+
+def test_table_writer_writes_empty_minor_dicts():
+    """At r = 1 a flag has no q or r minors: both are written {}."""
+    table = tuple(
+        FlagEntry(Flag((i,)), jac, minor_profile(jac))
+        for i, jac in enumerate(
+            RationalMatrix(((x,),)) for x in (Fraction(-2, 3), Fraction(0), Fraction(5))
+        )
+    )
+    text = _check_table_writer(table, True)
+    assert text.count('"q": {}') == text.count('"r": {}') == 3
 
 
 def test_verify_one_dimensional_pi():
