@@ -13,10 +13,8 @@ F M stays exactly 0.
 (arrangement, polyhedron) pair; the audit, the stable flags, the engine and
 the reports all read that one table.  Each flag's Jacobian is its rows of
 the chart matrix C (all hyperplanes against the generators), so each of its
-minors is a signed subset determinant of C, computed once per table.  The
-table walks the flags as a prefix tree: a flag's level-k minors depend on
-its first k hyperplanes only, so each level is computed once per prefix, and
-a flag is kept when its p_r is nonzero, which is when its f-rows are
+minors is a signed minor of C, read from one ``minor_store`` of C, and a
+flag is kept when its p_r is nonzero, which is when its f-rows are
 independent.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
@@ -48,12 +46,11 @@ from .exact_linalg import (
     MinorProfile,
     RationalMatrix,
     determinant,
-    fold_levels,
-    minor_level,
+    minor_store,
     rank,
+    read_profile,
     row_echelon,
     solve_linear,
-    subset_determinant,
 )
 from .symfun import (
     AffineForm,
@@ -99,10 +96,6 @@ class Hyperplane:
     @property
     def dim(self) -> int:
         return len(self.f)
-
-    def defining_form(self) -> AffineForm:
-        """g = f(v) - i s, the affine function cutting out H."""
-        return AffineForm.make(self.f, -to_mpc(self.s) * mpc(0, 1))
 
     def f_row(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c) for c in self.f)
@@ -325,41 +318,24 @@ class FlagEntry:
 def flag_table(arr: Arrangement, poly: Polyhedron) -> tuple[FlagEntry, ...]:
     """Every complete flag, in enumeration order, with its Jacobian and profile.
 
-    The one place the pair's minor profiles are computed; build it once per
-    call and hand it to whatever reads the verdicts.  Flags are walked as a
-    prefix tree, depth first with the unused hyperplanes in ascending order
-    (``itertools.permutations`` order).  A flag's level k minors depend on
-    its first k rows only, so each level is computed once per prefix, and
-    only for prefixes of flags that are kept; all levels share one dict of
-    the chart matrix's subset determinants.  A flag is kept when p_r != 0:
-    C = F M with M nonsingular, so p_r = +-det C[S] vanishes exactly when the
+    The one place the pair's minor profiles are computed, each read from one
+    ``minor_store`` of the chart matrix C = F M; build it once per call and
+    hand it to whatever reads the verdicts.  A flag is kept when its p_r is
+    nonzero: M is nonsingular, so p_r = +-det C[S] vanishes exactly when the
     f-rows F[S] are dependent.
     """
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
     r = arr.dim
-    cols = tuple(range(r))
-    dets: dict = {}
-    # the levels 1..r-1 of the last kept flag, ``last``
-    path: list = []
-    last: tuple[int, ...] = ()
-    table = []
-    for flag in itertools.permutations(range(len(arr.hyperplanes)), r):
-        if not subset_determinant(chart, tuple(sorted(flag)), cols, dets):
-            continue
-        shared = 0
-        while shared < len(path) and flag[shared] == last[shared]:
-            shared += 1
-        del path[shared:]
-        path.extend(minor_level(chart, flag[:k], dets) for k in range(shared + 1, r))
-        last = flag
-        table.append(
-            FlagEntry(
-                Flag(flag),
-                RationalMatrix(tuple(chart.entries[i] for i in flag)),
-                fold_levels([*path, minor_level(chart, flag, dets)]),
-            )
+    store = minor_store(chart)
+    return tuple([
+        FlagEntry(
+            Flag(flag),
+            RationalMatrix(tuple([chart.entries[i] for i in flag])),
+            read_profile(store, flag, r),
         )
-    return tuple(table)
+        for flag in itertools.permutations(range(len(arr.hyperplanes)), r)
+        if store[tuple(sorted(flag)), r - 1][0]
+    ])
 
 
 def stable_flags(

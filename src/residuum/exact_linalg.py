@@ -2,13 +2,14 @@
 the sign tests built from them.
 
 Everything here is exact.  Matrix entries are `fractions.Fraction`.  After
-denominators are cleared row by row, one fraction-free Bareiss elimination on
-Python ints (``_bareiss``) serves every routine: ``determinant`` reads its last
-pivot, ``rank`` counts its pivots, ``inverse`` carries an identity block
-through its Gauss-Jordan form, ``solve_linear`` applies that exact inverse,
-and ``row_echelon`` scales its Gauss-Jordan rows to the reduced row echelon
-form, which ``arrangement.terminal_classes`` compares to tell whether two flag
-prefixes span the same space.  No floating point ever enters a sign decision.
+denominators are cleared row by row, one fraction-free Bareiss elimination
+on Python ints (``_bareiss``) serves every elimination: ``determinant``
+reads its last pivot, ``rank`` counts its pivots, ``inverse`` carries an
+identity block through its Gauss-Jordan form, ``solve_linear`` applies that
+exact inverse, and ``row_echelon`` scales its Gauss-Jordan rows to the
+reduced row echelon form, which ``arrangement.terminal_classes`` compares to
+tell whether two flag prefixes span the same space.  No floating point ever
+enters a sign decision.
 
 Three families of minors of a k-by-r matrix J = (a_ij) drive the rest of the
 package:
@@ -21,27 +22,23 @@ For a 2x2 matrix [[a, b], [c, d]] these are p1 = a, p2 = ad - bc, q12 = b,
 r12 = c.  ``minor_profile`` packages all of them together with the derived
 verdicts (stable / compatible / in the open Bruhat cell).
 
-When J is a selection of rows of a matrix C, each of these minors is a
-signed subset determinant of C: its determinant on the same rows in
-ascending order, times the sign of the permutation that sorts them.  Each
-is looked up in a dict of C's determinants that callers share across all
-row selections of C.
-
-Every minor belongs to one level k and needs exactly the first k rows of J:
-p_k, the q_{k,l} and the r_{j,k}.  ``minor_level`` computes one level, and
-``minor_profile`` folds the levels of J's prefixes into its profile
-(``fold_levels``).  Row selections that share a prefix share its levels;
-``arrangement.flag_table`` walks the flags as a prefix tree to compute each
-level once per prefix.
+When J is a selection of rows of a matrix C, each of these minors is C's
+minor on the same rows in ascending order, against columns 1..k-1 plus one
+column, times the sign of the permutation that sorts them.  ``minor_store``
+computes every such minor of C once, by Laplace expansion over the minors
+one row smaller, and ``read_profile`` reads the profile of any row order
+from it.  ``arrangement.flag_table`` reads every flag from one store of the
+chart matrix; ``minor_profile`` reads J's rows in order from J's own store.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -183,82 +180,73 @@ class MinorProfile:
     in_bruhat_cell: bool
 
 
-class MinorLevel(NamedTuple):
-    """The minors of J that need exactly its first k rows: level k.
+def minor_store(mat: RationalMatrix) -> dict:
+    """Every minor det C[S; (1..k-1, c)] of C = mat, for an ascending row
+    tuple S of size k <= r and a column c >= k, as the pair (det, -det)
+    keyed (S, c) with 0-based indices.
 
-    ``p`` is p_k, ``q`` holds q_{k,l} for k < l <= r, ``r_minors`` holds
-    r_{j,k} for j < k, and ``stable`` says p_k > 0 and every
-    (-1)^(k-j) r_{j,k} >= 0.
+    C's rows are cleared to integers once, and each minor is its Laplace
+    expansion along column c over the head minors det C[T; 1..k-1] of the
+    (k-1)-subsets T of S: k integer products, no division and no pivot.
     """
-
-    p: Fraction
-    q: tuple[tuple[tuple[int, int], Fraction], ...]
-    r_minors: tuple[tuple[tuple[int, int], Fraction], ...]
-    stable: bool
-
-
-def subset_determinant(
-    mat: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...], dets: dict
-) -> Fraction:
-    """det mat[rows; cols] for ascending ``rows``, computed once per ``dets``."""
-    key = (rows, cols)
-    det = dets.get(key)
-    if det is None:
-        det = dets[key] = determinant(mat.submatrix(rows, cols))
-    return det
-
-
-def _signed_det(
-    mat: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...], dets: dict
-) -> Fraction:
-    """det mat[rows; cols] for rows in any order: the determinant on the
-    ascending rows, negated when sorting them takes an odd permutation."""
-    det = subset_determinant(mat, tuple(sorted(rows)), cols, dets)
-    swaps = sum(a > b for a, b in itertools.combinations(rows, 2))
-    return -det if swaps % 2 else det
+    m, scales = _integer_rows(mat.entries)
+    width = mat.cols
+    store: dict = {}
+    heads = {(): 1}
+    for k in range(1, min(mat.rows, width) + 1):
+        for rows in itertools.combinations(range(mat.rows), k):
+            # the cofactors of the last column of C[rows; (1..k-1, c)]
+            cofactors = [
+                (-1) ** (k - 1 - i) * heads[rows[:i] + rows[i + 1 :]] for i in range(k)
+            ]
+            scale = math.prod([scales[i] for i in rows])
+            for c in range(k - 1, width):
+                det = sum([a * m[i][c] for a, i in zip(cofactors, rows)])
+                if c == k - 1:
+                    heads[rows] = det
+                x = Fraction(det, scale)
+                store[rows, c] = (x, -x)
+    return store
 
 
-def minor_level(
-    mat: RationalMatrix, rows: Sequence[int], dets: dict
-) -> MinorLevel:
-    """Level k = len(rows) of J = mat[rows]: p_k, the q_{k,l} and the r_{j,k}.
+def read_profile(store: dict, rows: Sequence[int], width: int) -> MinorProfile:
+    """The profile of J = C[rows], for distinct rows of C in any order, read
+    from the ``minor_store`` of C, which has ``width`` columns.
 
-    Each is a signed subset determinant of mat read from ``dets``, which
-    maps (ascending rows, columns) to a determinant of mat.  A flag's level
-    k depends on its first k rows only, so flags that share a prefix share
-    its levels.
+    A minor of J on its first k rows is C's minor on those rows in ascending
+    order, taken from the pair by the parity of the sort.  Dropping the
+    prefix's j-th row, i-th in ascending order, adds j - 1 + i to that parity.
     """
-    rows = tuple(rows)
-    k, r = len(rows), mat.cols
-    head = tuple(range(k - 1))
-    p = _signed_det(mat, rows, (*head, k - 1), dets)
-    # tuples are built from lists, at their size at once: built from
-    # generators, they are allocated at 10 slots and shrunk, and that churn
-    # raised the peak RSS of a run of analyze/eval commands by 0.3 MB
+    prefixes = []  # (ascending rows, parity of the sort) of each prefix
+    ascending: list[int] = []
+    odd = 0
+    for k, row in enumerate(rows):
+        pos = bisect.bisect(ascending, row)
+        ascending.insert(pos, row)
+        odd ^= (k - pos) & 1  # k - pos earlier rows are larger than this one
+        prefixes.append((tuple(ascending), odd))
+
+    # tuples from lists, at their size at once: from generators they are
+    # over-allocated and shrunk, which raised a run's peak RSS by 0.3 MB
+    p = tuple([store[key, k][odd] for k, (key, odd) in enumerate(prefixes)])
     q = tuple([
-        ((k, l), _signed_det(mat, rows, (*head, l - 1), dets))
-        for l in range(k + 1, r + 1)
+        ((k, l), store[key, l - 1][odd])
+        for k, (key, odd) in enumerate(prefixes, 1)
+        for l in range(k + 1, width + 1)
     ])
-    r_minors = tuple([
-        ((j, k), _signed_det(mat, rows[: j - 1] + rows[j:], head, dets))
-        for j in range(1, k)
-    ])
-    stable = p > 0 and all(
-        val <= 0 if (k - j) % 2 else val >= 0 for (j, _), val in r_minors
+    r_minors = []
+    for j, row in enumerate(rows, 1):
+        for l, (key, odd) in enumerate(prefixes[j:], j + 1):
+            i = key.index(row)
+            drop = store[key[:i] + key[i + 1 :], l - 2][odd ^ ((j - 1 + i) & 1)]
+            r_minors.append(((j, l), drop))
+    stable = all(x > 0 for x in p) and all(
+        val <= 0 if (l - j) % 2 else val >= 0 for (j, l), val in r_minors
     )
-    return MinorLevel(p, q, r_minors, stable)
-
-
-def fold_levels(levels: Sequence[MinorLevel]) -> MinorProfile:
-    """The profile of J from its levels 1..k, r minors in j-major order."""
-    p = tuple([level.p for level in levels])
-    q = tuple([item for level in levels for item in level.q])
-    stable = all(level.stable for level in levels)
     return MinorProfile(
         p=p,
         q=q,
-        # levels hold r_{j,l} l-major; the profile lists them j-major
-        r_minors=tuple(sorted(item for level in levels for item in level.r_minors)),
+        r_minors=tuple(r_minors),
         stable=stable,
         compatible=(not stable) or all(val <= 0 for _, val in q),
         in_bruhat_cell=0 not in p,
@@ -270,13 +258,12 @@ def minor_profile(mat: RationalMatrix) -> MinorProfile:
 
     J has k <= r rows.  q minors range over 1 <= j <= k, j < l <= r (columns
     may exceed the row count); r minors range over 1 <= j < l <= k.  The
-    verdicts use exactly these index sets.  The profile is the fold of
-    ``minor_level`` over the prefixes of J's rows.
+    verdicts use exactly these index sets.  J's rows are read in order from
+    J's own ``minor_store``.
     """
     if mat.rows > mat.cols:
         raise ValueError("more rows than columns; transpose the data")
-    dets: dict = {}
-    return fold_levels([minor_level(mat, range(k), dets) for k in range(1, mat.rows + 1)])
+    return read_profile(minor_store(mat), range(mat.rows), mat.cols)
 
 
 def rank(mat: RationalMatrix) -> int:

@@ -26,6 +26,7 @@ import mpmath
 from mpmath import log as mp_log
 from mpmath import mpc, mpf, pi
 
+from reference import defining_form
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -182,7 +183,7 @@ def trace_residue(arr, groups, point, radii=(mpf("1e-8"), mpf("1e-4")), nodes=8)
     locus w_lin^2 = +-4 w_prod of two factors through the point.
     """
     assert arr.dim == 2 and all(m == 1 for m in arr.multiplicities)
-    forms = [[arr.hyperplanes[i].defining_form() for i in sorted(g)] for g in groups]
+    forms = [[defining_form(arr.hyperplanes[i]) for i in sorted(g)] for g in groups]
     lin = 0 if len(forms[0]) == 1 else 1
     assert len(forms[lin]) == 1, "one group must be a single hyperplane"
     (a,) = forms[lin]

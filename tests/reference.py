@@ -10,6 +10,8 @@
   over the torus |g_j| = eps_j around it, independent of flags and charts.
 * ``substitute_affine``: an exp-rational function with one variable set to
   an affine form in the others, by ``ExpRationalFunction.compose``.
+* ``defining_form``: the affine function g = f(v) - i s cutting out a
+  hyperplane.
 * ``stability_rows`` and ``stability_lines``: the stability table as one
   dict per flag, for ``json.dumps``, and as text lines; ``Report.to_json``
   and ``Report.to_text`` write it straight from the flag table instead.
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mpc
 
-from residuum.arrangement import Arrangement, Flag, pole_location
+from residuum.arrangement import Arrangement, Flag, Hyperplane, pole_location
 from residuum.exact_linalg import (
     RationalMatrix,
     _bareiss,
@@ -35,6 +37,11 @@ from residuum.oracle import compile_numeric
 from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
 
 DEFAULT_TORUS_NODES = 256
+
+
+def defining_form(h: Hyperplane) -> AffineForm:
+    """g = f(v) - i s, the affine function cutting out H."""
+    return AffineForm.make(h.f, -to_mpc(h.s) * mpc(0, 1))
 
 
 class ForeignPoleInsideTorus(Exception):
@@ -132,7 +139,7 @@ def torus_residue(
     for k, h in enumerate(arr.hyperplanes):
         if k in indices:
             continue
-        g = complex(h.defining_form().evaluate(m))
+        g = complex(defining_form(h).evaluate(m))
         norm = math.sqrt(sum(float(c) ** 2 for c in h.f_row()))
         foreign.append((k, abs(g) / norm))
     if eps is None:
@@ -167,7 +174,7 @@ def torus_residue(
     for k, _ in foreign:
         h = arr.hyperplanes[k]
         row = np.array([complex(c) for c in h.f_row()])
-        const = complex(h.defining_form().const)
+        const = complex(defining_form(h).const)
         vals = row @ pts + const
         if float(np.min(np.abs(vals))) < 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
             raise ForeignPoleInsideTorus(

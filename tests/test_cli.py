@@ -38,7 +38,7 @@ from residuum.cli import (
     main,
 )
 from residuum.dsl import parse_problem
-from residuum.exact_linalg import MinorProfile, RationalMatrix, minor_profile
+from residuum.exact_linalg import MinorProfile, RationalMatrix, minor_profile, minor_store
 from residuum.residue_engine import (
     EngineOptions,
     canonical_grouping_points,
@@ -154,9 +154,17 @@ def _count_calls(monkeypatch, calls: dict) -> None:
                 monkeypatch.setattr(module, fn, counted)
 
 
-def _prefixes(arr) -> int:
-    """Flag prefixes of every length: the level kernel's budget per table."""
-    return sum(math.perm(len(arr.hyperplanes), k) for k in range(1, arr.dim + 1))
+def _assert_one_store(calls: dict, arr, poly) -> None:
+    """The command built one ``minor_store``, of the chart matrix F M, with
+    one entry per k-subset of its R rows and column l >= k: sum_k C(R, k)
+    (r - k + 1) entries.  ``determinant`` ran on the polyhedron's basis
+    only (its independence check and its determinant)."""
+    chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
+    r, big_r = arr.dim, len(arr.hyperplanes)
+    assert calls["minor_store"] == [chart]
+    size = sum(math.comb(big_r, k) * (r - k + 1) for k in range(1, r + 1))
+    assert len(minor_store(chart)) == size
+    assert set(calls["determinant"]) <= {poly.basis_matrix()}
 
 
 @pytest.mark.parametrize(
@@ -165,12 +173,12 @@ def _prefixes(arr) -> int:
     ids=["pib", "pia", "ex2", "pi_1d", "zero_1d"],
 )
 def test_one_minor_profile_per_flag(monkeypatch, text):
-    """analyze and eval build each complete flag's minor profile once, from
-    at most one minor level per flag prefix."""
-    calls = {"MinorProfile": [], "minor_level": []}
+    """analyze and eval build each complete flag's minor profile once, all
+    read from one minor store of the chart matrix."""
+    calls = {"MinorProfile": [], "minor_store": [], "determinant": []}
     _count_calls(monkeypatch, calls)
     spec = parse_problem(text)
-    arr = spec.arrangement()
+    arr, poly = spec.arrangement(), spec.polyhedron()
     flags = len(enumerate_flags(arr, arr.dim))
     for command in (cmd_analyze, cmd_eval):
         for fn in calls:
@@ -178,32 +186,28 @@ def test_one_minor_profile_per_flag(monkeypatch, text):
         with mp.workprec(128):
             command(spec)
         assert len(calls["MinorProfile"]) == flags, command.__name__
-        assert len(calls["minor_level"]) <= _prefixes(arr), command.__name__
+        _assert_one_store(calls, arr, poly)
 
 
 @pytest.mark.parametrize(
     "text", [EX1_PIB, EX2, PI_1D, SQUARED_POLES], ids=["pib", "ex2", "pi_1d", "squared"]
 )
 def test_each_subset_determinant_once(monkeypatch, text):
-    """analyze computes each subset determinant of the chart matrix once.
+    """analyze computes each minor of the chart matrix once.
 
-    Every p/q/r minor of a flag is a signed determinant of the chart matrix
-    on a k-subset of its R rows, against columns 1..k-1 plus one column
-    l >= k: at most sum_k C(R, k) (r - k + 1) of them.  Nothing is ranked:
-    a flag's f-rows are independent exactly when its p_r is nonzero.
+    Every p/q/r minor of a flag is a signed minor of the chart matrix on a
+    k-subset of its R rows, against columns 1..k-1 plus one column l >= k,
+    and one minor store holds each of them once, computed without
+    ``determinant``.  Nothing is ranked: a flag's f-rows are independent
+    exactly when its p_r is nonzero.
     """
     spec = parse_problem(text)
-    arr = spec.arrangement()
-    basis = spec.polyhedron().basis_matrix()
-    r, big_r = arr.dim, len(arr.hyperplanes)
-    calls = {"determinant": [], "rank": []}
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    calls = {"determinant": [], "rank": [], "minor_store": []}
     _count_calls(monkeypatch, calls)
     with mp.workprec(128):
         cmd_analyze(spec)
-    # the polyhedron's own: its independence check and its determinant
-    own = sum(1 for mat in calls["determinant"] if mat == basis)
-    bound = sum(math.comb(big_r, k) * (r - k + 1) for k in range(1, r + 1))
-    assert len(calls["determinant"]) - own <= bound
+    _assert_one_store(calls, arr, poly)
     assert calls["rank"] == []
 
 
@@ -362,8 +366,8 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text):
 def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     """grouping ranks, profiles and solves nothing the flag table holds.
 
-    It ranks nothing, profiles each complete flag once from at most one
-    minor level per flag prefix, and classes its collections once: it
+    It ranks nothing, profiles each complete flag once from one minor
+    store of the chart matrix, and classes its collections once: it
     solves one terminal point per set of hyperplanes among them.  eval
     solves one per set of hyperplanes among the stable flags, and inverts
     those sets' rows and the cone basis once each.
@@ -389,7 +393,8 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     calls = {
         "rank": [],
         "MinorProfile": [],
-        "minor_level": [],
+        "minor_store": [],
+        "determinant": [],
         "pole_location": [],
         "inverse": [],
     }
@@ -398,7 +403,7 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
         cmd_grouping(spec)
     assert calls["rank"] == []
     assert len(calls["MinorProfile"]) == len(table)
-    assert len(calls["minor_level"]) <= _prefixes(arr)
+    _assert_one_store(calls, arr, poly)
     assert len(calls["pole_location"]) == len(collections)
     assert calls["inverse"] == [f_rows(f) for f in collections]
     for fn in calls:

@@ -2,8 +2,8 @@
 
 The determinant oracle is naive cofactor expansion, independent of the Bareiss
 code under test.  The minor oracle computes each p/q/r minor of a flag's own
-Jacobian by a fresh determinant, independent of the shared signed subset
-determinants the flag table uses.  Verdict invariances (positive row scaling)
+Jacobian by a fresh Bareiss determinant, independent of the Laplace expansions
+of the minor store that every profile is read from.  Verdict invariances (positive row scaling)
 are checked with hypothesis against randomly generated rational matrices.
 """
 
@@ -30,6 +30,7 @@ from residuum.exact_linalg import (
     determinant,
     inverse,
     minor_profile,
+    minor_store,
     rank,
     row_echelon,
     solve_linear,
@@ -229,6 +230,46 @@ def test_profile_wide_matrix_q_range():
     assert not prof.compatible  # q13 = 5 > 0
 
 
+@given(wide_matrices())
+@settings(max_examples=120, deadline=None)
+def test_minor_profile_matches_oracle(rows):
+    """Fractional entries: the store's per-row scales divide out exactly."""
+    mat = RationalMatrix.from_rows(rows)
+    assert minor_profile(mat) == oracle_profile(mat)
+
+
+@st.composite
+def pooled_rows(draw):
+    """R-by-r matrices, r <= 4, whose rows come from a pool of at most three:
+    rows repeat, minors vanish, and entries are negative or fractional."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    entry = st.builds(
+        Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+    )
+    pool = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=r + 2))
+
+
+@given(pooled_rows())
+@example([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(1, 2), Fraction(-2, 3)], [0, Fraction(3, 4)]])
+@settings(max_examples=100, deadline=None)
+def test_minor_store_matches_determinants(rows):
+    """The store holds (S, c) once for each ascending k-subset S of the rows,
+    k <= r, and each column c >= k - 1, as (det, -det) of C[S; (0..k-2, c)]."""
+    mat = RationalMatrix.from_rows(rows)
+    big_r, r = mat.rows, mat.cols
+    store = minor_store(mat)
+    assert set(store) == {
+        (subset, c)
+        for k in range(1, r + 1)
+        for subset in combinations(range(big_r), k)
+        for c in range(k - 1, r)
+    }
+    for (subset, c), pair in store.items():
+        det = determinant(mat.submatrix(subset, (*range(len(subset) - 1), c)))
+        assert pair == (det, -det)
+
+
 @st.composite
 def arrangements(draw):
     """Small integer rows in r <= 4 variables, some repeated, and a cone.
@@ -261,7 +302,7 @@ def arrangements(draw):
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     )
 )
-# r = 4: levels hold r_{1,4} after r_{2,3}, profiles list it before
+# r = 4: r_{1,4} is read at prefix 4, after r_{2,3}, and listed before it
 @example(
     (
         [[1, 1, 0, -1], [0, 1, 1, 1], [1, -1, 1, 0], [-1, 0, 1, 1], [1, 1, 1, 1]],
@@ -270,9 +311,20 @@ def arrangements(draw):
 )
 # f3 = f1 + f2: dependent but pairwise independent, so p_3 = 0 on {H1,H2,H3}
 @example(([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
+# rational generators: F M has fractional rows, so each row's scale divides
+@example(
+    (
+        [[1, 2, 0], [0, 1, -1], [1, 0, 1], [2, -1, 1]],
+        [
+            [Fraction(1, 2), Fraction(-1, 3), 0],
+            [Fraction(2, 3), 1, Fraction(1, 5)],
+            [0, Fraction(-3, 4), Fraction(5, 7)],
+        ],
+    )
+)
 @settings(max_examples=40, deadline=None)
 def test_flag_table_matches_minor_oracle(data):
-    """Shared signed subset determinants give every flag's oracle profile."""
+    """One minor store of the chart matrix gives every flag's oracle profile."""
     rows, gens = data
     r = len(gens)
     hps = [Hyperplane(tuple(f), mpc(i + 1)) for i, f in enumerate(rows)]

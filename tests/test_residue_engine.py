@@ -34,6 +34,7 @@ from conftest import (
     trace_residue,
     z_star,
 )
+from reference import defining_form
 from residuum import arrangement
 from residuum.arrangement import (
     Arrangement,
@@ -79,7 +80,7 @@ def tiny_torus(arr, indices, eps_scale=mpf("0.1"), nodes=64):
     a_inv = inverse(a)
     det_a_inv = to_mpc(determinant(a_inv))
     foreign = [
-        abs(arr.hyperplanes[k].defining_form().evaluate(m))
+        abs(defining_form(arr.hyperplanes[k]).evaluate(m))
         for k in range(len(arr.hyperplanes))
         if k not in indices
     ]
@@ -320,7 +321,7 @@ def test_iterated_residue_matches_direct_evaluation():
                     continue
                 point = pole_location(arr, flag)
                 clear = all(
-                    abs(arr.hyperplanes[k].defining_form().evaluate(point)) > mpf("0.05")
+                    abs(defining_form(arr.hyperplanes[k]).evaluate(point)) > mpf("0.05")
                     for k in range(3)
                     if k not in flag.indices
                 )
@@ -443,7 +444,7 @@ def test_grothendieck_residue_in_a_built_chart():
         others = mpc(1)
         for j, h in enumerate(arr.hyperplanes):
             if j not in flag.indices:
-                others *= h.defining_form().evaluate(point)
+                others *= defining_form(h).evaluate(point)
         expected = 3 / (to_mpc(determinant(f_flag)) * others)
         assert abs(expected - mpf(-2) / 385) < mpf("1e-35")
         value = grothendieck_residue(arr, grouping, point, poly)
