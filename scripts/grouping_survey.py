@@ -42,7 +42,7 @@ def main() -> None:
             parts = []
             for point, _ in points_of_grouping(arr, grouping):
                 value = grothendieck_residue(arr, grouping, point, poly, table)
-                coords = ",".join(nstr(c, 8) for c in point)
+                coords = ",".join(nstr(mp.mpmathify(c), 8) for c in point)
                 parts.append(f"({coords}): {nstr(value, 12)}")
             print(f"{grouping.label(arr):<14}" + "; ".join(parts))
     canonical = canonical_grouping(arr, poly)

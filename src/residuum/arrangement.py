@@ -7,8 +7,8 @@ cone; its coordinates z are the dual basis.  The Jacobian of an ordered
 hyperplane collection with respect to a polyhedron has entries f_j(v_k), and
 its exact minor profile decides solubility, stability, and compatibility.
 The integrand has one pullback to the chart v = M z, ``Arrangement.pullback``:
-factor j is (row j of the exact F M) . z - i s_j, rounded once, so a 0 of
-F M stays exactly 0.
+factor j is (row j of the exact F M) . z - i s_j, exact when every s_j is
+and otherwise rounded once, so a 0 of F M stays exactly 0.
 ``flag_table`` computes every complete flag's Jacobian and profile once per
 (arrangement, polyhedron) pair; the audit, the stable flags, the engine and
 the reports all read that one table.  Each flag's Jacobian is its rows of
@@ -18,8 +18,8 @@ flag is kept when its p_r is nonzero, which is when its f-rows are
 independent.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
-terminal point (``incidence``, the one tolerance decision of flag identity)
-and the exact spans of its prefixes; the evaluator and the grouping read it.
+terminal point (``incidence``, exact when the s_j are) and the exact spans
+of its prefixes; the evaluator and the grouping read it.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -74,13 +74,10 @@ class InsolubleFlag(Exception):
 
 
 def _exact_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational.of(x)
     if isinstance(x, complex):
-        re, im = Fraction(x.real), Fraction(x.imag)
-        return GaussianRational(re, im)
+        return GaussianRational(Fraction(x.real), Fraction(x.imag))
+    if isinstance(x, (int, Fraction, GaussianRational)):
+        return GaussianRational() + x
     raise TypeError(
         f"hyperplane linear parts must be exact rational data, got {x!r}"
     )
@@ -91,7 +88,7 @@ class Hyperplane:
     """H = {v : f(v) = i s} with f primitive integers and Re s > 0."""
 
     f: tuple[int, ...]
-    s: mpc
+    s: GaussianRational | mpc
 
     @property
     def dim(self) -> int:
@@ -101,9 +98,7 @@ class Hyperplane:
         return tuple(Fraction(c) for c in self.f)
 
     def same_locus(self, other: "Hyperplane") -> bool:
-        return self.f == other.f and is_negligible(
-            to_mpc(self.s) - to_mpc(other.s), abs(to_mpc(self.s))
-        )
+        return self.f == other.f and is_negligible(self.s - other.s, self.s)
 
 
 def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
@@ -134,19 +129,12 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     # f(v) = i s with i s = -mu * lam * b, so s = i * mu * lam * b
     lam_total = GaussianRational(lam.re * mu, lam.im * mu)
     try:
-        b = _exact_scalar(constant)
-        s_exact = (b * lam_total).times_i()
-        re_sign = 1 if s_exact.re > 0 else (-1 if s_exact.re < 0 else 0)
-        s = to_mpc(s_exact)
+        s = (_exact_scalar(constant) * lam_total).times_i()
     except TypeError:
         s = to_mpc(constant) * to_mpc(lam_total) * mpc(0, 1)
-        if is_negligible(s.real, abs(s)):
-            re_sign = 0
-        else:
-            re_sign = 1 if s.real > 0 else -1
-    if re_sign == 0:
+    if is_negligible(s.real, abs(s)):
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
-    if re_sign < 0:
+    if s.real < 0:
         ints = [-n for n in ints]
         s = -s
     return Hyperplane(f=tuple(ints), s=s)
@@ -257,15 +245,14 @@ class Arrangement:
         return self.pullback(poly)[0]
 
     def pullback(self, poly: Polyhedron) -> tuple[ExpRationalFunction, dict]:
-        """The integrand F in the chart v = M z and {j: form j}, from the exact
-        rows F M of ``jacobian``: form j is (row j of F M) . z - i s_j, rounded
-        once.  Each numerator term, composed with M, takes |det M| and every
-        form, and is normalized by one ``Term.make``."""
+        """The integrand F in the chart v = M z and {j: form j}: form j is
+        (row j of the exact F M of ``jacobian``) . z - i s_j, exact when every
+        s_j is, else rounded once.  Each numerator term, composed with M,
+        takes |det M| and every form, and is normalized by one ``Term.make``."""
         rows = jacobian(self, range(len(self.hyperplanes)), poly)
-        forms = {
-            j: AffineForm.make(row, -mpc(0, 1) * h.s)
-            for j, (row, h) in enumerate(zip(rows.entries, self.hyperplanes))
-        }
+        consts = [_i_times(-h.s) for h in self.hyperplanes]
+        form = AffineForm.make if any(isinstance(c, mpc) for c in consts) else AffineForm
+        forms = {j: form(row, c) for j, (row, c) in enumerate(zip(rows.entries, consts))}
         factors = list(zip(forms.values(), self.multiplicities))
         subs = [AffineForm.make(row) for row in poly.basis_matrix().entries]
         weight = to_mpc(abs(poly.det()))
@@ -392,24 +379,30 @@ def compatibility_audit(
     )
 
 
-def pole_location(arr: Arrangement, flag: Flag) -> list[mpc]:
-    """Terminal point z_gamma in v-coordinates: solve f_j(v) = i s_j."""
+def _i_times(s):
+    return s.times_i() if isinstance(s, GaussianRational) else mpc(0, 1) * s
+
+
+def pole_location(arr: Arrangement, flag: Flag) -> list:
+    """Terminal point z_gamma in v-coordinates: solve f_j(v) = i s_j, exactly
+    when every s_j is exact."""
     if len(flag) != arr.dim:
         raise ValueError("terminal point requires a complete flag")
     f_rows = RationalMatrix.from_rows(
         [arr.hyperplanes[i].f_row() for i in flag.indices]
     )
-    rhs = [to_mpc(arr.hyperplanes[i].s) * mpc(0, 1) for i in flag.indices]
+    rhs = [_i_times(arr.hyperplanes[i].s) for i in flag.indices]
     return solve_linear(f_rows, rhs)
 
 
 def incidence(arr: Arrangement, point) -> frozenset[int]:
-    """The hyperplanes through ``point``, H_j when |f_j . p - i s_j| <=
-    floor max(1, |s_j|): the one tolerance decision of flag identity."""
+    """The hyperplanes through ``point``: H_j when f_j . p = i s_j, exactly
+    when p and s_j are exact, else to the noise floor of max(1, |s_j|)."""
+    point = [x if isinstance(x, GaussianRational) else to_mpc(x) for x in point]
     return frozenset(
         j
         for j, h in enumerate(arr.hyperplanes)
-        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - mpc(0, 1) * h.s, h.s)
+        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - _i_times(h.s), h.s)
     )
 
 
@@ -428,10 +421,11 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     Two complete flags cut out the same flag exactly when they end at the
     same point and, for every k, their first k rows span the same space:
     level k is that point plus the kernel of those rows.  A flag's key is
-    the ``incidence`` of its point, solved once per set of hyperplanes, and
-    the ``row_echelon`` form of each proper prefix.
+    the ``incidence`` of its point (solved once per set of hyperplanes,
+    tested once per point) and the ``row_echelon`` form of each prefix.
     """
     points: dict[frozenset, tuple] = {}
+    incident: dict[tuple, frozenset] = {}
     spans: dict[frozenset, tuple] = {}
     classes: dict[tuple, FlagClass] = {}
     for flag in sorted(flags, key=lambda f: f.indices):
@@ -442,7 +436,9 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
                 spans[prefix] = row_echelon(RationalMatrix.from_rows(rows))
         if whole not in points:
             point = pole_location(arr, flag)
-            points[whole] = (point, incidence(arr, point))
+            if (at := tuple(point)) not in incident:
+                incident[at] = incidence(arr, point)
+            points[whole] = (point, incident[at])
         point, through = points[whole]
         key = (through, *(spans[prefix] for prefix in proper))
         classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)

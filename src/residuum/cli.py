@@ -51,7 +51,7 @@ from .residue_engine import (
     canonical_grouping_points,
     evaluate_integral,
 )
-from .symfun import TermBudgetExceeded, working_precision
+from .symfun import TermBudgetExceeded, to_mpc, working_precision
 
 VALUE_DIGITS = 24
 BOUND_DIGITS = 17
@@ -63,7 +63,7 @@ def _fmt(x) -> str:
 
 
 def _cplx(z) -> dict:
-    z = mpmath.mpc(z)
+    z = to_mpc(z)
     return {
         "re": mpmath.nstr(z.real, VALUE_DIGITS),
         "im": mpmath.nstr(z.imag, VALUE_DIGITS),
@@ -420,7 +420,7 @@ def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron) -> tuple:
         sample = mpf("0.37109375")
         candidates = []
         for j, g in forms.items():
-            if mpmath.fabs(g.coeffs[0]) < mpf("1e-30"):
+            if not g.coeffs[0]:  # the exact chart row does not involve z_1
                 continue
             pole = g.solve_for(0)
             if mpmath.im(pole.evaluate([0, sample])) <= 0:

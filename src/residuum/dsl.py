@@ -628,10 +628,6 @@ def _is_scalar(v) -> bool:
     return isinstance(v, (GaussianRational, mpc))
 
 
-def _is_zero(s) -> bool:
-    return s.is_zero if isinstance(s, GaussianRational) else s == 0
-
-
 def _scalar_op(op, a, b):
     if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
         return op(a, b)
@@ -734,7 +730,7 @@ def _v_div(a, b, nvars: int, pos):
             "(denominator factors belong in the den statement)",
             *pos,
         )
-    if _is_zero(b):
+    if not b:
         raise ProblemError("division by zero", *pos)
     if _is_scalar(a):
         return _scalar_op(operator.truediv, a, b)
@@ -761,7 +757,7 @@ def _v_pow(a, b, nvars: int, pos):
             if n == 0:
                 return _ONE
             if _is_scalar(a):
-                if n < 0 and _is_zero(a):
+                if n < 0 and not a:
                     raise ProblemError("zero raised to a negative power", *pos)
                 if isinstance(a, GaussianRational):
                     part = max(max(abs(x.numerator), x.denominator) for x in (a.re, a.im))
@@ -791,7 +787,7 @@ def _v_pow(a, b, nvars: int, pos):
                 acc = acc.mul(a)
             return acc
         if _is_scalar(a):
-            if _is_zero(a):
+            if not a:
                 raise ProblemError("zero base with non-integer power", *pos)
             return to_mpc(a) ** to_mpc(b)
         raise ProblemError(
@@ -802,7 +798,7 @@ def _v_pow(a, b, nvars: int, pos):
             raise ProblemError(
                 "an affine exponent needs a scalar base", *pos
             )
-        if _is_zero(a):
+        if not a:
             raise ProblemError("zero base with an affine exponent", *pos)
         return ExpRationalFunction.from_parts(
             nvars, expo=_form(b).scale(mpmath.log(to_mpc(a)))
@@ -816,7 +812,7 @@ def _lower_factor(expr: Expr, env: dict, nvars: int) -> Hyperplane:
         raise ProblemError(
             "denominator factor is not affine in the variables", *expr.pos
         )
-    if _is_scalar(value) or all(_is_zero(c) for c in value.coeffs):
+    if _is_scalar(value) or not any(value.coeffs):
         raise ProblemError(
             "denominator factor is constant in the variables", *expr.pos
         )

@@ -319,7 +319,8 @@ def row_echelon(mat: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts: exact
+    with int and Fraction, rounded (``_mpmath_``) when mixed with mpmath's."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -328,19 +329,41 @@ class GaussianRational:
     def of(cls, x: int | Fraction) -> "GaussianRational":
         return cls(_frac(x), Fraction(0))
 
-    def __add__(self, o: "GaussianRational") -> "GaussianRational":
+    def __add__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re + o, self.im)
+        if not isinstance(o, GaussianRational):
+            return NotImplemented
         return GaussianRational(self.re + o.re, self.im + o.im)
 
-    def __mul__(self, o: "GaussianRational") -> "GaussianRational":
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re * o, self.im * o)
+        if not isinstance(o, GaussianRational):
+            return NotImplemented
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
-    def __truediv__(self, o: "GaussianRational") -> "GaussianRational":
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re / o, self.im / o)
+        if not isinstance(o, GaussianRational):
+            return NotImplemented
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero")
         return self * GaussianRational(o.re / n, -o.im / n)
+
+    def __rtruediv__(self, o):
+        return GaussianRational.of(o) / self
 
     def __pow__(self, n: int) -> "GaussianRational":
         """Integer power by repeated squaring."""
@@ -356,19 +379,32 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __abs__(self) -> float:  # a scale for noise floors, not a decision
+        return math.hypot(self.re, self.im)
+
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
+    is_zero = property(lambda self: not self)
+    is_real = property(lambda self: self.im == 0)
 
     def times_i(self) -> "GaussianRational":
         return GaussianRational(-self.im, self.re)
 
     def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
+
+    def _mpmath_(self, prec: int, rounding: str):
+        """The value rounded at ``prec`` bits, for mpmath's arithmetic."""
+        from mpmath import mp
+        from mpmath.libmp import from_rational
+
+        parts = (self.re, self.im)
+        return mp.make_mpc(
+            tuple(from_rational(x.numerator, x.denominator, prec, rounding) for x in parts)
+        )

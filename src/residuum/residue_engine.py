@@ -377,7 +377,7 @@ def grothendieck_residue(
     if table is None:
         table = flag_table(arr, poly)
     profiles = {e.flag: e.profile for e in table}
-    through = incidence(arr, [to_mpc(c) for c in point])
+    through = incidence(arr, point)
     classes = terminal_classes(arr, _collections(arr, profiles, grouping))
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:

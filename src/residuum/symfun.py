@@ -4,32 +4,36 @@ The working class of integrands is finite sums of terms
 
     c * P(z) * exp(L(z)) / prod_i A_i(z)^{m_i}
 
-with P a polynomial, L and each A_i affine, and all scalars arbitrary-precision
-complex (mpmath).  The class is closed under the three operations the residue
-engine needs: partial differentiation, affine substitution (including linear
-changes of variables), and taking the coefficient of (z_v - pole)^{-1} in one
-variable.
+with P a polynomial, L and each A_i affine.  Coefficients, series and values
+are mpmath complex numbers; a denominator form is exact (Fraction
+coefficients, GaussianRational constant) when built from exact data, and
+restricting, solving and normalizing keep it so.  The class is closed under
+the three operations the residue engine needs: partial differentiation,
+affine substitution (including linear changes of variables), and taking the
+coefficient of (z_v - pole)^{-1} in one variable.
 
 A residue at a pole of order n + 1 is read off truncated Taylor series in
 t = z_v - pole rather than by differentiating n times: the t^n coefficient of
 the product of the series of P, of exp(L) and of each non-vanishing factor
 A_i^{-m_i}, which costs a number of terms polynomial in n.  Like terms (same
-exponent, same denominator, compared bit for bit) are merged, and a step that
-would produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
+exponent bit for bit, same denominator) are merged, and a step that would
+produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
 
 A residue step computes each fact about an affine form once: one memo per
 ``residue_1d`` call holds each form's restriction to the pole
 (``AffineForm.restrict``, which sets z_v to the pole directly instead of
 composing with unit forms), whether each denominator form vanishes there,
-the monic unit and leading entry of each non-vanishing restriction, the
-``close_to`` verdict of each pair of units, and the Taylor series of each
-kept factor at each multiplicity and order.  Every term reads them from the
-memo, with the same arithmetic in the same order as computing them afresh,
-so the result does not depend on it; nothing outlives the call.
+the monic unit and rounded leading entry of each non-vanishing restriction,
+one unit per class of proportional restrictions, and the Taylor series of
+each kept factor at each multiplicity and order.  Every term reads them from
+the memo, with the same arithmetic in the same order as computing them
+afresh, so the result does not depend on it; nothing outlives the call.
 
-Scalars live at whatever mpmath precision is ambient; callers that care wrap
-their work in ``working_precision``.  Exact inputs (int, Fraction, exact
-complex rationals) convert losslessly at the ambient precision.
+Vanishing and proportionality of exact forms are decided by ``==`` and dict
+keys; the noise floor (``is_negligible``, ``close_to``) decides only for
+rounded forms, which arise when some s_j holds pi or exp().  Scalars live at
+the ambient mpmath precision (``working_precision``); an exact input is
+rounded once, where it meets mpc arithmetic.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from mpmath import exp as mp_exp
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, fzero
 
 from .exact_linalg import GaussianRational
 
@@ -76,11 +81,9 @@ def to_mpc(x) -> mpc:
     if isinstance(x, mpc):
         return x
     if isinstance(x, Fraction):
-        return mpc(mpf(x.numerator) / mpf(x.denominator))
+        return mp.make_mpc((from_rational(x.numerator, x.denominator, mp.prec, "n"), fzero))
     if isinstance(x, GaussianRational):
-        re = mpf(x.re.numerator) / mpf(x.re.denominator)
-        im = mpf(x.im.numerator) / mpf(x.im.denominator)
-        return mpc(re, im)
+        return x._mpmath_(mp.prec, "n")
     return mpc(x)
 
 
@@ -100,15 +103,20 @@ def _noise_floor_at(prec: int) -> mpf:
 
 
 def is_negligible(x, scale=1) -> bool:
-    return abs(to_mpc(x)) <= _noise_floor() * max(mpf(1), mpf(abs(scale)))
+    """x == 0 when x is exact, else |x| within the noise floor of max(1, |scale|)."""
+    if isinstance(x, (int, Fraction, GaussianRational)):
+        return not x
+    return abs(to_mpc(x)) <= _noise_floor() * max(mpf(1), abs(to_mpc(scale)))
 
 
 @dataclass(frozen=True)
 class AffineForm:
-    """a . z + c over mpc scalars."""
+    """a . z + c, exact (Fraction coefficients, exact constant; operations
+    stay exact) or rounded to mpc (``make``) as a whole."""
 
     coeffs: tuple
-    const: mpc
+    const: GaussianRational | mpc
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def make(cls, coeffs: Iterable, const=0) -> "AffineForm":
@@ -126,8 +134,13 @@ class AffineForm:
     def arity(self) -> int:
         return len(self.coeffs)
 
+    def __hash__(self) -> int:  # each form keys the memo dicts of a step many times
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.coeffs, self.const)))
+        return self._hash
+
     def evaluate(self, point: Sequence) -> mpc:
-        acc = self.const
+        acc = to_mpc(self.const)
         for a, z in zip(self.coeffs, point):
             acc = acc + a * to_mpc(z)
         return acc
@@ -137,7 +150,9 @@ class AffineForm:
         return max(vals) if vals else mpf(0)
 
     def is_zero(self) -> bool:
-        return self.max_abs() <= _noise_floor()
+        if isinstance(self.const, mpc):
+            return self.max_abs() <= _noise_floor()
+        return not (self.const or any(self.coeffs))
 
     def scale(self, factor) -> "AffineForm":
         f = to_mpc(factor)
@@ -189,7 +204,7 @@ class AffineForm:
         if is_negligible(a, self.max_abs()):
             raise ZeroDivisionError(f"form does not involve variable {var}")
         coeffs = [(-c) / a for c in self.coeffs]
-        coeffs[var] = to_mpc(0)
+        coeffs[var] = 0 * a
         return AffineForm(tuple(coeffs), -self.const / a)
 
     def drop_var(self, var: int) -> "AffineForm":
@@ -204,19 +219,16 @@ class AffineForm:
         """Scale so the first significant entry is 1; returns (form, factor).
 
         ``factor`` is the original leading entry: self == result.scale(factor).
+        Proportional exact forms give equal results.
         """
-        scale = self.max_abs()
-        floor = _noise_floor() * max(mpf(1), scale)
-        for x in list(self.coeffs) + [self.const]:
-            if abs(x) > floor:
-                lead = x
-                return (
-                    AffineForm(
-                        tuple(c / lead for c in self.coeffs), self.const / lead
-                    ),
-                    lead,
-                )
-        raise IdenticallyZeroDenominator("zero affine form")
+        entries = (*self.coeffs, self.const)
+        if isinstance(self.const, mpc):
+            floor = _noise_floor() * max(mpf(1), self.max_abs())
+            entries = (x for x in entries if abs(x) > floor)
+        lead = next((x for x in entries if x), None)
+        if lead is None:
+            raise IdenticallyZeroDenominator("zero affine form")
+        return AffineForm(tuple(c / lead for c in self.coeffs), self.const / lead), lead
 
     def close_to(self, other: "AffineForm") -> bool:
         scale = max(self.max_abs(), other.max_abs(), mpf(1))
@@ -339,20 +351,16 @@ class Term:
     def make(cls, coeff, poly: Polynomial, expo: AffineForm, denom: Iterable) -> "Term":
         """Normalize: monic denominator factors, proportional factors merged."""
         c = to_mpc(coeff)
-        merged: list[tuple[AffineForm, int]] = []
+        merged: dict[AffineForm, int] = {}
         for form, mult in denom:
             if mult <= 0:
                 raise ValueError("denominator multiplicities must be positive")
             unit, lead = form.normalized()
-            c = c / (lead ** mult)
-            for i, (u, m) in enumerate(merged):
-                if u.close_to(unit):
-                    merged[i] = (u, m + mult)
-                    break
-            else:
-                merged.append((unit, mult))
-        merged.sort(key=lambda fm: _affine_sort_key(fm[0]))
-        return cls(c, poly, expo, tuple(merged))
+            c = c / (to_mpc(lead) ** mult)
+            unit = _merge_unit(unit, merged)
+            merged[unit] = merged.get(unit, 0) + mult
+        items = sorted(merged.items(), key=lambda fm: _affine_sort_key(fm[0]))
+        return cls(c, poly, expo, tuple(items))
 
     @property
     def arity(self) -> int:
@@ -369,6 +377,14 @@ def _affine_sort_key(form: AffineForm):
     return tuple(
         (float(x.real), float(x.imag)) for x in list(form.coeffs) + [form.const]
     )
+
+
+def _merge_unit(unit: AffineForm, units) -> AffineForm:
+    """The unit of ``units`` that ``unit`` merges with, else ``unit``: exact
+    units merge when equal, a rounded one with the first unit close_to it."""
+    if not isinstance(unit.const, mpc):
+        return unit
+    return next((u for u in units if u.close_to(unit)), unit)
 
 
 class ExpRationalFunction:
@@ -494,26 +510,26 @@ class ExpRationalFunction:
         """
         if pole.arity != self.arity:
             raise ValueError("pole arity mismatch")
+        memo = _PoleMemo(var, pole)
         subs = [
-            pole.drop_var(var)
+            memo.rounded.drop_var(var)
             if i == var
             else AffineForm.unit(self.arity - 1, i - (i > var))
             for i in range(self.arity)
         ]
-        memo = _PoleMemo(var, pole)
         out: list[Term] = []
         for t in self.terms:
             coeff = t.coeff
             order = 0
             kept = []
             for form, mult in t.denom:
-                k = memo.factor(form)
+                k, a = memo.factor(form)
                 if k is None:
-                    # A = a_v (z_var - pole) exactly, so A^m contributes a_v^m
-                    coeff = coeff / (form.coeffs[var] ** mult)
+                    # A = a (z_var - pole) exactly, so A^m contributes a^m
+                    coeff = coeff / (a ** mult)
                     order += mult
                 else:
-                    kept.append((k, mult, form.coeffs[var]))
+                    kept.append((k, mult, a))
             if order == 0:
                 continue
             out.extend(
@@ -554,63 +570,54 @@ class ExpRationalFunction:
 class _PoleMemo:
     """What one residue step at z_var = pole knows of each affine form.
 
-    ``restrict`` gives an exponent form at the pole.  ``factor`` classifies
-    a denominator form: None when it vanishes there, else the index of its
-    restriction in ``units`` and ``leads``, the monic form and the leading
-    entry of ``normalized``.  ``close`` is ``close_to`` between two of those
-    units.  ``series`` is a kept factor's Taylor series at the pole.  Each is
-    computed once per distinct form, pair or series; a memo serves one
-    ``residue_1d`` call and nothing outlives it.
+    ``restrict`` gives an exponent form at ``rounded``, the pole rounded.
+    ``factor`` splits a denominator form as A = B + a t at z_var = pole + t:
+    (k, a) with a rounded, k None when B vanishes, else the index of A in
+    ``leads``, B's rounded leading entry, and in ``classes``, the index in
+    ``units`` of B's monic form, which proportional restrictions share
+    (``_merge_unit``).  ``series`` is a kept factor's Taylor series at the
+    pole.  Each is computed once per distinct form or series; a memo serves
+    one ``residue_1d`` call and nothing outlives it.
     """
 
     def __init__(self, var: int, pole: AffineForm):
         self.var = var
         self.pole = pole
+        self.rounded = AffineForm.make(pole.coeffs, pole.const)
         self.units: list[AffineForm] = []
         self.leads: list[mpc] = []
+        self.classes: list[int] = []
         self._restricted: dict = {}  # form -> its restriction
-        self._factors: dict = {}  # denominator form -> index or None
-        self._indices: dict = {}  # non-vanishing restriction -> index
-        self._close: dict = {}  # (index, index) -> close_to verdict
-        self._series: dict = {}  # (index, m, a, n) -> (lead^m, series)
+        self._factors: dict = {}  # denominator form -> (index or None, a)
+        self._units: dict = {}  # monic unit -> index in units
+        self._series: dict = {}  # (index, m, n) -> (lead^m, series)
 
     def restrict(self, form: AffineForm) -> AffineForm:
         base = self._restricted.get(form)
         if base is None:
-            base = self._restricted[form] = form.restrict(self.var, self.pole)
+            base = self._restricted[form] = form.restrict(self.var, self.rounded)
         return base
 
-    def factor(self, form: AffineForm) -> int | None:
-        try:
-            return self._factors[form]
-        except KeyError:
-            pass
-        base = form.restrict(self.var, self.pole)
-        if base.is_zero():
-            k = None
-        else:
-            k = self._indices.get(base)
-            if k is None:
+    def factor(self, form: AffineForm) -> tuple:
+        got = self._factors.get(form)
+        if got is None:
+            base, k = form.restrict(self.var, self.pole), None
+            if not base.is_zero():
                 unit, lead = base.normalized()
-                k = self._indices[base] = len(self.units)
-                self.units.append(unit)
-                self.leads.append(lead)
-        self._factors[form] = k
-        return k
-
-    def close(self, i: int, k: int) -> bool:
-        if i == k:
-            return True  # close_to of a form with itself
-        verdict = self._close.get((i, k))
-        if verdict is None:
-            verdict = self._close[i, k] = self.units[i].close_to(self.units[k])
-        return verdict
+                cls = self._units.setdefault(_merge_unit(unit, self._units), len(self.units))
+                if cls == len(self.units):
+                    self.units.append(unit)
+                k = len(self.leads)
+                self.leads.append(to_mpc(lead))
+                self.classes.append(cls)
+            got = self._factors[form] = (k, to_mpc(form.coeffs[self.var]))
+        return got
 
     def series(self, k: int, mult: int, a, n: int) -> tuple:
         """lead^mult and the series C(mult + j - 1, j) (-a)^j / lead^(mult + j),
         j = 1 .. n (empty when a = 0), of the kept factor (B + a t)^-mult
-        with B = lead * units[k]."""
-        key = (k, mult, a, n)
+        with B = leads[k] * units[classes[k]]."""
+        key = (k, mult, n)
         got = self._series.get(key)
         if got is None:
             got = self._series[key] = self._build_series(k, mult, a, n)
@@ -676,17 +683,12 @@ def _series_residue(
         rest.append(acc if acc is not None and not acc.is_zero() else None)
 
     # proportional kept factors share one monic unit, as in Term.make
-    firsts: list[int] = []  # the memo index of each class's first factor
+    firsts: dict[int, int] = {}  # memo unit index -> this term's class
     factors = []
     for k, mult, a in kept:
-        for cls, first in enumerate(firsts):
-            if memo.close(first, k):
-                break
-        else:
-            cls = len(firsts)
-            firsts.append(k)
+        cls = firsts.setdefault(memo.classes[k], len(firsts))
         factors.append((cls, mult, *memo.series(k, mult, a, n)))
-    units = [memo.units[k] for k in firsts]
+    units = [memo.units[u] for u in firsts]
     class_order = sorted(range(len(units)), key=lambda c: _affine_sort_key(units[c]))
 
     active = sum(1 for f in factors if f[3])
@@ -727,10 +729,11 @@ def _form_key(form: AffineForm) -> tuple:
 
 
 def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:
-    """Sum the terms whose exponent and denominator agree to the last bit."""
+    """Sum the terms with bit-equal exponents and the same denominator units,
+    compared by identity: a residue step's units are its memo's ``units``."""
     groups: dict = {}
     for t in terms:
-        key = (_form_key(t.expo), tuple((_form_key(f), m) for f, m in t.denom))
+        key = (_form_key(t.expo), tuple((id(f), m) for f, m in t.denom))
         groups.setdefault(key, []).append(t)
     out = []
     for members in groups.values():

@@ -96,7 +96,7 @@ def entries(seed: int = SEED, size: int = SIZE) -> list[dict]:
 
 
 def _num(z) -> list[str]:
-    z = mpmath.mpc(z)
+    z = mpmath.mpmathify(z)
     return [mpmath.nstr(z.real, DIGITS), mpmath.nstr(z.imag, DIGITS)]
 
 

@@ -35,6 +35,7 @@ from residuum.arrangement import (
     jacobian,
     pole_location,
     stable_flags,
+    terminal_classes,
 )
 from residuum.exact_linalg import (
     GaussianRational,
@@ -388,6 +389,29 @@ def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
     assert not _same(arr, (0, 1, 4), (0, 3, 4))
     assert not _same(arr, (0, 1, 4), (0, 4, 1))
     assert not _same(arr, (0, 1, 4), (1, 0, 4))
+
+
+def test_flag_identity_does_not_depend_on_the_lowering_precision():
+    """s stays exact from ``canonicalize_hyperplane`` on, so hyperplanes
+    built at 53 bits and classed at 128 meet where exact arithmetic says:
+    (H1,H2,H4) and (H1,H3,H4) end at (i, i/3, i), which all four pass
+    through, and are one class.  Two hyperplanes with equal exact s merge
+    whatever precision each was built at."""
+    with working_precision(53):
+        hps = [
+            canonicalize_hyperplane([0, 0, 1], -1j),
+            canonicalize_hyperplane([0, 3, 0], -1j),
+            canonicalize_hyperplane([0, 3, 1], -2j),
+            canonicalize_hyperplane([1, 0, 0], -1j),
+        ]
+        arr = Arrangement.build(3, hps)
+    flags = [Flag((0, 1, 3)), Flag((0, 2, 3))]
+    with working_precision(128):
+        classes = terminal_classes(arr, flags)
+        again = canonicalize_hyperplane([0, 3, 0], -1j)
+    assert [(c.incidence, c.flags) for c in classes] == [(frozenset(range(4)), flags)]
+    merged = Arrangement.build(3, [hps[1], again])
+    assert merged.hyperplanes == (hps[1],) and merged.multiplicities == (2,)
 
 
 def test_same_flag_classes():

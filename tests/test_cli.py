@@ -28,6 +28,7 @@ from residuum.arrangement import (
     flag_table,
     jacobian,
     stable_flags,
+    terminal_classes,
 )
 from residuum.cli import (
     Report,
@@ -44,7 +45,7 @@ from residuum.residue_engine import (
     canonical_grouping_points,
     evaluate_integral,
 )
-from residuum.symfun import ExpRationalFunction
+from residuum.symfun import AffineForm, ExpRationalFunction
 
 SAMPLES = Path(__file__).resolve().parents[1] / "problems"
 
@@ -107,6 +108,15 @@ cone (1,0,0) (0,1,0) (0,0,1);
 num 1*exp(i*(v1 - v3));
 den (2*v1 + 2*v2 + v3 - 6*i)^3 (v1 + 2*v3 - 5*i)^2 (v1 - 2*v2 + v3 - 1*i)^2 \
 (-v1 + 2*v3 - 3*i) (-v2 + 2*v3 - 3*i) (v1 + v2 + 2*v3 - 6*i);
+"""
+
+# six planes through one point, each a pole of order 3
+SIX_CUBED = """\
+vars v1 v2 v3;
+cone (1,0,0) (0,1,0) (0,0,1);
+num 1*exp(i*(v1));
+den (2*v1 + v2 - 4*i)^3 (v1 - v2 + v3 - 1*i)^3 (-v1 + 2*v2 + 2*v3 - 7*i)^3 \
+(v2 - 2*i)^3 (v1 - v2 + 2*v3 - 3*i)^3 (-v2 + 2*v3 - 2*i)^3;
 """
 
 
@@ -414,6 +424,54 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     assert Counter(calls["inverse"]) == Counter(
         [f_rows(f) for f in stable] + [poly.basis_matrix()]
     )
+
+
+# problems whose hyperplanes have exact s (pi enters numerators only)
+EXACT_PROBLEMS = {
+    **{path.stem: path.read_text() for path in sorted(SAMPLES.glob("*.rsd"))},
+    "squared": SQUARED_POLES,
+    "cubed": CUBED_POLES,
+    "mixed": MIXED_POLES,
+    "six_cubed": SIX_CUBED,
+}
+
+
+def _engine_outcome(text):
+    """The stable flag classes and ``evaluate_integral``'s result, and the
+    grouping and points of ``canonical_grouping_points``, at 128 bits."""
+    spec = parse_problem(text)
+    with mp.workprec(128):
+        arr, poly = spec.arrangement(), spec.polyhedron()
+        classes = [(c.incidence, c.flags) for c in terminal_classes(arr, stable_flags(arr, poly))]
+        result = evaluate_integral(arr, poly)
+        grouping, points = canonical_grouping_points(arr, poly)
+    return classes, result, grouping, points
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PROBLEMS))
+def test_exact_data_makes_no_tolerance_decision(monkeypatch, name):
+    """With exact s, evaluation and grouping never compare forms within a
+    tolerance, and with the noise floor at 0 they give the same classes,
+    certificate, contributing flags, grouping and points, with values
+    within 1e-25."""
+    calls = []
+    close_to = AffineForm.close_to
+    monkeypatch.setattr(
+        AffineForm, "close_to", lambda self, other: calls.append(self) or close_to(self, other)
+    )
+    classes, result, grouping, points = _engine_outcome(EXACT_PROBLEMS[name])
+    assert calls == []
+    monkeypatch.setattr(symfun, "_noise_floor", lambda: mpf(0))
+    classes_0, result_0, grouping_0, points_0 = _engine_outcome(EXACT_PROBLEMS[name])
+    assert classes_0 == classes
+    assert result_0.certificate == result.certificate
+    assert list(result_0.flag_contributions) == list(result.flag_contributions)
+    assert grouping_0 == grouping
+    assert [(p, f) for p, f, _ in points_0] == [(p, f) for p, f, _ in points]
+    values = [(result_0.value, result.value)] + [
+        (a, b) for (_, _, a), (_, _, b) in zip(points_0, points)
+    ]
+    assert all(abs(a - b) <= mpf("1e-25") * max(1, abs(b)) for a, b in values)
 
 
 def test_analyze_lowers_at_its_own_precision():

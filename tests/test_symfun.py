@@ -424,6 +424,52 @@ def test_one_series_per_kept_factor(monkeypatch):
     assert [_term_key(t) for t in res.terms] == [_term_key(t) for t in fresh.terms]
 
 
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _exact_forms(draw, arity: int) -> AffineForm:
+    coeffs = draw(st.lists(_small_fractions, min_size=arity, max_size=arity))
+    const = GaussianRational(draw(_small_fractions), draw(_small_fractions))
+    return AffineForm(tuple(coeffs), const)
+
+
+def _agrees(exact: AffineForm, rounded: AffineForm, scale=None) -> bool:
+    """Every entry of ``exact``, rounded, within 1e-30 times ``scale`` (by
+    default the largest entry of ``rounded``) of the entry of ``rounded``."""
+    got = AffineForm.make(exact.coeffs, exact.const)
+    scale = rounded.max_abs() if scale is None else scale
+    return all(
+        abs(a - b) <= mpf("1e-30") * scale
+        for a, b in zip((*got.coeffs, got.const), (*rounded.coeffs, rounded.const))
+    )
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_exact_form_kernel_matches_rounded_kernel(data):
+    """``solve_for``, ``restrict`` and ``normalized`` on exact forms, rounded
+    at 128 bits, agree to 1e-30 relative with the same steps on the forms
+    rounded first.  A restriction is relative to the size of its operands,
+    since it may cancel to exactly 0."""
+    arity = data.draw(st.integers(1, 4))
+    var = data.draw(st.integers(0, arity - 1))
+    pole_form = data.draw(_exact_forms(arity).filter(lambda f: f.coeffs[var] != 0))
+    form = data.draw(_exact_forms(arity))
+    with working_precision(128):
+        rounded = {f: AffineForm.make(f.coeffs, f.const) for f in (pole_form, form)}
+        pole, pole_r = pole_form.solve_for(var), rounded[pole_form].solve_for(var)
+        assert _agrees(pole, pole_r)
+        base, base_r = form.restrict(var, pole), rounded[form].restrict(var, pole_r)
+        assert _agrees(base, base_r, rounded[form].max_abs() * max(1, pole_r.max_abs()))
+        for exact, approx in ((form, rounded[form]), (base, base_r)):
+            if exact.is_zero():
+                continue
+            (unit, lead), (unit_r, lead_r) = exact.normalized(), approx.normalized()
+            assert _agrees(unit, unit_r)
+            assert abs(to_mpc(lead) - lead_r) <= mpf("1e-30") * abs(lead_r)
+
+
 def test_zero_denominator_rejected():
     with working_precision(128):
         f = ExpRationalFunction.from_parts(
