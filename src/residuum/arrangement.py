@@ -73,6 +73,10 @@ class InsolubleFlag(Exception):
     """A leading principal minor of the linearized flag vanishes."""
 
 
+# i, exact; times an mpc it is rounded like mpc(0, 1) and gives the same bits
+_I = GaussianRational(Fraction(0), Fraction(1))
+
+
 def _exact_scalar(x) -> GaussianRational:
     if isinstance(x, complex):
         return GaussianRational(Fraction(x.real), Fraction(x.imag))
@@ -128,10 +132,8 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     mu = Fraction(den_lcm, g)
     # f(v) = i s with i s = -mu * lam * b, so s = i * mu * lam * b
     lam_total = GaussianRational(lam.re * mu, lam.im * mu)
-    try:
-        s = (_exact_scalar(constant) * lam_total).times_i()
-    except TypeError:
-        s = to_mpc(constant) * to_mpc(lam_total) * mpc(0, 1)
+    exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
+    s = (_exact_scalar(constant) if exact else to_mpc(constant)) * lam_total * _I
     if is_negligible(s.real, abs(s)):
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
     if s.real < 0:
@@ -250,7 +252,7 @@ class Arrangement:
         s_j is, else rounded once.  Each numerator term, composed with M,
         takes |det M| and every form, and is normalized by one ``Term.make``."""
         rows = jacobian(self, range(len(self.hyperplanes)), poly)
-        consts = [_i_times(-h.s) for h in self.hyperplanes]
+        consts = [_I * -h.s for h in self.hyperplanes]
         form = AffineForm.make if any(isinstance(c, mpc) for c in consts) else AffineForm
         forms = {j: form(row, c) for j, (row, c) in enumerate(zip(rows.entries, consts))}
         factors = list(zip(forms.values(), self.multiplicities))
@@ -379,10 +381,6 @@ def compatibility_audit(
     )
 
 
-def _i_times(s):
-    return s.times_i() if isinstance(s, GaussianRational) else mpc(0, 1) * s
-
-
 def pole_location(arr: Arrangement, flag: Flag) -> list:
     """Terminal point z_gamma in v-coordinates: solve f_j(v) = i s_j, exactly
     when every s_j is exact."""
@@ -391,7 +389,7 @@ def pole_location(arr: Arrangement, flag: Flag) -> list:
     f_rows = RationalMatrix.from_rows(
         [arr.hyperplanes[i].f_row() for i in flag.indices]
     )
-    rhs = [_i_times(arr.hyperplanes[i].s) for i in flag.indices]
+    rhs = [_I * arr.hyperplanes[i].s for i in flag.indices]
     return solve_linear(f_rows, rhs)
 
 
@@ -402,7 +400,7 @@ def incidence(arr: Arrangement, point) -> frozenset[int]:
     return frozenset(
         j
         for j, h in enumerate(arr.hyperplanes)
-        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - _i_times(h.s), h.s)
+        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - _I * h.s, h.s)
     )
 
 

@@ -413,7 +413,7 @@ def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron) -> tuple:
     if arr.dim > 2:
         return ()
     residues = ChartResidues(arr, poly)
-    integrand, forms = residues.step(())
+    integrand, forms = residues.pullback
     if arr.dim == 1:
         candidates = [("the integrand's", integrand)]
     else:

@@ -27,7 +27,6 @@ the principal branch of the logarithm.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
@@ -486,7 +485,9 @@ class ProblemSpec:
             "pi": mpc(+mp.pi),
         }
         for k, name in enumerate(self.variables):
-            env[name] = _affine_unit(self.dim, k)
+            env[name] = AffineForm(
+                tuple(_ONE if j == k else _ZERO for j in range(self.dim)), _ZERO
+            )
         for name, expr in self.parameters:
             value = _eval(expr, env, self.dim)
             if not _is_scalar(value):
@@ -607,48 +608,29 @@ def _validate(spec: ProblemSpec, seen: dict[str, Token]) -> None:
 # ---------------------------------------------------------------------------
 # expression values
 #
-# A scalar is a GaussianRational while it is exact and an mpc once pi or
-# exp() enters it; _scalar_op keeps + * / exact when both operands are, and
-# integer powers of an exact scalar stay exact.  Denominator lowering needs
-# exact linear coefficients.  A value is rounded once, where _form and _lift
-# hand it to symfun.  Affine expressions in the variables are _Affine, with
-# scalar coefficients; everything else is an ExpRationalFunction.
+# A value is a scalar, an AffineForm in the variables, or an
+# ExpRationalFunction.  A scalar is a GaussianRational while it is exact and
+# an mpc once pi or exp() enters it.  Scalars and AffineForm entries combine
+# with Python's operators: exactly when both are exact, and otherwise as if
+# the GaussianRational were rounded first, by to_mpc (mpmath rounds it the
+# same way).  Integer powers of an exact scalar stay exact.  Denominator
+# lowering thus sees exact linear coefficients; an AffineForm is rounded
+# once (AffineForm.make) where it enters the numerator.
 
 _ONE = GaussianRational.of(1)
 _ZERO = GaussianRational.of(0)
-
-
-@dataclass(frozen=True)
-class _Affine:
-    coeffs: tuple
-    const: GaussianRational | mpc
 
 
 def _is_scalar(v) -> bool:
     return isinstance(v, (GaussianRational, mpc))
 
 
-def _scalar_op(op, a, b):
-    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-        return op(a, b)
-    return op(to_mpc(a), to_mpc(b))
-
-
-def _affine_unit(nvars: int, k: int) -> _Affine:
-    return _Affine(tuple(_ONE if j == k else _ZERO for j in range(nvars)), _ZERO)
-
-
-def _form(aff: _Affine) -> AffineForm:
-    return AffineForm.make(aff.coeffs, aff.const)
-
-
 def _lift(value, nvars: int) -> ExpRationalFunction:
     if _is_scalar(value):
         return ExpRationalFunction.from_parts(nvars, coeff=value)
-    if isinstance(value, _Affine):
-        return ExpRationalFunction.from_parts(
-            nvars, poly=Polynomial.from_affine(_form(value))
-        )
+    if isinstance(value, AffineForm):
+        form = AffineForm.make(value.coeffs, value.const)
+        return ExpRationalFunction.from_parts(nvars, poly=Polynomial.from_affine(form))
     return value
 
 
@@ -669,7 +651,7 @@ def _eval(node: Expr, env: dict, nvars: int):
                 f"unbound parameter '{node.name}'", *node.pos
             ) from None
     if isinstance(node, Neg):
-        return _v_neg(_eval(node.operand, env, nvars), nvars)
+        return _v_neg(_eval(node.operand, env, nvars))
     if isinstance(node, ExpCall):
         return _v_exp(_eval(node.arg, env, nvars), nvars, node.pos)
     a = _eval(node.lhs, env, nvars)
@@ -677,53 +659,41 @@ def _eval(node: Expr, env: dict, nvars: int):
     if node.op == "+":
         return _v_add(a, b, nvars)
     if node.op == "-":
-        return _v_add(a, _v_neg(b, nvars), nvars)
+        return _v_add(a, _v_neg(b), nvars)
     if node.op == "*":
         return _v_mul(a, b, nvars)
     if node.op == "/":
-        return _v_div(a, b, nvars, node.pos)
+        return _v_div(a, b, node.pos)
     return _v_pow(a, b, nvars, node.pos)
 
 
-def _v_neg(v, nvars: int):
-    if _is_scalar(v):
-        return -v
-    if isinstance(v, _Affine):
-        return _Affine(tuple(-c for c in v.coeffs), -v.const)
-    return v.neg()
+def _v_neg(v):
+    return -v if _is_scalar(v) else v.scale(-1)
 
 
 def _v_add(a, b, nvars: int):
     if _is_scalar(a) and _is_scalar(b):
-        return _scalar_op(operator.add, a, b)
-    if _is_scalar(a) and isinstance(b, _Affine):
+        return a + b
+    if _is_scalar(a) and isinstance(b, AffineForm):
         a, b = b, a
-    if isinstance(a, _Affine) and _is_scalar(b):
-        return _Affine(a.coeffs, _scalar_op(operator.add, a.const, b))
-    if isinstance(a, _Affine) and isinstance(b, _Affine):
-        coeffs = tuple(
-            _scalar_op(operator.add, x, y) for x, y in zip(a.coeffs, b.coeffs)
-        )
-        return _Affine(coeffs, _scalar_op(operator.add, a.const, b.const))
+    if isinstance(a, AffineForm) and _is_scalar(b):
+        return AffineForm(a.coeffs, a.const + b)
+    if isinstance(a, AffineForm) and isinstance(b, AffineForm):
+        return a.add(b)
     return _lift(a, nvars).add(_lift(b, nvars))
 
 
 def _v_mul(a, b, nvars: int):
     if _is_scalar(a) and _is_scalar(b):
-        return _scalar_op(operator.mul, a, b)
-    if isinstance(a, _Affine) and _is_scalar(b):
+        return a * b
+    if _is_scalar(b):
         a, b = b, a
-    if _is_scalar(a) and isinstance(b, _Affine):
-        coeffs = tuple(_scalar_op(operator.mul, a, c) for c in b.coeffs)
-        return _Affine(coeffs, _scalar_op(operator.mul, a, b.const))
     if _is_scalar(a):
         return b.scale(a)
-    if _is_scalar(b):
-        return a.scale(b)
     return _lift(a, nvars).mul(_lift(b, nvars))
 
 
-def _v_div(a, b, nvars: int, pos):
+def _v_div(a, b, pos):
     if not _is_scalar(b):
         raise ProblemError(
             "division is only defined by scalar values "
@@ -732,19 +702,17 @@ def _v_div(a, b, nvars: int, pos):
         )
     if not b:
         raise ProblemError("division by zero", *pos)
-    if _is_scalar(a):
-        return _scalar_op(operator.truediv, a, b)
-    if isinstance(a, _Affine):
-        coeffs = tuple(_scalar_op(operator.truediv, c, b) for c in a.coeffs)
-        return _Affine(coeffs, _scalar_op(operator.truediv, a.const, b))
-    return a.scale(_scalar_op(operator.truediv, _ONE, b))
+    if isinstance(a, AffineForm):
+        return AffineForm(tuple(c / b for c in a.coeffs), a.const / b)
+    return a / b if _is_scalar(a) else a.scale(_ONE / b)
 
 
 def _v_exp(v, nvars: int, pos):
     if _is_scalar(v):
         return mpmath.exp(to_mpc(v))
-    if isinstance(v, _Affine):
-        return ExpRationalFunction.from_parts(nvars, expo=_form(v))
+    if isinstance(v, AffineForm):
+        expo = AffineForm.make(v.coeffs, v.const)
+        return ExpRationalFunction.from_parts(nvars, expo=expo)
     raise ProblemError(
         "the argument of exp must be affine in the variables", *pos
     )
@@ -770,12 +738,12 @@ def _v_pow(a, b, nvars: int, pos):
                 raise ProblemError(
                     "negative power of a non-scalar expression", *pos
                 )
-            if isinstance(a, _Affine):
+            if isinstance(a, AffineForm):
                 if n == 1:
                     return a
                 if n > _MAX_POLY_POWER:
                     raise ProblemError(f"power exceeds {_MAX_POLY_POWER}", *pos)
-                p = Polynomial.from_affine(_form(a))
+                p = Polynomial.from_affine(AffineForm.make(a.coeffs, a.const))
                 acc = p
                 for _ in range(n - 1):
                     acc = acc.mul(p)
@@ -793,16 +761,15 @@ def _v_pow(a, b, nvars: int, pos):
         raise ProblemError(
             "non-integer powers need a scalar base", *pos
         )
-    if isinstance(b, _Affine):
+    if isinstance(b, AffineForm):
         if not _is_scalar(a):
             raise ProblemError(
                 "an affine exponent needs a scalar base", *pos
             )
         if not a:
             raise ProblemError("zero base with an affine exponent", *pos)
-        return ExpRationalFunction.from_parts(
-            nvars, expo=_form(b).scale(mpmath.log(to_mpc(a)))
-        )
+        expo = AffineForm.make(b.coeffs, b.const).scale(mpmath.log(to_mpc(a)))
+        return ExpRationalFunction.from_parts(nvars, expo=expo)
     raise ProblemError("unsupported exponent expression", *pos)
 
 

@@ -393,9 +393,6 @@ class GaussianRational:
     is_zero = property(lambda self: not self)
     is_real = property(lambda self: self.im == 0)
 
-    def times_i(self) -> "GaussianRational":
-        return GaussianRational(-self.im, self.re)
-
     def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

@@ -656,12 +656,8 @@ def quad_integral(
     return _windowed_quad(func, r, freqs, decay, box, tol, budget)
 
 
-def semicircle_check(
-    func: ExpRationalFunction,
-    radii,
-    orientation: str = "upper",
-) -> SemicircleDiagnostic:
-    """Arc integrals over centered semicircles, one magnitude per radius.
+def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:
+    """Arc integrals over centered upper semicircles, one magnitude per radius.
 
     Supports the contour-closing diagnostic: decay of the magnitudes
     backs the residue expansion, growth flags divergence.  A radius whose
@@ -671,8 +667,6 @@ def semicircle_check(
 
     if func.arity != 1:
         raise ValueError("semicircle diagnostics are one-variable only")
-    if orientation not in ("upper", "lower"):
-        raise ValueError("orientation must be 'upper' or 'lower'")
     fn = compile_numeric(func)
     forms = []
     freq = 0.0
@@ -680,7 +674,6 @@ def semicircle_check(
         freq = max(freq, abs(complex(t.expo.coeffs[0])))
         for f, _ in t.denom:
             forms.append((complex(f.coeffs[0]), complex(f.const)))
-    lo, hi = (0.0, np.pi) if orientation == "upper" else (np.pi, 2.0 * np.pi)
     xg, wg = np.polynomial.legendre.leggauss(_PER_PANEL)
     sampled = []
     mags = []
@@ -691,13 +684,13 @@ def semicircle_check(
         for attempt in (0, 1):
             n = int(min(200_000, max(256, 8 * (1 + freq * r_eff))))
             panels = max(8, int(math.ceil(n / _PER_PANEL)))
-            bounds = np.linspace(lo, hi, panels + 1)
+            bounds = np.linspace(0.0, np.pi, panels + 1)
             half = (bounds[1:] - bounds[:-1]) / 2.0
             centers = (bounds[1:] + bounds[:-1]) / 2.0
             theta = (centers[:, None] + half[:, None] * xg[None, :]).ravel()
             wts = (half[:, None] * wg[None, :]).ravel()
             z = r_eff * np.exp(1j * theta)
-            spacing = r_eff * (hi - lo) / (panels * _PER_PANEL)
+            spacing = r_eff * np.pi / (panels * _PER_PANEL)
             hit = False
             for a, c in forms:
                 if a == 0:

@@ -24,6 +24,7 @@ from ``arrangement.terminal_classes``; chart forms and residue steps from
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -115,43 +116,42 @@ class DivisorGrouping:
 class ChartResidues:
     """Iterated residues of one arrangement in one chart, shared by flag prefix.
 
-    The function left after taking residues along the first hyperplanes of a
-    flag, and every other hyperplane's form in the variables still free,
-    depend only on that prefix; for the empty prefix both come from the exact
-    chart rows F M (``Arrangement.pullback``).  Each is computed once, on
-    first use, so flags that share a prefix share the work.  A step takes the
-    residue in the first free variable with ``residue_1d``, which restricts,
+    ``pullback`` is the integrand and the hyperplanes' defining forms in the
+    chart, built from the exact chart rows F M (``Arrangement.pullback``).
+    The function left after taking residues along the first hyperplanes of
+    a flag depends only on that prefix, and is computed once, on first use,
+    so flags that share a prefix share the work.  A step restricts its
+    hyperplane's form through the poles of the steps before it
+    (``AffineForm.restrict``), solves it for the pole, and takes the residue
+    in the first free variable with ``residue_1d``, which restricts,
     classifies and normalizes each distinct denominator form once (its
-    per-step memo), and writes every other hyperplane's form at the pole
-    with ``AffineForm.restrict``.  An instance serves one engine call;
-    nothing outlives it.
+    per-step memo).  An instance serves one engine call; nothing outlives it.
     """
 
     def __init__(self, arr: Arrangement, poly: Polyhedron):
         self.arr = arr
         self.poly = poly
-        # prefix -> (residue function, {hyperplane index: defining form})
+        # prefix -> (residue function, the poles of its steps)
         self._steps: dict[tuple[int, ...], tuple] = {}
 
+    @functools.cached_property
+    def pullback(self) -> tuple:
+        """(integrand, {hyperplane index: defining form}) in this chart."""
+        return self.arr.pullback(self.poly)
+
     def step(self, prefix: tuple[int, ...]):
-        """(function, {hyperplane index: defining form}) left after residues
-        along ``prefix``; the empty prefix gives ``Arrangement.pullback``."""
+        """(function, poles) left after residues along ``prefix``: pole k is
+        z_1 of step k, in the variables free after step k - 1."""
+        if not prefix:
+            return self.pullback[0], ()
         step = self._steps.get(prefix)
         if step is None:
-            if not prefix:
-                step = self.arr.pullback(self.poly)
-            else:
-                func, forms = self.step(prefix[:-1])
-                pole = forms[prefix[-1]].solve_for(0)
-                step = (
-                    func.residue_1d(0, pole),
-                    {
-                        idx: form.restrict(0, pole)
-                        for idx, form in forms.items()
-                        if idx != prefix[-1]
-                    },
-                )
-            self._steps[prefix] = step
+            func, poles = self.step(prefix[:-1])
+            form = self.pullback[1][prefix[-1]]
+            for pole in poles:
+                form = form.restrict(0, pole)
+            pole = form.solve_for(0)
+            step = self._steps[prefix] = (func.residue_1d(0, pole), (*poles, pole))
         return step
 
     def value(self, flag: Flag) -> mpc:

@@ -111,8 +111,9 @@ def is_negligible(x, scale=1) -> bool:
 
 @dataclass(frozen=True)
 class AffineForm:
-    """a . z + c, exact (Fraction coefficients, exact constant; operations
-    stay exact) or rounded to mpc (``make``) as a whole."""
+    """a . z + c, exact (Fraction or GaussianRational entries; operations
+    stay exact) or rounded to mpc (``make``) as a whole.  A problem file's
+    affine values may mix the two until ``make`` rounds them."""
 
     coeffs: tuple
     const: GaussianRational | mpc
@@ -155,8 +156,7 @@ class AffineForm:
         return not (self.const or any(self.coeffs))
 
     def scale(self, factor) -> "AffineForm":
-        f = to_mpc(factor)
-        return AffineForm(tuple(c * f for c in self.coeffs), self.const * f)
+        return AffineForm(tuple(c * factor for c in self.coeffs), self.const * factor)
 
     def add(self, other: "AffineForm") -> "AffineForm":
         return AffineForm(
@@ -427,9 +427,6 @@ class ExpRationalFunction:
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
         return ExpRationalFunction(self.arity, self.terms + other.terms)
-
-    def neg(self) -> "ExpRationalFunction":
-        return self.scale(-1)
 
     def scale(self, factor) -> "ExpRationalFunction":
         return ExpRationalFunction(self.arity, [t.scale(factor) for t in self.terms])

@@ -36,7 +36,7 @@ from residuum.arrangement import (
     canonicalize_hyperplane,
     jacobian,
 )
-from residuum.exact_linalg import MinorProfile, minor_profile
+from residuum.exact_linalg import GaussianRational, MinorProfile, minor_profile
 from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
 
 
@@ -65,14 +65,20 @@ def power_numerator(bases, exponents_linear, exponents_const) -> ExpRationalFunc
     )
 
 
+# i, exact: -I * s is exact for an int or Fraction s, and for an mpc s the
+# same bits as -mpc(0, 1) * s
+I = GaussianRational(Fraction(0), Fraction(1))
+
+
+def plane(f, s) -> Hyperplane:
+    """The hyperplane f . v = i s, as the DSL lowers (f . v - i s)."""
+    return canonicalize_hyperplane(list(f), -I * s)
+
+
 def three_plane_problem(n1, n2, s=(1, 1, 1)) -> Arrangement:
     """n1^(ix-s1) n2^(iy-s2) / ((-x-is1)(-y-is2)(x+y-is3)) on R^2."""
-    s1, s2, s3 = (to_mpc(v) for v in s)
-    hps = [
-        canonicalize_hyperplane([-1, 0], -mpc(0, 1) * s1),
-        canonicalize_hyperplane([0, -1], -mpc(0, 1) * s2),
-        canonicalize_hyperplane([1, 1], -mpc(0, 1) * s3),
-    ]
+    hps = [plane(f, v) for f, v in zip([(-1, 0), (0, -1), (1, 1)], s)]
+    s1, s2 = (to_mpc(v) for v in s[:2])
     num = power_numerator(
         [n1, n2],
         [(mpc(0, 1), 0), (0, mpc(0, 1))],
@@ -98,11 +104,7 @@ def three_plane_value(n1, n2, s=(1, 1, 1)) -> mpc:
 
 def coincident_point_problem() -> Arrangement:
     """exp(2 pi i (x+2y)) / ((x-i)(y-i)(x+y-2i)) on R^2."""
-    hps = [
-        canonicalize_hyperplane([1, 0], mpc(0, -1)),
-        canonicalize_hyperplane([0, 1], mpc(0, -1)),
-        canonicalize_hyperplane([1, 1], mpc(0, -2)),
-    ]
+    hps = [plane((1, 0), 1), plane((0, 1), 1), plane((1, 1), 2)]
     num = ExpRationalFunction.from_parts(
         2, expo=AffineForm.make([2 * pi * mpc(0, 1), 4 * pi * mpc(0, 1)], 0)
     )
@@ -124,11 +126,7 @@ def single_pole_problem(s=1) -> Arrangement:
     x+is = -(-x-is), so the canonical factors are (x-is) and (-x-is) with an
     overall sign flip absorbed into the numerator.
     """
-    sv = to_mpc(s)
-    hps = [
-        canonicalize_hyperplane([1], -mpc(0, 1) * sv),
-        canonicalize_hyperplane([-1], -mpc(0, 1) * sv),
-    ]
+    hps = [plane((1,), s), plane((-1,), s)]
     num = ExpRationalFunction.from_parts(1, coeff=-1)
     return Arrangement.build(1, hps, numerator=num)
 

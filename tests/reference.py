@@ -27,6 +27,7 @@ from mpmath import mpc
 
 from residuum.arrangement import Arrangement, Flag, Hyperplane, pole_location
 from residuum.exact_linalg import (
+    GaussianRational,
     RationalMatrix,
     _bareiss,
     _integer_rows,
@@ -73,10 +74,13 @@ def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
 
     Level by level: the first k linear forms of ``a`` must be independent and
     span those of ``b`` exactly, and the affine offsets must be consistent
-    (each equation of ``b``'s prefix is implied by ``a``'s).
+    (each equation of ``b``'s prefix is implied by ``a``'s): equal when every
+    s is exact, else equal to the noise floor.
     """
     if len(a) != len(b):
         return False
+    exact = all(isinstance(h.s, GaussianRational) for h in arr.hyperplanes)
+    scalar = (lambda x: x) if exact else to_mpc
 
     def f_rows(indices) -> RationalMatrix:
         return RationalMatrix.from_rows(
@@ -90,12 +94,12 @@ def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
         for idx, coeffs in zip(b.indices[:k], combos):
             implied = sum(
                 (
-                    to_mpc(c) * to_mpc(arr.hyperplanes[j].s)
+                    scalar(c) * scalar(arr.hyperplanes[j].s)
                     for c, j in zip(coeffs, a.indices[:k])
                 ),
-                start=to_mpc(0),
+                start=scalar(0),
             )
-            target = to_mpc(arr.hyperplanes[idx].s)
+            target = scalar(arr.hyperplanes[idx].s)
             if not is_negligible(implied - target, abs(target)):
                 return False
     return True

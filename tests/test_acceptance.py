@@ -26,6 +26,7 @@ from conftest import (
     coincident_point_problem,
     cone,
     h_partials,
+    plane,
     single_pole_problem,
     three_plane_problem,
     three_plane_value,
@@ -37,7 +38,6 @@ from residuum.arrangement import (
     Flag,
     InsolubleFlag,
     Polyhedron,
-    canonicalize_hyperplane,
     compatibility_audit,
     enumerate_flags,
     jacobian,
@@ -53,7 +53,7 @@ from residuum.residue_engine import (
     grothendieck_residue,
     iterated_residue,
 )
-from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc, working_precision
+from residuum.symfun import AffineForm, ExpRationalFunction, working_precision
 
 THREE_PLANE_RSD = """\
 vars x y;
@@ -103,10 +103,7 @@ def _independent_rows(rng: random.Random, count: int) -> list:
 
 
 def _build(rows, s_values, numerator=None) -> Arrangement:
-    hps = [
-        canonicalize_hyperplane(list(row), -mpc(0, 1) * to_mpc(s))
-        for row, s in zip(rows, s_values)
-    ]
+    hps = [plane(row, s) for row, s in zip(rows, s_values)]
     return Arrangement.build(len(rows[0]), hps, numerator=numerator)
 
 

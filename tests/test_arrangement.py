@@ -19,6 +19,7 @@ from conftest import (
     z_star,
 )
 from reference import pairwise_flag_classes, same_flag
+from residuum import symfun
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -369,8 +370,19 @@ def _same(arr, a, b) -> bool:
 def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
     """(H1,H2,H5) and (H1,H,H5) agree exactly when H lies on the span of H1
     and H2 and through their intersection."""
-    rows = RationalMatrix.from_rows([f1, f2, f3])
-    assume(rank(rows) == 3)
+    assume(rank(RationalMatrix.from_rows([f1, f2, f3])) == 3)
+    _check_spans(f1, f2, f3, c, s)
+
+
+def test_same_flag_on_exact_data_needs_no_noise_floor(monkeypatch):
+    """Exact s are compared by ==, by ``flag_classes`` and by the pairwise
+    reference alike, so with the noise floor at 0 they still agree, both
+    ways round."""
+    monkeypatch.setattr(symfun, "_noise_floor", lambda: mpf(0))
+    _check_spans((0, 0, 1), (3, 0, 0), (0, 1, 0), (1, 1), (1, 2))
+
+
+def _check_spans(f1, f2, f3, c, s):
     combo = [c[0] * a + c[1] * b for a, b in zip(f1, f2)]
     offset = c[0] * s[0] + c[1] * s[1]
     hps = [

@@ -13,7 +13,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpc
+import mpmath
+from mpmath import mpc, mpf
 
 from reference import row_combinations
 from residuum.arrangement import (
@@ -35,6 +36,7 @@ from residuum.exact_linalg import (
     row_echelon,
     solve_linear,
 )
+from residuum.symfun import to_mpc, working_precision
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -438,6 +440,38 @@ def test_solve_with_complex_rhs():
         assert abs(got - rhs[i]) < 1e-12
 
 
+big_fractions = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+
+@given(
+    st.sampled_from([53, 128, 200]),
+    st.builds(GaussianRational, big_fractions, big_fractions),
+    st.builds(GaussianRational, big_fractions, big_fractions),
+    st.integers(-60, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_gaussian_rational_meets_mpc_as_its_rounding(prec, g, w, e):
+    """A GaussianRational g meeting an mpc z acts as to_mpc(g): + - * / give
+    the bits of the rounded operand in either order, and the exact i times z
+    gives mpc(0, 1) * z.  The front end and the chart forms mix the two kinds
+    of scalar on this alone; should mpmath change how it converts g, this
+    fails instead of the goldens drifting."""
+    i = GaussianRational(Fraction(0), Fraction(1))
+    with working_precision(prec):
+        z = to_mpc(w) * mpmath.exp(mpf(e) / 7)  # a full mantissa
+        r = to_mpc(g)
+        pairs = [(g + z, r + z), (z + g, z + r), (g - z, r - z), (z - g, z - r)]
+        pairs += [(g * z, r * z), (z * g, z * r), (i * z, mpc(0, 1) * z)]
+        pairs += [(z * i, mpc(0, 1) * z)]
+        if z:
+            pairs.append((g / z, r / z))
+        if g:
+            pairs.append((z / g, z / r))
+        for got, want in pairs:
+            assert isinstance(got, mpc)
+            assert (got.real, got.imag) == (want.real, want.imag)
+
+
 def test_gaussian_rational_arithmetic():
     i = GaussianRational(Fraction(0), Fraction(1))
     assert i * i == GaussianRational.of(-1)
@@ -445,7 +479,7 @@ def test_gaussian_rational_arithmetic():
     assert z * z.conjugate() == GaussianRational.of(25)
     assert (z / z) == GaussianRational.of(1)
     assert complex(z) == 3 - 4j
-    assert z.times_i() == GaussianRational(Fraction(4), Fraction(3))
+    assert z * i == GaussianRational(Fraction(4), Fraction(3))
     assert GaussianRational.of(Fraction(1, 2)).is_real
     with pytest.raises(ZeroDivisionError):
         z / GaussianRational()

@@ -812,8 +812,17 @@ def test_semicircle_polynomial_numerator():
             (AffineForm.make([1], mpc(0, 5)), 2),
         ),
     )
-    up = semicircle_check(func, (10, 30, 90), orientation="upper")
-    down = semicircle_check(func, (10, 30, 90), orientation="lower")
+    # the lower arcs of z -> func(z) are the upper arcs of w -> func(-w)
+    mirrored = _one_var_function(
+        poly=Polynomial(1, {(1,): mpc(-1)}),
+        expo=AffineForm.make([mpc(0, -1)], 0),
+        denom=(
+            (AffineForm.make([1], mpc(0, 3)), 2),
+            (AffineForm.make([1], -mpc(0, 5)), 2),
+        ),
+    )
+    up = semicircle_check(func, (10, 30, 90))
+    down = semicircle_check(mirrored, (10, 30, 90))
     assert up.trending_to_zero
     assert not down.trending_to_zero
     assert down.peak_magnitudes[-1] > 1e6 * down.peak_magnitudes[0]

@@ -27,6 +27,7 @@ from conftest import (
     coincident_point_problem,
     cone,
     h_partials,
+    plane,
     power_numerator,
     single_pole_problem,
     three_plane_problem,
@@ -244,7 +245,7 @@ def _random_square_arrangement(rng, dim):
             if any(f):
                 break
         s_val = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        hps.append(canonicalize_hyperplane(f, -mpc(0, 1) * to_mpc(s_val)))
+        hps.append(plane(f, s_val))
     arr = Arrangement.build(dim, hps)
     return arr
 
@@ -305,9 +306,7 @@ def test_iterated_residue_matches_direct_evaluation():
         done = 0
         while done < 12:
             arr = _random_square_arrangement(rng, 2)
-            extra = canonicalize_hyperplane(
-                [1, 1], -mpc(0, 1) * to_mpc(Fraction(rng.randint(1, 5)))
-            )
+            extra = plane((1, 1), rng.randint(1, 5))
             try:
                 arr = Arrangement.build(2, list(arr.hyperplanes) + [extra])
             except ValueError:
