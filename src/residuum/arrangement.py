@@ -134,7 +134,7 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     lam_total = GaussianRational(lam.re * mu, lam.im * mu)
     exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
     s = (_exact_scalar(constant) if exact else to_mpc(constant)) * lam_total * _I
-    if is_negligible(s.real, abs(s)):
+    if is_negligible(s.real, s):
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
     if s.real < 0:
         ints = [-n for n in ints]
@@ -177,9 +177,11 @@ class Polyhedron:
         return determinant(self.basis_matrix())
 
 
-@dataclass(frozen=True)
-class Flag:
-    """Ordered tuple of hyperplane indices; cuts H_1 > H_1^H_2 > ..."""
+class Flag(NamedTuple):
+    """Ordered tuple of hyperplane indices; cuts H_1 > H_1^H_2 > ...
+
+    ``len(flag)`` counts the indices, not the tuple's one field, so a new
+    flag is built with ``Flag(indices)``: ``_replace`` checks that length."""
 
     indices: tuple[int, ...]
 
@@ -295,8 +297,7 @@ def enumerate_flags(arr: Arrangement, depth: int) -> list[Flag]:
     return [Flag(combo) for combo in sorted(out)]
 
 
-@dataclass(frozen=True)
-class FlagEntry:
+class FlagEntry(NamedTuple):
     """One complete flag with its chart Jacobian and minor profile."""
 
     flag: Flag
@@ -419,11 +420,14 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     Two complete flags cut out the same flag exactly when they end at the
     same point and, for every k, their first k rows span the same space:
     level k is that point plus the kernel of those rows.  A flag's key is
-    the ``incidence`` of its point (solved once per set of hyperplanes,
-    tested once per point) and the ``row_echelon`` form of each prefix.
+    the ``incidence`` of its point and the ``row_echelon`` form of each
+    prefix.  A point is solved once per set of hyperplanes and tested once,
+    and a set through an exact point already solved takes that point: its
+    hyperplanes meet in one point, and that one lies on all of them.
     """
-    points: dict[frozenset, tuple] = {}
+    points: dict[frozenset, tuple] = {}  # set of hyperplanes -> (point, incidence)
     incident: dict[tuple, frozenset] = {}
+    exact: list[tuple] = []  # (point, incidence) of each exact point
     spans: dict[frozenset, tuple] = {}
     classes: dict[tuple, FlagClass] = {}
     for flag in sorted(flags, key=lambda f: f.indices):
@@ -433,10 +437,15 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
                 rows = [arr.hyperplanes[i].f_row() for i in prefix]
                 spans[prefix] = row_echelon(RationalMatrix.from_rows(rows))
         if whole not in points:
-            point = pole_location(arr, flag)
-            if (at := tuple(point)) not in incident:
-                incident[at] = incidence(arr, point)
-            points[whole] = (point, incident[at])
+            known = next((p for p in exact if whole <= p[1]), None)
+            if known is None:
+                point = pole_location(arr, flag)
+                if (at := tuple(point)) not in incident:
+                    incident[at] = incidence(arr, point)
+                known = (point, incident[at])
+                if all(isinstance(x, GaussianRational) for x in point):
+                    exact.append(known)
+            points[whole] = known
         point, through = points[whole]
         key = (through, *(spans[prefix] for prefix in proper))
         classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)

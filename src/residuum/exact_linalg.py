@@ -29,6 +29,13 @@ computes every such minor of C once, by Laplace expansion over the minors
 one row smaller, and ``read_profile`` reads the profile of any row order
 from it.  ``arrangement.flag_table`` reads every flag from one store of the
 chart matrix; ``minor_profile`` reads J's rows in order from J's own store.
+``RationalMatrix`` and ``MinorProfile`` are NamedTuples, cheap to build once
+per flag.
+
+``GaussianRational`` is the exact complex scalar of hyperplane constants,
+terminal points and exact chart forms: (a + b i) / d on three Python ints
+in normal form (d > 0, gcd(a, b, d) = 1), so that each operation is a few
+integer products and one gcd, and equal values hold equal ints.
 """
 
 from __future__ import annotations
@@ -36,9 +43,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -51,8 +57,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(NamedTuple):
     """Immutable matrix over Q, stored as a tuple of row tuples."""
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -162,8 +167,7 @@ def determinant(mat: RationalMatrix) -> Fraction:
     return Fraction(sign * m[-1][-1], math.prod(scales))
 
 
-@dataclass(frozen=True)
-class MinorProfile:
+class MinorProfile(NamedTuple):
     """All minors of the three families, plus the derived sign verdicts.
 
     ``stable``  means every p_k > 0 and (-1)^(l-j) r_{j,l} >= 0 for all j < l.
@@ -243,14 +247,8 @@ def read_profile(store: dict, rows: Sequence[int], width: int) -> MinorProfile:
     stable = all(x > 0 for x in p) and all(
         val <= 0 if (l - j) % 2 else val >= 0 for (j, l), val in r_minors
     )
-    return MinorProfile(
-        p=p,
-        q=q,
-        r_minors=tuple(r_minors),
-        stable=stable,
-        compatible=(not stable) or all(val <= 0 for _, val in q),
-        in_bruhat_cell=0 not in p,
-    )
+    compatible = (not stable) or all(val <= 0 for _, val in q)
+    return MinorProfile(p, q, tuple(r_minors), stable, compatible, 0 not in p)
 
 
 def minor_profile(mat: RationalMatrix) -> MinorProfile:
@@ -317,24 +315,60 @@ def row_echelon(mat: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts: exact
-    with int and Fraction, rounded (``_mpmath_``) when mixed with mpmath's."""
+    """Exact complex number (a + b i) / d, held as three Python ints in normal
+    form: d > 0 and gcd(a, b, d) = 1, so that equal values hold equal ints.
+    Exact with int and Fraction, rounded (``_mpmath_``) when mixed with
+    mpmath's numbers.  ``re`` and ``im`` are Fractions; like a Fraction it
+    equals only its own kind, so ``GaussianRational.of(2) != 2``."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        re, im = _frac(re), _frac(im)
+        # re and im are in lowest terms, so the three ints are coprime
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @classmethod
     def of(cls, x: int | Fraction) -> "GaussianRational":
-        return cls(_frac(x), Fraction(0))
+        x = _frac(x)
+        return _normal(x.numerator, 0, x.denominator)
+
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
+    real = property(re.fget)
+    imag = property(im.fget)
+    is_zero = property(lambda self: not self)
+    is_real = property(lambda self: self._b == 0)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __eq__(self, o):
+        if o.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == o._a and self._b == o._b and self._d == o._d
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return GaussianRational(self.re + o, self.im)
-        if not isinstance(o, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, d = self._a, self._b, self._d
+        if o.__class__ is GaussianRational:
+            e = o._d
+            if d == e:
+                return _gaussian(a + o._a, b + o._b, d)
+            return _gaussian(a * e + o._a * d, b * e + o._b * d, d * e)
+        if isinstance(o, int):
+            # gcd(a + o d, b, d) = gcd(a, b, d) = 1
+            return _normal(a + o * d, b, d)
+        if isinstance(o, Fraction):
+            n, e = o.numerator, o.denominator
+            return _gaussian(a * e + n * d, b * e, d * e)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -342,66 +376,97 @@ class GaussianRational:
         return self + -o
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return GaussianRational(self.re * o, self.im * o)
-        if not isinstance(o, GaussianRational):
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b = self._a, self._b
+        if o.__class__ is GaussianRational:
+            c, e = o._a, o._b
+            return _gaussian(a * c - b * e, a * e + b * c, self._d * o._d)
+        if isinstance(o, int):
+            return _gaussian(a * o, b * o, self._d)
+        if isinstance(o, Fraction):
+            n = o.numerator
+            return _gaussian(a * n, b * n, self._d * o.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return GaussianRational(self.re / o, self.im / o)
-        if not isinstance(o, GaussianRational):
+        a, b, d = self._a, self._b, self._d
+        if o.__class__ is GaussianRational:
+            # (a + b i) / d * e / (c + f i) = e (a + b i)(c - f i) / (d (c^2 + f^2))
+            c, f, e = o._a, o._b, o._d
+            n = c * c + f * f
+            if not n:
+                raise ZeroDivisionError("division by zero")
+            return _gaussian(e * (a * c + b * f), e * (b * c - a * f), d * n)
+        if isinstance(o, int):
+            n, e = o, 1
+        elif isinstance(o, Fraction):
+            n, e = o.numerator, o.denominator
+        else:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
+        if not n:
             raise ZeroDivisionError("division by zero")
-        return self * GaussianRational(o.re / n, -o.im / n)
+        return _gaussian(a * e, b * e, d * n)
 
     def __rtruediv__(self, o):
         return GaussianRational.of(o) / self
 
     def __pow__(self, n: int) -> "GaussianRational":
-        """Integer power by repeated squaring."""
-        acc, square, k = GaussianRational.of(1), self, abs(n)
+        """Integer power: the Gaussian integer a + b i to the |n| by repeated
+        squaring, over d^|n|, brought to normal form once."""
+        x, y, k = self._a, self._b, abs(n)
+        a, b = 1, 0
         while k:
             if k & 1:
-                acc = acc * square
+                a, b = a * x - b * y, a * y + b * x
             k >>= 1
             if k:
-                square = square * square
-        return acc if n >= 0 else GaussianRational.of(1) / acc
+                x, y = x * x - y * y, 2 * x * y
+        power = _gaussian(a, b, self._d ** abs(n))
+        return power if n >= 0 else 1 / power
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _normal(-self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self._a or self._b)
 
-    def __abs__(self) -> float:  # a scale for noise floors, not a decision
-        return math.hypot(self.re, self.im)
+    def __abs__(self) -> float:  # a float magnitude, not a decision
+        return math.hypot(self._a / self._d, self._b / self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    real = property(lambda self: self.re)
-    imag = property(lambda self: self.im)
-    is_zero = property(lambda self: not self)
-    is_real = property(lambda self: self.im == 0)
+        return _normal(self._a, -self._b, self._d)
 
     def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def _mpmath_(self, prec: int, rounding: str):
-        """The value rounded at ``prec`` bits, for mpmath's arithmetic."""
+        """The value rounded at ``prec`` bits, for mpmath's arithmetic: each
+        part a / d and b / d is rounded once, as its Fraction would be."""
         from mpmath import mp
         from mpmath.libmp import from_rational
 
-        parts = (self.re, self.im)
+        a, b, d = self._a, self._b, self._d
         return mp.make_mpc(
-            tuple(from_rational(x.numerator, x.denominator, prec, rounding) for x in parts)
+            (from_rational(a, d, prec, rounding), from_rational(b, d, prec, rounding))
         )
+
+
+_new = object.__new__
+
+
+def _normal(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for ints already in normal form."""
+    z = _new(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d != 0, brought to normal form by one gcd."""
+    g = math.gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _normal(a, b, d)

@@ -406,8 +406,12 @@ def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
 
 def _rounded(z):
     """z to 9 significant digits, so that the rounding of a change of
-    coordinates cannot reorder two keys whose exact values agree."""
-    z = complex(z)
+    coordinates cannot reorder two keys whose exact values agree.  An exact
+    z beyond the float64 range is a ValueError."""
+    try:
+        z = complex(z)
+    except OverflowError:
+        raise ValueError("an exact constant exceeds the float64 range") from None
     return float(f"{z.real:.8e}"), float(f"{z.imag:.8e}")
 
 

@@ -172,7 +172,8 @@ def _position(basis_inverse: RationalMatrix, point):
     """(inside, boundary) for a terminal point: its chart coordinates are
     z = M^-1 p, and the polyhedron is the closed region Im z_k >= 0."""
     z = [sum(b * c for b, c in zip(point, row)) for row in basis_inverse.entries]
-    scale = max([mpf(1)] + [abs(c) for c in z])
+    # exact coordinates (of an exact point) are decided without a scale
+    scale = max([mpf(1)] + [abs(c) for c in z if isinstance(c, mpc)])
     on_face = [is_negligible(c.imag, scale) for c in z]
     inside = all(edge or c.imag > 0 for c, edge in zip(z, on_face))
     return inside, any(on_face)

@@ -41,9 +41,8 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import exp as mp_exp
 from mpmath import mp, mpc, mpf
@@ -109,15 +108,35 @@ def is_negligible(x, scale=1) -> bool:
     return abs(to_mpc(x)) <= _noise_floor() * max(mpf(1), abs(to_mpc(scale)))
 
 
-@dataclass(frozen=True)
 class AffineForm:
     """a . z + c, exact (Fraction or GaussianRational entries; operations
     stay exact) or rounded to mpc (``make``) as a whole.  A problem file's
-    affine values may mix the two until ``make`` rounds them."""
+    affine values may mix the two until ``make`` rounds them.  Immutable:
+    ``coeffs`` (a tuple) and ``const`` cannot be assigned."""
 
-    coeffs: tuple
-    const: GaussianRational | mpc
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("coeffs", "const", "_hash")
+
+    def __init__(self, coeffs: tuple, const: GaussianRational | mpc):
+        _set_coeffs(self, coeffs)
+        _set_const(self, const)
+        _set_hash(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineForm:
+            return NotImplemented
+        return (self.coeffs, self.const) == (other.coeffs, other.const)
+
+    def __repr__(self) -> str:
+        return f"AffineForm(coeffs={self.coeffs!r}, const={self.const!r})"
+
+    def __reduce__(self):
+        return AffineForm, (self.coeffs, self.const)
 
     @classmethod
     def make(cls, coeffs: Iterable, const=0) -> "AffineForm":
@@ -137,7 +156,7 @@ class AffineForm:
 
     def __hash__(self) -> int:  # each form keys the memo dicts of a step many times
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.coeffs, self.const)))
+            _set_hash(self, hash((self.coeffs, self.const)))
         return self._hash
 
     def evaluate(self, point: Sequence) -> mpc:
@@ -147,8 +166,9 @@ class AffineForm:
         return acc
 
     def max_abs(self) -> mpf:
-        vals = [abs(c) for c in self.coeffs] + [abs(self.const)]
-        return max(vals) if vals else mpf(0)
+        """The largest entry's magnitude, a noise-floor scale: exact entries
+        are rounded first, so that none needs to fit a float."""
+        return max(abs(to_mpc(c)) for c in (*self.coeffs, self.const))
 
     def is_zero(self) -> bool:
         if isinstance(self.const, mpc):
@@ -237,6 +257,12 @@ class AffineForm:
             + [abs(self.const - other.const)]
         )
         return diff <= _noise_floor() * scale
+
+
+# the slots' own setters, which the guard above does not reach
+_set_coeffs = AffineForm.coeffs.__set__
+_set_const = AffineForm.const.__set__
+_set_hash = AffineForm._hash.__set__
 
 
 class Polynomial:
@@ -338,8 +364,7 @@ class Polynomial:
         return f"Polynomial({self.arity}, {self._coeffs!r})"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One summand c * P * exp(L) / prod A_i^{m_i}; built via Term.make."""
 
     coeff: mpc
@@ -374,9 +399,12 @@ class Term:
 
 
 def _affine_sort_key(form: AffineForm):
-    return tuple(
-        (float(x.real), float(x.imag)) for x in list(form.coeffs) + [form.const]
-    )
+    """A rounded form sorts by its entries as floats, an exact form by its
+    exact entries, which need not fit a float."""
+    entries = (*form.coeffs, form.const)
+    if isinstance(form.const, mpc):
+        return tuple((float(x.real), float(x.imag)) for x in entries)
+    return tuple((x.real, x.imag) for x in entries)
 
 
 def _merge_unit(unit: AffineForm, units) -> AffineForm:

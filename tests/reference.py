@@ -15,21 +15,26 @@
 * ``stability_rows`` and ``stability_lines``: the stability table as one
   dict per flag, for ``json.dumps``, and as text lines; ``Report.to_json``
   and ``Report.to_text`` write it straight from the flag table instead.
+* ``GaussianRational``: an exact complex rational as a frozen dataclass of
+  two Fractions; ``exact_linalg.GaussianRational`` holds three ints
+  instead, and the suite checks the two agree operation by operation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mpc
 
+from residuum import exact_linalg
 from residuum.arrangement import Arrangement, Flag, Hyperplane, pole_location
 from residuum.exact_linalg import (
-    GaussianRational,
     RationalMatrix,
     _bareiss,
+    _frac,
     _integer_rows,
     determinant,
     inverse,
@@ -79,7 +84,7 @@ def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
     """
     if len(a) != len(b):
         return False
-    exact = all(isinstance(h.s, GaussianRational) for h in arr.hyperplanes)
+    exact = all(isinstance(h.s, exact_linalg.GaussianRational) for h in arr.hyperplanes)
     scalar = (lambda x: x) if exact else to_mpc
 
     def f_rows(indices) -> RationalMatrix:
@@ -243,3 +248,93 @@ def stability_lines(rows) -> list[str]:
             f"{'yes' if row['compatible'] else 'no':<12}{pm}"
         )
     return lines
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts: exact
+    with int and Fraction, rounded (``_mpmath_``) when mixed with mpmath's."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @classmethod
+    def of(cls, x: int | Fraction) -> "GaussianRational":
+        return cls(_frac(x), Fraction(0))
+
+    def __add__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re + o, self.im)
+        if not isinstance(o, GaussianRational):
+            return NotImplemented
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re * o, self.im * o)
+        if not isinstance(o, GaussianRational):
+            return NotImplemented
+        return GaussianRational(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re / o, self.im / o)
+        if not isinstance(o, GaussianRational):
+            return NotImplemented
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero")
+        return self * GaussianRational(o.re / n, -o.im / n)
+
+    def __rtruediv__(self, o):
+        return GaussianRational.of(o) / self
+
+    def __pow__(self, n: int) -> "GaussianRational":
+        """Integer power by repeated squaring."""
+        acc, square, k = GaussianRational.of(1), self, abs(n)
+        while k:
+            if k & 1:
+                acc = acc * square
+            k >>= 1
+            if k:
+                square = square * square
+        return acc if n >= 0 else GaussianRational.of(1) / acc
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __abs__(self) -> float:
+        return math.hypot(self.re, self.im)
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
+    is_zero = property(lambda self: not self)
+    is_real = property(lambda self: self.im == 0)
+
+    def __complex__(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def _mpmath_(self, prec: int, rounding: str):
+        """The value rounded at ``prec`` bits, for mpmath's arithmetic."""
+        from mpmath import mp
+        from mpmath.libmp import from_rational
+
+        parts = (self.re, self.im)
+        return mp.make_mpc(
+            tuple(from_rational(x.numerator, x.denominator, prec, rounding) for x in parts)
+        )

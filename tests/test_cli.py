@@ -27,6 +27,7 @@ from residuum.arrangement import (
     flag_classes,
     flag_table,
     jacobian,
+    pole_location,
     stable_flags,
     terminal_classes,
 )
@@ -142,16 +143,18 @@ def _write(tmp_path, text):
 def _count_calls(monkeypatch, calls: dict) -> None:
     """Append each call's first argument to ``calls[name]``, for every name
     the residuum modules import from ``exact_linalg`` or ``arrangement``.
-    ``calls["MinorProfile"]`` gets each profile built."""
+    ``calls["MinorProfile"]`` gets each profile built: a NamedTuple is
+    built in ``__new__``."""
     for fn in calls:
         if fn == "MinorProfile":
-            init = exact_linalg.MinorProfile.__init__
+            new = exact_linalg.MinorProfile.__new__
 
-            def counted_init(self, *args, init=init, **kwargs):
-                calls["MinorProfile"].append(self)
-                init(self, *args, **kwargs)
+            def counted_new(cls, *args, new=new, **kwargs):
+                profile = new(cls, *args, **kwargs)
+                calls["MinorProfile"].append(profile)
+                return profile
 
-            monkeypatch.setattr(exact_linalg.MinorProfile, "__init__", counted_init)
+            monkeypatch.setattr(exact_linalg.MinorProfile, "__new__", counted_new)
             continue
         original = getattr(arrangement if fn == "pole_location" else exact_linalg, fn)
 
@@ -378,9 +381,10 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
 
     It ranks nothing, profiles each complete flag once from one minor
     store of the chart matrix, and classes its collections once: it
-    solves one terminal point per set of hyperplanes among them.  eval
-    solves one per set of hyperplanes among the stable flags, and inverts
-    those sets' rows and the cone basis once each.
+    solves each distinct terminal point among them once, from the first
+    flag that ends there.  eval solves each distinct terminal point of the
+    stable flags once, and inverts those flags' rows and the cone basis
+    once each.
     """
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
@@ -395,11 +399,18 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
             firsts.setdefault(frozenset(flag.indices), flag)
         return list(firsts.values())
 
+    def first_per_point(flags) -> list:
+        """The first flag, in index order, that ends at each distinct point."""
+        firsts: dict = {}
+        for flag in first_per_set(flags):
+            firsts.setdefault(tuple(pole_location(arr, flag)), flag)
+        return list(firsts.values())
+
     def f_rows(flag):
         return RationalMatrix.from_rows(arr.hyperplanes[i].f_row() for i in flag.indices)
 
-    collections = first_per_set(f for _, flags, _ in points for f in flags)
-    stable = first_per_set(stable_flags(arr, poly, table))
+    collections = first_per_point(f for _, flags, _ in points for f in flags)
+    stable = first_per_point(stable_flags(arr, poly, table))
     calls = {
         "rank": [],
         "MinorProfile": [],
@@ -657,6 +668,25 @@ def test_verify_one_dimensional_pi():
         assert abs(_val(report.value) - pi) < mpf("1e-20")
         assert report.oracle["within_tolerance"]
         assert mpf(report.oracle["difference"]) < mpf("1e-8")
+
+
+def test_exact_constants_beyond_the_float_range(tmp_path, capsys):
+    """An exact s of 2^1100 is decided, sorted and solved exactly, as 1 and
+    2^1000 are: eval and grouping give the same value at all three, and
+    verify reports the oracle unavailable instead of a traceback."""
+    outcomes = []
+    for k in (0, 1000, 1100):
+        path = _write(tmp_path, f"vars x;\ncone (1);\nden (x - 2^{k}*i);\n")
+        got = []
+        for command in ("eval", "grouping"):
+            main([command, path, "--json"])
+            got.append(json.loads(capsys.readouterr().out))
+        value, grouping = got
+        [point] = grouping["grouping"]["points"]
+        outcomes.append((value["value"], value["contributions"], point["residue"]))
+        assert main(["verify", path]) == 1
+        assert "numerical verification unavailable" in capsys.readouterr().out
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_verify_fail_with_divergence_diagnostic():

@@ -7,6 +7,8 @@ of the minor store that every profile is read from.  Verdict invariances (positi
 are checked with hypothesis against randomly generated rational matrices.
 """
 
+import copy
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -16,9 +18,11 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mpc, mpf
 
+import reference
 from reference import row_combinations
 from residuum.arrangement import (
     Arrangement,
+    Flag,
     Hyperplane,
     Polyhedron,
     flag_table,
@@ -36,7 +40,7 @@ from residuum.exact_linalg import (
     row_echelon,
     solve_linear,
 )
-from residuum.symfun import to_mpc, working_precision
+from residuum.symfun import AffineForm, to_mpc, working_precision
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -483,3 +487,80 @@ def test_gaussian_rational_arithmetic():
     assert GaussianRational.of(Fraction(1, 2)).is_real
     with pytest.raises(ZeroDivisionError):
         z / GaussianRational()
+
+
+_ints = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+# numerator and denominator of either sign, zero included
+_fractions = st.builds(Fraction, _ints, _ints.filter(bool))
+# (kind, value): a GaussianRational's value is its (re, im)
+_operands = st.one_of(
+    st.tuples(st.just("gaussian"), st.tuples(_fractions, _fractions)),
+    st.tuples(st.just("int"), _ints),
+    st.tuples(st.just("fraction"), _fractions),
+)
+
+
+def _build(cls, operand):
+    kind, value = operand
+    return cls(*value) if kind == "gaussian" else value
+
+
+def _outcome(op, *args):
+    """The result as (re, im) and whether it equals the same value built
+    afresh, or a plain value, or the exception's type."""
+    try:
+        got = op(*args)
+    except (ZeroDivisionError, TypeError) as exc:
+        return type(exc)
+    if isinstance(got, (GaussianRational, reference.GaussianRational)):
+        return "gaussian", got.re, got.im, got == type(got)(got.re, got.im)
+    return got
+
+
+@given(_operands, _operands, st.integers(-5, 5))
+@settings(max_examples=500, deadline=None)
+def test_gaussian_rational_matches_its_fraction_pair_reference(x, y, n):
+    """The three-int GaussianRational gives the values, exceptions, hashes and
+    reprs of the two-Fraction reference: + - * / in both orders with ints
+    and Fractions, negation, integer powers, ==, bool, re and im."""
+    new = [_build(GaussianRational, x), _build(GaussianRational, y)]
+    old = [_build(reference.GaussianRational, x), _build(reference.GaussianRational, y)]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert _outcome(op, *new) == _outcome(op, *old)
+    assert (new[0] == new[1]) == (old[0] == old[1])
+    for a, b in zip(new, old):
+        if not isinstance(a, GaussianRational):
+            continue
+        for op in (operator.neg, bool, hash, repr, lambda z: z**n, lambda z: z == 2):
+            assert _outcome(op, a) == _outcome(op, b)
+        assert (a.re, a.im, a.real, a.imag) == (b.re, b.im, b.real, b.imag)
+        assert all(type(part) is Fraction for part in (a.re, a.im, a.real, a.imag))
+
+
+@given(
+    st.tuples(_fractions, _fractions),
+    st.sampled_from([53, 128, 200]),
+    st.sampled_from(["n", "f", "c", "d", "u"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_gaussian_rational_rounds_as_its_reference(parts, prec, rounding):
+    """``_mpmath_`` rounds a / d and b / d to the reference's bits."""
+    got = GaussianRational(*parts)._mpmath_(prec, rounding)
+    want = reference.GaussianRational(*parts)._mpmath_(prec, rounding)
+    assert got._mpc_ == want._mpc_
+
+
+def test_exact_values_are_immutable():
+    """Assigning a field raises AttributeError, and a copy is equal."""
+    form = AffineForm((Fraction(1), Fraction(-2)), GaussianRational(1, 2))
+    values = [
+        (GaussianRational(Fraction(1, 2), 3), ["re", "im"]),
+        (form, ["coeffs", "const"]),
+        (Flag((0, 2, 1)), ["indices"]),
+        (minor_profile(RationalMatrix.from_rows([[1, 2], [3, 4]])), ["p", "stable"]),
+    ]
+    for value, fields in values:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        assert copy.deepcopy(value) == value
