@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -87,8 +86,7 @@ def _exact_scalar(x) -> GaussianRational:
     )
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """H = {v : f(v) = i s} with f primitive integers and Re s > 0."""
 
     f: tuple[int, ...]
@@ -142,11 +140,37 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     return Hyperplane(f=tuple(ints), s=s)
 
 
-@dataclass(frozen=True)
 class Polyhedron:
-    """Cone data: ordered rational generators v_1..v_r (the dual basis to z)."""
+    """Cone data: ordered rational generators v_1..v_r (the dual basis to z).
 
-    generators: tuple[tuple[Fraction, ...], ...]
+    A slotted class rather than a NamedTuple, so that it equals only a
+    Polyhedron: a ``RationalMatrix`` also holds one tuple of Fraction rows.
+    Immutable: ``generators`` cannot be assigned."""
+
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple[tuple[Fraction, ...], ...]):
+        _set_generators(self, generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Polyhedron:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
+
+    def __repr__(self) -> str:
+        return f"Polyhedron(generators={self.generators!r})"
+
+    def __reduce__(self):
+        return Polyhedron, (self.generators,)
 
     @classmethod
     def from_generators(cls, vectors: Iterable[Iterable]) -> "Polyhedron":
@@ -177,6 +201,9 @@ class Polyhedron:
         return determinant(self.basis_matrix())
 
 
+_set_generators = Polyhedron.generators.__set__
+
+
 class Flag(NamedTuple):
     """Ordered tuple of hyperplane indices; cuts H_1 > H_1^H_2 > ...
 
@@ -192,8 +219,7 @@ class Flag(NamedTuple):
         return "(" + ",".join(f"H{i + 1}" for i in self.indices) + ")"
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """Dimension, polar hyperplanes with multiplicities, and the numerator."""
 
     dim: int
@@ -337,16 +363,14 @@ def stable_flags(
     return [e.flag for e in table if e.profile.stable]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A stable ordered collection with a positive q-minor."""
 
     flag: Flag
     positive_q: tuple[tuple[tuple[int, int], Fraction], ...]
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     all_compatible: bool
     violations: tuple[Violation, ...]
     flags_checked: int

@@ -22,8 +22,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf
@@ -70,8 +70,7 @@ def _cplx(z) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One command's findings.
 
     ``stability_table`` holds the pair's ``FlagEntry`` rows, and

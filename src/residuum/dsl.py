@@ -27,9 +27,8 @@ the principal branch of the logarithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from mpmath import mp, mpc
 
@@ -49,6 +48,9 @@ from .symfun import AffineForm, ExpRationalFunction, Polynomial, to_mpc
 STATEMENT_KEYWORDS = ("cone", "den", "num", "param", "vars")
 RESERVED_NAMES = frozenset(STATEMENT_KEYWORDS) | {"exp", "i", "pi"}
 
+# levels of parentheses (exp's too), unary signs and ^ that one expression
+# may nest; each level costs the recursive-descent parser a few stack frames
+MAX_NESTING = 100
 _MAX_POLY_POWER = 32
 _MAX_FUNC_POWER = 16
 # an exact power is refused when |n| times the largest bit length of the
@@ -82,8 +84,7 @@ class ParseError(ProblemError):
 # tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -152,40 +153,68 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # expression trees
 
-# Position fields never take part in equality, so a reparsed pretty-print
-# compares equal to the original tree.
+
+class _Node:
+    """An expression node: immutable, and equal to a node of its own kind
+    whose fields other than ``pos`` are equal.  ``pos`` (line, column) only
+    places error messages, so a reparsed pretty-print compares equal to the
+    original tree.  A subclass lists its other fields in ``__slots__``; a
+    node is built from them in that order, then ``pos``, (0, 0) if left out."""
+
+    __slots__ = ("pos",)
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if not len(names) <= len(values) <= len(names) + 1:
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)} and pos")
+        for name, value in zip((*names, "pos"), (*values, (0, 0))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in (*self.__slots__, "pos")
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), (*self._key(), self.pos)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Num(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Name(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Neg(_Node):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Bin(_Node):
+    __slots__ = ("op", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class ExpCall:
-    arg: "Expr"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class ExpCall(_Node):
+    __slots__ = ("arg",)
 
 
 Expr = Union[Num, Name, Neg, Bin, ExpCall]
@@ -203,6 +232,19 @@ def _prec(node: Expr) -> int:
     return _ATOM_PREC
 
 
+def _chain(node: Bin) -> tuple[Expr, list[Bin]]:
+    """The first operand of ``node`` and the operators applied to it in turn,
+    innermost first: a left-deep chain of ``+ - * /`` nodes, or one ``^``.
+    Looping over a chain keeps the recursion of ``format_expr`` and ``_eval``
+    to the nesting depth, which the parser caps, however long a sum is."""
+    spine = [node]
+    while node.op != "^" and isinstance(node.lhs, Bin) and node.lhs.op != "^":
+        node = node.lhs
+        spine.append(node)
+    spine.reverse()
+    return node.lhs, spine
+
+
 def format_expr(node: Expr) -> str:
     """Canonical text: minimal parentheses, spaces around + and - only."""
     if isinstance(node, Num):
@@ -216,34 +258,37 @@ def format_expr(node: Expr) -> str:
         if _prec(node.operand) < _NEG_PREC:
             inner = f"({inner})"
         return f"-{inner}"
-    p = _BIN_PREC[node.op]
-    left = format_expr(node.lhs)
-    right = format_expr(node.rhs)
-    if node.op == "^":
-        # right-associative and binding tighter than unary minus
-        if _prec(node.lhs) <= p:
-            left = f"({left})"
-        if _prec(node.rhs) < p:
+    inner, spine = _chain(node)
+    text = format_expr(inner)
+    for node in spine:
+        p = _BIN_PREC[node.op]
+        # ^ groups to the right (and binds tighter than unary minus), the
+        # others to the left
+        left_max, right_max = (p, p - 1) if node.op == "^" else (p - 1, p)
+        if _prec(inner) <= left_max:
+            text = f"({text})"
+        right = format_expr(node.rhs)
+        if _prec(node.rhs) <= right_max:
             right = f"({right})"
-        return f"{left}^{right}"
-    if _prec(node.lhs) < p:
-        left = f"({left})"
-    if _prec(node.rhs) <= p:
-        right = f"({right})"
-    if node.op in "+-":
-        return f"{left} {node.op} {right}"
-    return f"{left}{node.op}{right}"
+        op = f" {node.op} " if node.op in "+-" else node.op
+        text = f"{text}{op}{right}"
+        inner = node
+    return text
 
 
 def _walk(node: Expr) -> Iterator[Expr]:
-    yield node
-    if isinstance(node, Neg):
-        yield from _walk(node.operand)
-    elif isinstance(node, Bin):
-        yield from _walk(node.lhs)
-        yield from _walk(node.rhs)
-    elif isinstance(node, ExpCall):
-        yield from _walk(node.arg)
+    """Every node of the tree, in preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, Bin):
+            stack.append(node.rhs)
+            stack.append(node.lhs)
+        elif isinstance(node, ExpCall):
+            stack.append(node.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +299,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.k = 0
+        self.depth = 0  # the levels of nesting around the current token
 
     def peek(self) -> Token:
         return self.toks[self.k]
@@ -271,6 +317,14 @@ class _Parser:
                 f"unexpected {_describe(tok)}", tok.line, tok.col, expected
             )
         return self.advance()
+
+    def nest(self, tok: Token) -> None:
+        """Enter one more level of nesting at ``tok``; leave with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
 
     # expressions
 
@@ -290,20 +344,31 @@ class _Parser:
 
     def unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return Neg(self.unary(), (tok.line, tok.col))
-        if tok.kind == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        if tok.kind not in "+-":
+            return self.power()
+        self.advance()
+        self.nest(tok)
+        operand = self.unary()
+        self.depth -= 1
+        return Neg(operand, (tok.line, tok.col)) if tok.kind == "-" else operand
 
     def power(self) -> Expr:
         base = self.primary()
         if self.peek().kind == "^":
             op = self.advance()
-            return Bin("^", base, self.unary(), (op.line, op.col))
+            self.nest(op)
+            exponent = self.unary()
+            self.depth -= 1
+            return Bin("^", base, exponent, (op.line, op.col))
         return base
+
+    def group(self) -> Expr:
+        """``(`` expr ``)``, one level deeper."""
+        self.nest(self.expect("(", ("'('",)))
+        node = self.expr()
+        self.expect(")", ("')'",))
+        self.depth -= 1
+        return node
 
     def primary(self) -> Expr:
         tok = self.peek()
@@ -313,16 +378,10 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             if tok.text == "exp":
-                self.expect("(", ("'('",))
-                arg = self.expr()
-                self.expect(")", ("')'",))
-                return ExpCall(arg, (tok.line, tok.col))
+                return ExpCall(self.group(), (tok.line, tok.col))
             return Name(tok.text, (tok.line, tok.col))
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", ("')'",))
-            return node
+            return self.group()
         raise ParseError(
             f"unexpected {_describe(tok)}",
             tok.line,
@@ -418,8 +477,7 @@ def _describe(tok: Token) -> str:
 # problem specification
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Parsed problem file: variables, cone, bindings, numerator, denominator."""
 
     variables: tuple[str, ...]
@@ -654,17 +712,21 @@ def _eval(node: Expr, env: dict, nvars: int):
         return _v_neg(_eval(node.operand, env, nvars))
     if isinstance(node, ExpCall):
         return _v_exp(_eval(node.arg, env, nvars), nvars, node.pos)
-    a = _eval(node.lhs, env, nvars)
-    b = _eval(node.rhs, env, nvars)
-    if node.op == "+":
-        return _v_add(a, b, nvars)
-    if node.op == "-":
-        return _v_add(a, _v_neg(b), nvars)
-    if node.op == "*":
-        return _v_mul(a, b, nvars)
-    if node.op == "/":
-        return _v_div(a, b, node.pos)
-    return _v_pow(a, b, nvars, node.pos)
+    inner, spine = _chain(node)
+    a = _eval(inner, env, nvars)
+    for node in spine:
+        b = _eval(node.rhs, env, nvars)
+        if node.op == "+":
+            a = _v_add(a, b, nvars)
+        elif node.op == "-":
+            a = _v_add(a, _v_neg(b), nvars)
+        elif node.op == "*":
+            a = _v_mul(a, b, nvars)
+        elif node.op == "/":
+            a = _v_div(a, b, node.pos)
+        else:
+            a = _v_pow(a, b, nvars, node.pos)
+    return a
 
 
 def _v_neg(v):

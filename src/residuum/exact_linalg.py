@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -353,7 +354,16 @@ class GaussianRational:
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        """hash((re, im)) without building them.  By Python's rule for the
+        hash of a rational (sys.hash_info), n / d hashes like the int n times
+        the inverse of d modulo the prime modulus, when that inverse exists."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return hash((a, b))
+        if d % _MODULUS:
+            inv = pow(d, -1, _MODULUS)
+            return hash((a * inv, b * inv))
+        return hash((_ratio_hash(a, d), _ratio_hash(b, d)))
 
     def __add__(self, o):
         a, b, d = self._a, self._b, self._d
@@ -453,6 +463,17 @@ class GaussianRational:
 
 
 _new = object.__new__
+_MODULUS = sys.hash_info.modulus
+
+
+def _ratio_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0 a multiple of the hash modulus: in
+    lowest terms d may have an inverse; if not, n / d hashes as +-inf."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d % _MODULUS:
+        return hash(n * pow(d, -1, _MODULUS))
+    return hash(sys.hash_info.inf if n >= 0 else -sys.hash_info.inf)
 
 
 def _normal(a: int, b: int, d: int) -> GaussianRational:

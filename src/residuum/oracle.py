@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mpc
 
@@ -103,8 +103,7 @@ class PoleOnArc(Exception):
     """A denominator factor vanishes on the sampled arc."""
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(NamedTuple):
     estimate: mpc
     error_bound: float
     box_halfwidth: float
@@ -112,8 +111,7 @@ class QuadratureReport:
     tail_estimate: float
 
 
-@dataclass(frozen=True)
-class SemicircleDiagnostic:
+class SemicircleDiagnostic(NamedTuple):
     """Arc-integral magnitudes per radius plus the pointwise peak.
 
     magnitudes follow the integral (oscillation may cancel pointwise

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import mpc, mpf, pi
 
@@ -69,13 +68,11 @@ class Convergence(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class EngineOptions:
+class EngineOptions(NamedTuple):
     precision: int = DEFAULT_PRECISION
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     all_compatible: bool
     convergence: Convergence
     warnings: tuple[str, ...] = ()
@@ -85,16 +82,14 @@ class Certificate:
         return self.all_compatible and self.convergence is not Convergence.UNKNOWN
 
 
-@dataclass(frozen=True)
-class ResidueResult:
+class ResidueResult(NamedTuple):
     value: mpc
     flag_contributions: dict
     certificate: Certificate
     flag_table: tuple
 
 
-@dataclass(frozen=True)
-class DivisorGrouping:
+class DivisorGrouping(NamedTuple):
     """Ordered partition-like regrouping (D_1, ..., D_r) of polar divisors."""
 
     groups: tuple[frozenset, ...]

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import FunctionType
@@ -336,6 +335,31 @@ def test_numpy_loads_only_for_verify():
     }
 
 
+def _modules_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    env = dict(os.environ)
+    src = str(SAMPLES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_class_generator():
+    """Against a bare interpreter, ``import residuum`` adds neither
+    ``dataclasses`` (and with it ``inspect``) nor numpy: every value type is
+    a NamedTuple or a slotted class, and numpy waits for ``verify``."""
+    added = _modules_after("import residuum") - _modules_after("pass")
+    assert "residuum.cli" in added
+    assert not added & {"dataclasses", "inspect", "numpy"}
+
+
 @pytest.mark.parametrize(
     "text",
     [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],
@@ -594,7 +618,7 @@ def _check_table_writer(table, jacobians: bool) -> str:
     assert report.to_json_dict() == want
     # the text report's table follows its problem lines: the summary, one
     # line per hyperplane and the numerator
-    bare = replace(report, stability_table=()).to_text().split("\n")
+    bare = report._replace(stability_table=()).to_text().split("\n")
     head = 2 + len(_WRITER_PROBLEM["hyperplanes"])
     assert report.to_text().split("\n") == (
         bare[:head] + stability_lines(rows) + bare[head:]

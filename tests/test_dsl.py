@@ -14,6 +14,7 @@ from mpmath import mpc, mpf
 
 from residuum.arrangement import Polyhedron
 from residuum.dsl import (
+    MAX_NESTING,
     Bin,
     ExpCall,
     Expr,
@@ -26,6 +27,7 @@ from residuum.dsl import (
     load_problem,
     parse_problem,
 )
+from residuum.cli import main
 from residuum.exact_linalg import GaussianRational
 from residuum.symfun import to_mpc, working_precision
 
@@ -408,9 +410,74 @@ def test_ast_equality_ignores_positions():
     b = parse_problem("vars x; cone (1); num   x+1; den (x - i);")
     assert a == b
     assert a.numerator == Bin("+", Name("x"), Num(1))
+    # on other lines and columns, every node compares and hashes alike
+    a = parse_problem("vars x; cone (1); num -exp(x)^2 + 1/3; den (x - i);")
+    b = parse_problem("vars x;\ncone (1);\n\nnum   -exp( x )^2+1 / 3;\nden (x - i);")
+    assert a == b and hash(a) == hash(b)
+    assert a.numerator.pos != b.numerator.pos
+    assert a.numerator == Bin(
+        "+", Neg(Bin("^", ExpCall(Name("x")), Num(2))), Bin("/", Num(1), Num(3))
+    )
     assert parse_problem(
         "vars x; cone (1); num exp(x); den (x - i);"
     ).numerator == ExpCall(Name("x"))
+
+
+# the first sizes at which parse_problem(...).arrangement() ended in a
+# RecursionError before the nesting cap and the loops over long chains
+_DEEP_NUMERATORS = {
+    "parentheses": "(" * 198 + "x" + ")" * 198,
+    "powers": "^".join(["1"] * 496),
+    "unary minuses": "-" * 990 + "x",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_NUMERATORS))
+def test_nesting_past_the_cap_is_a_problem_error(tmp_path, capsys, shape):
+    """Nesting deeper than MAX_NESTING is refused with the position of the
+    first level too many, and the command line exits 2."""
+    text = f"vars x; cone (1);\nnum {_DEEP_NUMERATORS[shape]}; den (x - i);\n"
+    with pytest.raises(ProblemError) as exc:
+        parse_problem(text)
+    assert "nested deeper than 100 levels" in str(exc.value)
+    assert exc.value.line == 2 and exc.value.col > 4
+    path = tmp_path / "deep.rsd"
+    path.write_text(text)
+    assert main(["eval", str(path)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_nesting_up_to_the_cap_lowers():
+    """MAX_NESTING levels of parentheses, signs or powers still lower."""
+    n = MAX_NESTING
+    for numerator in [
+        "(" * n + "x" + ")" * n,
+        "-" * n + "x",
+        "^".join(["1"] * (n + 1)),
+        "-(" * (n // 2) + "x" + ")" * (n // 2),
+    ]:
+        spec = parse_problem(f"vars x; cone (1); num {numerator}; den (x - i);")
+        spec.arrangement()
+        assert parse_problem(spec.pretty()) == spec
+
+
+def test_long_sums_and_products_lower():
+    """A plain sum of 992 terms (the first that failed, in the name check)
+    and a long product lower to the values of their short forms."""
+    n = 992
+    cases = [
+        (" + ".join(["x"] * n), f"{n}*x"),
+        (" - ".join(["x"] * n), f"{2 - n}*x"),
+        ("*".join(["2"] * n) + "*x", f"2^{n}*x"),
+        ("/".join(["x"] + ["2"] * n), f"x/2^{n}"),
+    ]
+    for long, short in cases:
+        spec = parse_problem(f"vars x; cone (1); num {long}; den (x - i);")
+        assert spec.pretty().count("\n") == 4
+        want = parse_problem(f"vars x; cone (1); num {short}; den (x - i);")
+        with working_precision(128):
+            got = spec.arrangement().numerator.evaluate([mpc(3, 1)])
+            assert got == want.arrangement().numerator.evaluate([mpc(3, 1)])
 
 
 def test_power_of_an_exact_scalar_is_exact_and_fast():

@@ -9,6 +9,7 @@ are checked with hypothesis against randomly generated rational matrices.
 
 import copy
 import operator
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -548,6 +549,28 @@ def test_gaussian_rational_rounds_as_its_reference(parts, prec, rounding):
     got = GaussianRational(*parts)._mpmath_(prec, rounding)
     want = reference.GaussianRational(*parts)._mpmath_(prec, rounding)
     assert got._mpc_ == want._mpc_
+
+
+_HASH_MODULUS = sys.hash_info.modulus  # 2^61 - 1 on 64-bit builds
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**6),
+    st.sampled_from([1, _HASH_MODULUS, 2 * _HASH_MODULUS, _HASH_MODULUS**2]),
+)
+@example(0, 0, 1, 1)
+@example(6, 1, 4, 1)  # (6 + i) / 4: a / d is not in lowest terms
+@example(_HASH_MODULUS, 1, 1, _HASH_MODULUS)  # re = 1, im = 1 / (2^61 - 1)
+@example(-2 * _HASH_MODULUS, -3, 1, _HASH_MODULUS**2)
+@settings(max_examples=500, deadline=None)
+def test_gaussian_rational_hash_is_the_hash_of_its_parts(a, b, k, m):
+    """hash(g) == hash((g.re, g.im)), computed from the three ints: zero and
+    negative parts, parts not in lowest terms over the common denominator,
+    and denominators that are multiples of the hash modulus."""
+    g = GaussianRational(Fraction(a, k * m), Fraction(b, k * m))
+    assert hash(g) == hash((g.re, g.im))
 
 
 def test_exact_values_are_immutable():
