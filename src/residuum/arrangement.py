@@ -46,8 +46,8 @@ from .exact_linalg import (
     RationalMatrix,
     determinant,
     minor_store,
+    ordered_profiles,
     rank,
-    read_profile,
     row_echelon,
     solve_linear,
 )
@@ -336,22 +336,26 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> tuple[FlagEntry, ...]:
 
     The one place the pair's minor profiles are computed, each read from one
     ``minor_store`` of the chart matrix C = F M; build it once per call and
-    hand it to whatever reads the verdicts.  A flag is kept when its p_r is
-    nonzero: M is nonsingular, so p_r = +-det C[S] vanishes exactly when the
-    f-rows F[S] are dependent.
+    hand it to whatever reads the verdicts.  The flags are read row set by
+    row set: a set S of r rows reads the minors of its subsets from the
+    store once, and each of its r! orderings reads its profile from them
+    (``ordered_profiles``).  S is kept when its p_r is nonzero: M is
+    nonsingular, so p_r = +-det C[S] vanishes exactly when the f-rows F[S]
+    are dependent.
     """
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
     r = arr.dim
     store = minor_store(chart)
-    return tuple([
-        FlagEntry(
-            Flag(flag),
-            RationalMatrix(tuple([chart.entries[i] for i in flag])),
-            read_profile(store, flag, r),
-        )
-        for flag in itertools.permutations(range(len(arr.hyperplanes)), r)
-        if store[tuple(sorted(flag)), r - 1][0]
-    ])
+    table = []
+    for rows in itertools.combinations(range(len(arr.hyperplanes)), r):
+        if store[rows, r - 1][0]:
+            chart_rows = [chart.entries[i] for i in rows]
+            table += [
+                FlagEntry(Flag(order(rows)), RationalMatrix(order(chart_rows)), profile)
+                for order, profile in ordered_profiles(store, rows, r)
+            ]
+    # keyed by plain tuples of ints, which list.sort compares fastest
+    return tuple(sorted(table, key=lambda e: e.flag.indices))
 
 
 def stable_flags(

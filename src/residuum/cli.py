@@ -17,7 +17,6 @@ or a residue step that exceeds the term cap (``symfun.MAX_RESIDUE_TERMS``).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -264,26 +263,21 @@ def _json_list(items: list, depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-# one stability-table row at depth 2 of the report, its keys in sorted order;
-# the fourth field is empty or the row's "jacobian" entry
-_ROW = (
-    '{{\n      "compatible": {},\n      "flag": {},\n      "in_bruhat_cell": {},{}'
-    '\n      "p": {},\n      "q": {},\n      "r": {},\n      "stable": {}\n    }}'
-)
+_JSON_BOOL = ("false", "true")
 
 
 def _table_json(table, jacobians: bool) -> str:
-    """The stability table as a JSON array at depth 1 of the report, one
-    ``_ROW`` per ``FlagEntry``.
+    """The stability table as a JSON array at depth 1 of the report.
 
+    Every row of a pair's table has the same r, so one ``%`` template, laid
+    out by ``json.dumps`` from the first row's shape, writes each row: its
+    fields in sorted key order, the q and r minors in the order in which
+    ``sort_keys`` writes their "(j,l)" keys ("(1,10)" before "(1,2)").
     Each minor and each chart row is written once per table (a flag's
     Jacobian rows are rows of the chart matrix), its text keyed by ``id``,
-    which is sound because the table keeps every keyed object alive.  Each
-    sequence of (j, l) minor keys is laid out once, in the order in which
-    ``sort_keys`` writes their "(j,l)" strings ("(1,10)" before "(1,2)").
+    which is sound because the table keeps every keyed object alive.
     """
     texts: dict = {}
-    layouts: dict = {}
 
     def scalar(x) -> str:
         text = texts.get(id(x))
@@ -291,45 +285,34 @@ def _table_json(table, jacobians: bool) -> str:
             text = texts[id(x)] = _quote(str(x))
         return text
 
-    def minors(pairs) -> str:
-        if not pairs:
-            return "{}"
-        keys = tuple([jl for jl, _ in pairs])
-        layout = layouts.get(keys)
-        if layout is None:
-            names = [f"({j},{l})" for j, l in keys]
-            order = sorted(range(len(keys)), key=names.__getitem__)
-            layout = layouts[keys] = [
-                (i, ("{" if n == 0 else ",") + "\n        " + _quote(names[i]) + ": ")
-                for n, i in enumerate(order)
-            ]
-        return "".join([lead + scalar(pairs[i][1]) for i, lead in layout]) + "\n      }"
-
     def chart_row(row) -> str:
         text = texts.get(id(row))
         if text is None:
             text = texts[id(row)] = _json_list([scalar(x) for x in row], 4)
         return text
 
+    first = table[0].profile
+    names = [[f"({j},{l})" for (j, l), _ in pairs] for pairs in (first.q, first.r_minors)]
+    q_order, r_order = [sorted(range(len(keys)), key=keys.__getitem__) for keys in names]
+    shape = dict.fromkeys(("compatible", "flag", "in_bruhat_cell", "stable"), "%s")
+    shape.update(p=["%s"] * len(first.p), q=dict.fromkeys(names[0], "%s"))
+    shape.update(r=dict.fromkeys(names[1], "%s"))
+    if jacobians:
+        shape["jacobian"] = ["%s"] * table[0].jacobian.rows
+    text = json.dumps(shape, sort_keys=True, indent=2)
+    template = text.replace('"%s"', "%s").replace("\n", "\n    ")
     rows = []
     for entry in table:
         prof = entry.profile
-        jacobian = ""
+        flag = _quote(entry.flag.label())
+        fields = [_JSON_BOOL[prof.compatible], flag, _JSON_BOOL[prof.in_bruhat_cell]]
         if jacobians:
-            rows_text = [chart_row(row) for row in entry.jacobian.entries]
-            jacobian = f'\n      "jacobian": {_json_list(rows_text, 3)},'
-        rows.append(
-            _ROW.format(
-                "true" if prof.compatible else "false",
-                _quote(entry.flag.label()),
-                "true" if prof.in_bruhat_cell else "false",
-                jacobian,
-                _json_list([scalar(x) for x in prof.p], 3),
-                minors(prof.q),
-                minors(prof.r_minors),
-                "true" if prof.stable else "false",
-            )
-        )
+            fields += [chart_row(row) for row in entry.jacobian.entries]
+        fields += [scalar(x) for x in prof.p]
+        fields += [scalar(prof.q[i][1]) for i in q_order]
+        fields += [scalar(prof.r_minors[i][1]) for i in r_order]
+        fields.append(_JSON_BOOL[prof.stable])
+        rows.append(template % tuple(fields))
     return _json_list(rows, 1)
 
 
@@ -537,6 +520,8 @@ def cmd_grouping(spec: ProblemSpec, options: EngineOptions | None = None) -> Rep
 
 
 def _positive_float(text: str) -> float:
+    import argparse
+
     try:
         value = float(text)
     except ValueError:
@@ -549,6 +534,8 @@ def _positive_float(text: str) -> float:
 
 
 def _precision_bits(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -562,7 +549,10 @@ def _precision_bits(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building one leaves
-    reference cycles (argparse's help formatters) for the cyclic collector."""
+    reference cycles (argparse's help formatters) for the cyclic collector.
+    argparse is imported here, not by ``import residuum``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="residuum",
         description=(

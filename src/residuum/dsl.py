@@ -154,6 +154,10 @@ def _tokenize(text: str) -> list[Token]:
 # expression trees
 
 
+class _Hash(int):
+    __hash__ = int.__int__  # a child's hash in its parent's key, hashing as the child
+
+
 class _Node:
     """An expression node: immutable, and equal to a node of its own kind
     whose fields other than ``pos`` are equal.  ``pos`` (line, column) only
@@ -182,16 +186,36 @@ class _Node:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        # the trees in preorder (``_walk``), each node as its kind and non-node
+        # fields: equal exactly when the trees are, as each kind's arity is fixed
+        a, b = [
+            [(type(n), *[x for x in n._key() if not isinstance(x, _Node)]) for n in _walk(t)]
+            for t in (self, other)
+        ]
+        return a == b
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        """hash(self._key()), children first (``_walk`` reversed), as ``_Hash``es."""
+        hashes: dict = {}
+        for n in reversed(list(_walk(self))):
+            key = [hashes[id(x)] if isinstance(x, _Node) else x for x in n._key()]
+            hashes[id(n)] = _Hash(hash(tuple(key)))
+        return int(hashes[id(self)])
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in (*self.__slots__, "pos")
-        )
-        return f"{type(self).__name__}({fields})"
+        """Written from an explicit stack of texts and nodes, not by recursion."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, _Node):
+                out.append(node)
+                continue
+            items = [f"{type(node).__name__}("]
+            for n, name in enumerate((*node.__slots__, "pos")):
+                x = getattr(node, name)
+                items += [", " * (n > 0) + name + "=", x if isinstance(x, _Node) else repr(x)]
+            stack += reversed([*items, ")"])
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), (*self._key(), self.pos)

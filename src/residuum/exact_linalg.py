@@ -26,11 +26,12 @@ When J is a selection of rows of a matrix C, each of these minors is C's
 minor on the same rows in ascending order, against columns 1..k-1 plus one
 column, times the sign of the permutation that sorts them.  ``minor_store``
 computes every such minor of C once, by Laplace expansion over the minors
-one row smaller, and ``read_profile`` reads the profile of any row order
-from it.  ``arrangement.flag_table`` reads every flag from one store of the
-chart matrix; ``minor_profile`` reads J's rows in order from J's own store.
-``RationalMatrix`` and ``MinorProfile`` are NamedTuples, cheap to build once
-per flag.
+one row smaller.  ``ordered_profiles`` reads a set of rows' minors from it
+once and the profile of each ordering of the set from those, through one
+``profile_layout`` per (rows, width), deciding verdicts on numerator signs.
+``arrangement.flag_table`` reads every independent row set of the chart
+matrix so; ``minor_profile`` reads J's rows in order from J's own store.
+``RationalMatrix`` and ``MinorProfile`` are NamedTuples.
 
 ``GaussianRational`` is the exact complex scalar of hyperplane constants,
 terminal points and exact chart forms: (a + b i) / d on three Python ints
@@ -40,12 +41,13 @@ integer products and one gcd, and equal values hold equal ints.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -214,42 +216,70 @@ def minor_store(mat: RationalMatrix) -> dict:
     return store
 
 
-def read_profile(store: dict, rows: Sequence[int], width: int) -> MinorProfile:
-    """The profile of J = C[rows], for distinct rows of C in any order, read
-    from the ``minor_store`` of C, which has ``width`` columns.
+def _getter(idx: Sequence[int]):
+    """``itemgetter(*idx)``, returning a tuple for one or no index too."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda seq: tuple([seq[i] for i in idx])
 
-    A minor of J on its first k rows is C's minor on those rows in ascending
-    order, taken from the pair by the parity of the sort.  Dropping the
-    prefix's j-th row, i-th in ascending order, adds j - 1 + i to that parity.
+
+def _subset_keys(rows: Sequence[int], width: int) -> list:
+    """The ``minor_store`` keys of the subsets of the ascending ``rows``."""
+    subsets = (s for m in range(1, len(rows) + 1) for s in itertools.combinations(rows, m))
+    return [(s, c) for s in subsets for c in range(len(s) - 1, width)]
+
+
+@functools.cache
+def profile_layout(k: int, width: int) -> tuple:
+    """Where each ordering of k rows of a ``width``-column matrix reads its
+    minors, once per (k, width).  The rows' store pairs are listed flat in
+    ``_subset_keys`` order, minor n as items 2n and 2n + 1.  A minor of an
+    ordering's first m rows is the item of those rows in ascending order
+    chosen by the parity of the sort; dropping the prefix's j-th row, i-th in
+    ascending order, adds j - 1 + i.  Returns the distinct (q key, item) and
+    (r key, item) pairs and, per ordering of range(k) in ``permutations``
+    order, getters of its rows, its p items and its q and r pairs.
     """
-    prefixes = []  # (ascending rows, parity of the sort) of each prefix
-    ascending: list[int] = []
-    odd = 0
-    for k, row in enumerate(rows):
-        pos = bisect.bisect(ascending, row)
-        ascending.insert(pos, row)
-        odd ^= (k - pos) & 1  # k - pos earlier rows are larger than this one
-        prefixes.append((tuple(ascending), odd))
+    slot = {key: 2 * n for n, key in enumerate(_subset_keys(range(k), width))}
+    q_pairs: dict = {}  # (key, item) -> its place among the distinct pairs
+    r_pairs: dict = {}
+    readings = []
+    for order in itertools.permutations(range(k)):
+        prefixes = []  # (ascending rows, parity of the sort) of each prefix
+        for m in range(1, k + 1):
+            inversions = sum(a > b for a, b in itertools.combinations(order[:m], 2))
+            prefixes.append((tuple(sorted(order[:m])), inversions & 1))
+        q = [
+            q_pairs.setdefault(((m, l), slot[key, l - 1] + odd), len(q_pairs))
+            for m, (key, odd) in enumerate(prefixes, 1)
+            for l in range(m + 1, width + 1)
+        ]
+        r = []
+        for j, row in enumerate(order, 1):
+            for l, (key, odd) in enumerate(prefixes[j:], j + 1):
+                i = key.index(row)
+                item = slot[key[:i] + key[i + 1 :], l - 2] + (odd ^ (j - 1 + i) & 1)
+                r.append(r_pairs.setdefault(((j, l), item), len(r_pairs)))
+        p = [slot[key, m] + odd for m, (key, odd) in enumerate(prefixes)]
+        readings.append(tuple(map(_getter, (order, p, q, r))))
+    return tuple(q_pairs), tuple(r_pairs), tuple(readings)
 
-    # tuples from lists, at their size at once: from generators they are
-    # over-allocated and shrunk, which raised a run's peak RSS by 0.3 MB
-    p = tuple([store[key, k][odd] for k, (key, odd) in enumerate(prefixes)])
-    q = tuple([
-        ((k, l), store[key, l - 1][odd])
-        for k, (key, odd) in enumerate(prefixes, 1)
-        for l in range(k + 1, width + 1)
-    ])
-    r_minors = []
-    for j, row in enumerate(rows, 1):
-        for l, (key, odd) in enumerate(prefixes[j:], j + 1):
-            i = key.index(row)
-            drop = store[key[:i] + key[i + 1 :], l - 2][odd ^ ((j - 1 + i) & 1)]
-            r_minors.append(((j, l), drop))
-    stable = all(x > 0 for x in p) and all(
-        val <= 0 if (l - j) % 2 else val >= 0 for (j, l), val in r_minors
-    )
-    compatible = (not stable) or all(val <= 0 for _, val in q)
-    return MinorProfile(p, q, tuple(r_minors), stable, compatible, 0 not in p)
+
+def ordered_profiles(store: dict, rows: tuple[int, ...], width: int) -> Iterator[tuple]:
+    """Each ordering of the ascending ``rows`` of C, in ``profile_layout``
+    order, as its getter of rows and the profile of C's rows in that order,
+    read from C's ``minor_store`` (``width`` columns): the store once, each
+    (key, minor) pair once, and the verdicts from the numerators' signs."""
+    q_pairs, r_pairs, readings = profile_layout(len(rows), width)
+    minors = [x for key in _subset_keys(rows, width) for x in store[key]]
+    numerators = [x.numerator for x in minors]
+    qs = [(key, minors[n]) for key, n in q_pairs]
+    rs = [(key, minors[n]) for key, n in r_pairs]
+    q_signs = [numerators[n] for _, n in q_pairs]
+    r_signs = [numerators[n ^ (l - j) & 1] for (j, l), n in r_pairs]  # (-1)^(l-j) r_jl
+    for order, p, q, r in readings:
+        p_signs = p(numerators)
+        stable = min(p_signs, default=1) > 0 and min(r(r_signs), default=0) >= 0
+        compatible = not stable or max(q(q_signs), default=0) <= 0
+        yield order, MinorProfile(p(minors), q(qs), r(rs), stable, compatible, all(p_signs))
 
 
 def minor_profile(mat: RationalMatrix) -> MinorProfile:
@@ -257,12 +287,12 @@ def minor_profile(mat: RationalMatrix) -> MinorProfile:
 
     J has k <= r rows.  q minors range over 1 <= j <= k, j < l <= r (columns
     may exceed the row count); r minors range over 1 <= j < l <= k.  The
-    verdicts use exactly these index sets.  J's rows are read in order from
-    J's own ``minor_store``.
+    verdicts use exactly these index sets.  J's rows are read in order, the
+    first of its ``ordered_profiles``, from J's own ``minor_store``.
     """
     if mat.rows > mat.cols:
         raise ValueError("more rows than columns; transpose the data")
-    return read_profile(minor_store(mat), range(mat.rows), mat.cols)
+    return next(ordered_profiles(minor_store(mat), tuple(range(mat.rows)), mat.cols))[1]
 
 
 def rank(mat: RationalMatrix) -> int:

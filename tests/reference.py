@@ -18,10 +18,16 @@
 * ``GaussianRational``: an exact complex rational as a frozen dataclass of
   two Fractions; ``exact_linalg.GaussianRational`` holds three ints
   instead, and the suite checks the two agree operation by operation.
+* ``read_profile``: one flag's minor profile read from a ``minor_store``
+  on its own, its prefixes sorted and its verdicts decided by Fraction
+  comparisons; ``exact_linalg.ordered_profiles`` reads every ordering of a
+  row set through one cached layout instead, and the suite checks the two
+  agree flag by flag.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +38,7 @@ from mpmath import mpc
 from residuum import exact_linalg
 from residuum.arrangement import Arrangement, Flag, Hyperplane, pole_location
 from residuum.exact_linalg import (
+    MinorProfile,
     RationalMatrix,
     _bareiss,
     _frac,
@@ -43,6 +50,42 @@ from residuum.oracle import compile_numeric
 from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
 
 DEFAULT_TORUS_NODES = 256
+
+
+def read_profile(store: dict, rows, width: int) -> MinorProfile:
+    """The profile of J = C[rows], for distinct rows of C in any order, read
+    from the ``minor_store`` of C, which has ``width`` columns.
+
+    A minor of J on its first k rows is C's minor on those rows in ascending
+    order, taken from the pair by the parity of the sort.  Dropping the
+    prefix's j-th row, i-th in ascending order, adds j - 1 + i to that parity.
+    """
+    prefixes = []  # (ascending rows, parity of the sort) of each prefix
+    ascending: list[int] = []
+    odd = 0
+    for k, row in enumerate(rows):
+        pos = bisect.bisect(ascending, row)
+        ascending.insert(pos, row)
+        odd ^= (k - pos) & 1  # k - pos earlier rows are larger than this one
+        prefixes.append((tuple(ascending), odd))
+
+    p = tuple([store[key, k][odd] for k, (key, odd) in enumerate(prefixes)])
+    q = tuple([
+        ((k, l), store[key, l - 1][odd])
+        for k, (key, odd) in enumerate(prefixes, 1)
+        for l in range(k + 1, width + 1)
+    ])
+    r_minors = []
+    for j, row in enumerate(rows, 1):
+        for l, (key, odd) in enumerate(prefixes[j:], j + 1):
+            i = key.index(row)
+            drop = store[key[:i] + key[i + 1 :], l - 2][odd ^ ((j - 1 + i) & 1)]
+            r_minors.append(((j, l), drop))
+    stable = all(x > 0 for x in p) and all(
+        val <= 0 if (l - j) % 2 else val >= 0 for (j, l), val in r_minors
+    )
+    compatible = (not stable) or all(val <= 0 for _, val in q)
+    return MinorProfile(p, q, tuple(r_minors), stable, compatible, 0 not in p)
 
 
 def defining_form(h: Hyperplane) -> AffineForm:

@@ -353,11 +353,12 @@ def _modules_after(statement: str) -> set:
 
 def test_import_loads_no_class_generator():
     """Against a bare interpreter, ``import residuum`` adds neither
-    ``dataclasses`` (and with it ``inspect``) nor numpy: every value type is
-    a NamedTuple or a slotted class, and numpy waits for ``verify``."""
+    ``dataclasses`` (and with it ``inspect``) nor numpy nor argparse: every
+    value type is a NamedTuple or a slotted class, numpy waits for
+    ``verify``, and argparse for ``cli.main``."""
     added = _modules_after("import residuum") - _modules_after("pass")
     assert "residuum.cli" in added
-    assert not added & {"dataclasses", "inspect", "numpy"}
+    assert not added & {"dataclasses", "inspect", "numpy", "argparse"}
 
 
 @pytest.mark.parametrize(

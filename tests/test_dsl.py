@@ -480,6 +480,28 @@ def test_long_sums_and_products_lower():
             assert got == want.arrangement().numerator.evaluate([mpc(3, 1)])
 
 
+def test_long_sum_compares_hashes_and_prints():
+    """A numerator of 2,000 terms: ``==``, ``hash`` and ``repr`` walk the
+    tree's left spine without recursing."""
+    text = "vars x; cone (1); num " + " + ".join(["x"] * 2000) + "; den (x - i);"
+    a, b = parse_problem(text), parse_problem(text)
+    assert a.numerator is not b.numerator
+    assert a.numerator == b.numerator and a == b
+    assert hash(a.numerator) == hash(b.numerator) and hash(a) == hash(b)
+    shifted = parse_problem(text.replace("num x", "num  x"))
+    assert shifted.numerator == a.numerator  # positions stay out of equality
+    assert a.numerator != parse_problem(text.replace("+ x;", "- x;")).numerator
+    # one child and no other field each: only their kinds tell them apart
+    ends = [parse_problem(text.replace("+ x;", f"+ {t};")) for t in ("exp(x)", "-x")]
+    assert ends[0].numerator != ends[1].numerator
+    # the k-th x is at column 23 + 4k, and the + before it two columns left
+    want = "Bin(op='+', lhs=" * 1999 + "Name(name='x', pos=(1, 23))" + "".join(
+        f", rhs=Name(name='x', pos=(1, {23 + 4 * k})), pos=(1, {21 + 4 * k}))"
+        for k in range(1, 2000)
+    )
+    assert repr(a.numerator) == want
+
+
 def test_power_of_an_exact_scalar_is_exact_and_fast():
     """(3/2)^n is formed by repeated squaring and rounded once."""
     for n in (7, -7, 60_000):

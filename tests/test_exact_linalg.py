@@ -349,6 +349,79 @@ def test_flag_table_matches_minor_oracle(data):
         assert e.profile == oracle_profile(jac)
 
 
+@st.composite
+def pooled_arrangements(draw):
+    """r <= 4 rows drawn from a pool, so rows repeat and minors vanish, over
+    rational generators, so the chart rows are fractional."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=-1, max_value=1), min_size=r, max_size=r)
+    pool = draw(st.lists(row.filter(any), min_size=1, max_size=r + 1))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r + 2))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    gens = draw(
+        st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r).filter(
+            lambda g: determinant(RationalMatrix.from_rows(g)) != 0
+        )
+    )
+    return rows, gens
+
+
+@given(pooled_arrangements())
+# r = 1: one flag per hyperplane, no q or r minors
+@example(([[1], [-1], [1]], [[Fraction(-2, 3)]]))
+# R = r: exactly one independent row set, all of its 3! orderings kept
+@example(([[1, 1, 0], [0, -1, 1], [1, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+# repeated rows and zero minors, over rational generators
+@example(
+    (
+        [[1, 0, -1], [1, 0, -1], [0, 1, 0], [1, 1, -1]],
+        [[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 1], [1, 0, Fraction(3, 4)]],
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_flag_table_matches_per_flag_reads(data):
+    """Reading each independent row set's orderings through one layout gives
+    every flag, in ``itertools.permutations`` order, the profile that a
+    read of that flag alone from the same minor store gives."""
+    rows, gens = data
+    r = len(gens)
+    hps = [Hyperplane(tuple(f), mpc(i + 1)) for i, f in enumerate(rows)]
+    arr = Arrangement.build(r, hps)
+    poly = Polyhedron.from_generators(gens)
+    chart = jacobian(arr, range(len(rows)), poly)
+    store = minor_store(chart)
+    want = [
+        (flag, reference.read_profile(store, flag, r))
+        for flag in permutations(range(len(rows)), r)
+        if store[tuple(sorted(flag)), r - 1][0]
+    ]
+    table = flag_table(arr, poly)
+    assert len(table) == len(want)
+    for e, (flag, profile) in zip(table, want):
+        assert e.flag.indices == flag
+        assert e.jacobian.entries == tuple(chart.entries[i] for i in flag)
+        assert e.profile == profile
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.integers(min_value=k + 1, max_value=5).flatmap(
+            lambda width: st.lists(
+                st.lists(fracs, min_size=width, max_size=width), min_size=k, max_size=k
+            )
+        )
+    )
+)
+@example([[0, Fraction(1, 2), -1]])
+@example([[1, 0, 0, 2], [1, 0, 0, 2]])
+@settings(max_examples=60, deadline=None)
+def test_minor_profile_of_a_wide_matrix_matches_per_flag_read(rows):
+    """k < width: the q minors run past the last row, as the oracle's do."""
+    mat = RationalMatrix.from_rows(rows)
+    want = reference.read_profile(minor_store(mat), range(mat.rows), mat.cols)
+    assert minor_profile(mat) == want
+
+
 @given(wide_matrices(), st.lists(fracs, min_size=4, max_size=4))
 @settings(max_examples=120, deadline=None)
 def test_positive_row_scaling_preserves_verdicts(rows, raw_factors):
