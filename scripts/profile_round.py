@@ -9,7 +9,13 @@ library's json and fractions, mpmath, built-ins) with the largest
 cumulative time, leaving out this script and the profiler.  The problem
 files go to a temporary directory; nothing under ``perfbench/`` is written.
 
-Usage: python scripts/profile_round.py flags|poles [--top N]
+It also prints how many Fractions the round builds: the calls of
+``Fraction.__new__`` in the profile, a count fixed by the round and the
+interpreter (3.12's fractions module builds its results without calling
+``__new__``, and counts fewer).  With --max-fractions N the script exits 1
+when the count exceeds N.
+
+Usage: python scripts/profile_round.py flags|poles [--top N] [--max-fractions N]
 """
 
 import argparse
@@ -20,6 +26,7 @@ import pstats
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -84,6 +91,13 @@ def hot_spots(stats: pstats.Stats, top: int) -> tuple[list, list]:
     return inside[:top], outside[:top]
 
 
+def fraction_count(stats: pstats.Stats) -> int:
+    """The calls of ``Fraction.__new__`` in the profile."""
+    code = Fraction.__new__.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    return stats.stats[key][1] if key in stats.stats else 0
+
+
 def _print_rows(title: str, rows: list) -> None:
     print(title)
     print(f"{'cumulative s':>12} {'own s':>8} {'calls':>9}  function")
@@ -95,17 +109,22 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(FAMILIES))
     parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--max-fractions", type=int, default=None)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
         stats, wall, crashes = profile_ops(ops)
+    fractions = fraction_count(stats)
     print(
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
-        f"{wall:.2f} s under cProfile"
+        f"{wall:.2f} s under cProfile, {fractions} Fractions built"
     )
     inside, outside = hot_spots(stats, args.top)
     _print_rows("residuum:", inside)
     _print_rows("outside residuum:", outside)
+    if args.max_fractions is not None and fractions > args.max_fractions:
+        print(f"more than {args.max_fractions} Fractions built", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

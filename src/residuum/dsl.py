@@ -183,16 +183,20 @@ class _Node:
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
+    def _preorder(self) -> list:
+        """The tree in preorder (``_walk``), each node as its kind, its fields
+        with None for a child, and ``pos``: flat, so that comparing and
+        pickling a deep tree does not recurse."""
+        return [
+            (type(n), *[None if isinstance(x, _Node) else x for x in n._key()], n.pos)
+            for n in _walk(self)
+        ]
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # the trees in preorder (``_walk``), each node as its kind and non-node
-        # fields: equal exactly when the trees are, as each kind's arity is fixed
-        a, b = [
-            [(type(n), *[x for x in n._key() if not isinstance(x, _Node)]) for n in _walk(t)]
-            for t in (self, other)
-        ]
-        return a == b
+        # equal exactly when the trees are, as each kind's arity is fixed
+        return [n[:-1] for n in self._preorder()] == [n[:-1] for n in other._preorder()]
 
     def __hash__(self) -> int:
         """hash(self._key()), children first (``_walk`` reversed), as ``_Hash``es."""
@@ -218,7 +222,7 @@ class _Node:
         return "".join(out)
 
     def __reduce__(self):
-        return type(self), (*self._key(), self.pos)
+        return _rebuild, (self._preorder(),)
 
 
 class Num(_Node):
@@ -313,6 +317,15 @@ def _walk(node: Expr) -> Iterator[Expr]:
             stack.append(node.lhs)
         elif isinstance(node, ExpCall):
             stack.append(node.arg)
+
+
+def _rebuild(preorder: list) -> Expr:
+    """The tree of a ``_Node._preorder``, built children first on an explicit
+    stack, where a node's first child is on top."""
+    stack: list = []
+    for kind, *fields, pos in reversed(preorder):
+        stack.append(kind(*[stack.pop() if x is None else x for x in fields], pos))
+    return stack.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,9 @@ def _position(basis_inverse: RationalMatrix, point):
     z = [sum(b * c for b, c in zip(point, row)) for row in basis_inverse.entries]
     # exact coordinates (of an exact point) are decided without a scale
     scale = max([mpf(1)] + [abs(c) for c in z if isinstance(c, mpc)])
-    on_face = [is_negligible(c.imag, scale) for c in z]
-    inside = all(edge or c.imag > 0 for c, edge in zip(z, on_face))
+    ims = [c.imag for c in z]
+    on_face = [is_negligible(y, scale) for y in ims]
+    inside = all(edge or y > 0 for y, edge in zip(ims, on_face))
     return inside, any(on_face)
 
 

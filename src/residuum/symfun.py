@@ -5,11 +5,10 @@ The working class of integrands is finite sums of terms
     c * P(z) * exp(L(z)) / prod_i A_i(z)^{m_i}
 
 with P a polynomial, L and each A_i affine.  Coefficients, series and values
-are mpmath complex numbers; a denominator form is exact (Fraction
-coefficients, GaussianRational constant) when built from exact data, and
-restricting, solving and normalizing keep it so.  The class is closed under
-the three operations the residue engine needs: partial differentiation,
-affine substitution (including linear changes of variables), and taking the
+are mpmath complex numbers; an affine form built from exact data is exact,
+on Python ints (``AffineForm``), and restricting, solving and normalizing
+keep it so.  The class is closed under the three operations the residue
+engine needs: partial differentiation, affine substitution, and taking the
 coefficient of (z_v - pole)^{-1} in one variable.
 
 A residue at a pole of order n + 1 is read off truncated Taylor series in
@@ -17,28 +16,21 @@ t = z_v - pole rather than by differentiating n times: the t^n coefficient of
 the product of the series of P, of exp(L) and of each non-vanishing factor
 A_i^{-m_i}, which costs a number of terms polynomial in n.  Like terms (same
 exponent bit for bit, same denominator) are merged, and a step that would
-produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
-
-A residue step computes each fact about an affine form once: one memo per
-``residue_1d`` call holds each form's restriction to the pole
-(``AffineForm.restrict``, which sets z_v to the pole directly instead of
-composing with unit forms), whether each denominator form vanishes there,
-the monic unit and rounded leading entry of each non-vanishing restriction,
-one unit per class of proportional restrictions, and the Taylor series of
-each kept factor at each multiplicity and order.  Every term reads them from
-the memo, with the same arithmetic in the same order as computing them
-afresh, so the result does not depend on it; nothing outlives the call.
+produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.  A step
+sets z_v to the pole directly (``restrict``), without unit forms, and
+computes each fact about a form once, in a memo that nothing outlives.
 
 Vanishing and proportionality of exact forms are decided by ``==`` and dict
-keys; the noise floor (``is_negligible``, ``close_to``) decides only for
-rounded forms, which arise when some s_j holds pi or exp().  Scalars live at
-the ambient mpmath precision (``working_precision``); an exact input is
-rounded once, where it meets mpc arithmetic.
+keys, with no noise scale; the noise floor (``is_negligible``, ``close_to``)
+decides only for rounded forms, which arise when some s_j holds pi or exp().
+Scalars live at the ambient mpmath precision (``working_precision``); an
+exact input is rounded once, where it meets mpc arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -48,7 +40,7 @@ from mpmath import exp as mp_exp
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_rational, fzero
 
-from .exact_linalg import GaussianRational
+from .exact_linalg import GaussianRational, _gaussian
 
 DEFAULT_PRECISION = 128
 
@@ -109,28 +101,44 @@ def is_negligible(x, scale=1) -> bool:
 
 
 class AffineForm:
-    """a . z + c, exact (Fraction or GaussianRational entries; operations
-    stay exact) or rounded to mpc (``make``) as a whole.  A problem file's
-    affine values may mix the two until ``make`` rounds them.  Immutable:
-    ``coeffs`` (a tuple) and ``const`` cannot be assigned."""
+    """a . z + c, exact or rounded to mpc (``make``) as a whole.
 
-    __slots__ = ("coeffs", "const", "_hash")
+    An exact form holds its entries (coefficients, then constant) as Gaussian
+    integers (re, im) over one positive denominator, in normal form (gcd 1)
+    like ``GaussianRational``, so its arithmetic, ``==`` and ``hash`` are
+    integer products and one gcd.  The read-only ``coeffs`` and ``const``
+    read back as given, else as GaussianRationals, coefficients as Fractions
+    in a form built from real ones.  A form with an inexact entry is rounded;
+    a problem file's values may mix the two until ``make`` rounds them.
+    """
 
-    def __init__(self, coeffs: tuple, const: GaussianRational | mpc):
-        _set_coeffs(self, coeffs)
-        _set_const(self, const)
-        _set_hash(self, None)
+    __slots__ = ("_v", "_den", "_gauss", "_given", "_hash")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __new__(cls, coeffs: tuple, const):
+        parts = [_parts(x) for x in (*coeffs, const)]
+        if None in parts:
+            return _form((*coeffs, const), None)
+        d = math.lcm(*[e for _, _, e in parts])
+        pairs = [(a, b) if e == d else (a * (d // e), b * (d // e)) for a, b, e in parts]
+        gauss = any(x.__class__ is GaussianRational for x in coeffs)
+        return _form(pairs, d, gauss, given=(tuple(coeffs), const))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    coeffs = property(lambda self: (self._given or self._read())[0])
+    const = property(lambda self: (self._given or self._read())[1])
+
+    def _read(self) -> tuple:
+        """(coeffs, const) read from the entries, and kept when exact."""
+        v, d = self._v, self._den
+        if d is None:
+            return v[:-1], v[-1]
+        read = _gaussian if self._gauss else lambda a, _, d: Fraction(a, d)
+        self._given = tuple(read(a, b, d) for a, b in v[:-1]), _gaussian(*v[-1], d)
+        return self._given
 
     def __eq__(self, other):
         if other.__class__ is not AffineForm:
             return NotImplemented
-        return (self.coeffs, self.const) == (other.coeffs, other.const)
+        return self._den == other._den and self._v == other._v
 
     def __repr__(self) -> str:
         return f"AffineForm(coeffs={self.coeffs!r}, const={self.const!r})"
@@ -140,11 +148,7 @@ class AffineForm:
 
     @classmethod
     def make(cls, coeffs: Iterable, const=0) -> "AffineForm":
-        return cls(tuple(to_mpc(x) for x in coeffs), to_mpc(const))
-
-    @classmethod
-    def unit(cls, arity: int, index: int) -> "AffineForm":
-        return cls.make([1 if j == index else 0 for j in range(arity)])
+        return _form([*map(to_mpc, coeffs), to_mpc(const)], None)
 
     @classmethod
     def constant(cls, arity: int, value) -> "AffineForm":
@@ -152,15 +156,25 @@ class AffineForm:
 
     @property
     def arity(self) -> int:
-        return len(self.coeffs)
+        return len(self._v) - 1
 
     def __hash__(self) -> int:  # each form keys the memo dicts of a step many times
         if self._hash is None:
-            _set_hash(self, hash((self.coeffs, self.const)))
+            self._hash = hash((self._v, self._den))
         return self._hash
 
+    def entry(self, j: int) -> mpc:
+        """Entry j (the constant at j = arity) rounded, as ``to_mpc`` rounds it."""
+        if self._den is None:
+            return to_mpc(self._v[j])
+        (a, b), d, prec = self._v[j], self._den, mp.prec
+        return mp.make_mpc((from_rational(a, d, prec, "n"), from_rational(b, d, prec, "n")))
+
+    def rounded(self) -> "AffineForm":
+        return _form([self.entry(j) for j in range(len(self._v))], None)
+
     def evaluate(self, point: Sequence) -> mpc:
-        acc = to_mpc(self.const)
+        acc = self.entry(self.arity)
         for a, z in zip(self.coeffs, point):
             acc = acc + a * to_mpc(z)
         return acc
@@ -168,21 +182,28 @@ class AffineForm:
     def max_abs(self) -> mpf:
         """The largest entry's magnitude, a noise-floor scale: exact entries
         are rounded first, so that none needs to fit a float."""
-        return max(abs(to_mpc(c)) for c in (*self.coeffs, self.const))
+        return max(abs(self.entry(j)) for j in range(len(self._v)))
 
     def is_zero(self) -> bool:
-        if isinstance(self.const, mpc):
+        if self._den is None:
             return self.max_abs() <= _noise_floor()
-        return not (self.const or any(self.coeffs))
+        return not any(a or b for a, b in self._v)
 
     def scale(self, factor) -> "AffineForm":
-        return AffineForm(tuple(c * factor for c in self.coeffs), self.const * factor)
+        parts = _parts(factor) if self._den else None
+        if parts is None:
+            return AffineForm(tuple(c * factor for c in self.coeffs), self.const * factor)
+        (x, y, e), gauss = parts, self._gauss or factor.__class__ is GaussianRational
+        pairs = [(a * x - b * y, a * y + b * x) for a, b in self._v]
+        return _form(pairs, self._den * e, gauss)
 
     def add(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const + other.const,
-        )
+        if self._den is None or other._den is None:
+            coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            return AffineForm(coeffs, self.const + other.const)
+        d, e = self._den, other._den
+        pairs = [(a * e + c * d, b * e + s * d) for (a, b), (c, s) in zip(self._v, other._v)]
+        return _form(pairs, d * e, self._gauss or other._gauss)
 
     def compose(self, forms: Sequence["AffineForm"]) -> "AffineForm":
         """Substitute z_i = forms[i](w); all forms share one new arity.
@@ -190,7 +211,8 @@ class AffineForm:
         Each entry of the result is c + sum_i a_i phi_i, summed in the order
         of i; a term with a_i == 0 is skipped, since adding it is exact.
         """
-        coeffs = [to_mpc(0)] * (forms[0].arity if forms else 0)
+        exact = self._den is not None and all(f._den is not None for f in forms)
+        coeffs = [0 if exact else to_mpc(0)] * (forms[0].arity if forms else 0)
         const = self.const
         for a, phi in zip(self.coeffs, forms):
             if a == 0:
@@ -206,49 +228,68 @@ class AffineForm:
         coefficient of z_var: ``compose`` with the pole and unit forms,
         without the products that are exactly zero.
         """
-        a = self.coeffs[var]
-        coeffs = self.coeffs[:var] + self.coeffs[var + 1 :]
-        if a == 0:
-            return AffineForm(coeffs, self.const)
-        p = pole.coeffs[:var] + pole.coeffs[var + 1 :]
-        return AffineForm(
-            tuple(c + x * a for c, x in zip(coeffs, p)), self.const + pole.const * a
-        )
+        rest = self._v[:var] + self._v[var + 1 :]
+        a = self._v[var]
+        if not (any(a) if self._den else a):  # a == 0
+            return _form(rest, self._den, self._gauss)
+        if self._den is None or pole._den is None:
+            a, p = self.coeffs[var], pole.coeffs[:var] + pole.coeffs[var + 1 :]
+            coeffs = self.coeffs[:var] + self.coeffs[var + 1 :]
+            const = self.const + pole.const * a
+            return AffineForm(tuple(c + x * a for c, x in zip(coeffs, p)), const)
+        # c_j / d + (p_j / e)(a / d) = (c_j e + p_j a) / (d e)
+        (u, w), e = a, pole._den
+        terms = zip(rest, pole._v[:var] + pole._v[var + 1 :])
+        pairs = [(c * e + x * u - y * w, s * e + x * w + y * u) for (c, s), (x, y) in terms]
+        return _form(pairs, self._den * e, self._gauss or pole._gauss)
 
     def solve_for(self, var: int) -> "AffineForm":
         """On the zero locus, express z_var as an affine form of the others.
 
         The result has the same arity with a zero coefficient at ``var``.
         """
-        a = self.coeffs[var]
-        if is_negligible(a, self.max_abs()):
+        a = self._v[var]
+        if not any(a) if self._den else is_negligible(a, self.max_abs()):
             raise ZeroDivisionError(f"form does not involve variable {var}")
-        coeffs = [(-c) / a for c in self.coeffs]
-        coeffs[var] = 0 * a
-        return AffineForm(tuple(coeffs), -self.const / a)
+        if self._den is None:
+            coeffs = [(-c) / a for c in self.coeffs]
+            coeffs[var] = 0 * a
+            return AffineForm(tuple(coeffs), -self.const / a)
+        # -c / a = -c conj(a) / |a|^2, with c and a over one denominator
+        ar, ai = a
+        pairs = [(-(c * ar + s * ai), c * ai - s * ar) for c, s in self._v]
+        pairs[var] = (0, 0)
+        return _form(pairs, ar * ar + ai * ai, self._gauss)
 
     def drop_var(self, var: int) -> "AffineForm":
         """Remove a variable whose coefficient is (numerically) zero."""
-        if not is_negligible(self.coeffs[var], self.max_abs()):
+        a = self._v[var]
+        if any(a) if self._den else not is_negligible(a, self.max_abs()):
             raise ValueError(f"variable {var} still occurs")
-        return AffineForm(
-            tuple(c for j, c in enumerate(self.coeffs) if j != var), self.const
-        )
+        return _form(self._v[:var] + self._v[var + 1 :], self._den, self._gauss)
 
     def normalized(self):
         """Scale so the first significant entry is 1; returns (form, factor).
 
-        ``factor`` is the original leading entry: self == result.scale(factor).
-        Proportional exact forms give equal results.
+        ``factor`` is the original leading entry, a GaussianRational when the
+        form is exact: self == result.scale(factor).  Proportional exact
+        forms give equal results.
         """
-        entries = (*self.coeffs, self.const)
-        if isinstance(self.const, mpc):
+        if self._den is None:
             floor = _noise_floor() * max(mpf(1), self.max_abs())
-            entries = (x for x in entries if abs(x) > floor)
-        lead = next((x for x in entries if x), None)
-        if lead is None:
+            lead = next((x for x in self._v if abs(x) > floor and x), None)
+            if lead is None:
+                raise IdenticallyZeroDenominator("zero affine form")
+            return AffineForm(tuple(c / lead for c in self.coeffs), self.const / lead), lead
+        j = next((j for j, pair in enumerate(self._v) if any(pair)), None)
+        if j is None:
             raise IdenticallyZeroDenominator("zero affine form")
-        return AffineForm(tuple(c / lead for c in self.coeffs), self.const / lead), lead
+        # c / lead = c conj(lead) / |lead|^2; a constant lead makes the
+        # coefficients Gaussian
+        ar, ai = self._v[j]
+        pairs = [(c * ar + s * ai, s * ar - c * ai) for c, s in self._v]
+        unit = _form(pairs, ar * ar + ai * ai, self._gauss or j == self.arity)
+        return unit, _gaussian(ar, ai, self._den)
 
     def close_to(self, other: "AffineForm") -> bool:
         scale = max(self.max_abs(), other.max_abs(), mpf(1))
@@ -259,10 +300,25 @@ class AffineForm:
         return diff <= _noise_floor() * scale
 
 
-# the slots' own setters, which the guard above does not reach
-_set_coeffs = AffineForm.coeffs.__set__
-_set_const = AffineForm.const.__set__
-_set_hash = AffineForm._hash.__set__
+def _parts(x) -> tuple[int, int, int] | None:
+    """(re, im, denominator) of an exact scalar in normal form, else None."""
+    if x.__class__ is GaussianRational:
+        return x._a, x._b, x._d
+    if x.__class__ is not mpc and isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _form(v, den: int | None, gauss: bool = False, given=None) -> AffineForm:
+    """The form of entries ``v``: rounded when ``den`` is None, else Gaussian
+    integer pairs over ``den`` > 0, put in normal form unless ``given``."""
+    if den not in (None, 1) and given is None:  # given entries are in normal form
+        g = math.gcd(den, *itertools.chain.from_iterable(v))
+        if g != 1:
+            v, den = [(a // g, b // g) for a, b in v], den // g
+    f = object.__new__(AffineForm)
+    f._v, f._den, f._gauss, f._given, f._hash = tuple(v), den, gauss, given, None
+    return f
 
 
 class Polynomial:
@@ -278,17 +334,18 @@ class Polynomial:
         self.arity = arity
         cleaned = {}
         if coeffs:
-            scale = max((abs(v) for v in coeffs.values()), default=mpf(0))
-            floor = _noise_floor() * scale
-            for e, v in coeffs.items():
-                if abs(v) > floor:
+            mags = [abs(v) for v in coeffs.values()]
+            # a lone term is rounding residue only when it is 0
+            floor = _noise_floor() * max(mags) if len(mags) > 1 else 0
+            for (e, v), mag in zip(coeffs.items(), mags):
+                if mag > floor:
                     cleaned[tuple(e)] = to_mpc(v)
         self._coeffs = cleaned
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
         v = to_mpc(value)
-        return cls(arity, {(0,) * arity: v} if v != 0 else {})
+        return cls(arity, {(0,) * arity: v} if v else {})
 
     @classmethod
     def from_affine(cls, form: AffineForm) -> "Polynomial":
@@ -346,6 +403,19 @@ class Polynomial:
             acc = acc + mono
         return acc
 
+    def restrict(self, var: int, pole: AffineForm) -> "Polynomial":
+        """Set z_var = pole (zero coefficient at ``var``); drop z_var: the
+        arithmetic of ``compose`` with the pole and unit forms, in its order,
+        where a product by a unit form only moves exponents."""
+        basis, acc = None, Polynomial(self.arity - 1)
+        for e, v in self.items():
+            mono = Polynomial(acc.arity, {e[:var] + e[var + 1 :]: v})
+            for _ in range(e[var]):
+                basis = basis or Polynomial.from_affine(pole.drop_var(var))
+                mono = mono.mul(basis)
+            acc = acc.add(mono)
+        return acc
+
     def compose(self, forms: Sequence[AffineForm]) -> "Polynomial":
         """Substitute z_i = forms[i](w) for every variable."""
         new_arity = forms[0].arity if forms else 0
@@ -384,33 +454,37 @@ class Term(NamedTuple):
             c = c / (to_mpc(lead) ** mult)
             unit = _merge_unit(unit, merged)
             merged[unit] = merged.get(unit, 0) + mult
-        items = sorted(merged.items(), key=lambda fm: _affine_sort_key(fm[0]))
-        return cls(c, poly, expo, tuple(items))
+        items = list(merged.items())
+        order = _form_order([unit for unit, _ in items])
+        return cls(c, poly, expo, tuple(items[k] for k in order))
 
     @property
     def arity(self) -> int:
         return self.expo.arity
 
     def is_zero(self) -> bool:
-        return self.coeff == 0 or self.poly.is_zero()
+        return not self.coeff or self.poly.is_zero()
 
     def scale(self, factor) -> "Term":
         return Term(self.coeff * to_mpc(factor), self.poly, self.expo, self.denom)
 
 
-def _affine_sort_key(form: AffineForm):
-    """A rounded form sorts by its entries as floats, an exact form by its
-    exact entries, which need not fit a float."""
-    entries = (*form.coeffs, form.const)
-    if isinstance(form.const, mpc):
-        return tuple((float(x.real), float(x.imag)) for x in entries)
-    return tuple((x.real, x.imag) for x in entries)
+def _form_order(forms: Sequence[AffineForm]) -> list[int]:
+    """The indices of ``forms`` in the order of their entries, (re, im) of
+    each: exactly, as integers over the lcm of the denominators, when every
+    form is exact, so no entry needs to fit a float; else as floats."""
+    if all(f._den is not None for f in forms):
+        lcm = math.lcm(*(f._den for f in forms))
+        keys = [tuple(x * (lcm // f._den) for pair in f._v for x in pair) for f in forms]
+    else:  # rounded forms, and any set that mixes the two kinds
+        keys = [tuple((float(x.real), float(x.imag)) for x in f.rounded()._v) for f in forms]
+    return sorted(range(len(forms)), key=keys.__getitem__)
 
 
 def _merge_unit(unit: AffineForm, units) -> AffineForm:
     """The unit of ``units`` that ``unit`` merges with, else ``unit``: exact
     units merge when equal, a rounded one with the first unit close_to it."""
-    if not isinstance(unit.const, mpc):
+    if unit._den is not None:
         return unit
     return next((u for u in units if u.close_to(unit)), unit)
 
@@ -536,12 +610,6 @@ class ExpRationalFunction:
         if pole.arity != self.arity:
             raise ValueError("pole arity mismatch")
         memo = _PoleMemo(var, pole)
-        subs = [
-            memo.rounded.drop_var(var)
-            if i == var
-            else AffineForm.unit(self.arity - 1, i - (i > var))
-            for i in range(self.arity)
-        ]
         out: list[Term] = []
         for t in self.terms:
             coeff = t.coeff
@@ -559,8 +627,8 @@ class ExpRationalFunction:
                 continue
             out.extend(
                 _series_residue(
-                    coeff, t, var, order - 1, subs, memo.restrict(t.expo), kept,
-                    memo, MAX_RESIDUE_TERMS - len(out),
+                    coeff, t, var, order - 1, memo.restrict(t.expo), kept, memo,
+                    MAX_RESIDUE_TERMS - len(out),
                 )
             )
         return ExpRationalFunction(self.arity - 1, _merge_like_terms(out))
@@ -608,7 +676,7 @@ class _PoleMemo:
     def __init__(self, var: int, pole: AffineForm):
         self.var = var
         self.pole = pole
-        self.rounded = AffineForm.make(pole.coeffs, pole.const)
+        self.rounded = pole.rounded()
         self.units: list[AffineForm] = []
         self.leads: list[mpc] = []
         self.classes: list[int] = []
@@ -635,7 +703,7 @@ class _PoleMemo:
                 k = len(self.leads)
                 self.leads.append(to_mpc(lead))
                 self.classes.append(cls)
-            got = self._factors[form] = (k, to_mpc(form.coeffs[self.var]))
+            got = self._factors[form] = (k, form.entry(self.var))
         return got
 
     def series(self, k: int, mult: int, a, n: int) -> tuple:
@@ -652,7 +720,7 @@ class _PoleMemo:
         lead = self.leads[k]
         series = tuple(
             math.comb(mult + j - 1, j) * (-a) ** j / lead ** (mult + j)
-            for j in range(1, n + 1 if a != 0 else 1)
+            for j in range(1, n + 1 if a else 1)
         )
         return lead**mult, series
 
@@ -662,7 +730,6 @@ def _series_residue(
     term: Term,
     var: int,
     n: int,
-    subs,
     expo: AffineForm,
     kept,
     memo: _PoleMemo,
@@ -679,9 +746,8 @@ def _series_residue(
     One term is emitted per choice of the kept factors' exponents j; its
     polynomial collects the polynomial and exponential parts of degree
     n - sum(j).  ``kept`` lists (k, m, a) with k the index of B, A at the
-    pole, in ``memo``; ``subs`` sets z_var to the pole and ``expo`` is L
-    there.  Raises TermBudgetExceeded rather than emit more than ``budget``
-    terms.
+    pole, in ``memo``, and ``expo`` is L there.  Raises TermBudgetExceeded
+    rather than emit more than ``budget`` terms.
     """
     taylor = []
     p = term.poly
@@ -690,7 +756,7 @@ def _series_residue(
             p = p.differentiate(var).scale(Fraction(1, j))
             if p.is_zero():
                 break
-        taylor.append(p.compose(subs))
+        taylor.append(p.restrict(var, memo.rounded))
     lv = term.expo.coeffs[var]
     exp_series = [to_mpc(1)]
     for k in range(1, n + 1):
@@ -701,7 +767,7 @@ def _series_residue(
         acc = None
         for j, q in enumerate(taylor[: n - s + 1]):
             k = n - s - j
-            if k and lv == 0:
+            if k and not lv:
                 continue
             piece = q if k == 0 else q.scale(exp_series[k])
             acc = piece if acc is None else acc.add(piece)
@@ -714,7 +780,7 @@ def _series_residue(
         cls = firsts.setdefault(memo.classes[k], len(firsts))
         factors.append((cls, mult, *memo.series(k, mult, a, n)))
     units = [memo.units[u] for u in firsts]
-    class_order = sorted(range(len(units)), key=lambda c: _affine_sort_key(units[c]))
+    class_order = _form_order(units)
 
     active = sum(1 for f in factors if f[3])
     count = sum(
@@ -750,7 +816,7 @@ def _series_residue(
 
 
 def _form_key(form: AffineForm) -> tuple:
-    return tuple(x._mpc_ for x in form.coeffs) + (form.const._mpc_,)
+    return tuple(x._mpc_ for x in form._v)
 
 
 def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:

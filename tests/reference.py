@@ -9,7 +9,8 @@
 * ``torus_residue``: the residue at a terminal point as a float64 average
   over the torus |g_j| = eps_j around it, independent of flags and charts.
 * ``substitute_affine``: an exp-rational function with one variable set to
-  an affine form in the others, by ``ExpRationalFunction.compose``.
+  an affine form in the others, by ``ExpRationalFunction.compose`` with
+  ``unit_form``s.
 * ``defining_form``: the affine function g = f(v) - i s cutting out a
   hyperplane.
 * ``stability_rows`` and ``stability_lines``: the stability table as one
@@ -18,6 +19,11 @@
 * ``GaussianRational``: an exact complex rational as a frozen dataclass of
   two Fractions; ``exact_linalg.GaussianRational`` holds three ints
   instead, and the suite checks the two agree operation by operation.
+* ``FractionForm``: an exact affine form as ``symfun.AffineForm`` held one
+  before its integer representation, Fraction or GaussianRational entries,
+  with that arithmetic for ``restrict``, ``solve_for``, ``normalized``,
+  ``compose`` and the sort order of denominator units; the suite checks
+  the integer forms against it.
 * ``read_profile``: one flag's minor profile read from a ``minor_store``
   on its own, its prefixes sorted and its verdicts decided by Fraction
   comparisons; ``exact_linalg.ordered_profiles`` reads every ordering of a
@@ -31,6 +37,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mpc
@@ -238,6 +245,11 @@ def torus_residue(
     return mpc(det_ainv * complex(np.mean(integrand)))
 
 
+def unit_form(arity: int, index: int) -> AffineForm:
+    """z_index as a rounded form of ``arity`` variables."""
+    return AffineForm.make([int(j == index) for j in range(arity)])
+
+
 def substitute_affine(
     func: ExpRationalFunction, var: int, repl: AffineForm
 ) -> ExpRationalFunction:
@@ -255,7 +267,7 @@ def substitute_affine(
             forms.append(repl.drop_var(var))
         else:
             new_index = i if i < var else i - 1
-            forms.append(AffineForm.unit(func.arity - 1, new_index))
+            forms.append(unit_form(func.arity - 1, new_index))
     return func.compose(forms)
 
 
@@ -381,3 +393,52 @@ class GaussianRational:
         return mp.make_mpc(
             tuple(from_rational(x.numerator, x.denominator, prec, rounding) for x in parts)
         )
+
+
+class FractionForm(NamedTuple):
+    """a . z + c with Fraction or GaussianRational coefficients and a
+    GaussianRational constant (``exact_linalg``'s), by arithmetic on those
+    values: the exact ``AffineForm`` kernel before its entries moved to
+    Gaussian integers over one denominator."""
+
+    coeffs: tuple
+    const: object
+
+    def restrict(self, var: int, pole: "FractionForm") -> "FractionForm":
+        a = self.coeffs[var]
+        coeffs = self.coeffs[:var] + self.coeffs[var + 1 :]
+        if a == 0:
+            return FractionForm(coeffs, self.const)
+        p = pole.coeffs[:var] + pole.coeffs[var + 1 :]
+        return FractionForm(
+            tuple(c + x * a for c, x in zip(coeffs, p)), self.const + pole.const * a
+        )
+
+    def solve_for(self, var: int) -> "FractionForm":
+        a = self.coeffs[var]
+        if not a:
+            raise ZeroDivisionError(f"form does not involve variable {var}")
+        coeffs = [(-c) / a for c in self.coeffs]
+        coeffs[var] = 0 * a
+        return FractionForm(tuple(coeffs), -self.const / a)
+
+    def normalized(self) -> tuple["FractionForm", object]:
+        lead = next((x for x in (*self.coeffs, self.const) if x), None)
+        if lead is None:
+            raise ZeroDivisionError("zero affine form")
+        return FractionForm(tuple(c / lead for c in self.coeffs), self.const / lead), lead
+
+    def compose(self, forms) -> "FractionForm":
+        coeffs = [0] * (len(forms[0].coeffs) if forms else 0)
+        const = self.const
+        for a, phi in zip(self.coeffs, forms):
+            if a == 0:
+                continue
+            coeffs = [c + x * a for c, x in zip(coeffs, phi.coeffs)]
+            const = const + phi.const * a
+        return FractionForm(tuple(coeffs), const)
+
+    def sort_key(self) -> tuple:
+        """Exact entries as (re, im) pairs of Fractions, which need not fit
+        a float."""
+        return tuple((x.real, x.imag) for x in (*self.coeffs, self.const))

@@ -1,7 +1,9 @@
 """Problem-file parser: grammar, diagnostics, lowering, print round-trip."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -500,6 +502,17 @@ def test_long_sum_compares_hashes_and_prints():
         for k in range(1, 2000)
     )
     assert repr(a.numerator) == want
+
+
+def test_long_sum_pickles_and_copies():
+    """A spec whose numerator is a sum of 2,000 terms survives ``pickle`` and
+    ``copy.deepcopy``: a node reduces to its tree's flat preorder, rebuilt
+    on an explicit stack, positions included."""
+    text = "vars x; cone (1); num " + " + ".join(["x"] * 1999) + " - exp(-x); den (x - i);"
+    spec = parse_problem(text)
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert copied == spec and copied.numerator is not spec.numerator
+        assert repr(copied.numerator) == repr(spec.numerator)
 
 
 def test_power_of_an_exact_scalar_is_exact_and_fast():

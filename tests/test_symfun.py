@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, quad
 
-from reference import substitute_affine
-from residuum import symfun
+from reference import FractionForm, substitute_affine, unit_form
+from residuum import dsl, symfun
 from residuum.exact_linalg import GaussianRational
 from residuum.symfun import (
     AffineForm,
@@ -28,6 +28,7 @@ from residuum.symfun import (
     Term,
     TermBudgetExceeded,
     _form_key,
+    _form_order,
     to_mpc,
     working_precision,
 )
@@ -272,7 +273,7 @@ def restrict_oracle(form, var, pole):
     ``compose_oracle``."""
     n = form.arity
     subs = [
-        pole.drop_var(var) if i == var else AffineForm.unit(n - 1, i - (i > var))
+        pole.drop_var(var) if i == var else unit_form(n - 1, i - (i > var))
         for i in range(n)
     ]
     return compose_oracle(form, subs)
@@ -470,6 +471,110 @@ def test_exact_form_kernel_matches_rounded_kernel(data):
             assert abs(to_mpc(lead) - lead_r) <= mpf("1e-30") * abs(lead_r)
 
 
+_small_gaussians = st.builds(GaussianRational, _small_fractions, _small_fractions)
+
+
+@st.composite
+def _form_pairs(draw, arity: int, gauss: bool):
+    """(AffineForm, FractionForm) of the same exact entries: rational or
+    Gaussian coefficients, sometimes all zero, and a Gaussian constant."""
+    entry = _small_gaussians if gauss else _small_fractions
+    zeros = [GaussianRational.of(0) if gauss else Fraction(0)] * arity
+    coeffs = tuple(draw(st.lists(entry, min_size=arity, max_size=arity) | st.just(zeros)))
+    const = draw(_small_gaussians)
+    return AffineForm(coeffs, const), FractionForm(coeffs, const)
+
+
+def _same(form: AffineForm, ref: FractionForm) -> bool:
+    """Equal entries of the same kinds, rounded bit for bit alike."""
+    rounded = AffineForm.make(ref.coeffs, ref.const)
+    return (form.coeffs, form.const) == ref and _form_key(form.rounded()) == _form_key(rounded)
+
+
+def _same_lead(lead, ref_lead) -> bool:
+    exact = ref_lead if isinstance(ref_lead, GaussianRational) else GaussianRational.of(ref_lead)
+    return lead == exact and to_mpc(lead)._mpc_ == to_mpc(ref_lead)._mpc_
+
+
+def _check_against_reference(form: AffineForm, ref: FractionForm, data) -> None:
+    """``restrict``, ``solve_for``, ``normalized``, ``compose`` and ``scale``
+    of ``form`` against the Fraction arithmetic of ``ref``."""
+    assert _same(form, ref)
+    try:
+        ref_unit, ref_lead = ref.normalized()
+    except ZeroDivisionError:
+        with pytest.raises(IdenticallyZeroDenominator):
+            form.normalized()
+    else:
+        unit, lead = form.normalized()
+        assert _same(unit, ref_unit) and _same_lead(lead, ref_lead)
+        # a proportional form has an equal unit, of equal hash
+        k = data.draw((_small_fractions | _small_gaussians).filter(bool))
+        scaled = form.scale(k)
+        assert _same(scaled, FractionForm(tuple(c * k for c in ref.coeffs), ref.const * k))
+        assert scaled.normalized()[0] == unit and hash(scaled.normalized()[0]) == hash(unit)
+    arity = form.arity
+    if arity:
+        var = data.draw(st.integers(0, arity - 1))
+        pole_form, pole_ref = data.draw(_form_pairs(arity, data.draw(st.booleans())))
+        try:
+            ref_pole = pole_ref.solve_for(var)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                pole_form.solve_for(var)
+        else:
+            pole = pole_form.solve_for(var)
+            assert _same(pole, ref_pole)
+            assert _same(form.restrict(var, pole), ref.restrict(var, ref_pole))
+    new_arity = data.draw(st.integers(0, 3))
+    pairs = [data.draw(_form_pairs(new_arity, data.draw(st.booleans()))) for _ in range(arity)]
+    composed = form.compose([f for f, _ in pairs])
+    assert _same(composed, ref.compose([r for _, r in pairs]))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_forms_match_fraction_reference(data):
+    """Exact forms on Gaussian integers over one denominator give the rationals
+    of the Fraction arithmetic they replace, of the same kinds (Fraction or
+    GaussianRational coefficients), rounded bit for bit alike, at every
+    step; proportional forms have equal units of equal hash; and exact units
+    sort in the exact order of their (re, im) entries.  Zero and negative
+    leads, zero coefficients and constant-only forms (arity 0, or every
+    coefficient 0) are drawn."""
+    prec = data.draw(st.sampled_from([53, 128]))
+    arity = data.draw(st.integers(0, 4))
+    with working_precision(prec):
+        form, ref = data.draw(_form_pairs(arity, data.draw(st.booleans())))
+        _check_against_reference(form, ref, data)
+        drawn = data.draw(st.lists(_form_pairs(arity, data.draw(st.booleans())), max_size=5))
+        refs = [r for _, r in drawn]
+        order = sorted(range(len(refs)), key=lambda k: refs[k].sort_key())
+        assert _form_order([f for f, _ in drawn]) == order
+
+
+def test_parser_forms_match_fraction_reference():
+    """The Gaussian forms the parser builds for a denominator factor."""
+    spec = dsl.parse_problem(
+        "vars x y; cone (1,0) (0,1);"
+        "den ((1+i)*x - (2/3)*y + 3 - i/2) (-(1/2)*x + (2-i)*y) (-x + (3/4)*y - 2 + 5*i);"
+    )
+    env = spec._environment()
+    forms = [dsl._eval(expr, env, 2) for expr, _ in spec.denominator]
+    assert all(c.__class__ is GaussianRational for f in forms for c in f.coeffs)
+    refs = [FractionForm(f.coeffs, f.const) for f in forms]
+    with working_precision(128):
+        for k, (form, ref) in enumerate(zip(forms, refs)):
+            pole_form, pole_ref = forms[k - 1], refs[k - 1]
+            assert _same(form.normalized()[0], ref.normalized()[0])
+            for var in range(2):
+                pole, ref_pole = pole_form.solve_for(var), pole_ref.solve_for(var)
+                assert _same(pole, ref_pole)
+                assert _same(form.restrict(var, pole), ref.restrict(var, ref_pole))
+        order = sorted(range(3), key=lambda k: refs[k].sort_key())
+        assert _form_order(forms) == order
+
+
 def test_zero_denominator_rejected():
     with working_precision(128):
         f = ExpRationalFunction.from_parts(
@@ -504,7 +609,7 @@ def residue_by_differentiation(f, var, pole):
     Differentiates each term's regular part order - 1 times, substitutes the
     pole and divides by (order - 1)!; no like terms are merged.
     """
-    insert = [pole if i == var else AffineForm.unit(f.arity, i) for i in range(f.arity)]
+    insert = [pole if i == var else unit_form(f.arity, i) for i in range(f.arity)]
     result = ExpRationalFunction.zero(f.arity - 1)
     for t in f.terms:
         coeff = t.coeff
