@@ -13,7 +13,10 @@ It also prints how many Fractions the round builds: the calls of
 ``Fraction.__new__`` in the profile, a count fixed by the round and the
 interpreter (3.12's fractions module builds its results without calling
 ``__new__``, and counts fewer).  With --max-fractions N the script exits 1
-when the count exceeds N.
+when the count exceeds N.  Its last line is the round's digest, a sha256
+over each operation's command and file name, exit status (or the type of
+the exception it raised) and stdout, which scripts/expected/round_digests.txt
+records for both workloads.
 
 Usage: python scripts/profile_round.py flags|poles [--top N] [--max-fractions N]
 """
@@ -21,6 +24,7 @@ Usage: python scripts/profile_round.py flags|poles [--top N] [--max-fractions N]
 import argparse
 import cProfile
 import contextlib
+import hashlib
 import io
 import pstats
 import random
@@ -49,22 +53,26 @@ def build_round(workload: str, directory: Path) -> list:
     return [(op.cmd, op.path) for op in ops]
 
 
-def profile_ops(ops: list) -> tuple[pstats.Stats, float, int]:
-    """Run every operation under one profiler: (stats, wall seconds, crashes)."""
+def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str]:
+    """Run every operation under one profiler: (stats, wall seconds, crashes,
+    the round's digest)."""
     profiler = cProfile.Profile()
+    digest = hashlib.sha256()
     crashes = 0
     start = perf_counter()
     for cmd, path in ops:
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             profiler.enable()
             try:
-                cli_main([cmd, str(path), "--json"])
-            except Exception:  # a workload's known crashes stay in the profile
+                status = cli_main([cmd, str(path), "--json"])
+            except Exception as exc:  # a workload's known crashes stay in the profile
+                status = type(exc).__name__
                 crashes += 1
             finally:
                 profiler.disable()
-    return pstats.Stats(profiler), perf_counter() - start, crashes
+        digest.update(f"{cmd} {path.name}\n{status}\n{out.getvalue()}".encode())
+    return pstats.Stats(profiler), perf_counter() - start, crashes, digest.hexdigest()
 
 
 def hot_spots(stats: pstats.Stats, top: int) -> tuple[list, list]:
@@ -113,7 +121,7 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
-        stats, wall, crashes = profile_ops(ops)
+        stats, wall, crashes, digest = profile_ops(ops)
     fractions = fraction_count(stats)
     print(
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
@@ -122,6 +130,7 @@ def main() -> None:
     inside, outside = hot_spots(stats, args.top)
     _print_rows("residuum:", inside)
     _print_rows("outside residuum:", outside)
+    print(f"{args.workload} digest {digest}")
     if args.max_fractions is not None and fractions > args.max_fractions:
         print(f"more than {args.max_fractions} Fractions built", file=sys.stderr)
         sys.exit(1)

@@ -42,6 +42,7 @@ from mpmath import mpc
 
 from .exact_linalg import (
     GaussianRational,
+    _gaussian,
     MinorProfile,
     RationalMatrix,
     determinant,
@@ -49,12 +50,14 @@ from .exact_linalg import (
     ordered_profiles,
     rank,
     row_echelon,
+    set_minors,
     solve_linear,
 )
 from .symfun import (
     AffineForm,
     ExpRationalFunction,
     Term,
+    _parts,
     is_negligible,
     to_mpc,
 )
@@ -76,14 +79,13 @@ class InsolubleFlag(Exception):
 _I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def _exact_scalar(x) -> GaussianRational:
+def _exact_parts(x) -> tuple[int, int, int]:
+    """(a, b, d) with x = (a + b i) / d, for an exact scalar x."""
     if isinstance(x, complex):
-        return GaussianRational(Fraction(x.real), Fraction(x.imag))
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return GaussianRational() + x
-    raise TypeError(
-        f"hyperplane linear parts must be exact rational data, got {x!r}"
-    )
+        x = GaussianRational(Fraction(x.real), Fraction(x.imag))
+    if (parts := _parts(x)) is None:
+        raise TypeError(f"hyperplane linear parts must be exact rational data, got {x!r}")
+    return parts
 
 
 class Hyperplane(NamedTuple):
@@ -111,27 +113,24 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     exact (ints, Fractions, exact complex rationals); the constant may be any
     complex scalar.
     """
-    a = [_exact_scalar(x) for x in linear_coeffs]
-    if all(x.is_zero for x in a):
+    parts = [_exact_parts(x) for x in linear_coeffs]
+    den = math.lcm(*[d for _, _, d in parts])
+    z = [(a * (den // d), b * (den // d)) for a, b, d in parts]
+    if not any(map(any, z)):
         raise ValueError("linear part is zero; not a hyperplane")
-    lead = next(x for x in a if not x.is_zero)
-    lam = lead.conjugate()
-    scaled = [lam * x for x in a]
-    if any(not x.is_real for x in scaled):
+    x, y = next(pair for pair in z if any(pair))
+    # z_j times the conjugate of the lead: (a + b i)(x - y i)
+    if any(b * x != a * y for a, b in z):
         raise NotAlignable(
             "real and imaginary parts of the linear coefficients are not parallel"
         )
-    u = [x.re for x in scaled]
-    # positive rational scale to a primitive coprime-integer vector
-    den_lcm = math.lcm(*(x.denominator for x in u))
-    ints = [int(x * den_lcm) for x in u]
-    g = math.gcd(*(abs(n) for n in ints))
-    ints = [n // g for n in ints]
-    mu = Fraction(den_lcm, g)
-    # f(v) = i s with i s = -mu * lam * b, so s = i * mu * lam * b
-    lam_total = GaussianRational(lam.re * mu, lam.im * mu)
+    u = [a * x + b * y for a, b in z]
+    g = math.gcd(*u)
+    ints = [n // g for n in u]
+    # f(v) = i s with i s = -lam b for lam = conj(lead) D / g, so s = i lam b
+    lam = _gaussian(x * den, -y * den, g)
     exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
-    s = (_exact_scalar(constant) if exact else to_mpc(constant)) * lam_total * _I
+    s = (_gaussian(*_exact_parts(constant)) if exact else to_mpc(constant)) * lam * _I
     if is_negligible(s.real, s):
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
     if s.real < 0:
@@ -279,7 +278,10 @@ class Arrangement(NamedTuple):
         (row j of the exact F M of ``jacobian``) . z - i s_j, exact when every
         s_j is, else rounded once.  Each numerator term, composed with M,
         takes |det M| and every form, and is normalized by one ``Term.make``."""
-        rows = jacobian(self, range(len(self.hyperplanes)), poly)
+        return self._pullback(poly, jacobian(self, range(len(self.hyperplanes)), poly))
+
+    def _pullback(self, poly: Polyhedron, rows: RationalMatrix) -> tuple:
+        """``pullback`` from the chart matrix F M, as a flag table holds it."""
         consts = [_I * -h.s for h in self.hyperplanes]
         form = AffineForm.make if any(isinstance(c, mpc) for c in consts) else AffineForm
         forms = {j: form(row, c) for j, (row, c) in enumerate(zip(rows.entries, consts))}
@@ -331,31 +333,53 @@ class FlagEntry(NamedTuple):
     profile: MinorProfile
 
 
-def flag_table(arr: Arrangement, poly: Polyhedron) -> tuple[FlagEntry, ...]:
+MAX_TABLE_FLAGS = 100_000
+
+
+class TableTooLarge(Exception):
+    """A flag table would hold more than MAX_TABLE_FLAGS flags."""
+
+
+class FlagTable(tuple):
+    """``flag_table``'s entries, with ``chart`` C and ``row_sets``: per kept row
+    set S, (S, its ``set_minors``, the table places of its orderings, in
+    ``profile_layout`` order)."""
+
+
+def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
     """Every complete flag, in enumeration order, with its Jacobian and profile.
 
     The one place the pair's minor profiles are computed, each read from one
     ``minor_store`` of the chart matrix C = F M; build it once per call and
     hand it to whatever reads the verdicts.  The flags are read row set by
     row set: a set S of r rows reads the minors of its subsets from the
-    store once, and each of its r! orderings reads its profile from them
-    (``ordered_profiles``).  S is kept when its p_r is nonzero: M is
-    nonsingular, so p_r = +-det C[S] vanishes exactly when the f-rows F[S]
-    are dependent.
+    store once (``set_minors``), and each of its r! orderings reads its
+    profile from them (``ordered_profiles``).  S is kept when its p_r is
+    nonzero: M is nonsingular, so p_r = +-det C[S] vanishes exactly when the
+    f-rows F[S] are dependent.  A table of more than ``MAX_TABLE_FLAGS``
+    flags raises ``TableTooLarge`` before any is built.
     """
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
     r = arr.dim
     store = minor_store(chart)
-    table = []
-    for rows in itertools.combinations(range(len(arr.hyperplanes)), r):
-        if store[rows, r - 1][0]:
-            chart_rows = [chart.entries[i] for i in rows]
-            table += [
-                FlagEntry(Flag(order(rows)), RationalMatrix(order(chart_rows)), profile)
-                for order, profile in ordered_profiles(store, rows, r)
-            ]
-    # keyed by plain tuples of ints, which list.sort compares fastest
-    return tuple(sorted(table, key=lambda e: e.flag.indices))
+    sets = itertools.combinations(range(len(arr.hyperplanes)), r)
+    kept = [rows for rows in sets if store[rows, r - 1][0]]
+    if (count := len(kept) * math.factorial(r)) > MAX_TABLE_FLAGS:
+        raise TableTooLarge(f"{count} flags exceed the flag table cap of {MAX_TABLE_FLAGS}")
+    row_sets = [(rows, set_minors(store, rows, r)) for rows in kept]
+    entries = []
+    for rows, minors in row_sets:
+        chart_rows = [chart.entries[i] for i in rows]
+        entries += [
+            FlagEntry(Flag(order(rows)), RationalMatrix(order(chart_rows)), profile)
+            for order, profile in ordered_profiles(minors, r, r)
+        ]
+    ranked = sorted(range(len(entries)), key=[e.flag.indices for e in entries].__getitem__)
+    place, f = sorted(range(len(ranked)), key=ranked.__getitem__), math.factorial(r)
+    table = FlagTable([entries[n] for n in ranked])
+    table.chart = chart
+    table.row_sets = tuple((*rs, place[s * f : s * f + f]) for s, rs in enumerate(row_sets))
+    return table
 
 
 def stable_flags(

@@ -5,14 +5,15 @@ report either as aligned text or as JSON (``--json``).  JSON reports carry
 ``"schema": 1`` and print every number at a fixed precision.
 ``Report.to_json`` writes a report in one pass, with sorted keys and a
 2-space indent, exactly as ``json.dumps(..., sort_keys=True, indent=2)``
-would: the stability table row by row from the flag table, every other
-section through ``json.dumps``.  Byte-identical inputs produce
+would: the stability table row set by row set from the flag table, every
+other section through ``json.dumps``.  Byte-identical inputs produce
 byte-identical output.
 
 Exit status: 0 only when the run is certified (all stable collections
 compatible, convergence rule known) and, for ``verify``, the oracle agrees
 within tolerance; 1 otherwise; 2 for malformed problem files, usage errors,
-or a residue step that exceeds the term cap (``symfun.MAX_RESIDUE_TERMS``).
+a residue step that exceeds the term cap (``symfun.MAX_RESIDUE_TERMS``) or
+a flag table past the flag cap (``arrangement.MAX_TABLE_FLAGS``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from mpmath import mpf
 
 from .arrangement import (
     Arrangement,
+    FlagTable,
     Polyhedron,
+    TableTooLarge,
     compatibility_audit,
     flag_table,
 )
 from .dsl import ProblemError, ProblemSpec, format_expr, load_problem
+from .exact_linalg import row_layout, text_getter
 from .oracle import (
     DEFAULT_BOX,
     DEFAULT_TOL,
@@ -273,47 +277,43 @@ def _table_json(table, jacobians: bool) -> str:
     out by ``json.dumps`` from the first row's shape, writes each row: its
     fields in sorted key order, the q and r minors in the order in which
     ``sort_keys`` writes their "(j,l)" keys ("(1,10)" before "(1,2)").
-    Each minor and each chart row is written once per table (a flag's
-    Jacobian rows are rows of the chart matrix), its text keyed by ``id``,
-    which is sound because the table keeps every keyed object alive.
+    Row sets, as a ``FlagTable`` holds them (any other tuple: one entry a
+    set), are written one at a time into their rows' places, each set's
+    minors quoted once and each row filled by its reading's two getters.
     """
-    texts: dict = {}
-
-    def scalar(x) -> str:
-        text = texts.get(id(x))
-        if text is None:
-            text = texts[id(x)] = _quote(str(x))
-        return text
-
-    def chart_row(row) -> str:
-        text = texts.get(id(row))
-        if text is None:
-            text = texts[id(row)] = _json_list([scalar(x) for x in row], 4)
-        return text
-
     first = table[0].profile
-    names = [[f"({j},{l})" for (j, l), _ in pairs] for pairs in (first.q, first.r_minors)]
-    q_order, r_order = [sorted(range(len(keys)), key=keys.__getitem__) for keys in names]
+    q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in (first.q, first.r_minors))
     shape = dict.fromkeys(("compatible", "flag", "in_bruhat_cell", "stable"), "%s")
-    shape.update(p=["%s"] * len(first.p), q=dict.fromkeys(names[0], "%s"))
-    shape.update(r=dict.fromkeys(names[1], "%s"))
+    shape.update(p=["%s"] * len(first.p), q=q, r=r)
     if jacobians:
         shape["jacobian"] = ["%s"] * table[0].jacobian.rows
     text = json.dumps(shape, sort_keys=True, indent=2)
     template = text.replace('"%s"', "%s").replace("\n", "\n    ")
-    rows = []
-    for entry in table:
-        prof = entry.profile
-        flag = _quote(entry.flag.label())
-        fields = [_JSON_BOOL[prof.compatible], flag, _JSON_BOOL[prof.in_bruhat_cell]]
-        if jacobians:
-            fields += [chart_row(row) for row in entry.jacobian.entries]
-        fields += [scalar(x) for x in prof.p]
-        fields += [scalar(prof.q[i][1]) for i in q_order]
-        fields += [scalar(prof.r_minors[i][1]) for i in r_order]
-        fields.append(_JSON_BOOL[prof.stable])
-        rows.append(template % tuple(fields))
-    return _json_list(rows, 1)
+    if isinstance(table, FlagTable):
+        chart, row_sets = table.chart.entries, table.row_sets
+        names = [f"H{i + 1}" for i in range(len(chart))]
+        layout = row_layout(len(first.p), table.chart.cols)
+    else:
+        k, kq = len(first.p), len(first.q)
+        pairs = [(key, n) for n, (key, _) in enumerate(first.q + first.r_minors, k)]
+        layout = ((tuple, text_getter(range(k), pairs[:kq], pairs[kq:])),)
+        minors = [[*p, *(x for _, x in qs + rs)] for _, _, (p, qs, rs, *_) in table]
+        row_sets = [(range(n * k, n * k + k), m, (n,)) for n, m in enumerate(minors)]
+        chart = [row for e in table for row in e.jacobian.entries]
+        names = [f"H{i + 1}" for e in table for i in e.flag.indices]
+    if jacobians:
+        chart = [_json_list(list(map(_quote, map(str, row))), 4) for row in chart]
+    lines = [""] * len(table)
+    for s, m, places in row_sets:
+        texts = list(map(_quote, map(str, m)))
+        set_names, set_rows = [names[i] for i in s], [chart[i] for i in s]
+        for n, (order, pick) in zip(places, layout):
+            prof = table[n].profile
+            flag = '"(' + ",".join(order(set_names)) + ')"'
+            head = (_JSON_BOOL[prof.compatible], flag, _JSON_BOOL[prof.in_bruhat_cell])
+            jac = order(set_rows) if jacobians else ()
+            lines[n] = template % (*head, *jac, *pick(texts), _JSON_BOOL[prof.stable])
+    return _json_list(lines, 1)
 
 
 def _violation_rows(audit) -> tuple:
@@ -631,7 +631,7 @@ def main(argv=None) -> int:
             report = cmd_verify(spec, options, box=args.box, tol=args.tol)
         else:
             report = cmd_grouping(spec, options)
-    except (ProblemError, TermBudgetExceeded) as exc:
+    except (ProblemError, TableTooLarge, TermBudgetExceeded) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     if args.json:

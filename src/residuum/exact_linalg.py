@@ -26,11 +26,11 @@ When J is a selection of rows of a matrix C, each of these minors is C's
 minor on the same rows in ascending order, against columns 1..k-1 plus one
 column, times the sign of the permutation that sorts them.  ``minor_store``
 computes every such minor of C once, by Laplace expansion over the minors
-one row smaller.  ``ordered_profiles`` reads a set of rows' minors from it
-once and the profile of each ordering of the set from those, through one
-``profile_layout`` per (rows, width), deciding verdicts on numerator signs.
-``arrangement.flag_table`` reads every independent row set of the chart
-matrix so; ``minor_profile`` reads J's rows in order from J's own store.
+one row smaller.  ``set_minors`` reads a set of rows' minors from it once,
+``ordered_profiles`` each ordering's profile from those through one
+``profile_layout`` per (rows, width), verdicts on numerator signs, and
+``row_layout`` its table row.  ``arrangement.flag_table`` reads every
+independent row set of the chart matrix so; ``minor_profile`` J's own.
 ``RationalMatrix`` and ``MinorProfile`` are NamedTuples.
 
 ``GaussianRational`` is the exact complex scalar of hyperplane constants,
@@ -230,13 +230,13 @@ def _subset_keys(rows: Sequence[int], width: int) -> list:
 @functools.cache
 def profile_layout(k: int, width: int) -> tuple:
     """Where each ordering of k rows of a ``width``-column matrix reads its
-    minors, once per (k, width).  The rows' store pairs are listed flat in
-    ``_subset_keys`` order, minor n as items 2n and 2n + 1.  A minor of an
-    ordering's first m rows is the item of those rows in ascending order
-    chosen by the parity of the sort; dropping the prefix's j-th row, i-th in
-    ascending order, adds j - 1 + i.  Returns the distinct (q key, item) and
-    (r key, item) pairs and, per ordering of range(k) in ``permutations``
-    order, getters of its rows, its p items and its q and r pairs.
+    minors, once per (k, width), from the rows' ``set_minors``: minor n as
+    items 2n and 2n + 1.  A minor of an ordering's first m rows is the item
+    of those rows in ascending order chosen by the parity of the sort;
+    dropping the prefix's j-th row, i-th in ascending order, adds j - 1 + i.
+    Returns the distinct (q key, item) and (r key, item) pairs and, per
+    ordering of range(k) in ``permutations`` order (which ``row_layout`` and
+    a ``FlagTable``'s row sets follow), getters of its rows, p items, q and r pairs.
     """
     slot = {key: 2 * n for n, key in enumerate(_subset_keys(range(k), width))}
     q_pairs: dict = {}  # (key, item) -> its place among the distinct pairs
@@ -263,13 +263,17 @@ def profile_layout(k: int, width: int) -> tuple:
     return tuple(q_pairs), tuple(r_pairs), tuple(readings)
 
 
-def ordered_profiles(store: dict, rows: tuple[int, ...], width: int) -> Iterator[tuple]:
-    """Each ordering of the ascending ``rows`` of C, in ``profile_layout``
-    order, as its getter of rows and the profile of C's rows in that order,
-    read from C's ``minor_store`` (``width`` columns): the store once, each
-    (key, minor) pair once, and the verdicts from the numerators' signs."""
-    q_pairs, r_pairs, readings = profile_layout(len(rows), width)
-    minors = [x for key in _subset_keys(rows, width) for x in store[key]]
+def set_minors(store: dict, rows: Sequence[int], width: int) -> list:
+    """The store pairs of the subsets of ``rows``, flat in ``_subset_keys`` order."""
+    return [x for key in _subset_keys(rows, width) for x in store[key]]
+
+
+def ordered_profiles(minors: list, k: int, width: int) -> Iterator[tuple]:
+    """Each ordering of k rows of C, in ``profile_layout`` order, as its
+    getter of rows and the profile of C's rows in that order, read from the
+    rows' ``set_minors`` (``width`` columns): each (key, minor) pair once,
+    and the verdicts from the numerators' signs."""
+    q_pairs, r_pairs, readings = profile_layout(k, width)
     numerators = [x.numerator for x in minors]
     qs = [(key, minors[n]) for key, n in q_pairs]
     rs = [(key, minors[n]) for key, n in r_pairs]
@@ -282,6 +286,22 @@ def ordered_profiles(store: dict, rows: tuple[int, ...], width: int) -> Iterator
         yield order, MinorProfile(p(minors), q(qs), r(rs), stable, compatible, all(p_signs))
 
 
+def text_getter(p: Iterable[int], q: Iterable, r: Iterable):
+    """The getter of items ``p``, then of those of the ((j, l), item) pairs ``q``
+    and ``r``, each in ``json.dumps``'s order of "(j,l)" ("(1,10)" first)."""
+    q, r = (sorted(pairs, key=lambda pair: "(%d,%d)" % pair[0]) for pairs in (q, r))
+    return _getter([*p, *(n for _, n in q + r)])
+
+
+@functools.cache
+def row_layout(k: int, width: int) -> tuple:
+    """Per ordering of k rows, in ``profile_layout`` order, its getter of rows
+    and the ``text_getter`` of its table row from the rows' ``set_minors``."""
+    q_pairs, r_pairs, readings = profile_layout(k, width)
+    n = range(2 * len(_subset_keys(range(k), width)))
+    return tuple((o, text_getter(p(n), q(q_pairs), r(r_pairs))) for o, p, q, r in readings)
+
+
 def minor_profile(mat: RationalMatrix) -> MinorProfile:
     """Every minor of the three families of J = mat.
 
@@ -292,7 +312,8 @@ def minor_profile(mat: RationalMatrix) -> MinorProfile:
     """
     if mat.rows > mat.cols:
         raise ValueError("more rows than columns; transpose the data")
-    return next(ordered_profiles(minor_store(mat), tuple(range(mat.rows)), mat.cols))[1]
+    minors = set_minors(minor_store(mat), range(mat.rows), mat.cols)
+    return next(ordered_profiles(minors, mat.rows, mat.cols))[1]
 
 
 def rank(mat: RationalMatrix) -> int:

@@ -123,6 +123,8 @@ class ChartResidues:
     per-step memo).  An instance serves one engine call; nothing outlives it.
     """
 
+    _chart: RationalMatrix | None = None  # F M, set by a call holding its flag table
+
     def __init__(self, arr: Arrangement, poly: Polyhedron):
         self.arr = arr
         self.poly = poly
@@ -132,7 +134,9 @@ class ChartResidues:
     @functools.cached_property
     def pullback(self) -> tuple:
         """(integrand, {hyperplane index: defining form}) in this chart."""
-        return self.arr.pullback(self.poly)
+        arr = self.arr
+        chart = self._chart or jacobian(arr, range(len(arr.hyperplanes)), self.poly)
+        return arr._pullback(self.poly, chart)
 
     def step(self, prefix: tuple[int, ...]):
         """(function, poles) left after residues along ``prefix``: pole k is
@@ -233,6 +237,7 @@ def evaluate_integral(
         warnings: list[str] = []
         basis_inverse = inverse(poly.basis_matrix())
         residues = ChartResidues(arr, poly)
+        residues._chart = table.chart
         contributions: dict[Flag, mpc] = {}
         total = mpc(0)
         for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
@@ -405,6 +410,7 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     # the first stable flag of each class represents the stable class
     reps = [s[0] for cls in classes if (s := [f for f in cls.flags if profiles[f].stable])]
     residues = ChartResidues(arr, poly)
+    residues._chart = table.chart
     flag_sum = sum(
         (residues.value(rep) for rep in sorted(reps, key=lambda f: f.indices)), mpc(0)
     )

@@ -24,6 +24,10 @@
   with that arithmetic for ``restrict``, ``solve_for``, ``normalized``,
   ``compose`` and the sort order of denominator units; the suite checks
   the integer forms against it.
+* ``canonicalize_hyperplane``: the canonical (f, s) of a hyperplane in
+  ``GaussianRational`` and ``Fraction`` arithmetic; ``arrangement``'s clears
+  the denominators once and works on Gaussian integers instead, and the
+  suite checks the two agree, errors included.
 * ``read_profile``: one flag's minor profile read from a ``minor_store``
   on its own, its prefixes sorted and its verdicts decided by Fraction
   comparisons; ``exact_linalg.ordered_profiles`` reads every ordering of a
@@ -43,7 +47,14 @@ import numpy as np
 from mpmath import mpc
 
 from residuum import exact_linalg
-from residuum.arrangement import Arrangement, Flag, Hyperplane, pole_location
+from residuum.arrangement import (
+    Arrangement,
+    Flag,
+    Hyperplane,
+    MeetsRealLocus,
+    NotAlignable,
+    pole_location,
+)
 from residuum.exact_linalg import (
     MinorProfile,
     RationalMatrix,
@@ -93,6 +104,49 @@ def read_profile(store: dict, rows, width: int) -> MinorProfile:
     )
     compatible = (not stable) or all(val <= 0 for _, val in q)
     return MinorProfile(p, q, tuple(r_minors), stable, compatible, 0 not in p)
+
+
+def _exact_scalar(x) -> exact_linalg.GaussianRational:
+    if isinstance(x, complex):
+        return exact_linalg.GaussianRational(Fraction(x.real), Fraction(x.imag))
+    if isinstance(x, (int, Fraction, exact_linalg.GaussianRational)):
+        return exact_linalg.GaussianRational() + x
+    raise TypeError(
+        f"hyperplane linear parts must be exact rational data, got {x!r}"
+    )
+
+
+def canonicalize_hyperplane(linear_coeffs, constant) -> Hyperplane:
+    """{<a, v> + b = 0} as {f(v) = i s}, f primitive integers and Re s > 0:
+    the linear part times the conjugate of its lead, then the positive
+    rational scale mu to a primitive integer vector, with Fractions."""
+    a = [_exact_scalar(x) for x in linear_coeffs]
+    if all(x.is_zero for x in a):
+        raise ValueError("linear part is zero; not a hyperplane")
+    lead = next(x for x in a if not x.is_zero)
+    lam = lead.conjugate()
+    scaled = [lam * x for x in a]
+    if any(not x.is_real for x in scaled):
+        raise NotAlignable(
+            "real and imaginary parts of the linear coefficients are not parallel"
+        )
+    u = [x.re for x in scaled]
+    den_lcm = math.lcm(*(x.denominator for x in u))
+    ints = [int(x * den_lcm) for x in u]
+    g = math.gcd(*(abs(n) for n in ints))
+    ints = [n // g for n in ints]
+    mu = Fraction(den_lcm, g)
+    # f(v) = i s with i s = -mu * lam * b, so s = i * mu * lam * b
+    lam_total = exact_linalg.GaussianRational(lam.re * mu, lam.im * mu)
+    exact = isinstance(constant, (int, Fraction, complex, exact_linalg.GaussianRational))
+    i = exact_linalg.GaussianRational(Fraction(0), Fraction(1))
+    s = (_exact_scalar(constant) if exact else to_mpc(constant)) * lam_total * i
+    if is_negligible(s.real, s):
+        raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
+    if s.real < 0:
+        ints = [-n for n in ints]
+        s = -s
+    return Hyperplane(f=tuple(ints), s=s)
 
 
 def defining_form(h: Hyperplane) -> AffineForm:

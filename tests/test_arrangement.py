@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
@@ -18,6 +18,7 @@ from conftest import (
     three_plane_problem,
     z_star,
 )
+import reference
 from reference import pairwise_flag_classes, same_flag
 from residuum import symfun
 from residuum.arrangement import (
@@ -109,6 +110,60 @@ def test_canonicalize_errors():
         canonicalize_hyperplane([1], Fraction(3))  # x + 3 = 0 is real
     with pytest.raises(ValueError):
         canonicalize_hyperplane([0, 0], mpc(0, -1))
+
+
+_exact_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+    exact_scalars,
+    st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+)
+_constants = st.one_of(
+    _exact_coefficients,
+    st.builds(
+        lambda k, z: k * mpmath.pi * z, st.integers(-2, 2), st.sampled_from([1, -1j, 1 - 1j])
+    ),
+)
+
+
+@st.composite
+def _linear_parts(draw) -> list:
+    """Exact coefficient lists, half of them a rational vector times one
+    nonzero scalar, so that they align."""
+    if draw(st.booleans()):
+        return draw(st.lists(_exact_coefficients, max_size=4))
+    lam = draw(exact_scalars.filter(bool))
+    real = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    return [lam * x for x in draw(st.lists(real, max_size=4))]
+
+
+def _canonical_or_error(canonicalize, coeffs, constant):
+    try:
+        return canonicalize(coeffs, constant)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_linear_parts(), _constants)
+@example([0, Fraction(0)], 1)  # a zero linear part
+@example([], 1)
+@example([1, 0], 0)  # on the real locus
+@example([1, 1j], mpc(0, -1))  # real and imaginary parts not parallel
+@example([Fraction(2, 3), -2], mpmath.pi * mpc(0, -1))  # an inexact constant
+@example([GaussianRational(Fraction(1, 2), Fraction(-1, 3)) * n for n in (3, 0, -6)], 1j)
+@example([1.5], 1)  # a float is not exact data
+@settings(max_examples=150, deadline=None)
+def test_canonicalize_matches_fraction_reference(coeffs, constant):
+    """On Gaussian integers ``canonicalize_hyperplane`` gives the Hyperplane,
+    or raises the error, of the Fraction arithmetic it replaced: rational,
+    Gaussian and negative coefficients, a zero linear part, parts that are
+    not parallel, hyperplanes that meet the real locus, inexact constants."""
+    with mpmath.workprec(128):
+        got = _canonical_or_error(canonicalize_hyperplane, coeffs, constant)
+        want = _canonical_or_error(reference.canonicalize_hyperplane, coeffs, constant)
+    assert got == want
+    if isinstance(want, Hyperplane):
+        assert type(got.s) is type(want.s)
 
 
 def test_polyhedron_inverse_relation():

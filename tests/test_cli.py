@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import FunctionType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, pi
 
@@ -20,8 +21,12 @@ from conftest import three_plane_value
 from reference import stability_lines, stability_rows
 from residuum import arrangement, exact_linalg, symfun
 from residuum.arrangement import (
+    Arrangement,
     Flag,
     FlagEntry,
+    FlagTable,
+    Hyperplane,
+    Polyhedron,
     enumerate_flags,
     flag_classes,
     flag_table,
@@ -39,7 +44,13 @@ from residuum.cli import (
     main,
 )
 from residuum.dsl import parse_problem
-from residuum.exact_linalg import MinorProfile, RationalMatrix, minor_profile, minor_store
+from residuum.exact_linalg import (
+    GaussianRational,
+    MinorProfile,
+    RationalMatrix,
+    minor_profile,
+    minor_store,
+)
 from residuum.residue_engine import (
     EngineOptions,
     canonical_grouping_points,
@@ -529,6 +540,66 @@ def test_term_budget_is_a_usage_error(monkeypatch, tmp_path, capsys):
     assert err.startswith(f"{path}: a residue step would produce more than 0 terms")
 
 
+def _general_position_problem(r: int, big_r: int) -> str:
+    """r variables and big_r hyperplanes on the moment curve, (1, t, ..., t^(r-1))
+    for t = 1..big_r, so that every r of them are independent."""
+    names = [f"v{k + 1}" for k in range(r)]
+    cone = " ".join("(" + ",".join(str(int(i == j)) for j in range(r)) + ")" for i in range(r))
+    factors = " ".join(
+        "(" + " + ".join(f"{t**e}*{v}" for e, v in enumerate(names)) + " - i)"
+        for t in range(1, big_r + 1)
+    )
+    return f"vars {' '.join(names)};\ncone {cone};\nden {factors};\n"
+
+
+def test_flag_table_cap_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    """r = 7 and R = 14 hyperplanes in general position would make 3,432 row
+    sets of 7! flags: every command refuses the table before it builds a
+    flag's profile, and exits 2 with ``file: message``."""
+    path = _write(tmp_path, _general_position_problem(7, 14))
+    calls = {"MinorProfile": []}
+    _count_calls(monkeypatch, calls)
+    start = time.perf_counter()
+    for command in ("analyze", "eval", "verify", "grouping"):
+        assert main([command, path, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"{path}: {3432 * math.factorial(7)} flags exceed the flag table cap "
+            f"of {arrangement.MAX_TABLE_FLAGS}\n"
+        )
+    assert calls["MinorProfile"] == []
+    assert time.perf_counter() - start < 20
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],
+    ids=["coincident_point", "squared", "cubed"],
+)
+def test_engine_calls_compute_the_chart_once(monkeypatch, text):
+    """eval and grouping compute the chart matrix F M once: the flag table
+    holds it, and the residue steps' pullback reads it from there."""
+    spec = parse_problem(text)
+    calls = []
+
+    original = arrangement.jacobian
+
+    def counted(arr, indices, poly):
+        calls.append((tuple(indices), poly))
+        return original(arr, indices, poly)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("residuum") and vars(module).get("jacobian") is original:
+            monkeypatch.setattr(module, "jacobian", counted)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    for command in (cmd_eval, cmd_grouping):
+        calls.clear()
+        with mp.workprec(128):
+            command(spec)
+        assert calls == [(tuple(range(len(arr.hyperplanes))), poly)], command.__name__
+
+
 def test_eval_three_plane_value():
     with mp.workprec(128):
         report = cmd_eval(parse_problem(EX1_PIB), EngineOptions(128))
@@ -650,6 +721,50 @@ def _flag_tables(draw):
 @given(_flag_tables(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_table_writer_matches_dict_rows(table, jacobians):
+    _check_table_writer(table, jacobians)
+
+
+@st.composite
+def _table_pairs(draw):
+    """(arrangement, polyhedron) pairs for ``flag_table``: r <= 4 rows drawn
+    from a small pool, so rows repeat and minors vanish, over rational cone
+    generators."""
+    r = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    pool = draw(st.lists(row, min_size=1, max_size=r + 1))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r + 2))
+    gens = draw(
+        st.lists(st.lists(_fractions, min_size=r, max_size=r), min_size=r, max_size=r).filter(
+            lambda g: exact_linalg.determinant(RationalMatrix.from_rows(g)) != 0
+        )
+    )
+    hps = [Hyperplane(tuple(f), GaussianRational.of(k + 1)) for k, f in enumerate(rows)]
+    return Arrangement.build(r, hps), Polyhedron.from_generators(gens)
+
+
+@given(_table_pairs(), st.booleans())
+# rows 1 and 3 repeat, so only the row sets without both are kept
+@example(
+    (
+        Arrangement.build(
+            3,
+            [
+                Hyperplane(f, GaussianRational.of(k + 1))
+                for k, f in enumerate([(1, 0, -1), (0, 2, 1), (1, 0, -1), (1, 1, 1)])
+            ],
+        ),
+        Polyhedron.from_generators(
+            [[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 1], [1, 0, Fraction(3, 4)]]
+        ),
+    ),
+    True,
+)
+@settings(max_examples=60, deadline=None)
+def test_table_writer_matches_dict_rows_of_flag_tables(pair, jacobians):
+    """A ``flag_table``, written row set by row set, against its dict rows."""
+    table = flag_table(*pair)
+    assume(table)
+    assert isinstance(table, FlagTable)
     _check_table_writer(table, jacobians)
 
 
