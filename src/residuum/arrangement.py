@@ -9,13 +9,14 @@ its exact minor profile decides solubility, stability, and compatibility.
 The integrand has one pullback to the chart v = M z, ``Arrangement.pullback``:
 factor j is (row j of the exact F M) . z - i s_j, exact when every s_j is
 and otherwise rounded once, so a 0 of F M stays exactly 0.
-``flag_table`` computes every complete flag's Jacobian and profile once per
-(arrangement, polyhedron) pair; the audit, the stable flags, the engine and
-the reports all read that one table.  Each flag's Jacobian is its rows of
-the chart matrix C (all hyperplanes against the generators), so each of its
-minors is a signed minor of C, read from one ``minor_store`` of C, and a
-flag is kept when its p_r is nonzero, which is when its f-rows are
-independent.
+``flag_table`` decides every complete flag's verdicts once per (arrangement,
+polyhedron) pair; the audit, the stable flags, the engine and the reports
+all read that one table.  Each flag's Jacobian is its rows of the chart
+matrix C (all hyperplanes against the generators, ints where integral), so
+each of its minors is a signed minor of C, read from one ``minor_store`` of
+C, and a flag is kept when its p_r is nonzero, which is when its f-rows are
+independent.  A flag's Jacobian and minors are read into a ``FlagEntry``
+only where something reads that entry: a reported violation, a text report.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
 terminal point (``incidence``, exact when the s_j are) and the exact spans
@@ -36,21 +37,25 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from mpmath import mpc
 
 from .exact_linalg import (
     GaussianRational,
     _gaussian,
+    _integer_rows,
     MinorProfile,
     RationalMatrix,
     determinant,
     minor_store,
-    ordered_profiles,
+    profile_layout,
     rank,
+    read_ordering,
     row_echelon,
     set_minors,
+    set_verdicts,
     solve_linear,
 )
 from .symfun import (
@@ -303,13 +308,15 @@ class Arrangement(NamedTuple):
 def jacobian(
     arr: Arrangement, indices: Sequence[int], poly: Polyhedron
 ) -> RationalMatrix:
-    """Rows f_j of the chosen hyperplanes evaluated on the cone generators."""
+    """Rows f_j of the chosen hyperplanes evaluated on the cone generators:
+    f_j . v_k is an integer product with v_k over its denominator d_k, an int
+    when it is integral."""
     if not indices:
         raise ValueError("empty hyperplane collection")
-    f_rows = RationalMatrix.from_rows(
-        [arr.hyperplanes[i].f_row() for i in indices]
-    )
-    return f_rows.matmul(poly.basis_matrix())
+    gens, scales = _integer_rows(poly.generators)
+    dots = [[sum([a * b for a, b in zip(arr.hyperplanes[i].f, v)]) for v in gens] for i in indices]
+    rows = [[n // d if n % d == 0 else Fraction(n, d) for n, d in zip(row, scales)] for row in dots]
+    return RationalMatrix(tuple(map(tuple, rows)))
 
 
 def enumerate_flags(arr: Arrangement, depth: int) -> list[Flag]:
@@ -340,24 +347,57 @@ class TableTooLarge(Exception):
     """A flag table would hold more than MAX_TABLE_FLAGS flags."""
 
 
-class FlagTable(tuple):
-    """``flag_table``'s entries, with ``chart`` C and ``row_sets``: per kept row
-    set S, (S, its ``set_minors``, the table places of its orderings, in
-    ``profile_layout`` order)."""
+class FlagTable(Sequence):
+    """``flag_table``'s entries, each built when read (nothing is cached):
+    ``chart`` C = F M, ``row_sets`` (per kept row set S: S, its
+    ``set_minors``, the places of its orderings in ``profile_layout`` order),
+    and per place its flag's ``indices`` and ``verdicts``, which the engine
+    reads.  Equal to, and printed as, the tuple of its entries; unhashable."""
+
+    __slots__ = ("chart", "row_sets", "indices", "verdicts", "_sources")
+
+    def __init__(self, chart, row_sets, indices, verdicts, sources):
+        self.chart, self.row_sets, self.indices, self.verdicts = chart, row_sets, indices, verdicts
+        self._sources = sources  # place n holds ordering o of row set s: s r! + o
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(map(self.__getitem__, range(len(self))[n]))
+        r = self.chart.cols
+        readings = profile_layout(r, r)[2]
+        s, o = divmod(self._sources[n], len(readings))
+        rows, minors, _ = self.row_sets[s]
+        jac = RationalMatrix(readings[o][0]([self.chart.entries[i] for i in rows]))
+        profile = read_ordering(minors, r, r, o, self.verdicts[n])
+        return FlagEntry(Flag(self.indices[n]), jac, profile)
+
+    def __eq__(self, other):
+        if isinstance(other, (FlagTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
-    """Every complete flag, in enumeration order, with its Jacobian and profile.
+    """Every complete flag, in enumeration order, with its verdicts; its
+    Jacobian and profile are read where an entry is.
 
-    The one place the pair's minor profiles are computed, each read from one
-    ``minor_store`` of the chart matrix C = F M; build it once per call and
-    hand it to whatever reads the verdicts.  The flags are read row set by
-    row set: a set S of r rows reads the minors of its subsets from the
-    store once (``set_minors``), and each of its r! orderings reads its
-    profile from them (``ordered_profiles``).  S is kept when its p_r is
-    nonzero: M is nonsingular, so p_r = +-det C[S] vanishes exactly when the
-    f-rows F[S] are dependent.  A table of more than ``MAX_TABLE_FLAGS``
-    flags raises ``TableTooLarge`` before any is built.
+    The one place the pair's minors are computed, in one ``minor_store`` of
+    the chart matrix C = F M; build the table once per call and hand it to
+    whatever reads the verdicts.  The flags are read row set by row set: a
+    set S of r rows reads the minors of its subsets from the store once
+    (``set_minors``), and the verdicts of its r! orderings from their signs
+    (``set_verdicts``).  S is kept when its p_r is nonzero: M is nonsingular,
+    so p_r = +-det C[S] vanishes exactly when the f-rows F[S] are dependent.
+    A table of more than ``MAX_TABLE_FLAGS`` flags raises ``TableTooLarge``
+    before any verdict is read.
     """
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
     r = arr.dim
@@ -366,36 +406,33 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
     kept = [rows for rows in sets if store[rows, r - 1][0]]
     if (count := len(kept) * math.factorial(r)) > MAX_TABLE_FLAGS:
         raise TableTooLarge(f"{count} flags exceed the flag table cap of {MAX_TABLE_FLAGS}")
-    row_sets = [(rows, set_minors(store, rows, r)) for rows in kept]
-    entries = []
-    for rows, minors in row_sets:
-        chart_rows = [chart.entries[i] for i in rows]
-        entries += [
-            FlagEntry(Flag(order(rows)), RationalMatrix(order(chart_rows)), profile)
-            for order, profile in ordered_profiles(minors, r, r)
-        ]
-    ranked = sorted(range(len(entries)), key=[e.flag.indices for e in entries].__getitem__)
-    place, f = sorted(range(len(ranked)), key=ranked.__getitem__), math.factorial(r)
-    table = FlagTable([entries[n] for n in ranked])
-    table.chart = chart
-    table.row_sets = tuple((*rs, place[s * f : s * f + f]) for s, rs in enumerate(row_sets))
-    return table
+    orders = [order for order, *_ in profile_layout(r, r)[2]]
+    minors = [set_minors(store, rows, r) for rows in kept]
+    flags = [order(rows) for rows in kept for order in orders]
+    verdicts = [v for m in minors for v in set_verdicts(m, r, r)]
+    ranked = sorted(range(count), key=flags.__getitem__)
+    place, f = sorted(range(count), key=ranked.__getitem__), len(orders)
+    row_sets = tuple(
+        (rows, m, place[s * f : s * f + f]) for s, (rows, m) in enumerate(zip(kept, minors))
+    )
+    indices, verdicts = [flags[n] for n in ranked], [verdicts[n] for n in ranked]
+    return FlagTable(chart, row_sets, indices, verdicts, ranked)
 
 
 def stable_flags(
-    arr: Arrangement, poly: Polyhedron, table: Sequence[FlagEntry] | None = None
+    arr: Arrangement, poly: Polyhedron, table: FlagTable | None = None
 ) -> list[Flag]:
     """Complete ordered collections whose Jacobian is stable."""
     if table is None:
         table = flag_table(arr, poly)
-    return [e.flag for e in table if e.profile.stable]
+    return [Flag(i) for i, v in zip(table.indices, table.verdicts) if v.stable]
 
 
 class Violation(NamedTuple):
     """A stable ordered collection with a positive q-minor."""
 
     flag: Flag
-    positive_q: tuple[tuple[tuple[int, int], Fraction], ...]
+    positive_q: tuple[tuple[tuple[int, int], int | Fraction], ...]
 
 
 class AuditReport(NamedTuple):
@@ -409,20 +446,19 @@ MAX_REPORTED_VIOLATIONS = 100
 
 
 def compatibility_audit(
-    arr: Arrangement, poly: Polyhedron, table: Sequence[FlagEntry] | None = None
+    arr: Arrangement, poly: Polyhedron, table: FlagTable | None = None
 ) -> AuditReport:
-    """Check every complete ordered collection for stable-but-incompatible."""
+    """Check every complete ordered collection for stable-but-incompatible,
+    from the table's verdicts; only a reported violation's entry is read."""
     if table is None:
         table = flag_table(arr, poly)
     violations: list[Violation] = []
     truncated = False
-    for e in table:
-        prof = e.profile
-        if prof.stable and not prof.compatible:
+    for n, v in enumerate(table.verdicts):
+        if v.stable and not v.compatible:
             if len(violations) < MAX_REPORTED_VIOLATIONS:
-                positive = tuple(
-                    (pos, val) for pos, val in prof.q if val > 0
-                )
+                e = table[n]
+                positive = tuple((pos, val) for pos, val in e.profile.q if val > 0)
                 violations.append(Violation(e.flag, positive))
             else:
                 truncated = True

@@ -5,9 +5,9 @@ report either as aligned text or as JSON (``--json``).  JSON reports carry
 ``"schema": 1`` and print every number at a fixed precision.
 ``Report.to_json`` writes a report in one pass, with sorted keys and a
 2-space indent, exactly as ``json.dumps(..., sort_keys=True, indent=2)``
-would: the stability table row set by row set from the flag table, every
-other section through ``json.dumps``.  Byte-identical inputs produce
-byte-identical output.
+would: the stability table row set by row set from the flag table's
+minors and verdicts, building no ``FlagEntry``, every other section through
+``json.dumps``.  Byte-identical inputs produce byte-identical output.
 
 Exit status: 0 only when the run is certified (all stable collections
 compatible, convergence rule known) and, for ``verify``, the oracle agrees
@@ -37,7 +37,7 @@ from .arrangement import (
     flag_table,
 )
 from .dsl import ProblemError, ProblemSpec, format_expr, load_problem
-from .exact_linalg import row_layout, text_getter
+from .exact_linalg import profile_layout, row_layout, text_getter
 from .oracle import (
     DEFAULT_BOX,
     DEFAULT_TOL,
@@ -76,7 +76,8 @@ def _cplx(z) -> dict:
 class Report(NamedTuple):
     """One command's findings.
 
-    ``stability_table`` holds the pair's ``FlagEntry`` rows, and
+    ``stability_table`` holds the pair's ``FlagTable`` (or a tuple of
+    ``FlagEntry`` rows), and
     ``jacobians`` says whether their JSON rows carry each flag's Jacobian;
     every other section is already formatted for serialization.
     """
@@ -274,26 +275,22 @@ def _table_json(table, jacobians: bool) -> str:
     """The stability table as a JSON array at depth 1 of the report.
 
     Every row of a pair's table has the same r, so one ``%`` template, laid
-    out by ``json.dumps`` from the first row's shape, writes each row: its
-    fields in sorted key order, the q and r minors in the order in which
+    out by ``json.dumps`` from the rows' shape, writes each row: its fields
+    in sorted key order, the q and r minors in the order in which
     ``sort_keys`` writes their "(j,l)" keys ("(1,10)" before "(1,2)").
     Row sets, as a ``FlagTable`` holds them (any other tuple: one entry a
     set), are written one at a time into their rows' places, each set's
-    minors quoted once and each row filled by its reading's two getters.
+    minors quoted once and each row filled by its reading's two getters and
+    its verdicts.  A ``FlagTable``'s shape is its ``profile_layout``'s, and
+    none of its entries is built.
     """
-    first = table[0].profile
-    q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in (first.q, first.r_minors))
-    shape = dict.fromkeys(("compatible", "flag", "in_bruhat_cell", "stable"), "%s")
-    shape.update(p=["%s"] * len(first.p), q=q, r=r)
-    if jacobians:
-        shape["jacobian"] = ["%s"] * table[0].jacobian.rows
-    text = json.dumps(shape, sort_keys=True, indent=2)
-    template = text.replace('"%s"', "%s").replace("\n", "\n    ")
     if isinstance(table, FlagTable):
-        chart, row_sets = table.chart.entries, table.row_sets
+        chart, row_sets, verdicts = table.chart.entries, table.row_sets, table.verdicts
+        k = table.chart.cols
         names = [f"H{i + 1}" for i in range(len(chart))]
-        layout = row_layout(len(first.p), table.chart.cols)
+        layout, keys = row_layout(k, k), profile_layout(k, k)[:2]
     else:
+        first = table[0].profile
         k, kq = len(first.p), len(first.q)
         pairs = [(key, n) for n, (key, _) in enumerate(first.q + first.r_minors, k)]
         layout = ((tuple, text_getter(range(k), pairs[:kq], pairs[kq:])),)
@@ -301,18 +298,25 @@ def _table_json(table, jacobians: bool) -> str:
         row_sets = [(range(n * k, n * k + k), m, (n,)) for n, m in enumerate(minors)]
         chart = [row for e in table for row in e.jacobian.entries]
         names = [f"H{i + 1}" for e in table for i in e.flag.indices]
+        verdicts, keys = [e.profile[3:] for e in table], (first.q, first.r_minors)
+    q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in keys)
+    shape = dict.fromkeys(("compatible", "flag", "in_bruhat_cell", "stable"), "%s")
+    shape.update(p=["%s"] * k, q=q, r=r)
     if jacobians:
+        shape["jacobian"] = ["%s"] * k
         chart = [_json_list(list(map(_quote, map(str, row))), 4) for row in chart]
+    text = json.dumps(shape, sort_keys=True, indent=2)
+    template = text.replace('"%s"', "%s").replace("\n", "\n    ")
     lines = [""] * len(table)
     for s, m, places in row_sets:
         texts = list(map(_quote, map(str, m)))
         set_names, set_rows = [names[i] for i in s], [chart[i] for i in s]
         for n, (order, pick) in zip(places, layout):
-            prof = table[n].profile
+            stable, compatible, cell = verdicts[n]
             flag = '"(' + ",".join(order(set_names)) + ')"'
-            head = (_JSON_BOOL[prof.compatible], flag, _JSON_BOOL[prof.in_bruhat_cell])
             jac = order(set_rows) if jacobians else ()
-            lines[n] = template % (*head, *jac, *pick(texts), _JSON_BOOL[prof.stable])
+            head = (_JSON_BOOL[compatible], flag, _JSON_BOOL[cell])
+            lines[n] = template % (*head, *jac, *pick(texts), _JSON_BOOL[stable])
     return _json_list(lines, 1)
 
 
@@ -384,17 +388,18 @@ def cmd_eval(spec: ProblemSpec, options: EngineOptions | None = None) -> Report:
         )
 
 
-def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron) -> tuple:
+def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron, table: FlagTable) -> tuple:
     """Arc checks for the contour steps the residue formula would close.
 
     Only meaningful in one or two variables: integrate out the first chart
     variable by residues, then probe the remaining one-variable integrands
     on expanding upper semicircular arcs.  Arcs that do not vanish witness
-    that the closed contour drops a nonzero boundary term.
+    that the closed contour drops a nonzero boundary term.  The chart is
+    the pair's flag ``table``'s.
     """
     if arr.dim > 2:
         return ()
-    residues = ChartResidues(arr, poly)
+    residues = ChartResidues(arr, poly, table.chart)
     integrand, forms = residues.pullback
     if arr.dim == 1:
         candidates = [("the integrand's", integrand)]
@@ -461,7 +466,7 @@ def cmd_verify(
         passed = result.certificate.certified and within
         diagnostics: tuple = ()
         if not result.certificate.all_compatible:
-            diagnostics = _divergence_diagnostics(arr, poly)
+            diagnostics = _divergence_diagnostics(arr, poly, result.flag_table)
             if any(not d["trending_to_zero"] for d in diagnostics):
                 notes.append(
                     "a second-stage arc integral does not vanish, so closing "

@@ -1,7 +1,7 @@
 """Exact rational linear algebra: matrices over Q, determinantal minors, and
 the sign tests built from them.
 
-Everything here is exact.  Matrix entries are `fractions.Fraction`.  After
+Everything here is exact.  Matrix entries are ints and `fractions.Fraction`s.  After
 denominators are cleared row by row, one fraction-free Bareiss elimination
 on Python ints (``_bareiss``) serves every elimination: ``determinant``
 reads its last pivot, ``rank`` counts its pivots, ``inverse`` carries an
@@ -26,12 +26,13 @@ When J is a selection of rows of a matrix C, each of these minors is C's
 minor on the same rows in ascending order, against columns 1..k-1 plus one
 column, times the sign of the permutation that sorts them.  ``minor_store``
 computes every such minor of C once, by Laplace expansion over the minors
-one row smaller.  ``set_minors`` reads a set of rows' minors from it once,
-``ordered_profiles`` each ordering's profile from those through one
-``profile_layout`` per (rows, width), verdicts on numerator signs, and
+one row smaller, as an int when C's rows are integral.  ``set_minors``
+reads a set of rows' minors from it once; through one ``profile_layout``
+per (rows, width), ``set_verdicts`` decides every ordering's verdicts from
+their signs, ``read_ordering`` reads one ordering's profile and
 ``row_layout`` its table row.  ``arrangement.flag_table`` reads every
 independent row set of the chart matrix so; ``minor_profile`` J's own.
-``RationalMatrix`` and ``MinorProfile`` are NamedTuples.
+``RationalMatrix``, ``Verdicts`` and ``MinorProfile`` are NamedTuples.
 
 ``GaussianRational`` is the exact complex scalar of hyperplane constants,
 terminal points and exact chart forms: (a + b i) / d on three Python ints
@@ -47,7 +48,7 @@ import math
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -63,7 +64,7 @@ def _frac(x) -> Fraction:
 class RationalMatrix(NamedTuple):
     """Immutable matrix over Q, stored as a tuple of row tuples."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -170,8 +171,8 @@ def determinant(mat: RationalMatrix) -> Fraction:
     return Fraction(sign * m[-1][-1], math.prod(scales))
 
 
-class MinorProfile(NamedTuple):
-    """All minors of the three families, plus the derived sign verdicts.
+class Verdicts(NamedTuple):
+    """The sign verdicts of a matrix's minors (``MinorProfile``).
 
     ``stable``  means every p_k > 0 and (-1)^(l-j) r_{j,l} >= 0 for all j < l.
     ``compatible`` means: not stable, or every stored q_{j,l} <= 0.
@@ -179,9 +180,21 @@ class MinorProfile(NamedTuple):
     LU factorization with nonsingular U and no row pivoting.
     """
 
-    p: tuple[Fraction, ...]
-    q: tuple[tuple[tuple[int, int], Fraction], ...]
-    r_minors: tuple[tuple[tuple[int, int], Fraction], ...]
+    stable: bool
+    compatible: bool
+    in_bruhat_cell: bool
+
+
+# every verdict triple, built once: a flag table holds one per flag
+_VERDICTS = {v: Verdicts(*v) for v in itertools.product((False, True), repeat=3)}
+
+
+class MinorProfile(NamedTuple):
+    """All minors of the three families, plus the derived ``Verdicts``."""
+
+    p: tuple[int | Fraction, ...]
+    q: tuple[tuple[tuple[int, int], int | Fraction], ...]
+    r_minors: tuple[tuple[tuple[int, int], int | Fraction], ...]
     stable: bool
     compatible: bool
     in_bruhat_cell: bool
@@ -190,7 +203,7 @@ class MinorProfile(NamedTuple):
 def minor_store(mat: RationalMatrix) -> dict:
     """Every minor det C[S; (1..k-1, c)] of C = mat, for an ascending row
     tuple S of size k <= r and a column c >= k, as the pair (det, -det)
-    keyed (S, c) with 0-based indices.
+    keyed (S, c) with 0-based indices, ints when S's rows are integral.
 
     C's rows are cleared to integers once, and each minor is its Laplace
     expansion along column c over the head minors det C[T; 1..k-1] of the
@@ -211,7 +224,7 @@ def minor_store(mat: RationalMatrix) -> dict:
                 det = sum([a * m[i][c] for a, i in zip(cofactors, rows)])
                 if c == k - 1:
                     heads[rows] = det
-                x = Fraction(det, scale)
+                x = det if scale == 1 else Fraction(det, scale)
                 store[rows, c] = (x, -x)
     return store
 
@@ -268,22 +281,30 @@ def set_minors(store: dict, rows: Sequence[int], width: int) -> list:
     return [x for key in _subset_keys(rows, width) for x in store[key]]
 
 
-def ordered_profiles(minors: list, k: int, width: int) -> Iterator[tuple]:
-    """Each ordering of k rows of C, in ``profile_layout`` order, as its
-    getter of rows and the profile of C's rows in that order, read from the
-    rows' ``set_minors`` (``width`` columns): each (key, minor) pair once,
-    and the verdicts from the numerators' signs."""
+def set_verdicts(minors: list, k: int, width: int) -> list:
+    """The ``Verdicts`` of each ordering of k rows of C, in ``profile_layout``
+    order, from the signs of the rows' ``set_minors`` (``width`` columns)."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
     numerators = [x.numerator for x in minors]
-    qs = [(key, minors[n]) for key, n in q_pairs]
-    rs = [(key, minors[n]) for key, n in r_pairs]
     q_signs = [numerators[n] for _, n in q_pairs]
     r_signs = [numerators[n ^ (l - j) & 1] for (j, l), n in r_pairs]  # (-1)^(l-j) r_jl
-    for order, p, q, r in readings:
+    verdicts = []
+    for _, p, q, r in readings:
         p_signs = p(numerators)
         stable = min(p_signs, default=1) > 0 and min(r(r_signs), default=0) >= 0
         compatible = not stable or max(q(q_signs), default=0) <= 0
-        yield order, MinorProfile(p(minors), q(qs), r(rs), stable, compatible, all(p_signs))
+        verdicts.append(_VERDICTS[stable, compatible, all(p_signs)])
+    return verdicts
+
+
+def read_ordering(minors: list, k: int, width: int, n: int, verdicts: Verdicts) -> MinorProfile:
+    """The profile of ordering n of k rows of C, in ``profile_layout`` order,
+    read from the rows' ``set_minors``, with its ``verdicts``."""
+    q_pairs, r_pairs, readings = profile_layout(k, width)
+    _, p, q, r = readings[n]
+    q = tuple([(key, minors[i]) for key, i in q(q_pairs)])
+    r = tuple([(key, minors[i]) for key, i in r(r_pairs)])
+    return MinorProfile(p(minors), q, r, *verdicts)
 
 
 def text_getter(p: Iterable[int], q: Iterable, r: Iterable):
@@ -308,12 +329,13 @@ def minor_profile(mat: RationalMatrix) -> MinorProfile:
     J has k <= r rows.  q minors range over 1 <= j <= k, j < l <= r (columns
     may exceed the row count); r minors range over 1 <= j < l <= k.  The
     verdicts use exactly these index sets.  J's rows are read in order, the
-    first of its ``ordered_profiles``, from J's own ``minor_store``.
+    first of their orderings, from J's own ``minor_store``.
     """
-    if mat.rows > mat.cols:
+    k, width = mat.rows, mat.cols
+    if k > width:
         raise ValueError("more rows than columns; transpose the data")
-    minors = set_minors(minor_store(mat), range(mat.rows), mat.cols)
-    return next(ordered_profiles(minors, mat.rows, mat.cols))[1]
+    minors = set_minors(minor_store(mat), range(k), width)
+    return read_ordering(minors, k, width, 0, set_verdicts(minors, k, width)[0])
 
 
 def rank(mat: RationalMatrix) -> int:

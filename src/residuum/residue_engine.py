@@ -16,8 +16,8 @@ The classical (chart-free) residue of the form differs from the chart value
 by sign(det M); torus-cycle quadrature in the oracle recovers the classical
 value, so the two paths agree exactly on positively oriented charts.
 
-Per-flag facts come from one place: Jacobians, profiles and a grouping's
-collections from ``arrangement.flag_table``; flag classes and their points
+Per-flag facts come from one place: verdicts and a grouping's collections
+from ``arrangement.flag_table``; flag classes and their points
 from ``arrangement.terminal_classes``; chart forms and residue steps from
 ``ChartResidues``, which the CLI's arc diagnostics read too.
 """
@@ -37,7 +37,7 @@ from .arrangement import (
     AuditReport,
     Flag,
     FlagClass,
-    FlagEntry,
+    FlagTable,
     InsolubleFlag,
     Polyhedron,
     compatibility_audit,
@@ -86,7 +86,7 @@ class ResidueResult(NamedTuple):
     value: mpc
     flag_contributions: dict
     certificate: Certificate
-    flag_table: tuple
+    flag_table: FlagTable
 
 
 class DivisorGrouping(NamedTuple):
@@ -112,7 +112,8 @@ class ChartResidues:
     """Iterated residues of one arrangement in one chart, shared by flag prefix.
 
     ``pullback`` is the integrand and the hyperplanes' defining forms in the
-    chart, built from the exact chart rows F M (``Arrangement.pullback``).
+    chart, built from the exact chart rows F M (``Arrangement.pullback``), a
+    flag table's ``chart`` when the caller holds one.
     The function left after taking residues along the first hyperplanes of
     a flag depends only on that prefix, and is computed once, on first use,
     so flags that share a prefix share the work.  A step restricts its
@@ -123,11 +124,10 @@ class ChartResidues:
     per-step memo).  An instance serves one engine call; nothing outlives it.
     """
 
-    _chart: RationalMatrix | None = None  # F M, set by a call holding its flag table
-
-    def __init__(self, arr: Arrangement, poly: Polyhedron):
+    def __init__(self, arr: Arrangement, poly: Polyhedron, chart: RationalMatrix | None = None):
         self.arr = arr
         self.poly = poly
+        self._chart = chart
         # prefix -> (residue function, the poles of its steps)
         self._steps: dict[tuple[int, ...], tuple] = {}
 
@@ -236,8 +236,7 @@ def evaluate_integral(
         verdict = convergence_heuristic(arr, poly, audit)
         warnings: list[str] = []
         basis_inverse = inverse(poly.basis_matrix())
-        residues = ChartResidues(arr, poly)
-        residues._chart = table.chart
+        residues = ChartResidues(arr, poly, table.chart)
         contributions: dict[Flag, mpc] = {}
         total = mpc(0)
         for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
@@ -300,11 +299,16 @@ def points_of_grouping(arr: Arrangement, grouping: DivisorGrouping):
     return [(point, flags) for point, flags, _ in _points(classes)]
 
 
+def _verdicts(table: FlagTable) -> dict:
+    """{flag: its ``Verdicts``} of the table's flags."""
+    return dict(zip(map(Flag, table.indices), table.verdicts))
+
+
 def _soluble_chart(
-    arr: Arrangement, reps: Sequence[Flag], poly: Polyhedron, profiles: dict
+    arr: Arrangement, reps: Sequence[Flag], poly: Polyhedron, verdicts: dict
 ) -> Polyhedron:
     """A chart N in which every flag of ``reps`` is soluble, built column
-    by column; ``poly`` itself when the table's ``profiles`` already say so.
+    by column; ``poly`` itself when the table's ``verdicts`` already say so.
 
     The leading minor p_k of F N depends on the first k rows of a flag's
     rows F and the first k columns of N.  Column k is the polyhedron's k-th
@@ -316,7 +320,7 @@ def _soluble_chart(
     column, when needed, gives N the polyhedron's orientation and changes
     only the sign of p_r.
     """
-    if all(profiles[rep].in_bruhat_cell for rep in reps):
+    if all(verdicts[rep].in_bruhat_cell for rep in reps):
         return poly
     r = arr.dim
     flag_rows = [[arr.hyperplanes[i].f_row() for i in rep.indices] for rep in reps]
@@ -343,18 +347,18 @@ def _soluble_chart(
 
 
 def _point_residue(
-    arr: Arrangement, classes: list[FlagClass], profiles: dict, residues: ChartResidues
+    arr: Arrangement, classes: list[FlagClass], verdicts: dict, residues: ChartResidues
 ) -> mpc:
     """Residue at one terminal point: the iterated residues of ``classes``,
     the classes of the grouping's flags arriving there.
 
     They are taken in the polyhedron's chart, with the shared ``residues``,
-    when the flag table's ``profiles`` find every class soluble there, and
+    when the flag table's ``verdicts`` find every class soluble there, and
     otherwise in the chart ``_soluble_chart`` builds for them.  That chart
     has the polyhedron's orientation, so its values need no sign change.
     """
     reps = [cls.flags[0] for cls in classes]
-    chart = _soluble_chart(arr, reps, residues.poly, profiles)
+    chart = _soluble_chart(arr, reps, residues.poly, verdicts)
     if chart is not residues.poly:
         residues = ChartResidues(arr, chart)
     return sum((residues.value(rep) for rep in reps), mpc(0))
@@ -365,7 +369,7 @@ def grothendieck_residue(
     grouping: DivisorGrouping,
     point,
     poly: Polyhedron,
-    table: Sequence[FlagEntry] | None = None,
+    table: FlagTable | None = None,
 ) -> mpc:
     """Residue of the form at one terminal point of a divisor grouping.
 
@@ -378,13 +382,13 @@ def grothendieck_residue(
     """
     if table is None:
         table = flag_table(arr, poly)
-    profiles = {e.flag: e.profile for e in table}
+    verdicts = _verdicts(table)
     through = incidence(arr, point)
-    classes = terminal_classes(arr, _collections(arr, profiles, grouping))
+    classes = terminal_classes(arr, _collections(arr, verdicts, grouping))
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _point_residue(arr, at_point, profiles, ChartResidues(arr, poly))
+    return _point_residue(arr, at_point, verdicts, ChartResidues(arr, poly, table.chart))
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -405,17 +409,16 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
         tuple(frozenset(flag.indices[k] for flag in stable) for k in range(arr.dim))
     )
 
-    profiles = {e.flag: e.profile for e in table}
-    classes = terminal_classes(arr, _collections(arr, profiles, grouping))
+    verdicts = _verdicts(table)
+    classes = terminal_classes(arr, _collections(arr, verdicts, grouping))
     # the first stable flag of each class represents the stable class
-    reps = [s[0] for cls in classes if (s := [f for f in cls.flags if profiles[f].stable])]
-    residues = ChartResidues(arr, poly)
-    residues._chart = table.chart
+    reps = [s[0] for cls in classes if (s := [f for f in cls.flags if verdicts[f].stable])]
+    residues = ChartResidues(arr, poly, table.chart)
     flag_sum = sum(
         (residues.value(rep) for rep in sorted(reps, key=lambda f: f.indices)), mpc(0)
     )
     points = [
-        (point, flags, _point_residue(arr, at, profiles, residues))
+        (point, flags, _point_residue(arr, at, verdicts, residues))
         for point, flags, at in _points(classes)
     ]
     point_sum = sum((res for _, _, res in points), mpc(0))

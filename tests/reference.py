@@ -30,9 +30,12 @@
   suite checks the two agree, errors included.
 * ``read_profile``: one flag's minor profile read from a ``minor_store``
   on its own, its prefixes sorted and its verdicts decided by Fraction
-  comparisons; ``exact_linalg.ordered_profiles`` reads every ordering of a
-  row set through one cached layout instead, and the suite checks the two
-  agree flag by flag.
+  comparisons; ``exact_linalg.set_verdicts`` and ``read_ordering`` read the
+  orderings of a row set through one cached layout instead, and the suite
+  checks the two agree flag by flag.
+* ``fraction_chart``: the chart matrix F M as a product of Fraction
+  matrices; ``arrangement.jacobian`` takes integer dot products over each
+  generator's denominator instead, ints where the entries are integral.
 """
 
 from __future__ import annotations
@@ -104,6 +107,13 @@ def read_profile(store: dict, rows, width: int) -> MinorProfile:
     )
     compatible = (not stable) or all(val <= 0 for _, val in q)
     return MinorProfile(p, q, tuple(r_minors), stable, compatible, 0 not in p)
+
+
+def fraction_chart(arr: Arrangement, indices, poly) -> RationalMatrix:
+    """The rows f_j, j in ``indices``, times the cone's basis matrix M, in
+    Fractions."""
+    f_rows = RationalMatrix.from_rows([arr.hyperplanes[i].f_row() for i in indices])
+    return f_rows.matmul(poly.basis_matrix())
 
 
 def _exact_scalar(x) -> exact_linalg.GaussianRational:

@@ -27,7 +27,7 @@ from residuum.arrangement import (
     FlagTable,
     Hyperplane,
     Polyhedron,
-    enumerate_flags,
+    compatibility_audit,
     flag_classes,
     flag_table,
     jacobian,
@@ -196,20 +196,50 @@ def _assert_one_store(calls: dict, arr, poly) -> None:
     ids=["pib", "pia", "ex2", "pi_1d", "zero_1d"],
 )
 def test_one_minor_profile_per_flag(monkeypatch, text):
-    """analyze and eval build each complete flag's minor profile once, all
-    read from one minor store of the chart matrix."""
+    """analyze and eval build a complete flag's minor profile only for a
+    reported violation, once, all read from one minor store of the chart
+    matrix: every other flag is decided by its verdicts alone."""
     calls = {"MinorProfile": [], "minor_store": [], "determinant": []}
-    _count_calls(monkeypatch, calls)
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
-    flags = len(enumerate_flags(arr, arr.dim))
+    with mp.workprec(128):
+        violations = compatibility_audit(arr, poly).violations
+    _count_calls(monkeypatch, calls)
     for command in (cmd_analyze, cmd_eval):
         for fn in calls:
             calls[fn].clear()
         with mp.workprec(128):
             command(spec)
-        assert len(calls["MinorProfile"]) == flags, command.__name__
+        built = calls["MinorProfile"]
+        assert [(p.stable, p.compatible) for p in built] == [(True, False)] * len(violations)
+        assert [tuple((key, x) for key, x in p.q if x > 0) for p in built] == [
+            v.positive_q for v in violations
+        ], command.__name__
         _assert_one_store(calls, arr, poly)
+
+
+def test_verify_diagnostics_read_the_table_chart(monkeypatch):
+    """verify on an incompatible pair computes the chart matrix F M of its
+    cone once: the arc diagnostics read the flag table's chart.  (The
+    oracle's own charts are other cones.)"""
+    spec = parse_problem(EX1_PIA)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    every = tuple(range(len(arr.hyperplanes)))
+    charts = []
+    original = arrangement.jacobian
+
+    def counted(a, indices, chart_poly):
+        if tuple(indices) == every and chart_poly == poly:
+            charts.append(chart_poly)
+        return original(a, indices, chart_poly)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("residuum") and vars(module).get("jacobian") is original:
+            monkeypatch.setattr(module, "jacobian", counted)
+    with mp.workprec(128):
+        report = cmd_verify(spec)
+    assert report.diagnostics
+    assert charts == [poly]
 
 
 @pytest.mark.parametrize(
@@ -415,10 +445,10 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text):
 def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     """grouping ranks, profiles and solves nothing the flag table holds.
 
-    It ranks nothing, profiles each complete flag once from one minor
-    store of the chart matrix, and classes its collections once: it
-    solves each distinct terminal point among them once, from the first
-    flag that ends there.  eval solves each distinct terminal point of the
+    It ranks nothing, builds no minor profile (it reads the verdicts the
+    table decides from one minor store of the chart matrix), and classes
+    its collections once: it solves each distinct terminal point among
+    them once, from the first flag that ends there.  eval solves each distinct terminal point of the
     stable flags once, and inverts those flags' rows and the cone basis
     once each.
     """
@@ -459,7 +489,7 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     with mp.workprec(128):
         cmd_grouping(spec)
     assert calls["rank"] == []
-    assert len(calls["MinorProfile"]) == len(table)
+    assert calls["MinorProfile"] == []
     _assert_one_store(calls, arr, poly)
     assert len(calls["pole_location"]) == len(collections)
     assert calls["inverse"] == [f_rows(f) for f in collections]

@@ -9,6 +9,7 @@ are checked with hypothesis against randomly generated rational matrices.
 
 import copy
 import operator
+import pickle
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,12 +23,19 @@ from mpmath import mpc, mpf
 import reference
 from reference import row_combinations
 from residuum.arrangement import (
+    MAX_REPORTED_VIOLATIONS,
     Arrangement,
+    AuditReport,
     Flag,
+    FlagEntry,
+    FlagTable,
     Hyperplane,
     Polyhedron,
+    Violation,
+    compatibility_audit,
     flag_table,
     jacobian,
+    stable_flags,
 )
 from residuum.exact_linalg import (
     GaussianRational,
@@ -401,6 +409,69 @@ def test_flag_table_matches_per_flag_reads(data):
         assert e.flag.indices == flag
         assert e.jacobian.entries == tuple(chart.entries[i] for i in flag)
         assert e.profile == profile
+
+
+@given(pooled_arrangements())
+@example(([[1], [-1], [1]], [[Fraction(-2, 3)]]))
+@example(([[1, 1, 0], [0, -1, 1], [1, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+@example(
+    (
+        [[1, 0, -1], [1, 0, -1], [0, 1, 0], [1, 1, -1]],
+        [[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 1], [1, 0, Fraction(3, 4)]],
+    )
+)
+# two stable incompatible flags, so the audit reads two entries
+@example(([[-1, -1], [-1, 0], [-1, 1], [1, 1]], [[1, 0], [0, 1]]))
+@settings(max_examples=60, deadline=None)
+def test_flag_table_agrees_with_itself(data):
+    """A flag table read four ways gives one answer: each place's verdicts
+    are its entry's profile's; its entries, built where read, are those of
+    per-flag reads of the Fraction chart F M; the stable flags and the audit
+    are filters of its entries; and it equals, prints, pickles and copies
+    as the tuple of its entries."""
+    rows, gens = data
+    r = len(gens)
+    hps = [Hyperplane(tuple(f), mpc(i + 1)) for i, f in enumerate(rows)]
+    arr = Arrangement.build(r, hps)
+    poly = Polyhedron.from_generators(gens)
+    table = flag_table(arr, poly)
+    for n, verdicts in enumerate(table.verdicts):
+        assert verdicts == table[n].profile[3:]
+    chart = reference.fraction_chart(arr, range(len(rows)), poly)
+    assert table.chart == chart
+    assert all(
+        type(x) is (int if y.denominator == 1 else Fraction)
+        for row, want in zip(table.chart.entries, chart.entries)
+        for x, y in zip(row, want)
+    )
+    store = minor_store(chart)
+    entries = [
+        FlagEntry(
+            Flag(flag),
+            RationalMatrix(tuple(chart.entries[i] for i in flag)),
+            reference.read_profile(store, flag, r),
+        )
+        for flag in permutations(range(len(rows)), r)
+        if store[tuple(sorted(flag)), r - 1][0]
+    ]
+    assert list(table) == entries
+    assert stable_flags(arr, poly, table) == [e.flag for e in entries if e.profile.stable]
+    violations = [
+        Violation(e.flag, tuple((key, x) for key, x in e.profile.q if x > 0))
+        for e in entries
+        if e.profile.stable and not e.profile.compatible
+    ]
+    assert compatibility_audit(arr, poly, table) == AuditReport(
+        all_compatible=not violations,
+        violations=tuple(violations[:MAX_REPORTED_VIOLATIONS]),
+        flags_checked=len(entries),
+        truncated=len(violations) > MAX_REPORTED_VIOLATIONS,
+    )
+    assert table == tuple(entries) and tuple(entries) == table
+    assert repr(table) == repr(tuple(table))
+    for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+        assert type(twin) is FlagTable
+        assert twin == table and twin.verdicts == table.verdicts
 
 
 @given(
