@@ -44,8 +44,10 @@ from mpmath import mpc
 
 from .exact_linalg import (
     GaussianRational,
+    _exact,
     _gaussian,
     _integer_rows,
+    _ratio,
     MinorProfile,
     RationalMatrix,
     determinant,
@@ -81,7 +83,7 @@ class InsolubleFlag(Exception):
 
 
 # i, exact; times an mpc it is rounded like mpc(0, 1) and gives the same bits
-_I = GaussianRational(Fraction(0), Fraction(1))
+_I = GaussianRational(0, 1)
 
 
 def _exact_parts(x) -> tuple[int, int, int]:
@@ -102,9 +104,6 @@ class Hyperplane(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.f)
-
-    def f_row(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.f)
 
     def same_locus(self, other: "Hyperplane") -> bool:
         return self.f == other.f and is_negligible(self.s - other.s, self.s)
@@ -145,15 +144,16 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
 
 
 class Polyhedron:
-    """Cone data: ordered rational generators v_1..v_r (the dual basis to z).
+    """Cone data: ordered rational generators v_1..v_r (the dual basis to z),
+    each entry an int or a Fraction as given.
 
     A slotted class rather than a NamedTuple, so that it equals only a
-    Polyhedron: a ``RationalMatrix`` also holds one tuple of Fraction rows.
+    Polyhedron: a ``RationalMatrix`` also holds one tuple of rows.
     Immutable: ``generators`` cannot be assigned."""
 
     __slots__ = ("generators",)
 
-    def __init__(self, generators: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, generators: tuple[tuple[int | Fraction, ...], ...]):
         _set_generators(self, generators)
 
     def __setattr__(self, name, value):
@@ -178,7 +178,7 @@ class Polyhedron:
 
     @classmethod
     def from_generators(cls, vectors: Iterable[Iterable]) -> "Polyhedron":
-        gens = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        gens = tuple(tuple(map(_exact, v)) for v in vectors)
         r = len(gens)
         if any(len(v) != r for v in gens):
             raise ValueError("need r generators of length r")
@@ -188,10 +188,7 @@ class Polyhedron:
 
     @staticmethod
     def _basis_matrix_of(gens) -> RationalMatrix:
-        r = len(gens)
-        return RationalMatrix.from_rows(
-            [[gens[j][i] for j in range(r)] for i in range(r)]
-        )
+        return RationalMatrix(tuple(zip(*gens)))
 
     @property
     def dim(self) -> int:
@@ -201,7 +198,7 @@ class Polyhedron:
         """M with columns v_1..v_r, so v = M z."""
         return self._basis_matrix_of(self.generators)
 
-    def det(self) -> Fraction:
+    def det(self) -> int | Fraction:
         return determinant(self.basis_matrix())
 
 
@@ -308,15 +305,21 @@ class Arrangement(NamedTuple):
 def jacobian(
     arr: Arrangement, indices: Sequence[int], poly: Polyhedron
 ) -> RationalMatrix:
-    """Rows f_j of the chosen hyperplanes evaluated on the cone generators:
-    f_j . v_k is an integer product with v_k over its denominator d_k, an int
-    when it is integral."""
+    """Rows f_j of the chosen hyperplanes evaluated on the cone generators
+    (``_products``)."""
     if not indices:
         raise ValueError("empty hyperplane collection")
-    gens, scales = _integer_rows(poly.generators)
-    dots = [[sum([a * b for a, b in zip(arr.hyperplanes[i].f, v)]) for v in gens] for i in indices]
-    rows = [[n // d if n % d == 0 else Fraction(n, d) for n, d in zip(row, scales)] for row in dots]
-    return RationalMatrix(tuple(map(tuple, rows)))
+    return RationalMatrix(_products([arr.hyperplanes[i].f for i in indices], poly.generators))
+
+
+def _products(rows: Sequence[Sequence[int]], columns: Sequence[Sequence]) -> tuple:
+    """The integer rows times the exact columns: f . v is an integer product
+    with v over its denominator d, an int when it is integral."""
+    cols, scales = _integer_rows(columns)
+    return tuple(
+        tuple([_ratio(sum([a * b for a, b in zip(f, v)]), d) for v, d in zip(cols, scales)])
+        for f in rows
+    )
 
 
 def enumerate_flags(arr: Arrangement, depth: int) -> list[Flag]:
@@ -324,10 +327,10 @@ def enumerate_flags(arr: Arrangement, depth: int) -> list[Flag]:
     in ``itertools.permutations`` order; each row set is ranked once."""
     if not (1 <= depth <= arr.dim):
         raise ValueError("depth out of range")
-    f_rows = [h.f_row() for h in arr.hyperplanes]
+    f_rows = [h.f for h in arr.hyperplanes]
     out = []
     for combo in itertools.combinations(range(len(f_rows)), depth):
-        if rank(RationalMatrix.from_rows([f_rows[i] for i in combo])) == depth:
+        if rank(RationalMatrix(tuple(f_rows[i] for i in combo))) == depth:
             out.extend(itertools.permutations(combo))
     return [Flag(combo) for combo in sorted(out)]
 
@@ -475,9 +478,7 @@ def pole_location(arr: Arrangement, flag: Flag) -> list:
     when every s_j is exact."""
     if len(flag) != arr.dim:
         raise ValueError("terminal point requires a complete flag")
-    f_rows = RationalMatrix.from_rows(
-        [arr.hyperplanes[i].f_row() for i in flag.indices]
-    )
+    f_rows = RationalMatrix(tuple(arr.hyperplanes[i].f for i in flag.indices))
     rhs = [_I * arr.hyperplanes[i].s for i in flag.indices]
     return solve_linear(f_rows, rhs)
 
@@ -496,7 +497,7 @@ def incidence(arr: Arrangement, point) -> frozenset[int]:
 class FlagClass(NamedTuple):
     """Complete flags cutting out one flag, its point, and the hyperplanes through it."""
 
-    point: list[mpc]
+    point: list[GaussianRational | mpc]
     incidence: frozenset[int]
     flags: list[Flag]
 
@@ -508,10 +509,11 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     Two complete flags cut out the same flag exactly when they end at the
     same point and, for every k, their first k rows span the same space:
     level k is that point plus the kernel of those rows.  A flag's key is
-    the ``incidence`` of its point and the ``row_echelon`` form of each
-    prefix.  A point is solved once per set of hyperplanes and tested once,
-    and a set through an exact point already solved takes that point: its
-    hyperplanes meet in one point, and that one lies on all of them.
+    the ``incidence`` of its point and, for each prefix, the ``row_echelon``
+    rows of its f-rows (primitive integer rows with positive pivots).  A
+    point is solved once per set of hyperplanes and tested once, and a set
+    through an exact point already solved takes that point: its hyperplanes
+    meet in one point, and that one lies on all of them.
     """
     points: dict[frozenset, tuple] = {}  # set of hyperplanes -> (point, incidence)
     incident: dict[tuple, frozenset] = {}
@@ -522,8 +524,8 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
         *proper, whole = (frozenset(flag.indices[:k]) for k in range(1, len(flag) + 1))
         for prefix in proper:
             if prefix not in spans:
-                rows = [arr.hyperplanes[i].f_row() for i in prefix]
-                spans[prefix] = row_echelon(RationalMatrix.from_rows(rows))
+                rows = tuple(arr.hyperplanes[i].f for i in prefix)
+                spans[prefix] = row_echelon(RationalMatrix(rows))
         if whole not in points:
             known = next((p for p in exact if whole <= p[1]), None)
             if known is None:

@@ -37,7 +37,7 @@ from .arrangement import (
     flag_table,
 )
 from .dsl import ProblemError, ProblemSpec, format_expr, load_problem
-from .exact_linalg import profile_layout, row_layout, text_getter
+from .exact_linalg import profile_layout, row_layout
 from .oracle import (
     DEFAULT_BOX,
     DEFAULT_TOL,
@@ -76,9 +76,9 @@ def _cplx(z) -> dict:
 class Report(NamedTuple):
     """One command's findings.
 
-    ``stability_table`` holds the pair's ``FlagTable`` (or a tuple of
-    ``FlagEntry`` rows), and
-    ``jacobians`` says whether their JSON rows carry each flag's Jacobian;
+    ``stability_table`` holds the pair's ``FlagTable`` (``to_text`` also
+    takes any sequence of ``FlagEntry`` rows, ``to_json`` only the table),
+    and ``jacobians`` says whether its JSON rows carry each flag's Jacobian;
     every other section is already formatted for serialization.
     """
 
@@ -271,34 +271,20 @@ def _json_list(items: list, depth: int) -> str:
 _JSON_BOOL = ("false", "true")
 
 
-def _table_json(table, jacobians: bool) -> str:
+def _table_json(table: FlagTable, jacobians: bool) -> str:
     """The stability table as a JSON array at depth 1 of the report.
 
     Every row of a pair's table has the same r, so one ``%`` template, laid
-    out by ``json.dumps`` from the rows' shape, writes each row: its fields
-    in sorted key order, the q and r minors in the order in which
-    ``sort_keys`` writes their "(j,l)" keys ("(1,10)" before "(1,2)").
-    Row sets, as a ``FlagTable`` holds them (any other tuple: one entry a
-    set), are written one at a time into their rows' places, each set's
-    minors quoted once and each row filled by its reading's two getters and
-    its verdicts.  A ``FlagTable``'s shape is its ``profile_layout``'s, and
-    none of its entries is built.
+    out by ``json.dumps`` from the shape of the table's ``profile_layout``,
+    writes each row: its fields in sorted key order, the q and r minors in
+    the order in which ``sort_keys`` writes their "(j,l)" keys ("(1,10)"
+    before "(1,2)").  The table's row sets are written one at a time into
+    their rows' places, each set's minors quoted once and each row filled by
+    its ``row_layout`` getters and its verdicts; no entry is built.
     """
-    if isinstance(table, FlagTable):
-        chart, row_sets, verdicts = table.chart.entries, table.row_sets, table.verdicts
-        k = table.chart.cols
-        names = [f"H{i + 1}" for i in range(len(chart))]
-        layout, keys = row_layout(k, k), profile_layout(k, k)[:2]
-    else:
-        first = table[0].profile
-        k, kq = len(first.p), len(first.q)
-        pairs = [(key, n) for n, (key, _) in enumerate(first.q + first.r_minors, k)]
-        layout = ((tuple, text_getter(range(k), pairs[:kq], pairs[kq:])),)
-        minors = [[*p, *(x for _, x in qs + rs)] for _, _, (p, qs, rs, *_) in table]
-        row_sets = [(range(n * k, n * k + k), m, (n,)) for n, m in enumerate(minors)]
-        chart = [row for e in table for row in e.jacobian.entries]
-        names = [f"H{i + 1}" for e in table for i in e.flag.indices]
-        verdicts, keys = [e.profile[3:] for e in table], (first.q, first.r_minors)
+    chart, verdicts, k = table.chart.entries, table.verdicts, table.chart.cols
+    names = [f"H{i + 1}" for i in range(len(chart))]
+    layout, keys = row_layout(k, k), profile_layout(k, k)[:2]
     q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in keys)
     shape = dict.fromkeys(("compatible", "flag", "in_bruhat_cell", "stable"), "%s")
     shape.update(p=["%s"] * k, q=q, r=r)
@@ -308,7 +294,7 @@ def _table_json(table, jacobians: bool) -> str:
     text = json.dumps(shape, sort_keys=True, indent=2)
     template = text.replace('"%s"', "%s").replace("\n", "\n    ")
     lines = [""] * len(table)
-    for s, m, places in row_sets:
+    for s, m, places in table.row_sets:
         texts = list(map(_quote, map(str, m)))
         set_names, set_rows = [names[i] for i in s], [chart[i] for i in s]
         for n, (order, pick) in zip(places, layout):

@@ -1,15 +1,18 @@
 """Exact rational linear algebra: matrices over Q, determinantal minors, and
 the sign tests built from them.
 
-Everything here is exact.  Matrix entries are ints and `fractions.Fraction`s.  After
-denominators are cleared row by row, one fraction-free Bareiss elimination
-on Python ints (``_bareiss``) serves every elimination: ``determinant``
-reads its last pivot, ``rank`` counts its pivots, ``inverse`` carries an
-identity block through its Gauss-Jordan form, ``solve_linear`` applies that
-exact inverse, and ``row_echelon`` scales its Gauss-Jordan rows to the
-reduced row echelon form, which ``arrangement.terminal_classes`` compares to
-tell whether two flag prefixes span the same space.  No floating point ever
-enters a sign decision.
+Everything here is exact.  A matrix entry is an ``int`` or a
+``fractions.Fraction``, kept as given: ints stay ints, and every result that
+is integral (a determinant, an inverse's entry, a minor) is an ``int``,
+through one ``_ratio``.  ``_integer_rows`` is the one place that clears
+denominators, row by row; one fraction-free Bareiss elimination on Python
+ints (``_bareiss``) then serves every elimination: ``determinant`` reads
+its last pivot, ``rank`` counts its pivots, ``inverse`` carries an identity
+block through its Gauss-Jordan form, ``solve_linear`` applies that exact
+inverse, and ``row_echelon`` keys a span by its Gauss-Jordan rows made
+primitive integer rows with a positive pivot, which
+``arrangement.terminal_classes`` compares to tell whether two flag prefixes
+span the same space.  No floating point ever enters a sign decision.
 
 Three families of minors of a k-by-r matrix J = (a_ij) drive the rest of the
 package:
@@ -26,13 +29,13 @@ When J is a selection of rows of a matrix C, each of these minors is C's
 minor on the same rows in ascending order, against columns 1..k-1 plus one
 column, times the sign of the permutation that sorts them.  ``minor_store``
 computes every such minor of C once, by Laplace expansion over the minors
-one row smaller, as an int when C's rows are integral.  ``set_minors``
-reads a set of rows' minors from it once; through one ``profile_layout``
-per (rows, width), ``set_verdicts`` decides every ordering's verdicts from
-their signs, ``read_ordering`` reads one ordering's profile and
-``row_layout`` its table row.  ``arrangement.flag_table`` reads every
-independent row set of the chart matrix so; ``minor_profile`` J's own.
-``RationalMatrix``, ``Verdicts`` and ``MinorProfile`` are NamedTuples.
+one row smaller.  ``set_minors`` reads a set of rows' minors from it once;
+through one ``profile_layout`` per (rows, width), ``set_verdicts`` decides
+every ordering's verdicts from their signs, ``read_ordering`` reads one
+ordering's profile and ``row_layout`` its table row.
+``arrangement.flag_table`` reads every independent row set of the chart
+matrix so; ``minor_profile`` J's own.  ``RationalMatrix``, ``Verdicts`` and
+``MinorProfile`` are NamedTuples.
 
 ``GaussianRational`` is the exact complex scalar of hyperplane constants,
 terminal points and exact chart forms: (a + b i) / d on three Python ints
@@ -51,24 +54,29 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x) -> int | Fraction:
+    """x as a matrix entry: an int or Fraction as given, a float exactly."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _ratio(n: int, d: int) -> int | Fraction:
+    """n / d for d != 0: an int when d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
 class RationalMatrix(NamedTuple):
-    """Immutable matrix over Q, stored as a tuple of row tuples."""
+    """Immutable matrix over Q, stored as a tuple of row tuples of ints and
+    Fractions."""
 
     entries: tuple[tuple[int | Fraction, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+        data = tuple(tuple(_exact(x) for x in row) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
         return cls(data)
@@ -81,11 +89,11 @@ class RationalMatrix(NamedTuple):
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, pos: tuple[int, int]) -> Fraction:
+    def __getitem__(self, pos: tuple[int, int]) -> int | Fraction:
         i, j = pos
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self.entries[i]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
@@ -93,20 +101,9 @@ class RationalMatrix(NamedTuple):
             tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         )
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.entries))
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
 
 def _integer_rows(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int | Fraction]],
 ) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those lcms."""
     scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
@@ -158,17 +155,18 @@ def _bareiss(
     return pivots, sign
 
 
-def determinant(mat: RationalMatrix) -> Fraction:
-    """Exact determinant; denominators are cleared row by row first."""
+def determinant(mat: RationalMatrix) -> int | Fraction:
+    """Exact determinant, an int when integral; denominators are cleared row
+    by row first."""
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
     if mat.rows == 0:
-        return Fraction(1)
+        return 1
     m, scales = _integer_rows(mat.entries)
     pivots, sign = _bareiss(m, mat.cols)
     if len(pivots) < mat.rows:
-        return Fraction(0)
-    return Fraction(sign * m[-1][-1], math.prod(scales))
+        return 0
+    return _ratio(sign * m[-1][-1], math.prod(scales))
 
 
 class Verdicts(NamedTuple):
@@ -203,7 +201,7 @@ class MinorProfile(NamedTuple):
 def minor_store(mat: RationalMatrix) -> dict:
     """Every minor det C[S; (1..k-1, c)] of C = mat, for an ascending row
     tuple S of size k <= r and a column c >= k, as the pair (det, -det)
-    keyed (S, c) with 0-based indices, ints when S's rows are integral.
+    keyed (S, c) with 0-based indices, ints where integral.
 
     C's rows are cleared to integers once, and each minor is its Laplace
     expansion along column c over the head minors det C[T; 1..k-1] of the
@@ -224,7 +222,7 @@ def minor_store(mat: RationalMatrix) -> dict:
                 det = sum([a * m[i][c] for a, i in zip(cofactors, rows)])
                 if c == k - 1:
                     heads[rows] = det
-                x = det if scale == 1 else Fraction(det, scale)
+                x = det if scale == 1 else _ratio(det, scale)
                 store[rows, c] = (x, -x)
     return store
 
@@ -307,20 +305,20 @@ def read_ordering(minors: list, k: int, width: int, n: int, verdicts: Verdicts) 
     return MinorProfile(p(minors), q, r, *verdicts)
 
 
-def text_getter(p: Iterable[int], q: Iterable, r: Iterable):
-    """The getter of items ``p``, then of those of the ((j, l), item) pairs ``q``
-    and ``r``, each in ``json.dumps``'s order of "(j,l)" ("(1,10)" first)."""
-    q, r = (sorted(pairs, key=lambda pair: "(%d,%d)" % pair[0]) for pairs in (q, r))
-    return _getter([*p, *(n for _, n in q + r)])
-
-
 @functools.cache
 def row_layout(k: int, width: int) -> tuple:
     """Per ordering of k rows, in ``profile_layout`` order, its getter of rows
-    and the ``text_getter`` of its table row from the rows' ``set_minors``."""
+    and the getter of its table row's minors from the rows' ``set_minors``:
+    p, then q and r, each in ``json.dumps``'s order of "(j,l)" ("(1,10)"
+    first)."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
     n = range(2 * len(_subset_keys(range(k), width)))
-    return tuple((o, text_getter(p(n), q(q_pairs), r(r_pairs))) for o, p, q, r in readings)
+    text = lambda pair: "(%d,%d)" % pair[0]
+    layout = []
+    for o, p, q, r in readings:
+        q, r = sorted(q(q_pairs), key=text), sorted(r(r_pairs), key=text)
+        layout.append((o, _getter([*p(n), *(i for _, i in q + r)])))
+    return tuple(layout)
 
 
 def minor_profile(mat: RationalMatrix) -> MinorProfile:
@@ -344,7 +342,7 @@ def rank(mat: RationalMatrix) -> int:
 
 
 def inverse(mat: RationalMatrix) -> RationalMatrix:
-    """Exact inverse.
+    """Exact inverse, its integral entries ints.
 
     With D clearing the row denominators, eliminating [D A | I] leaves
     [d I | d (D A)^-1], and A^-1 = (D A)^-1 D.
@@ -359,7 +357,7 @@ def inverse(mat: RationalMatrix) -> RationalMatrix:
         raise ValueError("singular matrix")
     return RationalMatrix(
         tuple(
-            tuple(Fraction(row[n + j] * d, row[i]) for j, d in enumerate(scales))
+            tuple(_ratio(row[n + j] * d, row[i]) for j, d in enumerate(scales))
             for i, row in enumerate(m)
         )
     )
@@ -378,15 +376,14 @@ def solve_linear(mat: RationalMatrix, rhs: Sequence) -> list:
     ]
 
 
-def row_echelon(mat: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+def row_echelon(mat: RationalMatrix) -> tuple[tuple[int, ...], ...]:
     """The nonzero rows of mat's reduced row echelon form, each scaled to a
-    leading 1: two matrices give the same tuple exactly when their rows span
-    the same space."""
+    primitive integer row with a positive pivot: two matrices give the same
+    tuple exactly when their rows span the same space."""
     m, _ = _integer_rows(mat.entries)
     pivots, _ = _bareiss(m, mat.cols, reduce=True)
-    return tuple(
-        tuple(Fraction(x, row[col]) for x in row) for row, col in zip(m, pivots)
-    )
+    scales = [math.gcd(*row) if row[col] > 0 else -math.gcd(*row) for row, col in zip(m, pivots)]
+    return tuple(tuple(x // g for x in row) for row, g in zip(m, scales))
 
 
 class GaussianRational:
@@ -399,16 +396,12 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        re, im = _frac(re), _frac(im)
         # re and im are in lowest terms, so the three ints are coprime
-        d = math.lcm(re.denominator, im.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = im.numerator * (d // im.denominator)
-        self._d = d
+        ((self._a, self._b),), (self._d,) = _integer_rows([(_exact(re), _exact(im))])
 
     @classmethod
     def of(cls, x: int | Fraction) -> "GaussianRational":
-        x = _frac(x)
+        x = _exact(x)
         return _normal(x.numerator, 0, x.denominator)
 
     re = property(lambda self: Fraction(self._a, self._d))

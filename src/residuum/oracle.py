@@ -78,7 +78,7 @@ from typing import NamedTuple
 from mpmath import mpc
 
 from .arrangement import Arrangement, Polyhedron, jacobian
-from .exact_linalg import RationalMatrix, determinant, inverse
+from .exact_linalg import RationalMatrix, _getter, determinant, inverse
 from .symfun import ExpRationalFunction
 
 DEFAULT_BOX = 50.0
@@ -413,11 +413,10 @@ def _rounded(z):
     return float(f"{z.real:.8e}"), float(f"{z.imag:.8e}")
 
 
-def _chart_key(arr: Arrangement, chart: Polyhedron):
-    """The integrand in w = F_B v, given the chart v = F_B^-1 w: each
-    hyperplane's exact row f_j F_B^-1 with its s and multiplicity, as a
-    multiset, and the numerator composed with F_B^-1."""
-    rows = jacobian(arr, range(len(arr.hyperplanes)), chart)
+def _chart_key(arr: Arrangement, chart: Polyhedron, rows: RationalMatrix):
+    """The integrand in w = F_B v, given the chart v = F_B^-1 w and its rows
+    F F_B^-1 (``jacobian``): each hyperplane's exact row f_j F_B^-1 with its
+    s and multiplicity, as a multiset, and the numerator composed with F_B^-1."""
     s = [_rounded(h.s) for h in arr.hyperplanes]
     planes = sorted(zip(rows.entries, s, arr.multiplicities))
     numerator = sorted(
@@ -440,15 +439,16 @@ def _permuted_key(key, p):
     )
 
 
-def _hyperplane_chart(arr: Arrangement) -> Polyhedron:
+def _hyperplane_chart(arr: Arrangement) -> tuple[Polyhedron, RationalMatrix]:
     """The chart v = F_B^-1 w, for the rows F_B of r hyperplanes, in some
-    order, with the largest |det F_B|; ties go to the smallest _chart_key,
-    which no det-1 substitution or renaming of the hyperplanes changes, then
-    to the first indices.  Each set of r rows takes one determinant and one
-    inverse: reordering the rows permutes the generators, F_B^-1's columns."""
-    rows = [h.f_row() for h in arr.hyperplanes]
-    sets = list(itertools.combinations(range(len(rows)), arr.dim))
-    mats = [RationalMatrix.from_rows(rows[i] for i in s) for s in sets]
+    order, with the largest |det F_B|, and its rows F F_B^-1; ties go to the
+    smallest _chart_key, which no det-1 substitution or renaming of the
+    hyperplanes changes, then to the first indices.  Each set of r rows
+    takes one determinant, one inverse and one ``jacobian``: reordering the
+    rows permutes the generators, F_B^-1's columns, and the rows' entries."""
+    f_rows = [h.f for h in arr.hyperplanes]
+    sets = list(itertools.combinations(range(len(f_rows)), arr.dim))
+    mats = [RationalMatrix(tuple(f_rows[i] for i in s)) for s in sets]
     dets = [abs(determinant(m)) for m in mats]
     top = max(dets, default=0)
     if top == 0:
@@ -457,11 +457,13 @@ def _hyperplane_chart(arr: Arrangement) -> Polyhedron:
     for s, m, d in zip(sets, mats, dets):
         if d == top:
             chart = Polyhedron(tuple(zip(*inverse(m).entries)))
-            key = _chart_key(arr, chart)
+            rows = jacobian(arr, range(len(f_rows)), chart)
+            key = _chart_key(arr, chart, rows)
             for p in itertools.permutations(range(arr.dim)):
-                ranked.append((_permuted_key(key, p), [s[k] for k in p], chart, p))
-    *_, chart, perm = min(ranked, key=lambda c: c[:2])
-    return Polyhedron(tuple(chart.generators[k] for k in perm))
+                ranked.append((_permuted_key(key, p), [s[k] for k in p], chart, rows, p))
+    *_, chart, rows, perm = min(ranked, key=lambda c: c[:2])
+    permute = _getter(perm)
+    return Polyhedron(permute(chart.generators)), RationalMatrix(tuple(map(permute, rows.entries)))
 
 
 def _decay_profile(func: ExpRationalFunction):
@@ -650,7 +652,7 @@ def quad_integral(
         raise ValueError("quadrature supports at most three variables")
     if arr.numerator.is_zero():
         return QuadratureReport(mpc(0), 0.0, float(box), 0, 0.0)
-    func = arr.integrand_in(_hyperplane_chart(arr))
+    func = arr._pullback(*_hyperplane_chart(arr))[0]
     freqs, decay = _decay_profile(func)
     budget = _axis_cap(node_budget, r)
     if all(f == 0.0 for f in freqs):

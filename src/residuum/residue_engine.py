@@ -40,6 +40,7 @@ from .arrangement import (
     FlagTable,
     InsolubleFlag,
     Polyhedron,
+    _products,
     compatibility_audit,
     enumerate_flags,
     flag_table,
@@ -323,12 +324,10 @@ def _soluble_chart(
     if all(verdicts[rep].in_bruhat_cell for rep in reps):
         return poly
     r = arr.dim
-    flag_rows = [[arr.hyperplanes[i].f_row() for i in rep.indices] for rep in reps]
+    flag_rows = [[arr.hyperplanes[i].f for i in rep.indices] for rep in reps]
 
-    def leading_minor(f_rows, cols) -> Fraction:
-        return determinant(
-            RationalMatrix.from_rows(f_rows).matmul(RationalMatrix.from_rows(zip(*cols)))
-        )
+    def leading_minor(f_rows, cols) -> int | Fraction:
+        return determinant(RationalMatrix(_products(f_rows, cols)))
 
     cols: list[tuple] = []
     for k in range(r):

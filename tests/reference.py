@@ -33,9 +33,15 @@
   comparisons; ``exact_linalg.set_verdicts`` and ``read_ordering`` read the
   orderings of a row set through one cached layout instead, and the suite
   checks the two agree flag by flag.
+* ``fraction_gauss_jordan`` and ``fraction_inverse``: Gauss-Jordan
+  elimination in Fractions, each pivot row scaled to a leading 1, with the
+  determinant as the product of the pivots; ``exact_linalg`` eliminates
+  integer rows fraction-free instead (Bareiss), and the suite checks its
+  determinant, rank, inverse, solutions and row echelon keys against these.
 * ``fraction_chart``: the chart matrix F M as a product of Fraction
-  matrices; ``arrangement.jacobian`` takes integer dot products over each
-  generator's denominator instead, ints where the entries are integral.
+  matrices (``matmul``); ``arrangement.jacobian`` takes integer dot products
+  over each generator's denominator instead, ints where the entries are
+  integral.
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ from residuum.exact_linalg import (
     MinorProfile,
     RationalMatrix,
     _bareiss,
-    _frac,
     _integer_rows,
     determinant,
     inverse,
@@ -109,11 +114,59 @@ def read_profile(store: dict, rows, width: int) -> MinorProfile:
     return MinorProfile(p, q, tuple(r_minors), stable, compatible, 0 not in p)
 
 
+def fraction_gauss_jordan(rows) -> tuple[list[tuple[Fraction, ...]], list[int], Fraction]:
+    """The reduced row echelon form of ``rows`` in Fractions: its nonzero
+    rows, each with a leading 1, their pivot columns, and the determinant,
+    the signed product of the pivots (0 when the rows are dependent)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            det = -det
+        det *= m[top][col]
+        m[top] = [x / m[top][col] for x in m[top]]
+        for i, row in enumerate(m):
+            if i != top and row[col]:
+                m[i] = [a - row[col] * b for a, b in zip(row, m[top])]
+        pivots.append(col)
+    if len(pivots) < len(m):
+        det = Fraction(0)
+    return [tuple(row) for row in m[: len(pivots)]], pivots, det
+
+
+def fraction_inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of the nonsingular square ``rows``: [A | I] reduced to
+    [I | A^-1] by ``fraction_gauss_jordan``."""
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, _, _ = fraction_gauss_jordan([[*row, *e] for row, e in zip(rows, eye)])
+    return tuple(row[n:] for row in reduced)
+
+
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The product a b, entry by entry a sum of products."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*b.entries))
+    return RationalMatrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.entries)
+    )
+
+
 def fraction_chart(arr: Arrangement, indices, poly) -> RationalMatrix:
     """The rows f_j, j in ``indices``, times the cone's basis matrix M, in
     Fractions."""
-    f_rows = RationalMatrix.from_rows([arr.hyperplanes[i].f_row() for i in indices])
-    return f_rows.matmul(poly.basis_matrix())
+    f_rows = RationalMatrix(
+        tuple(tuple(Fraction(c) for c in arr.hyperplanes[i].f) for i in indices)
+    )
+    basis = poly.basis_matrix().entries
+    return matmul(f_rows, RationalMatrix(tuple(tuple(map(Fraction, row)) for row in basis)))
 
 
 def _exact_scalar(x) -> exact_linalg.GaussianRational:
@@ -202,9 +255,7 @@ def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
     scalar = (lambda x: x) if exact else to_mpc
 
     def f_rows(indices) -> RationalMatrix:
-        return RationalMatrix.from_rows(
-            [arr.hyperplanes[i].f_row() for i in indices]
-        )
+        return RationalMatrix(tuple(arr.hyperplanes[i].f for i in indices))
 
     for k in range(1, len(a) + 1):
         combos = row_combinations(f_rows(a.indices[:k]), f_rows(b.indices[:k]))
@@ -252,8 +303,7 @@ def torus_residue(
     r = arr.dim
     if len(indices) != r:
         raise ValueError("need exactly one hyperplane per variable")
-    rows = [arr.hyperplanes[i].f_row() for i in indices]
-    a = RationalMatrix.from_rows(rows)
+    a = RationalMatrix(tuple(arr.hyperplanes[i].f for i in indices))
     if determinant(a) == 0:
         raise ValueError("chosen hyperplanes are not transverse")
     m = pole_location(arr, Flag(indices))
@@ -263,7 +313,7 @@ def torus_residue(
         if k in indices:
             continue
         g = complex(defining_form(h).evaluate(m))
-        norm = math.sqrt(sum(float(c) ** 2 for c in h.f_row()))
+        norm = math.sqrt(sum(float(c) ** 2 for c in h.f))
         foreign.append((k, abs(g) / norm))
     if eps is None:
         base = 0.1 * min((d for _, d in foreign), default=1.0)
@@ -296,7 +346,7 @@ def torus_residue(
     # the cycle must stay clear of every foreign factor
     for k, _ in foreign:
         h = arr.hyperplanes[k]
-        row = np.array([complex(c) for c in h.f_row()])
+        row = np.array([complex(c) for c in h.f])
         const = complex(defining_form(h).const)
         vals = row @ pts + const
         if float(np.min(np.abs(vals))) < 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
@@ -379,7 +429,7 @@ class GaussianRational:
 
     @classmethod
     def of(cls, x: int | Fraction) -> "GaussianRational":
-        return cls(_frac(x), Fraction(0))
+        return cls(Fraction(x), Fraction(0))
 
     def __add__(self, o):
         if isinstance(o, (int, Fraction)):

@@ -170,7 +170,7 @@ def test_polyhedron_inverse_relation():
     poly = cone((1, 0), (-1, 1))
     m = poly.basis_matrix()
     z = inverse(poly.basis_matrix())
-    prod = z.matmul(m)
+    prod = reference.matmul(z, m)
     assert prod == RationalMatrix.from_rows([[1, 0], [0, 1]])
     assert poly.det() == 1
 

@@ -19,11 +19,9 @@ from mpmath import mp, mpc, mpf, pi
 
 from conftest import three_plane_value
 from reference import stability_lines, stability_rows
-from residuum import arrangement, exact_linalg, symfun
+from residuum import arrangement, exact_linalg, oracle, symfun
 from residuum.arrangement import (
     Arrangement,
-    Flag,
-    FlagEntry,
     FlagTable,
     Hyperplane,
     Polyhedron,
@@ -46,7 +44,6 @@ from residuum.cli import (
 from residuum.dsl import parse_problem
 from residuum.exact_linalg import (
     GaussianRational,
-    MinorProfile,
     RationalMatrix,
     minor_profile,
     minor_store,
@@ -218,12 +215,9 @@ def test_one_minor_profile_per_flag(monkeypatch, text):
         _assert_one_store(calls, arr, poly)
 
 
-def test_verify_diagnostics_read_the_table_chart(monkeypatch):
-    """verify on an incompatible pair computes the chart matrix F M of its
-    cone once: the arc diagnostics read the flag table's chart.  (The
-    oracle's own charts are other cones.)"""
-    spec = parse_problem(EX1_PIA)
-    arr, poly = spec.arrangement(), spec.polyhedron()
+def _count_full_charts(monkeypatch, arr, poly) -> list:
+    """The list that each full-range ``jacobian`` call on ``poly`` appends
+    it to, in every residuum module."""
     every = tuple(range(len(arr.hyperplanes)))
     charts = []
     original = arrangement.jacobian
@@ -236,10 +230,34 @@ def test_verify_diagnostics_read_the_table_chart(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("residuum") and vars(module).get("jacobian") is original:
             monkeypatch.setattr(module, "jacobian", counted)
+    return charts
+
+
+def test_verify_diagnostics_read_the_table_chart(monkeypatch):
+    """verify on an incompatible pair computes the chart matrix F M of its
+    cone once: the arc diagnostics read the flag table's chart.  (The
+    oracle's own charts are other cones.)"""
+    spec = parse_problem(EX1_PIA)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    charts = _count_full_charts(monkeypatch, arr, poly)
     with mp.workprec(128):
         report = cmd_verify(spec)
     assert report.diagnostics
     assert charts == [poly]
+
+
+def test_verify_computes_the_oracle_chart_once(monkeypatch):
+    """verify computes the chart matrix F M of the chart the oracle picks
+    once: the quadrature's integrand is pulled back through the rows that
+    the chart search computed for its key."""
+    spec = parse_problem(EX1_PIA)
+    arr = spec.arrangement()
+    chosen, _ = oracle._hyperplane_chart(arr)
+    charts = _count_full_charts(monkeypatch, arr, chosen)
+    with mp.workprec(128):
+        report = cmd_verify(spec)
+    assert report.oracle is not None
+    assert charts == [chosen]
 
 
 @pytest.mark.parametrize(
@@ -473,7 +491,7 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
         return list(firsts.values())
 
     def f_rows(flag):
-        return RationalMatrix.from_rows(arr.hyperplanes[i].f_row() for i in flag.indices)
+        return RationalMatrix(tuple(arr.hyperplanes[i].f for i in flag.indices))
 
     collections = first_per_point(f for _, flags, _ in points for f in flags)
     stable = first_per_point(stable_flags(arr, poly, table))
@@ -732,29 +750,6 @@ _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
-def _flag_tables(draw):
-    """Flag tables of r <= 4 over chart rows drawn from a small pool, so rows
-    repeat, minors vanish and fractions are negative."""
-    r = draw(st.integers(1, 4))
-    pool = draw(st.lists(st.tuples(*[_fractions] * r), min_size=1, max_size=3))
-    chart = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r + 2))
-    flags = draw(
-        st.lists(st.permutations(range(len(chart))), min_size=1, max_size=6)
-    )
-    table = []
-    for order in flags:
-        jac = RationalMatrix(tuple(chart[i] for i in order[:r]))
-        table.append(FlagEntry(Flag(tuple(order[:r])), jac, minor_profile(jac)))
-    return tuple(table)
-
-
-@given(_flag_tables(), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_table_writer_matches_dict_rows(table, jacobians):
-    _check_table_writer(table, jacobians)
-
-
-@st.composite
 def _table_pairs(draw):
     """(arrangement, polyhedron) pairs for ``flag_table``: r <= 4 rows drawn
     from a small pool, so rows repeat and minors vanish, over rational cone
@@ -799,34 +794,23 @@ def test_table_writer_matches_dict_rows_of_flag_tables(pair, jacobians):
 
 
 def test_table_writer_orders_minor_keys_as_strings():
-    """At r = 10, sort_keys puts "(1,10)" before "(1,2)"; so must the writer."""
-    r = 10
-    pairs = [(j, l) for j in range(1, r + 1) for l in range(j + 1, r + 1)]
-    profile = MinorProfile(
-        p=tuple(Fraction(k, 3) for k in range(1, r + 1)),
-        q=tuple(((j, l), Fraction(j - l, l)) for j, l in pairs),
-        r_minors=tuple(((j, l), Fraction(l - j)) for j, l in pairs),
-        stable=True,
-        compatible=False,
-        in_bruhat_cell=True,
-    )
-    eye = RationalMatrix(
-        tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
-    )
-    table = (FlagEntry(Flag(tuple(range(r))), eye, profile),)
-    for jacobians in (False, True):
-        text = _check_table_writer(table, jacobians)
-        assert text.index('"(1,10)"') < text.index('"(1,2)"')
+    """With 10 columns, sort_keys puts "(1,10)" before "(1,2)"; so must the
+    writer's ``row_layout``.  (``MAX_TABLE_FLAGS`` keeps every written table
+    at r <= 8, so the order is checked on the layout.)  The row 1..10 has
+    p_1 = 1 and q_(1,l) = l."""
+    row = RationalMatrix((tuple(range(1, 11)),))
+    minors = exact_linalg.set_minors(exact_linalg.minor_store(row), range(1), 10)
+    [(_, pick)] = exact_linalg.row_layout(1, 10)
+    assert pick(minors) == (1, 10, *range(2, 10))
 
 
 def test_table_writer_writes_empty_minor_dicts():
     """At r = 1 a flag has no q or r minors: both are written {}."""
-    table = tuple(
-        FlagEntry(Flag((i,)), jac, minor_profile(jac))
-        for i, jac in enumerate(
-            RationalMatrix(((x,),)) for x in (Fraction(-2, 3), Fraction(0), Fraction(5))
-        )
+    arr = Arrangement.build(
+        1, [Hyperplane((f,), GaussianRational.of(k + 1)) for k, f in enumerate((1, -1, 1))]
     )
+    table = flag_table(arr, Polyhedron.from_generators([[Fraction(-2, 3)]]))
+    assert len(table) == 3
     text = _check_table_writer(table, True)
     assert text.count('"q": {}') == text.count('"r": {}') == 3
 

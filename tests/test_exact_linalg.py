@@ -8,6 +8,7 @@ are checked with hypothesis against randomly generated rational matrices.
 """
 
 import copy
+import math
 import operator
 import pickle
 import sys
@@ -166,6 +167,75 @@ def low_rank_matrices():
             ]
         )
     )
+
+
+def _kernel_entries(kind: str):
+    """int, Fraction (integral ones too) or mixed matrix entries."""
+    ints = st.integers(-4, 4)
+    fractions = st.builds(Fraction, ints, st.integers(1, 3))
+    return {"int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}[kind]
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(rows, other rows) of at most 4 rows and 4 columns, square half the
+    time, drawn from a small pool with a zero row, so rows repeat and
+    vanish; the other rows are the rows reordered, with an integer
+    combination of them or a pool row added, so they often span the same
+    space and sometimes not."""
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    n = draw(st.integers(1, 4))
+    width = draw(st.one_of(st.just(n), st.integers(1, 4)))
+    entry = _kernel_entries(kind)
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=n))
+    pool.append([Fraction(0) if kind == "fraction" else 0] * width)
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    other = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        other.append([sum(c * row[j] for c, row in zip(cs, rows)) for j in range(width)])
+    else:
+        other.append(draw(st.sampled_from(pool)))
+    return rows, other
+
+
+def _as_given(x, value) -> bool:
+    """x equals value, and is an int exactly when value is integral."""
+    return x == value and (type(x) is int) == (value.denominator == 1)
+
+
+@given(kernel_matrices())
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_fraction_references(pair):
+    """determinant, rank, inverse, solve_linear and row_echelon on int,
+    Fraction and mixed rows against Gauss-Jordan in Fractions: equal values,
+    every integral result an int, and row echelon keys, primitive integer
+    rows with positive pivots, equal exactly when the spans are."""
+    rows, other = pair
+    mat = RationalMatrix.from_rows(rows)
+    assert all(x is y for got, row in zip(mat.entries, rows) for x, y in zip(got, row))
+    reduced, pivots, det = reference.fraction_gauss_jordan(rows)
+    assert rank(mat) == len(pivots)
+    echelon = row_echelon(mat)
+    assert len(echelon) == len(reduced)
+    for key, row, col in zip(echelon, reduced, pivots):
+        assert all(type(x) is int for x in key)
+        assert math.gcd(*key) == 1 and key[col] > 0
+        assert [Fraction(x, key[col]) for x in key] == list(row)
+    same_span = reference.fraction_gauss_jordan(other)[0] == reduced
+    assert (row_echelon(RationalMatrix.from_rows(other)) == echelon) == same_span
+    if len(rows) != len(rows[0]):
+        return
+    assert _as_given(determinant(mat), det)
+    if det == 0:
+        with pytest.raises(ValueError):
+            inverse(mat)
+        return
+    want = reference.fraction_inverse(rows)
+    got = inverse(mat).entries
+    assert all(_as_given(x, y) for a, b in zip(got, want) for x, y in zip(a, b))
+    rhs = [Fraction(i - 1, 2) for i in range(len(rows))]
+    assert solve_linear(mat, rhs) == [sum(b * c for b, c in zip(rhs, row)) for row in want]
 
 
 def minor_rank(rows: list[list[Fraction]]) -> int:
@@ -571,7 +641,7 @@ def test_inverse_and_solve(rows, data):
         return
     assert rank(mat) == n
     inv = inverse(mat)
-    prod = mat.matmul(inv)
+    prod = reference.matmul(mat, inv)
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     assert prod == RationalMatrix.from_rows(ident)
     rhs = [Fraction(i + 1, 3) for i in range(n)]

@@ -30,7 +30,13 @@ from conftest import (
 )
 from reference import ForeignPoleInsideTorus, torus_residue
 from residuum import oracle
-from residuum.arrangement import Arrangement, Flag, Polyhedron, canonicalize_hyperplane
+from residuum.arrangement import (
+    Arrangement,
+    Flag,
+    Polyhedron,
+    canonicalize_hyperplane,
+    jacobian,
+)
 from residuum.dsl import parse_problem
 from residuum.exact_linalg import RationalMatrix, determinant, inverse
 from residuum.oracle import (
@@ -202,16 +208,19 @@ def test_quad_invariant_under_disguise(problem):
 
 def _brute_force_chart(arr):
     """_hyperplane_chart by exhaustion, its reference: a determinant, an
-    inverse and a _chart_key for every ordered r-tuple of rows."""
-    rows = [h.f_row() for h in arr.hyperplanes]
-    charts = [RationalMatrix.from_rows(p) for p in itertools.permutations(rows, arr.dim)]
+    inverse, a ``jacobian`` and a _chart_key for every ordered r-tuple of
+    rows; the chart and its rows."""
+    rows = [h.f for h in arr.hyperplanes]
+    charts = [RationalMatrix(p) for p in itertools.permutations(rows, arr.dim)]
     dets = [abs(determinant(m)) for m in charts]
     top = max(dets, default=0)
     if top == 0:
         raise NonDecaying("the hyperplanes do not span the space")
     cands = [inverse(m) for m, d in zip(charts, dets) if d == top]
     cands = [Polyhedron(tuple(zip(*inv.entries))) for inv in cands]
-    return min(cands, key=lambda chart: oracle._chart_key(arr, chart))
+    every = range(len(rows))
+    cands = [(chart, jacobian(arr, every, chart)) for chart in cands]
+    return min(cands, key=lambda cand: oracle._chart_key(arr, *cand))
 
 
 _CHART_PROBLEMS = {
@@ -575,13 +584,13 @@ def test_only_coupled_factors_stay_per_point(monkeypatch):
     assert copies == []
 
     arr = three_plane_problem(2, 3)
-    func = arr.integrand_in(oracle._hyperplane_chart(arr))
+    func = arr._pullback(*oracle._hyperplane_chart(arr))[0]
     oracle._tensor_sum(oracle._term_specs(func), [oracle._window_axis(5.0, 300)] * 2)
     assert copies and set(copies) == {1}
 
     with working_precision(128):
         arr = parse_problem(_DISGUISED_DRAW).arrangement()
-        func = arr.integrand_in(oracle._hyperplane_chart(arr))
+        func = arr._pullback(*oracle._hyperplane_chart(arr))[0]
     ((*_, denom),) = oracle._term_specs(func)
     assert sorted(np.count_nonzero(row) for row, _, _ in denom) == [1, 1, 1, 3, 3, 3]
 

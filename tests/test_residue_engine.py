@@ -76,8 +76,7 @@ def tiny_torus(arr, indices, eps_scale=mpf("0.1"), nodes=64):
     """
     flag = Flag(tuple(indices))
     m = pole_location(arr, flag)
-    rows = [arr.hyperplanes[i].f_row() for i in indices]
-    a = RationalMatrix.from_rows(rows)
+    a = RationalMatrix(tuple(arr.hyperplanes[i].f for i in indices))
     a_inv = inverse(a)
     det_a_inv = to_mpc(determinant(a_inv))
     foreign = [
@@ -437,9 +436,7 @@ def test_grothendieck_residue_in_a_built_chart():
         point = [mpc(0, "1.25"), mpc(0, "1.5"), mpc(0, 2)]
         flag = Flag((1, 0, 3))
         assert not minor_profile(jacobian(arr, flag.indices, poly)).in_bruhat_cell
-        f_flag = RationalMatrix.from_rows(
-            [arr.hyperplanes[i].f_row() for i in flag.indices]
-        )
+        f_flag = RationalMatrix(tuple(arr.hyperplanes[i].f for i in flag.indices))
         others = mpc(1)
         for j, h in enumerate(arr.hyperplanes):
             if j not in flag.indices:
