@@ -135,9 +135,11 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     lam = _gaussian(x * den, -y * den, g)
     exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
     s = (_gaussian(*_exact_parts(constant)) if exact else to_mpc(constant)) * lam * _I
-    if is_negligible(s.real, s):
+    # an exact s has the sign of its real part in its integer numerator
+    re = s._a if s.__class__ is GaussianRational else s.real
+    if is_negligible(re, s):
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
-    if s.real < 0:
+    if re < 0:
         ints = [-n for n in ints]
         s = -s
     return Hyperplane(f=tuple(ints), s=s)
@@ -279,17 +281,26 @@ class Arrangement(NamedTuple):
         """The integrand F in the chart v = M z and {j: form j}: form j is
         (row j of the exact F M of ``jacobian``) . z - i s_j, exact when every
         s_j is, else rounded once.  Each numerator term, composed with M,
-        takes |det M| and every form, and is normalized by one ``Term.make``."""
+        takes |det M| and every form, and is normalized by one ``Term.make``;
+        F is exact when every s_j and the numerator are, and otherwise its
+        every term is rounded."""
         return self._pullback(poly, jacobian(self, range(len(self.hyperplanes)), poly))
 
     def _pullback(self, poly: Polyhedron, rows: RationalMatrix) -> tuple:
         """``pullback`` from the chart matrix F M, as a flag table holds it."""
         consts = [_I * -h.s for h in self.hyperplanes]
-        form = AffineForm.make if any(isinstance(c, mpc) for c in consts) else AffineForm
+        rounded = any(isinstance(c, mpc) for c in consts)
+        form = AffineForm.make if rounded else AffineForm
         forms = {j: form(row, c) for j, (row, c) in enumerate(zip(rows.entries, consts))}
         factors = list(zip(forms.values(), self.multiplicities))
-        subs = [AffineForm.make(row) for row in poly.basis_matrix().entries]
-        weight = to_mpc(abs(poly.det()))
+        numerator = self.numerator.terms
+        if rounded or not self.numerator.exact:
+            numerator = [t.rounded() for t in numerator]
+            subs = [AffineForm.make(row) for row in poly.basis_matrix().entries]
+            weight = to_mpc(abs(poly.det()))
+        else:
+            subs = [AffineForm(row, 0) for row in poly.basis_matrix().entries]
+            weight = abs(poly.det())
         terms = [
             Term.make(
                 t.coeff * weight,
@@ -297,7 +308,7 @@ class Arrangement(NamedTuple):
                 t.expo.compose(subs),
                 [(form.compose(subs), m) for form, m in t.denom] + factors,
             )
-            for t in self.numerator.terms
+            for t in numerator
         ]
         return ExpRationalFunction(self.dim, terms), forms
 

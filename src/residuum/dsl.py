@@ -42,7 +42,7 @@ from .arrangement import (
     Polyhedron,
     canonicalize_hyperplane,
 )
-from .exact_linalg import GaussianRational
+from .exact_linalg import GaussianRational, _ratio
 from .symfun import AffineForm, ExpRationalFunction, Polynomial, to_mpc
 
 STATEMENT_KEYWORDS = ("cone", "den", "num", "param", "vars")
@@ -428,7 +428,7 @@ class _Parser:
 
     # rationals inside cone vectors
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         sign = 1
         if self.peek().kind == "-":
             self.advance()
@@ -441,9 +441,9 @@ class _Parser:
             den = int(dtok.text)
             if den == 0:
                 raise ParseError("zero denominator", dtok.line, dtok.col)
-        return Fraction(sign * int(num.text), den)
+        return _ratio(sign * int(num.text), den)
 
-    def vector(self) -> tuple[Fraction, ...]:
+    def vector(self) -> tuple[int | Fraction, ...]:
         self.expect("(", ("'('",))
         entries = [self.rational()]
         while self.peek().kind == ",":
@@ -518,7 +518,7 @@ class ProblemSpec(NamedTuple):
     """Parsed problem file: variables, cone, bindings, numerator, denominator."""
 
     variables: tuple[str, ...]
-    cone: tuple[tuple[Fraction, ...], ...]
+    cone: tuple[tuple[int | Fraction, ...], ...]
     parameters: tuple[tuple[str, Expr], ...]
     numerator: Expr | None
     denominator: tuple[tuple[Expr, int], ...]
@@ -576,7 +576,7 @@ class ProblemSpec(NamedTuple):
 
     def _environment(self) -> dict:
         env: dict[str, object] = {
-            "i": GaussianRational(Fraction(0), Fraction(1)),
+            "i": GaussianRational(0, 1),
             "pi": mpc(+mp.pi),
         }
         for k, name in enumerate(self.variables):
@@ -598,7 +598,7 @@ def parse_problem(text: str) -> ProblemSpec:
     parser = _Parser(_tokenize(text))
     seen: dict[str, Token] = {}
     variables: list[str] = []
-    cone: list[tuple[Fraction, ...]] = []
+    cone: list[tuple[int | Fraction, ...]] = []
     parameters: list[tuple[str, Expr]] = []
     numerator: Expr | None = None
     denominator: list[tuple[Expr, int]] = []
@@ -709,8 +709,9 @@ def _validate(spec: ProblemSpec, seen: dict[str, Token]) -> None:
 # with Python's operators: exactly when both are exact, and otherwise as if
 # the GaussianRational were rounded first, by to_mpc (mpmath rounds it the
 # same way).  Integer powers of an exact scalar stay exact.  Denominator
-# lowering thus sees exact linear coefficients; an AffineForm is rounded
-# once (AffineForm.make) where it enters the numerator.
+# lowering thus sees exact linear coefficients, and an exact AffineForm
+# enters the numerator exact; one that holds pi or exp() is rounded as a
+# whole (AffineForm.make) there.
 
 _ONE = GaussianRational.of(1)
 _ZERO = GaussianRational.of(0)
@@ -724,9 +725,13 @@ def _lift(value, nvars: int) -> ExpRationalFunction:
     if _is_scalar(value):
         return ExpRationalFunction.from_parts(nvars, coeff=value)
     if isinstance(value, AffineForm):
-        form = AffineForm.make(value.coeffs, value.const)
-        return ExpRationalFunction.from_parts(nvars, poly=Polynomial.from_affine(form))
+        return ExpRationalFunction.from_parts(nvars, poly=Polynomial.from_affine(_made(value)))
     return value
+
+
+def _made(form: AffineForm) -> AffineForm:
+    """``form`` when it is exact, else rounded as a whole (``AffineForm.make``)."""
+    return form if form._den is not None else AffineForm.make(form.coeffs, form.const)
 
 
 def _as_int(s) -> int | None:
@@ -810,8 +815,7 @@ def _v_exp(v, nvars: int, pos):
     if _is_scalar(v):
         return mpmath.exp(to_mpc(v))
     if isinstance(v, AffineForm):
-        expo = AffineForm.make(v.coeffs, v.const)
-        return ExpRationalFunction.from_parts(nvars, expo=expo)
+        return ExpRationalFunction.from_parts(nvars, expo=_made(v))
     raise ProblemError(
         "the argument of exp must be affine in the variables", *pos
     )
@@ -842,7 +846,7 @@ def _v_pow(a, b, nvars: int, pos):
                     return a
                 if n > _MAX_POLY_POWER:
                     raise ProblemError(f"power exceeds {_MAX_POLY_POWER}", *pos)
-                p = Polynomial.from_affine(AffineForm.make(a.coeffs, a.const))
+                p = Polynomial.from_affine(_made(a))
                 acc = p
                 for _ in range(n - 1):
                     acc = acc.mul(p)

@@ -49,10 +49,11 @@ from .arrangement import (
     stable_flags,
     terminal_classes,
 )
-from .exact_linalg import RationalMatrix, determinant, inverse, minor_profile
+from .exact_linalg import GaussianRational, RationalMatrix, determinant, inverse, minor_profile
 from .symfun import (
     DEFAULT_PRECISION,
     ExpRationalFunction,
+    constant_sum,
     is_negligible,
     to_mpc,
     working_precision,
@@ -154,9 +155,10 @@ class ChartResidues:
             step = self._steps[prefix] = (func.residue_1d(0, pole), (*poles, pole))
         return step
 
-    def value(self, flag: Flag) -> mpc:
-        """Iterated residue along a flag soluble in this chart."""
-        return self.step(flag.indices)[0].evaluate(())
+    def function(self, flag: Flag) -> ExpRationalFunction:
+        """Iterated residue along a flag soluble in this chart, as a function
+        of no variables; ``evaluate(())`` gives its value."""
+        return self.step(flag.indices)[0]
 
 
 def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
@@ -165,16 +167,35 @@ def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
         raise InsolubleFlag(
             f"flag {flag.label()} has a vanishing leading principal minor"
         )
-    return ChartResidues(arr, poly).value(flag)
+    return ChartResidues(arr, poly).function(flag).evaluate(())
+
+
+def _summed(funcs: Sequence[ExpRationalFunction]) -> ExpRationalFunction | None:
+    """The sum of arity-0 residue functions, like terms merged exactly
+    (``constant_sum``), when every one is exact; else None."""
+    if all(f.exact for f in funcs):
+        return constant_sum(funcs)
+    return None
+
+
+def _total(funcs: Sequence[ExpRationalFunction]) -> mpc:
+    """The value of the sum of arity-0 residue functions: exact ones summed
+    exactly (``_summed``) and evaluated once, rounded ones evaluated one by
+    one and added in order."""
+    total = _summed(funcs)
+    if total is not None:
+        return total.evaluate(())
+    return sum((f.evaluate(()) for f in funcs), mpc(0))
 
 
 def _position(basis_inverse: RationalMatrix, point):
     """(inside, boundary) for a terminal point: its chart coordinates are
     z = M^-1 p, and the polyhedron is the closed region Im z_k >= 0."""
     z = [sum(b * c for b, c in zip(point, row)) for row in basis_inverse.entries]
-    # exact coordinates (of an exact point) are decided without a scale
+    # exact coordinates (of an exact point) are decided without a scale, by
+    # the sign of the integer numerator of Im z_k
     scale = max([mpf(1)] + [abs(c) for c in z if isinstance(c, mpc)])
-    ims = [c.imag for c in z]
+    ims = [c._b if c.__class__ is GaussianRational else c.imag for c in z]
     on_face = [is_negligible(y, scale) for y in ims]
     inside = all(edge or y > 0 for y, edge in zip(ims, on_face))
     return inside, any(on_face)
@@ -239,7 +260,7 @@ def evaluate_integral(
         basis_inverse = inverse(poly.basis_matrix())
         residues = ChartResidues(arr, poly, table.chart)
         contributions: dict[Flag, mpc] = {}
-        total = mpc(0)
+        funcs = []
         for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
             rep = cls.flags[0]
             inside, boundary = _position(basis_inverse, cls.point)
@@ -255,9 +276,9 @@ def evaluate_integral(
                 )
                 continue
             # stable flags lie in the open Bruhat cell (every p_k > 0)
-            value = residues.value(rep)
-            contributions[rep] = value
-            total += value
+            funcs.append(residues.function(rep))
+            contributions[rep] = funcs[-1].evaluate(())
+        total = _total(funcs)
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
         certificate = Certificate(
             all_compatible=audit.all_compatible,
@@ -345,11 +366,12 @@ def _soluble_chart(
     return chart
 
 
-def _point_residue(
+def _point_functions(
     arr: Arrangement, classes: list[FlagClass], verdicts: dict, residues: ChartResidues
-) -> mpc:
-    """Residue at one terminal point: the iterated residues of ``classes``,
-    the classes of the grouping's flags arriving there.
+) -> list[ExpRationalFunction]:
+    """The residue at one terminal point as the functions of its terms, the
+    iterated residues of ``classes``, the classes of the grouping's flags
+    arriving there; ``_total`` sums them.
 
     They are taken in the polyhedron's chart, with the shared ``residues``,
     when the flag table's ``verdicts`` find every class soluble there, and
@@ -360,7 +382,7 @@ def _point_residue(
     chart = _soluble_chart(arr, reps, residues.poly, verdicts)
     if chart is not residues.poly:
         residues = ChartResidues(arr, chart)
-    return sum((residues.value(rep) for rep in reps), mpc(0))
+    return [residues.function(rep) for rep in reps]
 
 
 def grothendieck_residue(
@@ -375,7 +397,7 @@ def grothendieck_residue(
     Sums the iterated residues of the grouping's flag classes whose points
     have the point's ``incidence``, in the polyhedron's chart when the pair's
     flag table finds every class soluble there and otherwise in one chart
-    built for them with the same orientation (see ``_point_residue``);
+    built for them with the same orientation (see ``_point_functions``);
     every point has a value.  A caller asking for several points or
     groupings builds the table once and passes it.
     """
@@ -387,7 +409,7 @@ def grothendieck_residue(
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _point_residue(arr, at_point, verdicts, ChartResidues(arr, poly, table.chart))
+    return _total(_point_functions(arr, at_point, verdicts, ChartResidues(arr, poly, table.chart)))
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -398,7 +420,8 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     once; every stable flag is one, so the stable classes are the stable
     members of those classes.  The defining identity (sum of Grothendieck
     residues over the grouping's terminal points = sum of stable-flag
-    residues) is checked numerically.
+    residues) is decided exactly on exact data (``_summed``), and otherwise
+    up to the noise floor.
     """
     table = flag_table(arr, poly)
     stable = stable_flags(arr, poly, table)
@@ -413,17 +436,23 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     # the first stable flag of each class represents the stable class
     reps = [s[0] for cls in classes if (s := [f for f in cls.flags if verdicts[f].stable])]
     residues = ChartResidues(arr, poly, table.chart)
-    flag_sum = sum(
-        (residues.value(rep) for rep in sorted(reps, key=lambda f: f.indices)), mpc(0)
-    )
-    points = [
-        (point, flags, _point_residue(arr, at, verdicts, residues))
+    flag_funcs = [residues.function(rep) for rep in sorted(reps, key=lambda f: f.indices)]
+    at_points = [
+        (point, flags, _point_functions(arr, at, verdicts, residues))
         for point, flags, at in _points(classes)
     ]
-    point_sum = sum((res for _, _, res in points), mpc(0))
-    mismatch = abs(point_sum - flag_sum)
-    scale = max(mpf(1), abs(point_sum), abs(flag_sum))
-    if not is_negligible(mismatch, scale):
+    points = [(point, flags, _total(funcs)) for point, flags, funcs in at_points]
+    flag_sum = _total(flag_funcs)
+    point_funcs = [f for _, _, funcs in at_points for f in funcs]
+    difference = _summed(point_funcs + [f.scale(-1) for f in flag_funcs])
+    if difference is None:
+        point_sum = sum((res for _, _, res in points), mpc(0))
+        scale = max(mpf(1), abs(point_sum), abs(flag_sum))
+        failed = not is_negligible(abs(point_sum - flag_sum), scale)
+    else:
+        point_sum = _total(point_funcs)
+        failed = not difference.is_zero()
+    if failed:
         raise ArithmeticError(
             "grouping identity failed: grouped residues "
             f"{point_sum} != stable flag sum {flag_sum}"

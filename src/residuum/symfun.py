@@ -4,18 +4,25 @@ The working class of integrands is finite sums of terms
 
     c * P(z) * exp(L(z)) / prod_i A_i(z)^{m_i}
 
-with P a polynomial, L and each A_i affine.  Coefficients, series and values
-are mpmath complex numbers; an affine form built from exact data is exact,
-on Python ints (``AffineForm``), and restricting, solving and normalizing
-keep it so.  The class is closed under the three operations the residue
-engine needs: partial differentiation, affine substitution, and taking the
-coefficient of (z_v - pole)^{-1} in one variable.
+with P a polynomial, L and each A_i affine.  The class is closed under the
+three operations the residue engine needs: partial differentiation, affine
+substitution, and taking the coefficient of (z_v - pole)^{-1} in one variable.
+
+An operation is exact when its inputs are.  A scalar is exact (an int,
+Fraction or GaussianRational) or rounded (an mpmath complex number); an
+affine form built from exact data is exact, on Python ints (``AffineForm``),
+and a polynomial or term is exact when all its scalars and forms are
+(``Polynomial.exact``, ``Term.exact``).  Where an exact value meets a
+rounded one it is rounded first (``to_mpc``), so data that hold pi or exp()
+take the mpc path throughout.  On exact data every residue step stays in
+Q(i), and a value is rounded once, where it is evaluated.
 
 A residue at a pole of order n + 1 is read off truncated Taylor series in
 t = z_v - pole rather than by differentiating n times: the t^n coefficient of
 the product of the series of P, of exp(L) and of each non-vanishing factor
 A_i^{-m_i}, which costs a number of terms polynomial in n.  Like terms (same
-exponent bit for bit, same denominator) are merged, and a step that would
+exponent, equal when exact and bit for bit when rounded, and the same
+denominator) are merged, and a step that would
 produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.  A step
 sets z_v to the pole directly (``restrict``), without unit forms, and
 computes each fact about a form once, in a memo that nothing outlives.
@@ -23,8 +30,7 @@ computes each fact about a form once, in a memo that nothing outlives.
 Vanishing and proportionality of exact forms are decided by ``==`` and dict
 keys, with no noise scale; the noise floor (``is_negligible``, ``close_to``)
 decides only for rounded forms, which arise when some s_j holds pi or exp().
-Scalars live at the ambient mpmath precision (``working_precision``); an
-exact input is rounded once, where it meets mpc arithmetic.
+Rounded scalars live at the ambient mpmath precision (``working_precision``).
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ def working_precision(bits: int):
         yield
 
 
+# the exact scalars; any other (mpc, mpf, float) is rounded
+_EXACT = (int, Fraction, GaussianRational)
+
+
 def to_mpc(x) -> mpc:
     """Coerce exact and floating scalars to mpc at the ambient precision."""
     if isinstance(x, mpc):
@@ -95,7 +105,7 @@ def _noise_floor_at(prec: int) -> mpf:
 
 def is_negligible(x, scale=1) -> bool:
     """x == 0 when x is exact, else |x| within the noise floor of max(1, |scale|)."""
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, _EXACT):
         return not x
     return abs(to_mpc(x)) <= _noise_floor() * max(mpf(1), abs(to_mpc(scale)))
 
@@ -152,6 +162,8 @@ class AffineForm:
 
     @classmethod
     def constant(cls, arity: int, value) -> "AffineForm":
+        if isinstance(value, _EXACT):
+            return cls((0,) * arity, value)
         return cls.make([0] * arity, value)
 
     @property
@@ -175,8 +187,8 @@ class AffineForm:
 
     def evaluate(self, point: Sequence) -> mpc:
         acc = self.entry(self.arity)
-        for a, z in zip(self.coeffs, point):
-            acc = acc + a * to_mpc(z)
+        for j, z in enumerate(point):
+            acc = acc + self.entry(j) * to_mpc(z)
         return acc
 
     def max_abs(self) -> mpf:
@@ -192,7 +204,8 @@ class AffineForm:
     def scale(self, factor) -> "AffineForm":
         parts = _parts(factor) if self._den else None
         if parts is None:
-            return AffineForm(tuple(c * factor for c in self.coeffs), self.const * factor)
+            form = self if self._den is None else self.rounded()
+            return AffineForm(tuple(c * factor for c in form.coeffs), form.const * factor)
         (x, y, e), gauss = parts, self._gauss or factor.__class__ is GaussianRational
         pairs = [(a * x - b * y, a * y + b * x) for a, b in self._v]
         return _form(pairs, self._den * e, gauss)
@@ -210,8 +223,11 @@ class AffineForm:
 
         Each entry of the result is c + sum_i a_i phi_i, summed in the order
         of i; a term with a_i == 0 is skipped, since adding it is exact.
+        Unless every form is exact, each is rounded first.
         """
         exact = self._den is not None and all(f._den is not None for f in forms)
+        if not exact:
+            self, forms = self.rounded(), [f.rounded() for f in forms]
         coeffs = [0 if exact else to_mpc(0)] * (forms[0].arity if forms else 0)
         const = self.const
         for a, phi in zip(self.coeffs, forms):
@@ -232,10 +248,11 @@ class AffineForm:
         a = self._v[var]
         if not (any(a) if self._den else a):  # a == 0
             return _form(rest, self._den, self._gauss)
-        if self._den is None or pole._den is None:
-            a, p = self.coeffs[var], pole.coeffs[:var] + pole.coeffs[var + 1 :]
-            coeffs = self.coeffs[:var] + self.coeffs[var + 1 :]
-            const = self.const + pole.const * a
+        if self._den is None or pole._den is None:  # rounded, each form first
+            form, pole = self.rounded(), pole.rounded()
+            a, p = form.coeffs[var], pole.coeffs[:var] + pole.coeffs[var + 1 :]
+            coeffs = form.coeffs[:var] + form.coeffs[var + 1 :]
+            const = form.const + pole.const * a
             return AffineForm(tuple(c + x * a for c, x in zip(coeffs, p)), const)
         # c_j / d + (p_j / e)(a / d) = (c_j e + p_j a) / (d e)
         (u, w), e = a, pole._den
@@ -322,18 +339,26 @@ def _form(v, den: int | None, gauss: bool = False, given=None) -> AffineForm:
 
 
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> mpc coefficient.
+    """Sparse polynomial: exponent tuple -> coefficient.
 
-    Immutable by convention; all methods return new instances.  Iteration is
-    in sorted exponent order for determinism.
+    Exact, with int, Fraction and GaussianRational coefficients and no zero
+    one, or rounded, with mpc coefficients and no rounding residue: given
+    any rounded coefficient, every one is rounded.  An operation on two
+    polynomials is exact when both are, and otherwise rounds the exact one
+    first (``rounded``).  Immutable by convention; all methods return new
+    instances.  Iteration is in sorted exponent order for determinism.
     """
 
-    __slots__ = ("arity", "_coeffs")
+    __slots__ = ("arity", "_coeffs", "exact")
 
     def __init__(self, arity: int, coeffs: dict | None = None):
         self.arity = arity
+        self.exact = True
         cleaned = {}
-        if coeffs:
+        if coeffs and all(isinstance(v, _EXACT) for v in coeffs.values()):
+            cleaned = {tuple(e): v for e, v in coeffs.items() if v}
+        elif coeffs:
+            self.exact = False
             mags = [abs(v) for v in coeffs.values()]
             # a lone term is rounding residue only when it is 0
             floor = _noise_floor() * max(mags) if len(mags) > 1 else 0
@@ -344,7 +369,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
-        v = to_mpc(value)
+        v = value if isinstance(value, _EXACT) else to_mpc(value)
         return cls(arity, {(0,) * arity: v} if v else {})
 
     @classmethod
@@ -354,8 +379,14 @@ class Polynomial:
         for j, a in enumerate(form.coeffs):
             e = tuple(1 if k == j else 0 for k in range(n))
             coeffs[e] = a
-        coeffs[(0,) * n] = coeffs.get((0,) * n, to_mpc(0)) + form.const
+        zero = 0 if form._den is not None else to_mpc(0)
+        coeffs[(0,) * n] = coeffs.get((0,) * n, zero) + form.const
         return cls(n, coeffs)
+
+    def rounded(self) -> "Polynomial":
+        if not self.exact:
+            return self
+        return Polynomial(self.arity, {e: to_mpc(v) for e, v in self._coeffs.items()})
 
     def items(self):
         return sorted(self._coeffs.items())
@@ -366,37 +397,48 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e in self._coeffs), default=0)
 
+    def _alike(self, other: "Polynomial") -> tuple:
+        """(self, other, zero), both exact or both rounded, and their zero."""
+        if self.exact and other.exact:
+            return self, other, 0
+        return self.rounded(), other.rounded(), to_mpc(0)
+
     def add(self, other: "Polynomial") -> "Polynomial":
-        coeffs = dict(self._coeffs)
-        for e, v in other._coeffs.items():
-            coeffs[e] = coeffs.get(e, to_mpc(0)) + v
+        p, q, zero = self._alike(other)
+        coeffs = dict(p._coeffs)
+        for e, v in q._coeffs.items():
+            coeffs[e] = coeffs.get(e, zero) + v
         return Polynomial(self.arity, coeffs)
 
     def mul(self, other: "Polynomial") -> "Polynomial":
+        p, q, zero = self._alike(other)
         coeffs: dict = {}
-        for e1, v1 in self._coeffs.items():
-            for e2, v2 in other._coeffs.items():
+        for e1, v1 in p._coeffs.items():
+            for e2, v2 in q._coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[e] = coeffs.get(e, to_mpc(0)) + v1 * v2
+                coeffs[e] = coeffs.get(e, zero) + v1 * v2
         return Polynomial(self.arity, coeffs)
 
     def scale(self, factor) -> "Polynomial":
-        f = to_mpc(factor)
-        return Polynomial(self.arity, {e: v * f for e, v in self._coeffs.items()})
+        p = self
+        if not (self.exact and isinstance(factor, _EXACT)):
+            p, factor = self.rounded(), to_mpc(factor)
+        return Polynomial(self.arity, {e: v * factor for e, v in p._coeffs.items()})
 
     def differentiate(self, var: int) -> "Polynomial":
+        zero = 0 if self.exact else to_mpc(0)
         coeffs = {}
         for e, v in self._coeffs.items():
             if e[var] > 0:
                 ne = tuple(x - 1 if j == var else x for j, x in enumerate(e))
-                coeffs[ne] = coeffs.get(ne, to_mpc(0)) + v * e[var]
+                coeffs[ne] = coeffs.get(ne, zero) + v * e[var]
         return Polynomial(self.arity, coeffs)
 
     def evaluate(self, point: Sequence) -> mpc:
         pt = [to_mpc(z) for z in point]
         acc = to_mpc(0)
         for e, v in self.items():
-            mono = v
+            mono = to_mpc(v)
             for z, k in zip(pt, e):
                 for _ in range(k):
                     mono = mono * z
@@ -437,36 +479,61 @@ class Polynomial:
 class Term(NamedTuple):
     """One summand c * P * exp(L) / prod A_i^{m_i}; built via Term.make."""
 
-    coeff: mpc
+    coeff: int | Fraction | GaussianRational | mpc  # mpc when the term is rounded
     poly: Polynomial
     expo: AffineForm
     denom: tuple  # tuple of (AffineForm, int)
 
     @classmethod
     def make(cls, coeff, poly: Polynomial, expo: AffineForm, denom: Iterable) -> "Term":
-        """Normalize: monic denominator factors, proportional factors merged."""
-        c = to_mpc(coeff)
+        """Normalize: monic denominator factors, proportional factors merged.
+        The term is exact when every part is, and otherwise rounded."""
+        denom = tuple(denom)
+        term = cls(coeff, poly, expo, denom)
+        exact = term.exact
+        if not exact:
+            term = term.rounded()
+        c = term.coeff
         merged: dict[AffineForm, int] = {}
         for form, mult in denom:
             if mult <= 0:
                 raise ValueError("denominator multiplicities must be positive")
             unit, lead = form.normalized()
-            c = c / (to_mpc(lead) ** mult)
+            c = c / (lead**mult if exact else to_mpc(lead) ** mult)
             unit = _merge_unit(unit, merged)
             merged[unit] = merged.get(unit, 0) + mult
         items = list(merged.items())
         order = _form_order([unit for unit, _ in items])
-        return cls(c, poly, expo, tuple(items[k] for k in order))
+        return cls(c, term.poly, term.expo, tuple(items[k] for k in order))
 
     @property
     def arity(self) -> int:
         return self.expo.arity
 
+    @property
+    def exact(self) -> bool:
+        """Every scalar and form of the term is exact."""
+        return (
+            isinstance(self.coeff, _EXACT)
+            and self.poly.exact
+            and self.expo._den is not None
+            and all(form._den is not None for form, _ in self.denom)
+        )
+
+    def rounded(self) -> "Term":
+        """The term with its coefficient, polynomial and exponent rounded;
+        its denominator forms stay as they are."""
+        expo = self.expo if self.expo._den is None else self.expo.rounded()
+        return Term(to_mpc(self.coeff), self.poly.rounded(), expo, self.denom)
+
     def is_zero(self) -> bool:
         return not self.coeff or self.poly.is_zero()
 
     def scale(self, factor) -> "Term":
-        return Term(self.coeff * to_mpc(factor), self.poly, self.expo, self.denom)
+        t = self
+        if not (self.exact and isinstance(factor, _EXACT)):
+            t, factor = self.rounded(), to_mpc(factor)
+        return t._replace(coeff=t.coeff * factor)
 
 
 def _form_order(forms: Sequence[AffineForm]) -> list[int]:
@@ -537,8 +604,9 @@ class ExpRationalFunction:
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
         out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
+        for a in self.terms:
+            for b in other.terms:
+                t1, t2 = (a, b) if a.exact and b.exact else (a.rounded(), b.rounded())
                 out.append(
                     Term.make(
                         t1.coeff * t2.coeff,
@@ -566,6 +634,7 @@ class ExpRationalFunction:
                     continue
                 bumped = list(t.denom)
                 bumped[i] = (form, mult + 1)
+                av = av if t.exact else to_mpc(av)
                 out.append(Term.make(t.coeff * (-mult) * av, t.poly, t.expo, bumped))
         return ExpRationalFunction(self.arity, out)
 
@@ -604,14 +673,16 @@ class ExpRationalFunction:
         ``var``).  Terms with no denominator factor vanishing along
         z_var = pole contribute nothing; a pole of order n + 1 contributes the
         t^n coefficient of ``_series_residue``.  Like terms of the result are
-        merged.  Raises TermBudgetExceeded when the step would produce more
-        than MAX_RESIDUE_TERMS terms.
+        merged.  The step is exact when ``pole`` and every term are, and
+        otherwise rounds each term first.  Raises TermBudgetExceeded when the
+        step would produce more than MAX_RESIDUE_TERMS terms.
         """
         if pole.arity != self.arity:
             raise ValueError("pole arity mismatch")
-        memo = _PoleMemo(var, pole)
+        exact = pole._den is not None and self.exact
+        memo = _PoleMemo(var, pole, exact)
         out: list[Term] = []
-        for t in self.terms:
+        for t in self.terms if exact else map(Term.rounded, self.terms):
             coeff = t.coeff
             order = 0
             kept = []
@@ -647,11 +718,15 @@ class ExpRationalFunction:
                 if is_negligible(v, form.max_abs()):
                     raise PoleHit("evaluation point is on a pole hyperplane")
                 den = den * (v ** mult)
-            acc = acc + t.coeff * t.poly.evaluate(pt) * mp_exp(t.expo.evaluate(pt)) / den
+            acc = acc + to_mpc(t.coeff) * t.poly.evaluate(pt) * mp_exp(t.expo.evaluate(pt)) / den
         return acc
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def exact(self) -> bool:
+        return all(t.exact for t in self.terms)
 
     def max_poly_degree(self) -> int:
         return max((t.poly.degree() for t in self.terms), default=0)
@@ -663,22 +738,25 @@ class ExpRationalFunction:
 class _PoleMemo:
     """What one residue step at z_var = pole knows of each affine form.
 
-    ``restrict`` gives an exponent form at ``rounded``, the pole rounded.
+    The step is ``exact`` when the pole and the function are; its scalars
+    then stay in Q(i), and otherwise they are rounded.  ``restrict`` gives
+    an exponent form at ``point``: the pole, rounded in a rounded step.
     ``factor`` splits a denominator form as A = B + a t at z_var = pole + t:
-    (k, a) with a rounded, k None when B vanishes, else the index of A in
-    ``leads``, B's rounded leading entry, and in ``classes``, the index in
-    ``units`` of B's monic form, which proportional restrictions share
-    (``_merge_unit``).  ``series`` is a kept factor's Taylor series at the
-    pole.  Each is computed once per distinct form or series; a memo serves
-    one ``residue_1d`` call and nothing outlives it.
+    (k, a) with k None when B vanishes, else the index of A in ``leads``,
+    B's leading entry, and in ``classes``, the index in ``units`` of B's
+    monic form, which proportional restrictions share (``_merge_unit``).
+    ``series`` is a kept factor's Taylor series at the pole.  Each is
+    computed once per distinct form or series; a memo serves one
+    ``residue_1d`` call and nothing outlives it.
     """
 
-    def __init__(self, var: int, pole: AffineForm):
+    def __init__(self, var: int, pole: AffineForm, exact: bool):
         self.var = var
         self.pole = pole
-        self.rounded = pole.rounded()
+        self.exact = exact
+        self.point = pole if exact else pole.rounded()
         self.units: list[AffineForm] = []
-        self.leads: list[mpc] = []
+        self.leads: list = []
         self.classes: list[int] = []
         self._restricted: dict = {}  # form -> its restriction
         self._factors: dict = {}  # denominator form -> (index or None, a)
@@ -688,7 +766,7 @@ class _PoleMemo:
     def restrict(self, form: AffineForm) -> AffineForm:
         base = self._restricted.get(form)
         if base is None:
-            base = self._restricted[form] = form.restrict(self.var, self.rounded)
+            base = self._restricted[form] = form.restrict(self.var, self.point)
         return base
 
     def factor(self, form: AffineForm) -> tuple:
@@ -701,9 +779,13 @@ class _PoleMemo:
                 if cls == len(self.units):
                     self.units.append(unit)
                 k = len(self.leads)
-                self.leads.append(to_mpc(lead))
+                self.leads.append(lead if self.exact else to_mpc(lead))
                 self.classes.append(cls)
-            got = self._factors[form] = (k, form.entry(self.var))
+            if self.exact:
+                a = _gaussian(*form._v[self.var], form._den)
+            else:
+                a = form.entry(self.var)
+            got = self._factors[form] = (k, a)
         return got
 
     def series(self, k: int, mult: int, a, n: int) -> tuple:
@@ -723,7 +805,6 @@ class _PoleMemo:
             for j in range(1, n + 1 if a else 1)
         )
         return lead**mult, series
-
 
 def _series_residue(
     coeff,
@@ -756,9 +837,11 @@ def _series_residue(
             p = p.differentiate(var).scale(Fraction(1, j))
             if p.is_zero():
                 break
-        taylor.append(p.restrict(var, memo.rounded))
-    lv = term.expo.coeffs[var]
-    exp_series = [to_mpc(1)]
+        taylor.append(p.restrict(var, memo.point))
+    if memo.exact:  # l as a GaussianRational, so that l / k stays exact
+        lv, exp_series = _gaussian(*term.expo._v[var], term.expo._den), [1]
+    else:
+        lv, exp_series = term.expo.coeffs[var], [to_mpc(1)]
     for k in range(1, n + 1):
         exp_series.append(exp_series[-1] * lv / k)
     # rest[s]: the polynomial that multiplies the kept factors' t^s part
@@ -816,12 +899,16 @@ def _series_residue(
 
 
 def _form_key(form: AffineForm) -> tuple:
+    """A key equal for equal exact forms, and for rounded ones bit for bit."""
+    if form._den is not None:
+        return form._v, form._den
     return tuple(x._mpc_ for x in form._v)
 
 
 def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:
-    """Sum the terms with bit-equal exponents and the same denominator units,
-    compared by identity: a residue step's units are its memo's ``units``."""
+    """Sum the terms with equal exponents (``_form_key``) and the same
+    denominator units, compared by identity: a residue step's units are its
+    memo's ``units``.  The terms are all exact or all rounded."""
     groups: dict = {}
     for t in terms:
         key = (_form_key(t.expo), tuple((id(f), m) for f, m in t.denom))
@@ -837,5 +924,28 @@ def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:
             for e, v in t.poly.items():
                 coeffs[e] = coeffs.get(e, 0) + t.coeff * v
         poly = Polynomial(first.poly.arity, coeffs)
-        out.append(Term(to_mpc(1), poly, first.expo, first.denom))
+        out.append(Term(1 if poly.exact else to_mpc(1), poly, first.expo, first.denom))
     return out
+
+
+def constant_sum(funcs: Sequence["ExpRationalFunction"]) -> "ExpRationalFunction":
+    """The sum of exact functions of arity 0 as sum_k c_k exp(lambda_k).
+
+    Each term c P exp(lambda) / prod B^m, its P and every B constants, gives
+    c P / prod B^m to the coefficient of its exponent lambda; the sum keeps
+    the nonzero coefficients, one term per distinct lambda, in the order
+    of first appearance.  The c_k and lambda_k are in Q(i), so by
+    Lindemann-Weierstrass the sum is 0 exactly when it has no terms.
+    """
+    coeffs: dict = {}
+    expos: dict = {}
+    for f in funcs:
+        for t in f.terms:
+            c = t.coeff * sum(t.poly._coeffs.values())
+            for form, mult in t.denom:
+                c = c / _gaussian(*form._v[-1], form._den) ** mult
+            key = _form_key(t.expo)
+            coeffs[key] = coeffs.get(key, 0) + c
+            expos.setdefault(key, t.expo)
+    one = Polynomial.constant(0, 1)
+    return ExpRationalFunction(0, [Term(c, one, expos[k], ()) for k, c in coeffs.items() if c])

@@ -326,6 +326,11 @@ def test_irrational_coefficient_rejected():
 def test_irrational_offset_allowed():
     arr = parse_problem("vars x; cone (1); den (x - pi*i);").arrangement()
     assert abs(arr.hyperplanes[0].s - mpmath.pi) < mpf("1e-30")
+    # exact coefficients stay exact when a form with a rounded constant
+    # meets an exact one, as in (x - pi i) + y
+    arr = parse_problem("vars x y; cone (1,0) (0,1); den (x - pi*i + 2*y);").arrangement()
+    assert arr.hyperplanes[0].f == (1, 2)
+    assert abs(arr.hyperplanes[0].s - mpmath.pi) < mpf("1e-30")
 
 
 def test_complex_rational_row_canonicalizes():

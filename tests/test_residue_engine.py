@@ -49,7 +49,13 @@ from residuum.arrangement import (
     jacobian,
     pole_location,
 )
-from residuum.exact_linalg import RationalMatrix, determinant, inverse, minor_profile
+from residuum.exact_linalg import (
+    GaussianRational,
+    RationalMatrix,
+    determinant,
+    inverse,
+    minor_profile,
+)
 from residuum.residue_engine import (
     Certificate,
     Convergence,
@@ -57,13 +63,14 @@ from residuum.residue_engine import (
     EmptyStableSet,
     _soluble_chart,
     canonical_grouping,
+    canonical_grouping_points,
     convergence_heuristic,
     evaluate_integral,
     grothendieck_residue,
     iterated_residue,
     points_of_grouping,
 )
-from residuum.symfun import ExpRationalFunction, to_mpc, working_precision
+from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc, working_precision
 
 TWO_PI_I = lambda: 2 * pi * mpc(0, 1)
 
@@ -668,3 +675,47 @@ def test_permutation_probe():
 
         probe = probe_of(single_pole_problem(), cone((1,)))
         assert probe.conjecture_holds
+
+
+# Two problems of the benchmark's coincident pool (pool 1 and pool 2, #2 of
+# their multiplicity patterns) whose value is 0: six hyperplanes f . v = i s
+# through one point, their multiplicities, and the numerator exp(i w . v),
+# on the positive orthant.  Rounded residue steps gave -4.45e-41 and
+# -4.0e-40 at 128 bits.
+ZERO_VALUED = [
+    pytest.param(
+        [(2, 1, 1), (1, 1, 2), (-1, 2, -1), (1, 0, 0), (2, -1, 2), (1, -2, 2)],
+        [6, 7, 1, 1, 4, 1],
+        [3, 2, 2, 1, 1, 1],
+        (0, 0, 1),
+        id="pool-1",
+    ),
+    pytest.param(
+        [(2, 1, -1), (1, 2, -1), (2, 2, 1), (1, -1, 2), (1, 1, 2), (-2, 2, 1)],
+        [4, 4, 10, 4, 8, 2],
+        [1] * 6,
+        (1, -1, 0),
+        id="pool-2",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, s, mult, freq", ZERO_VALUED)
+def test_exact_data_give_exact_zero(rows, s, mult, freq):
+    """On exact data the flags' residues are summed exactly, so a value
+    that is 0 is exactly 0, though every contribution is not; the grouped
+    residue at the one terminal point is exactly 0 too."""
+    expo = AffineForm(tuple(GaussianRational(0, w) for w in freq), 0)
+    numerator = ExpRationalFunction.from_parts(3, expo=expo)
+    arr = Arrangement.build(
+        3, [plane(f, v) for f, v in zip(rows, s)], numerator=numerator, multiplicities=mult
+    )
+    poly = cone((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with working_precision(128):
+        result = evaluate_integral(arr, poly)
+        _, points = canonical_grouping_points(arr, poly)
+    assert result.value == 0
+    assert len(result.flag_contributions) == 4
+    assert all(result.flag_contributions.values())
+    assert result.certificate == Certificate(False, Convergence.UNKNOWN, ())
+    assert [res for _, _, res in points] == [0]

@@ -18,7 +18,7 @@ from mpmath import exp, mp, mpc, mpf, pi, quad
 
 from reference import FractionForm, substitute_affine, unit_form
 from residuum import dsl, symfun
-from residuum.exact_linalg import GaussianRational
+from residuum.exact_linalg import GaussianRational, RationalMatrix, determinant
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
@@ -747,3 +747,74 @@ def test_like_terms_merge():
         assert len(res.terms) == 1
         z1 = mpc("0.5", "-0.25")
         assert abs(res.evaluate([z1]) - (w + 3) / (w + z1 + 2)) < mpf(10) ** -30
+
+
+@st.composite
+def _coincident_data(draw):
+    """Hyperplanes f . z = i f . c through one point i c in 2 or 3
+    variables, whose first r rows have nonzero leading minors (a soluble
+    flag in the identity chart), multiplicities <= 3, and a numerator
+    coeff * exp(i w . z) with w = 0 sometimes."""
+    r = draw(st.integers(2, 3))
+    c = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    row = st.tuples(*[st.integers(-2, 2)] * r).filter(
+        lambda f: sum(a * b for a, b in zip(f, c)) > 0
+    )
+    rows = draw(st.lists(row, min_size=r, max_size=r + 2, unique=True))
+    assume(all(determinant(RationalMatrix.from_rows([f[: k + 1] for f in rows[: k + 1]])) for k in range(r)))
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    freq = draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r) | st.just([0] * r))
+    coeff = draw(_small_gaussians.filter(bool))
+    s = [sum(a * b for a, b in zip(f, c)) for f in rows]
+    return r, rows, s, mult, freq, coeff
+
+
+def _coincident_residue(data, exact: bool) -> ExpRationalFunction:
+    """The iterated residue along the first r hyperplanes, as the engine's
+    chart steps take it, from exact data or from data rounded first
+    (``AffineForm.make`` and ``to_mpc``)."""
+    r, rows, s, mult, freq, coeff = data
+    if exact:
+        forms = [AffineForm(f, GaussianRational(0, -v)) for f, v in zip(rows, s)]
+        expo = AffineForm(tuple(GaussianRational(0, w) for w in freq), 0)
+    else:
+        forms = [AffineForm.make(f, mpc(0, -v)) for f, v in zip(rows, s)]
+        expo = AffineForm.make([mpc(0, w) for w in freq], 0)
+        coeff = to_mpc(coeff)
+    func = ExpRationalFunction.from_parts(r, coeff=coeff, expo=expo, denom=zip(forms, mult))
+    poles = []
+    for form in forms[:r]:
+        for pole in poles:
+            form = form.restrict(0, pole)
+        poles.append(form.solve_for(0))
+        func = func.residue_1d(0, poles[-1])
+    return func
+
+
+def _unmerged_scale(data) -> mpf:
+    """The sum of the magnitudes of the rounded steps' terms with like terms
+    left unmerged: the size of what the value sums before any cancellation."""
+    merge = symfun._merge_like_terms
+    symfun._merge_like_terms = list
+    try:
+        terms = _coincident_residue(data, exact=False).terms
+    finally:
+        symfun._merge_like_terms = merge
+    return sum((abs(ExpRationalFunction(0, [t]).evaluate(())) for t in terms), mpf(0))
+
+
+@given(_coincident_data())
+@settings(max_examples=100, deadline=None)
+def test_exact_residue_steps_match_rounded_steps(data):
+    """Residue steps on exact data stay exact, and their value agrees at 256
+    bits with the same steps on the data rounded first, to 1e-70 relative
+    to the sum of the magnitudes of the terms (``_unmerged_scale``); so does
+    ``constant_sum``, which merges them exactly."""
+    with working_precision(256):
+        exact = _coincident_residue(data, exact=True)
+        rounded = _coincident_residue(data, exact=False)
+        assert exact.exact and not any(t.exact for t in rounded.terms)
+        tolerance = mpf("1e-70") * _unmerged_scale(data)
+        want = rounded.evaluate(())
+        assert abs(exact.evaluate(()) - want) <= tolerance
+        assert abs(symfun.constant_sum([exact]).evaluate(()) - want) <= tolerance
