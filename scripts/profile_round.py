@@ -12,13 +12,16 @@ files go to a temporary directory; nothing under ``perfbench/`` is written.
 It also prints how many Fractions the round builds: the calls of
 ``Fraction.__new__`` in the profile, a count fixed by the round and the
 interpreter (3.12's fractions module builds its results without calling
-``__new__``, and counts fewer).  With --max-fractions N the script exits 1
-when the count exceeds N.  Its last line is the round's digest, a sha256
+``__new__``, and counts fewer), and how many terms its residue steps build
+before like terms merge (the terms passed to ``symfun._merge_like_terms``).
+With --max-fractions N or --max-terms N the script exits 1 when that count
+exceeds N.  Its last line is the round's digest, a sha256
 over each operation's command and file name, exit status (or the type of
 the exception it raised) and stdout, which scripts/expected/round_digests.txt
 records for both workloads.
 
 Usage: python scripts/profile_round.py flags|poles [--top N] [--max-fractions N]
+    [--max-terms N]
 """
 
 import argparse
@@ -35,6 +38,7 @@ from pathlib import Path
 from time import perf_counter
 
 import residuum
+from residuum import symfun
 from residuum.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,12 +57,21 @@ def build_round(workload: str, directory: Path) -> list:
     return [(op.cmd, op.path) for op in ops]
 
 
-def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str]:
+def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int]:
     """Run every operation under one profiler: (stats, wall seconds, crashes,
-    the round's digest)."""
+    the round's digest, the terms the residue steps passed to the merge of
+    like terms)."""
     profiler = cProfile.Profile()
     digest = hashlib.sha256()
-    crashes = 0
+    crashes = terms = 0
+    merge = symfun._merge_like_terms
+
+    def counted_merge(batch):
+        nonlocal terms
+        terms += len(batch)
+        return merge(batch)
+
+    symfun._merge_like_terms = counted_merge
     start = perf_counter()
     for cmd, path in ops:
         out = io.StringIO()
@@ -72,7 +85,9 @@ def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str]:
             finally:
                 profiler.disable()
         digest.update(f"{cmd} {path.name}\n{status}\n{out.getvalue()}".encode())
-    return pstats.Stats(profiler), perf_counter() - start, crashes, digest.hexdigest()
+    wall = perf_counter() - start
+    symfun._merge_like_terms = merge
+    return pstats.Stats(profiler), wall, crashes, digest.hexdigest(), terms
 
 
 def hot_spots(stats: pstats.Stats, top: int) -> tuple[list, list]:
@@ -118,21 +133,29 @@ def main() -> None:
     parser.add_argument("workload", choices=sorted(FAMILIES))
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--max-fractions", type=int, default=None)
+    parser.add_argument("--max-terms", type=int, default=None)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
-        stats, wall, crashes, digest = profile_ops(ops)
+        stats, wall, crashes, digest, terms = profile_ops(ops)
     fractions = fraction_count(stats)
     print(
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
-        f"{wall:.2f} s under cProfile, {fractions} Fractions built"
+        f"{wall:.2f} s under cProfile, {fractions} Fractions built, "
+        f"{terms} residue terms before merging"
     )
     inside, outside = hot_spots(stats, args.top)
     _print_rows("residuum:", inside)
     _print_rows("outside residuum:", outside)
     print(f"{args.workload} digest {digest}")
+    failed = False
     if args.max_fractions is not None and fractions > args.max_fractions:
         print(f"more than {args.max_fractions} Fractions built", file=sys.stderr)
+        failed = True
+    if args.max_terms is not None and terms > args.max_terms:
+        print(f"more than {args.max_terms} residue terms before merging", file=sys.stderr)
+        failed = True
+    if failed:
         sys.exit(1)
 
 

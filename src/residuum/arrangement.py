@@ -411,15 +411,23 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
     (``set_verdicts``).  S is kept when its p_r is nonzero: M is nonsingular,
     so p_r = +-det C[S] vanishes exactly when the f-rows F[S] are dependent.
     A table of more than ``MAX_TABLE_FLAGS`` flags raises ``TableTooLarge``
-    before any verdict is read.
+    before the store is built: when the C(R, r) r-subsets could hold that
+    many, they are counted by determinant until more than the cap's share,
+    MAX_TABLE_FLAGS // r!, are independent.
     """
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
-    r = arr.dim
+    r, cap = arr.dim, MAX_TABLE_FLAGS // math.factorial(arr.dim)
+    dets = map(determinant, map(RationalMatrix, itertools.combinations(chart.entries, r)))
+    # the determinant of a (cap + 1)-th independent r-subset, when there is one
+    if math.comb(chart.rows, r) > cap and next(itertools.islice(filter(None, dets), cap, None), 0):
+        raise TableTooLarge(
+            f"more than {cap} independent row sets of {r}! flags each exceed "
+            f"the flag table cap of {MAX_TABLE_FLAGS}"
+        )
     store = minor_store(chart)
     sets = itertools.combinations(range(len(arr.hyperplanes)), r)
     kept = [rows for rows in sets if store[rows, r - 1][0]]
-    if (count := len(kept) * math.factorial(r)) > MAX_TABLE_FLAGS:
-        raise TableTooLarge(f"{count} flags exceed the flag table cap of {MAX_TABLE_FLAGS}")
+    count = len(kept) * math.factorial(r)
     orders = [order for order, *_ in profile_layout(r, r)[2]]
     minors = [set_minors(store, rows, r) for rows in kept]
     flags = [order(rows) for rows in kept for order in orders]

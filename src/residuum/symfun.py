@@ -19,12 +19,14 @@ Q(i), and a value is rounded once, where it is evaluated.
 
 A residue at a pole of order n + 1 is read off truncated Taylor series in
 t = z_v - pole rather than by differentiating n times: the t^n coefficient of
-the product of the series of P, of exp(L) and of each non-vanishing factor
-A_i^{-m_i}, which costs a number of terms polynomial in n.  Like terms (same
-exponent, equal when exact and bit for bit when rounded, and the same
-denominator) are merged, and a step that would
-produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.  A step
-sets z_v to the pole directly (``restrict``), without unit forms, and
+the product of the series of P, of exp(L) and of the non-vanishing factors.
+Factors proportional at the pole form one denominator class, and a class's
+factors fold into one series, prod_i (B_i + a_i t)^{-m_i} from its power
+sums, so a step emits one term per choice of the classes' exponents, a
+number polynomial in n.  Like terms (same exponent, equal when exact and bit
+for bit when rounded, and the same denominator) are merged, and a step that
+would produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
+A step sets z_v to the pole directly (``restrict``), without unit forms, and
 computes each fact about a form once, in a memo that nothing outlives.
 
 Vanishing and proportionality of exact forms are decided by ``==`` and dict
@@ -38,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -59,7 +62,8 @@ class PoleHit(ArithmeticError):
     """Evaluation was requested at (or numerically too near) a pole."""
 
 
-# Most terms one residue step may produce, counted before like terms merge.
+# Most terms one residue step may produce, counted before like terms merge:
+# one per choice of the exponents of the step's denominator classes.
 MAX_RESIDUE_TERMS = 200_000
 
 
@@ -449,11 +453,12 @@ class Polynomial:
         """Set z_var = pole (zero coefficient at ``var``); drop z_var: the
         arithmetic of ``compose`` with the pole and unit forms, in its order,
         where a product by a unit form only moves exponents."""
-        basis, acc = None, Polynomial(self.arity - 1)
+        if not any(e[var] for e in self._coeffs):  # one dict, exponents moved
+            return Polynomial(self.arity - 1, {e[:var] + e[var + 1 :]: v for e, v in self.items()})
+        basis, acc = Polynomial.from_affine(pole.drop_var(var)), Polynomial(self.arity - 1)
         for e, v in self.items():
             mono = Polynomial(acc.arity, {e[:var] + e[var + 1 :]: v})
             for _ in range(e[var]):
-                basis = basis or Polynomial.from_affine(pole.drop_var(var))
                 mono = mono.mul(basis)
             acc = acc.add(mono)
         return acc
@@ -683,9 +688,7 @@ class ExpRationalFunction:
         memo = _PoleMemo(var, pole, exact)
         out: list[Term] = []
         for t in self.terms if exact else map(Term.rounded, self.terms):
-            coeff = t.coeff
-            order = 0
-            kept = []
+            coeff, order, kept = t.coeff, 0, {}  # kept: class -> its factors (k, m)
             for form, mult in t.denom:
                 k, a = memo.factor(form)
                 if k is None:
@@ -693,15 +696,11 @@ class ExpRationalFunction:
                     coeff = coeff / (a ** mult)
                     order += mult
                 else:
-                    kept.append((k, mult, a))
+                    kept[memo.classes[k]] = kept.get(memo.classes[k], ()) + ((k, mult),)
             if order == 0:
                 continue
-            out.extend(
-                _series_residue(
-                    coeff, t, var, order - 1, memo.restrict(t.expo), kept, memo,
-                    MAX_RESIDUE_TERMS - len(out),
-                )
-            )
+            expo, budget = memo.restrict(t.expo), MAX_RESIDUE_TERMS - len(out)
+            out += _series_residue(coeff, t, var, order - 1, expo, kept, memo, budget)
         return ExpRationalFunction(self.arity - 1, _merge_like_terms(out))
 
     # ---- evaluation ------------------------------------------------------
@@ -740,13 +739,16 @@ class _PoleMemo:
 
     The step is ``exact`` when the pole and the function are; its scalars
     then stay in Q(i), and otherwise they are rounded.  ``restrict`` gives
-    an exponent form at ``point``: the pole, rounded in a rounded step.
+    an exponent form at ``point``: the pole, rounded in a rounded step, and
+    ``slope`` a form's coefficient of z_var.
     ``factor`` splits a denominator form as A = B + a t at z_var = pole + t:
     (k, a) with k None when B vanishes, else the index of A in ``leads``,
-    B's leading entry, and in ``classes``, the index in ``units`` of B's
-    monic form, which proportional restrictions share (``_merge_unit``).
-    ``series`` is a kept factor's Taylor series at the pole.  Each is
-    computed once per distinct form or series; a memo serves one
+    B's leading entry, ``slopes``, its a, and ``classes``, the index in
+    ``units`` of B's monic form, which proportional restrictions share
+    (``_merge_unit``).  ``class_series`` is the Taylor series of the kept
+    factors of one class, and ``orders`` the sort order of each set of
+    classes' units (``_form_order``).  Each is
+    computed once per distinct form, series or set; a memo serves one
     ``residue_1d`` call and nothing outlives it.
     """
 
@@ -757,11 +759,13 @@ class _PoleMemo:
         self.point = pole if exact else pole.rounded()
         self.units: list[AffineForm] = []
         self.leads: list = []
+        self.slopes: list = []
         self.classes: list[int] = []
         self._restricted: dict = {}  # form -> its restriction
         self._factors: dict = {}  # denominator form -> (index or None, a)
         self._units: dict = {}  # monic unit -> index in units
-        self._series: dict = {}  # (index, m, n) -> (lead^m, series)
+        self._series: dict = {}  # (((k, m), ...), n) -> the class's series
+        self.orders: dict = {}  # class indices -> _form_order of their units
 
     def restrict(self, form: AffineForm) -> AffineForm:
         base = self._restricted.get(form)
@@ -769,10 +773,14 @@ class _PoleMemo:
             base = self._restricted[form] = form.restrict(self.var, self.point)
         return base
 
+    def slope(self, form: AffineForm):
+        """The coefficient of z_var, a GaussianRational in an exact step."""
+        return _gaussian(*form._v[self.var], form._den) if self.exact else form.entry(self.var)
+
     def factor(self, form: AffineForm) -> tuple:
         got = self._factors.get(form)
         if got is None:
-            base, k = form.restrict(self.var, self.pole), None
+            base, k, a = form.restrict(self.var, self.pole), None, self.slope(form)
             if not base.is_zero():
                 unit, lead = base.normalized()
                 cls = self._units.setdefault(_merge_unit(unit, self._units), len(self.units))
@@ -780,55 +788,55 @@ class _PoleMemo:
                     self.units.append(unit)
                 k = len(self.leads)
                 self.leads.append(lead if self.exact else to_mpc(lead))
+                self.slopes.append(a)
                 self.classes.append(cls)
-            if self.exact:
-                a = _gaussian(*form._v[self.var], form._den)
-            else:
-                a = form.entry(self.var)
             got = self._factors[form] = (k, a)
         return got
 
-    def series(self, k: int, mult: int, a, n: int) -> tuple:
-        """lead^mult and the series C(mult + j - 1, j) (-a)^j / lead^(mult + j),
-        j = 1 .. n (empty when a = 0), of the kept factor (B + a t)^-mult
-        with B = leads[k] * units[classes[k]]."""
-        key = (k, mult, n)
-        got = self._series.get(key)
+    def class_series(self, members: tuple, n: int) -> tuple:
+        """((U, M + j), c_j), j = 0 .. n (j = 0 alone when n or every a is 0): the
+        t^j coefficient c_j U^-(M + j) of prod (B_k + a_k t)^-m over the
+        (k, m) of ``members``, kept factors of one class, M = sum m.  With
+        B_k = lead_k U, U the class's monic unit, and x_k = -a_k / lead_k,
+        the product is U^-M F(t / U) / prod lead_k^m, F = prod (1 - x_k u)^-m,
+        whose logarithmic derivative gives j F_j = sum_{i=1..j} s_i F_{j-i}
+        with the power sums s_i = sum m x_k^i; c_j = F_j / prod lead_k^m."""
+        got = self._series.get((members, n))
         if got is None:
-            got = self._series[key] = self._build_series(k, mult, a, n)
+            lead_power, degree, ms, xs = 1, 0, [], []
+            for k, m in members:
+                lead_power *= self.leads[k] ** m
+                degree += m
+                if n and (a := self.slopes[k]):
+                    ms.append(m)
+                    xs.append(-a / self.leads[k])
+            F, powers, sums = [1 / lead_power], xs, []
+            for j in range(1, n + 1 if xs else 1):
+                sums.append(sum(map(operator.mul, ms, powers)))
+                powers = list(map(operator.mul, powers, xs))
+                F.append(sum(map(operator.mul, sums, reversed(F))) / j)
+            unit = self.units[self.classes[members[0][0]]]
+            got = self._series[members, n] = tuple(((unit, degree + j), f) for j, f in enumerate(F))
         return got
 
-    def _build_series(self, k: int, mult: int, a, n: int) -> tuple:
-        lead = self.leads[k]
-        series = tuple(
-            math.comb(mult + j - 1, j) * (-a) ** j / lead ** (mult + j)
-            for j in range(1, n + 1 if a else 1)
-        )
-        return lead**mult, series
 
 def _series_residue(
-    coeff,
-    term: Term,
-    var: int,
-    n: int,
-    expo: AffineForm,
-    kept,
-    memo: _PoleMemo,
-    budget: int,
+    coeff, term: Term, var: int, n: int, expo: AffineForm, kept: dict, memo: _PoleMemo, budget: int
 ) -> list[Term]:
     """The t^n coefficient of coeff * P * exp(L) / prod(kept) at z_var = pole + t.
 
     Every piece is a Taylor series in t truncated after t^n: P gives
     d^j P / j! at the pole, exp(L) gives exp(L at the pole) * l^j / j! with l
-    the coefficient of z_var in L, and a kept factor A = B + a t gives
+    the coefficient of z_var in L, and the kept factors of one class, those
+    proportional at the pole, fold into one series in the class's monic
+    unit (``_PoleMemo.class_series``).
 
-        (B + a t)^{-m} = sum_j C(m + j - 1, j) (-a)^j t^j B^{-(m + j)}.
-
-    One term is emitted per choice of the kept factors' exponents j; its
-    polynomial collects the polynomial and exponential parts of degree
-    n - sum(j).  ``kept`` lists (k, m, a) with k the index of B, A at the
-    pole, in ``memo``, and ``expo`` is L there.  Raises TermBudgetExceeded
-    rather than emit more than ``budget`` terms.
+    One term is emitted per choice of the classes' exponents j with a
+    nonzero coefficient; its polynomial collects the polynomial and
+    exponential parts of degree n - sum(j).  ``kept`` maps a class, in
+    ``memo``, to its factors (k, m), k the index of B, A at the pole, and
+    ``expo`` is L there.  Raises TermBudgetExceeded rather than emit more
+    than ``budget`` terms.
     """
     taylor = []
     p = term.poly
@@ -838,10 +846,7 @@ def _series_residue(
             if p.is_zero():
                 break
         taylor.append(p.restrict(var, memo.point))
-    if memo.exact:  # l as a GaussianRational, so that l / k stays exact
-        lv, exp_series = _gaussian(*term.expo._v[var], term.expo._den), [1]
-    else:
-        lv, exp_series = term.expo.coeffs[var], [to_mpc(1)]
+    lv, exp_series = memo.slope(term.expo), [1]
     for k in range(1, n + 1):
         exp_series.append(exp_series[-1] * lv / k)
     # rest[s]: the polynomial that multiplies the kept factors' t^s part
@@ -849,52 +854,38 @@ def _series_residue(
     for s in range(n + 1):
         acc = None
         for j, q in enumerate(taylor[: n - s + 1]):
-            k = n - s - j
-            if k and not lv:
-                continue
-            piece = q if k == 0 else q.scale(exp_series[k])
-            acc = piece if acc is None else acc.add(piece)
+            if exp_series[n - s - j]:
+                piece = q.scale(exp_series[n - s - j]) if n - s - j else q
+                acc = piece if acc is None else acc.add(piece)
         rest.append(acc if acc is not None and not acc.is_zero() else None)
 
-    # proportional kept factors share one monic unit, as in Term.make
-    firsts: dict[int, int] = {}  # memo unit index -> this term's class
-    factors = []
-    for k, mult, a in kept:
-        cls = firsts.setdefault(memo.classes[k], len(firsts))
-        factors.append((cls, mult, *memo.series(k, mult, a, n)))
-    units = [memo.units[u] for u in firsts]
-    class_order = _form_order(units)
-
-    active = sum(1 for f in factors if f[3])
-    count = sum(
-        math.comb(s + active - 1, s) if active else int(s == 0)
-        for s in range(n + 1)
-        if rest[s] is not None
-    )
-    if count > budget:
+    series = [memo.class_series(members, n) for members in kept.values()]
+    classes = tuple(kept)
+    order = memo.orders.get(classes)
+    if order is None:
+        order = memo.orders[classes] = _form_order([memo.units[c] for c in classes])
+    active = sum(len(s) > 1 for s in series)
+    counts = (math.comb(s + active - 1, s) if active else int(s == 0) for s in range(n + 1))
+    if sum(c for c, poly in zip(counts, rest) if poly is not None) > budget:
         raise TermBudgetExceeded(
             f"a residue step would produce more than {MAX_RESIDUE_TERMS} terms"
         )
 
-    # depth first over the exponents (j_0, j_1, ...) with sum <= n, j_0
-    # slowest, each coefficient built along its path from the root
+    # depth first over the classes' exponents (j_0, j_1, ...) with sum <= n,
+    # j_0 slowest, each coefficient built along its path from the root
     out: list[Term] = []
     stack = [(0, coeff, n, ())]
     while stack:
-        i, c, left, js = stack.pop()
-        if i == len(factors):
-            poly = rest[n - left]
-            if poly is not None:
-                degrees = [0] * len(units)
-                for (cls, mult, _, _), j in zip(factors, js):
-                    degrees[cls] += mult + j
-                denom = tuple((units[cls], degrees[cls]) for cls in class_order)
-                out.append(Term(c, poly, expo, denom))
+        i, c, left, denom = stack.pop()
+        if i == len(series):
+            if rest[n - left] is not None:
+                denom = tuple(map(denom.__getitem__, order))
+                out.append(Term(c, rest[n - left], expo, denom))
             continue
-        cls, mult, lead_power, series = factors[i]
-        for j in reversed(range(min(len(series), left) + 1)):
-            child = c / lead_power if j == 0 else c * series[j - 1]
-            stack.append((i + 1, child, left - j, js + (j,)))
+        for j in reversed(range(min(len(series[i]), left + 1))):
+            factor, x = series[i][j]
+            if x:
+                stack.append((i + 1, c * x, left - j, denom + (factor,)))
     return out
 
 

@@ -8,6 +8,11 @@
   the two agree.
 * ``torus_residue``: the residue at a terminal point as a float64 average
   over the torus |g_j| = eps_j around it, independent of flags and charts.
+* ``per_factor_residue``: a residue step that expands every kept factor's
+  Taylor series on its own and emits one term per choice of the factors'
+  exponents; ``ExpRationalFunction.residue_1d`` folds the factors
+  proportional at the pole into one series per class first, and the suite
+  checks the two agree exactly, with the same terms after merging.
 * ``substitute_affine``: an exp-rational function with one variable set to
   an affine form in the others, by ``ExpRationalFunction.compose`` with
   ``unit_form``s.
@@ -55,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mpc
 
-from residuum import exact_linalg
+from residuum import exact_linalg, symfun
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -73,7 +78,7 @@ from residuum.exact_linalg import (
     inverse,
 )
 from residuum.oracle import compile_numeric
-from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
+from residuum.symfun import AffineForm, ExpRationalFunction, Term, is_negligible, to_mpc
 
 DEFAULT_TORUS_NODES = 256
 
@@ -383,6 +388,94 @@ def substitute_affine(
             new_index = i if i < var else i - 1
             forms.append(unit_form(func.arity - 1, new_index))
     return func.compose(forms)
+
+
+def per_factor_residue(
+    func: ExpRationalFunction, var: int, pole: AffineForm
+) -> ExpRationalFunction:
+    """``func.residue_1d(var, pole)`` with each kept factor A = B + a t
+    expanded on its own, as
+
+        (B + a t)^{-m} = sum_j C(m + j - 1, j) (-a)^j t^j B^{-(m + j)},
+
+    and one term emitted per choice of the kept factors' exponents j, the
+    degrees of proportional factors added on their shared unit.  Shares
+    ``residue_1d``'s memo of forms and its merge of like terms; no term cap.
+    """
+    exact = pole._den is not None and func.exact
+    memo = symfun._PoleMemo(var, pole, exact)
+    out: list[Term] = []
+    for t in func.terms if exact else map(Term.rounded, func.terms):
+        coeff, order, kept = t.coeff, 0, []
+        for form, mult in t.denom:
+            k, a = memo.factor(form)
+            if k is None:
+                coeff, order = coeff / a**mult, order + mult
+            else:
+                kept.append((k, mult, a))
+        if order:
+            expo = memo.restrict(t.expo)
+            out += _per_factor_terms(coeff, t, var, order - 1, expo, kept, memo)
+    return ExpRationalFunction(func.arity - 1, symfun._merge_like_terms(out))
+
+
+def _per_factor_terms(
+    coeff, term: Term, var: int, n: int, expo: AffineForm, kept, memo
+) -> list:
+    """The t^n coefficient of coeff * P * exp(L) / prod(kept), one term per
+    exponent vector of the kept factors (k, m, a)."""
+    taylor, p = [], term.poly
+    for j in range(n + 1):
+        if j:
+            p = p.differentiate(var).scale(Fraction(1, j))
+            if p.is_zero():
+                break
+        taylor.append(p.restrict(var, memo.point))
+    if memo.exact:
+        lv, exp_series = exact_linalg._gaussian(*term.expo._v[var], term.expo._den), [1]
+    else:
+        lv, exp_series = term.expo.coeffs[var], [to_mpc(1)]
+    for k in range(1, n + 1):
+        exp_series.append(exp_series[-1] * lv / k)
+    rest = []  # rest[s]: the polynomial multiplying the kept factors' t^s part
+    for s in range(n + 1):
+        pieces = [
+            q if n - s == j else q.scale(exp_series[n - s - j])
+            for j, q in enumerate(taylor[: n - s + 1])
+            if n - s == j or lv
+        ]
+        acc = pieces[0] if pieces else None
+        for piece in pieces[1:]:
+            acc = acc.add(piece)
+        rest.append(acc if acc is not None and not acc.is_zero() else None)
+    firsts: dict = {}  # memo unit index -> this term's class
+    factors = []
+    for k, m, a in kept:
+        lead = memo.leads[k]
+        series = [
+            math.comb(m + j - 1, j) * (-a) ** j / lead ** (m + j)
+            for j in range(1, n + 1 if a else 1)
+        ]
+        factors.append((firsts.setdefault(memo.classes[k], len(firsts)), m, lead**m, series))
+    units = [memo.units[u] for u in firsts]
+    class_order = symfun._form_order(units)
+    out = []
+    stack = [(0, coeff, n, ())]
+    while stack:
+        i, c, left, js = stack.pop()
+        if i == len(factors):
+            if rest[n - left] is not None:
+                degrees = [0] * len(units)
+                for (cls, m, _, _), j in zip(factors, js):
+                    degrees[cls] += m + j
+                denom = tuple((units[cls], degrees[cls]) for cls in class_order)
+                out.append(Term(c, rest[n - left], expo, denom))
+            continue
+        _, _, lead_power, series = factors[i]
+        for j in reversed(range(min(len(series), left) + 1)):
+            child = c / lead_power if j == 0 else c * series[j - 1]
+            stack.append((i + 1, child, left - j, js + (j,)))
+    return out
 
 
 def stability_rows(table, with_jacobian: bool) -> tuple:

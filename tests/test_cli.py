@@ -603,20 +603,27 @@ def _general_position_problem(r: int, big_r: int) -> str:
 def test_flag_table_cap_is_a_usage_error(monkeypatch, tmp_path, capsys):
     """r = 7 and R = 14 hyperplanes in general position would make 3,432 row
     sets of 7! flags: every command refuses the table before it builds a
-    flag's profile, and exits 2 with ``file: message``."""
-    path = _write(tmp_path, _general_position_problem(7, 14))
-    calls = {"MinorProfile": []}
+    flag's profile or the minor store, once the independent row sets pass
+    the cap's share of 100,000 // 7! = 19, and exits 2 with ``file:
+    message``.  So does r = 7 and R = 40, whose minor store alone would hold
+    millions of minors."""
+    calls = {"MinorProfile": [], "minor_store": []}
     _count_calls(monkeypatch, calls)
+    message = (
+        f"more than {arrangement.MAX_TABLE_FLAGS // math.factorial(7)} independent row "
+        f"sets of 7! flags each exceed the flag table cap of {arrangement.MAX_TABLE_FLAGS}\n"
+    )
+    path = _write(tmp_path, _general_position_problem(7, 14))
     start = time.perf_counter()
     for command in ("analyze", "eval", "verify", "grouping"):
         assert main([command, path, "--json"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (
-            f"{path}: {3432 * math.factorial(7)} flags exceed the flag table cap "
-            f"of {arrangement.MAX_TABLE_FLAGS}\n"
-        )
-    assert calls["MinorProfile"] == []
+        assert err == f"{path}: {message}"
+    path = _write(tmp_path, _general_position_problem(7, 40))
+    assert main(["eval", path, "--json"]) == 2
+    assert capsys.readouterr() == ("", f"{path}: {message}")
+    assert calls == {"MinorProfile": [], "minor_store": []}
     assert time.perf_counter() - start < 20
 
 

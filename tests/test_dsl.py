@@ -651,3 +651,19 @@ def test_mutation_corpus_replays():
         if (got := outcome(entry["text"])) != entry["outcome"]
     ]
     assert not changed, changed[:3]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lowering a den factor keeps its hyperplane and drops its scale: "
+    "2*x - 2*i is lowered as x - i",
+)
+def test_scaled_denominator_factor_keeps_its_scale():
+    """int e^(i x) / (2 x - 2 i) dx = pi i / e, half the integral of
+    e^(i x) / (x - i); the engine reports the latter."""
+    from residuum.residue_engine import evaluate_integral
+
+    spec = parse_problem("vars x; cone (1); num exp(i*x); den (2*x - 2*i);")
+    with working_precision(128):
+        value = evaluate_integral(spec.arrangement(), spec.polyhedron()).value
+        assert abs(value - mpmath.pi * mpc(0, 1) / mpmath.e) < mpf("1e-30")

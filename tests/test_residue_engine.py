@@ -9,6 +9,7 @@ the trace formula.
 """
 
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath import exp, mp, mpc, mpf, pi
+from mpmath import exp, factorial, mp, mpc, mpf, pi
 
 from conftest import (
     CONE_LEFT,
@@ -719,3 +720,103 @@ def test_exact_data_give_exact_zero(rows, s, mult, freq):
     assert all(result.flag_contributions.values())
     assert result.certificate == Certificate(False, Convergence.UNKNOWN, ())
     assert [res for _, _, res in points] == [0]
+
+
+def _shear(rng: random.Random, r: int, steps: int) -> list:
+    """A random integer matrix of determinant 1: the identity with ``steps``
+    random column operations (column j += +-column i)."""
+    a = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(steps if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice((-1, 1))
+        for row in a:
+            row[j] += c * row[i]
+    return a
+
+
+def _product_value(m: int, omegas) -> mpf:
+    """(-1)^(r m) prod_k I_m(om_k), I_m(om) = int e^(i om w) / (w^2 + 1)^m dw
+    = pi e^-|om| / (4^(m-1) (m-1)!) sum_k (2m-2-k)! (2|om|)^k / (k! (m-1-k)!)."""
+    out = mpf(-1) ** (len(omegas) * m)
+    for om in map(abs, omegas):
+        acc = sum(
+            factorial(2 * m - 2 - k) * mpf(2 * om) ** k
+            / (factorial(k) * factorial(m - 1 - k))
+            for k in range(m)
+        )
+        out *= pi * exp(-om) / (4 ** (m - 1) * factorial(m - 1)) * acc
+    return out
+
+
+def _closed_form_problem(rows, s, mult, freq, generators):
+    """The arrangement of the hyperplanes rows[k] . v = i s[k] with
+    numerator exp(i freq . v), and the cone of ``generators``."""
+    r = len(generators)
+    expo = AffineForm(tuple(GaussianRational(0, w) for w in freq), 0)
+    numerator = ExpRationalFunction.from_parts(r, expo=expo)
+    hyperplanes = [plane(f, v) for f, v in zip(rows, s)]
+    arr = Arrangement.build(r, hyperplanes, numerator=numerator, multiplicities=mult)
+    return arr, cone(*generators)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_sheared_products_match_their_closed_form(r):
+    """prod_k 1 / ((w_k - i)^m (-w_k - i)^m) e^(i om . w) with w = A v, A a
+    random shear, its 2r hyperplanes in random order, m <= 3 (<= 2 at
+    r >= 5): in the cone spanned by the columns of A^-1, each negated where
+    om_k < 0, the value is certified and within 1e-30 relative of
+    ``_product_value``; in the cone of the unnegated columns, where that
+    differs, it is not certified."""
+    rng = random.Random(f"sheared product {r}")
+    for m in range(1, (3 if r < 5 else 2) + 1):
+        a = _shear(rng, r, rng.randint(0, 2 * r))
+        a_inv = inverse(RationalMatrix(tuple(map(tuple, a))))
+        omegas = [rng.randint(-3, 3) for _ in range(r)]
+        rows = [row for f in a for row in (f, [-x for x in f])]
+        order = rng.sample(range(2 * r), 2 * r)
+        freq = [sum(om * a[k][j] for k, om in enumerate(omegas)) for j in range(r)]
+        for flip in (True, False):
+            generators = [
+                [(-1 if flip and omegas[j] < 0 else 1) * a_inv[i, j] for i in range(r)]
+                for j in range(r)
+            ]
+            arr, poly = _closed_form_problem(
+                [rows[k] for k in order], [1] * (2 * r), [m] * (2 * r), freq, generators
+            )
+            result = evaluate_integral(arr, poly)
+            if flip:
+                with working_precision(128):
+                    want = _product_value(m, omegas)
+                    assert abs(result.value - want) <= mpf("1e-30") * abs(want)
+                assert result.certificate.certified
+            elif min(omegas) < 0:
+                assert not result.certificate.certified
+
+
+def test_simplicial_draws_match_their_closed_form():
+    """R = r hyperplanes F v = i s, r <= 4, primitive integer rows, with
+    numerator exp(i om . v), om = F^T c and each c_j = +-1 or +-2, in the
+    cone of the columns of F^-1, each negated where c_j < 0: the value is
+    (2 pi i)^r / |det F| prod_j e^(-c_j s_j), and 0 when some c_j < 0,
+    within 1e-30 of (2 pi)^r / |det F| prod_j e^(-|c_j| s_j), and it is not
+    certified, since the integral converges only conditionally."""
+    rng = random.Random("simplicial")
+    for _ in range(24):
+        r = rng.randint(1, 4)
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            f = RationalMatrix(tuple(map(tuple, rows)))
+            if all(math.gcd(*row) == 1 for row in rows) and determinant(f):
+                break
+        f_inv, det_f = inverse(f), abs(determinant(f))
+        c = [rng.choice((-2, -1, 1, 2)) for _ in range(r)]
+        s = [rng.randint(1, 4) for _ in range(r)]
+        freq = [sum(rows[j][k] * c[j] for j in range(r)) for k in range(r)]
+        generators = [[(1 if c[j] > 0 else -1) * f_inv[i, j] for i in range(r)] for j in range(r)]
+        arr, poly = _closed_form_problem(rows, s, [1] * r, freq, generators)
+        result = evaluate_integral(arr, poly)
+        with working_precision(128):
+            want = TWO_PI_I() ** r / det_f * exp(-sum(x * y for x, y in zip(c, s)))
+            scale = (2 * pi) ** r / det_f * exp(-sum(abs(x) * y for x, y in zip(c, s)))
+            assert abs(result.value - (want if min(c) > 0 else 0)) <= mpf("1e-30") * scale
+        assert not result.certificate.certified

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, quad
 
-from reference import FractionForm, substitute_affine, unit_form
+from reference import FractionForm, per_factor_residue, substitute_affine, unit_form
 from residuum import dsl, symfun
 from residuum.exact_linalg import GaussianRational, RationalMatrix, determinant
 from residuum.symfun import (
@@ -381,17 +381,18 @@ def _term_key(t: Term) -> tuple:
     return t.coeff._mpc_, poly, _form_key(t.expo), denom
 
 
-def test_one_series_per_kept_factor(monkeypatch):
-    """A residue step builds a kept factor's Taylor series once per
-    (factor, multiplicity, coefficient at the pole, order), not once for
-    every term that carries it, and the result is the one built afresh for
-    each term, bit for bit."""
+def test_one_series_per_denominator_class(monkeypatch):
+    """A residue step builds the folded Taylor series of a denominator class
+    (the kept factors proportional at the pole) once per (class,
+    multiplicities, order), not once for every term that carries it, and
+    the result is the one built afresh for each term, bit for bit."""
     with working_precision(128):
         i = mpc(0, 1)
         denom = [
             (AffineForm.make([1, -1], -i), 3),
             (AffineForm.make([1, 1], 1), 1),
             (AffineForm.make([2, -1], 2), 2),
+            (AffineForm.make([1, 3], 2 + i), 1),  # 2 (z0 + z1 + 1) at z0 = z1 + i
         ]
         f = ExpRationalFunction.zero(2)
         for k in range(4):
@@ -404,25 +405,27 @@ def test_one_series_per_kept_factor(monkeypatch):
                 )
             )
         pole = denom[0][0].solve_for(0)
-        builds, uses = [], []
-        build, series = symfun._PoleMemo._build_series, symfun._PoleMemo.series
+        uses, memos = [], []
+        series = symfun._PoleMemo.class_series
 
-        def counted_build(self, *key):
-            builds.append(key)
-            return build(self, *key)
+        def counted(self, members, n):
+            uses.append((tuple(self.classes[k] for k, _ in members), members, n))
+            memos.append(self)
+            return series(self, members, n)
 
-        def counted_series(self, *key):
-            uses.append(key)
-            return series(self, *key)
+        def fresh(self, members, n):
+            self._series.clear()
+            return series(self, members, n)
 
-        monkeypatch.setattr(symfun._PoleMemo, "_build_series", counted_build)
-        monkeypatch.setattr(symfun._PoleMemo, "series", counted_series)
+        monkeypatch.setattr(symfun._PoleMemo, "class_series", counted)
         res = f.residue_1d(0, pole)
-        monkeypatch.setattr(symfun._PoleMemo, "series", build)
-        fresh = f.residue_1d(0, pole)
-    assert len(f.terms) == 4 and len(uses) == 8
-    assert len(builds) == len(set(builds)) == len(set(uses)) == 2
-    assert [_term_key(t) for t in res.terms] == [_term_key(t) for t in fresh.terms]
+        monkeypatch.setattr(symfun._PoleMemo, "class_series", fresh)
+        rebuilt = f.residue_1d(0, pole)
+    assert len(f.terms) == 4 and len(uses) == 8 and len(set(map(id, memos))) == 1
+    # two classes, one of them the second and fourth factors
+    assert sorted(len(members) for _, members, _ in set(uses)) == [1, 2]
+    assert len(memos[0]._series) == len(set(uses)) == 2
+    assert [_term_key(t) for t in res.terms] == [_term_key(t) for t in rebuilt.terms]
 
 
 _small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -750,29 +753,31 @@ def test_like_terms_merge():
 
 
 @st.composite
-def _coincident_data(draw):
+def _coincident_data(draw, extra=(0, 2), max_mult=3):
     """Hyperplanes f . z = i f . c through one point i c in 2 or 3
-    variables, whose first r rows have nonzero leading minors (a soluble
-    flag in the identity chart), multiplicities <= 3, and a numerator
-    coeff * exp(i w . z) with w = 0 sometimes."""
+    variables, r plus ``extra`` of them, whose first r rows have nonzero
+    leading minors (a soluble flag in the identity chart), multiplicities
+    <= ``max_mult``, and a numerator coeff * exp(i w . z) with w = 0
+    sometimes."""
     r = draw(st.integers(2, 3))
     c = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
     row = st.tuples(*[st.integers(-2, 2)] * r).filter(
         lambda f: sum(a * b for a, b in zip(f, c)) > 0
     )
-    rows = draw(st.lists(row, min_size=r, max_size=r + 2, unique=True))
+    rows = draw(st.lists(row, min_size=r + extra[0], max_size=r + extra[1], unique=True))
     assume(all(determinant(RationalMatrix.from_rows([f[: k + 1] for f in rows[: k + 1]])) for k in range(r)))
-    mult = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    mult = draw(st.lists(st.integers(1, max_mult), min_size=len(rows), max_size=len(rows)))
     freq = draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r) | st.just([0] * r))
     coeff = draw(_small_gaussians.filter(bool))
     s = [sum(a * b for a, b in zip(f, c)) for f in rows]
     return r, rows, s, mult, freq, coeff
 
 
-def _coincident_residue(data, exact: bool) -> ExpRationalFunction:
+def _coincident_residue(data, exact: bool, step=ExpRationalFunction.residue_1d) -> list:
     """The iterated residue along the first r hyperplanes, as the engine's
     chart steps take it, from exact data or from data rounded first
-    (``AffineForm.make`` and ``to_mpc``)."""
+    (``AffineForm.make`` and ``to_mpc``): the function left after each
+    ``step``."""
     r, rows, s, mult, freq, coeff = data
     if exact:
         forms = [AffineForm(f, GaussianRational(0, -v)) for f, v in zip(rows, s)]
@@ -782,13 +787,13 @@ def _coincident_residue(data, exact: bool) -> ExpRationalFunction:
         expo = AffineForm.make([mpc(0, w) for w in freq], 0)
         coeff = to_mpc(coeff)
     func = ExpRationalFunction.from_parts(r, coeff=coeff, expo=expo, denom=zip(forms, mult))
-    poles = []
+    poles, steps = [], []
     for form in forms[:r]:
         for pole in poles:
             form = form.restrict(0, pole)
         poles.append(form.solve_for(0))
-        func = func.residue_1d(0, poles[-1])
-    return func
+        steps.append(step(steps[-1] if steps else func, 0, poles[-1]))
+    return steps
 
 
 def _unmerged_scale(data) -> mpf:
@@ -797,7 +802,7 @@ def _unmerged_scale(data) -> mpf:
     merge = symfun._merge_like_terms
     symfun._merge_like_terms = list
     try:
-        terms = _coincident_residue(data, exact=False).terms
+        terms = _coincident_residue(data, exact=False)[-1].terms
     finally:
         symfun._merge_like_terms = merge
     return sum((abs(ExpRationalFunction(0, [t]).evaluate(())) for t in terms), mpf(0))
@@ -811,10 +816,38 @@ def test_exact_residue_steps_match_rounded_steps(data):
     to the sum of the magnitudes of the terms (``_unmerged_scale``); so does
     ``constant_sum``, which merges them exactly."""
     with working_precision(256):
-        exact = _coincident_residue(data, exact=True)
-        rounded = _coincident_residue(data, exact=False)
+        exact = _coincident_residue(data, exact=True)[-1]
+        rounded = _coincident_residue(data, exact=False)[-1]
         assert exact.exact and not any(t.exact for t in rounded.terms)
         tolerance = mpf("1e-70") * _unmerged_scale(data)
         want = rounded.evaluate(())
         assert abs(exact.evaluate(()) - want) <= tolerance
         assert abs(symfun.constant_sum([exact]).evaluate(()) - want) <= tolerance
+
+
+@given(_coincident_data(extra=(1, 5), max_mult=4))
+@settings(max_examples=40, deadline=None)
+def test_folded_steps_match_per_factor_steps(data):
+    """On 3 to 8 hyperplanes through one point, multiplicities <= 4, each
+    residue step that folds a denominator class into one series
+    (``residue_1d``) leaves as many terms, after like terms merge, as the
+    step that expands every kept factor on its own
+    (``reference.per_factor_residue``), and the iterated residues are equal
+    exactly: ``constant_sum`` of their difference has no term."""
+    folded = _coincident_residue(data, exact=True)
+    expanded = _coincident_residue(data, exact=True, step=per_factor_residue)
+    assert [len(f.terms) for f in folded] == [len(f.terms) for f in expanded]
+    assert list(map(_exact_terms, folded)) == list(map(_exact_terms, expanded))
+    assert folded[-1].exact and expanded[-1].exact
+    assert symfun.constant_sum([folded[-1], expanded[-1].scale(-1)]).is_zero()
+
+
+def _exact_terms(f: ExpRationalFunction) -> dict:
+    """An exact function's terms by exponent and denominator, each as its
+    coefficient times its polynomial."""
+    return {
+        (_form_key(t.expo), tuple((_form_key(u), m) for u, m in t.denom)): {
+            e: t.coeff * v for e, v in t.poly.items()
+        }
+        for t in f.terms
+    }
