@@ -15,7 +15,10 @@ interpreter (3.12's fractions module builds its results without calling
 ``__new__``, and counts fewer), and how many terms its residue steps build
 before like terms merge (the terms passed to ``symfun._merge_like_terms``).
 With --max-fractions N or --max-terms N the script exits 1 when that count
-exceeds N.  Its last line is the round's digest, a sha256
+exceeds N.  It also exits 1, naming the operation, when a report's stdout
+is not ``json.dumps(json.loads(out), sort_keys=True, indent=2)`` and a
+newline: the streamed JSON writer checked against the standard library's
+on every report of the round.  Its last line is the round's digest, a sha256
 over each operation's command and file name, exit status (or the type of
 the exception it raised) and stdout, which scripts/expected/round_digests.txt
 records for both workloads.
@@ -29,6 +32,7 @@ import cProfile
 import contextlib
 import hashlib
 import io
+import json
 import pstats
 import random
 import sys
@@ -57,13 +61,14 @@ def build_round(workload: str, directory: Path) -> list:
     return [(op.cmd, op.path) for op in ops]
 
 
-def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int]:
+def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, list]:
     """Run every operation under one profiler: (stats, wall seconds, crashes,
     the round's digest, the terms the residue steps passed to the merge of
-    like terms)."""
+    like terms, each operation's (command, path, stdout))."""
     profiler = cProfile.Profile()
     digest = hashlib.sha256()
     crashes = terms = 0
+    outputs = []
     merge = symfun._merge_like_terms
 
     def counted_merge(batch):
@@ -85,9 +90,24 @@ def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int]:
             finally:
                 profiler.disable()
         digest.update(f"{cmd} {path.name}\n{status}\n{out.getvalue()}".encode())
+        outputs.append((cmd, path, out.getvalue()))
     wall = perf_counter() - start
     symfun._merge_like_terms = merge
-    return pstats.Stats(profiler), wall, crashes, digest.hexdigest(), terms
+    return pstats.Stats(profiler), wall, crashes, digest.hexdigest(), terms, outputs
+
+
+def misprinted(outputs: list) -> list[str]:
+    """The operations whose stdout, when there is one, is not the report as
+    ``json.dumps(..., sort_keys=True, indent=2)`` prints it."""
+    bad = []
+    for cmd, path, out in outputs:
+        try:
+            same = out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        except ValueError:
+            same = False
+        if out and not same:
+            bad.append(f"{cmd} {path.name}")
+    return bad
 
 
 def hot_spots(stats: pstats.Stats, top: int) -> tuple[list, list]:
@@ -137,7 +157,7 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
-        stats, wall, crashes, digest, terms = profile_ops(ops)
+        stats, wall, crashes, digest, terms, outputs = profile_ops(ops)
     fractions = fraction_count(stats)
     print(
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
@@ -149,6 +169,9 @@ def main() -> None:
     _print_rows("outside residuum:", outside)
     print(f"{args.workload} digest {digest}")
     failed = False
+    for name in misprinted(outputs):
+        print(f"{name}: stdout is not the report as json.dumps prints it", file=sys.stderr)
+        failed = True
     if args.max_fractions is not None and fractions > args.max_fractions:
         print(f"more than {args.max_fractions} Fractions built", file=sys.stderr)
         failed = True

@@ -365,14 +365,15 @@ class FlagTable(Sequence):
     """``flag_table``'s entries, each built when read (nothing is cached):
     ``chart`` C = F M, ``row_sets`` (per kept row set S: S, its
     ``set_minors``, the places of its orderings in ``profile_layout`` order),
-    and per place its flag's ``indices`` and ``verdicts``, which the engine
-    reads.  Equal to, and printed as, the tuple of its entries; unhashable."""
+    and per place n its flag's ``indices`` and ``verdicts``, which the engine
+    reads, and its ``sources``: s r! + o when it holds ordering o of row set
+    s.  Equal to, and printed as, the tuple of its entries; unhashable."""
 
-    __slots__ = ("chart", "row_sets", "indices", "verdicts", "_sources")
+    __slots__ = ("chart", "row_sets", "indices", "verdicts", "sources")
 
     def __init__(self, chart, row_sets, indices, verdicts, sources):
         self.chart, self.row_sets, self.indices, self.verdicts = chart, row_sets, indices, verdicts
-        self._sources = sources  # place n holds ordering o of row set s: s r! + o
+        self.sources = sources
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -382,7 +383,7 @@ class FlagTable(Sequence):
             return tuple(map(self.__getitem__, range(len(self))[n]))
         r = self.chart.cols
         readings = profile_layout(r, r)[2]
-        s, o = divmod(self._sources[n], len(readings))
+        s, o = divmod(self.sources[n], len(readings))
         rows, minors, _ = self.row_sets[s]
         jac = RationalMatrix(readings[o][0]([self.chart.entries[i] for i in rows]))
         profile = read_ordering(minors, r, r, o, self.verdicts[n])

@@ -3,11 +3,13 @@
 Each command parses a problem file, runs the exact engine, and emits a
 report either as aligned text or as JSON (``--json``).  JSON reports carry
 ``"schema": 1`` and print every number at a fixed precision.
-``Report.to_json`` writes a report in one pass, with sorted keys and a
-2-space indent, exactly as ``json.dumps(..., sort_keys=True, indent=2)``
-would: the stability table row set by row set from the flag table's
-minors and verdicts, building no ``FlagEntry``, every other section through
-``json.dumps``.  Byte-identical inputs produce byte-identical output.
+``Report.write_json`` streams a report through one ``write`` callable, with
+sorted keys and a 2-space indent, exactly as ``json.dumps(...,
+sort_keys=True, indent=2)`` would: every section but the stability table
+through a small recursive writer, and the stability table in table order,
+a few hundred rows per ``write``, from the flag table's row sets, each
+distinct minor quoted once per table and no ``FlagEntry`` built.
+Byte-identical inputs produce byte-identical output.
 
 Exit status: 0 only when the run is certified (all stable collections
 compatible, convergence rule known) and, for ``verify``, the oracle agrees
@@ -23,6 +25,7 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import NamedTuple
 
 import mpmath
@@ -73,11 +76,17 @@ def _cplx(z) -> dict:
     }
 
 
+_OPTIONAL_SECTIONS = (
+    "stability_table", "violations", "value", "contributions", "certificate", "oracle",
+    "grouping", "diagnostics", "warnings", "notes",
+)
+
+
 class Report(NamedTuple):
     """One command's findings.
 
     ``stability_table`` holds the pair's ``FlagTable`` (``to_text`` also
-    takes any sequence of ``FlagEntry`` rows, ``to_json`` only the table),
+    takes any sequence of ``FlagEntry`` rows, ``write_json`` only the table),
     and ``jacobians`` says whether its JSON rows carry each flag's Jacobian;
     every other section is already formatted for serialization.
     """
@@ -97,52 +106,33 @@ class Report(NamedTuple):
     warnings: tuple = ()
     notes: tuple = ()
 
-    def _sections(self) -> dict:
-        """Every JSON section but the stability table."""
-        out = {
-            "schema": 1,
-            "command": self.command,
-            "passed": self.passed,
-            "problem": self.problem,
-        }
-        if self.violations:
-            out["violations"] = list(self.violations)
-        if self.value is not None:
-            out["value"] = self.value
-        if self.contributions:
-            out["contributions"] = list(self.contributions)
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
-        if self.grouping is not None:
-            out["grouping"] = self.grouping
-        if self.diagnostics:
-            out["diagnostics"] = list(self.diagnostics)
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
+    def write_json(self, write) -> None:
+        """Write the JSON report, as ``json.dumps(report, sort_keys=True,
+        indent=2)`` writes it, through ``write`` in pieces: the stability
+        table row by row from the flag table (``_write_table``), every other
+        section by ``_json_text``.  Besides the four sections always there,
+        each dict section that is set and each tuple that is not empty is
+        written."""
+        sections = dict(schema=1, command=self.command, passed=self.passed, problem=self.problem)
+        for key in _OPTIONAL_SECTIONS:
+            value = getattr(self, key)
+            if isinstance(value, dict) or value:
+                sections[key] = value
+        sep = "{\n  "
+        for key in sorted(sections):
+            write(sep + _quote(key) + ": ")
+            if key == "stability_table":
+                _write_table(write, self.stability_table, self.jacobians)
+            else:
+                write(_json_text(sections[key], "\n  "))
+            sep = ",\n  "
+        write("\n}")
 
     def to_json(self) -> str:
-        """The JSON report, as ``json.dumps(report, sort_keys=True, indent=2)``
-        writes it, in one pass: the stability table row by row from the flag
-        table, every other section by ``json.dumps`` one level in."""
-        # indenting a section's text by one level is exact: JSON text holds
-        # no raw newline inside a string
-        sections = {
-            key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-            for key, value in self._sections().items()
-        }
-        if self.stability_table:
-            sections["stability_table"] = _table_json(
-                self.stability_table, self.jacobians
-            )
-        body = ",\n  ".join(
-            f"{_quote(key)}: {sections[key]}" for key in sorted(sections)
-        )
-        return "{\n  " + body + "\n}"
+        """The JSON report as one string: ``write_json``'s pieces, joined."""
+        parts: list[str] = []
+        self.write_json(parts.append)
+        return "".join(parts)
 
     def to_json_dict(self) -> dict:
         """The JSON report, parsed."""
@@ -226,25 +216,17 @@ class Report(NamedTuple):
                 f"(|integral| {d['magnitudes'][0]} -> {d['magnitudes'][-1]} "
                 f"over radii {d['radii'][0]} -> {d['radii'][-1]})"
             )
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
-        for n in self.notes:
-            lines.append(f"note: {n}")
+        lines += (f"warning: {w}" for w in self.warnings)
+        lines += (f"note: {n}" for n in self.notes)
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines) + "\n"
 
 
 def _problem_dict(spec: ProblemSpec, arr: Arrangement, poly: Polyhedron) -> dict:
-    hps = []
-    for k, (h, m) in enumerate(zip(arr.hyperplanes, arr.multiplicities)):
-        hps.append(
-            {
-                "name": f"H{k + 1}",
-                "f": [str(x) for x in h.f],
-                "s": _cplx(h.s),
-                "multiplicity": m,
-            }
-        )
+    hps = [
+        {"name": f"H{k + 1}", "f": [str(x) for x in h.f], "s": _cplx(h.s), "multiplicity": m}
+        for k, (h, m) in enumerate(zip(arr.hyperplanes, arr.multiplicities))
+    ]
     params = {n: format_expr(e) for n, e in spec.parameters}
     return {
         "variables": list(spec.variables),
@@ -259,51 +241,90 @@ def _problem_dict(spec: ProblemSpec, arr: Arrangement, poly: Polyhedron) -> dict
     }
 
 
-def _json_list(items: list, depth: int) -> str:
-    """A JSON array of written ``items`` at nesting ``depth``, laid out as
-    ``json.dumps(..., indent=2)`` lays it out."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+def _json_text(value, pad: str) -> str:
+    """``value`` (str-keyed dicts, lists, tuples and scalars) as ``json.dumps(
+    value, sort_keys=True, indent=2)`` writes it, on a line that starts with
+    ``pad``: a newline and that line's indent."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANT[value]
+    return int.__repr__(value) if isinstance(value, int) else json.dumps(value)
 
 
 _JSON_BOOL = ("false", "true")
+_JSON_CONSTANT = {None: "null", False: "false", True: "true"}
+_CHUNK_ROWS = 256  # stability-table rows per ``write``
 
 
-def _table_json(table: FlagTable, jacobians: bool) -> str:
-    """The stability table as a JSON array at depth 1 of the report.
-
-    Every row of a pair's table has the same r, so one ``%`` template, laid
-    out by ``json.dumps`` from the shape of the table's ``profile_layout``,
-    writes each row: its fields in sorted key order, the q and r minors in
-    the order in which ``sort_keys`` writes their "(j,l)" keys ("(1,10)"
-    before "(1,2)").  The table's row sets are written one at a time into
-    their rows' places, each set's minors quoted once and each row filled by
-    its ``row_layout`` getters and its verdicts; no entry is built.
-    """
-    chart, verdicts, k = table.chart.entries, table.verdicts, table.chart.cols
-    names = [f"H{i + 1}" for i in range(len(chart))]
-    layout, keys = row_layout(k, k), profile_layout(k, k)[:2]
-    q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in keys)
-    shape = dict.fromkeys(("compatible", "flag", "in_bruhat_cell", "stable"), "%s")
-    shape.update(p=["%s"] * k, q=q, r=r)
+@functools.cache
+def _row_layout(k: int, jacobians: bool) -> tuple:
+    """The ``%`` template of a stability-table row at r = k and, per
+    ordering in ``row_layout`` order, the getter of its fields from its row
+    set's source list, in ``sort_keys`` order: q and r keys "(1,10)" before
+    "(1,2)".  A source list holds per ordering its verdict texts, then the
+    set's hyperplane names, its chart rows' JSON (with ``jacobians``) and
+    its quoted ``set_minors``."""
+    q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in profile_layout(k, k)[:2])
+    shape = dict.fromkeys(("compatible", "in_bruhat_cell", "stable"), "%s")
+    shape.update(flag="(" + ",".join(["%s"] * k) + ")", p=["%s"] * k, q=q, r=r)
     if jacobians:
         shape["jacobian"] = ["%s"] * k
-        chart = [_json_list(list(map(_quote, map(str, row))), 4) for row in chart]
     text = json.dumps(shape, sort_keys=True, indent=2)
-    template = text.replace('"%s"', "%s").replace("\n", "\n    ")
-    lines = [""] * len(table)
+    name_at = 3 * math.factorial(k)  # where a source list's names start
+    minor_at = name_at + k * (1 + jacobians)
+    getters = []
+    for o, (rows, places) in enumerate(row_layout(k, k)):
+        jac = [name_at + k + i for i in rows] if jacobians else []
+        fields = [3 * o + 1, *(name_at + i for i in rows), 3 * o + 2, *jac]
+        getters.append(itemgetter(*fields, *(minor_at + i for i in places), 3 * o))
+    return text.replace('"%s"', "%s").replace("\n", "\n    "), getters
+
+
+def _write_table(write, table: FlagTable, jacobians: bool) -> None:
+    """The stability table as a JSON array at depth 1 of the report.
+
+    Each row set's source list is built once (``_row_layout``): each
+    distinct minor is quoted once per table, and each chart row written
+    once.  The rows are then written in table order, each one template
+    filled by its ordering's getter from its set's source list, and sent to
+    ``write`` ``_CHUNK_ROWS`` at a time; no entry is built."""
+    chart, verdicts, k = table.chart.entries, table.verdicts, table.chart.cols
+    template, getters = _row_layout(k, jacobians)
+    names = [f"H{i + 1}" for i in range(len(chart))]
+    if jacobians:
+        chart = [_json_text(list(map(str, row)), "\n" + "  " * 4) for row in chart]
+    quoted = _Quoted()
+    sources = []
     for s, m, places in table.row_sets:
-        texts = list(map(_quote, map(str, m)))
-        set_names, set_rows = [names[i] for i in s], [chart[i] for i in s]
-        for n, (order, pick) in zip(places, layout):
-            stable, compatible, cell = verdicts[n]
-            flag = '"(' + ",".join(order(set_names)) + ')"'
-            jac = order(set_rows) if jacobians else ()
-            head = (_JSON_BOOL[compatible], flag, _JSON_BOOL[cell])
-            lines[n] = template % (*head, *jac, *pick(texts), _JSON_BOOL[stable])
-    return _json_list(lines, 1)
+        source = [_JSON_BOOL[v] for n in places for v in verdicts[n]]
+        source += [names[i] for i in s]
+        if jacobians:
+            source += [chart[i] for i in s]
+        source += map(quoted.__getitem__, m)
+        sources.append(source)
+    sep, f, origins = "[\n    ", len(getters), table.sources
+    for start in range(0, len(origins), _CHUNK_ROWS):
+        chunk = origins[start : start + _CHUNK_ROWS]
+        rows = [template % getters[o](sources[s]) for s, o in (divmod(n, f) for n in chunk)]
+        write(sep + ",\n    ".join(rows))
+        sep = ",\n    "
+    write("\n  ]")
+
+
+class _Quoted(dict):
+    """Each value's quoted JSON string, made when it is first read."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _quote(str(value))
+        return text
 
 
 def _violation_rows(audit) -> tuple:
@@ -518,9 +539,7 @@ def _positive_float(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -575,30 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=_positive_float,
         default=DEFAULT_TOL,
-        help=(
-            "oracle tolerance and verify comparison tolerance, finite "
-            "and > 0"
-        ),
+        help="oracle tolerance and verify comparison tolerance, finite and > 0",
     )
-    common.add_argument(
-        "--json", action="store_true", help="emit a JSON report"
-    )
-    sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="flag stability and compatibility table",
-    )
-    sub.add_parser("eval", parents=[common], help="evaluate by residues")
-    sub.add_parser(
-        "verify",
-        parents=[common],
-        help="evaluate and compare against numerical quadrature",
-    )
-    sub.add_parser(
-        "grouping",
-        parents=[common],
-        help="canonical divisor grouping and local residues",
-    )
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    for name, text in (
+        ("analyze", "flag stability and compatibility table"),
+        ("eval", "evaluate by residues"),
+        ("verify", "evaluate and compare against numerical quadrature"),
+        ("grouping", "canonical divisor grouping and local residues"),
+    ):
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -606,10 +611,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = load_problem(args.file)
-    except OSError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 2
-    except ProblemError as exc:
+    except (OSError, ProblemError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     options = EngineOptions(precision=args.precision)
@@ -626,7 +628,8 @@ def main(argv=None) -> int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(report.to_json())
+        report.write_json(sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         print(report.to_text(), end="")
     return 0 if report.passed else 1

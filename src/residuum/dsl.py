@@ -557,19 +557,27 @@ class ProblemSpec(NamedTuple):
         return Polyhedron.from_generators(self.cone)
 
     def arrangement(self) -> Arrangement:
-        """Lower to exact hyperplane data and a numerator function."""
+        """Lower to exact hyperplane data and a numerator function.  A factor
+        written c (f(v) - i s), with (f, s) its canonical hyperplane, to the
+        power m leaves c^-m in the numerator."""
         env = self._environment()
         nvars = self.dim
         hyperplanes: list[Hyperplane] = []
         mults: list[int] = []
+        scale = _ONE
         for expr, mult in self.denominator:
-            hyperplanes.append(_lower_factor(expr, env, nvars))
+            h, c = _lower_factor(expr, env, nvars)
+            hyperplanes.append(h)
             mults.append(mult)
+            if c != _ONE:
+                scale /= c**mult
         if self.numerator is None:
             numer = ExpRationalFunction.from_parts(nvars)
         else:
             value = _eval(self.numerator, env, nvars)
             numer = _lift(value, nvars)
+        if scale != _ONE:
+            numer = numer.scale(scale)
         return Arrangement.build(
             nvars, hyperplanes, numerator=numer, multiplicities=mults
         )
@@ -876,7 +884,8 @@ def _v_pow(a, b, nvars: int, pos):
     raise ProblemError("unsupported exponent expression", *pos)
 
 
-def _lower_factor(expr: Expr, env: dict, nvars: int) -> Hyperplane:
+def _lower_factor(expr: Expr, env: dict, nvars: int) -> tuple:
+    """The canonical hyperplane (f, s) of a factor written c (f(v) - i s), and c."""
     value = _eval(expr, env, nvars)
     if isinstance(value, ExpRationalFunction):
         raise ProblemError(
@@ -893,6 +902,8 @@ def _lower_factor(expr: Expr, env: dict, nvars: int) -> Hyperplane:
             *expr.pos,
         )
     try:
-        return canonicalize_hyperplane(value.coeffs, value.const)
+        h = canonicalize_hyperplane(value.coeffs, value.const)
     except (NotAlignable, MeetsRealLocus, ValueError) as exc:
         raise ProblemError(str(exc), *expr.pos) from exc
+    j = next(j for j, f in enumerate(h.f) if f)
+    return h, value.coeffs[j] / h.f[j]

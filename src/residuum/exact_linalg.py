@@ -51,7 +51,7 @@ import math
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 def _exact(x) -> int | Fraction:
@@ -74,13 +74,6 @@ class RationalMatrix(NamedTuple):
 
     entries: tuple[tuple[int | Fraction, ...], ...]
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        data = tuple(tuple(_exact(x) for x in row) for row in rows)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise ValueError("ragged rows")
-        return cls(data)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -95,11 +88,6 @@ class RationalMatrix(NamedTuple):
 
     def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self.entries[i]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        )
 
 
 def _integer_rows(
@@ -307,17 +295,17 @@ def read_ordering(minors: list, k: int, width: int, n: int, verdicts: Verdicts) 
 
 @functools.cache
 def row_layout(k: int, width: int) -> tuple:
-    """Per ordering of k rows, in ``profile_layout`` order, its getter of rows
-    and the getter of its table row's minors from the rows' ``set_minors``:
-    p, then q and r, each in ``json.dumps``'s order of "(j,l)" ("(1,10)"
-    first)."""
+    """Per ordering of k rows, in ``profile_layout`` order, the positions of
+    its rows among the ascending k, and of its table row's minors in the
+    rows' ``set_minors``: p, then q and r, each in ``json.dumps``'s order of
+    "(j,l)" ("(1,10)" first)."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
     n = range(2 * len(_subset_keys(range(k), width)))
     text = lambda pair: "(%d,%d)" % pair[0]
     layout = []
     for o, p, q, r in readings:
         q, r = sorted(q(q_pairs), key=text), sorted(r(r_pairs), key=text)
-        layout.append((o, _getter([*p(n), *(i for _, i in q + r)])))
+        layout.append((o(range(k)), (*p(n), *(i for _, i in q + r))))
     return tuple(layout)
 
 

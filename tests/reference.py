@@ -43,6 +43,9 @@
   determinant as the product of the pivots; ``exact_linalg`` eliminates
   integer rows fraction-free instead (Bareiss), and the suite checks its
   determinant, rank, inverse, solutions and row echelon keys against these.
+* ``matrix`` and ``submatrix``: a ``RationalMatrix`` from rows, and one
+  on chosen rows and columns of another; the package builds its matrices
+  from tuples of rows itself.
 * ``fraction_chart``: the chart matrix F M as a product of Fraction
   matrices (``matmul``); ``arrangement.jacobian`` takes integer dot products
   over each generator's denominator instead, ints where the entries are
@@ -152,6 +155,17 @@ def fraction_inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     reduced, _, _ = fraction_gauss_jordan([[*row, *e] for row, e in zip(rows, eye)])
     return tuple(row[n:] for row in reduced)
+
+
+def matrix(rows) -> RationalMatrix:
+    """``rows`` as a ``RationalMatrix``: ints and Fractions as given, a float
+    as its exact Fraction."""
+    return RationalMatrix(tuple(tuple(map(exact_linalg._exact, row)) for row in rows))
+
+
+def submatrix(mat: RationalMatrix, rows, cols) -> RationalMatrix:
+    """The entries of ``mat`` on ``rows`` and ``cols``, in the order given."""
+    return RationalMatrix(tuple(tuple(mat.entries[i][j] for j in cols) for i in rows))
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

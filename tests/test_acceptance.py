@@ -32,7 +32,7 @@ from conftest import (
     three_plane_value,
     z_star,
 )
-from reference import ForeignPoleInsideTorus, torus_residue
+from reference import ForeignPoleInsideTorus, matrix, torus_residue
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -44,7 +44,7 @@ from residuum.arrangement import (
     stable_flags,
 )
 from residuum.cli import main as cli_main
-from residuum.exact_linalg import RationalMatrix, minor_profile
+from residuum.exact_linalg import minor_profile
 from residuum.oracle import quad_integral
 from residuum.residue_engine import (
     DivisorGrouping,
@@ -393,9 +393,9 @@ def test_criterion_8():
                 Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 for _ in range(size)
             ]
-            plain = minor_profile(RationalMatrix.from_rows(rows))
+            plain = minor_profile(matrix(rows))
             scaled = minor_profile(
-                RationalMatrix.from_rows(
+                matrix(
                     [[d * value for value in row] for d, row in zip(scales, rows)]
                 )
             )

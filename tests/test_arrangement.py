@@ -19,7 +19,7 @@ from conftest import (
     z_star,
 )
 import reference
-from reference import pairwise_flag_classes, same_flag
+from reference import matrix, pairwise_flag_classes, same_flag
 from residuum import symfun
 from residuum.arrangement import (
     Arrangement,
@@ -41,7 +41,6 @@ from residuum.arrangement import (
 )
 from residuum.exact_linalg import (
     GaussianRational,
-    RationalMatrix,
     inverse,
     minor_profile,
     rank,
@@ -171,7 +170,7 @@ def test_polyhedron_inverse_relation():
     m = poly.basis_matrix()
     z = inverse(poly.basis_matrix())
     prod = reference.matmul(z, m)
-    assert prod == RationalMatrix.from_rows([[1, 0], [0, 1]])
+    assert prod == matrix([[1, 0], [0, 1]])
     assert poly.det() == 1
 
 
@@ -179,27 +178,27 @@ def test_jacobian_goldens():
     arr3 = three_plane_problem(2, 3)
     # standard cone, collection (H3, H1)
     j = jacobian(arr3, [2, 0], cone(*CONE_UPPER))
-    assert j == RationalMatrix.from_rows([[1, 1], [-1, 0]])
+    assert j == matrix([[1, 1], [-1, 0]])
 
     arr2 = coincident_point_problem()
     # wide cone, collection (H1, H2)
     j = jacobian(arr2, [0, 1], cone(*CONE_WIDE))
-    assert j == RationalMatrix.from_rows([[1, -1], [0, 1]])
+    assert j == matrix([[1, -1], [0, 1]])
     j = jacobian(arr2, [0, 2], cone(*CONE_WIDE))
-    assert j == RationalMatrix.from_rows([[1, -1], [1, 0]])
+    assert j == matrix([[1, -1], [1, 0]])
     j = jacobian(arr2, [2, 1], cone(*CONE_WIDE))
-    assert j == RationalMatrix.from_rows([[1, 0], [0, 1]])
+    assert j == matrix([[1, 0], [0, 1]])
 
     # standard cone: Jacobian rows are the raw f-rows
     j = jacobian(arr2, [2, 0], cone(*CONE_UPPER))
-    assert j == RationalMatrix.from_rows([[1, 1], [1, 0]])
+    assert j == matrix([[1, 1], [1, 0]])
 
 
 def test_jacobian_generator_permutation_permutes_columns():
     arr = three_plane_problem(2, 3)
     j_a = jacobian(arr, [2, 0], cone((1, 0), (0, 1)))
     j_b = jacobian(arr, [2, 0], cone((0, 1), (1, 0)))
-    assert j_b == RationalMatrix.from_rows(
+    assert j_b == matrix(
         [(row[1], row[0]) for row in j_a.entries]
     )
 
@@ -425,7 +424,7 @@ def _same(arr, a, b) -> bool:
 def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
     """(H1,H2,H5) and (H1,H,H5) agree exactly when H lies on the span of H1
     and H2 and through their intersection."""
-    assume(rank(RationalMatrix.from_rows([f1, f2, f3])) == 3)
+    assume(rank(matrix([f1, f2, f3])) == 3)
     _check_spans(f1, f2, f3, c, s)
 
 
@@ -502,7 +501,7 @@ def incident_arrangements(draw):
     r = draw(st.integers(2, 3))
     row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
     base = draw(st.lists(row, min_size=r, max_size=r))
-    assume(rank(RationalMatrix.from_rows(base)) == r)
+    assume(rank(matrix(base)) == r)
     # offset k is q_k + pi_k pi
     offsets = [(Fraction(draw(st.integers(1, 4))), 0) for _ in range(r)]
     pi_at = draw(st.none() | st.integers(0, r - 1))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, pi
 
 from conftest import three_plane_value
-from reference import stability_lines, stability_rows
+from reference import matrix, stability_lines, stability_rows
 from residuum import arrangement, exact_linalg, oracle, symfun
 from residuum.arrangement import (
     Arrangement,
@@ -34,7 +34,9 @@ from residuum.arrangement import (
     terminal_classes,
 )
 from residuum.cli import (
+    _CHUNK_ROWS,
     Report,
+    _json_text,
     cmd_analyze,
     cmd_eval,
     cmd_grouping,
@@ -767,7 +769,7 @@ def _table_pairs(draw):
     rows = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r + 2))
     gens = draw(
         st.lists(st.lists(_fractions, min_size=r, max_size=r), min_size=r, max_size=r).filter(
-            lambda g: exact_linalg.determinant(RationalMatrix.from_rows(g)) != 0
+            lambda g: exact_linalg.determinant(matrix(g)) != 0
         )
     )
     hps = [Hyperplane(tuple(f), GaussianRational.of(k + 1)) for k, f in enumerate(rows)]
@@ -807,8 +809,8 @@ def test_table_writer_orders_minor_keys_as_strings():
     p_1 = 1 and q_(1,l) = l."""
     row = RationalMatrix((tuple(range(1, 11)),))
     minors = exact_linalg.set_minors(exact_linalg.minor_store(row), range(1), 10)
-    [(_, pick)] = exact_linalg.row_layout(1, 10)
-    assert pick(minors) == (1, 10, *range(2, 10))
+    [(_, places)] = exact_linalg.row_layout(1, 10)
+    assert [minors[i] for i in places] == [1, 10, *range(2, 10)]
 
 
 def test_table_writer_writes_empty_minor_dicts():
@@ -820,6 +822,57 @@ def test_table_writer_writes_empty_minor_dicts():
     assert len(table) == 3
     text = _check_table_writer(table, True)
     assert text.count('"q": {}') == text.count('"r": {}') == 3
+
+
+# JSON values as reports hold them, and more: empty containers, non-ASCII
+# and control characters in keys and strings, ints past 64 bits
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+@example({"\u03c9\n": ["\x00\x1f\x7f", "\u00e9\ud7ff", -(2**70), 2**64, True, False, None, {}, []]})
+@settings(max_examples=200, deadline=None)
+def test_section_writer_matches_json_dumps(value):
+    """``_json_text`` writes what ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes, at the top level and nested one level in."""
+    text = json.dumps(value, sort_keys=True, indent=2)
+    assert _json_text(value, "\n") == text
+    assert _json_text(value, "\n  ") == text.replace("\n", "\n  ")
+
+
+# 2 * _CHUNK_ROWS points on a line: the table fills two chunks exactly
+_FULL_CHUNKS = "vars x; cone (1); den %s;\n" % " ".join(
+    f"(x - {k}*i)" for k in range(1, 2 * _CHUNK_ROWS + 1)
+)
+# 17 lines through i(1, 0) with distinct slopes: 17 * 16 = 272 flags
+_PARTIAL_CHUNK = "vars x y; cone (1,0) (0,1); den %s;\n" % " ".join(
+    f"(x + {k}*y - i)" for k in range(17)
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, rows",
+    [("analyze", _FULL_CHUNKS, 2 * _CHUNK_ROWS), ("eval", _PARTIAL_CHUNK, 272)],
+    ids=["full-chunks", "partial-chunk"],
+)
+def test_streamed_json_report_is_to_json(tmp_path, capsys, command, text, rows):
+    """``main`` streams the report to stdout a chunk of rows at a time; what
+    it prints is ``to_json()`` and a newline, whether or not the table ends
+    on a chunk boundary, and that is the report as ``json.dumps`` writes it,
+    its rows the reference rows."""
+    path = _write(tmp_path, text)
+    report = {"analyze": cmd_analyze, "eval": cmd_eval}[command](parse_problem(text))
+    assert len(report.stability_table) == rows
+    assert main([command, path, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == report.to_json() + "\n"
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert data["stability_table"] == list(stability_rows(report.stability_table, command == "analyze"))
 
 
 def test_verify_one_dimensional_pi():

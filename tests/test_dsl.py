@@ -653,17 +653,24 @@ def test_mutation_corpus_replays():
     assert not changed, changed[:3]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="lowering a den factor keeps its hyperplane and drops its scale: "
-    "2*x - 2*i is lowered as x - i",
-)
 def test_scaled_denominator_factor_keeps_its_scale():
-    """int e^(i x) / (2 x - 2 i) dx = pi i / e, half the integral of
-    e^(i x) / (x - i); the engine reports the latter."""
+    """A den factor written c (f(v) - i s) divides the integrand by c: the
+    integral of e^(i x) / (2 x - 2 i) is pi i / e, half that of
+    e^(i x) / (x - i); a factor 2 x - 2 i in two variables halves the
+    product's value; and x + i = -(-x - i) flips the sign of a simple pole's
+    residue."""
     from residuum.residue_engine import evaluate_integral
 
-    spec = parse_problem("vars x; cone (1); num exp(i*x); den (2*x - 2*i);")
     with working_precision(128):
-        value = evaluate_integral(spec.arrangement(), spec.polyhedron()).value
-        assert abs(value - mpmath.pi * mpc(0, 1) / mpmath.e) < mpf("1e-30")
+        cases = [
+            ("vars x; cone (1); num exp(i*x); den (2*x - 2*i);", mpmath.pi * 1j / mpmath.e),
+            (
+                "vars x y; cone (1,0) (0,1); num exp(i*(2*x)); den (2*x - 2*i) (y - i) (-y - i);",
+                -(mpmath.pi**2) * mpmath.exp(-2) * 1j,
+            ),
+            ("vars x; cone (-1); num exp(-i*x); den (x + i);", -2 * mpmath.pi * 1j / mpmath.e),
+        ]
+        for text, want in cases:
+            spec = parse_problem(text)
+            value = evaluate_integral(spec.arrangement(), spec.polyhedron()).value
+            assert abs(value - want) < mpf("1e-30"), text

@@ -22,7 +22,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 import reference
-from reference import row_combinations
+from reference import matrix, row_combinations, submatrix
 from residuum.arrangement import (
     MAX_REPORTED_VIOLATIONS,
     Arrangement,
@@ -75,7 +75,7 @@ def leading_principal_minor(mat: RationalMatrix, k: int) -> Fraction:
     if k == 0:
         return Fraction(1)
     idx = range(k)
-    return determinant(mat.submatrix(idx, idx))
+    return determinant(submatrix(mat, idx, idx))
 
 
 def q_minor(mat: RationalMatrix, k: int, l: int) -> Fraction:
@@ -83,7 +83,7 @@ def q_minor(mat: RationalMatrix, k: int, l: int) -> Fraction:
     if not (1 <= k < l <= mat.cols) or k > mat.rows:
         raise ValueError(f"q minor ({k},{l}) out of range")
     cols = list(range(k - 1)) + [l - 1]
-    return determinant(mat.submatrix(range(k), cols))
+    return determinant(submatrix(mat, range(k), cols))
 
 
 def r_minor(mat: RationalMatrix, j: int, k: int) -> Fraction:
@@ -91,7 +91,7 @@ def r_minor(mat: RationalMatrix, j: int, k: int) -> Fraction:
     if not (1 <= j < k <= mat.rows) or k - 1 > mat.cols:
         raise ValueError(f"r minor ({j},{k}) out of range")
     rows = [i for i in range(k) if i != j - 1]
-    return determinant(mat.submatrix(rows, range(k - 1)))
+    return determinant(submatrix(mat, rows, range(k - 1)))
 
 
 def oracle_profile(mat: RationalMatrix) -> MinorProfile:
@@ -212,7 +212,7 @@ def test_integer_kernel_matches_fraction_references(pair):
     every integral result an int, and row echelon keys, primitive integer
     rows with positive pivots, equal exactly when the spans are."""
     rows, other = pair
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     assert all(x is y for got, row in zip(mat.entries, rows) for x, y in zip(got, row))
     reduced, pivots, det = reference.fraction_gauss_jordan(rows)
     assert rank(mat) == len(pivots)
@@ -223,7 +223,7 @@ def test_integer_kernel_matches_fraction_references(pair):
         assert math.gcd(*key) == 1 and key[col] > 0
         assert [Fraction(x, key[col]) for x in key] == list(row)
     same_span = reference.fraction_gauss_jordan(other)[0] == reduced
-    assert (row_echelon(RationalMatrix.from_rows(other)) == echelon) == same_span
+    assert (row_echelon(matrix(other)) == echelon) == same_span
     if len(rows) != len(rows[0]):
         return
     assert _as_given(determinant(mat), det)
@@ -252,23 +252,23 @@ def minor_rank(rows: list[list[Fraction]]) -> int:
 @given(square_matrices())
 @settings(max_examples=150, deadline=None)
 def test_bareiss_matches_cofactor_oracle(rows):
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     assert determinant(mat) == cofactor_det(rows)
 
 
 def test_determinant_known_values():
-    assert determinant(RationalMatrix.from_rows([[2]])) == 2
-    assert determinant(RationalMatrix.from_rows([[1, 2], [3, 4]])) == -2
+    assert determinant(matrix([[2]])) == 2
+    assert determinant(matrix([[1, 2], [3, 4]])) == -2
     assert determinant(
-        RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 2)]])
+        matrix([[Fraction(1, 2), 1], [1, Fraction(1, 2)]])
     ) == Fraction(-3, 4)
     # zero pivot forces the internal row swap
-    assert determinant(RationalMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert determinant(matrix([[0, 1], [1, 0]])) == -1
 
 
 def test_minor_conventions_on_2x2():
     # [[a, b], [c, d]]: p1 = a, p2 = ad - bc, q12 = b, r12 = c
-    m = RationalMatrix.from_rows([[5, 7], [11, 13]])
+    m = matrix([[5, 7], [11, 13]])
     assert leading_principal_minor(m, 0) == 1
     assert leading_principal_minor(m, 1) == 5
     assert leading_principal_minor(m, 2) == 5 * 13 - 7 * 11
@@ -278,36 +278,36 @@ def test_minor_conventions_on_2x2():
 
 def test_profile_golden_matrices():
     # [[1, 1], [-1, 0]]: stable (r12 = -1, sign ok) but q12 = 1 > 0.
-    prof = minor_profile(RationalMatrix.from_rows([[1, 1], [-1, 0]]))
+    prof = minor_profile(matrix([[1, 1], [-1, 0]]))
     assert prof.p == (1, 1)
     assert dict(prof.q)[(1, 2)] == 1
     assert dict(prof.r_minors)[(1, 2)] == -1
     assert prof.stable and not prof.compatible and prof.in_bruhat_cell
 
     # [[1, 0], [1, 1]]: r12 = 1 violates the alternating sign rule.
-    prof = minor_profile(RationalMatrix.from_rows([[1, 0], [1, 1]]))
+    prof = minor_profile(matrix([[1, 0], [1, 1]]))
     assert dict(prof.r_minors)[(1, 2)] == 1
     assert not prof.stable
     assert prof.compatible  # unstable collections are compatible by definition
 
     # [[1, -1], [-1, 2]]: stable and compatible.
-    prof = minor_profile(RationalMatrix.from_rows([[1, -1], [-1, 2]]))
+    prof = minor_profile(matrix([[1, -1], [-1, 2]]))
     assert prof.p == (1, 1)
     assert prof.stable and prof.compatible
 
     # [[1, -1], [0, 1]] and the identity: stable and compatible.
     for rows in ([[1, -1], [0, 1]], [[1, 0], [0, 1]]):
-        prof = minor_profile(RationalMatrix.from_rows(rows))
+        prof = minor_profile(matrix(rows))
         assert prof.stable and prof.compatible
 
     # [[0, 1], [1, 0]]: p1 = 0, outside the open Bruhat cell, not stable.
-    prof = minor_profile(RationalMatrix.from_rows([[0, 1], [1, 0]]))
+    prof = minor_profile(matrix([[0, 1], [1, 0]]))
     assert not prof.in_bruhat_cell and not prof.stable
 
 
 def test_profile_wide_matrix_q_range():
     # one row, three columns: q minors are just the later entries
-    prof = minor_profile(RationalMatrix.from_rows([[2, -3, 5]]))
+    prof = minor_profile(matrix([[2, -3, 5]]))
     assert prof.p == (2,)
     assert dict(prof.q) == {(1, 2): -3, (1, 3): 5}
     assert prof.r_minors == ()
@@ -319,7 +319,7 @@ def test_profile_wide_matrix_q_range():
 @settings(max_examples=120, deadline=None)
 def test_minor_profile_matches_oracle(rows):
     """Fractional entries: the store's per-row scales divide out exactly."""
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     assert minor_profile(mat) == oracle_profile(mat)
 
 
@@ -341,7 +341,7 @@ def pooled_rows(draw):
 def test_minor_store_matches_determinants(rows):
     """The store holds (S, c) once for each ascending k-subset S of the rows,
     k <= r, and each column c >= k - 1, as (det, -det) of C[S; (0..k-2, c)]."""
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     big_r, r = mat.rows, mat.cols
     store = minor_store(mat)
     assert set(store) == {
@@ -351,7 +351,7 @@ def test_minor_store_matches_determinants(rows):
         for c in range(k - 1, r)
     }
     for (subset, c), pair in store.items():
-        det = determinant(mat.submatrix(subset, (*range(len(subset) - 1), c)))
+        det = determinant(submatrix(mat, subset, (*range(len(subset) - 1), c)))
         assert pair == (det, -det)
 
 
@@ -372,7 +372,7 @@ def arrangements(draw):
             st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r),
             min_size=r,
             max_size=r,
-        ).filter(lambda g: determinant(RationalMatrix.from_rows(g)) != 0)
+        ).filter(lambda g: determinant(matrix(g)) != 0)
     )
     return rows, gens
 
@@ -419,7 +419,7 @@ def test_flag_table_matches_minor_oracle(data):
     assert [e.flag.indices for e in table] == [
         c
         for c in permutations(range(len(rows)), r)
-        if rank(RationalMatrix.from_rows([rows[i] for i in c])) == r
+        if rank(matrix([rows[i] for i in c])) == r
     ]
     for e in table:
         jac = jacobian(arr, e.flag.indices, poly)
@@ -438,7 +438,7 @@ def pooled_arrangements(draw):
     entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
     gens = draw(
         st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r).filter(
-            lambda g: determinant(RationalMatrix.from_rows(g)) != 0
+            lambda g: determinant(matrix(g)) != 0
         )
     )
     return rows, gens
@@ -558,7 +558,7 @@ def test_flag_table_agrees_with_itself(data):
 @settings(max_examples=60, deadline=None)
 def test_minor_profile_of_a_wide_matrix_matches_per_flag_read(rows):
     """k < width: the q minors run past the last row, as the oracle's do."""
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     want = reference.read_profile(minor_store(mat), range(mat.rows), mat.cols)
     assert minor_profile(mat) == want
 
@@ -567,9 +567,9 @@ def test_minor_profile_of_a_wide_matrix_matches_per_flag_read(rows):
 @settings(max_examples=120, deadline=None)
 def test_positive_row_scaling_preserves_verdicts(rows, raw_factors):
     """Multiplying rows by positive scalars never changes any verdict."""
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     factors = [abs(f) + Fraction(1, 7) for f in raw_factors[: mat.rows]]
-    scaled = RationalMatrix.from_rows(
+    scaled = matrix(
         [[c * x for x in row] for c, row in zip(factors, mat.entries)]
     )
     a, b = minor_profile(mat), minor_profile(scaled)
@@ -582,7 +582,7 @@ def test_positive_row_scaling_preserves_verdicts(rows, raw_factors):
 @settings(max_examples=100, deadline=None)
 def test_bruhat_cell_is_unpivoted_lu(rows):
     """All leading principal minors nonzero iff LU works with no row swap."""
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     n = mat.rows
     in_cell = all(leading_principal_minor(mat, k) != 0 for k in range(1, n + 1))
 
@@ -601,7 +601,7 @@ def test_bruhat_cell_is_unpivoted_lu(rows):
 @given(st.one_of(square_matrices(4), low_rank_matrices()), st.data())
 @settings(max_examples=160, deadline=None)
 def test_inverse_and_solve(rows, data):
-    mat = RationalMatrix.from_rows(rows)
+    mat = matrix(rows)
     assert rank(mat) == minor_rank(rows)
 
     # targets: combinations of the rows, some pushed off their span
@@ -615,9 +615,9 @@ def test_inverse_and_solve(rows, data):
     for t in targets:
         if data.draw(st.booleans()):
             t[data.draw(st.integers(0, mat.cols - 1))] += 1
-    target_mat = RationalMatrix.from_rows(targets)
+    target_mat = matrix(targets)
     combos = row_combinations(mat, target_mat)
-    stacked = RationalMatrix.from_rows(rows + targets)
+    stacked = matrix(rows + targets)
     spans = rank(mat) == mat.rows and rank(stacked) == mat.rows
     assert (combos is not None) == spans
     for cs, t in zip(combos or (), targets):
@@ -643,7 +643,7 @@ def test_inverse_and_solve(rows, data):
     inv = inverse(mat)
     prod = reference.matmul(mat, inv)
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    assert prod == RationalMatrix.from_rows(ident)
+    assert prod == matrix(ident)
     rhs = [Fraction(i + 1, 3) for i in range(n)]
     x = solve_linear(mat, rhs)
     for i in range(n):
@@ -651,7 +651,7 @@ def test_inverse_and_solve(rows, data):
 
 
 def test_solve_with_complex_rhs():
-    mat = RationalMatrix.from_rows([[2, 1], [1, 3]])
+    mat = matrix([[2, 1], [1, 3]])
     rhs = [1 + 2j, 3 - 1j]
     x = solve_linear(mat, rhs)
     for i in range(2):
@@ -794,7 +794,7 @@ def test_exact_values_are_immutable():
         (GaussianRational(Fraction(1, 2), 3), ["re", "im"]),
         (form, ["coeffs", "const"]),
         (Flag((0, 2, 1)), ["indices"]),
-        (minor_profile(RationalMatrix.from_rows([[1, 2], [3, 4]])), ["p", "stable"]),
+        (minor_profile(matrix([[1, 2], [3, 4]])), ["p", "stable"]),
     ]
     for value, fields in values:
         for name in fields:

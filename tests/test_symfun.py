@@ -16,9 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, quad
 
-from reference import FractionForm, per_factor_residue, substitute_affine, unit_form
+from reference import FractionForm, matrix, per_factor_residue, substitute_affine, unit_form
 from residuum import dsl, symfun
-from residuum.exact_linalg import GaussianRational, RationalMatrix, determinant
+from residuum.exact_linalg import GaussianRational, determinant
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
@@ -765,7 +765,7 @@ def _coincident_data(draw, extra=(0, 2), max_mult=3):
         lambda f: sum(a * b for a, b in zip(f, c)) > 0
     )
     rows = draw(st.lists(row, min_size=r + extra[0], max_size=r + extra[1], unique=True))
-    assume(all(determinant(RationalMatrix.from_rows([f[: k + 1] for f in rows[: k + 1]])) for k in range(r)))
+    assume(all(determinant(matrix([f[: k + 1] for f in rows[: k + 1]])) for k in range(r)))
     mult = draw(st.lists(st.integers(1, max_mult), min_size=len(rows), max_size=len(rows)))
     freq = draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r) | st.just([0] * r))
     coeff = draw(_small_gaussians.filter(bool))
