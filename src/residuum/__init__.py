@@ -40,6 +40,7 @@ from .dsl import (
 from .oracle import (
     BudgetExceeded,
     NonDecaying,
+    OutOfFloatRange,
     PoleOnArc,
     QuadratureReport,
     SemicircleDiagnostic,
@@ -88,6 +89,7 @@ __all__ = [
     "MeetsRealLocus",
     "NonDecaying",
     "NotAlignable",
+    "OutOfFloatRange",
     "ParseError",
     "PoleOnArc",
     "Polyhedron",

@@ -8,7 +8,8 @@ sorted keys and a 2-space indent, exactly as ``json.dumps(...,
 sort_keys=True, indent=2)`` would: every section but the stability table
 through a small recursive writer, and the stability table in table order,
 a few hundred rows per ``write``, from the flag table's row sets, each
-distinct minor quoted once per table and no ``FlagEntry`` built.
+distinct minor quoted once per table and no ``FlagEntry`` built.  The
+text report reads its table rows from the flag table the same way.
 Byte-identical inputs produce byte-identical output.
 
 Exit status: 0 only when the run is certified (all stable collections
@@ -46,6 +47,7 @@ from .oracle import (
     DEFAULT_TOL,
     BudgetExceeded,
     NonDecaying,
+    OutOfFloatRange,
     PoleOnArc,
     quad_integral,
     semicircle_check,
@@ -85,10 +87,9 @@ _OPTIONAL_SECTIONS = (
 class Report(NamedTuple):
     """One command's findings.
 
-    ``stability_table`` holds the pair's ``FlagTable`` (``to_text`` also
-    takes any sequence of ``FlagEntry`` rows, ``write_json`` only the table),
-    and ``jacobians`` says whether its JSON rows carry each flag's Jacobian;
-    every other section is already formatted for serialization.
+    ``stability_table`` holds the pair's ``FlagTable``, and ``jacobians``
+    says whether its JSON rows carry each flag's Jacobian; every other
+    section is already formatted for serialization.
     """
 
     command: str
@@ -158,14 +159,7 @@ class Report(NamedTuple):
             lines.append(
                 f"{'flag':<12}{'stable':<9}{'compatible':<12}p-minors"
             )
-            for entry in self.stability_table:
-                prof = entry.profile
-                pm = ", ".join(str(x) for x in prof.p)
-                lines.append(
-                    f"{entry.flag.label():<12}"
-                    f"{'yes' if prof.stable else 'no':<9}"
-                    f"{'yes' if prof.compatible else 'no':<12}{pm}"
-                )
+            lines += _text_rows(self.stability_table)
         for v in self.violations:
             qs = ", ".join(f"q[{k}] = {val}" for k, val in v["positive_q"].items())
             lines.append(f"violation: stable collection {v['flag']} has {qs}")
@@ -319,6 +313,23 @@ def _write_table(write, table: FlagTable, jacobians: bool) -> None:
     write("\n  ]")
 
 
+def _text_rows(table: FlagTable) -> list:
+    """The text report's stability-table lines, in table order: each flag's
+    label, its stable and compatible verdicts and its p minors, read from
+    its row set's ``set_minors`` by its ordering's getter; no entry is
+    built."""
+    readings = profile_layout(table.chart.cols, table.chart.cols)[2]
+    names = [f"H{i + 1}" for i in range(table.chart.rows)]
+    words = ("no", "yes")
+    lines = []
+    for flag, (stable, compatible, _), n in zip(table.indices, table.verdicts, table.sources):
+        s, o = divmod(n, len(readings))
+        label = "(" + ",".join([names[i] for i in flag]) + ")"
+        minors = ", ".join(map(str, readings[o][1](table.row_sets[s][1])))
+        lines.append(f"{label:<12}{words[stable]:<9}{words[compatible]:<12}{minors}")
+    return lines
+
+
 class _Quoted(dict):
     """Each value's quoted JSON string, made when it is first read."""
 
@@ -467,7 +478,7 @@ def cmd_verify(
                 "tolerance": _fmt(tol),
                 "within_tolerance": within,
             }
-        except (NonDecaying, BudgetExceeded, ValueError) as exc:
+        except (NonDecaying, BudgetExceeded, OutOfFloatRange, ValueError) as exc:
             oracle = {"error": str(exc)}
             notes.append(f"numerical verification unavailable: {exc}")
         passed = result.certificate.certified and within

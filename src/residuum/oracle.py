@@ -1,18 +1,33 @@
 """Numerical verification layer: full-space quadrature and semicircle arc
 diagnostics.
 
-Everything here runs in float64 numpy, independent of the exact residue
-machinery; the only shared ingredient is the symbolic function container.
-Its terms are read once into one float64 spec per term (_term_specs), from
-which two evaluators are built: _tensor_sum for sums over tensor grids and
-the pointwise closure of compile_numeric for everything else (the
-shell-tail faces and arcs).
+The oracle is independent of the exact residue machinery; the only shared
+ingredient is the symbolic function container.  Its terms are read once
+into float64 data, one spec per term (_term_specs), and the work falls in
+two stages.
 
-numpy is imported inside each function that computes with it, never at
-module level, so importing this module, and residuum with it, loads none of
-it: analyze, eval and grouping run without numpy, which only verify and the
-numeric functions (quad_integral, semicircle_check, compile_numeric) load,
-on their first call.
+* The per-axis stage, in plain Python floats: each axis' nodes and weights
+  (_tan_axis, _window_axis) and, per term of a tensor sum, one vector per
+  axis (_axis_vectors), with the exponential and every linear factor that
+  depends on that axis alone folded in.  A term with no factor left sums
+  to a product of 1-D sums.  A function with no coupled factor (a linear
+  factor whose row has two or more nonzero entries) is also sampled on the
+  shell-tail faces here (_face_values).
+* The grid stage, in numpy: the block kernel _term_block for a term's
+  remaining factors on a tensor grid (_grid_stage), the pointwise closure
+  of compile_numeric for the shell-tail faces of a function with a coupled
+  factor, and semicircle_check.
+
+numpy is imported on entering the grid stage, never at module level.  So
+importing this module, and residuum with it, loads none of it; neither do
+analyze, eval and grouping, nor a verify whose chart integrand has no
+coupled factor.  The per-axis stage rounds as numpy would where that is
+plain IEEE arithmetic: _quotient divides as numpy's complex quotient does
+and _pairwise_sum adds in np.sum's order, so a sum is the same to the bit
+in either stage.  Where numpy's SIMD loops fuse a multiply-add (a complex
+product, a magnitude) Python rounds twice, so a face value may differ from
+the closure's in its last bit.  A value that leaves float64's range in
+either stage raises OutOfFloatRange.
 
 quad_integral integrates in hyperplane coordinates w = F_B v, F_B holding
 the rows f_j of r hyperplanes with the largest |det F_B|: the trapezoid rule
@@ -21,6 +36,9 @@ axes, and the poles lie on the hyperplanes.  A det-1 substitution v = U u
 changes neither det F_B nor any row f_j F_B^-1, so the integrand in w,
 Arrangement.integrand_in of the chart F_B^-1, and every node and sum, does
 not depend on how the problem is written.  Box lengths are lengths in w.
+In these coordinates the chosen hyperplanes' own factors depend on one
+axis each, since their rows f_j F_B^-1 are exact unit vectors: a product
+of one-variable factors has no coupled factor however it is written.
 
 In r <= 3 variables one rule serves every integral: the trapezoid
 (midpoint) sum on a uniform tensor grid, under one of two maps.
@@ -57,22 +75,22 @@ conservative but always an upper bound.
 
 One kernel, _term_block, evaluates a term on a block of about 32,768
 points, for the grid sums and the closure alike, in buffers that stay in
-L2 cache.  On a tensor grid each term's exponential and weights are one
-vector per axis, and so is each linear factor that depends on one axis,
-while the vector stays in range: the chosen hyperplanes' own do, since
-their rows in w are built from the exact f_j F_B^-1, unit vectors;
-a term with no other factor is a product of 1-D sums.  Only the
-polynomial and the other factors are done per point, multiplied in groups
-whose products provably stay within float64's range (_factor_groups),
-and the numerator is divided once per group.  No BLAS routine takes
-part, so repeated sums are bitwise equal.
+L2 cache; _face_values repeats its operations in its order, on lists.  On
+a tensor grid only the polynomial and the factors left per point are done
+per point, multiplied in groups whose products provably stay within
+float64's range (_factor_groups), and the numerator is divided once per
+group.  No BLAS routine takes part, so repeated sums are bitwise equal.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
+from array import array
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
 
 from mpmath import mpc
@@ -97,6 +115,10 @@ class NonDecaying(Exception):
 
 class BudgetExceeded(Exception):
     """Node budget exhausted before the refinement stabilized."""
+
+
+class OutOfFloatRange(Exception):
+    """A value of the integrand or of a quadrature sum leaves float64's range."""
 
 
 class PoleOnArc(Exception):
@@ -127,17 +149,16 @@ class SemicircleDiagnostic(NamedTuple):
 
 
 def _term_specs(func: ExpRationalFunction):
-    """The float64 data of each term, shared by both evaluators.
+    """The float64 data of each term, shared by both stages.
 
-    One (coeff, poly, expo, expo_0, denom) tuple per term.  poly lists
-    (exponents, value) monomials, or is None when the polynomial is a
-    single constant, which is then folded into coeff.  expo holds the
-    exponent's per-axis coefficients and expo_0 its constant, or both are
-    None when the term has no exponential.  denom lists (row, const, mult)
-    per linear factor, in the term's order.
+    One (coeff, poly, expo, expo_0, denom) tuple per term, of Python
+    complex numbers.  poly lists (exponents, value) monomials, or is None
+    when the polynomial is a single constant, which is then folded into
+    coeff.  expo holds the exponent's per-axis coefficients, a tuple, and
+    expo_0 its constant, or both are None when the term has no
+    exponential.  denom lists (row, const, mult) per linear factor, in the
+    term's order, with row a tuple.
     """
-    import numpy as np
-
     specs = []
     for t in func.terms:
         poly = [(tuple(e), complex(v)) for e, v in t.poly.items()]
@@ -147,28 +168,310 @@ def _term_specs(func: ExpRationalFunction):
         if len(poly) == 1 and not any(poly[0][0]):
             coeff *= poly[0][1]
             poly = None
-        expo = np.array([complex(a) for a in t.expo.coeffs], dtype=complex)
+        expo = tuple(complex(a) for a in t.expo.coeffs)
         expo_0 = complex(t.expo.const)
-        if not (expo.any() or expo_0 != 0):
+        if not (any(expo) or expo_0 != 0):
             expo = expo_0 = None
-        denom = [
-            (np.array([complex(a) for a in f.coeffs], dtype=complex),
-             complex(f.const), m)
-            for f, m in t.denom
-        ]
+        denom = [(tuple(complex(a) for a in f.coeffs), complex(f.const), m) for f, m in t.denom]
         specs.append((coeff, poly, expo, expo_0, denom))
     return specs
 
 
+def _is_coupled(specs) -> bool:
+    """Whether a term has a coupled factor, a row of two or more nonzero entries."""
+    return any(sum(map(bool, row)) > 1 for *_, denom in specs for row, _, _ in denom)
+
+
 # Points per block of the integrand kernel.  Its three complex buffers then
 # take 1.5 MB together and stay in L2 cache: on a 2-vCPU Xeon VM (2 MB of
-# L2 per core), the quadrature of the sheared r=2 product with omega=(1,2)
-# took 0.50, 0.47, 0.57 and 0.80 s at 8,192, 32,768, 131,072 and 600,000.
+# L2 per core), the quadrature of the sheared r=2 product with omega=(1,2),
+# its four factors per point, took 0.50, 0.47, 0.57 and 0.80 s at 8,192,
+# 32,768, 131,072 and 600,000.
 _BLOCK_POINTS = 32_768
-# Every partial product of a group of linear factors stays within
-# 2**-_RANGE_EXP .. 2**_RANGE_EXP, well inside float64's normal range
-# (2**-1022 .. 2**1024).
+# Every partial product of a group of linear factors, and every entry of
+# a folded per-axis vector, stays within 2**-_RANGE_EXP .. 2**_RANGE_EXP,
+# well inside float64's normal range (2**-1022 .. 2**1024).
 _RANGE_EXP = 960
+_LOW, _HIGH = 2.0**-_RANGE_EXP, 2.0**_RANGE_EXP
+
+
+# ---- the per-axis stage: plain Python floats ---------------------------------------
+
+
+# The per-axis stage keeps nodes, weights and other float vectors in
+# array("d"), 8 bytes an entry against 32 for a list of floats: the grid
+# stage's peak memory then holds no more of them than numpy's arrays did.
+
+
+def _tan_axis(scale: float, n: int):
+    """Midpoint rule in u on (-pi/2, pi/2) for x = scale * tan(u)."""
+    u = [math.pi * ((k + 0.5) / n - 0.5) for k in range(n)]
+    nodes = array("d", [scale * math.tan(x) for x in u])
+    weights = array("d", [scale * (math.pi / n) / (c * c) for c in map(math.cos, u)])
+    return nodes, weights
+
+
+# Gaussian-tailed window: roll-off centered at 1.5X with sigma = X/4, so
+# an oscillation of frequency w is truncated with weight exp(-(w X/4)^2/2)
+# while the smooth tail error stays a power series in 1/X.
+_WINDOW_EDGE = 2.75
+_WINDOW_CENTER = 1.5
+_WINDOW_SIGMA = 0.25
+# Spacing d = 2 pi / (f + _ALIAS) on an axis of frequency f puts the first
+# alias of the sum at frequency _ALIAS past the integrand's own, where the
+# transform of a factor analytic in a strip of half-width a is down to
+# exp(-a * _ALIAS): 2e-9 for poles at unit distance, so that the first two
+# levels already agree to the default tolerance.  At the default box and
+# budget the 2X window then fits for f up to 26.
+_ALIAS = 20.0
+
+
+def _window_weight(x, x_flat: float) -> array:
+    """The window at each of the nodes x."""
+    center, scale = _WINDOW_CENTER * x_flat, _WINDOW_SIGMA * x_flat * math.sqrt(2.0)
+    return array("d", [0.5 * math.erfc((abs(v) - center) / scale) for v in x])
+
+
+def _window_axis(x_flat: float, n: int):
+    """n equally spaced midpoints of [-2.75X, 2.75X] with a Gaussian cutoff."""
+    edge = _WINDOW_EDGE * x_flat
+    spacing = 2.0 * edge / n
+    nodes = array("d", [spacing * (k + 0.5) - edge for k in range(n)])
+    return nodes, array("d", [spacing * w for w in _window_weight(nodes, x_flat)])
+
+
+def _quotient(denominators):
+    """The function that divides a list of values by ``denominators``, item
+    by item, as numpy divides complex numbers: Smith's method, through the
+    reciprocal of its denominator, which rounds unlike Python's ``/``.
+
+    For |Re b| >= |Im b| numpy takes t = Im b / Re b and s = 1 / (Re b +
+    Im b t), and a / b = (Re a + Im a t, Im a - Re a t) s.  That is (a u) s
+    with u = 1 - i t to the bit, since the parts of a u round as those sums
+    do and the products by 1 are exact; with u = t - i otherwise, the parts
+    swapped.  So only u and s are made per denominator, and the quotient
+    of each value takes two products of Python complex numbers.
+    """
+    us, scales = [], array("d")
+    for b in denominators:
+        br, bi = b.real, b.imag
+        if abs(br) >= abs(bi):
+            t = bi / br
+            us.append(complex(1.0, -t))
+            scales.append(1.0 / (br + bi * t))
+        else:
+            t = br / bi
+            us.append(complex(t, -1.0))
+            scales.append(1.0 / (bi + br * t))
+    return lambda values: [z * u * s for z, u, s in zip(values, us, scales)]
+
+
+def _pairwise_sum(values, lo: int = 0, n: int | None = None):
+    """The sum of values[lo:lo + n], added as np.sum adds a complex128 array:
+    a run of at most 64 in four interleaved partial sums, (s0 + s1) +
+    (s2 + s3), then its last n % 4 in turn; a longer run as two halves, the
+    first a multiple of 4 long."""
+    if n is None:
+        n = len(values)
+    if n < 4:
+        return reduce(add, values[lo:lo + n])
+    if n <= 64:
+        end = lo + n - n % 4
+        s0, s1, s2, s3 = (reduce(add, values[k:end:4]) for k in range(lo, lo + 4))
+        return reduce(add, values[end:lo + n], (s0 + s1) + (s2 + s3))
+    half = (n - n % 8) // 2
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def _power(x: float, p: int) -> float:
+    """x ** p for an integer p >= 1, squaring by one product as numpy's
+    ``**`` does."""
+    return x if p == 1 else x * x if p == 2 else x**p
+
+
+def _axis_vectors(xs, ws, expo, expo_0, denom):
+    """One term's per-axis vectors g_k = w_k exp(a_k x_k), with exp(c) on
+    axis 0, and the linear factors it leaves per point.
+
+    Each copy of a factor that depends on axis k alone is divided into g_k
+    unless some |g_k| would leave 2**+-_RANGE_EXP.  Returns g and the
+    (row, const, mult) of the factors, or copies, left.
+    """
+    g = list(ws)
+    if expo is not None:
+        g = [
+            [w * cmath.exp(a * x + c) for w, x in zip(g_k, x_k)]
+            for g_k, x_k, a, c in zip(g, xs, expo, (expo_0, *[0j] * (len(xs) - 1)))
+        ]
+    left = []
+    for row, const, mult in denom:
+        on = [k for k, a in enumerate(row) if a]
+        if len(on) == 1:
+            k = on[0]
+            divide = _quotient(row[k] * x + const for x in xs[k])
+            while mult:
+                folded = divide(g[k])
+                if not (min(map(abs, folded)) >= _LOW and max(map(abs, folded)) <= _HIGH):
+                    break
+                g[k], mult = folded, mult - 1
+        if mult:
+            left.append((row, const, mult))
+    return g, left
+
+
+def _face_points(r: int, edge: float) -> list:
+    """The shell tail's sample of the faces of [-edge, edge]^r, as r columns
+    of coordinates: face by face (axis, then sign), 64 points per free axis,
+    those of np.linspace, in C order, and one point per face at r = 1."""
+    step = 2.0 * edge / 63
+    side = [k * step - edge for k in range(63)] + [edge]
+    free = list(itertools.product(side, repeat=r - 1))
+    faces = [(j, sign * edge) for j in range(r) for sign in (-1.0, 1.0)]
+    return [
+        array("d", [x if k == j else p[k - (k > j)] for j, x in faces for p in free])
+        for k in range(r)
+    ]
+
+
+def _forms_at(row, const, cols) -> list:
+    """row . p + const at each point p, one axis at a time, as _linear adds;
+    cols holds the points' coordinates axis by axis."""
+    acc = [const] * len(cols[0])
+    for a, col in zip(row, cols):
+        if a != 0:
+            acc = list(map(add, acc, col)) if a == 1 else [s + z * a for s, z in zip(acc, col)]
+    return acc
+
+
+def _face_values(specs, points, boxes) -> list:
+    """The integrand at real points, given as columns of coordinates, in the
+    per-axis stage: by compile_numeric's operations in its order, with a
+    list in place of each array.  boxes bound the points per axis, for
+    _factor_groups."""
+    cols = [[complex(x) for x in col] for col in points]
+    n = len(cols[0])
+    out = [0j] * n
+    for coeff, poly, expo, expo_0, denom in specs:
+        val = [coeff] * n
+        for k, (e, v) in enumerate(poly or ()):
+            mono = [coeff * v] * n
+            for col, m in zip(cols, e):
+                if m:
+                    mono = [a * z**m for a, z in zip(mono, col)]
+            val = mono if k == 0 else list(map(add, val, mono))
+        if expo is not None:
+            val = [a * cmath.exp(f) for a, f in zip(val, _forms_at(expo, expo_0, cols))]
+        for group in _factor_groups(denom, boxes):
+            prod = None
+            for i, copies in group:
+                row, const, _ = denom[i]
+                base = _forms_at(row, const, cols)
+                for _ in range(copies):
+                    prod = base if prod is None else list(map(mul, prod, base))
+            val = _quotient(prod)(val)
+        out = list(map(add, out, val))
+    return out
+
+
+def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
+    """Weighted sum of the integrand over the tensor grid of 1 to 3 axes,
+    each a (nodes, weights) pair of float vectors.
+
+    Per term, _axis_vectors folds the weights, the exponential and the
+    single-axis factors into per-axis vectors g_k.  A term with no factor
+    left sums to coeff * sum_monomials v * prod_k sum_j x_kj**e_k g_kj, in
+    the per-axis stage; the others go to the grid stage (_grid_stage).
+    """
+    xs = [nodes for nodes, _ in axes]
+    ws = [weights for _, weights in axes]
+    r = len(xs)
+    grid = None
+    total = 0.0 + 0.0j
+    for coeff, poly, expo, expo_0, denom in specs:
+        g, left = _axis_vectors(xs, ws, expo, expo_0, denom)
+        if left:
+            grid = grid or _grid_stage(xs, chunk_points)
+            total = grid(total, coeff, poly, left, g)
+            continue
+        total += coeff * sum(
+            v * math.prod(
+                _pairwise_sum([_power(x, p) * y for x, y in zip(x_k, g_k)] if p else g_k)
+                for x_k, p, g_k in zip(xs, e, g)
+            )
+            for e, v in poly or [((0,) * r, 1.0)]
+        )
+    if not cmath.isfinite(total):
+        raise OutOfFloatRange("a quadrature sum leaves the float64 range")
+    return total
+
+
+# ---- the grid stage: numpy ---------------------------------------------------------
+
+
+def _grid_stage(xs, chunk_points):
+    """The tensor grid of the node vectors xs, for the terms that keep
+    factors per point: ``add_term(total, coeff, poly, left, g)`` returns
+    total plus the sum of one such term, given its per-axis vectors g and
+    the factors left as _axis_vectors gives them.
+
+    Monomials and the linear forms left are outer products and sums of
+    per-axis vectors, by broadcasting.  _term_block evaluates the term in
+    blocks of axis-0 rows, of shape (rows, n_1, n_2) and about chunk_points
+    points, and einsum contracts each block with g_{r-1}, ..., g_0 in
+    turn: 2-3 ns per point on a 2-vCPU Xeon VM, against 5-10 for one einsum
+    over all r vectors.  Its default optimize=False calls no BLAS routine,
+    so the sum does not depend on the thread count.  An overflow raises
+    OutOfFloatRange.
+    """
+    import numpy as np
+
+    boxes = [(min(x), max(x), 0.0, 0.0) for x in xs]
+    xs = [np.array(x) for x in xs]
+    r = len(xs)
+    rest = tuple(len(x) for x in xs[1:])
+    rows = max(1, min(len(xs[0]), chunk_points // math.prod(rest)))
+    bufs = [np.empty((rows,) + rest, dtype=np.complex128) for _ in range(3)]
+
+    def spread(parts):
+        # axis k's vector along dimension k of a block
+        return [p.reshape((-1,) + (1,) * (r - 1 - k)) for k, p in enumerate(parts)]
+
+    def outer(op, parts, sl, out):
+        # axis-0 rows sl of the outer op of spread vectors; only the last
+        # step is block-sized, and it goes to out
+        acc = parts[0][sl]
+        for k in range(1, r):
+            acc = op(acc, parts[k], out=out if k == r - 1 else None)
+        return acc
+
+    def add_term(total, coeff, poly, left, g):
+        g = [np.array(g_k, dtype=np.complex128) for g_k in g]
+        monos = [
+            spread([coeff * v * xs[0] ** e[0]] + [x**p for x, p in zip(xs[1:], e[1:])])
+            for e, v in poly or ()
+        ]
+        forms = [
+            spread([row[0] * xs[0] + const] + [a * x for a, x in zip(row[1:], xs[1:])])
+            for row, const, _ in left
+        ]
+        groups = _factor_groups(left, boxes)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for start in range(0, len(xs[0]), rows):
+                sl = slice(start, start + rows)
+                num, den, lin = (buf[: len(xs[0][sl])] for buf in bufs)
+                val = coeff
+                for k, parts in enumerate(monos):
+                    mono = outer(np.multiply, parts, sl, lin if k else num)
+                    val = mono if k == 0 else np.add(val, mono, out=num)
+                val = _term_block(
+                    val, lambda i, into: outer(np.add, forms[i], sl, into), groups, num, den, lin
+                )
+                for g_k in reversed([g[0][sl]] + g[1:]):
+                    val = np.einsum("...j,j->...", val, g_k)
+                total += complex(val)
+        return total
+
+    return add_term
 
 
 def _box(values):
@@ -314,94 +617,6 @@ def _linear(row, const, p, out, tmp):
     return out
 
 
-def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
-    """Weighted sum of the integrand over the tensor grid of 1 to 3 axes.
-
-    Per term, the weights and the exponential fold into per-axis vectors
-    g_k = w_k exp(a_k x_k), with exp(c) on axis 0, and each copy of a
-    linear factor that depends on axis k alone is divided into g_k unless
-    some |g_k| would leave 2**+-_RANGE_EXP.  A term with no factor left
-    sums to coeff * sum_monomials v * prod_k sum_j x_kj**e_k g_kj; in the
-    others, monomials and the remaining linear forms are outer products
-    and sums of per-axis vectors, by broadcasting.
-    _term_block evaluates the term in blocks of axis-0 rows, of shape
-    (rows, n_1, n_2) and about chunk_points points, and einsum contracts
-    each block with g_{r-1}, ..., g_0 in turn: 2-3 ns per point on a 2-vCPU
-    Xeon VM, against 5-10 for one einsum over all r vectors.  Its default
-    optimize=False calls no BLAS routine, so the sum does not depend on the
-    thread count.
-    """
-    import numpy as np
-
-    xs = [nodes for nodes, _ in axes]
-    r = len(xs)
-    rest = tuple(len(x) for x in xs[1:])
-    rows = max(1, min(len(xs[0]), chunk_points // math.prod(rest)))
-    bufs = [np.empty((rows,) + rest, dtype=np.complex128) for _ in range(3)]
-    boxes = [_box(x) for x in xs]
-
-    def spread(parts):
-        # axis k's vector along dimension k of a block
-        return [p.reshape((-1,) + (1,) * (r - 1 - k)) for k, p in enumerate(parts)]
-
-    def outer(op, parts, sl, out):
-        # axis-0 rows sl of the outer op of spread vectors; only the last
-        # step is block-sized, and it goes to out
-        acc = parts[0][sl]
-        for k in range(1, r):
-            acc = op(acc, parts[k], out=out if k == r - 1 else None)
-        return acc
-
-    total = 0.0 + 0.0j
-    for coeff, poly, expo, expo_0, denom in specs:
-        g = [weights.astype(np.complex128) for _, weights in axes]
-        if expo is not None:
-            g[0] *= np.exp(expo[0] * xs[0] + expo_0)
-            for k in range(1, r):
-                g[k] *= np.exp(expo[k] * xs[k])
-        coupled = []
-        for row, const, mult in denom:
-            (on,) = np.nonzero(row)
-            while len(on) == 1 and mult:
-                k = on[0]
-                folded = g[k] / (row[k] * xs[k] + const)
-                mag = np.abs(folded)
-                if not (mag.min() >= 2.0**-_RANGE_EXP and mag.max() <= 2.0**_RANGE_EXP):
-                    break
-                g[k], mult = folded, mult - 1
-            if mult:
-                coupled.append((row, const, mult))
-        if not coupled:
-            total += coeff * sum(
-                v * math.prod(complex(np.sum(x**p * g_k)) for x, p, g_k in zip(xs, e, g))
-                for e, v in poly or [((0,) * r, 1.0)]
-            )
-            continue
-        monos = [
-            spread([coeff * v * xs[0] ** e[0]] + [x**p for x, p in zip(xs[1:], e[1:])])
-            for e, v in poly or ()
-        ]
-        forms = [
-            spread([row[0] * xs[0] + const] + [a * x for a, x in zip(row[1:], xs[1:])])
-            for row, const, _ in coupled
-        ]
-        groups = _factor_groups(coupled, boxes)
-        for start in range(0, len(xs[0]), rows):
-            sl = slice(start, start + rows)
-            num, den, lin = (buf[: len(xs[0][sl])] for buf in bufs)
-            val = coeff
-            for k, parts in enumerate(monos):
-                mono = outer(np.multiply, parts, sl, lin if k else num)
-                val = mono if k == 0 else np.add(val, mono, out=num)
-            val = _term_block(
-                val, lambda i, into: outer(np.add, forms[i], sl, into), groups, num, den, lin
-            )
-            for g_k in reversed([g[0][sl]] + g[1:]):
-                val = np.einsum("...j,j->...", val, g_k)
-            total += complex(val)
-    return total
-
-
 def _rounded(z):
     """z to 9 significant digits, so that the rounding of a change of
     coordinates cannot reorder two keys whose exact values agree.  An exact
@@ -490,48 +705,6 @@ def _axis_cap(budget: int, r: int) -> int:
     return n if n**r <= budget**2 else n - 1
 
 
-def _tan_axis(scale: float, n: int):
-    """Midpoint rule in u on (-pi/2, pi/2) for x = scale * tan(u)."""
-    import numpy as np
-
-    u = np.pi * ((np.arange(n) + 0.5) / n - 0.5)
-    nodes = scale * np.tan(u)
-    weights = scale * (np.pi / n) / np.cos(u) ** 2
-    return nodes, weights
-
-
-# Gaussian-tailed window: roll-off centered at 1.5X with sigma = X/4, so
-# an oscillation of frequency w is truncated with weight exp(-(w X/4)^2/2)
-# while the smooth tail error stays a power series in 1/X.
-_WINDOW_EDGE = 2.75
-_WINDOW_CENTER = 1.5
-_WINDOW_SIGMA = 0.25
-# Spacing d = 2 pi / (f + _ALIAS) on an axis of frequency f puts the first
-# alias of the sum at frequency _ALIAS past the integrand's own, where the
-# transform of a factor analytic in a strip of half-width a is down to
-# exp(-a * _ALIAS): 2e-9 for poles at unit distance, so that the first two
-# levels already agree to the default tolerance.  At the default box and
-# budget the 2X window then fits for f up to 26.
-_ALIAS = 20.0
-
-
-def _window_weight(x, x_flat):
-    import numpy as np
-
-    erfc = np.vectorize(math.erfc, otypes=[float])
-    sigma = _WINDOW_SIGMA * x_flat
-    return 0.5 * erfc((np.abs(x) - _WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
-
-
-def _window_axis(x_flat: float, n: int):
-    """n equally spaced midpoints of [-2.75X, 2.75X] with a Gaussian cutoff."""
-    import numpy as np
-
-    edge = _WINDOW_EDGE * x_flat
-    spacing = 2.0 * edge / n
-    nodes = spacing * (np.arange(n) + 0.5) - edge
-    return nodes, spacing * _window_weight(nodes, x_flat)
-
 
 def _refine(total, counts, budget, limit):
     """Sums at node counts doubling per axis, capped at budget.
@@ -570,23 +743,32 @@ def _tan_map_quad(specs, r, box, tol, budget):
     )
 
 
-def _shell_tail(fn, r, edge, decay):
-    """Conservative mass bound past the box from the decay degree and the
-    integrand's peak on each face, sampled at 64 points per free axis."""
+def _face_peak(func, specs, r, edge):
+    """The integrand's peak magnitude on the _face_points of [-edge, edge]^r:
+    through the pointwise closure when a factor is coupled, else in the
+    per-axis stage."""
+    points = _face_points(r, edge)
+    if not _is_coupled(specs):
+        mags = list(map(abs, _face_values(specs, points, [(-edge, edge, 0.0, 0.0)] * r)))
+        # max() may pass over a nan, which np.max would return
+        return math.nan if any(map(math.isnan, mags)) else max(mags)
     import numpy as np
 
-    side = np.linspace(-edge, edge, 64)
-    mesh = np.meshgrid(*[side] * max(r - 1, 1), indexing="ij")
-    free = np.stack([m.ravel() for m in mesh])[: r - 1]
-    faces = [np.insert(free, j, sign * edge, axis=0) for j in range(r) for sign in (-1.0, 1.0)]
-    pts = np.concatenate(faces, axis=1).astype(np.complex128)
-    peak = float(np.max(np.abs(fn(pts))))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values = compile_numeric(func)(np.array(points, dtype=np.complex128))
+        return float(np.max(np.abs(values)))
+
+
+def _shell_tail(peak, r, edge, decay):
+    """Conservative mass bound past the box [-edge, edge]^r from the decay
+    degree and the integrand's peak on its faces (_face_peak); the bound
+    itself may be inf."""
+    if not math.isfinite(peak):
+        raise OutOfFloatRange("the integrand leaves the float64 range on the box's faces")
     return peak * r * (2.0**r) * edge**r / (decay - r)
 
 
-def _windowed_quad(func, r, freqs, decay, box, tol, budget):
-    specs = _term_specs(func)
-
+def _windowed_quad(func, specs, r, freqs, decay, box, tol, budget):
     def window_sum(x_flat, counts):
         return _tensor_sum(specs, [_window_axis(x_flat, n) for n in counts])
 
@@ -626,11 +808,12 @@ def _windowed_quad(func, r, freqs, decay, box, tol, budget):
     else:
         est = vals[0]
         extrap_err = 0.0
-    tail = _shell_tail(compile_numeric(func), r, _WINDOW_EDGE * x_last, decay)
+    edge = _WINDOW_EDGE * x_last
+    tail = _shell_tail(_face_peak(func, specs, r, edge), r, edge, decay)
     return QuadratureReport(
         estimate=mpc(est + (fine - base)),
         error_bound=float(extrap_err + abs(fine - base)),
-        box_halfwidth=float(_WINDOW_EDGE * x_last),
+        box_halfwidth=float(edge),
         nodes_per_axis=nodes_used,
         tail_estimate=float(tail),
     )
@@ -643,7 +826,8 @@ def quad_integral(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> QuadratureReport:
     """Direct quadrature of the integral over the whole space, in the
-    coordinates of _hyperplane_chart; box is a length in them."""
+    coordinates of _hyperplane_chart; box is a length in them.  Raises
+    OutOfFloatRange when a value or a sum leaves float64's range."""
     for name, value in (("box", box), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -655,9 +839,15 @@ def quad_integral(
     func = arr._pullback(*_hyperplane_chart(arr))[0]
     freqs, decay = _decay_profile(func)
     budget = _axis_cap(node_budget, r)
-    if all(f == 0.0 for f in freqs):
-        return _tan_map_quad(_term_specs(func), r, box, tol, budget)
-    return _windowed_quad(func, r, freqs, decay, box, tol, budget)
+    specs = _term_specs(func)
+    try:
+        if all(f == 0.0 for f in freqs):
+            return _tan_map_quad(specs, r, box, tol, budget)
+        return _windowed_quad(func, specs, r, freqs, decay, box, tol, budget)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        # cmath.exp beyond the range, a quotient by an exact zero, or a
+        # numpy operation under the grid stage's errstate
+        raise OutOfFloatRange("the integrand leaves the float64 range") from None
 
 
 def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -394,6 +395,51 @@ def test_numpy_loads_only_for_verify():
         "grouping": [0, False],
         "verify": [0, True],
     }
+
+
+# a product of one-variable factors in sheared coordinates: in the oracle's
+# hyperplane chart no factor couples the axes (value pi^2 / e^3)
+SHEARED_PRODUCT = """\
+vars x y;
+cone (1,0) (-3,1);
+num exp(i*x + 5*i*y);
+den (x + 3*y - i) (-x - 3*y - i) (y - i) (-y - i);
+"""
+# verify in a fresh interpreter, its report to a buffer: the exit status
+# and whether numpy was loaded
+VERIFY_COLD = """\
+import contextlib, io, json, sys
+import residuum
+with contextlib.redirect_stdout(io.StringIO()):
+    code = residuum.main(["verify", sys.argv[1], "--json"])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name, loads",
+    [("arctangent", False), ("sheared_product", False), ("three_planes_left", True)],
+)
+def test_verify_loads_numpy_only_for_coupled_factors(tmp_path, name, loads):
+    """verify passes without numpy when no factor of the chart integrand
+    couples two axes, however the problem is written; a coupled factor
+    takes the grid stage, which loads it."""
+    if name == "sheared_product":
+        path = _write(tmp_path, SHEARED_PRODUCT)
+    else:
+        path = str(SAMPLES / f"{name}.rsd")
+    env = dict(os.environ)
+    src = str(SAMPLES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_COLD, path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loads]
 
 
 def _modules_after(statement: str) -> set:
@@ -901,6 +947,22 @@ def test_exact_constants_beyond_the_float_range(tmp_path, capsys):
         assert main(["verify", path]) == 1
         assert "numerical verification unavailable" in capsys.readouterr().out
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_float_overflow_is_a_named_oracle_error(tmp_path, capsys):
+    """e^712 is beyond float64: the quadrature reports the oracle
+    unavailable (OutOfFloatRange), exit 1, instead of a nan estimate with
+    numpy's RuntimeWarnings, while the exact value is still reported."""
+    path = _write(tmp_path, "vars x; cone (1); num exp(712 + i*x); den (x - i)^2;")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", path, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    message = "the integrand leaves the float64 range"
+    assert report["oracle"] == {"error": message}
+    assert report["notes"] == [f"numerical verification unavailable: {message}"]
+    assert report["certificate"]["certified"] and not report["passed"]
+    assert abs(mpf(report["value"]["re"]) / (-2 * pi * mp.exp(711)) - 1) < mpf("1e-15")
 
 
 def test_verify_fail_with_divergence_diagnostic():

@@ -304,7 +304,9 @@ def test_shell_tail_bounds_dense_face_peak():
     the faces v2 = 2 and v3 = -2, at the other coordinates (0, -1) and
     (0, 1).  tail_estimate is at least the bound that the peak of a
     401 x 401 grid on every face gives, up to the 64-point grid's offset
-    from the peak."""
+    from the peak, whether the per-axis stage samples the faces (the
+    function has no coupled factor) or the pointwise closure does; the
+    two peaks agree to rounding."""
     edge, decay = 2.0, 5
 
     def fn(p):
@@ -319,20 +321,53 @@ def test_shell_tail_bounds_dense_face_peak():
             free.insert(j, np.full(a.size, sign * edge))
             peak = max(peak, float(np.max(np.abs(fn(np.stack(free))))))
     bound = peak * 3 * 2.0**3 * edge**3 / (decay - 3)
-    assert oracle._shell_tail(fn, 3, edge, decay) >= 0.99 * bound
+
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    consts = [mpc(0, -0.5), mpc(-1, -0.5), mpc(1, -0.5)]
+    func = ExpRationalFunction.from_parts(
+        3, denom=[(AffineForm.make(row, c), 1) for row, c in zip(rows, consts)]
+    )
+    specs = oracle._term_specs(func)
+    assert not oracle._is_coupled(specs)
+    faces = oracle._face_peak(func, specs, 3, edge)
+    assert oracle._shell_tail(faces, 3, edge, decay) >= 0.99 * bound
+    points = np.array(oracle._face_points(3, edge), dtype=complex)
+    assert points.shape == (3, 6 * 64 * 64)
+    closure = float(np.max(np.abs(oracle.compile_numeric(func)(points))))
+    assert oracle._shell_tail(closure, 3, edge, decay) >= 0.99 * bound
+    assert faces == pytest.approx(closure, rel=1e-15)
 
 
 def test_oracle_constants_match_numpy():
-    """The arc floor is 64 float64 epsilons, and the window weight is the
-    erfc of np.vectorize(math.erfc), bit for bit."""
+    """The arc floor is 64 float64 epsilons; the window weight is the erfc
+    of np.vectorize(math.erfc), bit for bit, and the window's nodes and
+    the shell tail's face points are numpy's (np.arange, np.linspace)."""
     assert oracle._ARC_FLOOR == 64.0 * float(np.finfo(np.float64).eps)
     x_flat = 3.0
     x = np.linspace(-oracle._WINDOW_EDGE * x_flat, oracle._WINDOW_EDGE * x_flat, 1001)
     sigma = oracle._WINDOW_SIGMA * x_flat
     erfc = np.vectorize(math.erfc, otypes=[float])
     want = 0.5 * erfc((np.abs(x) - oracle._WINDOW_CENTER * x_flat) / (sigma * np.sqrt(2.0)))
-    got = oracle._window_weight(x, x_flat)
+    got = np.array(oracle._window_weight(x.tolist(), x_flat))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    n, edge = 37, oracle._WINDOW_EDGE * x_flat
+    spacing = 2.0 * edge / n
+    nodes = spacing * (np.arange(n) + 0.5) - edge
+    center = oracle._WINDOW_CENTER * x_flat
+    weights = spacing * (0.5 * erfc((np.abs(nodes) - center) / (sigma * np.sqrt(2.0))))
+    got_nodes, got_weights = oracle._window_axis(x_flat, n)
+    assert np.array(got_nodes).tobytes() == nodes.tobytes()
+    assert np.array(got_weights).tobytes() == weights.tobytes()
+
+    side = np.linspace(-edge, edge, 64)
+    assert np.array(oracle._face_points(1, edge)).tolist() == [[-edge, edge]]
+    faces = np.array(oracle._face_points(2, edge))
+    want = np.concatenate(
+        [np.insert(side[None, :], j, s * edge, axis=0) for j in (0, 1) for s in (-1.0, 1.0)],
+        axis=1,
+    )
+    assert faces.tobytes() == want.tobytes()
 
 
 def test_quad_rejects_nondecaying():
@@ -549,6 +584,62 @@ def test_folded_factors_match_reference(case):
     assert abs(grid - expect) <= 1e-12 * scale
 
 
+@given(_grid_case(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_face_values_match_the_closure(case, seed):
+    """The per-axis stage's pointwise values, on lists, are the closure's
+    to rounding at any real points: the same operations in the same
+    order."""
+    func, _, _, _ = case
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-20.0, 20.0, (func.arity, 50))
+    boxes = [oracle._box(x) for x in points]
+    got = np.array(oracle._face_values(oracle._term_specs(func), points.tolist(), boxes))
+    points = points.astype(np.complex128)
+    want = oracle.compile_numeric(func)(points)
+    scale = sum(
+        np.abs(_reference_closure(ExpRationalFunction(func.arity, [t]))(points))
+        for t in func.terms
+    )
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def _numpy_separable_sum(specs, axes):
+    """A tensor sum of terms whose factors each depend on one axis, in
+    numpy as the grid stage computed it before the per-axis stage: the
+    weights as complex128 arrays times np.exp of the exponent per axis,
+    each factor copy divided in by numpy, and np.sum per axis."""
+    xs = [np.array(nodes) for nodes, _ in axes]
+    total = 0j
+    for coeff, poly, expo, expo_0, denom in specs:
+        g = [np.array(weights).astype(np.complex128) for _, weights in axes]
+        if expo is not None:
+            g[0] *= np.exp(expo[0] * xs[0] + expo_0)
+            for k in range(1, len(xs)):
+                g[k] *= np.exp(expo[k] * xs[k])
+        for row, const, mult in denom:
+            ((k,),) = np.nonzero(row)
+            for _ in range(mult):
+                g[k] = g[k] / (row[k] * xs[k] + const)
+        total += coeff * sum(
+            v * math.prod(complex(np.sum(x**p * g_k)) for x, p, g_k in zip(xs, e, g))
+            for e, v in poly or [((0,) * len(xs), 1.0)]
+        )
+    return total
+
+
+@given(_grid_case("single"))
+@settings(max_examples=60, deadline=None)
+def test_separable_sums_are_numpys_to_the_bit(case):
+    """A term whose factors each depend on one axis is summed in the
+    per-axis stage, in plain floats, to the bits that numpy's arrays give:
+    numpy's complex quotient (_quotient) and np.sum's pairwise order
+    (_pairwise_sum), at 17 to 190 nodes per axis."""
+    func, axes, _, _ = case
+    specs = oracle._term_specs(func)
+    assert oracle._tensor_sum(specs, axes) == _numpy_separable_sum(specs, axes)
+
+
 def _counting_term_block(monkeypatch):
     """Patch _term_block to record, per call, the factor copies it divides."""
     real = oracle._term_block
@@ -606,6 +697,7 @@ def test_folded_factors_stay_in_float64_range(monkeypatch):
     denom.append((AffineForm.make([0, 1], -mpc(0, 1)), 2))
     func = ExpRationalFunction.from_parts(2, coeff=mpf("1e-100"), denom=denom)
     axes = [(x0, w0), oracle._tan_axis(1.0, 24)]
+    x0, w0 = np.array(x0), np.array(w0)
     folded = np.log2(w0) - 16 * sum(np.log2(np.abs(x0 - complex(c))) for c in offsets)
     assert folded.max() > oracle._RANGE_EXP
 
@@ -626,7 +718,7 @@ def test_factor_products_stay_in_float64_range(case):
     if case == "overflow":
         # |x| is 8.7e3 to 1.3e5 on the 16 outermost nodes: the product
         # reaches 1e650
-        nodes, weights = oracle._tan_axis(50.0, 4096)
+        nodes, weights = map(np.array, oracle._tan_axis(50.0, 4096))
         outer = np.r_[0:8, 4088:4096]
         nodes, weights = nodes[outer], weights[outer]
         coeff = 1
@@ -635,7 +727,7 @@ def test_factor_products_stay_in_float64_range(case):
         # |x| <= 1e-3 and every factor is 1e-3 to 2.2e-3 in size: the
         # product is 1e-365 to 1e-352, and the coefficient keeps the values
         # between 1e252 and 1e265
-        nodes, weights = oracle._tan_axis(1e-4, 16)
+        nodes, weights = map(np.array, oracle._tan_axis(1e-4, 16))
         coeff = mpf("1e-100")
         offsets = [mpc(0, mpf("1e-3") * (1 + mpf(k) / 8)) for k in range(8)]
     func = ExpRationalFunction.from_parts(
@@ -651,7 +743,7 @@ def test_factor_products_stay_in_float64_range(case):
     assert np.all(np.isfinite(values))
     assert np.all(np.abs(values - expect) <= 1e-12 * np.abs(expect))
 
-    grid = oracle._tensor_sum(oracle._term_specs(func), [(nodes, weights)])
+    grid = oracle._tensor_sum(oracle._term_specs(func), [(nodes.tolist(), weights.tolist())])
     assert math.isfinite(abs(grid))
     total = complex(np.sum(expect * weights))
     assert abs(grid - total) <= 1e-12 * float(np.sum(np.abs(expect * weights)))
@@ -680,9 +772,20 @@ def test_factor_groups_isolate_factors_that_may_vanish():
     assert np.all(np.abs(values - expect) <= 1e-12 * np.abs(expect))
 
 
+# the benchmark's r=2 product with omega = (1, 2) under the shear w = A v,
+# A = ((1, 3), (0, 1)): its value is pi^2 / e^3
+SHEARED_PRODUCT = (
+    "vars x y; cone (1,0) (-3,1); num exp(i*x + 5*i*y); "
+    "den (x + 3*y - i) (-x - 3*y - i) (y - i) (-y - i);"
+)
+
+
 def test_grid_sums_skip_pointwise_closure(monkeypatch):
-    """Sums on tensor grids never go through the pointwise closure:
-    it sees only the shell-tail points, 64 on each face of the square."""
+    """Sums on tensor grids never go through the pointwise closure: it sees
+    only the shell-tail points of a function with a coupled factor, 64 on
+    each face of the square.  A separable function's faces are sampled in
+    the per-axis stage instead, 4 * 64 points at r = 2 and one per face at
+    r = 1, and its sums take no block kernel."""
     real = oracle.compile_numeric
     seen = []
 
@@ -696,12 +799,29 @@ def test_grid_sums_skip_pointwise_closure(monkeypatch):
         return counted
 
     monkeypatch.setattr(oracle, "compile_numeric", counting)
+    real_faces = oracle._face_values
+    faces = []
+
+    def counting_faces(specs, points, boxes):
+        faces.append(len(points[0]))
+        return real_faces(specs, points, boxes)
+
+    monkeypatch.setattr(oracle, "_face_values", counting_faces)
+    copies = _counting_term_block(monkeypatch)
     quad_integral(three_plane_problem(2, 3))
-    assert sum(seen) == 4 * 64
+    assert sum(seen) == 4 * 64 and faces == []
     seen.clear()
     report = quad_integral(_product_problem(2))
     assert abs(report.estimate - pi**2) < mpf("1e-6")
-    assert seen == []
+    assert seen == [] and faces == []
+    copies.clear()
+    with working_precision(128):
+        arr = parse_problem(SHEARED_PRODUCT).arrangement()
+    report = quad_integral(arr)
+    assert abs(report.estimate - pi**2 * exp(-3)) < mpf("1e-6")
+    assert seen == [] and faces == [4 * 64] and copies == []
+    quad_integral(oscillatory_line_problem(1))
+    assert seen == [] and faces == [4 * 64, 2] and copies == []
 
 
 def test_grid_sums_are_bitwise_repeatable():
