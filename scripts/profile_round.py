@@ -12,19 +12,22 @@ files go to a temporary directory; nothing under ``perfbench/`` is written.
 It also prints how many Fractions the round builds: the calls of
 ``Fraction.__new__`` in the profile, a count fixed by the round and the
 interpreter (3.12's fractions module builds its results without calling
-``__new__``, and counts fewer), and how many terms its residue steps build
-before like terms merge (the terms passed to ``symfun._merge_like_terms``).
-With --max-fractions N or --max-terms N the script exits 1 when that count
-exceeds N.  It also exits 1, naming the operation, when a report's stdout
-is not ``json.dumps(json.loads(out), sort_keys=True, indent=2)`` and a
-newline: the streamed JSON writer checked against the standard library's
-on every report of the round.  Its last line is the round's digest, a sha256
+``__new__``, and counts fewer), how many GaussianRationals it builds (the
+calls of ``exact_linalg._normal``, through which every operation's result
+is made, and of ``GaussianRational.__init__``), and how many terms its
+residue steps build before like terms merge (the terms passed to
+``symfun._merge_like_terms``).  With --max-fractions N, --max-gaussians N
+or --max-terms N the script exits 1 when that count exceeds N.  It also
+exits 1, naming the operation, when a report's stdout is not
+``json.dumps(json.loads(out), sort_keys=True, indent=2)`` and a newline:
+the streamed JSON writer checked against the standard library's on every
+report of the round.  Its last line is the round's digest, a sha256
 over each operation's command and file name, exit status (or the type of
 the exception it raised) and stdout, which scripts/expected/round_digests.txt
 records for both workloads.
 
 Usage: python scripts/profile_round.py flags|poles [--top N] [--max-fractions N]
-    [--max-terms N]
+    [--max-gaussians N] [--max-terms N]
 """
 
 import argparse
@@ -42,7 +45,7 @@ from pathlib import Path
 from time import perf_counter
 
 import residuum
-from residuum import symfun
+from residuum import exact_linalg, symfun
 from residuum.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -134,11 +137,11 @@ def hot_spots(stats: pstats.Stats, top: int) -> tuple[list, list]:
     return inside[:top], outside[:top]
 
 
-def fraction_count(stats: pstats.Stats) -> int:
-    """The calls of ``Fraction.__new__`` in the profile."""
-    code = Fraction.__new__.__code__
-    key = (code.co_filename, code.co_firstlineno, code.co_name)
-    return stats.stats[key][1] if key in stats.stats else 0
+def call_count(stats: pstats.Stats, *functions) -> int:
+    """The calls of ``functions`` in the profile."""
+    codes = [f.__code__ for f in functions]
+    keys = [(c.co_filename, c.co_firstlineno, c.co_name) for c in codes]
+    return sum(stats.stats[key][1] for key in keys if key in stats.stats)
 
 
 def _print_rows(title: str, rows: list) -> None:
@@ -153,16 +156,18 @@ def main() -> None:
     parser.add_argument("workload", choices=sorted(FAMILIES))
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--max-fractions", type=int, default=None)
+    parser.add_argument("--max-gaussians", type=int, default=None)
     parser.add_argument("--max-terms", type=int, default=None)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
         stats, wall, crashes, digest, terms, outputs = profile_ops(ops)
-    fractions = fraction_count(stats)
+    fractions = call_count(stats, Fraction.__new__)
+    gaussians = call_count(stats, exact_linalg._normal, exact_linalg.GaussianRational.__init__)
     print(
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
         f"{wall:.2f} s under cProfile, {fractions} Fractions built, "
-        f"{terms} residue terms before merging"
+        f"{gaussians} GaussianRationals built, {terms} residue terms before merging"
     )
     inside, outside = hot_spots(stats, args.top)
     _print_rows("residuum:", inside)
@@ -174,6 +179,9 @@ def main() -> None:
         failed = True
     if args.max_fractions is not None and fractions > args.max_fractions:
         print(f"more than {args.max_fractions} Fractions built", file=sys.stderr)
+        failed = True
+    if args.max_gaussians is not None and gaussians > args.max_gaussians:
+        print(f"more than {args.max_gaussians} GaussianRationals built", file=sys.stderr)
         failed = True
     if args.max_terms is not None and terms > args.max_terms:
         print(f"more than {args.max_terms} residue terms before merging", file=sys.stderr)

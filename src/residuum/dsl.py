@@ -43,7 +43,7 @@ from .arrangement import (
     canonicalize_hyperplane,
 )
 from .exact_linalg import GaussianRational, _ratio
-from .symfun import AffineForm, ExpRationalFunction, Polynomial, to_mpc
+from .symfun import AffineForm, ExpRationalFunction, Polynomial, _form, to_mpc
 
 STATEMENT_KEYWORDS = ("cone", "den", "num", "param", "vars")
 RESERVED_NAMES = frozenset(STATEMENT_KEYWORDS) | {"exp", "i", "pi"}
@@ -588,9 +588,8 @@ class ProblemSpec(NamedTuple):
             "pi": mpc(+mp.pi),
         }
         for k, name in enumerate(self.variables):
-            env[name] = AffineForm(
-                tuple(_ONE if j == k else _ZERO for j in range(self.dim)), _ZERO
-            )
+            # z_k, with GaussianRational coefficients
+            env[name] = _form([(int(j == k), 0) for j in range(self.dim)] + [(0, 0)], 1, True)
         for name, expr in self.parameters:
             value = _eval(expr, env, self.dim)
             if not _is_scalar(value):
@@ -722,7 +721,6 @@ def _validate(spec: ProblemSpec, seen: dict[str, Token]) -> None:
 # whole (AffineForm.make) there.
 
 _ONE = GaussianRational.of(1)
-_ZERO = GaussianRational.of(0)
 
 
 def _is_scalar(v) -> bool:
@@ -789,7 +787,7 @@ def _v_add(a, b, nvars: int):
     if _is_scalar(a) and isinstance(b, AffineForm):
         a, b = b, a
     if isinstance(a, AffineForm) and _is_scalar(b):
-        return AffineForm(a.coeffs, a.const + b)
+        return a.shift(b)
     if isinstance(a, AffineForm) and isinstance(b, AffineForm):
         return a.add(b)
     return _lift(a, nvars).add(_lift(b, nvars))

@@ -61,13 +61,15 @@ In r <= 3 variables one rule serves every integral: the trapezoid
 
 Both maps share one refinement loop (_refine): node counts double per
 axis, capped at the largest n with n**r <= node_budget**2 (node_budget
-itself for r <= 2, 256 of the default 4096 for r = 3), and a sum is
-accepted when it agrees with the previous level's.  The reported error is
-that difference.  On a function that is periodic and analytic in a strip,
-or analytic and rapidly decaying on the line, the trapezoid error falls
-geometrically with the number of nodes (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 56, 2014), so the
-finer sum is far more accurate than the difference says.
+itself for r <= 2, 256 of the default 4096 for r = 3) when a factor is
+coupled, and at node_budget when none is, since a level then costs r n
+evaluations, not n**r; a sum is accepted when it agrees with the previous
+level's.  The reported error is that difference.  On a function that is
+periodic and analytic in a strip, or analytic and rapidly decaying on the
+line, the trapezoid error falls geometrically with the number of nodes
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56, 2014), so the finer sum is far more accurate than the
+difference says.
 
 tail_estimate deliberately ignores oscillatory cancellation: it bounds
 the raw mass beyond the last window from the decay degree, so it is
@@ -838,8 +840,9 @@ def quad_integral(
         return QuadratureReport(mpc(0), 0.0, float(box), 0, 0.0)
     func = arr._pullback(*_hyperplane_chart(arr))[0]
     freqs, decay = _decay_profile(func)
-    budget = _axis_cap(node_budget, r)
     specs = _term_specs(func)
+    # a level of a sum with no coupled factor costs r n, not n**r, evaluations
+    budget = _axis_cap(node_budget, r) if _is_coupled(specs) else node_budget
     try:
         if all(f == 0.0 for f in freqs):
             return _tan_map_quad(specs, r, box, tol, budget)

@@ -442,16 +442,17 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
         for point, flags, at in _points(classes)
     ]
     points = [(point, flags, _total(funcs)) for point, flags, funcs in at_points]
-    flag_sum = _total(flag_funcs)
     point_funcs = [f for _, _, funcs in at_points for f in funcs]
     difference = _summed(point_funcs + [f.scale(-1) for f in flag_funcs])
     if difference is None:
+        flag_sum = _total(flag_funcs)
         point_sum = sum((res for _, _, res in points), mpc(0))
         scale = max(mpf(1), abs(point_sum), abs(flag_sum))
         failed = not is_negligible(abs(point_sum - flag_sum), scale)
     else:
-        point_sum = _total(point_funcs)
         failed = not difference.is_zero()
+        if failed:  # the sums the message prints
+            flag_sum, point_sum = _total(flag_funcs), _total(point_funcs)
     if failed:
         raise ArithmeticError(
             "grouping identity failed: grouped residues "

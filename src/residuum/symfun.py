@@ -29,6 +29,15 @@ would produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
 A step sets z_v to the pole directly (``restrict``), without unit forms, and
 computes each fact about a form once, in a memo that nothing outlives.
 
+An exact step works in integers: a class's series comes from Newton's
+recurrence on Gaussian-integer power sums over one common denominator, and
+each emitted coefficient is carried along its path as an integer pair over
+an integer and brought to normal form once.  A term whose polynomial is a
+constant carries it in its coefficient, so it needs no Taylor chain, and
+its terms share one unit polynomial per step.  A rounded step (data with
+pi, exp() or n^(...)) runs the same recurrence and products on mpc in a
+fixed order, so its values do not depend on this.
+
 Vanishing and proportionality of exact forms are decided by ``==`` and dict
 keys, with no noise scale; the noise floor (``is_negligible``, ``close_to``)
 decides only for rounded forms, which arise when some s_j holds pi or exp().
@@ -221,6 +230,17 @@ class AffineForm:
         d, e = self._den, other._den
         pairs = [(a * e + c * d, b * e + s * d) for (a, b), (c, s) in zip(self._v, other._v)]
         return _form(pairs, d * e, self._gauss or other._gauss)
+
+    def shift(self, value) -> "AffineForm":
+        """self + value for a scalar: an exact value is added to an exact
+        form's constant pair over the common denominator, and the
+        coefficients' pairs are kept."""
+        parts = _parts(value) if self._den else None
+        if parts is None:
+            return AffineForm(self.coeffs, self.const + value)
+        (x, y, e), d = parts, self._den
+        *pairs, (a, b) = self._v if e == 1 else [(a * e, b * e) for a, b in self._v]
+        return _form([*pairs, (a + x * d, b + y * d)], d * e, self._gauss)
 
     def compose(self, forms: Sequence["AffineForm"]) -> "AffineForm":
         """Substitute z_i = forms[i](w); all forms share one new arity.
@@ -749,7 +769,8 @@ class _PoleMemo:
     factors of one class, and ``orders`` the sort order of each set of
     classes' units (``_form_order``).  Each is
     computed once per distinct form, series or set; a memo serves one
-    ``residue_1d`` call and nothing outlives it.
+    ``residue_1d`` call and nothing outlives it.  ``one`` is the unit
+    polynomial that an exact step's terms from a constant numerator share.
     """
 
     def __init__(self, var: int, pole: AffineForm, exact: bool):
@@ -757,6 +778,7 @@ class _PoleMemo:
         self.pole = pole
         self.exact = exact
         self.point = pole if exact else pole.rounded()
+        self.one = Polynomial.constant(pole.arity - 1, 1) if exact else None
         self.units: list[AffineForm] = []
         self.leads: list = []
         self.slopes: list = []
@@ -800,24 +822,76 @@ class _PoleMemo:
         B_k = lead_k U, U the class's monic unit, and x_k = -a_k / lead_k,
         the product is U^-M F(t / U) / prod lead_k^m, F = prod (1 - x_k u)^-m,
         whose logarithmic derivative gives j F_j = sum_{i=1..j} s_i F_{j-i}
-        with the power sums s_i = sum m x_k^i; c_j = F_j / prod lead_k^m."""
+        with the power sums s_i = sum m x_k^i; c_j = F_j / prod lead_k^m.
+        An exact step runs the recurrence on Gaussian integers
+        (``_gaussian_series``), a rounded one on mpc (``_power_series``)."""
         got = self._series.get((members, n))
         if got is None:
-            lead_power, degree, ms, xs = 1, 0, [], []
-            for k, m in members:
-                lead_power *= self.leads[k] ** m
-                degree += m
-                if n and (a := self.slopes[k]):
-                    ms.append(m)
-                    xs.append(-a / self.leads[k])
-            F, powers, sums = [1 / lead_power], xs, []
-            for j in range(1, n + 1 if xs else 1):
-                sums.append(sum(map(operator.mul, ms, powers)))
-                powers = list(map(operator.mul, powers, xs))
-                F.append(sum(map(operator.mul, sums, reversed(F))) / j)
-            unit = self.units[self.classes[members[0][0]]]
-            got = self._series[members, n] = tuple(((unit, degree + j), f) for j, f in enumerate(F))
+            parts = [(self.leads[k], self.slopes[k] if n else 0, m) for k, m in members]
+            coeffs = (_gaussian_series if self.exact else _power_series)(parts, n)
+            unit, degree = self.units[self.classes[members[0][0]]], sum(m for _, m in members)
+            got = tuple(((unit, degree + j), c) for j, c in enumerate(coeffs))
+            self._series[members, n] = got
         return got
+
+
+def _power_series(parts: list, n: int) -> list:
+    """c_0 .. c_n of ``_PoleMemo.class_series`` from its (lead, a, m) triples,
+    by the power-sum recurrence in the scalars' own arithmetic; c_0 alone
+    when every a is 0."""
+    lead_power, ms, xs = 1, [], []
+    for lead, a, m in parts:
+        lead_power *= lead**m
+        if a:
+            ms.append(m)
+            xs.append(-a / lead)
+    F, powers, sums = [1 / lead_power], xs, []
+    for j in range(1, n + 1 if xs else 1):
+        sums.append(sum(map(operator.mul, ms, powers)))
+        powers = list(map(operator.mul, powers, xs))
+        F.append(sum(map(operator.mul, sums, reversed(F))) / j)
+    return F
+
+
+def _gaussian_series(parts: list, n: int) -> list:
+    """``_power_series`` for GaussianRational leads and slopes, on Gaussian
+    integer pairs.  With x_k = X_k / D over one denominator, the power sums
+    S_i = sum m X_k^i and G_0 = 1, G_j = sum_{i=1..j} (j-1)!/(j-i)! S_i G_{j-i}
+    give c_j = G_j / (j! D^j prod lead_k^m), one GaussianRational each."""
+    la, lb, ld = 1, 0, 1  # prod lead^m = (la + lb i) / ld
+    xs = []  # (m, re, im, den) of x = -a / lead
+    for lead, a, m in parts:
+        u, v, f = lead._a, lead._b, lead._d
+        for _ in range(m):
+            la, lb = la * u - lb * v, la * v + lb * u
+        ld *= f**m
+        if a:
+            # with a = (p + q i) / e: -a / lead = -f (p + q i)(u - v i) / (e (u^2 + v^2))
+            p, q, e = a._a, a._b, a._d
+            x, y, e = -f * (p * u + q * v), f * (p * v - q * u), e * (u * u + v * v)
+            g = math.gcd(x, y, e)
+            xs.append((m, x // g, y // g, e // g))
+    D = math.lcm(*(e for *_, e in xs)) if xs else 1
+    ms = [m for m, *_ in xs]
+    X = [(x * (D // e), y * (D // e)) for _, x, y, e in xs]
+    sums, powers, G = [], X, [(1, 0)]
+    for j in range(1, n + 1 if xs else 1):
+        sums.append((sum(map(operator.mul, ms, [x for x, _ in powers])),
+                     sum(map(operator.mul, ms, [y for _, y in powers]))))
+        powers = [(x * u - y * v, x * v + y * u) for (x, y), (u, v) in zip(powers, X)]
+        gr = gi = 0
+        w = 1  # (j-1)! / (j-i)!
+        for i, ((sr, si), (hr, hi)) in enumerate(zip(sums, reversed(G)), 1):
+            gr += w * (sr * hr - si * hi)
+            gi += w * (sr * hi + si * hr)
+            w *= j - i
+        G.append((gr, gi))
+    # 1 / prod lead^m = ld (la - lb i) / (la^2 + lb^2)
+    out, scale = [], la * la + lb * lb
+    for j, (gr, gi) in enumerate(G):
+        scale *= j * D if j else 1
+        out.append(_gaussian(ld * (gr * la + gi * lb), ld * (gi * la - gr * lb), scale))
+    return out
 
 
 def _series_residue(
@@ -837,27 +911,44 @@ def _series_residue(
     ``memo``, to its factors (k, m), k the index of B, A at the pole, and
     ``expo`` is L there.  Raises TermBudgetExceeded rather than emit more
     than ``budget`` terms.
+
+    An exact step carries each coefficient along its path as a Gaussian
+    integer pair over an integer and normalizes it once, as it emits the
+    term; a constant P goes into the coefficient, with no Taylor chain, and
+    its terms share the step's unit polynomial (``memo.one``).  A rounded
+    step multiplies mpc values in path order.
     """
-    taylor = []
-    p = term.poly
-    for j in range(n + 1):
-        if j:
-            p = p.differentiate(var).scale(Fraction(1, j))
-            if p.is_zero():
-                break
-        taylor.append(p.restrict(var, memo.point))
-    lv, exp_series = memo.slope(term.expo), [1]
-    for k in range(1, n + 1):
-        exp_series.append(exp_series[-1] * lv / k)
-    # rest[s]: the polynomial that multiplies the kept factors' t^s part
-    rest = []
-    for s in range(n + 1):
-        acc = None
-        for j, q in enumerate(taylor[: n - s + 1]):
-            if exp_series[n - s - j]:
-                piece = q.scale(exp_series[n - s - j]) if n - s - j else q
-                acc = piece if acc is None else acc.add(piece)
-        rest.append(acc if acc is not None and not acc.is_zero() else None)
+    value = _constant_value(term.poly) if memo.exact else None
+    if value is None:
+        taylor = []
+        p = term.poly
+        for j in range(n + 1):
+            if j:
+                p = p.differentiate(var).scale(Fraction(1, j))
+                if p.is_zero():
+                    break
+            taylor.append(p.restrict(var, memo.point))
+        lv, exp_series = memo.slope(term.expo), [1]
+        for k in range(1, n + 1):
+            exp_series.append(exp_series[-1] * lv / k)
+        # rest[s]: the polynomial that multiplies the kept factors' t^s part
+        rest = []
+        for s in range(n + 1):
+            acc = None
+            for j, q in enumerate(taylor[: n - s + 1]):
+                if exp_series[n - s - j]:
+                    piece = q.scale(exp_series[n - s - j]) if n - s - j else q
+                    acc = piece if acc is None else acc.add(piece)
+            rest.append(acc if acc is not None and not acc.is_zero() else None)
+    else:
+        # rest[s]: the scalar P l^(n-s) / (n-s)!, as (re, im, den) unreduced
+        (p, q), e = term.expo._v[var], term.expo._den
+        (x, y, d), rest = _parts(value), []
+        for k in range(n + 1):
+            if k:
+                x, y, d = x * p - y * q, x * q + y * p, d * e * k
+            rest.append((x, y, d) if x or y else None)
+        rest.reverse()
 
     series = [memo.class_series(members, n) for members in kept.values()]
     classes = tuple(kept)
@@ -866,7 +957,7 @@ def _series_residue(
         order = memo.orders[classes] = _form_order([memo.units[c] for c in classes])
     active = sum(len(s) > 1 for s in series)
     counts = (math.comb(s + active - 1, s) if active else int(s == 0) for s in range(n + 1))
-    if sum(c for c, poly in zip(counts, rest) if poly is not None) > budget:
+    if sum(c for c, piece in zip(counts, rest) if piece is not None) > budget:
         raise TermBudgetExceeded(
             f"a residue step would produce more than {MAX_RESIDUE_TERMS} terms"
         )
@@ -874,19 +965,48 @@ def _series_residue(
     # depth first over the classes' exponents (j_0, j_1, ...) with sum <= n,
     # j_0 slowest, each coefficient built along its path from the root
     out: list[Term] = []
-    stack = [(0, coeff, n, ())]
+    if not memo.exact:
+        stack = [(0, coeff, n, ())]
+        while stack:
+            i, c, left, denom = stack.pop()
+            if i == len(series):
+                if rest[n - left] is not None:
+                    denom = tuple(map(denom.__getitem__, order))
+                    out.append(Term(c, rest[n - left], expo, denom))
+                continue
+            for j in reversed(range(min(len(series[i]), left + 1))):
+                factor, x = series[i][j]
+                if x:
+                    stack.append((i + 1, c * x, left - j, denom + (factor,)))
+        return out
+    stack = [(0, _parts(coeff), n, ())]
     while stack:
-        i, c, left, denom = stack.pop()
+        i, (a, b, d), left, denom = stack.pop()
         if i == len(series):
-            if rest[n - left] is not None:
-                denom = tuple(map(denom.__getitem__, order))
-                out.append(Term(c, rest[n - left], expo, denom))
+            r = rest[n - left]
+            if r is None:
+                continue
+            denom = tuple(map(denom.__getitem__, order))
+            if value is not None:
+                (x, y, e), r = r, memo.one
+                a, b, d = a * x - b * y, a * y + b * x, d * e
+            out.append(Term(_gaussian(a, b, d), r, expo, denom))
             continue
         for j in reversed(range(min(len(series[i]), left + 1))):
             factor, x = series[i][j]
             if x:
-                stack.append((i + 1, c * x, left - j, denom + (factor,)))
+                c = (a * x._a - b * x._b, a * x._b + b * x._a, d * x._d)
+                stack.append((i + 1, c, left - j, denom + (factor,)))
     return out
+
+
+def _constant_value(poly: Polynomial):
+    """The value of a constant polynomial, else None."""
+    if len(poly._coeffs) == 1:
+        ((e, v),) = poly._coeffs.items()
+        if not any(e):
+            return v
+    return None
 
 
 def _form_key(form: AffineForm) -> tuple:

@@ -132,12 +132,40 @@ def test_quad_three_variable_product():
     assert err <= report.error_bound
 
 
+def _sheared_three_variable_product():
+    """prod_k 1/(w_k^2 + 1) with w = A v, det A = 1: value pi^3, and in the
+    hyperplanes' own coordinates no coupled factor."""
+    hps = []
+    for row in ([1, 1, 0], [0, 1, -1], [1, 1, 1]):
+        hps.append(canonicalize_hyperplane(row, -mpc(0, 1)))
+        hps.append(canonicalize_hyperplane([-x for x in row], -mpc(0, 1)))
+    return Arrangement.build(3, hps, numerator=ExpRationalFunction.from_parts(3, coeff=-1))
+
+
+def test_quad_sheared_three_variable_product_at_default_box():
+    """A sum with no coupled factor costs r n evaluations per level, so its
+    nodes per axis are capped at the node budget, not at 256: the sheared
+    product converges at box 50."""
+    report = quad_integral(_sheared_three_variable_product())
+    assert report.nodes_per_axis > oracle._axis_cap(oracle.DEFAULT_NODE_BUDGET, 3)
+    err = abs(report.estimate - pi**3)
+    assert err < mpf("1e-12") * pi**3
+    assert err <= report.error_bound
+
+
 def test_quad_three_variable_budget_at_default_box():
-    """At box 50 the tan map needs more nodes than the 256 per axis that the
-    default budget allows in three variables: a clean BudgetExceeded."""
+    """Six simple planes through one point, one of them coupled in any
+    chart: at box 50 the tan map needs more nodes than the 256 per axis
+    that the default budget allows a grid in three variables, and stops
+    with a clean BudgetExceeded."""
+    arr = parse_problem(
+        "vars v1 v2 v3; cone (1,0,0) (0,1,0) (0,0,1);"
+        "den (2*v2 + v3 - 5*i) (v1 + v3 - 3*i) (2*v2 - v3 - 3*i) (2*v1 - v2 - 2*i)"
+        " (v1 + 2*v3 - 4*i) (-v1 + 2*v2 + v3 - 3*i);"
+    ).arrangement()
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="within 256 nodes per axis"):
-        quad_integral(_product_problem(3))
+        quad_integral(arr)
     assert time.perf_counter() - start < 5.0
 
 

@@ -773,11 +773,14 @@ def _coincident_data(draw, extra=(0, 2), max_mult=3):
     return r, rows, s, mult, freq, coeff
 
 
-def _coincident_residue(data, exact: bool, step=ExpRationalFunction.residue_1d) -> list:
+def _coincident_residue(
+    data, exact: bool, step=ExpRationalFunction.residue_1d, poly: Polynomial | None = None
+) -> list:
     """The iterated residue along the first r hyperplanes, as the engine's
     chart steps take it, from exact data or from data rounded first
     (``AffineForm.make`` and ``to_mpc``): the function left after each
-    ``step``."""
+    ``step``.  The numerator is coeff * poly * exp(i w . z), poly 1 unless
+    given (exact)."""
     r, rows, s, mult, freq, coeff = data
     if exact:
         forms = [AffineForm(f, GaussianRational(0, -v)) for f, v in zip(rows, s)]
@@ -786,7 +789,11 @@ def _coincident_residue(data, exact: bool, step=ExpRationalFunction.residue_1d) 
         forms = [AffineForm.make(f, mpc(0, -v)) for f, v in zip(rows, s)]
         expo = AffineForm.make([mpc(0, w) for w in freq], 0)
         coeff = to_mpc(coeff)
-    func = ExpRationalFunction.from_parts(r, coeff=coeff, expo=expo, denom=zip(forms, mult))
+    if poly is not None and not exact:
+        poly = poly.rounded()
+    func = ExpRationalFunction.from_parts(
+        r, coeff=coeff, poly=poly, expo=expo, denom=zip(forms, mult)
+    )
     poles, steps = [], []
     for form in forms[:r]:
         for pole in poles:
@@ -825,21 +832,53 @@ def test_exact_residue_steps_match_rounded_steps(data):
         assert abs(symfun.constant_sum([exact]).evaluate(()) - want) <= tolerance
 
 
-@given(_coincident_data(extra=(1, 5), max_mult=4))
+# numerator polynomials in the first two variables: none (1), a constant,
+# and polynomials in the variable of the first residue step
+_NUMERATORS = [{}, {(0, 0): GaussianRational(2, -1)}, {(2, 0): 1}, {(2, 0): 1, (0, 1): 3}]
+
+
+@given(_coincident_data(extra=(1, 5), max_mult=4), st.sampled_from(_NUMERATORS))
 @settings(max_examples=40, deadline=None)
-def test_folded_steps_match_per_factor_steps(data):
+def test_folded_steps_match_per_factor_steps(data, poly):
     """On 3 to 8 hyperplanes through one point, multiplicities <= 4, each
     residue step that folds a denominator class into one series
     (``residue_1d``) leaves as many terms, after like terms merge, as the
     step that expands every kept factor on its own
     (``reference.per_factor_residue``), and the iterated residues are equal
-    exactly: ``constant_sum`` of their difference has no term."""
-    folded = _coincident_residue(data, exact=True)
-    expanded = _coincident_residue(data, exact=True, step=per_factor_residue)
+    exactly: ``constant_sum`` of their difference has no term.  So it is
+    with a constant numerator, which an exact step carries in its
+    coefficients, and with a polynomial one such as x^2 exp(i y), which it
+    expands in its Taylor chain."""
+    r = data[0]
+    numerator = Polynomial(r, {e + (0,) * (r - 2): v for e, v in poly.items()}) if poly else None
+    folded = _coincident_residue(data, exact=True, poly=numerator)
+    expanded = _coincident_residue(data, exact=True, step=per_factor_residue, poly=numerator)
     assert [len(f.terms) for f in folded] == [len(f.terms) for f in expanded]
     assert list(map(_exact_terms, folded)) == list(map(_exact_terms, expanded))
     assert folded[-1].exact and expanded[-1].exact
     assert symfun.constant_sum([folded[-1], expanded[-1].scale(-1)]).is_zero()
+
+
+_series_slopes = _small_gaussians | st.just(GaussianRational(0))
+
+
+@given(
+    st.lists(
+        st.tuples(_small_gaussians.filter(bool), _series_slopes, st.integers(1, 4)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_class_series_matches_power_sum_recurrence(parts, n):
+    """The class series of an exact step (``_gaussian_series``, on Gaussian
+    integers) equals, entry for entry, the power-sum recurrence that rounded
+    steps keep (``_power_series``) run on the same GaussianRationals: for
+    1-5 factors (lead, slope, m), leads with denominators, some slopes 0."""
+    exact = symfun._gaussian_series(parts, n)
+    assert exact == symfun._power_series(parts, n)
+    assert len(exact) == (n + 1 if any(a for _, a, _ in parts) else 1)
 
 
 def _exact_terms(f: ExpRationalFunction) -> dict:
