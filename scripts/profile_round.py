@@ -1,33 +1,38 @@
 """Profile one round of a benchmark workload and list residuum's hot spots.
 
-Builds the round of ``flags`` or ``poles`` exactly as
-``perfbench/run.py`` does (its ``pooled_round``, seed 1, pool 1), runs
-every operation in this process as ``cli.main([cmd, file, "--json"])``
-under cProfile, and prints the residuum functions with the largest
-cumulative time, then the functions outside the package (the standard
-library's json and fractions, mpmath, built-ins) with the largest
-cumulative time, leaving out this script and the profiler.  The problem
-files go to a temporary directory; nothing under ``perfbench/`` is written.
+Builds the round of ``flags``, ``poles`` or ``verify`` exactly as
+``perfbench/run.py`` does (its ``WORKLOADS``: ``pooled_round`` or
+``verify_round``, seed 1, pool 1), runs every operation in this process
+as ``cli.main([cmd, file, "--json"])`` under cProfile, and prints the
+residuum functions with the largest cumulative time, then the functions
+outside the package (the standard library's json and fractions, mpmath,
+built-ins) with the largest cumulative time, leaving out this script and
+the profiler.  The problem files go to a temporary directory; nothing
+under ``perfbench/`` is written.
 
 It also prints how many Fractions the round builds: the calls of
 ``Fraction.__new__`` in the profile, a count fixed by the round and the
 interpreter (3.12's fractions module builds its results without calling
 ``__new__``, and counts fewer), how many GaussianRationals it builds (the
 calls of ``exact_linalg._normal``, through which every operation's result
-is made, and of ``GaussianRational.__init__``), and how many terms its
+is made, and of ``GaussianRational.__init__``), how many terms its
 residue steps build before like terms merge (the terms passed to
-``symfun._merge_like_terms``).  With --max-fractions N, --max-gaussians N
-or --max-terms N the script exits 1 when that count exceeds N.  It also
-exits 1, naming the operation, when a report's stdout is not
-``json.dumps(json.loads(out), sort_keys=True, indent=2)`` and a newline:
-the streamed JSON writer checked against the standard library's on every
-report of the round.  Its last line is the round's digest, a sha256
-over each operation's command and file name, exit status (or the type of
-the exception it raised) and stdout, which scripts/expected/round_digests.txt
-records for both workloads.
+``symfun._merge_like_terms``), and how many per-axis node entries the
+oracle's sums take (over every ``oracle._tensor_sum`` call, its terms
+times the sum of its axes' node counts).  With --max-fractions N,
+--max-gaussians N, --max-terms N or --max-axis-nodes N the script exits 1
+when that count exceeds N.  It also exits 1, naming the operation, when a
+report's stdout is not ``json.dumps(json.loads(out), sort_keys=True,
+indent=2)`` and a newline: the streamed JSON writer checked against the
+standard library's on every report of the round.  The last line of a flags or poles round is its
+digest, a sha256 over each operation's command and file name, exit status
+(or the type of the exception it raised) and stdout, which
+scripts/expected/round_digests.txt records for both workloads; a verify
+round prints none, as the oracle's last digits depend on the platform's
+libm.
 
-Usage: python scripts/profile_round.py flags|poles [--top N] [--max-fractions N]
-    [--max-gaussians N] [--max-terms N]
+Usage: python scripts/profile_round.py flags|poles|verify [--top N]
+    [--max-fractions N] [--max-gaussians N] [--max-terms N] [--max-axis-nodes N]
 """
 
 import argparse
@@ -45,11 +50,11 @@ from pathlib import Path
 from time import perf_counter
 
 import residuum
-from residuum import exact_linalg, symfun
+from residuum import exact_linalg, oracle, symfun
 from residuum.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-FAMILIES = {"flags": "generic", "poles": "coincident"}
+WORKLOADS = ("flags", "poles", "verify")
 SEED = 1
 POOL_SEED = 1
 
@@ -60,26 +65,33 @@ def build_round(workload: str, directory: Path) -> list:
     import run
 
     rng = random.Random(f"perfbench:{workload}:{SEED}")
-    ops = run.pooled_round(rng, FAMILIES[workload], POOL_SEED, 0, directory)
+    ops = run.WORKLOADS[workload](rng, POOL_SEED, 0, directory)
     return [(op.cmd, op.path) for op in ops]
 
 
-def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, list]:
+def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, tuple, list]:
     """Run every operation under one profiler: (stats, wall seconds, crashes,
     the round's digest, the terms the residue steps passed to the merge of
-    like terms, each operation's (command, path, stdout))."""
+    like terms, the oracle's (per-axis node entries, sums), each
+    operation's (command, path, stdout))."""
     profiler = cProfile.Profile()
     digest = hashlib.sha256()
-    crashes = terms = 0
+    crashes = terms = axis_nodes = sums = 0
     outputs = []
-    merge = symfun._merge_like_terms
+    merge, tensor_sum = symfun._merge_like_terms, oracle._tensor_sum
 
     def counted_merge(batch):
         nonlocal terms
         terms += len(batch)
         return merge(batch)
 
-    symfun._merge_like_terms = counted_merge
+    def counted_sum(specs, axes, *args):
+        nonlocal axis_nodes, sums
+        axis_nodes += len(specs) * sum(len(nodes) for nodes, _ in axes)
+        sums += 1
+        return tensor_sum(specs, axes, *args)
+
+    symfun._merge_like_terms, oracle._tensor_sum = counted_merge, counted_sum
     start = perf_counter()
     for cmd, path in ops:
         out = io.StringIO()
@@ -95,8 +107,9 @@ def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, list]:
         digest.update(f"{cmd} {path.name}\n{status}\n{out.getvalue()}".encode())
         outputs.append((cmd, path, out.getvalue()))
     wall = perf_counter() - start
-    symfun._merge_like_terms = merge
-    return pstats.Stats(profiler), wall, crashes, digest.hexdigest(), terms, outputs
+    symfun._merge_like_terms, oracle._tensor_sum = merge, tensor_sum
+    stats = pstats.Stats(profiler)
+    return stats, wall, crashes, digest.hexdigest(), terms, (axis_nodes, sums), outputs
 
 
 def misprinted(outputs: list) -> list[str]:
@@ -153,26 +166,29 @@ def _print_rows(title: str, rows: list) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(FAMILIES))
+    parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--max-fractions", type=int, default=None)
     parser.add_argument("--max-gaussians", type=int, default=None)
     parser.add_argument("--max-terms", type=int, default=None)
+    parser.add_argument("--max-axis-nodes", type=int, default=None)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
-        stats, wall, crashes, digest, terms, outputs = profile_ops(ops)
+        stats, wall, crashes, digest, terms, (axis_nodes, sums), outputs = profile_ops(ops)
     fractions = call_count(stats, Fraction.__new__)
     gaussians = call_count(stats, exact_linalg._normal, exact_linalg.GaussianRational.__init__)
     print(
         f"{args.workload}: {len(ops)} operations ({crashes} crashed), "
         f"{wall:.2f} s under cProfile, {fractions} Fractions built, "
-        f"{gaussians} GaussianRationals built, {terms} residue terms before merging"
+        f"{gaussians} GaussianRationals built, {terms} residue terms before merging, "
+        f"{axis_nodes} per-axis node entries over {sums} oracle sums"
     )
     inside, outside = hot_spots(stats, args.top)
     _print_rows("residuum:", inside)
     _print_rows("outside residuum:", outside)
-    print(f"{args.workload} digest {digest}")
+    if args.workload != "verify":
+        print(f"{args.workload} digest {digest}")
     failed = False
     for name in misprinted(outputs):
         print(f"{name}: stdout is not the report as json.dumps prints it", file=sys.stderr)
@@ -185,6 +201,9 @@ def main() -> None:
         failed = True
     if args.max_terms is not None and terms > args.max_terms:
         print(f"more than {args.max_terms} residue terms before merging", file=sys.stderr)
+        failed = True
+    if args.max_axis_nodes is not None and axis_nodes > args.max_axis_nodes:
+        print(f"more than {args.max_axis_nodes} per-axis node entries", file=sys.stderr)
         failed = True
     if failed:
         sys.exit(1)

@@ -21,13 +21,12 @@ two stages.
 numpy is imported on entering the grid stage, never at module level.  So
 importing this module, and residuum with it, loads none of it; neither do
 analyze, eval and grouping, nor a verify whose chart integrand has no
-coupled factor.  The per-axis stage rounds as numpy would where that is
-plain IEEE arithmetic: _quotient divides as numpy's complex quotient does
-and _pairwise_sum adds in np.sum's order, so a sum is the same to the bit
-in either stage.  Where numpy's SIMD loops fuse a multiply-add (a complex
-product, a magnitude) Python rounds twice, so a face value may differ from
-the closure's in its last bit.  A value that leaves float64's range in
-either stage raises OutOfFloatRange.
+coupled factor.  The per-axis stage is plain Python float and complex
+arithmetic, chained through map over builtins so that no Python code runs
+per node.  It does not round as numpy does: Python divides without numpy's
+reciprocal and the builtin sum adds left to right, so a sum, or a face
+value, may differ from numpy's in its last bits.  A value that leaves
+float64's range in either stage raises OutOfFloatRange.
 
 quad_integral integrates in hyperplane coordinates w = F_B v, F_B holding
 the rows f_j of r hyperplanes with the largest |det F_B|: the trapezoid rule
@@ -91,8 +90,7 @@ import itertools
 import math
 import sys
 from array import array
-from functools import reduce
-from operator import add, mul
+from operator import add, mul, truediv
 from typing import NamedTuple
 
 from mpmath import mpc
@@ -194,7 +192,7 @@ _BLOCK_POINTS = 32_768
 # a folded per-axis vector, stays within 2**-_RANGE_EXP .. 2**_RANGE_EXP,
 # well inside float64's normal range (2**-1022 .. 2**1024).
 _RANGE_EXP = 960
-_LOW, _HIGH = 2.0**-_RANGE_EXP, 2.0**_RANGE_EXP
+_LN2 = math.log(2.0)
 
 
 # ---- the per-axis stage: plain Python floats ---------------------------------------
@@ -242,82 +240,61 @@ def _window_axis(x_flat: float, n: int):
     return nodes, array("d", [spacing * w for w in _window_weight(nodes, x_flat)])
 
 
-def _quotient(denominators):
-    """The function that divides a list of values by ``denominators``, item
-    by item, as numpy divides complex numbers: Smith's method, through the
-    reciprocal of its denominator, which rounds unlike Python's ``/``.
+def _axis_vectors(xs, ws, boxes, expo, expo_0, denom):
+    """One term's per-axis vectors g_k = w_k exp(a_k x + c_k) / prod (b x + c)^m,
+    c_0 = expo_0 and c_k = 0 on the other axes, the product over the copies
+    of the factors that depend on axis k alone that fold, and the linear
+    factors it leaves per point.
 
-    For |Re b| >= |Im b| numpy takes t = Im b / Re b and s = 1 / (Re b +
-    Im b t), and a / b = (Re a + Im a t, Im a - Re a t) s.  That is (a u) s
-    with u = 1 - i t to the bit, since the parts of a u round as those sums
-    do and the products by 1 are exact; with u = t - i otherwise, the parts
-    swapped.  So only u and s are made per denominator, and the quotient
-    of each value takes two products of Python complex numbers.
+    Copies fold in the term's order while their log2 bounds on the boxes
+    (_form_bounds), summed as _factor_groups sums them, keep the product and
+    g_k, on the bounds of |w e| from the extremes of w and x, within
+    2**+-_RANGE_EXP; a factor's other copies stay per point.  Each g_k is
+    built in one pass of maps over builtins.  Returns g and the (row, const,
+    mult) of the factors, or copies, left.
     """
-    us, scales = [], array("d")
-    for b in denominators:
-        br, bi = b.real, b.imag
-        if abs(br) >= abs(bi):
-            t = bi / br
-            us.append(complex(1.0, -t))
-            scales.append(1.0 / (br + bi * t))
-        else:
-            t = br / bi
-            us.append(complex(t, -1.0))
-            scales.append(1.0 / (bi + br * t))
-    return lambda values: [z * u * s for z, u, s in zip(values, us, scales)]
-
-
-def _pairwise_sum(values, lo: int = 0, n: int | None = None):
-    """The sum of values[lo:lo + n], added as np.sum adds a complex128 array:
-    a run of at most 64 in four interleaved partial sums, (s0 + s1) +
-    (s2 + s3), then its last n % 4 in turn; a longer run as two halves, the
-    first a multiple of 4 long."""
-    if n is None:
-        n = len(values)
-    if n < 4:
-        return reduce(add, values[lo:lo + n])
-    if n <= 64:
-        end = lo + n - n % 4
-        s0, s1, s2, s3 = (reduce(add, values[k:end:4]) for k in range(lo, lo + 4))
-        return reduce(add, values[end:lo + n], (s0 + s1) + (s2 + s3))
-    half = (n - n % 8) // 2
-    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
-
-
-def _power(x: float, p: int) -> float:
-    """x ** p for an integer p >= 1, squaring by one product as numpy's
-    ``**`` does."""
-    return x if p == 1 else x * x if p == 2 else x**p
-
-
-def _axis_vectors(xs, ws, expo, expo_0, denom):
-    """One term's per-axis vectors g_k = w_k exp(a_k x_k), with exp(c) on
-    axis 0, and the linear factors it leaves per point.
-
-    Each copy of a factor that depends on axis k alone is divided into g_k
-    unless some |g_k| would leave 2**+-_RANGE_EXP.  Returns g and the
-    (row, const, mult) of the factors, or copies, left.
-    """
-    g = list(ws)
-    if expo is not None:
-        g = [
-            [w * cmath.exp(a * x + c) for w, x in zip(g_k, x_k)]
-            for g_k, x_k, a, c in zip(g, xs, expo, (expo_0, *[0j] * (len(xs) - 1)))
-        ]
+    a_s = expo or [0j] * len(xs)
+    c_s = [expo_0 or 0j] + [0j] * (len(xs) - 1)
+    # per axis, log2 bounds of the folded product and of g_k: (lo, hi) each
+    bounds = []
+    for w, (x_lo, x_hi, _, _), a, c in zip(ws, boxes, a_s, c_s):
+        w_lo, w_hi = min(w), max(w)
+        e_lo, e_hi = sorted((c.real + a.real * x_lo, c.real + a.real * x_hi))
+        g_lo = math.log2(w_lo) + e_lo / _LN2 if w_lo > 0 else -math.inf
+        bounds.append((0.0, 0.0, g_lo, math.log2(w_hi) + e_hi / _LN2))
+    folded = [[] for _ in xs]
     left = []
     for row, const, mult in denom:
         on = [k for k, a in enumerate(row) if a]
+        copies = 0
         if len(on) == 1:
             k = on[0]
-            divide = _quotient(row[k] * x + const for x in xs[k])
-            while mult:
-                folded = divide(g[k])
-                if not (min(map(abs, folded)) >= _LOW and max(map(abs, folded)) <= _HIGH):
+            lower, upper = _form_bounds(row, const, boxes)
+            up = math.log2(upper) if upper > 0 else -math.inf
+            down = math.log2(lower) if lower > 0 else -math.inf
+            while copies < mult:
+                p_lo, p_hi, g_lo, g_hi = bounds[k]
+                step = (p_lo + down, p_hi + up, g_lo - up, g_hi - down)
+                if not all(-_RANGE_EXP <= v <= _RANGE_EXP for v in step):
                     break
-                g[k], mult = folded, mult - 1
-        if mult:
-            left.append((row, const, mult))
+                bounds[k] = step
+                copies += 1
+            if copies:
+                folded[k].append((row[k], const, copies))
+        if copies < mult:
+            left.append((row, const, mult - copies))
+    g = []
+    for x, w, a, c, factors in zip(xs, ws, a_s, c_s, folded):
+        vec = map(mul, w, map(cmath.exp, map(c.__add__, map(a.__mul__, x)))) if a or c else w
+        prod = None
+        for b, const, copies in factors:
+            base = map(const.__add__, map(b.__mul__, x))
+            if copies > 1:
+                base = map(pow, base, itertools.repeat(copies))
+            prod = base if prod is None else map(mul, prod, base)
+        if prod is not None:
+            vec = map(truediv, vec, prod)
+        g.append(vec if vec is w else list(vec))
     return g, left
 
 
@@ -370,7 +347,7 @@ def _face_values(specs, points, boxes) -> list:
                 base = _forms_at(row, const, cols)
                 for _ in range(copies):
                     prod = base if prod is None else list(map(mul, prod, base))
-            val = _quotient(prod)(val)
+            val = list(map(truediv, val, prod))
         out = list(map(add, out, val))
     return out
 
@@ -382,22 +359,24 @@ def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
     Per term, _axis_vectors folds the weights, the exponential and the
     single-axis factors into per-axis vectors g_k.  A term with no factor
     left sums to coeff * sum_monomials v * prod_k sum_j x_kj**e_k g_kj, in
-    the per-axis stage; the others go to the grid stage (_grid_stage).
+    the per-axis stage, each inner sum by the builtin sum over a map; the
+    others go to the grid stage (_grid_stage).
     """
     xs = [nodes for nodes, _ in axes]
     ws = [weights for _, weights in axes]
+    boxes = [(min(x), max(x), 0.0, 0.0) for x in xs]
     r = len(xs)
     grid = None
     total = 0.0 + 0.0j
     for coeff, poly, expo, expo_0, denom in specs:
-        g, left = _axis_vectors(xs, ws, expo, expo_0, denom)
+        g, left = _axis_vectors(xs, ws, boxes, expo, expo_0, denom)
         if left:
-            grid = grid or _grid_stage(xs, chunk_points)
+            grid = grid or _grid_stage(xs, boxes, chunk_points)
             total = grid(total, coeff, poly, left, g)
             continue
         total += coeff * sum(
             v * math.prod(
-                _pairwise_sum([_power(x, p) * y for x, y in zip(x_k, g_k)] if p else g_k)
+                sum(map(mul, map(pow, x_k, itertools.repeat(p)), g_k) if p else g_k)
                 for x_k, p, g_k in zip(xs, e, g)
             )
             for e, v in poly or [((0,) * r, 1.0)]
@@ -410,7 +389,7 @@ def _tensor_sum(specs, axes, chunk_points=_BLOCK_POINTS):
 # ---- the grid stage: numpy ---------------------------------------------------------
 
 
-def _grid_stage(xs, chunk_points):
+def _grid_stage(xs, boxes, chunk_points):
     """The tensor grid of the node vectors xs, for the terms that keep
     factors per point: ``add_term(total, coeff, poly, left, g)`` returns
     total plus the sum of one such term, given its per-axis vectors g and
@@ -427,7 +406,6 @@ def _grid_stage(xs, chunk_points):
     """
     import numpy as np
 
-    boxes = [(min(x), max(x), 0.0, 0.0) for x in xs]
     xs = [np.array(x) for x in xs]
     r = len(xs)
     rest = tuple(len(x) for x in xs[1:])
@@ -707,6 +685,11 @@ def _axis_cap(budget: int, r: int) -> int:
     return n if n**r <= budget**2 else n - 1
 
 
+def _axes(make, counts) -> list:
+    """make(n) for each axis' node count n, built once per distinct count."""
+    made = {n: make(n) for n in set(counts)}
+    return [made[n] for n in counts]
+
 
 def _refine(total, counts, budget, limit):
     """Sums at node counts doubling per axis, capped at budget.
@@ -729,7 +712,7 @@ def _refine(total, counts, budget, limit):
 
 def _tan_map_quad(specs, r, box, tol, budget):
     coarse, (counts, val), ok = _refine(
-        lambda counts: _tensor_sum(specs, [_tan_axis(box, n) for n in counts]),
+        lambda counts: _tensor_sum(specs, _axes(lambda n: _tan_axis(box, n), counts)),
         [min(64, budget)] * r, budget, tol,
     )
     if not ok:
@@ -772,7 +755,7 @@ def _shell_tail(peak, r, edge, decay):
 
 def _windowed_quad(func, specs, r, freqs, decay, box, tol, budget):
     def window_sum(x_flat, counts):
-        return _tensor_sum(specs, [_window_axis(x_flat, n) for n in counts])
+        return _tensor_sum(specs, _axes(lambda n: _window_axis(x_flat, n), counts))
 
     length = 2.0 * _WINDOW_EDGE * box
     start = [math.ceil(length * (f + _ALIAS) / (2.0 * math.pi)) for f in freqs]

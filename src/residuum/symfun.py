@@ -765,12 +765,13 @@ class _PoleMemo:
     (k, a) with k None when B vanishes, else the index of A in ``leads``,
     B's leading entry, ``slopes``, its a, and ``classes``, the index in
     ``units`` of B's monic form, which proportional restrictions share
-    (``_merge_unit``).  ``class_series`` is the Taylor series of the kept
-    factors of one class, and ``orders`` the sort order of each set of
-    classes' units (``_form_order``).  Each is
-    computed once per distinct form, series or set; a memo serves one
-    ``residue_1d`` call and nothing outlives it.  ``one`` is the unit
-    polynomial that an exact step's terms from a constant numerator share.
+    (``_merge_unit``).  ``orders`` is the sort order of each set of
+    classes' units (``_form_order``).  Each is computed once per distinct
+    form or set; a memo serves one ``residue_1d`` call and nothing outlives
+    it.  ``class_series``, the Taylor series of the kept factors of one
+    class, is built on each call: a step seldom asks twice for the same
+    one.  ``one`` is the unit polynomial that an exact step's terms from a
+    constant numerator share.
     """
 
     def __init__(self, var: int, pole: AffineForm, exact: bool):
@@ -786,7 +787,6 @@ class _PoleMemo:
         self._restricted: dict = {}  # form -> its restriction
         self._factors: dict = {}  # denominator form -> (index or None, a)
         self._units: dict = {}  # monic unit -> index in units
-        self._series: dict = {}  # (((k, m), ...), n) -> the class's series
         self.orders: dict = {}  # class indices -> _form_order of their units
 
     def restrict(self, form: AffineForm) -> AffineForm:
@@ -825,14 +825,10 @@ class _PoleMemo:
         with the power sums s_i = sum m x_k^i; c_j = F_j / prod lead_k^m.
         An exact step runs the recurrence on Gaussian integers
         (``_gaussian_series``), a rounded one on mpc (``_power_series``)."""
-        got = self._series.get((members, n))
-        if got is None:
-            parts = [(self.leads[k], self.slopes[k] if n else 0, m) for k, m in members]
-            coeffs = (_gaussian_series if self.exact else _power_series)(parts, n)
-            unit, degree = self.units[self.classes[members[0][0]]], sum(m for _, m in members)
-            got = tuple(((unit, degree + j), c) for j, c in enumerate(coeffs))
-            self._series[members, n] = got
-        return got
+        parts = [(self.leads[k], self.slopes[k] if n else 0, m) for k, m in members]
+        coeffs = (_gaussian_series if self.exact else _power_series)(parts, n)
+        unit, degree = self.units[self.classes[members[0][0]]], sum(m for _, m in members)
+        return tuple(((unit, degree + j), c) for j, c in enumerate(coeffs))
 
 
 def _power_series(parts: list, n: int) -> list:

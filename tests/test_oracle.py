@@ -9,7 +9,9 @@ infinite-interval oscillatory quadrature.
 import itertools
 import math
 import time
+from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -656,16 +658,52 @@ def _numpy_separable_sum(specs, axes):
     return total
 
 
+def _mpmath_separable_sum(specs, axes):
+    """The same tensor sum at 30 digits, from the same float64 nodes,
+    weights and term data, and the sum of the magnitudes of its terms.  The
+    exponent a x + c is the float64 value both stages exponentiate: its
+    rounding, up to |a x| 2**-53 of a term, belongs to the data, not to the
+    sum, and |a x| reaches 1,800 on these axes."""
+    total, scale = mpc(0), mpf(0)
+    with mpmath.workdps(30):
+        for coeff, poly, expo, expo_0, denom in specs:
+            g = []
+            for k, (nodes, weights) in enumerate(axes):
+                vec = []
+                for x, w in zip(nodes, weights):
+                    val = mpf(w)
+                    if expo is not None:
+                        val *= exp(mpc(expo[k] * x + (expo_0 if k == 0 else 0j)))
+                    for row, const, mult in denom:
+                        if row[k]:
+                            val /= (mpc(row[k]) * x + mpc(const)) ** mult
+                    vec.append(val)
+                g.append(vec)
+            for e, v in poly or [((0,) * len(axes), 1.0)]:
+                parts = [
+                    [mpf(x) ** p * y for x, y in zip(nodes, vec)]
+                    for (nodes, _), p, vec in zip(axes, e, g)
+                ]
+                total += mpc(coeff) * mpc(v) * math.prod(mpmath.fsum(part) for part in parts)
+                scale += abs(mpc(coeff) * mpc(v)) * math.prod(
+                    mpmath.fsum(map(abs, part)) for part in parts
+                )
+        return complex(total), float(scale)
+
+
 @given(_grid_case("single"))
 @settings(max_examples=60, deadline=None)
-def test_separable_sums_are_numpys_to_the_bit(case):
+def test_separable_sums_match_numpy_and_mpmath(case):
     """A term whose factors each depend on one axis is summed in the
-    per-axis stage, in plain floats, to the bits that numpy's arrays give:
-    numpy's complex quotient (_quotient) and np.sum's pairwise order
-    (_pairwise_sum), at 17 to 190 nodes per axis."""
+    per-axis stage, in plain Python floats, at 17 to 190 nodes per axis:
+    within 1e-13 of the sum of its terms' magnitudes of numpy's sum, and of
+    a 30-digit sum over the same nodes and weights."""
     func, axes, _, _ = case
     specs = oracle._term_specs(func)
-    assert oracle._tensor_sum(specs, axes) == _numpy_separable_sum(specs, axes)
+    got = oracle._tensor_sum(specs, axes)
+    exact, scale = _mpmath_separable_sum(specs, axes)
+    assert abs(got - _numpy_separable_sum(specs, axes)) <= 1e-13 * scale
+    assert abs(got - exact) <= 1e-13 * scale
 
 
 def _counting_term_block(monkeypatch):
@@ -735,6 +773,28 @@ def test_folded_factors_stay_in_float64_range(monkeypatch):
     assert math.isfinite(abs(grid))
     expect, scale = _reference_sum(func, *_grid_points(axes))
     assert math.isfinite(scale)
+    assert abs(grid - expect) <= 1e-12 * scale
+
+
+def test_folded_vectors_stay_in_float64_range():
+    """The copies that fold are bounded by the folded vector's range as well
+    as by their product's: with weights near 2**568 the factors of
+    test_folded_factors_stay_in_float64_range fold fewer copies than the 96
+    their product admits, every |g_0| stays below 2**960, and the sum
+    matches the reference."""
+    x0, w0 = oracle._tan_axis(1e-4, 16)
+    w0 = array("d", [w * 2.0**577 for w in w0])
+    offsets = [mpc(0, mpf("1e-3") * (1 + mpf(k) / 8)) for k in range(8)]
+    func = ExpRationalFunction.from_parts(
+        1, coeff=mpf("1e-300"), denom=[(AffineForm.make([1], -c), 16) for c in offsets]
+    )
+    ((_, _, expo, expo_0, denom),) = specs = oracle._term_specs(func)
+    boxes = [(min(x0), max(x0), 0.0, 0.0)]
+    (g_0,), left = oracle._axis_vectors([x0], [w0], boxes, expo, expo_0, denom)
+    assert 8 * 16 - 96 < sum(m for *_, m in left) < 8 * 16
+    assert max(map(abs, g_0)) <= 2.0**oracle._RANGE_EXP
+    grid = oracle._tensor_sum(specs, [(x0, w0)])
+    expect, scale = _reference_sum(func, *_grid_points([(x0, w0)]))
     assert abs(grid - expect) <= 1e-12 * scale
 
 
@@ -850,6 +910,90 @@ def test_grid_sums_skip_pointwise_closure(monkeypatch):
     assert seen == [] and faces == [4 * 64] and copies == []
     quad_integral(oscillatory_line_problem(1))
     assert seen == [] and faces == [4 * 64, 2] and copies == []
+
+
+# The benchmark's verify round at seed 1: its 20 closed-form products as
+# (r, m, omega, nodes per axis, problem text), the integral of
+# e^(i omega . w) / prod_k ((-w_k - i)(w_k - i))^m in coordinates v,
+# w = A v, and the samples with their integrals and nodes per axis.
+# three_planes_upper integrates three_planes_left's function over another
+# cone: residuum does not certify its value, but the integral is the same.
+_VERIFY_PRODUCTS = [
+    (1, 1, (0,), 1024, "vars v1; cone (1); den (-v1 - 1*i) (v1 - 1*i);"),
+    (1, 1, (1,), 3680, "vars v1; cone (1); num 1*exp(i*(v1)); den (-v1 - 1*i) (v1 - 1*i);"),
+    (1, 1, (2,), 3852, "vars v1; cone (1); num 1*exp(i*(2*v1)); den (-v1 - 1*i) (v1 - 1*i);"),
+    (1, 1, (3,), 4028, "vars v1; cone (1); num 1*exp(i*(3*v1)); den (v1 - 1*i) (-v1 - 1*i);"),
+    (1, 1, (4,), 2102, "vars v1; cone (1); num 1*exp(i*(4*v1)); den (-v1 - 1*i) (v1 - 1*i);"),
+    (1, 2, (1,), 3680, "vars v1; cone (1); num 1*exp(i*(v1)); den (-v1 - 1*i)^2 (v1 - 1*i)^2;"),
+    (1, 2, (2,), 3852, "vars v1; cone (1); num 1*exp(i*(2*v1)); den (v1 - 1*i)^2 (-v1 - 1*i)^2;"),
+    (1, 2, (3,), 4028, "vars v1; cone (1); num 1*exp(i*(3*v1)); den (-v1 - 1*i)^2 (v1 - 1*i)^2;"),
+    (1, 2, (4,), 2102, "vars v1; cone (1); num 1*exp(i*(4*v1)); den (v1 - 1*i)^2 (-v1 - 1*i)^2;"),
+    (1, 3, (1,), 3680, "vars v1; cone (1); num 1*exp(i*(v1)); den (v1 - 1*i)^3 (-v1 - 1*i)^3;"),
+    (1, 3, (2,), 3852, "vars v1; cone (1); num 1*exp(i*(2*v1)); den (v1 - 1*i)^3 (-v1 - 1*i)^3;"),
+    (1, 3, (3,), 4028, "vars v1; cone (1); num 1*exp(i*(3*v1)); den (-v1 - 1*i)^3 (v1 - 1*i)^3;"),
+    (1, 3, (4,), 4096, "vars v1; cone (1); num 1*exp(i*(4*v1)); den (-v1 - 1*i)^3 (v1 - 1*i)^3;"),
+    (1, 3, (5,), 4096, "vars v1; cone (1); num 1*exp(i*(5*v1)); den (-v1 - 1*i)^3 (v1 - 1*i)^3;"),
+    (2, 1, (0, 0), 1024,
+     "vars v1 v2; cone (1,0) (-1,1); "
+     "den (v1 + v2 - 1*i) (-v1 - v2 - 1*i) (-v2 - 1*i) (v2 - 1*i);"),
+    (2, 1, (1, 2), 3852,
+     "vars v1 v2; cone (-1,1) (1,0); num 1*exp(i*(2*v1 + 3*v2)); "
+     "den (v2 - 1*i) (v1 + v2 - 1*i) (-v1 - v2 - 1*i) (-v2 - 1*i);"),
+    (2, 2, (0, 0), 1024,
+     "vars v1 v2; cone (0,1) (1,-1); "
+     "den (v1 - 1*i)^2 (-v1 - 1*i)^2 (v1 + v2 - 1*i)^2 (-v1 - v2 - 1*i)^2;"),
+    (2, 2, (0, 0), 1024,
+     "vars v1 v2; cone (-1,1) (1,0); "
+     "den (-v1 - v2 - 1*i)^2 (v2 - 1*i)^2 (v1 + v2 - 1*i)^2 (-v2 - 1*i)^2;"),
+    (3, 1, (0, 0, 0), 1024,
+     "vars v1 v2 v3; cone (1,1,-1) (1,0,0) (0,-1,2); "
+     "den (-v1 + 2*v2 + v3 - 1*i) (v1 - 2*v2 - v3 - 1*i) (-v2 - v3 - 1*i) "
+     "(-2*v2 - v3 - 1*i) (v2 + v3 - 1*i) (2*v2 + v3 - 1*i);"),
+    (3, 1, (0, 0, 0), 1024,
+     "vars v1 v2 v3; cone (1,0,3) (1,0,2) (0,1,0); "
+     "den (-2*v1 + v3 - 1*i) (-3*v1 + v3 - 1*i) (v2 - 1*i) "
+     "(2*v1 - v3 - 1*i) (3*v1 - v3 - 1*i) (-v2 - 1*i);"),
+]
+_VERIFY_SAMPLES = {
+    "arctangent": (lambda: pi, 1024),
+    "coincident_point": (lambda: mpc(0, -8) * pi**3 * exp(-6 * pi), 2852),
+    "double_pole": (lambda: -2 * pi / exp(1), 3680),
+    "three_planes_left": (lambda: mpc(0, -4) * pi**2 / 81, 3696),
+    "three_planes_upper": (lambda: mpc(0, -4) * pi**2 / 81, 3696),
+}
+_SAMPLES = Path(__file__).resolve().parents[1] / "problems"
+
+
+def _product_integral(r, m, omegas):
+    """(-1)^(r m) prod_k of int e^(i a w) / (w^2 + 1)^m dw over the line,
+    a = omega_k, which is
+    pi e^-|a| / (4^(m-1) (m-1)!) sum_{k<m} (2m-2-k)! (2|a|)^k / (k! (m-1-k)!)."""
+    fact = mpmath.factorial
+    out = mpf(-1) ** (r * m)
+    for a in map(abs, omegas):
+        acc = sum(
+            fact(2 * m - 2 - k) * (2 * a) ** k / (fact(k) * fact(m - 1 - k)) for k in range(m)
+        )
+        out *= pi * exp(-a) / (4 ** (m - 1) * fact(m - 1)) * acc
+    return out
+
+
+def test_verify_round_keeps_its_node_schedule():
+    """On the benchmark's verify problems the oracle's sums, however they
+    round, settle at the node counts recorded for them and within the
+    default tolerance of the exact integral."""
+    cases = [
+        (text, _product_integral(r, m, omegas), nodes)
+        for r, m, omegas, nodes, text in _VERIFY_PRODUCTS
+    ] + [
+        ((_SAMPLES / f"{name}.rsd").read_text(), value(), nodes)
+        for name, (value, nodes) in _VERIFY_SAMPLES.items()
+    ]
+    for text, value, nodes in cases:
+        with working_precision(128):
+            report = quad_integral(parse_problem(text).arrangement())
+        assert report.nodes_per_axis == nodes, text
+        assert abs(report.estimate - value) <= oracle.DEFAULT_TOL * max(1, abs(value)), text
 
 
 def test_grid_sums_are_bitwise_repeatable():
