@@ -19,8 +19,9 @@ independent.  A flag's Jacobian and minors are read into a ``FlagEntry``
 only where something reads that entry: a reported violation, a text report.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
-terminal point (``incidence``, exact when the s_j are) and the exact spans
-of its prefixes; the evaluator and the grouping read it.
+terminal point and, where more than r meet, the exact spans of its
+prefixes; the evaluator and the grouping read it.  With every s_j exact a
+point and its hyperplanes come from one fraction-free solve on integers.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -34,9 +35,11 @@ a flag contributes to the expansion exactly when every Im z_k* > 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -45,6 +48,7 @@ from mpmath import mpc
 from .exact_linalg import (
     GaussianRational,
     _exact,
+    _gauss_jordan,
     _gaussian,
     _integer_rows,
     _ratio,
@@ -493,14 +497,44 @@ def compatibility_audit(
     )
 
 
+def _exact_constants(arr: Arrangement) -> tuple[list, int] | None:
+    """(c, L) with i s_j = c_j / L, c_j Gaussian integers (re, im) over one
+    denominator L, when every s_j is exact; else None."""
+    s = [h.s for h in arr.hyperplanes]
+    if any(x.__class__ is not GaussianRational for x in s):
+        return None
+    den = math.lcm(*[x._d for x in s])
+    return [(-x._b * (den // x._d), x._a * (den // x._d)) for x in s], den  # i(a + bi) = -b + ai
+
+
+def _meet(arr: Arrangement, flag: Flag, constants: tuple | None) -> tuple[list, frozenset]:
+    """(point, incidence) where the flag's hyperplanes S meet.  For the
+    ``_exact_constants`` (c, L), one fraction-free Gauss-Jordan of
+    [F_S | c_S] gives the point as q / (p L), q Gaussian-integer pairs and
+    p > 0, and H_j passes through it exactly when f_j . q = p c_j.  Without
+    them, ``solve_linear`` applies the exact inverse of F_S to the rounded
+    i s_j, and ``incidence`` tests the point to the noise floor."""
+    hps = [arr.hyperplanes[i] for i in flag.indices]
+    if constants is None:
+        point = solve_linear(RationalMatrix(tuple(h.f for h in hps)), [_I * h.s for h in hps])
+        return point, incidence(arr, point)
+    pairs, den = constants
+    q, p = _gauss_jordan([h.f for h in hps], [pairs[i] for i in flag.indices])
+    re, im = [a for a, _ in q], [b for _, b in q]
+    through = frozenset(
+        j
+        for j, (h, (u, w)) in enumerate(zip(arr.hyperplanes, pairs))
+        if sum(map(mul, h.f, re)) == p * u and sum(map(mul, h.f, im)) == p * w
+    )
+    return [_gaussian(a, b, p * den) for a, b in q], through
+
+
 def pole_location(arr: Arrangement, flag: Flag) -> list:
-    """Terminal point z_gamma in v-coordinates: solve f_j(v) = i s_j, exactly
-    when every s_j is exact."""
+    """Terminal point z_gamma in v-coordinates, where f_j(v) = i s_j for the
+    flag's hyperplanes (``_meet``): GaussianRationals when every s_j is exact."""
     if len(flag) != arr.dim:
         raise ValueError("terminal point requires a complete flag")
-    f_rows = RationalMatrix(tuple(arr.hyperplanes[i].f for i in flag.indices))
-    rhs = [_I * arr.hyperplanes[i].s for i in flag.indices]
-    return solve_linear(f_rows, rhs)
+    return _meet(arr, flag, _exact_constants(arr))[0]
 
 
 def incidence(arr: Arrangement, point) -> frozenset[int]:
@@ -529,35 +563,33 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     Two complete flags cut out the same flag exactly when they end at the
     same point and, for every k, their first k rows span the same space:
     level k is that point plus the kernel of those rows.  A flag's key is
-    the ``incidence`` of its point and, for each prefix, the ``row_echelon``
-    rows of its f-rows (primitive integer rows with positive pivots).  A
-    point is solved once per set of hyperplanes and tested once, and a set
-    through an exact point already solved takes that point: its hyperplanes
-    meet in one point, and that one lies on all of them.
+    the set of hyperplanes through its point (``_meet``) and its prefixes'
+    ``row_echelon`` rows; where only its own r hyperplanes meet, it is its
+    own class (independent rows never share every prefix span) and no span
+    is computed.  A point is solved once per set of hyperplanes, and every
+    r hyperplanes through an exact point take it once it is solved: if they
+    are independent they meet in that one point.
     """
+    r, constants = arr.dim, _exact_constants(arr)
     points: dict[frozenset, tuple] = {}  # set of hyperplanes -> (point, incidence)
-    incident: dict[tuple, frozenset] = {}
-    exact: list[tuple] = []  # (point, incidence) of each exact point
-    spans: dict[frozenset, tuple] = {}
     classes: dict[tuple, FlagClass] = {}
+
+    @functools.cache
+    def span(prefix: frozenset) -> tuple:
+        return row_echelon(RationalMatrix(tuple(arr.hyperplanes[i].f for i in prefix)))
+
     for flag in sorted(flags, key=lambda f: f.indices):
-        *proper, whole = (frozenset(flag.indices[:k]) for k in range(1, len(flag) + 1))
-        for prefix in proper:
-            if prefix not in spans:
-                rows = tuple(arr.hyperplanes[i].f for i in prefix)
-                spans[prefix] = row_echelon(RationalMatrix(rows))
+        whole = frozenset(flag.indices)
         if whole not in points:
-            known = next((p for p in exact if whole <= p[1]), None)
-            if known is None:
-                point = pole_location(arr, flag)
-                if (at := tuple(point)) not in incident:
-                    incident[at] = incidence(arr, point)
-                known = (point, incident[at])
-                if all(isinstance(x, GaussianRational) for x in point):
-                    exact.append(known)
-            points[whole] = known
+            point, through = known = _meet(arr, flag, constants)
+            exact = all(x.__class__ is GaussianRational for x in point)
+            for rows in itertools.combinations(through, r) if exact else [whole]:
+                points.setdefault(frozenset(rows), known)
         point, through = points[whole]
-        key = (through, *(spans[prefix] for prefix in proper))
+        if len(through) == r:
+            key = (through, flag.indices)
+        else:
+            key = (through, *(span(frozenset(flag.indices[:k])) for k in range(1, r)))
         classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)
     return list(classes.values())
 

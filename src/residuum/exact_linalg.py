@@ -7,12 +7,12 @@ is integral (a determinant, an inverse's entry, a minor) is an ``int``,
 through one ``_ratio``.  ``_integer_rows`` is the one place that clears
 denominators, row by row; one fraction-free Bareiss elimination on Python
 ints (``_bareiss``) then serves every elimination: ``determinant`` reads
-its last pivot, ``rank`` counts its pivots, ``inverse`` carries an identity
-block through its Gauss-Jordan form, ``solve_linear`` applies that exact
-inverse, and ``row_echelon`` keys a span by its Gauss-Jordan rows made
-primitive integer rows with a positive pivot, which
-``arrangement.terminal_classes`` compares to tell whether two flag prefixes
-span the same space.  No floating point ever enters a sign decision.
+its last pivot, ``rank`` counts its pivots, ``_gauss_jordan`` carries
+integer right-hand sides through its Gauss-Jordan form (the terminal
+points of ``arrangement``, and the diagonal block of ``_scaled_inverse``,
+from which ``inverse`` and ``solve_linear`` read), and ``row_echelon``
+keys a span by its Gauss-Jordan rows made primitive integer rows with a
+positive pivot.  No floating point ever enters a sign decision.
 
 Three families of minors of a k-by-r matrix J = (a_ij) drive the rest of the
 package:
@@ -329,26 +329,36 @@ def rank(mat: RationalMatrix) -> int:
     return len(_bareiss(_integer_rows(mat.entries)[0], mat.cols)[0])
 
 
-def inverse(mat: RationalMatrix) -> RationalMatrix:
-    """Exact inverse, its integral entries ints.
-
-    With D clearing the row denominators, eliminating [D A | I] leaves
-    [d I | d (D A)^-1], and A^-1 = (D A)^-1 D.
-    """
-    n = mat.rows
-    if n != mat.cols:
-        raise ValueError("inverse of a non-square matrix")
-    m, scales = _integer_rows(mat.entries)
-    for i, row in enumerate(m):
-        row.extend(int(i == j) for j in range(n))
+def _gauss_jordan(
+    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], int]:
+    """(N, d) with F^-1 B = N / d, N integer and d > 0, for a nonsingular
+    square integer matrix F (``rows``) and integer right-hand sides B
+    (``columns``, one row of B per row of F): one fraction-free Gauss-Jordan
+    of [F | B] (``_bareiss``), which leaves +-det F on every pivot."""
+    n = len(rows)
+    m = [[*f, *b] for f, b in zip(rows, columns)]
     if len(_bareiss(m, n, reduce=True)[0]) < n:
         raise ValueError("singular matrix")
-    return RationalMatrix(
-        tuple(
-            tuple(_ratio(row[n + j] * d, row[i]) for j, d in enumerate(scales))
-            for i, row in enumerate(m)
-        )
-    )
+    d = m[0][0]
+    return [row[n:] if d > 0 else [-x for x in row[n:]] for row in m], abs(d)
+
+
+def _scaled_inverse(mat: RationalMatrix) -> tuple[list[list[int]], int]:
+    """(N, d) with mat^-1 = N / d, N integer and d > 0.  With D the diagonal
+    that clears the row denominators, A^-1 = (D A)^-1 D: ``_gauss_jordan``
+    of [D A | D]."""
+    m, scales = _integer_rows(mat.entries)
+    diagonal = [[x if i == j else 0 for j in range(len(m))] for i, x in enumerate(scales)]
+    return _gauss_jordan(m, diagonal)
+
+
+def inverse(mat: RationalMatrix) -> RationalMatrix:
+    """Exact inverse, its integral entries ints (``_scaled_inverse``)."""
+    if mat.rows != mat.cols:
+        raise ValueError("inverse of a non-square matrix")
+    rows, d = _scaled_inverse(mat)
+    return RationalMatrix(tuple(tuple(_ratio(x, d) for x in row) for row in rows))
 
 
 def solve_linear(mat: RationalMatrix, rhs: Sequence) -> list:

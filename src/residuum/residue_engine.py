@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -49,7 +50,13 @@ from .arrangement import (
     stable_flags,
     terminal_classes,
 )
-from .exact_linalg import GaussianRational, RationalMatrix, determinant, inverse, minor_profile
+from .exact_linalg import (
+    GaussianRational,
+    RationalMatrix,
+    _scaled_inverse,
+    determinant,
+    minor_profile,
+)
 from .symfun import (
     DEFAULT_PRECISION,
     ExpRationalFunction,
@@ -188,17 +195,21 @@ def _total(funcs: Sequence[ExpRationalFunction]) -> mpc:
     return sum((f.evaluate(()) for f in funcs), mpc(0))
 
 
-def _position(basis_inverse: RationalMatrix, point):
+def _position(cone: tuple, point):
     """(inside, boundary) for a terminal point: its chart coordinates are
-    z = M^-1 p, and the polyhedron is the closed region Im z_k >= 0."""
-    z = [sum(b * c for b, c in zip(point, row)) for row in basis_inverse.entries]
-    # exact coordinates (of an exact point) are decided without a scale, by
-    # the sign of the integer numerator of Im z_k
-    scale = max([mpf(1)] + [abs(c) for c in z if isinstance(c, mpc)])
-    ims = [c._b if c.__class__ is GaussianRational else c.imag for c in z]
-    on_face = [is_negligible(y, scale) for y in ims]
-    inside = all(edge or y > 0 for y, edge in zip(ims, on_face))
-    return inside, any(on_face)
+    z = M^-1 p = N p / d for ``cone`` = (N, d) of ``_scaled_inverse``, and
+    the polyhedron is the closed region Im z_k >= 0.  An exact point's Im z_k
+    has the sign of the integer N_k . (L Im p), L its common denominator; a
+    rounded point's are compared with the noise floor of the largest |z_k|."""
+    rows, d = cone
+    if all(x.__class__ is GaussianRational for x in point):
+        den = math.lcm(*[x._d for x in point])
+        ims = [sum([a * x._b * (den // x._d) for a, x in zip(row, point)]) for row in rows]
+        return min(ims) >= 0, not all(ims)
+    z = [sum([a * x for a, x in zip(row, point)]) / d for row in rows]
+    scale = max([mpf(1)] + [abs(c) for c in z])
+    on_face = [is_negligible(c.imag, scale) for c in z]
+    return all(edge or c.imag > 0 for c, edge in zip(z, on_face)), any(on_face)
 
 
 def _bounded_on_cone(func: ExpRationalFunction, poly: Polyhedron) -> bool:
@@ -257,13 +268,13 @@ def evaluate_integral(
         audit = compatibility_audit(arr, poly, table)
         verdict = convergence_heuristic(arr, poly, audit)
         warnings: list[str] = []
-        basis_inverse = inverse(poly.basis_matrix())
+        cone = _scaled_inverse(poly.basis_matrix())
         residues = ChartResidues(arr, poly, table.chart)
         contributions: dict[Flag, mpc] = {}
         funcs = []
         for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
             rep = cls.flags[0]
-            inside, boundary = _position(basis_inverse, cls.point)
+            inside, boundary = _position(cone, cls.point)
             if boundary:
                 warnings.append(
                     f"terminal point of {rep.label()} lies on the polyhedron "
@@ -277,7 +288,7 @@ def evaluate_integral(
                 continue
             # stable flags lie in the open Bruhat cell (every p_k > 0)
             funcs.append(residues.function(rep))
-            contributions[rep] = funcs[-1].evaluate(())
+            contributions[rep] = _total(funcs[-1:])
         total = _total(funcs)
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
         certificate = Certificate(

@@ -50,6 +50,13 @@
   matrices (``matmul``); ``arrangement.jacobian`` takes integer dot products
   over each generator's denominator instead, ints where the entries are
   integral.
+* ``fraction_terminal_classes`` and ``fraction_position``: flag classes
+  keyed by each set's terminal point, solved by the Fraction inverse of its
+  f-rows, the ``incidence`` of that point and the Fraction row echelon form
+  of every prefix, and a point's place in the cone from the Fraction
+  inverse of its basis; ``arrangement.terminal_classes`` and
+  ``residue_engine._position`` decide both on integers instead, and the
+  suite checks the two agree.
 """
 
 from __future__ import annotations
@@ -61,15 +68,17 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from mpmath import mpc
+from mpmath import mpc, mpf
 
 from residuum import exact_linalg, symfun
 from residuum.arrangement import (
     Arrangement,
     Flag,
+    FlagClass,
     Hyperplane,
     MeetsRealLocus,
     NotAlignable,
+    incidence,
     pole_location,
 )
 from residuum.exact_linalg import (
@@ -186,6 +195,50 @@ def fraction_chart(arr: Arrangement, indices, poly) -> RationalMatrix:
     )
     basis = poly.basis_matrix().entries
     return matmul(f_rows, RationalMatrix(tuple(tuple(map(Fraction, row)) for row in basis)))
+
+
+def fraction_terminal_classes(arr: Arrangement, flags) -> list[FlagClass]:
+    """The flags' classes, in the order of their first flags, keyed by the
+    ``incidence`` of the terminal point and the reduced row echelon form of
+    each prefix's f-rows (``fraction_gauss_jordan``).  Each set of
+    hyperplanes is solved once, the ``fraction_inverse`` of its f-rows
+    applied to i s_j, unless a point already solved exactly lies on all of
+    its hyperplanes; then it takes that point."""
+    i = exact_linalg.GaussianRational(Fraction(0), Fraction(1))
+    points: dict = {}
+    exact: list = []
+    classes: dict = {}
+    for flag in sorted(flags, key=lambda f: f.indices):
+        hps = [arr.hyperplanes[j] for j in flag.indices]
+        whole = frozenset(flag.indices)
+        if whole not in points:
+            known = next((p for p in exact if whole <= p[1]), None)
+            if known is None:
+                rhs = [i * h.s for h in hps]
+                inv = fraction_inverse([h.f for h in hps])
+                point = [sum(b * c for b, c in zip(rhs, row)) for row in inv]
+                known = (point, incidence(arr, point))
+                if all(isinstance(x, exact_linalg.GaussianRational) for x in point):
+                    exact.append(known)
+            points[whole] = known
+        point, through = points[whole]
+        spans = [fraction_gauss_jordan([h.f for h in hps[:k]])[0] for k in range(1, len(hps))]
+        key = (through, *map(tuple, spans))
+        classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)
+    return list(classes.values())
+
+
+def fraction_position(poly, point) -> tuple[bool, bool]:
+    """(inside, boundary) of a terminal point p: z = M^-1 p by the
+    ``fraction_inverse`` of the cone's basis M, inside when every Im z_k >= 0,
+    on the boundary when one is 0; exact coordinates are compared exactly,
+    rounded ones with the noise floor of the largest |z_k|."""
+    inv = fraction_inverse(poly.basis_matrix().entries)
+    z = [sum(b * c for b, c in zip(point, row)) for row in inv]
+    scale = max([mpf(1)] + [abs(c) for c in z if isinstance(c, mpc)])
+    ims = [c.im if isinstance(c, exact_linalg.GaussianRational) else c.imag for c in z]
+    on_face = [is_negligible(y, scale) for y in ims]
+    return all(edge or y > 0 for y, edge in zip(ims, on_face)), any(on_face)
 
 
 def _exact_scalar(x) -> exact_linalg.GaussianRational:

@@ -41,10 +41,12 @@ from residuum.arrangement import (
 )
 from residuum.exact_linalg import (
     GaussianRational,
+    _scaled_inverse,
     inverse,
     minor_profile,
     rank,
 )
+from residuum.residue_engine import _position
 from residuum.symfun import AffineForm, to_mpc, working_precision
 
 
@@ -546,6 +548,81 @@ def test_flag_classes_match_pairwise_rule(arr):
     eye = [[int(i == j) for j in range(arr.dim)] for i in range(arr.dim)]
     flags = [e.flag for e in flag_table(arr, Polyhedron.from_generators(eye))]
     assert flag_classes(arr, flags) == pairwise_flag_classes(arr, flags)
+
+
+@st.composite
+def classing_cases(draw):
+    """An arrangement and a cone for the terminal-point layer.
+
+    r <= 3 hyperplanes in general position plus up to four more: through
+    their common point, through the flat of the first two, parallel to one
+    of them, or free.  Offsets s are Gaussian rationals q + b i with q > 0,
+    and one in three arrangements has one offset pi instead, which rounds
+    the points on its hyperplane.  The cone's generators are rational;
+    three times in four, when a random flag's terminal point p is exact, the
+    last generator is chosen so that Im z = M^-1 Im p is a vector c of small
+    integers, so that p lies on a face of the cone when some c_k = 0.
+    """
+    r = draw(st.sampled_from([3, 2, 3, 1]))
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    positive = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    offset = st.builds(GaussianRational, positive, small)
+    base = draw(st.lists(row, min_size=r, max_size=r))
+    assume(rank(matrix(base)) == r)
+    hyperplanes = [(f, draw(offset)) for f in base]
+    for kind in draw(st.lists(st.sampled_from(["point", "line", "parallel", "free"]), max_size=4)):
+        if kind == "free":
+            hyperplanes.append((draw(row), draw(offset)))
+        elif kind == "parallel":
+            f, s = hyperplanes[draw(st.integers(0, r - 1))]
+            hyperplanes.append((f, s + draw(st.integers(1, 3))))
+        else:
+            cs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+            if kind == "line":
+                cs[2:] = [0] * (r - 2)
+            f = [sum(c * g[j] for c, (g, _) in zip(cs, hyperplanes)) for j in range(r)]
+            shift = sum((c * s for c, (_, s) in zip(cs, hyperplanes)), GaussianRational())
+            if any(f):
+                hyperplanes.append((f, shift))
+    pi_at = draw(st.sampled_from(range(3 * len(hyperplanes))))  # past the end: no pi
+    hps = []
+    for n, (f, s) in enumerate(hyperplanes):
+        # the constant -i s of f(v) - i s
+        constant = mpc(0, -mpmath.pi) if n == pi_at else GaussianRational(0, -1) * s
+        try:
+            hps.append(canonicalize_hyperplane(f, constant))
+        except MeetsRealLocus:
+            pass
+    arr = Arrangement.build(r, hps)
+    assume(rank(matrix([h.f for h in arr.hyperplanes])) == r)
+    gens = [draw(st.lists(small, min_size=r, max_size=r)) for _ in range(r)]
+    flags = enumerate_flags(arr, r)
+    point = pole_location(arr, draw(st.sampled_from(flags)))
+    if all(isinstance(x, GaussianRational) for x in point) and draw(st.sampled_from([1, 1, 1, 0])):
+        c = draw(st.lists(st.integers(-1, 1), min_size=r - 1, max_size=r - 1))
+        c.append(draw(st.sampled_from([1, -1, 2])))
+        # Im p = sum_k c_k v_k, so Im z = M^-1 Im p = c
+        rest = [sum(ck * g[j] for ck, g in zip(c[:-1], gens)) for j in range(r)]
+        gens[-1] = [(x.im - y) / c[-1] for x, y in zip(point, rest)]
+    assume(reference.fraction_gauss_jordan(gens)[2] != 0)
+    return arr, Polyhedron.from_generators(gens)
+
+
+@given(classing_cases())
+@settings(max_examples=80, deadline=None)
+def test_terminal_classes_and_positions_match_fraction_reference(case):
+    """``terminal_classes`` gives the reference's classes, points and
+    incidences on every flag of the table, and ``_position`` each point's
+    place in the cone, solved with Fraction inverses."""
+    arr, poly = case
+    with working_precision(128):
+        flags = [e.flag for e in flag_table(arr, poly)]
+        classes = terminal_classes(arr, flags)
+        assert classes == reference.fraction_terminal_classes(arr, flags)
+        cone = _scaled_inverse(poly.basis_matrix())
+        for cls in classes:
+            assert _position(cone, cls.point) == reference.fraction_position(poly, cls.point)
 
 
 def test_chart_factor_keeps_exact_zero():

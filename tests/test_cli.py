@@ -48,6 +48,7 @@ from residuum.dsl import parse_problem
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
+    _integer_rows,
     minor_profile,
     minor_store,
 )
@@ -514,9 +515,10 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     It ranks nothing, builds no minor profile (it reads the verdicts the
     table decides from one minor store of the chart matrix), and classes
     its collections once: it solves each distinct terminal point among
-    them once, from the first flag that ends there.  eval solves each distinct terminal point of the
-    stable flags once, and inverts those flags' rows and the cone basis
-    once each.
+    them once, by one fraction-free Gauss-Jordan of the f-rows of the first
+    flag that ends there.  eval solves each distinct terminal point of the
+    stable flags once so, and eliminates the cone basis once; neither calls
+    ``pole_location`` or builds a Fraction ``inverse``.
     """
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
@@ -539,10 +541,15 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
         return list(firsts.values())
 
     def f_rows(flag):
-        return RationalMatrix(tuple(arr.hyperplanes[i].f for i in flag.indices))
+        return tuple(arr.hyperplanes[i].f for i in flag.indices)
+
+    def eliminated() -> list:
+        """The integer rows of each ``_gauss_jordan`` call, as tuples."""
+        return [tuple(map(tuple, rows)) for rows in calls["_gauss_jordan"]]
 
     collections = first_per_point(f for _, flags, _ in points for f in flags)
     stable = first_per_point(stable_flags(arr, poly, table))
+    basis = tuple(map(tuple, _integer_rows(poly.basis_matrix().entries)[0]))
     calls = {
         "rank": [],
         "MinorProfile": [],
@@ -550,6 +557,7 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
         "determinant": [],
         "pole_location": [],
         "inverse": [],
+        "_gauss_jordan": [],
     }
     _count_calls(monkeypatch, calls)
     with mp.workprec(128):
@@ -557,16 +565,14 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     assert calls["rank"] == []
     assert calls["MinorProfile"] == []
     _assert_one_store(calls, arr, poly)
-    assert len(calls["pole_location"]) == len(collections)
-    assert calls["inverse"] == [f_rows(f) for f in collections]
+    assert calls["pole_location"] == calls["inverse"] == []
+    assert eliminated() == [f_rows(f) for f in collections]
     for fn in calls:
         calls[fn].clear()
     with mp.workprec(128):
         cmd_eval(spec)
-    assert len(calls["pole_location"]) == len(stable)
-    assert Counter(calls["inverse"]) == Counter(
-        [f_rows(f) for f in stable] + [poly.basis_matrix()]
-    )
+    assert calls["pole_location"] == calls["inverse"] == []
+    assert Counter(eliminated()) == Counter([f_rows(f) for f in stable] + [basis])
 
 
 # problems whose hyperplanes have exact s (pi enters numerators only)

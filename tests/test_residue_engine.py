@@ -5,10 +5,12 @@ over the torus cycle |g_j| = eps around a simple terminal point (classical,
 chart-free value); direct_flag_value evaluates the simple-transverse-flag
 residue formula in the chart without the residue machinery.  A third,
 conftest.trace_residue, gives Grothendieck residues of grouped divisors by
-the trace formula.
+the trace formula.  A fourth needs no quadrature: every cone in which the
+value is certified gives the same value.
 """
 
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -53,6 +55,7 @@ from residuum.arrangement import (
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
+    _scaled_inverse,
     determinant,
     inverse,
     minor_profile,
@@ -62,6 +65,7 @@ from residuum.residue_engine import (
     Convergence,
     DivisorGrouping,
     EmptyStableSet,
+    ChartResidues,
     _soluble_chart,
     canonical_grouping,
     canonical_grouping_points,
@@ -71,7 +75,13 @@ from residuum.residue_engine import (
     iterated_residue,
     points_of_grouping,
 )
-from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc, working_precision
+from residuum.symfun import (
+    AffineForm,
+    ExpRationalFunction,
+    constant_sum,
+    to_mpc,
+    working_precision,
+)
 
 TWO_PI_I = lambda: 2 * pi * mpc(0, 1)
 
@@ -820,3 +830,125 @@ def test_simplicial_draws_match_their_closed_form():
             scale = (2 * pi) ** r / det_f * exp(-sum(abs(x) * y for x, y in zip(c, s)))
             assert abs(result.value - (want if min(c) > 0 else 0)) <= mpf("1e-30") * scale
         assert not result.certificate.certified
+
+
+@st.composite
+def coincident_draws(draw):
+    """Four to six hyperplanes f . v = i s in three variables, at least
+    three of them through one point P = d + i c (small integers, c > 0), so
+    s = f . c - i f . d with f . c > 0, and the others shifted off it by
+    adding 1 or 2 to s; multiplicities 1 to 3, numerator exp(i om . v), and
+    the identity cone."""
+    c = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    d = draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3))
+    dot = lambda f, x: sum(a * b for a, b in zip(f, x))
+    row = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(
+        lambda f: math.gcd(*f) == 1 and dot(f, c) > 0
+    )
+    rows = draw(st.lists(row, min_size=4, max_size=6, unique_by=tuple))
+    assume(determinant(RationalMatrix(tuple(map(tuple, rows[:3])))) != 0)
+    off = len(rows) - draw(st.integers(3, len(rows)))
+    shifts = [0] * (len(rows) - off) + draw(st.lists(st.integers(1, 2), min_size=off, max_size=off))
+    s = [GaussianRational(dot(f, c) + k, -dot(f, d)) for f, k in zip(rows, shifts)]
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    freq = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    return _closed_form_problem(rows, s, mult, freq, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+@given(coincident_draws())
+@settings(max_examples=20, deadline=None)
+def test_contributions_are_exact_sums_rounded_once(case):
+    """Each flag's contribution is its residue summed exactly
+    (``constant_sum``) and rounded once: at 128 bits the value of that sum,
+    bit for bit, not the sum of its terms' rounded values; and within 2^-124
+    of its magnitude (16 units in the last place, as the exponential and
+    the product are rounded too) of the sum's value at 256 bits, exactly 0
+    where that is."""
+    arr, poly = case
+    residues = ChartResidues(arr, poly)
+    with working_precision(128):
+        result = evaluate_integral(arr, poly)
+        sums = {flag: constant_sum([residues.function(flag)]) for flag in result.flag_contributions}
+        assert result.flag_contributions == {flag: f.evaluate(()) for flag, f in sums.items()}
+    with working_precision(256):
+        for flag, value in result.flag_contributions.items():
+            want = sums[flag].evaluate(())
+            assert abs(value - want) <= abs(want) * mpf(2) ** -124
+
+
+# rays of three complete toric surfaces, as the rows of f_j(v) = i s_j
+FANS = {
+    "P2": [(1, 0), (0, 1), (-1, -1)],
+    "P1xP1": [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    "F1": [(1, 0), (0, 1), (-1, 1), (0, -1)],
+}
+
+
+def _spanning_rows(rng: random.Random, r: int, big_r: int) -> list:
+    """``big_r`` primitive integer rows, entries in -2..2 but the last,
+    every r of them independent and summing to a multiple of 0: no real
+    direction has every f_j(u) >= 0, so the value need not vanish."""
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(big_r - 1)]
+        last = [-sum(col) for col in zip(*rows)]
+        if any(last):
+            rows.append([x // math.gcd(*last) for x in last])
+        if len(rows) == big_r and all(math.gcd(*row) == 1 for row in rows) and all(
+            determinant(RationalMatrix(tuple(map(tuple, sub))))
+            for sub in itertools.combinations(rows, r)
+        ):
+            return rows
+
+
+def _cones(rng: random.Random, rows: list, r: int, adjugates: bool) -> list:
+    """Twenty positively oriented cones: random ones, entries in -3..3; or,
+    with ``adjugates``, for each r of five rows the columns of their
+    adjugate and their negatives, the first negated where the orientation
+    needs it (where F_S v = w, a cone of +-e_k in w)."""
+    if adjugates:
+        cones = []
+        for sub in itertools.combinations(rows, r):
+            adj, _ = _scaled_inverse(RationalMatrix(tuple(map(tuple, sub))))
+            cones += [[[sign * x for x in col] for col in zip(*adj)] for sign in (1, -1)]
+    else:
+        cones = [[[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)] for _ in range(20)]
+    oriented = []
+    for gens in cones:
+        det = determinant(RationalMatrix(tuple(map(tuple, gens))))
+        if det:
+            oriented.append(gens if det > 0 else [[-x for x in gens[0]], *gens[1:]])
+    return oriented
+
+
+@pytest.mark.parametrize("case", [*FANS, "generic 0", "generic 1"])
+def test_certified_values_do_not_depend_on_the_cone(case):
+    """The value is an integral over R^r and a cone only picks the contour,
+    so every cone in which ``eval`` is certified gives it: over at most 20
+    cones (``_cones``), at least two certified, the certified values agree
+    to 1e-30 of (2 pi)^r times the sum of |contributions|, and none is 0 (a
+    stable class ends inside a certified cone, so an inside test turned
+    around would give 0 in every one).  The fans take
+    s_j = 1 + (j mod 3) and random cones; the generic draws are five rows
+    in three variables (``_spanning_rows``) with s_j in 1..3 and the cones
+    of their row triples' adjugates.  The numerator is 1."""
+    rng = random.Random(f"cone independence {case}")
+    if case in FANS:
+        rows = FANS[case]
+        s = [1 + j % 3 for j in range(len(rows))]
+    else:
+        rows = _spanning_rows(rng, 3, 5)
+        s = [rng.randint(1, 3) for _ in rows]
+    r = len(rows[0])
+    certified = []
+    for gens in _cones(rng, rows, r, case not in FANS):
+        arr, poly = _closed_form_problem(rows, s, [1] * len(rows), [0] * r, gens)
+        with working_precision(128):
+            result = evaluate_integral(arr, poly)
+        if result.certificate.certified:
+            size = sum(abs(v) for v in result.flag_contributions.values())
+            certified.append((result.value, (2 * pi) ** r * size))
+    assert len(certified) >= 2
+    (first, first_size), *rest = certified
+    assert first != 0
+    for value, size in rest:
+        assert abs(value - first) <= mpf("1e-30") * max(size, first_size)
