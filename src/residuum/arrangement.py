@@ -19,9 +19,10 @@ independent.  A flag's Jacobian and minors are read into a ``FlagEntry``
 only where something reads that entry: a reported violation, a text report.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
-terminal point and, where more than r meet, the exact spans of its
-prefixes; the evaluator and the grouping read it.  With every s_j exact a
-point and its hyperplanes come from one fraction-free solve on integers.
+terminal point (``incidence``) and, where more than r meet, the exact spans
+of its prefixes; the evaluator and the grouping read it.  With every s_j
+exact, a point is one fraction-free solve on integers (``pole_location``)
+and its hyperplanes an integer test.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -497,55 +498,46 @@ def compatibility_audit(
     )
 
 
-def _exact_constants(arr: Arrangement) -> tuple[list, int] | None:
-    """(c, L) with i s_j = c_j / L, c_j Gaussian integers (re, im) over one
-    denominator L, when every s_j is exact; else None."""
-    s = [h.s for h in arr.hyperplanes]
-    if any(x.__class__ is not GaussianRational for x in s):
-        return None
-    den = math.lcm(*[x._d for x in s])
-    return [(-x._b * (den // x._d), x._a * (den // x._d)) for x in s], den  # i(a + bi) = -b + ai
-
-
-def _meet(arr: Arrangement, flag: Flag, constants: tuple | None) -> tuple[list, frozenset]:
-    """(point, incidence) where the flag's hyperplanes S meet.  For the
-    ``_exact_constants`` (c, L), one fraction-free Gauss-Jordan of
-    [F_S | c_S] gives the point as q / (p L), q Gaussian-integer pairs and
-    p > 0, and H_j passes through it exactly when f_j . q = p c_j.  Without
-    them, ``solve_linear`` applies the exact inverse of F_S to the rounded
-    i s_j, and ``incidence`` tests the point to the noise floor."""
-    hps = [arr.hyperplanes[i] for i in flag.indices]
-    if constants is None:
-        point = solve_linear(RationalMatrix(tuple(h.f for h in hps)), [_I * h.s for h in hps])
-        return point, incidence(arr, point)
-    pairs, den = constants
-    q, p = _gauss_jordan([h.f for h in hps], [pairs[i] for i in flag.indices])
-    re, im = [a for a, _ in q], [b for _, b in q]
-    through = frozenset(
-        j
-        for j, (h, (u, w)) in enumerate(zip(arr.hyperplanes, pairs))
-        if sum(map(mul, h.f, re)) == p * u and sum(map(mul, h.f, im)) == p * w
-    )
-    return [_gaussian(a, b, p * den) for a, b in q], through
-
-
 def pole_location(arr: Arrangement, flag: Flag) -> list:
-    """Terminal point z_gamma in v-coordinates, where f_j(v) = i s_j for the
-    flag's hyperplanes (``_meet``): GaussianRationals when every s_j is exact."""
+    """Terminal point z_gamma in v-coordinates: solve f_j(v) = i s_j for the
+    flag's hyperplanes S.  With every s_j exact, i s_j = c_j / L with
+    Gaussian-integer pairs c_j over one denominator L, and one fraction-free
+    Gauss-Jordan of [F_S | c_S] gives the point q / (p L); otherwise the
+    exact inverse of F_S applies to the rounded i s_j."""
     if len(flag) != arr.dim:
         raise ValueError("terminal point requires a complete flag")
-    return _meet(arr, flag, _exact_constants(arr))[0]
+    hps = [arr.hyperplanes[i] for i in flag.indices]
+    if any(h.s.__class__ is not GaussianRational for h in hps):
+        return solve_linear(RationalMatrix(tuple(h.f for h in hps)), [_I * h.s for h in hps])
+    den = math.lcm(*[h.s._d for h in hps])
+    # i (a + b i) / d = (-b + a i) / d
+    pairs = [(-h.s._b * (den // h.s._d), h.s._a * (den // h.s._d)) for h in hps]
+    q, p = _gauss_jordan([h.f for h in hps], pairs)
+    return [_gaussian(a, b, p * den) for a, b in q]
 
 
 def incidence(arr: Arrangement, point) -> frozenset[int]:
-    """The hyperplanes through ``point``: H_j when f_j . p = i s_j, exactly
-    when p and s_j are exact, else to the noise floor of max(1, |s_j|)."""
-    point = [x if isinstance(x, GaussianRational) else to_mpc(x) for x in point]
-    return frozenset(
-        j
-        for j, h in enumerate(arr.hyperplanes)
-        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - _I * h.s, h.s)
-    )
+    """The hyperplanes through ``point``: H_j when f_j . p = i s_j.  For an
+    exact point p = (x + y i) / e and s_j = (a + b i) / d that is a test on
+    integers, d f_j . x = -b e and d f_j . y = a e; with a rounded p or s_j
+    it holds to the noise floor of max(1, |s_j|)."""
+    exact = all(x.__class__ is GaussianRational for x in point)
+    if exact:
+        e = math.lcm(*[x._d for x in point])
+        re, im = [x._a * (e // x._d) for x in point], [x._b * (e // x._d) for x in point]
+    else:
+        point = [x if isinstance(x, GaussianRational) else to_mpc(x) for x in point]
+    through = []
+    for j, h in enumerate(arr.hyperplanes):
+        s = h.s
+        if exact and s.__class__ is GaussianRational:
+            d = s._d
+            on = d * sum(map(mul, h.f, re)) == -s._b * e and d * sum(map(mul, h.f, im)) == s._a * e
+        else:
+            on = is_negligible(sum(c * x for c, x in zip(h.f, point)) - _I * s, s)
+        if on:
+            through.append(j)
+    return frozenset(through)
 
 
 class FlagClass(NamedTuple):
@@ -563,15 +555,17 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     Two complete flags cut out the same flag exactly when they end at the
     same point and, for every k, their first k rows span the same space:
     level k is that point plus the kernel of those rows.  A flag's key is
-    the set of hyperplanes through its point (``_meet``) and its prefixes'
-    ``row_echelon`` rows; where only its own r hyperplanes meet, it is its
-    own class (independent rows never share every prefix span) and no span
-    is computed.  A point is solved once per set of hyperplanes, and every
-    r hyperplanes through an exact point take it once it is solved: if they
-    are independent they meet in that one point.
+    the ``incidence`` of its point and its prefixes' ``row_echelon`` rows;
+    where only its own r hyperplanes meet, it is its own class (independent
+    rows never share every prefix span) and no span is computed.  A point
+    is solved once per set of hyperplanes, and a set through an exact point
+    already solved where more than r meet takes that point: its hyperplanes
+    meet in one point, and that one lies on all of them.
     """
-    r, constants = arr.dim, _exact_constants(arr)
     points: dict[frozenset, tuple] = {}  # set of hyperplanes -> (point, incidence)
+    # hyperplane -> (point, incidence) of each exact point on it where more
+    # than r hyperplanes meet; where r meet, no other set ends there
+    shared: dict[int, list] = {}
     classes: dict[tuple, FlagClass] = {}
 
     @functools.cache
@@ -581,15 +575,19 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     for flag in sorted(flags, key=lambda f: f.indices):
         whole = frozenset(flag.indices)
         if whole not in points:
-            point, through = known = _meet(arr, flag, constants)
-            exact = all(x.__class__ is GaussianRational for x in point)
-            for rows in itertools.combinations(through, r) if exact else [whole]:
-                points.setdefault(frozenset(rows), known)
+            known = next((p for p in shared.get(flag.indices[0], ()) if whole <= p[1]), None)
+            if known is None:
+                point = pole_location(arr, flag)
+                known = (point, incidence(arr, point))
+                if len(known[1]) > arr.dim and all(x.__class__ is GaussianRational for x in point):
+                    for j in known[1]:
+                        shared.setdefault(j, []).append(known)
+            points[whole] = known
         point, through = points[whole]
-        if len(through) == r:
+        if len(through) == arr.dim:
             key = (through, flag.indices)
         else:
-            key = (through, *(span(frozenset(flag.indices[:k])) for k in range(1, r)))
+            key = (through, *(span(frozenset(flag.indices[:k])) for k in range(1, arr.dim)))
         classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)
     return list(classes.values())
 

@@ -8,11 +8,11 @@ through one ``_ratio``.  ``_integer_rows`` is the one place that clears
 denominators, row by row; one fraction-free Bareiss elimination on Python
 ints (``_bareiss``) then serves every elimination: ``determinant`` reads
 its last pivot, ``rank`` counts its pivots, ``_gauss_jordan`` carries
-integer right-hand sides through its Gauss-Jordan form (the terminal
-points of ``arrangement``, and the diagonal block of ``_scaled_inverse``,
-from which ``inverse`` and ``solve_linear`` read), and ``row_echelon``
-keys a span by its Gauss-Jordan rows made primitive integer rows with a
-positive pivot.  No floating point ever enters a sign decision.
+integer right-hand sides through its Gauss-Jordan form (an identity block
+for ``inverse``, which ``solve_linear`` applies; the exact terminal points
+of ``arrangement``), and ``row_echelon`` keys a span by its Gauss-Jordan
+rows made primitive integer rows with a positive pivot.  No floating point
+ever enters a sign decision.
 
 Three families of minors of a k-by-r matrix J = (a_ij) drive the rest of the
 package:
@@ -330,34 +330,29 @@ def rank(mat: RationalMatrix) -> int:
 
 
 def _gauss_jordan(
-    rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
+    rows: Sequence[Sequence[int | Fraction]], columns: Sequence[Sequence[int]] | None = None
 ) -> tuple[list[list[int]], int]:
-    """(N, d) with F^-1 B = N / d, N integer and d > 0, for a nonsingular
-    square integer matrix F (``rows``) and integer right-hand sides B
-    (``columns``, one row of B per row of F): one fraction-free Gauss-Jordan
-    of [F | B] (``_bareiss``), which leaves +-det F on every pivot."""
+    """(N, d) with A^-1 B = N / d, N integer and d > 0, for the ``rows`` of
+    a nonsingular square rational A and integer right-hand sides B
+    (``columns``, one row of B per row of A; the identity when None).  With
+    D clearing A's row denominators, one fraction-free Gauss-Jordan of
+    [D A | D B] (``_bareiss``) leaves +-det(D A) on every pivot."""
     n = len(rows)
-    m = [[*f, *b] for f, b in zip(rows, columns)]
+    if columns is None:
+        columns = [[int(i == j) for j in range(n)] for i in range(n)]
+    m, scales = _integer_rows(rows)
+    m = [[*f, *(s * x for x in b)] for f, s, b in zip(m, scales, columns)]
     if len(_bareiss(m, n, reduce=True)[0]) < n:
         raise ValueError("singular matrix")
     d = m[0][0]
     return [row[n:] if d > 0 else [-x for x in row[n:]] for row in m], abs(d)
 
 
-def _scaled_inverse(mat: RationalMatrix) -> tuple[list[list[int]], int]:
-    """(N, d) with mat^-1 = N / d, N integer and d > 0.  With D the diagonal
-    that clears the row denominators, A^-1 = (D A)^-1 D: ``_gauss_jordan``
-    of [D A | D]."""
-    m, scales = _integer_rows(mat.entries)
-    diagonal = [[x if i == j else 0 for j in range(len(m))] for i, x in enumerate(scales)]
-    return _gauss_jordan(m, diagonal)
-
-
 def inverse(mat: RationalMatrix) -> RationalMatrix:
-    """Exact inverse, its integral entries ints (``_scaled_inverse``)."""
+    """Exact inverse, its integral entries ints (``_gauss_jordan``)."""
     if mat.rows != mat.cols:
         raise ValueError("inverse of a non-square matrix")
-    rows, d = _scaled_inverse(mat)
+    rows, d = _gauss_jordan(mat.entries)
     return RationalMatrix(tuple(tuple(_ratio(x, d) for x in row) for row in rows))
 
 

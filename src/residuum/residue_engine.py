@@ -50,13 +50,7 @@ from .arrangement import (
     stable_flags,
     terminal_classes,
 )
-from .exact_linalg import (
-    GaussianRational,
-    RationalMatrix,
-    _scaled_inverse,
-    determinant,
-    minor_profile,
-)
+from .exact_linalg import GaussianRational, RationalMatrix, _gauss_jordan, determinant, minor_profile
 from .symfun import (
     DEFAULT_PRECISION,
     ExpRationalFunction,
@@ -197,10 +191,11 @@ def _total(funcs: Sequence[ExpRationalFunction]) -> mpc:
 
 def _position(cone: tuple, point):
     """(inside, boundary) for a terminal point: its chart coordinates are
-    z = M^-1 p = N p / d for ``cone`` = (N, d) of ``_scaled_inverse``, and
-    the polyhedron is the closed region Im z_k >= 0.  An exact point's Im z_k
-    has the sign of the integer N_k . (L Im p), L its common denominator; a
-    rounded point's are compared with the noise floor of the largest |z_k|."""
+    z = M^-1 p = N p / d for ``cone`` = (N, d), the ``_gauss_jordan`` of
+    the cone's basis M, and the polyhedron is the closed region Im z_k >= 0.
+    An exact point's Im z_k has the sign of the integer N_k . (L Im p), L its
+    common denominator; a rounded point's are compared with the noise floor
+    of the largest |z_k|."""
     rows, d = cone
     if all(x.__class__ is GaussianRational for x in point):
         den = math.lcm(*[x._d for x in point])
@@ -268,7 +263,7 @@ def evaluate_integral(
         audit = compatibility_audit(arr, poly, table)
         verdict = convergence_heuristic(arr, poly, audit)
         warnings: list[str] = []
-        cone = _scaled_inverse(poly.basis_matrix())
+        cone = _gauss_jordan(poly.basis_matrix().entries)
         residues = ChartResidues(arr, poly, table.chart)
         contributions: dict[Flag, mpc] = {}
         funcs = []

@@ -50,13 +50,14 @@
   matrices (``matmul``); ``arrangement.jacobian`` takes integer dot products
   over each generator's denominator instead, ints where the entries are
   integral.
-* ``fraction_terminal_classes`` and ``fraction_position``: flag classes
-  keyed by each set's terminal point, solved by the Fraction inverse of its
-  f-rows, the ``incidence`` of that point and the Fraction row echelon form
-  of every prefix, and a point's place in the cone from the Fraction
-  inverse of its basis; ``arrangement.terminal_classes`` and
-  ``residue_engine._position`` decide both on integers instead, and the
-  suite checks the two agree.
+* ``fraction_terminal_classes``, ``fraction_incidence`` and
+  ``fraction_position``: flag classes keyed by each set's terminal point,
+  solved by the Fraction inverse of its f-rows, the hyperplanes through
+  that point by GaussianRational sums f_j . p - i s_j and the Fraction row
+  echelon form of every prefix, and a point's place in the cone from the
+  Fraction inverse of its basis; ``arrangement.terminal_classes``,
+  ``arrangement.incidence`` and ``residue_engine._position`` decide these
+  on integers instead, and the suite checks that they agree.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from residuum.arrangement import (
     Hyperplane,
     MeetsRealLocus,
     NotAlignable,
-    incidence,
     pole_location,
 )
 from residuum.exact_linalg import (
@@ -199,8 +199,8 @@ def fraction_chart(arr: Arrangement, indices, poly) -> RationalMatrix:
 
 def fraction_terminal_classes(arr: Arrangement, flags) -> list[FlagClass]:
     """The flags' classes, in the order of their first flags, keyed by the
-    ``incidence`` of the terminal point and the reduced row echelon form of
-    each prefix's f-rows (``fraction_gauss_jordan``).  Each set of
+    ``fraction_incidence`` of the terminal point and the reduced row echelon
+    form of each prefix's f-rows (``fraction_gauss_jordan``).  Each set of
     hyperplanes is solved once, the ``fraction_inverse`` of its f-rows
     applied to i s_j, unless a point already solved exactly lies on all of
     its hyperplanes; then it takes that point."""
@@ -217,7 +217,7 @@ def fraction_terminal_classes(arr: Arrangement, flags) -> list[FlagClass]:
                 rhs = [i * h.s for h in hps]
                 inv = fraction_inverse([h.f for h in hps])
                 point = [sum(b * c for b, c in zip(rhs, row)) for row in inv]
-                known = (point, incidence(arr, point))
+                known = (point, fraction_incidence(arr, point))
                 if all(isinstance(x, exact_linalg.GaussianRational) for x in point):
                     exact.append(known)
             points[whole] = known
@@ -226,6 +226,19 @@ def fraction_terminal_classes(arr: Arrangement, flags) -> list[FlagClass]:
         key = (through, *map(tuple, spans))
         classes.setdefault(key, FlagClass(point, through, [])).flags.append(flag)
     return list(classes.values())
+
+
+def fraction_incidence(arr: Arrangement, point) -> frozenset[int]:
+    """The hyperplanes H_j through ``point``: f_j . p - i s_j summed in
+    GaussianRationals, exactly 0 when p and s_j are exact, and otherwise
+    within the noise floor of max(1, |s_j|)."""
+    i = exact_linalg.GaussianRational(Fraction(0), Fraction(1))
+    point = [x if isinstance(x, exact_linalg.GaussianRational) else to_mpc(x) for x in point]
+    return frozenset(
+        j
+        for j, h in enumerate(arr.hyperplanes)
+        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - i * h.s, h.s)
+    )
 
 
 def fraction_position(poly, point) -> tuple[bool, bool]:

@@ -41,7 +41,7 @@ from residuum.arrangement import (
 )
 from residuum.exact_linalg import (
     GaussianRational,
-    _scaled_inverse,
+    _gauss_jordan,
     inverse,
     minor_profile,
     rank,
@@ -620,7 +620,7 @@ def test_terminal_classes_and_positions_match_fraction_reference(case):
         flags = [e.flag for e in flag_table(arr, poly)]
         classes = terminal_classes(arr, flags)
         assert classes == reference.fraction_terminal_classes(arr, flags)
-        cone = _scaled_inverse(poly.basis_matrix())
+        cone = _gauss_jordan(poly.basis_matrix().entries)
         for cls in classes:
             assert _position(cone, cls.point) == reference.fraction_position(poly, cls.point)
 

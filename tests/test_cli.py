@@ -48,7 +48,6 @@ from residuum.dsl import parse_problem
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
-    _integer_rows,
     minor_profile,
     minor_store,
 )
@@ -517,8 +516,8 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     its collections once: it solves each distinct terminal point among
     them once, by one fraction-free Gauss-Jordan of the f-rows of the first
     flag that ends there.  eval solves each distinct terminal point of the
-    stable flags once so, and eliminates the cone basis once; neither calls
-    ``pole_location`` or builds a Fraction ``inverse``.
+    stable flags once so, and eliminates the cone basis once; neither
+    builds a Fraction ``inverse``.
     """
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
@@ -544,12 +543,11 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
         return tuple(arr.hyperplanes[i].f for i in flag.indices)
 
     def eliminated() -> list:
-        """The integer rows of each ``_gauss_jordan`` call, as tuples."""
+        """The rows of each ``_gauss_jordan`` call, as tuples."""
         return [tuple(map(tuple, rows)) for rows in calls["_gauss_jordan"]]
 
     collections = first_per_point(f for _, flags, _ in points for f in flags)
     stable = first_per_point(stable_flags(arr, poly, table))
-    basis = tuple(map(tuple, _integer_rows(poly.basis_matrix().entries)[0]))
     calls = {
         "rank": [],
         "MinorProfile": [],
@@ -565,14 +563,16 @@ def test_grouping_and_eval_read_the_flag_table(monkeypatch, text):
     assert calls["rank"] == []
     assert calls["MinorProfile"] == []
     _assert_one_store(calls, arr, poly)
-    assert calls["pole_location"] == calls["inverse"] == []
+    assert len(calls["pole_location"]) == len(collections)
     assert eliminated() == [f_rows(f) for f in collections]
+    assert calls["inverse"] == []
     for fn in calls:
         calls[fn].clear()
     with mp.workprec(128):
         cmd_eval(spec)
-    assert calls["pole_location"] == calls["inverse"] == []
-    assert Counter(eliminated()) == Counter([f_rows(f) for f in stable] + [basis])
+    assert len(calls["pole_location"]) == len(stable)
+    assert Counter(eliminated()) == Counter([f_rows(f) for f in stable] + [poly.basis_matrix().entries])
+    assert calls["inverse"] == []
 
 
 # problems whose hyperplanes have exact s (pi enters numerators only)

@@ -55,7 +55,7 @@ from residuum.arrangement import (
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
-    _scaled_inverse,
+    _gauss_jordan,
     determinant,
     inverse,
     minor_profile,
@@ -908,7 +908,7 @@ def _cones(rng: random.Random, rows: list, r: int, adjugates: bool) -> list:
     if adjugates:
         cones = []
         for sub in itertools.combinations(rows, r):
-            adj, _ = _scaled_inverse(RationalMatrix(tuple(map(tuple, sub))))
+            adj, _ = _gauss_jordan(sub)
             cones += [[[sign * x for x in col] for col in zip(*adj)] for sign in (1, -1)]
     else:
         cones = [[[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)] for _ in range(20)]
