@@ -2,8 +2,9 @@
 
 A polar hyperplane is presented canonically as H = {f(v) = is} with f a
 primitive coprime-integer vector and Re s > 0 (such H never meets the real
-locus).  A polyhedron is an ordered rational basis (v_1, ..., v_r) spanning a
-cone; its coordinates z are the dual basis.  The Jacobian of an ordered
+locus), found on Gaussian integers (``_canonical``).  A polyhedron is an
+ordered rational basis (v_1, ..., v_r) spanning a cone; its coordinates z
+are the dual basis.  The Jacobian of an ordered
 hyperplane collection with respect to a polyhedron has entries f_j(v_k), and
 its exact minor profile decides solubility, stability, and compatibility.
 The integrand has one pullback to the chart v = M z, ``Arrangement.pullback``:
@@ -13,10 +14,11 @@ and otherwise rounded once, so a 0 of F M stays exactly 0.
 polyhedron) pair; the audit, the stable flags, the engine and the reports
 all read that one table.  Each flag's Jacobian is its rows of the chart
 matrix C (all hyperplanes against the generators, ints where integral), so
-each of its minors is a signed minor of C, read from one ``minor_store`` of
-C, and a flag is kept when its p_r is nonzero, which is when its f-rows are
-independent.  A flag's Jacobian and minors are read into a ``FlagEntry``
-only where something reads that entry: a reported violation, a text report.
+each of its minors is a signed minor of C, read from one flat ``minor_store``
+of C through the shape's ``set_layout``, and a flag is kept when its p_r is
+nonzero, which is when its f-rows are independent.  A flag's Jacobian and
+minors are read into a ``FlagEntry`` only where something reads that entry:
+a reported violation, a text report.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
 terminal point (``incidence``) and, where more than r meet, the exact spans
@@ -61,7 +63,7 @@ from .exact_linalg import (
     rank,
     read_ordering,
     row_echelon,
-    set_minors,
+    set_layout,
     set_verdicts,
     solve_linear,
 )
@@ -91,13 +93,13 @@ class InsolubleFlag(Exception):
 _I = GaussianRational(0, 1)
 
 
-def _exact_parts(x) -> tuple[int, int, int]:
-    """(a, b, d) with x = (a + b i) / d, for an exact scalar x."""
+def _exact_scalar(x):
+    """x as an exact scalar, a complex as its GaussianRational."""
     if isinstance(x, complex):
         x = GaussianRational(Fraction(x.real), Fraction(x.imag))
-    if (parts := _parts(x)) is None:
+    if _parts(x) is None:
         raise TypeError(f"hyperplane linear parts must be exact rational data, got {x!r}")
-    return parts
+    return x
 
 
 class Hyperplane(NamedTuple):
@@ -120,34 +122,38 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     The zero set {<a,v> + b = 0} is rewritten as {f(v) = is} with f a
     primitive coprime-integer vector and Re s > 0.  The linear part must be
     exact (ints, Fractions, exact complex rationals); the constant may be any
-    complex scalar.
-    """
-    parts = [_exact_parts(x) for x in linear_coeffs]
-    den = math.lcm(*[d for _, _, d in parts])
-    z = [(a * (den // d), b * (den // d)) for a, b, d in parts]
-    if not any(map(any, z)):
+    complex scalar.  The entries are split once, as an ``AffineForm``'s."""
+    exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
+    linear = tuple(map(_exact_scalar, linear_coeffs))
+    form = AffineForm(linear, _exact_scalar(constant) if exact else 0)
+    return _canonical(form._v, form._den, None if exact else constant)[0]
+
+
+def _canonical(v: Sequence, den: int, rounded=None) -> tuple[Hyperplane, GaussianRational]:
+    """The canonical hyperplane of <a, v> + b = 0 and c with <a, v> + b = c (f(v) - i s),
+    from the Gaussian-integer pairs ``v`` of a's entries and b over ``den`` > 0, or with
+    b ``rounded`` (an mpc).  For a's first nonzero pair (x, y), c = g (x + y i) /
+    (den (x^2 + y^2)), g the gcd of the real a (x - y i), and s = i b / c."""
+    z = v[:-1]
+    x, y = next((pair for pair in z if any(pair)), (0, 0))
+    if not (x or y):
         raise ValueError("linear part is zero; not a hyperplane")
-    x, y = next(pair for pair in z if any(pair))
     # z_j times the conjugate of the lead: (a + b i)(x - y i)
     if any(b * x != a * y for a, b in z):
-        raise NotAlignable(
-            "real and imaginary parts of the linear coefficients are not parallel"
-        )
+        raise NotAlignable("real and imaginary parts of the linear coefficients are not parallel")
     u = [a * x + b * y for a, b in z]
     g = math.gcd(*u)
-    ints = [n // g for n in u]
-    # f(v) = i s with i s = -lam b for lam = conj(lead) D / g, so s = i lam b
-    lam = _gaussian(x * den, -y * den, g)
-    exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
-    s = (_gaussian(*_exact_parts(constant)) if exact else to_mpc(constant)) * lam * _I
-    # an exact s has the sign of its real part in its integer numerator
-    re = s._a if s.__class__ is GaussianRational else s.real
+    if rounded is None:  # b = (p + q i) / den: s = i (p + q i)(x - y i) / g
+        p, q = v[-1]
+        s = _gaussian(p * y - q * x, p * x + q * y, g)
+    else:
+        s = to_mpc(rounded) * _gaussian(x * den, -y * den, g) * _I
+    re = s._a if rounded is None else s.real  # an exact s: its numerator's sign
     if is_negligible(re, s):
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
-    if re < 0:
-        ints = [-n for n in ints]
-        s = -s
-    return Hyperplane(f=tuple(ints), s=s)
+    sign = 1 if re > 0 else -1
+    c = _gaussian(sign * g * x, sign * g * y, den * (x * x + y * y))
+    return Hyperplane(tuple([sign * n // g for n in u]), s if sign > 0 else -s), c
 
 
 class Polyhedron:
@@ -368,8 +374,8 @@ class TableTooLarge(Exception):
 
 class FlagTable(Sequence):
     """``flag_table``'s entries, each built when read (nothing is cached):
-    ``chart`` C = F M, ``row_sets`` (per kept row set S: S, its
-    ``set_minors``, the places of its orderings in ``profile_layout`` order),
+    ``chart`` C = F M, ``row_sets`` (per kept row set S: S, its minors in
+    ``set_layout`` order, the places of its orderings in ``profile_layout`` order),
     and per place n its flag's ``indices`` and ``verdicts``, which the engine
     reads, and its ``sources``: s r! + o when it holds ordering o of row set
     s.  Equal to, and printed as, the tuple of its entries; unhashable."""
@@ -411,10 +417,10 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
 
     The one place the pair's minors are computed, in one ``minor_store`` of
     the chart matrix C = F M; build the table once per call and hand it to
-    whatever reads the verdicts.  The flags are read row set by row set: a
-    set S of r rows reads the minors of its subsets from the store once
-    (``set_minors``), and the verdicts of its r! orderings from their signs
-    (``set_verdicts``).  S is kept when its p_r is nonzero: M is nonsingular,
+    whatever reads the verdicts.  The store's signs are read once; a set S
+    of r rows reads its minors and their signs by one getter (``set_layout``)
+    and its r! orderings' verdicts from the signs (``set_verdicts``).  S is
+    kept when its p_r, at the store's end, is nonzero: M is nonsingular,
     so p_r = +-det C[S] vanishes exactly when the f-rows F[S] are dependent.
     A table of more than ``MAX_TABLE_FLAGS`` flags raises ``TableTooLarge``
     before the store is built: when the C(R, r) r-subsets could hold that
@@ -430,18 +436,19 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
             f"more than {cap} independent row sets of {r}! flags each exceed "
             f"the flag table cap of {MAX_TABLE_FLAGS}"
         )
+    layout = set_layout(chart.rows, r)  # cached: built after the store, it fragmented the heap
     store = minor_store(chart)
-    sets = itertools.combinations(range(len(arr.hyperplanes)), r)
-    kept = [rows for rows in sets if store[rows, r - 1][0]]
-    count = len(kept) * math.factorial(r)
+    signs = [x.numerator for x in store]
+    tops = signs[len(signs) - 2 * math.comb(chart.rows, r) :: 2]  # the r-subsets' p_r
+    sets = zip(itertools.combinations(range(chart.rows), r), layout)
+    kept = list(itertools.compress(sets, tops))
     orders = [order for order, *_ in profile_layout(r, r)[2]]
-    minors = [set_minors(store, rows, r) for rows in kept]
-    flags = [order(rows) for rows in kept for order in orders]
-    verdicts = [v for m in minors for v in set_verdicts(m, r, r)]
-    ranked = sorted(range(count), key=flags.__getitem__)
-    place, f = sorted(range(count), key=ranked.__getitem__), len(orders)
+    flags = [order(rows) for rows, _ in kept for order in orders]
+    verdicts = [v for _, get in kept for v in set_verdicts(get(signs), r, r)]
+    ranked = sorted(range(len(flags)), key=flags.__getitem__)
+    place, f = sorted(range(len(flags)), key=ranked.__getitem__), len(orders)
     row_sets = tuple(
-        (rows, m, place[s * f : s * f + f]) for s, (rows, m) in enumerate(zip(kept, minors))
+        (rows, get(store), place[s * f : s * f + f]) for s, (rows, get) in enumerate(kept)
     )
     indices, verdicts = [flags[n] for n in ranked], [verdicts[n] for n in ranked]
     return FlagTable(chart, row_sets, indices, verdicts, ranked)

@@ -265,7 +265,7 @@ def _row_layout(k: int, jacobians: bool) -> tuple:
     set's source list, in ``sort_keys`` order: q and r keys "(1,10)" before
     "(1,2)".  A source list holds per ordering its verdict texts, then the
     set's hyperplane names, its chart rows' JSON (with ``jacobians``) and
-    its quoted ``set_minors``."""
+    its quoted minors (``set_layout``)."""
     q, r = ({"(%d,%d)" % key: "%s" for key, _ in ps} for ps in profile_layout(k, k)[:2])
     shape = dict.fromkeys(("compatible", "in_bruhat_cell", "stable"), "%s")
     shape.update(flag="(" + ",".join(["%s"] * k) + ")", p=["%s"] * k, q=q, r=r)
@@ -316,7 +316,7 @@ def _write_table(write, table: FlagTable, jacobians: bool) -> None:
 def _text_rows(table: FlagTable) -> list:
     """The text report's stability-table lines, in table order: each flag's
     label, its stable and compatible verdicts and its p minors, read from
-    its row set's ``set_minors`` by its ordering's getter; no entry is
+    its row set's minors by its ordering's getter; no entry is
     built."""
     readings = profile_layout(table.chart.cols, table.chart.cols)[2]
     names = [f"H{i + 1}" for i in range(table.chart.rows)]

@@ -40,7 +40,7 @@ from .arrangement import (
     MeetsRealLocus,
     NotAlignable,
     Polyhedron,
-    canonicalize_hyperplane,
+    _canonical,
 )
 from .exact_linalg import GaussianRational, _ratio
 from .symfun import AffineForm, ExpRationalFunction, Polynomial, _form, to_mpc
@@ -167,12 +167,12 @@ class _Node:
 
     __slots__ = ("pos",)
 
-    def __init__(self, *values):
-        names = self.__slots__
-        if not len(names) <= len(values) <= len(names) + 1:
-            raise TypeError(f"{type(self).__name__} takes {', '.join(names)} and pos")
-        for name, value in zip((*names, "pos"), (*values, (0, 0))):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls):
+        cls._set = getattr(cls, cls.__slots__[0]).__set__  # the first field's
+
+    def __init__(self, value, pos=(0, 0)):  # a kind of one field; Bin has its own
+        self._set(self, value)
+        _pos(self, pos)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -240,10 +240,17 @@ class Neg(_Node):
 class Bin(_Node):
     __slots__ = ("op", "lhs", "rhs")
 
+    def __init__(self, op, lhs, rhs, pos=(0, 0)):
+        _Node.__init__(self, op, pos)
+        _lhs(self, lhs)
+        _rhs(self, rhs)
+
 
 class ExpCall(_Node):
     __slots__ = ("arg",)
 
+
+_pos, _lhs, _rhs = _Node.pos.__set__, Bin.lhs.__set__, Bin.rhs.__set__  # slot setters
 
 Expr = Union[Num, Name, Neg, Bin, ExpCall]
 
@@ -883,25 +890,22 @@ def _v_pow(a, b, nvars: int, pos):
 
 
 def _lower_factor(expr: Expr, env: dict, nvars: int) -> tuple:
-    """The canonical hyperplane (f, s) of a factor written c (f(v) - i s), and c."""
+    """The canonical hyperplane (f, s) of a factor written c (f(v) - i s), and
+    c, from its form's Gaussian-integer pairs (``arrangement._canonical``)."""
     value = _eval(expr, env, nvars)
     if isinstance(value, ExpRationalFunction):
-        raise ProblemError(
-            "denominator factor is not affine in the variables", *expr.pos
-        )
-    if _is_scalar(value) or not any(value.coeffs):
-        raise ProblemError(
-            "denominator factor is constant in the variables", *expr.pos
-        )
-    if not all(isinstance(c, GaussianRational) for c in value.coeffs):
+        raise ProblemError("denominator factor is not affine in the variables", *expr.pos)
+    exact = not _is_scalar(value) and value._den is not None
+    if _is_scalar(value) or not any(map(any, value._v[:-1]) if exact else value.coeffs):
+        raise ProblemError("denominator factor is constant in the variables", *expr.pos)
+    if not exact and not all(isinstance(c, GaussianRational) for c in value.coeffs):
         raise ProblemError(
             "denominator coefficients must be exact rationals "
             "(rational multiples of 1 and i; pi and exp are not allowed)",
             *expr.pos,
         )
+    form = value if exact else AffineForm(value.coeffs, 0)
     try:
-        h = canonicalize_hyperplane(value.coeffs, value.const)
+        return _canonical(form._v, form._den, None if exact else value.const)
     except (NotAlignable, MeetsRealLocus, ValueError) as exc:
         raise ProblemError(str(exc), *expr.pos) from exc
-    j = next(j for j, f in enumerate(h.f) if f)
-    return h, value.coeffs[j] / h.f[j]

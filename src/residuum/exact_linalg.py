@@ -29,10 +29,11 @@ When J is a selection of rows of a matrix C, each of these minors is C's
 minor on the same rows in ascending order, against columns 1..k-1 plus one
 column, times the sign of the permutation that sorts them.  ``minor_store``
 computes every such minor of C once, by Laplace expansion over the minors
-one row smaller.  ``set_minors`` reads a set of rows' minors from it once;
-through one ``profile_layout`` per (rows, width), ``set_verdicts`` decides
-every ordering's verdicts from their signs, ``read_ordering`` reads one
-ordering's profile and ``row_layout`` its table row.
+one row smaller, into one flat list; a set of rows reads its minors, or
+their signs, by one getter of the shape's ``set_layout``.  Through one
+``profile_layout`` per (rows, width), ``set_verdicts`` decides every
+ordering's verdicts from the signs, ``read_ordering`` reads one ordering's
+profile and ``row_layout`` its table row.
 ``arrangement.flag_table`` reads every independent row set of the chart
 matrix so; ``minor_profile`` J's own.  ``RationalMatrix``, ``Verdicts`` and
 ``MinorProfile`` are NamedTuples.
@@ -186,10 +187,10 @@ class MinorProfile(NamedTuple):
     in_bruhat_cell: bool
 
 
-def minor_store(mat: RationalMatrix) -> dict:
+def minor_store(mat: RationalMatrix) -> list:
     """Every minor det C[S; (1..k-1, c)] of C = mat, for an ascending row
-    tuple S of size k <= r and a column c >= k, as the pair (det, -det)
-    keyed (S, c) with 0-based indices, ints where integral.
+    tuple S of size k <= r and a column c >= k, as det, -det in one flat
+    list by k, S in ``combinations`` order and c (``_store_keys``).
 
     C's rows are cleared to integers once, and each minor is its Laplace
     expansion along column c over the head minors det C[T; 1..k-1] of the
@@ -197,7 +198,7 @@ def minor_store(mat: RationalMatrix) -> dict:
     """
     m, scales = _integer_rows(mat.entries)
     width = mat.cols
-    store: dict = {}
+    store: list = []
     heads = {(): 1}
     for k in range(1, min(mat.rows, width) + 1):
         for rows in itertools.combinations(range(mat.rows), k):
@@ -211,8 +212,14 @@ def minor_store(mat: RationalMatrix) -> dict:
                 if c == k - 1:
                     heads[rows] = det
                 x = det if scale == 1 else _ratio(det, scale)
-                store[rows, c] = (x, -x)
+                store += (x, -x)
     return store
+
+
+def _store_keys(count: int, width: int) -> list:
+    """The 0-based (S, c) of each pair of a count-by-width ``minor_store``."""
+    sets = [itertools.combinations(range(count), k) for k in range(1, min(count, width) + 1)]
+    return [(s, c) for s in itertools.chain(*sets) for c in range(len(s) - 1, width)]
 
 
 def _getter(idx: Sequence[int]):
@@ -220,24 +227,31 @@ def _getter(idx: Sequence[int]):
     return itemgetter(*idx) if len(idx) > 1 else lambda seq: tuple([seq[i] for i in idx])
 
 
-def _subset_keys(rows: Sequence[int], width: int) -> list:
-    """The ``minor_store`` keys of the subsets of the ascending ``rows``."""
-    subsets = (s for m in range(1, len(rows) + 1) for s in itertools.combinations(rows, m))
-    return [(s, c) for s in subsets for c in range(len(s) - 1, width)]
+@functools.lru_cache(maxsize=8)
+def set_layout(count: int, width: int) -> tuple:
+    """Per k-subset S of C's count rows, k = min(count, width), in ``combinations``
+    order, the getter of S's minors in ``profile_layout``'s order from C's
+    ``minor_store`` or its signs.  Few shapes are kept: near the cap one holds 16,000."""
+    place = {key: (2 * n, 2 * n + 1) for n, key in enumerate(_store_keys(count, width))}
+    own = _store_keys(k := min(count, width), width)
+    return tuple(
+        itemgetter(*[j for s, c in own for j in place[tuple([rows[i] for i in s]), c]])
+        for rows in itertools.combinations(range(count), k)
+    )
 
 
 @functools.cache
 def profile_layout(k: int, width: int) -> tuple:
     """Where each ordering of k rows of a ``width``-column matrix reads its
-    minors, once per (k, width), from the rows' ``set_minors``: minor n as
-    items 2n and 2n + 1.  A minor of an ordering's first m rows is the item
-    of those rows in ascending order chosen by the parity of the sort;
-    dropping the prefix's j-th row, i-th in ascending order, adds j - 1 + i.
-    Returns the distinct (q key, item) and (r key, item) pairs and, per
-    ordering of range(k) in ``permutations`` order (which ``row_layout`` and
-    a ``FlagTable``'s row sets follow), getters of its rows, p items, q and r pairs.
-    """
-    slot = {key: 2 * n for n, key in enumerate(_subset_keys(range(k), width))}
+    minors from the rows' minors in the store order of k rows alone
+    (``set_layout``): minor n as items 2n and 2n + 1.  A minor of an
+    ordering's first m rows is the item of those rows in ascending order
+    chosen by the parity of the sort; dropping the prefix's j-th row, i-th in
+    ascending order, adds j - 1 + i.  Returns the distinct (q key, item) and
+    (r key, item) pairs and, per ordering of range(k) in ``permutations``
+    order (which ``row_layout`` and a ``FlagTable``'s row sets follow),
+    getters of its rows, p items, q and r pairs."""
+    slot = {key: 2 * n for n, key in enumerate(_store_keys(k, width))}
     q_pairs: dict = {}  # (key, item) -> its place among the distinct pairs
     r_pairs: dict = {}
     readings = []
@@ -262,30 +276,24 @@ def profile_layout(k: int, width: int) -> tuple:
     return tuple(q_pairs), tuple(r_pairs), tuple(readings)
 
 
-def set_minors(store: dict, rows: Sequence[int], width: int) -> list:
-    """The store pairs of the subsets of ``rows``, flat in ``_subset_keys`` order."""
-    return [x for key in _subset_keys(rows, width) for x in store[key]]
-
-
-def set_verdicts(minors: list, k: int, width: int) -> list:
+def set_verdicts(signs: Sequence[int], k: int, width: int) -> list:
     """The ``Verdicts`` of each ordering of k rows of C, in ``profile_layout``
-    order, from the signs of the rows' ``set_minors`` (``width`` columns)."""
+    order, from a number of each sign of the rows' minors (``set_layout``)."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
-    numerators = [x.numerator for x in minors]
-    q_signs = [numerators[n] for _, n in q_pairs]
-    r_signs = [numerators[n ^ (l - j) & 1] for (j, l), n in r_pairs]  # (-1)^(l-j) r_jl
+    q_signs = [signs[n] for _, n in q_pairs]
+    r_signs = [signs[n ^ (l - j) & 1] for (j, l), n in r_pairs]  # (-1)^(l-j) r_jl
     verdicts = []
     for _, p, q, r in readings:
-        p_signs = p(numerators)
+        p_signs = p(signs)
         stable = min(p_signs, default=1) > 0 and min(r(r_signs), default=0) >= 0
         compatible = not stable or max(q(q_signs), default=0) <= 0
         verdicts.append(_VERDICTS[stable, compatible, all(p_signs)])
     return verdicts
 
 
-def read_ordering(minors: list, k: int, width: int, n: int, verdicts: Verdicts) -> MinorProfile:
+def read_ordering(minors: Sequence, k: int, width: int, n: int, verdicts: Verdicts) -> MinorProfile:
     """The profile of ordering n of k rows of C, in ``profile_layout`` order,
-    read from the rows' ``set_minors``, with its ``verdicts``."""
+    read from the rows' minors (``set_layout``), with its ``verdicts``."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
     _, p, q, r = readings[n]
     q = tuple([(key, minors[i]) for key, i in q(q_pairs)])
@@ -297,10 +305,10 @@ def read_ordering(minors: list, k: int, width: int, n: int, verdicts: Verdicts) 
 def row_layout(k: int, width: int) -> tuple:
     """Per ordering of k rows, in ``profile_layout`` order, the positions of
     its rows among the ascending k, and of its table row's minors in the
-    rows' ``set_minors``: p, then q and r, each in ``json.dumps``'s order of
-    "(j,l)" ("(1,10)" first)."""
+    rows' minors (``set_layout``): p, then q and r, each in ``json.dumps``'s
+    order of "(j,l)" ("(1,10)" first)."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
-    n = range(2 * len(_subset_keys(range(k), width)))
+    n = range(2 * len(_store_keys(k, width)))
     text = lambda pair: "(%d,%d)" % pair[0]
     layout = []
     for o, p, q, r in readings:
@@ -315,13 +323,14 @@ def minor_profile(mat: RationalMatrix) -> MinorProfile:
     J has k <= r rows.  q minors range over 1 <= j <= k, j < l <= r (columns
     may exceed the row count); r minors range over 1 <= j < l <= k.  The
     verdicts use exactly these index sets.  J's rows are read in order, the
-    first of their orderings, from J's own ``minor_store``.
+    first of their orderings, from J's own ``minor_store``, J's one row set.
     """
     k, width = mat.rows, mat.cols
     if k > width:
         raise ValueError("more rows than columns; transpose the data")
-    minors = set_minors(minor_store(mat), range(k), width)
-    return read_ordering(minors, k, width, 0, set_verdicts(minors, k, width)[0])
+    minors = minor_store(mat)
+    verdicts = set_verdicts([x.numerator for x in minors], k, width)
+    return read_ordering(minors, k, width, 0, verdicts[0])
 
 
 def rank(mat: RationalMatrix) -> int:

@@ -135,22 +135,14 @@ def disguise(arr: Arrangement, seed: int, shear_steps: int = 3) -> Arrangement:
     """The same integrand in new coordinates, for r >= 2.
 
     v = U u for a det-1 integer U made of shear_steps random elementary
-    shears, so each row f_j becomes f_j U and the numerator N(U u); the
-    hyperplanes are then renamed by a random permutation.  The integral
-    over R^r is unchanged.  (The benchmark's problems.disguise does the
-    same to problem text; the tests do not import the benchmark.)
+    shears, so each row f_j becomes f_j U and the numerator N(U u), exact
+    when N is; the hyperplanes are then renamed by a random permutation
+    (``disguise_map``).  The integral over R^r is unchanged.  (The
+    benchmark's problems.disguise does the same to problem text; the tests
+    do not import the benchmark.)
     """
-    rng = random.Random(seed)
     r = arr.dim
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    for _ in range(shear_steps):
-        i, j = rng.sample(range(r), 2)
-        c = rng.choice((-1, 1))
-        # column j += c column i
-        for row in u:
-            row[j] += c * row[i]
-    order = list(range(len(arr.hyperplanes)))
-    rng.shuffle(order)
+    u, order = disguise_map(r, len(arr.hyperplanes), seed, shear_steps)
     hps = [
         Hyperplane(
             f=tuple(sum(a * row[k] for a, row in zip(h.f, u)) for k in range(r)),
@@ -161,9 +153,26 @@ def disguise(arr: Arrangement, seed: int, shear_steps: int = 3) -> Arrangement:
     return Arrangement.build(
         r,
         hps,
-        numerator=arr.numerator.compose_linear(u),
+        numerator=arr.numerator.compose([AffineForm(tuple(row), 0) for row in u]),
         multiplicities=[arr.multiplicities[p] for p in order],
     )
+
+
+def disguise_map(r: int, count: int, seed: int, shear_steps: int = 3) -> tuple:
+    """``disguise``'s U, as a list of integer rows, and its permutation:
+    hyperplane p of the disguised arrangement is hyperplane order[p] of the
+    original, of ``count``."""
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(shear_steps):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice((-1, 1))
+        # column j += c column i
+        for row in u:
+            row[j] += c * row[i]
+    order = list(range(count))
+    rng.shuffle(order)
+    return u, order
 
 
 def trace_residue(arr, groups, point, radii=(mpf("1e-8"), mpf("1e-4")), nodes=8):

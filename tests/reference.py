@@ -33,11 +33,29 @@
   ``GaussianRational`` and ``Fraction`` arithmetic; ``arrangement``'s clears
   the denominators once and works on Gaussian integers instead, and the
   suite checks the two agree, errors included.
-* ``read_profile``: one flag's minor profile read from a ``minor_store``
+* ``lowered_arrangement``: ``ProblemSpec.arrangement`` with each den
+  factor's value read back as GaussianRational coefficients and constant,
+  canonicalized by ``canonicalize_hyperplane`` and scaled by the quotient
+  of two GaussianRationals; ``dsl`` lowers an exact factor from its form's
+  own Gaussian-integer pairs instead, and the suite checks the two agree,
+  errors and their positions included.
+* ``keyed_store``: the minors of ``exact_linalg.minor_store`` as a dict
+  keyed (rows, column), each pair computed by ``determinant``;
+  ``minor_store`` lays them out in one flat list by Laplace expansion
+  instead, and the suite checks the list against the dict.
+* ``read_profile``: one flag's minor profile read from a ``keyed_store``
   on its own, its prefixes sorted and its verdicts decided by Fraction
   comparisons; ``exact_linalg.set_verdicts`` and ``read_ordering`` read the
   orderings of a row set through one cached layout instead, and the suite
   checks the two agree flag by flag.
+* ``keyed_flag_table`` and ``keyed_minor_profile``: the flag table and a
+  matrix's profile read row set by row set from a ``keyed_store``, each
+  set's keys listed (``subset_keys``) and looked up one by one
+  (``set_minors``), and its verdicts decided from the numerators of the
+  result (``set_verdicts``); ``arrangement.flag_table`` and
+  ``exact_linalg.minor_profile`` read the flat store through one getter
+  per row set and its signs once per table instead, and the suite checks
+  that they agree field by field.
 * ``fraction_gauss_jordan`` and ``fraction_inverse``: Gauss-Jordan
   elimination in Fractions, each pivot row scaled to a leading 1, with the
   determinant as the product of the pivots; ``exact_linalg`` eliminates
@@ -63,6 +81,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,11 +90,12 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mpc, mpf
 
-from residuum import exact_linalg, symfun
+from residuum import dsl, exact_linalg, symfun
 from residuum.arrangement import (
     Arrangement,
     Flag,
     FlagClass,
+    FlagTable,
     Hyperplane,
     MeetsRealLocus,
     NotAlignable,
@@ -95,9 +115,79 @@ from residuum.symfun import AffineForm, ExpRationalFunction, Term, is_negligible
 DEFAULT_TORUS_NODES = 256
 
 
+def keyed_store(mat: RationalMatrix) -> dict:
+    """Every minor det C[S; (1..k-1, c)] of C = mat, for an ascending row
+    tuple S of size k <= r and a 0-based column c >= k - 1, as the pair
+    (det, -det) keyed (S, c), by ``determinant``."""
+    big_r, width = mat.rows, mat.cols
+    store = {}
+    for k in range(1, min(big_r, width) + 1):
+        for rows in itertools.combinations(range(big_r), k):
+            for c in range(k - 1, width):
+                det = determinant(submatrix(mat, rows, (*range(k - 1), c)))
+                store[rows, c] = (det, -det)
+    return store
+
+
+def subset_keys(rows, width: int) -> list:
+    """The ``keyed_store`` keys of the subsets of the ascending ``rows``."""
+    subsets = (s for m in range(1, len(rows) + 1) for s in itertools.combinations(rows, m))
+    return [(s, c) for s in subsets for c in range(len(s) - 1, width)]
+
+
+def set_minors(store: dict, rows, width: int) -> list:
+    """The store pairs of the subsets of ``rows``, flat in ``subset_keys`` order."""
+    return [x for key in subset_keys(rows, width) for x in store[key]]
+
+
+def set_verdicts(minors: list, k: int, width: int) -> list:
+    """The ``Verdicts`` of each ordering of k rows of C, in ``profile_layout``
+    order, from the signs of the rows' ``set_minors`` (``width`` columns)."""
+    q_pairs, r_pairs, readings = exact_linalg.profile_layout(k, width)
+    numerators = [x.numerator for x in minors]
+    q_signs = [numerators[n] for _, n in q_pairs]
+    r_signs = [numerators[n ^ (l - j) & 1] for (j, l), n in r_pairs]  # (-1)^(l-j) r_jl
+    verdicts = []
+    for _, p, q, r in readings:
+        p_signs = p(numerators)
+        stable = min(p_signs, default=1) > 0 and min(r(r_signs), default=0) >= 0
+        compatible = not stable or max(q(q_signs), default=0) <= 0
+        verdicts.append(exact_linalg.Verdicts(stable, compatible, all(p_signs)))
+    return verdicts
+
+
+def keyed_flag_table(arr: Arrangement, poly) -> FlagTable:
+    """``arrangement.flag_table`` read from a ``keyed_store`` of the chart
+    matrix C = F M: a set S of r rows is kept when its p_r is nonzero, its
+    minors are looked up key by key (``set_minors``, as a tuple) and its r!
+    orderings' verdicts decided from their numerators (``set_verdicts``)."""
+    r, big_r = arr.dim, len(arr.hyperplanes)
+    chart = fraction_chart(arr, range(big_r), poly)
+    store = keyed_store(chart)
+    kept = [rows for rows in itertools.combinations(range(big_r), r) if store[rows, r - 1][0]]
+    orders = [order for order, *_ in exact_linalg.profile_layout(r, r)[2]]
+    minors = [set_minors(store, rows, r) for rows in kept]
+    flags = [order(rows) for rows in kept for order in orders]
+    verdicts = [v for m in minors for v in set_verdicts(m, r, r)]
+    ranked = sorted(range(len(flags)), key=flags.__getitem__)
+    place, f = sorted(range(len(flags)), key=ranked.__getitem__), len(orders)
+    row_sets = tuple(
+        (rows, tuple(m), place[s * f : s * f + f]) for s, (rows, m) in enumerate(zip(kept, minors))
+    )
+    indices, verdicts = [flags[n] for n in ranked], [verdicts[n] for n in ranked]
+    return FlagTable(chart, row_sets, indices, verdicts, ranked)
+
+
+def keyed_minor_profile(mat: RationalMatrix) -> MinorProfile:
+    """``exact_linalg.minor_profile`` read from a ``keyed_store`` of J = mat."""
+    k, width = mat.rows, mat.cols
+    minors = set_minors(keyed_store(mat), range(k), width)
+    return exact_linalg.read_ordering(minors, k, width, 0, set_verdicts(minors, k, width)[0])
+
+
 def read_profile(store: dict, rows, width: int) -> MinorProfile:
     """The profile of J = C[rows], for distinct rows of C in any order, read
-    from the ``minor_store`` of C, which has ``width`` columns.
+    from the ``keyed_store`` of C, which has ``width`` columns.
 
     A minor of J on its first k rows is C's minor on those rows in ascending
     order, taken from the pair by the parity of the sort.  Dropping the
@@ -295,6 +385,45 @@ def canonicalize_hyperplane(linear_coeffs, constant) -> Hyperplane:
         ints = [-n for n in ints]
         s = -s
     return Hyperplane(f=tuple(ints), s=s)
+
+
+def lowered_arrangement(spec) -> Arrangement:
+    """``spec.arrangement()``: each den factor written c (f(v) - i s) is the
+    canonical hyperplane of its value's ``coeffs`` and ``const``, and c the
+    quotient of its first nonzero coefficient by f's; c^-m is left in the
+    numerator."""
+    env, nvars = spec._environment(), spec.dim
+    one = exact_linalg.GaussianRational.of(1)
+    hyperplanes, scale = [], one
+    for expr, mult in spec.denominator:
+        value = dsl._eval(expr, env, nvars)
+        if isinstance(value, ExpRationalFunction):
+            raise dsl.ProblemError("denominator factor is not affine in the variables", *expr.pos)
+        if dsl._is_scalar(value) or not any(value.coeffs):
+            raise dsl.ProblemError("denominator factor is constant in the variables", *expr.pos)
+        if not all(isinstance(c, exact_linalg.GaussianRational) for c in value.coeffs):
+            raise dsl.ProblemError(
+                "denominator coefficients must be exact rationals "
+                "(rational multiples of 1 and i; pi and exp are not allowed)",
+                *expr.pos,
+            )
+        try:
+            h = canonicalize_hyperplane(value.coeffs, value.const)
+        except (NotAlignable, MeetsRealLocus, ValueError) as exc:
+            raise dsl.ProblemError(str(exc), *expr.pos) from exc
+        j = next(j for j, f in enumerate(h.f) if f)
+        c = value.coeffs[j] / h.f[j]
+        hyperplanes.append(h)
+        if c != one:
+            scale /= c**mult
+    if spec.numerator is None:
+        numerator = ExpRationalFunction.from_parts(nvars)
+    else:
+        numerator = dsl._lift(dsl._eval(spec.numerator, env, nvars), nvars)
+    if scale != one:
+        numerator = numerator.scale(scale)
+    mults = [m for _, m in spec.denominator]
+    return Arrangement.build(nvars, hyperplanes, numerator=numerator, multiplicities=mults)
 
 
 def defining_form(h: Hyperplane) -> AffineForm:

@@ -4,12 +4,14 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from types import FunctionType
 
@@ -18,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, pi
 
-from conftest import three_plane_value
+from conftest import disguise, disguise_map, three_plane_value
 from reference import matrix, stability_lines, stability_rows
 from residuum import arrangement, exact_linalg, oracle, symfun
 from residuum.arrangement import (
@@ -48,15 +50,18 @@ from residuum.dsl import parse_problem
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
+    inverse,
     minor_profile,
     minor_store,
+    rank,
 )
 from residuum.residue_engine import (
+    ChartResidues,
     EngineOptions,
     canonical_grouping_points,
     evaluate_integral,
 )
-from residuum.symfun import AffineForm, ExpRationalFunction
+from residuum.symfun import AffineForm, ExpRationalFunction, constant_sum, working_precision
 
 SAMPLES = Path(__file__).resolve().parents[1] / "problems"
 
@@ -179,14 +184,14 @@ def _count_calls(monkeypatch, calls: dict) -> None:
 
 def _assert_one_store(calls: dict, arr, poly) -> None:
     """The command built one ``minor_store``, of the chart matrix F M, with
-    one entry per k-subset of its R rows and column l >= k: sum_k C(R, k)
-    (r - k + 1) entries.  ``determinant`` ran on the polyhedron's basis
+    one pair per k-subset of its R rows and column l >= k: sum_k C(R, k)
+    (r - k + 1) pairs.  ``determinant`` ran on the polyhedron's basis
     only (its independence check and its determinant)."""
     chart = jacobian(arr, range(len(arr.hyperplanes)), poly)
     r, big_r = arr.dim, len(arr.hyperplanes)
     assert calls["minor_store"] == [chart]
     size = sum(math.comb(big_r, k) * (r - k + 1) for k in range(1, r + 1))
-    assert len(minor_store(chart)) == size
+    assert len(minor_store(chart)) == 2 * size
     assert set(calls["determinant"]) <= {poly.basis_matrix()}
 
 
@@ -860,7 +865,7 @@ def test_table_writer_orders_minor_keys_as_strings():
     at r <= 8, so the order is checked on the layout.)  The row 1..10 has
     p_1 = 1 and q_(1,l) = l."""
     row = RationalMatrix((tuple(range(1, 11)),))
-    minors = exact_linalg.set_minors(exact_linalg.minor_store(row), range(1), 10)
+    [minors] = [get(exact_linalg.minor_store(row)) for get in exact_linalg.set_layout(1, 10)]
     [(_, places)] = exact_linalg.row_layout(1, 10)
     assert [minors[i] for i in places] == [1, 10, *range(2, 10)]
 
@@ -1195,3 +1200,81 @@ def test_text_report_layout(tmp_path, capsys):
     assert "value:" in out
     assert "certificate: CERTIFIED" in out
     assert out.rstrip().endswith("result: PASS")
+
+
+def _generic_text(seed: int, r: int, big_r: int) -> str:
+    """A generic draw as the benchmark's flags family builds it: R distinct
+    primitive rows with entries in -2..2, every r of them independent,
+    integer s_j in 1..4, the identity cone and a constant numerator."""
+    rng = random.Random(f"generic:{seed}")
+    while True:
+        rows: list = []
+        while len(rows) < big_r:
+            row = tuple(rng.randint(-2, 2) for _ in range(r))
+            if any(row) and math.gcd(*row) == 1 and row not in rows:
+                rows.append(row)
+        if all(rank(matrix(sub)) == r for sub in combinations(rows, r)):
+            break
+    names = [f"v{k + 1}" for k in range(r)]
+    eye = " ".join("(" + ",".join(str(int(i == j)) for j in range(r)) + ")" for i in range(r))
+    den = " ".join(
+        "(" + " + ".join(f"{a}*{v}" for a, v in zip(row, names)) + f" - {rng.randint(1, 4)}*i)"
+        for row in rows
+    )
+    return f"vars {' '.join(names)};\ncone {eye};\nnum {rng.randint(1, 3)};\nden {den};\n"
+
+
+_INVARIANCE_CASES = {
+    **{path.stem: path.read_text() for path in sorted(SAMPLES.glob("*.rsd"))},
+    "squared_poles": SQUARED_POLES,
+    "cubed_poles": CUBED_POLES,
+    "mixed_poles": MIXED_POLES,
+    "six_cubed": SIX_CUBED,
+    # draws with six, six and two contributions
+    "generic_3_6": _generic_text(18, 3, 6),
+    "generic_3_7": _generic_text(14, 3, 7),
+    "generic_4_7": _generic_text(14, 4, 7),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(_INVARIANCE_CASES))
+def test_engine_is_invariant_under_coordinate_changes(name, seed):
+    """v = U u for a det-1 integer U of at most three shears, and a renaming
+    of the hyperplanes (``conftest.disguise``; the cone's generators become
+    U^-1 v_k): the chart F M only permutes its rows, so the relabelled
+    verdict table, the certificate and the number of contributions do not
+    change, and neither does the value: exactly on exact data (the exact
+    residues' ``constant_sum`` of the difference has no term), and else to
+    1e-22 of the sum of the contributions' magnitudes.  This reads both the
+    flag table and the lowering of every case."""
+    spec = parse_problem(_INVARIANCE_CASES[name])
+    with working_precision(128):
+        arr, poly = spec.arrangement(), spec.polyhedron()
+        steps = 3 if arr.dim > 1 else 0
+        u, order = disguise_map(arr.dim, len(arr.hyperplanes), seed, steps)
+        other = disguise(arr, seed, steps)
+        back = inverse(RationalMatrix(tuple(map(tuple, u)))).entries
+        gens = [[sum(a * x for a, x in zip(row, v)) for row in back] for v in poly.generators]
+        other_poly = Polyhedron.from_generators(gens)
+        want = evaluate_integral(arr, poly)
+        got = evaluate_integral(other, other_poly)
+    relabel = lambda flag: tuple(order[i] for i in flag)
+    assert dict(zip(map(relabel, got.flag_table.indices), got.flag_table.verdicts)) == dict(
+        zip(want.flag_table.indices, want.flag_table.verdicts)
+    )
+    for field in ("all_compatible", "convergence", "certified"):
+        assert getattr(got.certificate, field) == getattr(want.certificate, field)
+    assert len(got.certificate.warnings) == len(want.certificate.warnings)
+    assert len(got.flag_contributions) == len(want.flag_contributions)
+    funcs = [
+        ChartResidues(a, p).function(flag)
+        for a, p, result in ((arr, poly, want), (other, other_poly, got))
+        for flag in result.flag_contributions
+    ]
+    if all(f.exact for f in funcs):
+        n = len(want.flag_contributions)
+        assert not constant_sum(funcs[:n] + [f.scale(-1) for f in funcs[n:]]).terms
+    else:
+        scale = sum(abs(x) for x in want.flag_contributions.values())
+        assert abs(got.value - want.value) <= mpf("1e-22") * scale * (2 * pi) ** arr.dim

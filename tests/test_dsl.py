@@ -33,6 +33,7 @@ from residuum.cli import main
 from residuum.exact_linalg import GaussianRational
 from residuum.symfun import to_mpc, working_precision
 
+import reference
 from dsl_corpus import CORPUS, outcome
 
 def random_spec(rng) -> ProblemSpec:
@@ -674,3 +675,91 @@ def test_scaled_denominator_factor_keeps_its_scale():
             spec = parse_problem(text)
             value = evaluate_integral(spec.arrangement(), spec.polyhedron()).value
             assert abs(value - want) < mpf("1e-30"), text
+
+
+def _lowered(lower, spec):
+    """What ``lower`` makes of ``spec``: the arrangement's parts, the kinds
+    of its s_j, or the ProblemError with its text and position."""
+    try:
+        arr = lower(spec)
+    except ProblemError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+    kinds = [type(h.s) for h in arr.hyperplanes]
+    return arr.dim, arr.hyperplanes, kinds, arr.multiplicities, repr(arr.numerator.terms)
+
+
+def test_corpus_lowers_as_the_reference_route():
+    """Every text of tests/golden/dsl_corpus.json that parses lowers to the
+    arrangement, or fails with the error at the position, of the route that
+    read each factor back as GaussianRationals (``reference``)."""
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    lowered = 0
+    with working_precision(128):
+        for entry in corpus["entries"]:
+            try:
+                spec = parse_problem(entry["text"])
+            except ProblemError:
+                continue
+            got = _lowered(ProblemSpec.arrangement, spec)
+            assert got == _lowered(reference.lowered_arrangement, spec), entry["text"]
+            lowered += not isinstance(got[0], type)
+    assert lowered >= 40
+
+
+_RATIONAL = st.builds(
+    lambda n, d: str(n) if d == 1 else f"{n}/{d}", st.integers(-4, 4), st.integers(1, 3)
+)
+_NONZERO = _RATIONAL.filter(lambda text: not text.startswith("0"))
+_GAUSSIAN = st.builds("({} + ({})*i)".format, _NONZERO, _NONZERO)
+_OFFSET = st.one_of(_NONZERO, _GAUSSIAN, st.sampled_from(["p", "p/2 + 1/3", "-p"]))
+_MULT = st.sampled_from(["", "^2", "^3"])
+# c (a x + b y - i s) with a real direction (a, b), so that the factor aligns
+_SCALED_FACTOR = st.builds(
+    "(({})*(({})*x + ({})*y - i*({}))){}".format,
+    st.one_of(_NONZERO, _GAUSSIAN),
+    _NONZERO,
+    _RATIONAL,
+    _OFFSET,
+    _MULT,
+)
+# a x + b y + s with a Gaussian: often not alignable, on the real locus
+# when s is real, constant when a = b = 0
+_FREE_FACTOR = st.builds(
+    "(({})*x + ({})*y + ({})){}".format,
+    st.one_of(_RATIONAL, _GAUSSIAN),
+    st.one_of(_RATIONAL, _GAUSSIAN),
+    _OFFSET,
+    _MULT,
+)
+_LOWERING_TEXTS = st.builds(
+    "vars x y;\ncone (1,0) (0,1);\nparam p={};\nnum exp(i*x);\nden {};\n".format,
+    st.sampled_from(["pi/4", "1/2", "2*pi - 1", "3"]),
+    st.builds(
+        "{}{}".format,
+        st.lists(_SCALED_FACTOR, min_size=1, max_size=3).map(" ".join),
+        st.one_of(st.just(""), _FREE_FACTOR.map(" {}".format)),
+    ),
+)
+
+
+@given(_LOWERING_TEXTS)
+# a negative rational lead and scale 3/2 squared, exact s
+@example("vars x y;\ncone (1,0) (0,1);\nparam p=1/2;\nnum exp(i*x);\nden ((3/2)*((-2)*x + (4)*y - i*(1/3)))^2;\n")
+# a Gaussian scale and pi in s through the parameter
+@example("vars x y;\ncone (1,0) (0,1);\nparam p=pi/4;\nnum exp(i*x);\nden ((1 + (2)*i)*((1)*x + (0)*y - i*(p)))^3;\n")
+# real and imaginary parts not parallel
+@example("vars x y;\ncone (1,0) (0,1);\nparam p=3;\nnum exp(i*x);\nden ((1)*x + ((0 + (1)*i))*y + (1));\n")
+# on the real locus, and a constant factor
+@example("vars x y;\ncone (1,0) (0,1);\nparam p=3;\nnum exp(i*x);\nden ((1)*x + (0)*y + (1));\n")
+@example("vars x y;\ncone (1,0) (0,1);\nparam p=3;\nnum exp(i*x);\nden (x - i) ((0)*x + (0)*y + (1));\n")
+@settings(max_examples=150, deadline=None)
+def test_den_factors_lower_as_the_reference_route(text):
+    """Rational and Gaussian coefficients, negative leads, scales c != +-1
+    with multiplicity, and pi in s through a parameter lower, on integers,
+    to the arrangement of the GaussianRational route, c^-m included, or
+    fail with its error at its position."""
+    spec = parse_problem(text)
+    with working_precision(128):
+        assert _lowered(ProblemSpec.arrangement, spec) == _lowered(
+            reference.lowered_arrangement, spec
+        )

@@ -48,6 +48,7 @@ from residuum.exact_linalg import (
     minor_store,
     rank,
     row_echelon,
+    set_layout,
     solve_linear,
 )
 from residuum.symfun import AffineForm, to_mpc, working_precision
@@ -339,20 +340,20 @@ def pooled_rows(draw):
 @example([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(1, 2), Fraction(-2, 3)], [0, Fraction(3, 4)]])
 @settings(max_examples=100, deadline=None)
 def test_minor_store_matches_determinants(rows):
-    """The store holds (S, c) once for each ascending k-subset S of the rows,
-    k <= r, and each column c >= k - 1, as (det, -det) of C[S; (0..k-2, c)]."""
+    """The store holds, flat, det and -det of C[S; (0..k-2, c)] once for each
+    ascending k-subset S of the rows, k <= r, and each column c >= k - 1: by
+    k, then S in ``combinations`` order, then c."""
     mat = matrix(rows)
     big_r, r = mat.rows, mat.cols
+    want = []
+    for k in range(1, min(big_r, r) + 1):
+        for subset in combinations(range(big_r), k):
+            for c in range(k - 1, r):
+                det = determinant(submatrix(mat, subset, (*range(k - 1), c)))
+                want += [det, -det]
     store = minor_store(mat)
-    assert set(store) == {
-        (subset, c)
-        for k in range(1, r + 1)
-        for subset in combinations(range(big_r), k)
-        for c in range(k - 1, r)
-    }
-    for (subset, c), pair in store.items():
-        det = determinant(submatrix(mat, subset, (*range(len(subset) - 1), c)))
-        assert pair == (det, -det)
+    assert store == want
+    assert [type(x) for x in store] == [type(x) for x in want]
 
 
 @st.composite
@@ -467,7 +468,7 @@ def test_flag_table_matches_per_flag_reads(data):
     arr = Arrangement.build(r, hps)
     poly = Polyhedron.from_generators(gens)
     chart = jacobian(arr, range(len(rows)), poly)
-    store = minor_store(chart)
+    store = reference.keyed_store(chart)
     want = [
         (flag, reference.read_profile(store, flag, r))
         for flag in permutations(range(len(rows)), r)
@@ -514,7 +515,7 @@ def test_flag_table_agrees_with_itself(data):
         for row, want in zip(table.chart.entries, chart.entries)
         for x, y in zip(row, want)
     )
-    store = minor_store(chart)
+    store = reference.keyed_store(chart)
     entries = [
         FlagEntry(
             Flag(flag),
@@ -559,8 +560,85 @@ def test_flag_table_agrees_with_itself(data):
 def test_minor_profile_of_a_wide_matrix_matches_per_flag_read(rows):
     """k < width: the q minors run past the last row, as the oracle's do."""
     mat = matrix(rows)
-    want = reference.read_profile(minor_store(mat), range(mat.rows), mat.cols)
+    want = reference.read_profile(reference.keyed_store(mat), range(mat.rows), mat.cols)
     assert minor_profile(mat) == want
+
+
+@st.composite
+def integer_charts(draw):
+    """R <= 9 rows in r <= 4 variables, drawn from a pool of small integer rows
+    and each taken as it is, negated or doubled, so that rows repeat, lie
+    parallel and leave minors zero, over a cone of integer or Fraction
+    generators, so that the chart F M has Fraction entries."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=-1, max_value=1), min_size=r, max_size=r)
+    pool = draw(st.lists(row.filter(any), min_size=1, max_size=r + 2))
+    scaled = st.builds(
+        lambda f, c: [c * x for x in f], st.sampled_from(pool), st.sampled_from([1, -1, 2])
+    )
+    rows = draw(st.lists(scaled, min_size=1, max_size=9))
+    entry = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    gens = draw(
+        st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r).filter(
+            lambda g: determinant(matrix(g)) != 0
+        )
+    )
+    return rows, gens
+
+
+@given(integer_charts())
+# fewer rows than variables: no row set, an empty table
+@example(([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+# repeated, negated and doubled rows over a rational cone
+@example(
+    (
+        [[1, 0, -1], [1, 0, -1], [-1, 0, 1], [0, 2, 0], [1, 1, -1], [2, 0, -2]],
+        [[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 1], [1, 0, Fraction(3, 4)]],
+    )
+)
+# R = 9, r = 4: 126 row sets
+@example(
+    (
+        [
+            [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0],
+            [0, 1, -1, 0], [1, 0, 1, -1], [-1, 1, 1, 1], [2, 0, 0, 0],
+        ],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(1, 2), 0], [1, 0, 0, Fraction(-2, 3)]],
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_flag_table_matches_keyed_reference(data):
+    """The flat minor store, read through one getter per row set with its
+    signs read once per table, gives the flag table, field by field, and the
+    profiles that the dict store read key by key gives."""
+    rows, gens = data
+    r = len(gens)
+    arr = Arrangement.build(r, [Hyperplane(tuple(f), mpc(i + 1)) for i, f in enumerate(rows)])
+    poly = Polyhedron.from_generators(gens)
+    table, want = flag_table(arr, poly), reference.keyed_flag_table(arr, poly)
+    assert table.chart == want.chart
+    assert table.row_sets == want.row_sets
+    assert [type(x) for _, m, _ in table.row_sets for x in m] == [
+        type(x) for _, m, _ in want.row_sets for x in m
+    ]
+    assert table.indices == want.indices
+    assert table.verdicts == want.verdicts
+    assert table.sources == want.sources
+    chart = table.chart.entries
+    for k in range(1, min(len(chart), r) + 1):
+        for picked in (chart[:k], chart[-k:][::-1]):
+            mat = RationalMatrix(tuple(picked))
+            assert minor_profile(mat) == reference.keyed_minor_profile(mat)
+
+
+def test_set_layout_cache_is_bounded():
+    """The per-shape row-set layouts are kept in a small LRU cache: a sweep
+    over more shapes than it holds leaves it at its size."""
+    maxsize = set_layout.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for count in range(1, maxsize + 4):
+        assert len(set_layout(count, 2)) == math.comb(count, min(count, 2))
+    assert set_layout.cache_info().currsize == maxsize
 
 
 @given(wide_matrices(), st.lists(fracs, min_size=4, max_size=4))
