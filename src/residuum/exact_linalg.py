@@ -216,9 +216,10 @@ def minor_store(mat: RationalMatrix) -> list:
     return store
 
 
-def _store_keys(count: int, width: int) -> list:
-    """The 0-based (S, c) of each pair of a count-by-width ``minor_store``."""
-    sets = [itertools.combinations(range(count), k) for k in range(1, min(count, width) + 1)]
+def _store_keys(rows: Sequence[int], width: int) -> list:
+    """The 0-based (S, c) of the pairs of a ``width``-column ``minor_store``
+    whose S lies in the ascending ``rows``, in store order."""
+    sets = [itertools.combinations(rows, k) for k in range(1, min(len(rows), width) + 1)]
     return [(s, c) for s in itertools.chain(*sets) for c in range(len(s) - 1, width)]
 
 
@@ -232,11 +233,10 @@ def set_layout(count: int, width: int) -> tuple:
     """Per k-subset S of C's count rows, k = min(count, width), in ``combinations``
     order, the getter of S's minors in ``profile_layout``'s order from C's
     ``minor_store`` or its signs.  Few shapes are kept: near the cap one holds 16,000."""
-    place = {key: (2 * n, 2 * n + 1) for n, key in enumerate(_store_keys(count, width))}
-    own = _store_keys(k := min(count, width), width)
+    place = {key: (2 * n, 2 * n + 1) for n, key in enumerate(_store_keys(range(count), width))}
     return tuple(
-        itemgetter(*[j for s, c in own for j in place[tuple([rows[i] for i in s]), c]])
-        for rows in itertools.combinations(range(count), k)
+        itemgetter(*[j for key in _store_keys(rows, width) for j in place[key]])
+        for rows in itertools.combinations(range(count), min(count, width))
     )
 
 
@@ -251,7 +251,7 @@ def profile_layout(k: int, width: int) -> tuple:
     (r key, item) pairs and, per ordering of range(k) in ``permutations``
     order (which ``row_layout`` and a ``FlagTable``'s row sets follow),
     getters of its rows, p items, q and r pairs."""
-    slot = {key: 2 * n for n, key in enumerate(_store_keys(k, width))}
+    slot = {key: 2 * n for n, key in enumerate(_store_keys(range(k), width))}
     q_pairs: dict = {}  # (key, item) -> its place among the distinct pairs
     r_pairs: dict = {}
     readings = []
@@ -308,7 +308,7 @@ def row_layout(k: int, width: int) -> tuple:
     rows' minors (``set_layout``): p, then q and r, each in ``json.dumps``'s
     order of "(j,l)" ("(1,10)" first)."""
     q_pairs, r_pairs, readings = profile_layout(k, width)
-    n = range(2 * len(_store_keys(k, width)))
+    n = range(2 * len(_store_keys(range(k), width)))
     text = lambda pair: "(%d,%d)" % pair[0]
     layout = []
     for o, p, q, r in readings:
