@@ -436,11 +436,10 @@ def flag_table(arr: Arrangement, poly: Polyhedron) -> FlagTable:
             f"more than {cap} independent row sets of {r}! flags each exceed "
             f"the flag table cap of {MAX_TABLE_FLAGS}"
         )
-    layout = set_layout(chart.rows, r)  # cached: built after the store, it fragmented the heap
     store = minor_store(chart)
     signs = [x.numerator for x in store]
     tops = signs[len(signs) - 2 * math.comb(chart.rows, r) :: 2]  # the r-subsets' p_r
-    sets = zip(itertools.combinations(range(chart.rows), r), layout)
+    sets = zip(itertools.combinations(range(chart.rows), r), set_layout(chart.rows, r))
     kept = list(itertools.compress(sets, tops))
     orders = [order for order, *_ in profile_layout(r, r)[2]]
     flags = [order(rows) for rows, _ in kept for order in orders]
