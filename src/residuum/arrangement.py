@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from operator import mul
 from collections.abc import Iterable, Sequence
@@ -399,6 +400,12 @@ class FlagTable(Sequence):
         jac = RationalMatrix(readings[o][0]([self.chart.entries[i] for i in rows]))
         profile = read_ordering(minors, r, r, o, self.verdicts[n])
         return FlagEntry(Flag(self.indices[n]), jac, profile)
+
+    def top_minor(self, flag: Flag) -> int | Fraction:
+        """The p_r of a flag of the table, read from its row set's minors."""
+        readings = profile_layout(self.chart.cols, self.chart.cols)[2]
+        s, o = divmod(self.sources[bisect_left(self.indices, flag.indices)], len(readings))
+        return readings[o][1](self.row_sets[s][1])[-1]
 
     def __eq__(self, other):
         if isinstance(other, (FlagTable, tuple)):

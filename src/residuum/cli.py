@@ -41,7 +41,7 @@ from .arrangement import (
     flag_table,
 )
 from .dsl import ProblemError, ProblemSpec, format_expr, load_problem
-from .exact_linalg import profile_layout, row_layout
+from .exact_linalg import GaussianRational, profile_layout, row_layout
 from .oracle import (
     DEFAULT_BOX,
     DEFAULT_TOL,
@@ -71,6 +71,10 @@ def _fmt(x) -> str:
 
 
 def _cplx(z) -> dict:
+    # an exact Gaussian integer as nstr prints it: parts below 10^24 and exact at mp.prec
+    cap = min(10**VALUE_DIGITS, 2**mpmath.mp.prec)
+    if z.__class__ is GaussianRational and z._d == 1 and max(abs(z._a), abs(z._b)) < cap:
+        return {"re": f"{z._a}.0", "im": f"{z._b}.0"}
     z = to_mpc(z)
     return {
         "re": mpmath.nstr(z.real, VALUE_DIGITS),
@@ -417,7 +421,7 @@ def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron, table: FlagTable
     """
     if arr.dim > 2:
         return ()
-    residues = ChartResidues(arr, poly, table.chart)
+    residues = ChartResidues(arr, poly, table)
     integrand, forms = residues.pullback
     if arr.dim == 1:
         candidates = [("the integrand's", integrand)]

@@ -748,8 +748,8 @@ def _made(form: AffineForm) -> AffineForm:
 
 
 def _as_int(s) -> int | None:
-    if isinstance(s, GaussianRational) and s.im == 0 and s.re.denominator == 1:
-        return int(s.re)
+    if isinstance(s, GaussianRational) and not s._b and s._d == 1:
+        return s._a
     return None
 
 

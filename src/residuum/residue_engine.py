@@ -18,8 +18,9 @@ value, so the two paths agree exactly on positively oriented charts.
 
 Per-flag facts come from one place: verdicts and a grouping's collections
 from ``arrangement.flag_table``; flag classes and their points
-from ``arrangement.terminal_classes``; chart forms and residue steps from
-``ChartResidues``, which the CLI's arc diagnostics read too.
+from ``arrangement.terminal_classes``; chart forms, residue steps and the
+closed form at a simple normal crossing on exact data from ``ChartResidues``,
+whose forms and steps the CLI's arc diagnostics read too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from mpmath import mpc, mpf, pi
+from mpmath import exp, mpc, mpf, pi
 
 from .arrangement import (
     Arrangement,
@@ -50,10 +51,21 @@ from .arrangement import (
     stable_flags,
     terminal_classes,
 )
-from .exact_linalg import GaussianRational, RationalMatrix, _gauss_jordan, determinant, minor_profile
+from .exact_linalg import (
+    GaussianRational,
+    RationalMatrix,
+    _gauss_jordan,
+    _gaussian,
+    determinant,
+    minor_profile,
+)
 from .symfun import (
     DEFAULT_PRECISION,
     ExpRationalFunction,
+    Polynomial,
+    Term,
+    _form,
+    _parts,
     constant_sum,
     is_negligible,
     to_mpc,
@@ -127,12 +139,19 @@ class ChartResidues:
     per-step memo).  An instance serves one engine call; nothing outlives it.
     """
 
-    def __init__(self, arr: Arrangement, poly: Polyhedron, chart: RationalMatrix | None = None):
+    def __init__(self, arr: Arrangement, poly: Polyhedron, table: FlagTable | None = None):
         self.arr = arr
         self.poly = poly
-        self._chart = chart
+        self._table = table
+        self._chart = None if table is None else table.chart
         # prefix -> (residue function, the poles of its steps)
         self._steps: dict[tuple[int, ...], tuple] = {}
+        # |det M| where ``crossing`` applies: a flag table, every s_j and the
+        # numerator exact, and no numerator term with a denominator
+        num = arr.numerator
+        exact = num.exact and not any(t.denom for t in num.terms)
+        exact = exact and all(h.s.__class__ is GaussianRational for h in arr.hyperplanes)
+        self._weight = abs(poly.det()) if table is not None and exact else None
 
     @functools.cached_property
     def pullback(self) -> tuple:
@@ -161,6 +180,48 @@ class ChartResidues:
         of no variables; ``evaluate(())`` gives its value."""
         return self.step(flag.indices)[0]
 
+    def crossing(self, cls: FlagClass) -> ExpRationalFunction | None:
+        """The iterated residue of ``cls`` in closed form where it ends at a
+        simple normal crossing (only its r hyperplanes S meet at its point
+        p, each of multiplicity 1) on exact data, else None: |det M| times
+        sum_t c_t P_t(p) e^(lambda_t(p)) / (p_r prod_(k not in S) (f_k . p - i s_k)^m_k)
+        with p_r from the flag table (the steps divide by p_1 (p_2 / p_1) ... = p_r),
+        on Gaussian-integer pairs over p's common denominator e, one term per
+        numerator term in its order, as the steps keep them."""
+        arr, through, weight = self.arr, cls.incidence, self._weight
+        simple = len(through) == arr.dim and all(arr.multiplicities[j] == 1 for j in through)
+        if weight is None or not simple:
+            return None
+        e = math.lcm(*[x._d for x in cls.point])
+        p = [(x._a * (e // x._d), x._b * (e // x._d)) for x in cls.point]
+        top = self._table.top_minor(cls.flags[0])
+        # (u + v i) / w = p_r prod_(k not in S) (f_k . p - i s_k)^m_k / |det M|
+        u, v, w = top.numerator * weight.denominator, 0, top.denominator * weight.numerator
+        for j, (h, m) in enumerate(zip(arr.hyperplanes, arr.multiplicities)):
+            if j not in through:  # f . p - i (a + b i) / d = (x + y i) / (d e)
+                a, b, d = h.s._a, h.s._b, h.s._d
+                x = d * sum([f * re for f, (re, _) in zip(h.f, p)]) + b * e
+                y = d * sum([f * im for f, (_, im) in zip(h.f, p)]) - a * e
+                for _ in range(m):
+                    u, v, w = u * x - v * y, u * y + v * x, w * d * e
+        one, terms = Polynomial.constant(0, 1), []
+        for t in arr.numerator.terms:
+            a, b, d = 0, 0, 1  # P(p) = (a + b i) / d, then c P(p)
+            for powers, c in t.poly._coeffs.items():
+                x, y, f = _parts(c)
+                for (re, im), k in zip(p, powers):
+                    for _ in range(k):
+                        x, y, f = x * re - y * im, x * im + y * re, f * e
+                a, b, d = a * f + x * d, b * f + y * d, d * f
+            x, y, f = _parts(t.coeff)
+            a, b, d = x * a - y * b, x * b + y * a, f * d
+            coeff = _gaussian(w * (a * u + b * v), w * (b * u - a * v), d * (u * u + v * v))
+            *lam, (x, y) = t.expo._v  # lambda(p) = (x + y i) / (den e)
+            x = sum([c * re - s * im for (c, s), (re, im) in zip(lam, p)]) + x * e
+            y = sum([c * im + s * re for (c, s), (re, im) in zip(lam, p)]) + y * e
+            terms.append(Term(coeff, one, _form([(x, y)], t.expo._den * e), ()))
+        return ExpRationalFunction(0, terms)
+
 
 def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
     profile = minor_profile(jacobian(arr, flag.indices, poly))
@@ -181,11 +242,13 @@ def _summed(funcs: Sequence[ExpRationalFunction]) -> ExpRationalFunction | None:
 
 def _total(funcs: Sequence[ExpRationalFunction]) -> mpc:
     """The value of the sum of arity-0 residue functions: exact ones summed
-    exactly (``_summed``) and evaluated once, rounded ones evaluated one by
-    one and added in order."""
+    exactly (``_summed``) to sum_k c_k exp(lambda_k) and rounded once, as
+    ``evaluate(())`` would round it without its products by an exact 1 (and
+    exp(0)), rounded ones evaluated one by one and added in order."""
     total = _summed(funcs)
     if total is not None:
-        return total.evaluate(())
+        return sum((to_mpc(t.coeff) * exp(t.expo.entry(0)) if any(t.expo._v[0])
+                    else to_mpc(t.coeff) for t in total.terms), mpc(0))
     return sum((f.evaluate(()) for f in funcs), mpc(0))
 
 
@@ -264,7 +327,7 @@ def evaluate_integral(
         verdict = convergence_heuristic(arr, poly, audit)
         warnings: list[str] = []
         cone = _gauss_jordan(poly.basis_matrix().entries)
-        residues = ChartResidues(arr, poly, table.chart)
+        residues = ChartResidues(arr, poly, table)
         contributions: dict[Flag, mpc] = {}
         funcs = []
         for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
@@ -282,7 +345,8 @@ def evaluate_integral(
                 )
                 continue
             # stable flags lie in the open Bruhat cell (every p_k > 0)
-            funcs.append(residues.function(rep))
+            func = residues.crossing(cls)
+            funcs.append(residues.function(rep) if func is None else func)
             contributions[rep] = _total(funcs[-1:])
         total = _total(funcs)
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
@@ -379,16 +443,20 @@ def _point_functions(
     iterated residues of ``classes``, the classes of the grouping's flags
     arriving there; ``_total`` sums them.
 
-    They are taken in the polyhedron's chart, with the shared ``residues``,
-    when the flag table's ``verdicts`` find every class soluble there, and
-    otherwise in the chart ``_soluble_chart`` builds for them.  That chart
-    has the polyhedron's orientation, so its values need no sign change.
+    A class at a simple normal crossing on exact data takes its closed form
+    (``ChartResidues.crossing``).  The others take their steps in the
+    polyhedron's chart, with the shared ``residues``, when the flag table's
+    ``verdicts`` find every one soluble there, and otherwise in the chart
+    ``_soluble_chart`` builds for them.  That chart has the polyhedron's
+    orientation, so its values need no sign change.
     """
-    reps = [cls.flags[0] for cls in classes]
+    funcs = [residues.crossing(cls) for cls in classes]
+    reps = [cls.flags[0] for cls, func in zip(classes, funcs) if func is None]
     chart = _soluble_chart(arr, reps, residues.poly, verdicts)
     if chart is not residues.poly:
         residues = ChartResidues(arr, chart)
-    return [residues.function(rep) for rep in reps]
+    steps = map(residues.function, reps)
+    return [next(steps) if func is None else func for func in funcs]
 
 
 def grothendieck_residue(
@@ -415,7 +483,7 @@ def grothendieck_residue(
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _total(_point_functions(arr, at_point, verdicts, ChartResidues(arr, poly, table.chart)))
+    return _total(_point_functions(arr, at_point, verdicts, ChartResidues(arr, poly, table)))
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -441,7 +509,7 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     classes = terminal_classes(arr, _collections(arr, verdicts, grouping))
     # the first stable flag of each class represents the stable class
     reps = [s[0] for cls in classes if (s := [f for f in cls.flags if verdicts[f].stable])]
-    residues = ChartResidues(arr, poly, table.chart)
+    residues = ChartResidues(arr, poly, table)
     flag_funcs = [residues.function(rep) for rep in sorted(reps, key=lambda f: f.indices)]
     at_points = [
         (point, flags, _point_functions(arr, at, verdicts, residues))

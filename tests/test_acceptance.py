@@ -11,6 +11,7 @@ One criterion per test so a verbose run reports one pass/fail line each:
 7. unstable-sum vanishing on random all-compatible arrangements
 8. verdict and value invariance under positive rescaling
 9. torus-cycle quadrature against iterated residues
+10. the paper's theorem and its converse on generic r = 2 draws
 """
 
 import json
@@ -44,8 +45,8 @@ from residuum.arrangement import (
     stable_flags,
 )
 from residuum.cli import main as cli_main
-from residuum.exact_linalg import minor_profile
-from residuum.oracle import quad_integral
+from residuum.exact_linalg import GaussianRational, minor_profile
+from residuum.oracle import DEFAULT_TOL, quad_integral
 from residuum.residue_engine import (
     DivisorGrouping,
     canonical_grouping,
@@ -451,3 +452,62 @@ def test_criterion_9():
             assert float(abs(torus_a - iterated)) <= 1e-8 * max(1, abs(iterated))
             assert float(abs(torus_a - torus_b)) <= 1e-9 * max(1, abs(torus_a))
             done += 1
+
+
+# (R, seed, rows, s, coefficient) of the generic r = 2 draws (R rows in
+# general position, f . v = i s, numerator the coefficient, identity cone)
+# of seeds 0-11 at R = 5 and 1, 3, 9 at R = 4
+GENERIC_R2 = [
+    (5, 0, ((1, 1), (2, 1), (1, 0), (2, -1), (0, -1)), (1, 3, 2, 3, 1), 3),
+    (5, 1, ((-1, 2), (-2, 1), (1, 1), (1, -1), (1, 2)), (1, 4, 3, 2, 1), 2),
+    (5, 2, ((2, -1), (1, 0), (1, 2), (1, 1), (2, 1)), (4, 2, 3, 2, 3), 2),
+    (5, 3, ((1, 2), (2, 1), (1, -1), (-1, -1), (-1, 2)), (1, 3, 1, 3, 4), 3),
+    (5, 4, ((-1, 0), (-2, 1), (1, -1), (-2, -1), (-1, -2)), (3, 2, 1, 3, 3), 1),
+    (5, 5, ((-2, -1), (1, 0), (-1, 1), (-1, -2), (-1, 2)), (4, 2, 2, 1, 1), 1),
+    (5, 6, ((1, 0), (-1, 2), (0, 1), (-1, 1), (-2, -1)), (3, 1, 4, 3, 1), 2),
+    (5, 7, ((0, -1), (1, -2), (2, -1), (1, 1), (-2, -1)), (1, 4, 1, 1, 2), 3),
+    (5, 8, ((-1, 0), (1, -1), (-1, -2), (-2, -1), (-1, 2)), (2, 4, 1, 4, 4), 2),
+    (5, 9, ((-1, -1), (-1, -2), (-2, -1), (-2, 1), (1, -2)), (3, 2, 4, 3, 3), 1),
+    (5, 10, ((1, 1), (-1, 1), (1, 0), (-1, -2), (2, 1)), (3, 1, 2, 3, 1), 2),
+    (5, 11, ((1, -1), (2, 1), (2, -1), (-1, 0), (-1, 2)), (2, 2, 2, 2, 4), 2),
+    (4, 1, ((-1, 2), (-2, 1), (1, 1), (1, -1)), (1, 4, 1, 4), 2),
+    (4, 3, ((-1, -1), (1, 2), (2, 1), (1, -1)), (2, 2, 4, 1), 3),
+    (4, 9, ((1, 2), (-1, -1), (2, 1), (1, -1)), (4, 4, 2, 2), 1),
+]
+
+
+def test_theorem_and_converse_on_generic_draws():
+    """The paper's theorem: every certified draw of ``GENERIC_R2`` is
+    confirmed by quadrature, its value within the oracle's tolerance
+    (``verify``'s test).  Its converse: for every uncertified draw, some
+    numerator of 1, exp(i v_k) and exp(2i v_k) gives a value that differs
+    from quadrature's estimate by more than 1e4 times its error bound.
+    Every class ends at a simple normal crossing, so each value is the
+    closed form of ``ChartResidues.crossing``."""
+    poly = _std_cone(2)
+    numerators = [ExpRationalFunction.from_parts(2)] + [
+        ExpRationalFunction.from_parts(
+            2, expo=AffineForm(tuple(GaussianRational(0, w * (j == k)) for j in range(2)), 0)
+        )
+        for k in range(2)
+        for w in (1, 2)
+    ]
+    certified = 0
+    with working_precision(128):
+        for _, _, rows, s, coeff in GENERIC_R2:
+            hyperplanes = [plane(f, x) for f, x in zip(rows, s)]
+            arr = Arrangement.build(2, hyperplanes, ExpRationalFunction.from_parts(2, coeff))
+            result = evaluate_integral(arr, poly)
+            if result.certificate.certified:
+                certified += 1
+                diff = abs(result.value - quad_integral(arr).estimate)
+                assert diff <= DEFAULT_TOL * max(1, abs(result.value))
+                continue
+            for numerator in numerators:
+                arr = Arrangement.build(2, hyperplanes, numerator)
+                quad = quad_integral(arr)
+                if abs(evaluate_integral(arr, poly).value - quad.estimate) > 1e4 * quad.error_bound:
+                    break
+            else:
+                raise AssertionError(f"no numerator refutes uncertified draw {rows}")
+    assert certified == 7

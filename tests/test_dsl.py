@@ -372,6 +372,25 @@ def test_power_rules():
         ).arrangement()
 
 
+def test_integer_powers_build_no_fraction(monkeypatch):
+    """An integer exponent is read from its GaussianRational's integer
+    parts: lowering ``num x^2 * y^3`` builds no Fraction (calls of
+    ``Fraction.__new__``), and its numerator is x^2 y^3."""
+    spec = parse_problem("vars x y; cone (1,0) (0,1); num x^2 * y^3; den (x - i) (y - i);")
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    numer = spec.arrangement().numerator
+    monkeypatch.undo()
+    assert built == []
+    assert abs(numer.evaluate([mpf(2), mpf(3)]) - 108) < mpf("1e-28")
+
+
 def test_load_problem(tmp_path):
     path = tmp_path / "p.rsd"
     path.write_text(EXAMPLE)

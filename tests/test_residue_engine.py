@@ -51,6 +51,7 @@ from residuum.arrangement import (
     flag_table,
     jacobian,
     pole_location,
+    terminal_classes,
 )
 from residuum.exact_linalg import (
     GaussianRational,
@@ -67,6 +68,7 @@ from residuum.residue_engine import (
     EmptyStableSet,
     ChartResidues,
     _soluble_chart,
+    _total,
     canonical_grouping,
     canonical_grouping_points,
     convergence_heuristic,
@@ -78,6 +80,9 @@ from residuum.residue_engine import (
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
+    Polynomial,
+    Term,
+    _form_key,
     constant_sum,
     to_mpc,
     working_precision,
@@ -876,6 +881,89 @@ def test_contributions_are_exact_sums_rounded_once(case):
             assert abs(value - want) <= abs(want) * mpf(2) ** -124
 
 
+_gaussians = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+@st.composite
+def crossing_draws(draw):
+    """R <= 8 hyperplanes f . v = i s in r <= 4 variables: generic integer
+    rows (entries in -2..2, not all 0), s Gaussian rationals with Re s != 0,
+    multiplicities 1 to 3 (on the first r rows at most 1); a numerator that
+    is a constant, a polynomial of degree <= 2, or a sum of 1 to 3 terms
+    c exp(lambda) with lambda Gaussian affine; and a unimodular cone, the
+    columns of an integer shear, the first scaled by 1, -1, 1/2 or -3/2."""
+    r = draw(st.integers(1, 4))
+    big_r = draw(st.integers(r, 8))
+    rows = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any),
+        min_size=big_r, max_size=big_r,
+    ))
+    s = draw(st.lists(_gaussians.filter(lambda x: x.re), min_size=big_r, max_size=big_r))
+    mult = [1] * r + draw(st.lists(st.integers(1, 3), min_size=big_r - r, max_size=big_r - r))
+    kind = draw(st.sampled_from(["constant", "polynomial", "exp"]))
+    monomial = st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(lambda e: sum(e) <= 2)
+    terms = []
+    for _ in range(draw(st.integers(1, 3)) if kind == "exp" else 1):
+        poly = Polynomial.constant(r, 1)
+        if kind == "polynomial":
+            coeffs = st.dictionaries(monomial.map(tuple), _gaussians, min_size=1, max_size=4)
+            poly = Polynomial(r, draw(coeffs))
+        expo = AffineForm.constant(r, 0)
+        if kind == "exp":
+            slopes = draw(st.lists(_gaussians, min_size=r, max_size=r))
+            expo = AffineForm(tuple(slopes), draw(_gaussians))
+        terms.append(Term.make(draw(_gaussians.filter(bool)), poly, expo, ()))
+    numerator = ExpRationalFunction(r, terms)
+    assume(not numerator.is_zero())
+    shear = [[int(i == j) for j in range(r)] for i in range(r)]
+    shears = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.sampled_from([-1, 1]))
+    for i, j, c in draw(st.lists(shears, max_size=6)):
+        if i != j:
+            for row in shear:
+                row[j] += c * row[i]
+    gens = [list(col) for col in zip(*shear)]
+    scale = draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 2)]))
+    gens[0] = [scale * x for x in gens[0]]
+    hyperplanes = [plane(f, x) for f, x in zip(rows, s)]
+    arr = Arrangement.build(r, hyperplanes, numerator=numerator, multiplicities=mult)
+    return arr, cone(*gens)
+
+
+@given(crossing_draws())
+@settings(max_examples=60, deadline=None)
+def test_crossing_matches_the_steps(case):
+    """At a simple normal crossing on exact data, the closed form
+    (``ChartResidues.crossing``) gives the steps' residue: the same
+    ``constant_sum`` terms, coefficient and exponent, in the same order,
+    and, at 128 and 256 bits, a rounded contribution (``_total``) bit for
+    bit that of the steps' exact sum evaluated (``evaluate(())``).  Up to
+    six classes per draw are compared, each in the chart of the cone when
+    its flag is soluble there."""
+    arr, poly = case
+    table = flag_table(arr, poly)
+    verdicts = dict(zip(table.indices, table.verdicts))
+    closed, steps = ChartResidues(arr, poly, table), ChartResidues(arr, poly)
+    classes = [
+        cls for cls in terminal_classes(arr, list(map(Flag, table.indices)))
+        if verdicts[cls.flags[0].indices].in_bruhat_cell and closed.crossing(cls) is not None
+    ]
+    assume(classes)
+    for cls in classes[:: -(-len(classes) // 6)]:
+        got = constant_sum([closed.crossing(cls)])
+        want = constant_sum([steps.function(cls.flags[0])])
+        assert [(t.coeff, _form_key(t.expo)) for t in got.terms] == [
+            (t.coeff, _form_key(t.expo)) for t in want.terms
+        ]
+        for bits in (128, 256):
+            with working_precision(bits):
+                value = _total([closed.crossing(cls)])
+                assert value._mpc_ == want.evaluate(())._mpc_
+                assert value._mpc_ == _total([steps.function(cls.flags[0])])._mpc_
+
+
 # rays of three complete toric surfaces, as the rows of f_j(v) = i s_j
 FANS = {
     "P2": [(1, 0), (0, 1), (-1, -1)],
@@ -902,12 +990,14 @@ def _spanning_rows(rng: random.Random, r: int, big_r: int) -> list:
 
 def _cones(rng: random.Random, rows: list, r: int, adjugates: bool) -> list:
     """Twenty positively oriented cones: random ones, entries in -3..3; or,
-    with ``adjugates``, for each r of five rows the columns of their
+    with ``adjugates``, for each r independent rows the columns of their
     adjugate and their negatives, the first negated where the orientation
     needs it (where F_S v = w, a cone of +-e_k in w)."""
     if adjugates:
         cones = []
         for sub in itertools.combinations(rows, r):
+            if not determinant(RationalMatrix(tuple(map(tuple, sub)))):
+                continue
             adj, _ = _gauss_jordan(sub)
             cones += [[[sign * x for x in col] for col in zip(*adj)] for sign in (1, -1)]
     else:
@@ -920,35 +1010,56 @@ def _cones(rng: random.Random, rows: list, r: int, adjugates: bool) -> list:
     return oriented
 
 
-@pytest.mark.parametrize("case", [*FANS, "generic 0", "generic 1"])
+CONE_CASES = [*FANS, "generic 0", "generic 1"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*CONE_CASES, "generic r=4 0", "generic r=4 1", *(f"{c} exp" for c in CONE_CASES),
+     "generic r=4 0 exp", "generic r=4 1 exp"],
+)
 def test_certified_values_do_not_depend_on_the_cone(case):
     """The value is an integral over R^r and a cone only picks the contour,
-    so every cone in which ``eval`` is certified gives it: over at most 20
-    cones (``_cones``), at least two certified, the certified values agree
-    to 1e-30 of (2 pi)^r times the sum of |contributions|, and none is 0 (a
-    stable class ends inside a certified cone, so an inside test turned
-    around would give 0 in every one).  The fans take
-    s_j = 1 + (j mod 3) and random cones; the generic draws are five rows
-    in three variables (``_spanning_rows``) with s_j in 1..3 and the cones
-    of their row triples' adjugates.  The numerator is 1."""
+    so every cone in which ``eval`` is certified gives it: over at most 30
+    cones (``_cones``), the certified values agree to 1e-30 of (2 pi)^r
+    times the sum of |contributions|, and none is 0 (a stable class ends
+    inside a certified cone, so an inside test turned around would give 0
+    in every one).  The fans take s_j = 1 + (j mod 3) and random cones; the
+    generic draws are five rows in three variables, or six in four
+    (``_spanning_rows``), with s_j in 1..3; and these, and the fans in an
+    ``exp`` case, take the cones of their row r-sets' adjugates.  The
+    numerator is 1, with at least two certified cones; in an ``exp`` case
+    it is exp(-i f_j . v) for each row f_j in turn, each compared where it
+    has two certified cones, and at least one has.  In the r = 4 and
+    ``exp`` cases the first hyperplane has multiplicity 2, so a sum mixes
+    the closed form of simple crossings with the steps of the others."""
     rng = random.Random(f"cone independence {case}")
-    if case in FANS:
-        rows = FANS[case]
+    name = case.removesuffix(" exp")
+    if name in FANS:
+        rows = FANS[name]
         s = [1 + j % 3 for j in range(len(rows))]
     else:
-        rows = _spanning_rows(rng, 3, 5)
+        r = 4 if "r=4" in name else 3
+        rows = _spanning_rows(rng, r, r + 2)
         s = [rng.randint(1, 3) for _ in rows]
     r = len(rows[0])
-    certified = []
-    for gens in _cones(rng, rows, r, case not in FANS):
-        arr, poly = _closed_form_problem(rows, s, [1] * len(rows), [0] * r, gens)
-        with working_precision(128):
-            result = evaluate_integral(arr, poly)
-        if result.certificate.certified:
-            size = sum(abs(v) for v in result.flag_contributions.values())
-            certified.append((result.value, (2 * pi) ** r * size))
-    assert len(certified) >= 2
-    (first, first_size), *rest = certified
-    assert first != 0
-    for value, size in rest:
-        assert abs(value - first) <= mpf("1e-30") * max(size, first_size)
+    mult = [1 + (case not in CONE_CASES)] + [1] * (len(rows) - 1)
+    cones = _cones(rng, rows, r, name not in FANS or name != case)
+    compared = 0
+    for freq in [[-x for x in f] for f in rows] if name != case else [[0] * r]:
+        certified = []
+        for gens in cones:
+            arr, poly = _closed_form_problem(rows, s, mult, freq, gens)
+            with working_precision(128):
+                result = evaluate_integral(arr, poly)
+            if result.certificate.certified:
+                size = sum(abs(v) for v in result.flag_contributions.values())
+                certified.append((result.value, (2 * pi) ** r * size))
+        if len(certified) < 2:
+            continue
+        compared += 1
+        (first, first_size), *rest = certified
+        assert first != 0
+        for value, size in rest:
+            assert abs(value - first) <= mpf("1e-30") * max(size, first_size)
+    assert compared
