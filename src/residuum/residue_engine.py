@@ -19,7 +19,7 @@ value, so the two paths agree exactly on positively oriented charts.
 Per-flag facts come from one place: verdicts and a grouping's collections
 from ``arrangement.flag_table``; flag classes and their points
 from ``arrangement.terminal_classes``; chart forms, residue steps and the
-closed form at a simple normal crossing on exact data from ``ChartResidues``,
+closed forms on exact data (``closed_form``) from ``ChartResidues``,
 whose forms and steps the CLI's arc diagnostics read too.
 """
 
@@ -146,12 +146,15 @@ class ChartResidues:
         self._chart = None if table is None else table.chart
         # prefix -> (residue function, the poles of its steps)
         self._steps: dict[tuple[int, ...], tuple] = {}
-        # |det M| where ``crossing`` applies: a flag table, every s_j and the
-        # numerator exact, and no numerator term with a denominator
+        # |det M| where ``closed_form`` takes a simple normal crossing (a flag
+        # table, every s_j and the numerator exact, and no numerator term with
+        # a denominator), and whether it takes a point on every hyperplane
         num = arr.numerator
         exact = num.exact and not any(t.denom for t in num.terms)
         exact = exact and all(h.s.__class__ is GaussianRational for h in arr.hyperplanes)
         self._weight = abs(poly.det()) if table is not None and exact else None
+        central = exact and num.max_poly_degree() < arr.total_denominator_degree - arr.dim
+        self._central = central and not any(any(ab) for t in num.terms for ab in t.expo._v[:-1])
 
     @functools.cached_property
     def pullback(self) -> tuple:
@@ -180,15 +183,24 @@ class ChartResidues:
         of no variables; ``evaluate(())`` gives its value."""
         return self.step(flag.indices)[0]
 
-    def crossing(self, cls: FlagClass) -> ExpRationalFunction | None:
-        """The iterated residue of ``cls`` in closed form where it ends at a
-        simple normal crossing (only its r hyperplanes S meet at its point
-        p, each of multiplicity 1) on exact data, else None: |det M| times
+    def closed_form(self, cls: FlagClass) -> ExpRationalFunction | None:
+        """The iterated residue of ``cls`` in closed form on exact data, else
+        None.  Where its point p lies on every hyperplane, it is 0 when the
+        numerator P has no exponent slope and degree < D = sum_j m_j - r: in
+        v = p + w the denominator prod (f_j . w)^m_j is homogeneous, each step
+        raises a homogeneous degree by 1 in one variable fewer, so P's part of
+        degree e ends as a constant of degree e - D, 0 unless e = D (the
+        homogeneity behind Brion and Vergne's vanishing of the Jeffrey-Kirwan
+        residue off degree -r).  Where it ends at a simple normal crossing
+        (only its r hyperplanes S meet at p, each of multiplicity 1) with a
+        flag table, it is |det M| times
         sum_t c_t P_t(p) e^(lambda_t(p)) / (p_r prod_(k not in S) (f_k . p - i s_k)^m_k)
         with p_r from the flag table (the steps divide by p_1 (p_2 / p_1) ... = p_r),
         on Gaussian-integer pairs over p's common denominator e, one term per
         numerator term in its order, as the steps keep them."""
         arr, through, weight = self.arr, cls.incidence, self._weight
+        if self._central and len(through) == len(arr.hyperplanes):
+            return ExpRationalFunction(0)
         simple = len(through) == arr.dim and all(arr.multiplicities[j] == 1 for j in through)
         if weight is None or not simple:
             return None
@@ -327,9 +339,7 @@ def evaluate_integral(
         verdict = convergence_heuristic(arr, poly, audit)
         warnings: list[str] = []
         cone = _gauss_jordan(poly.basis_matrix().entries)
-        residues = ChartResidues(arr, poly, table)
-        contributions: dict[Flag, mpc] = {}
-        funcs = []
+        inside_classes = []
         for cls in terminal_classes(arr, stable_flags(arr, poly, table)):
             rep = cls.flags[0]
             inside, boundary = _position(cone, cls.point)
@@ -344,10 +354,10 @@ def evaluate_integral(
                     "outside the polyhedron"
                 )
                 continue
-            # stable flags lie in the open Bruhat cell (every p_k > 0)
-            func = residues.crossing(cls)
-            funcs.append(residues.function(rep) if func is None else func)
-            contributions[rep] = _total(funcs[-1:])
+            inside_classes.append(cls)
+        # stable flags lie in the open Bruhat cell (every p_k > 0)
+        funcs = _class_functions(arr, inside_classes, ChartResidues(arr, poly, table))
+        contributions = {cls.flags[0]: _total([f]) for cls, f in zip(inside_classes, funcs)}
         total = _total(funcs)
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
         certificate = Certificate(
@@ -436,25 +446,28 @@ def _soluble_chart(
     return chart
 
 
-def _point_functions(
-    arr: Arrangement, classes: list[FlagClass], verdicts: dict, residues: ChartResidues
+def _class_functions(
+    arr: Arrangement, classes: list[FlagClass], residues: ChartResidues,
+    verdicts: dict | None = None,
 ) -> list[ExpRationalFunction]:
-    """The residue at one terminal point as the functions of its terms, the
-    iterated residues of ``classes``, the classes of the grouping's flags
-    arriving there; ``_total`` sums them.
+    """The iterated residues of ``classes``, each its first flag's, as
+    functions of no variables; ``_total`` sums them.
 
-    A class at a simple normal crossing on exact data takes its closed form
-    (``ChartResidues.crossing``).  The others take their steps in the
-    polyhedron's chart, with the shared ``residues``, when the flag table's
-    ``verdicts`` find every one soluble there, and otherwise in the chart
-    ``_soluble_chart`` builds for them.  That chart has the polyhedron's
-    orientation, so its values need no sign change.
+    A class takes its closed form where it has one
+    (``ChartResidues.closed_form``).  The others take their first flags'
+    steps in the polyhedron's chart, with the shared ``residues``, unless the
+    flag table's ``verdicts`` find one of those flags insoluble there; then
+    they take them in the chart ``_soluble_chart`` builds for them.  That
+    chart has the polyhedron's orientation, so its values need no sign
+    change.  Without ``verdicts`` every flag is soluble in the polyhedron's
+    chart, as a stable one is.
     """
-    funcs = [residues.crossing(cls) for cls in classes]
+    funcs = [residues.closed_form(cls) for cls in classes]
     reps = [cls.flags[0] for cls, func in zip(classes, funcs) if func is None]
-    chart = _soluble_chart(arr, reps, residues.poly, verdicts)
-    if chart is not residues.poly:
-        residues = ChartResidues(arr, chart)
+    if verdicts is not None:
+        chart = _soluble_chart(arr, reps, residues.poly, verdicts)
+        if chart is not residues.poly:
+            residues = ChartResidues(arr, chart)
     steps = map(residues.function, reps)
     return [next(steps) if func is None else func for func in funcs]
 
@@ -471,7 +484,7 @@ def grothendieck_residue(
     Sums the iterated residues of the grouping's flag classes whose points
     have the point's ``incidence``, in the polyhedron's chart when the pair's
     flag table finds every class soluble there and otherwise in one chart
-    built for them with the same orientation (see ``_point_functions``);
+    built for them with the same orientation (see ``_class_functions``);
     every point has a value.  A caller asking for several points or
     groupings builds the table once and passes it.
     """
@@ -483,7 +496,7 @@ def grothendieck_residue(
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _total(_point_functions(arr, at_point, verdicts, ChartResidues(arr, poly, table)))
+    return _total(_class_functions(arr, at_point, ChartResidues(arr, poly, table), verdicts))
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -492,8 +505,9 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     Unions the k-th members of all stable collections into divisor D_k.  The
     grouping's collections are the flag table's flags with H_k in D_k, classed
     once; every stable flag is one, so the stable classes are the stable
-    members of those classes.  The defining identity (sum of Grothendieck
-    residues over the grouping's terminal points = sum of stable-flag
+    members of those classes.  Both take ``eval``'s per-class values
+    (``_class_functions``), so the defining identity (sum of Grothendieck
+    residues over the grouping's terminal points = sum of stable-class
     residues) is decided exactly on exact data (``_summed``), and otherwise
     up to the noise floor.
     """
@@ -507,12 +521,12 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
 
     verdicts = _verdicts(table)
     classes = terminal_classes(arr, _collections(arr, verdicts, grouping))
-    # the first stable flag of each class represents the stable class
-    reps = [s[0] for cls in classes if (s := [f for f in cls.flags if verdicts[f].stable])]
+    # a class's stable members, in their order, are a stable class
+    members = [(s, cls) for cls in classes if (s := [f for f in cls.flags if verdicts[f].stable])]
     residues = ChartResidues(arr, poly, table)
-    flag_funcs = [residues.function(rep) for rep in sorted(reps, key=lambda f: f.indices)]
+    flag_funcs = _class_functions(arr, [c._replace(flags=s) for s, c in sorted(members)], residues)
     at_points = [
-        (point, flags, _point_functions(arr, at, verdicts, residues))
+        (point, flags, _class_functions(arr, at, residues, verdicts))
         for point, flags, at in _points(classes)
     ]
     points = [(point, flags, _total(funcs)) for point, flags, funcs in at_points]

@@ -483,7 +483,7 @@ def test_theorem_and_converse_on_generic_draws():
     numerator of 1, exp(i v_k) and exp(2i v_k) gives a value that differs
     from quadrature's estimate by more than 1e4 times its error bound.
     Every class ends at a simple normal crossing, so each value is the
-    closed form of ``ChartResidues.crossing``."""
+    closed form of ``ChartResidues.closed_form``."""
     poly = _std_cone(2)
     numerators = [ExpRationalFunction.from_parts(2)] + [
         ExpRationalFunction.from_parts(

@@ -1,6 +1,7 @@
 """Command surface: reports, exit codes, JSON stability, diagnostics."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from residuum.arrangement import (
     Hyperplane,
     Polyhedron,
     compatibility_audit,
-    flag_classes,
     flag_table,
     jacobian,
     pole_location,
@@ -474,24 +474,40 @@ def test_import_loads_no_class_generator():
 
 
 @pytest.mark.parametrize(
-    "text",
-    [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],
-    ids=["coincident_point", "squared", "cubed"],
+    "text, stepped",
+    [
+        ((SAMPLES / "coincident_point.rsd").read_text(), True),
+        (SQUARED_POLES, True),
+        (CUBED_POLES, False),
+        (MIXED_POLES, True),
+    ],
+    ids=["coincident_point", "squared", "cubed", "mixed"],
 )
-def test_one_residue_step_per_flag_prefix(monkeypatch, text):
-    """eval and grouping take each flag prefix's residue once per chart."""
+def test_one_residue_step_per_flag_prefix(monkeypatch, text, stepped):
+    """eval and grouping take each flag prefix's residue once per chart, and
+    only for the classes without a closed form (``ChartResidues.closed_form``):
+    cubed's six planes through one point, with numerator 1, take none, while
+    the rounded data of coincident_point and the oscillatory numerators of
+    squared and mixed (a triple pole among them) take their steps."""
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
     with mp.workprec(128):
-        contributing = list(evaluate_integral(arr, poly).flag_contributions)
+        inside = set(evaluate_integral(arr, poly).flag_contributions)
         _, points = canonical_grouping_points(arr, poly)
-    grouped = [cls[0] for cls in flag_classes(arr, stable_flags(arr, poly))]
-    for _, flags, _ in points:
-        grouped += [cls[0] for cls in flag_classes(arr, flags)]
-    # no auxiliary chart: every arriving flag is soluble in the cone's chart
-    assert all(
-        minor_profile(jacobian(arr, f.indices, poly)).in_bruhat_cell for f in grouped
-    )
+        closed = ChartResidues(arr, poly, flag_table(arr, poly))
+        stable = terminal_classes(arr, stable_flags(arr, poly))
+        arriving = [cls for _, flags, _ in points for cls in terminal_classes(arr, flags)]
+        # no auxiliary chart: every arriving flag is soluble in the cone's chart
+        assert all(
+            minor_profile(jacobian(arr, cls.flags[0].indices, poly)).in_bruhat_cell
+            for cls in stable + arriving
+        )
+        contributing = [
+            cls.flags[0] for cls in stable
+            if cls.flags[0] in inside and closed.closed_form(cls) is None
+        ]
+        grouped = [cls.flags[0] for cls in stable + arriving if closed.closed_form(cls) is None]
+    assert bool(contributing) == bool(grouped) == stepped
     original = ExpRationalFunction.residue_1d
     calls = []
 
@@ -506,6 +522,34 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text):
         with mp.workprec(128):
             command(spec)
         assert len(calls) == len(prefixes), command.__name__
+
+
+# generic (3, 6) of the benchmark's problems module, drawn with Random(1):
+# six planes in general position, simple poles, numerator 3
+GENERIC_3_6 = """\
+vars v1 v2 v3;
+cone (1,0,0) (0,1,0) (0,0,1);
+num 3;
+den (v1 - v2 - 2*i) (v1 + 2*v2 - 2*v3 - 1*i) (-v1 + 2*v2 + v3 - 2*i) (v2 - 2*v3 - 2*i) \
+(v1 - 2*v2 - 4*i) (v1 - v2 - v3 - 3*i);
+"""
+# sha256 of its grouping --json report when the stable-flag sum took steps
+GENERIC_3_6_GROUPING = "a63045f0d7ecdff3f67df5dc6507a09443a897b7dfeda0b074c94d241e3c12d4"
+
+
+def test_grouping_of_generic_data_takes_no_residue_step(monkeypatch, tmp_path, capsys):
+    """On exact data in general position every class of a grouping ends at a
+    simple normal crossing, stable or arriving, so grouping takes each one's
+    closed form, as eval does: no ``residue_1d`` call, and the report's bytes
+    are those printed when the stable-flag sum took its steps."""
+    calls = []
+    original = ExpRationalFunction.residue_1d
+    monkeypatch.setattr(
+        ExpRationalFunction, "residue_1d", lambda *args: calls.append(args) or original(*args)
+    )
+    assert main(["grouping", _write(tmp_path, GENERIC_3_6), "--json"]) == 0
+    assert calls == []
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GENERIC_3_6_GROUPING
 
 
 @pytest.mark.parametrize(

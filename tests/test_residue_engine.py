@@ -53,6 +53,7 @@ from residuum.arrangement import (
     pole_location,
     terminal_classes,
 )
+from residuum.dsl import parse_problem
 from residuum.exact_linalg import (
     GaussianRational,
     RationalMatrix,
@@ -889,20 +890,28 @@ _gaussians = st.builds(
 
 @st.composite
 def crossing_draws(draw):
-    """R <= 8 hyperplanes f . v = i s in r <= 4 variables: generic integer
-    rows (entries in -2..2, not all 0), s Gaussian rationals with Re s != 0,
-    multiplicities 1 to 3 (on the first r rows at most 1); a numerator that
-    is a constant, a polynomial of degree <= 2, or a sum of 1 to 3 terms
+    """R <= 8 hyperplanes f . v = i s in r <= 4 variables: integer rows
+    (entries in -2..2, not all 0) and s Gaussian rationals with Re s != 0.
+    Generic ones take multiplicities 1 to 3 (on the first r rows at most 1);
+    central ones all pass through one Gaussian-rational point P,
+    s = -i f . P, with multiplicities 1 to 3.  A numerator that is a
+    constant, a polynomial of degree <= 2, or a sum of 1 to 3 terms
     c exp(lambda) with lambda Gaussian affine; and a unimodular cone, the
     columns of an integer shear, the first scaled by 1, -1, 1/2 or -3/2."""
     r = draw(st.integers(1, 4))
     big_r = draw(st.integers(r, 8))
-    rows = draw(st.lists(
-        st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any),
-        min_size=big_r, max_size=big_r,
-    ))
-    s = draw(st.lists(_gaussians.filter(lambda x: x.re), min_size=big_r, max_size=big_r))
-    mult = [1] * r + draw(st.lists(st.integers(1, 3), min_size=big_r - r, max_size=big_r - r))
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    if draw(st.booleans()):  # central
+        points = st.lists(_gaussians, min_size=r, max_size=r)
+        point = draw(points.filter(lambda p: any(x.im for x in p)))
+        dot = lambda f: sum((x * c for x, c in zip(point, f)), GaussianRational(0))
+        rows = draw(st.lists(row.filter(lambda f: dot(f).im), min_size=big_r, max_size=big_r))
+        s = [GaussianRational(dot(f).im, -dot(f).re) for f in rows]
+        mult = draw(st.lists(st.integers(1, 3), min_size=big_r, max_size=big_r))
+    else:
+        rows = draw(st.lists(row, min_size=big_r, max_size=big_r))
+        s = draw(st.lists(_gaussians.filter(lambda x: x.re), min_size=big_r, max_size=big_r))
+        mult = [1] * r + draw(st.lists(st.integers(1, 3), min_size=big_r - r, max_size=big_r - r))
     kind = draw(st.sampled_from(["constant", "polynomial", "exp"]))
     monomial = st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(lambda e: sum(e) <= 2)
     terms = []
@@ -935,33 +944,66 @@ def crossing_draws(draw):
 @given(crossing_draws())
 @settings(max_examples=60, deadline=None)
 def test_crossing_matches_the_steps(case):
-    """At a simple normal crossing on exact data, the closed form
-    (``ChartResidues.crossing``) gives the steps' residue: the same
-    ``constant_sum`` terms, coefficient and exponent, in the same order,
-    and, at 128 and 256 bits, a rounded contribution (``_total``) bit for
-    bit that of the steps' exact sum evaluated (``evaluate(())``).  Up to
-    six classes per draw are compared, each in the chart of the cone when
-    its flag is soluble there."""
+    """Where the closed form (``ChartResidues.closed_form``) applies on
+    exact data, at a simple normal crossing or at a point on every
+    hyperplane (there it has no term), it gives the steps' residue: the
+    same ``constant_sum`` terms, coefficient and exponent, in the same
+    order, and, at 128 and 256 bits, a rounded contribution (``_total``)
+    bit for bit that of the steps' exact sum evaluated (``evaluate(())``).
+    Up to six classes per draw are compared, each in the chart of the cone
+    when its flag is soluble there."""
     arr, poly = case
     table = flag_table(arr, poly)
     verdicts = dict(zip(table.indices, table.verdicts))
     closed, steps = ChartResidues(arr, poly, table), ChartResidues(arr, poly)
     classes = [
         cls for cls in terminal_classes(arr, list(map(Flag, table.indices)))
-        if verdicts[cls.flags[0].indices].in_bruhat_cell and closed.crossing(cls) is not None
+        if verdicts[cls.flags[0].indices].in_bruhat_cell and closed.closed_form(cls) is not None
     ]
     assume(classes)
     for cls in classes[:: -(-len(classes) // 6)]:
-        got = constant_sum([closed.crossing(cls)])
+        got = constant_sum([closed.closed_form(cls)])
         want = constant_sum([steps.function(cls.flags[0])])
         assert [(t.coeff, _form_key(t.expo)) for t in got.terms] == [
             (t.coeff, _form_key(t.expo)) for t in want.terms
         ]
         for bits in (128, 256):
             with working_precision(bits):
-                value = _total([closed.crossing(cls)])
+                value = _total([closed.closed_form(cls)])
                 assert value._mpc_ == want.evaluate(())._mpc_
                 assert value._mpc_ == _total([steps.function(cls.flags[0])])._mpc_
+
+
+@pytest.mark.parametrize(
+    "num, zero",
+    [("1", True), ("v1 + 1", True), ("v1*v2 + v1", False), ("v2^2", False), ("exp(i*v1)", False)],
+)
+def test_central_closed_form_needs_low_degree_and_no_slope(num, zero):
+    """Three lines through p = (i, 2i) in r = 2, the first a double pole, so
+    D = sum m_j - r = 2.  Below degree D, with no exponent slope, each
+    class's closed form is the empty function and its steps give exact 0.
+    At degree D, or with exp(i v1), the closed form declines (None) and the
+    steps give a nonzero residue for some class."""
+    spec = parse_problem(
+        f"vars v1 v2;\ncone (1,0) (0,1);\nnum {num};\n"
+        "den (v1 - i)^2 (v2 - 2*i) (v1 + v2 - 3*i);\n"
+    )
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    table = flag_table(arr, poly)
+    verdicts = dict(zip(table.indices, table.verdicts))
+    closed, steps = ChartResidues(arr, poly, table), ChartResidues(arr, poly)
+    classes = [
+        cls for cls in terminal_classes(arr, list(map(Flag, table.indices)))
+        if verdicts[cls.flags[0].indices].in_bruhat_cell
+    ]
+    assert len(classes) == 2 and all(len(cls.incidence) == 3 for cls in classes)
+    values = [constant_sum([steps.function(cls.flags[0])]) for cls in classes]
+    if zero:
+        assert all(closed.closed_form(cls).is_zero() for cls in classes)
+        assert all(value.is_zero() for value in values)
+    else:
+        assert all(closed.closed_form(cls) is None for cls in classes)
+        assert not all(value.is_zero() for value in values)
 
 
 # rays of three complete toric surfaces, as the rows of f_j(v) = i s_j
