@@ -1,15 +1,16 @@
 """Hyperplanes, polyhedra, and flags.
 
 A polar hyperplane is presented canonically as H = {f(v) = is} with f a
-primitive coprime-integer vector and Re s > 0 (such H never meets the real
-locus), found on Gaussian integers (``_canonical``).  A polyhedron is an
+primitive coprime-integer vector and s a GaussianRational with Re s > 0
+(such H never meets the real locus), found on Gaussian integers
+(``_canonical``); a constant given as a float or mpmath number is taken at
+its binary value (``symfun.to_exact``).  A polyhedron is an
 ordered rational basis (v_1, ..., v_r) spanning a cone; its coordinates z
 are the dual basis.  The Jacobian of an ordered
 hyperplane collection with respect to a polyhedron has entries f_j(v_k), and
 its exact minor profile decides solubility, stability, and compatibility.
 The integrand has one pullback to the chart v = M z, ``Arrangement.pullback``:
-factor j is (row j of the exact F M) . z - i s_j, exact when every s_j is
-and otherwise rounded once, so a 0 of F M stays exactly 0.
+factor j is (row j of the exact F M) . z - i s_j, exact throughout.
 ``flag_table`` decides every complete flag's verdicts once per (arrangement,
 polyhedron) pair; the audit, the stable flags, the engine and the reports
 all read that one table.  Each flag's Jacobian is its rows of the chart
@@ -22,9 +23,9 @@ a reported violation, a text report.
 
 ``terminal_classes`` keys each flag once by the hyperplanes through its
 terminal point (``incidence``) and, where more than r meet, the exact spans
-of its prefixes; the evaluator and the grouping read it.  With every s_j
-exact, a point is one fraction-free solve on integers (``pole_location``)
-and its hyperplanes an integer test.
+of its prefixes; the evaluator and the grouping read it.  A point is one
+fraction-free solve on integers (``pole_location``) and its hyperplanes an
+integer test, so which hyperplanes meet where is decided exactly.
 
 The z_k-star values are the sequential pole positions of the coordinate-wise
 residue iteration: with p_0 = 1,
@@ -47,8 +48,6 @@ from operator import mul
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from mpmath import mpc
-
 from .exact_linalg import (
     GaussianRational,
     _exact,
@@ -66,15 +65,12 @@ from .exact_linalg import (
     row_echelon,
     set_layout,
     set_verdicts,
-    solve_linear,
 )
 from .symfun import (
     AffineForm,
     ExpRationalFunction,
     Term,
-    _parts,
-    is_negligible,
-    to_mpc,
+    to_exact,
 )
 
 
@@ -90,15 +86,20 @@ class InsolubleFlag(Exception):
     """A leading principal minor of the linearized flag vanishes."""
 
 
-# i, exact; times an mpc it is rounded like mpc(0, 1) and gives the same bits
 _I = GaussianRational(0, 1)
+
+
+def _gaussian_of(x) -> GaussianRational:
+    """A scalar as a GaussianRational, a float or mpmath one at its binary value."""
+    x = to_exact(x)
+    return x if x.__class__ is GaussianRational else GaussianRational.of(x)
 
 
 def _exact_scalar(x):
     """x as an exact scalar, a complex as its GaussianRational."""
     if isinstance(x, complex):
-        x = GaussianRational(Fraction(x.real), Fraction(x.imag))
-    if _parts(x) is None:
+        x = to_exact(x)
+    if not isinstance(x, (int, Fraction, GaussianRational)):
         raise TypeError(f"hyperplane linear parts must be exact rational data, got {x!r}")
     return x
 
@@ -107,14 +108,14 @@ class Hyperplane(NamedTuple):
     """H = {v : f(v) = i s} with f primitive integers and Re s > 0."""
 
     f: tuple[int, ...]
-    s: GaussianRational | mpc
+    s: GaussianRational
 
     @property
     def dim(self) -> int:
         return len(self.f)
 
     def same_locus(self, other: "Hyperplane") -> bool:
-        return self.f == other.f and is_negligible(self.s - other.s, self.s)
+        return self.f == other.f and self.s == other.s
 
 
 def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
@@ -123,18 +124,18 @@ def canonicalize_hyperplane(linear_coeffs: Sequence, constant) -> Hyperplane:
     The zero set {<a,v> + b = 0} is rewritten as {f(v) = is} with f a
     primitive coprime-integer vector and Re s > 0.  The linear part must be
     exact (ints, Fractions, exact complex rationals); the constant may be any
-    complex scalar.  The entries are split once, as an ``AffineForm``'s."""
-    exact = isinstance(constant, (int, Fraction, complex, GaussianRational))
+    complex scalar, a float or mpmath one taken at its binary value
+    (``to_exact``).  The entries are split once, as an ``AffineForm``'s."""
     linear = tuple(map(_exact_scalar, linear_coeffs))
-    form = AffineForm(linear, _exact_scalar(constant) if exact else 0)
-    return _canonical(form._v, form._den, None if exact else constant)[0]
+    form = AffineForm(linear, to_exact(constant))
+    return _canonical(form._v, form._den)[0]
 
 
-def _canonical(v: Sequence, den: int, rounded=None) -> tuple[Hyperplane, GaussianRational]:
+def _canonical(v: Sequence, den: int) -> tuple[Hyperplane, GaussianRational]:
     """The canonical hyperplane of <a, v> + b = 0 and c with <a, v> + b = c (f(v) - i s),
-    from the Gaussian-integer pairs ``v`` of a's entries and b over ``den`` > 0, or with
-    b ``rounded`` (an mpc).  For a's first nonzero pair (x, y), c = g (x + y i) /
-    (den (x^2 + y^2)), g the gcd of the real a (x - y i), and s = i b / c."""
+    from the Gaussian-integer pairs ``v`` of a's entries and b over ``den`` > 0.  For
+    a's first nonzero pair (x, y), c = g (x + y i) / (den (x^2 + y^2)), g the gcd of
+    the real a (x - y i), and s = i b / c."""
     z = v[:-1]
     x, y = next((pair for pair in z if any(pair)), (0, 0))
     if not (x or y):
@@ -144,15 +145,11 @@ def _canonical(v: Sequence, den: int, rounded=None) -> tuple[Hyperplane, Gaussia
         raise NotAlignable("real and imaginary parts of the linear coefficients are not parallel")
     u = [a * x + b * y for a, b in z]
     g = math.gcd(*u)
-    if rounded is None:  # b = (p + q i) / den: s = i (p + q i)(x - y i) / g
-        p, q = v[-1]
-        s = _gaussian(p * y - q * x, p * x + q * y, g)
-    else:
-        s = to_mpc(rounded) * _gaussian(x * den, -y * den, g) * _I
-    re = s._a if rounded is None else s.real  # an exact s: its numerator's sign
-    if is_negligible(re, s):
+    p, q = v[-1]  # b = (p + q i) / den: s = i (p + q i)(x - y i) / g
+    s = _gaussian(p * y - q * x, p * x + q * y, g)
+    if not s._a:
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
-    sign = 1 if re > 0 else -1
+    sign = 1 if s._a > 0 else -1
     c = _gaussian(sign * g * x, sign * g * y, den * (x * x + y * y))
     return Hyperplane(tuple([sign * n // g for n in u]), s if sign > 0 else -s), c
 
@@ -250,13 +247,16 @@ class Arrangement(NamedTuple):
         numerator: ExpRationalFunction | None = None,
         multiplicities: Iterable[int] | None = None,
     ) -> "Arrangement":
-        """Merge coincident hyperplanes into multiplicities."""
+        """Merge coincident hyperplanes into multiplicities; each s is taken
+        as a GaussianRational, a float or mpmath one at its binary value."""
         hps: list[Hyperplane] = []
         mults: list[int] = []
         supplied = list(multiplicities) if multiplicities is not None else None
         for pos, h in enumerate(hyperplanes):
             if len(h.f) != dim:
                 raise ValueError("hyperplane dimension mismatch")
+            if h.s.__class__ is not GaussianRational:
+                h = h._replace(s=_gaussian_of(h.s))
             m = supplied[pos] if supplied is not None else 1
             for i, existing in enumerate(hps):
                 if existing.same_locus(h):
@@ -291,28 +291,18 @@ class Arrangement(NamedTuple):
 
     def pullback(self, poly: Polyhedron) -> tuple[ExpRationalFunction, dict]:
         """The integrand F in the chart v = M z and {j: form j}: form j is
-        (row j of the exact F M of ``jacobian``) . z - i s_j, exact when every
-        s_j is, else rounded once.  Each numerator term, composed with M,
-        takes |det M| and every form, and is normalized by one ``Term.make``;
-        F is exact when every s_j and the numerator are, and otherwise its
-        every term is rounded."""
+        (row j of the exact F M of ``jacobian``) . z - i s_j.  Each numerator
+        term, composed with M, takes |det M| and every form, and is
+        normalized by one ``Term.make``."""
         return self._pullback(poly, jacobian(self, range(len(self.hyperplanes)), poly))
 
     def _pullback(self, poly: Polyhedron, rows: RationalMatrix) -> tuple:
         """``pullback`` from the chart matrix F M, as a flag table holds it."""
         consts = [_I * -h.s for h in self.hyperplanes]
-        rounded = any(isinstance(c, mpc) for c in consts)
-        form = AffineForm.make if rounded else AffineForm
-        forms = {j: form(row, c) for j, (row, c) in enumerate(zip(rows.entries, consts))}
+        forms = {j: AffineForm(row, c) for j, (row, c) in enumerate(zip(rows.entries, consts))}
         factors = list(zip(forms.values(), self.multiplicities))
-        numerator = self.numerator.terms
-        if rounded or not self.numerator.exact:
-            numerator = [t.rounded() for t in numerator]
-            subs = [AffineForm.make(row) for row in poly.basis_matrix().entries]
-            weight = to_mpc(abs(poly.det()))
-        else:
-            subs = [AffineForm(row, 0) for row in poly.basis_matrix().entries]
-            weight = abs(poly.det())
+        subs = [AffineForm(row, 0) for row in poly.basis_matrix().entries]
+        weight = abs(poly.det())
         terms = [
             Term.make(
                 t.coeff * weight,
@@ -320,7 +310,7 @@ class Arrangement(NamedTuple):
                 t.expo.compose(subs),
                 [(form.compose(subs), m) for form, m in t.denom] + factors,
             )
-            for t in numerator
+            for t in self.numerator.terms
         ]
         return ExpRationalFunction(self.dim, terms), forms
 
@@ -513,15 +503,12 @@ def compatibility_audit(
 
 def pole_location(arr: Arrangement, flag: Flag) -> list:
     """Terminal point z_gamma in v-coordinates: solve f_j(v) = i s_j for the
-    flag's hyperplanes S.  With every s_j exact, i s_j = c_j / L with
-    Gaussian-integer pairs c_j over one denominator L, and one fraction-free
-    Gauss-Jordan of [F_S | c_S] gives the point q / (p L); otherwise the
-    exact inverse of F_S applies to the rounded i s_j."""
+    flag's hyperplanes S.  With i s_j = c_j / L, Gaussian-integer pairs c_j
+    over one denominator L, one fraction-free Gauss-Jordan of [F_S | c_S]
+    gives the point q / (p L)."""
     if len(flag) != arr.dim:
         raise ValueError("terminal point requires a complete flag")
     hps = [arr.hyperplanes[i] for i in flag.indices]
-    if any(h.s.__class__ is not GaussianRational for h in hps):
-        return solve_linear(RationalMatrix(tuple(h.f for h in hps)), [_I * h.s for h in hps])
     den = math.lcm(*[h.s._d for h in hps])
     # i (a + b i) / d = (-b + a i) / d
     pairs = [(-h.s._b * (den // h.s._d), h.s._a * (den // h.s._d)) for h in hps]
@@ -530,25 +517,17 @@ def pole_location(arr: Arrangement, flag: Flag) -> list:
 
 
 def incidence(arr: Arrangement, point) -> frozenset[int]:
-    """The hyperplanes through ``point``: H_j when f_j . p = i s_j.  For an
-    exact point p = (x + y i) / e and s_j = (a + b i) / d that is a test on
-    integers, d f_j . x = -b e and d f_j . y = a e; with a rounded p or s_j
-    it holds to the noise floor of max(1, |s_j|)."""
-    exact = all(x.__class__ is GaussianRational for x in point)
-    if exact:
-        e = math.lcm(*[x._d for x in point])
-        re, im = [x._a * (e // x._d) for x in point], [x._b * (e // x._d) for x in point]
-    else:
-        point = [x if isinstance(x, GaussianRational) else to_mpc(x) for x in point]
+    """The hyperplanes through ``point``: H_j when f_j . p = i s_j.  For a
+    point p = (x + y i) / e of GaussianRationals and s_j = (a + b i) / d
+    that is a test on integers, d f_j . x = -b e and d f_j . y = a e; a
+    float or mpmath coordinate is taken at its binary value."""
+    point = [x if x.__class__ is GaussianRational else _gaussian_of(x) for x in point]
+    e = math.lcm(*[x._d for x in point])
+    re, im = [x._a * (e // x._d) for x in point], [x._b * (e // x._d) for x in point]
     through = []
     for j, h in enumerate(arr.hyperplanes):
-        s = h.s
-        if exact and s.__class__ is GaussianRational:
-            d = s._d
-            on = d * sum(map(mul, h.f, re)) == -s._b * e and d * sum(map(mul, h.f, im)) == s._a * e
-        else:
-            on = is_negligible(sum(c * x for c, x in zip(h.f, point)) - _I * s, s)
-        if on:
+        s, d = h.s, h.s._d
+        if d * sum(map(mul, h.f, re)) == -s._b * e and d * sum(map(mul, h.f, im)) == s._a * e:
             through.append(j)
     return frozenset(through)
 
@@ -556,7 +535,7 @@ def incidence(arr: Arrangement, point) -> frozenset[int]:
 class FlagClass(NamedTuple):
     """Complete flags cutting out one flag, its point, and the hyperplanes through it."""
 
-    point: list[GaussianRational | mpc]
+    point: list[GaussianRational]
     incidence: frozenset[int]
     flags: list[Flag]
 
@@ -571,13 +550,13 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
     the ``incidence`` of its point and its prefixes' ``row_echelon`` rows;
     where only its own r hyperplanes meet, it is its own class (independent
     rows never share every prefix span) and no span is computed.  A point
-    is solved once per set of hyperplanes, and a set through an exact point
-    already solved where more than r meet takes that point: its hyperplanes
-    meet in one point, and that one lies on all of them.
+    is solved once per set of hyperplanes, and a set through a point already
+    solved where more than r meet takes that point: its hyperplanes meet in
+    one point, and that one lies on all of them.
     """
     points: dict[frozenset, tuple] = {}  # set of hyperplanes -> (point, incidence)
-    # hyperplane -> (point, incidence) of each exact point on it where more
-    # than r hyperplanes meet; where r meet, no other set ends there
+    # hyperplane -> (point, incidence) of each point on it where more than r
+    # hyperplanes meet; where r meet, no other set ends there
     shared: dict[int, list] = {}
     classes: dict[tuple, FlagClass] = {}
 
@@ -592,7 +571,7 @@ def terminal_classes(arr: Arrangement, flags: Sequence[Flag]) -> list[FlagClass]
             if known is None:
                 point = pole_location(arr, flag)
                 known = (point, incidence(arr, point))
-                if len(known[1]) > arr.dim and all(x.__class__ is GaussianRational for x in point):
+                if len(known[1]) > arr.dim:
                     for j in known[1]:
                         shared.setdefault(j, []).append(known)
             points[whole] = known

@@ -23,6 +23,14 @@ hyperplane may meet the real integration locus.
 
 Scalar powers with non-integer exponents and ``base^affine`` numerators use
 the principal branch of the logarithm.
+
+Every value is exact.  ``pi``, ``exp`` of a scalar, a scalar power with a
+non-integer exponent and the logarithm of a ``base^affine`` base are each
+rounded once, at working precision, where they occur, and taken at the
+exact binary value of that rounding (``symfun.to_exact``); the arithmetic
+after that is in Q(i).  A den factor whose variable coefficients involve
+one of them is refused all the same, decided on the expression tree
+(``_rounded_parts``).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 import mpmath
 
@@ -43,7 +51,16 @@ from .arrangement import (
     _canonical,
 )
 from .exact_linalg import GaussianRational, _ratio
-from .symfun import AffineForm, ExpRationalFunction, Polynomial, _form, to_mpc
+from .symfun import (
+    MAX_EXACT_BITS,
+    AffineForm,
+    ExpRationalFunction,
+    Polynomial,
+    UnrepresentableScalar,
+    _form,
+    to_exact,
+    to_mpc,
+)
 
 STATEMENT_KEYWORDS = ("cone", "den", "num", "param", "vars")
 RESERVED_NAMES = frozenset(STATEMENT_KEYWORDS) | {"exp", "i", "pi"}
@@ -54,8 +71,9 @@ MAX_NESTING = 100
 _MAX_POLY_POWER = 32
 _MAX_FUNC_POWER = 16
 # an exact power is refused when |n| times the largest bit length of the
-# base's numerators and denominators exceeds this
-_MAX_EXACT_POWER_BITS = 1 << 20
+# base's numerators and denominators exceeds this, and a rounded value when
+# its binary exponent does
+_MAX_EXACT_POWER_BITS = MAX_EXACT_BITS
 
 
 class ProblemError(Exception):
@@ -572,8 +590,13 @@ class ProblemSpec(NamedTuple):
         hyperplanes: list[Hyperplane] = []
         mults: list[int] = []
         scale = _ONE
+        # the parameters built from pi, exp(...) or a non-integer power
+        rounded: set[str] = set()
+        for name, expr in self.parameters:
+            if _rounded_leaves(expr, rounded) and _rounded_parts(expr, env, nvars, rounded)[1]:
+                rounded.add(name)
         for expr, mult in self.denominator:
-            h, c = _lower_factor(expr, env, nvars)
+            h, c = _lower_factor(expr, env, nvars, rounded)
             hyperplanes.append(h)
             mults.append(mult)
             if c != _ONE:
@@ -590,10 +613,7 @@ class ProblemSpec(NamedTuple):
         )
 
     def _environment(self) -> dict:
-        env: dict[str, object] = {
-            "i": GaussianRational(0, 1),
-            "pi": mpc(+mp.pi),
-        }
+        env: dict[str, object] = {"i": GaussianRational(0, 1)}
         for k, name in enumerate(self.variables):
             # z_k, with GaussianRational coefficients
             env[name] = _form([(int(j == k), 0) for j in range(self.dim)] + [(0, 0)], 1, True)
@@ -717,34 +737,34 @@ def _validate(spec: ProblemSpec, seen: dict[str, Token]) -> None:
 # ---------------------------------------------------------------------------
 # expression values
 #
-# A value is a scalar, an AffineForm in the variables, or an
-# ExpRationalFunction.  A scalar is a GaussianRational while it is exact and
-# an mpc once pi or exp() enters it.  Scalars and AffineForm entries combine
-# with Python's operators: exactly when both are exact, and otherwise as if
-# the GaussianRational were rounded first, by to_mpc (mpmath rounds it the
-# same way).  Integer powers of an exact scalar stay exact.  Denominator
-# lowering thus sees exact linear coefficients, and an exact AffineForm
-# enters the numerator exact; one that holds pi or exp() is rounded as a
-# whole (AffineForm.make) there.
+# A value is a scalar (a GaussianRational), an AffineForm in the variables,
+# or an ExpRationalFunction, all exact.  pi, exp of a scalar, a non-integer
+# power and the logarithm of a base^affine base enter as the binary value
+# of their rounding at working precision (``_binary``); pi is rounded only
+# where the name occurs.
 
 _ONE = GaussianRational.of(1)
 
 
 def _is_scalar(v) -> bool:
-    return isinstance(v, (GaussianRational, mpc))
+    return v.__class__ is GaussianRational
+
+
+def _binary(x, pos) -> GaussianRational:
+    """A rounded value at its exact binary value (``to_exact``); a value
+    that is not finite or whose exponent is past the cap is a ProblemError."""
+    try:
+        return to_exact(x)
+    except UnrepresentableScalar as exc:
+        raise ProblemError(str(exc), *pos) from None
 
 
 def _lift(value, nvars: int) -> ExpRationalFunction:
     if _is_scalar(value):
         return ExpRationalFunction.from_parts(nvars, coeff=value)
     if isinstance(value, AffineForm):
-        return ExpRationalFunction.from_parts(nvars, poly=Polynomial.from_affine(_made(value)))
+        return ExpRationalFunction.from_parts(nvars, poly=Polynomial.from_affine(value))
     return value
-
-
-def _made(form: AffineForm) -> AffineForm:
-    """``form`` when it is exact, else rounded as a whole (``AffineForm.make``)."""
-    return form if form._den is not None else AffineForm.make(form.coeffs, form.const)
 
 
 def _as_int(s) -> int | None:
@@ -757,6 +777,8 @@ def _eval(node: Expr, env: dict, nvars: int):
     if isinstance(node, Num):
         return GaussianRational.of(node.value)
     if isinstance(node, Name):
+        if node.name == "pi":
+            return _binary(+mp.pi, node.pos)
         try:
             return env[node.name]
         except KeyError:
@@ -826,9 +848,9 @@ def _v_div(a, b, pos):
 
 def _v_exp(v, nvars: int, pos):
     if _is_scalar(v):
-        return mpmath.exp(to_mpc(v))
+        return _binary(mpmath.exp(to_mpc(v)), pos)
     if isinstance(v, AffineForm):
-        return ExpRationalFunction.from_parts(nvars, expo=_made(v))
+        return ExpRationalFunction.from_parts(nvars, expo=v)
     raise ProblemError(
         "the argument of exp must be affine in the variables", *pos
     )
@@ -843,12 +865,9 @@ def _v_pow(a, b, nvars: int, pos):
             if _is_scalar(a):
                 if n < 0 and not a:
                     raise ProblemError("zero raised to a negative power", *pos)
-                if isinstance(a, GaussianRational):
-                    part = max(max(abs(x.numerator), x.denominator) for x in (a.re, a.im))
-                    if abs(n) * part.bit_length() > _MAX_EXACT_POWER_BITS:
-                        raise ProblemError(
-                            f"exact power exceeds {_MAX_EXACT_POWER_BITS} bits", *pos
-                        )
+                part = max(max(abs(x.numerator), x.denominator) for x in (a.re, a.im))
+                if abs(n) * part.bit_length() > _MAX_EXACT_POWER_BITS:
+                    raise ProblemError(f"exact power exceeds {_MAX_EXACT_POWER_BITS} bits", *pos)
                 return a**n
             if n < 0:
                 raise ProblemError(
@@ -859,7 +878,7 @@ def _v_pow(a, b, nvars: int, pos):
                     return a
                 if n > _MAX_POLY_POWER:
                     raise ProblemError(f"power exceeds {_MAX_POLY_POWER}", *pos)
-                p = Polynomial.from_affine(_made(a))
+                p = Polynomial.from_affine(a)
                 acc = p
                 for _ in range(n - 1):
                     acc = acc.mul(p)
@@ -873,7 +892,7 @@ def _v_pow(a, b, nvars: int, pos):
         if _is_scalar(a):
             if not a:
                 raise ProblemError("zero base with non-integer power", *pos)
-            return to_mpc(a) ** to_mpc(b)
+            return _binary(to_mpc(a) ** to_mpc(b), pos)
         raise ProblemError(
             "non-integer powers need a scalar base", *pos
         )
@@ -884,28 +903,77 @@ def _v_pow(a, b, nvars: int, pos):
             )
         if not a:
             raise ProblemError("zero base with an affine exponent", *pos)
-        expo = AffineForm.make(b.coeffs, b.const).scale(mpmath.log(to_mpc(a)))
+        expo = b.scale(_binary(mpmath.log(to_mpc(a)), pos))
         return ExpRationalFunction.from_parts(nvars, expo=expo)
     raise ProblemError("unsupported exponent expression", *pos)
 
 
-def _lower_factor(expr: Expr, env: dict, nvars: int) -> tuple:
+def _lower_factor(expr: Expr, env: dict, nvars: int, rounded: set) -> tuple:
     """The canonical hyperplane (f, s) of a factor written c (f(v) - i s), and
-    c, from its form's Gaussian-integer pairs (``arrangement._canonical``)."""
+    c, from its form's Gaussian-integer pairs (``arrangement._canonical``).
+    ``rounded`` names the parameters built from rounded values."""
     value = _eval(expr, env, nvars)
     if isinstance(value, ExpRationalFunction):
         raise ProblemError("denominator factor is not affine in the variables", *expr.pos)
-    exact = not _is_scalar(value) and value._den is not None
-    if _is_scalar(value) or not any(map(any, value._v[:-1]) if exact else value.coeffs):
+    if _is_scalar(value) or not any(map(any, value._v[:-1])):
         raise ProblemError("denominator factor is constant in the variables", *expr.pos)
-    if not exact and not all(isinstance(c, GaussianRational) for c in value.coeffs):
+    if _rounded_leaves(expr, rounded) and _rounded_parts(expr, env, nvars, rounded)[0]:
         raise ProblemError(
             "denominator coefficients must be exact rationals "
             "(rational multiples of 1 and i; pi and exp are not allowed)",
             *expr.pos,
         )
-    form = value if exact else AffineForm(value.coeffs, 0)
     try:
-        return _canonical(form._v, form._den, None if exact else value.const)
+        return _canonical(value._v, value._den)
     except (NotAlignable, MeetsRealLocus, ValueError) as exc:
         raise ProblemError(str(exc), *expr.pos) from exc
+
+
+def _rounded_leaves(expr: Expr, rounded: set) -> bool:
+    """Whether ``expr`` mentions pi, exp(...), a power or a parameter of
+    ``rounded``: the leaves whose values may be rounded.  Every den factor
+    is scanned, so the scan keeps its own stack (``_walk`` is a generator)
+    and stops at the first such leaf."""
+    stack = [expr]
+    while stack:
+        n = stack.pop()
+        kind = n.__class__
+        if kind is Bin:
+            if n.op == "^":
+                return True
+            stack += (n.lhs, n.rhs)
+        elif kind is Name:
+            if n.name == "pi" or n.name in rounded:
+                return True
+        elif kind is Neg:
+            stack.append(n.operand)
+        elif kind is ExpCall:
+            return True
+    return False
+
+
+def _rounded_parts(expr: Expr, env: dict, nvars: int, rounded: set) -> tuple[bool, bool]:
+    """(mixes, holds): whether a ``*`` or ``/`` of ``expr`` joins a side that
+    holds a variable with a side that holds a rounded value, which gives a
+    variable a rounded coefficient, and whether ``expr`` holds a rounded
+    value: pi, exp(...), a power whose exponent is not an integer, or a
+    parameter of ``rounded``.  Decided children first, on an explicit stack
+    (``_walk`` reversed)."""
+    holds: dict = {}  # id of a node -> (holds a variable, holds a rounded value)
+    for n in reversed(list(_walk(expr))):
+        if isinstance(n, Name):
+            variable = env.get(n.name).__class__ is AffineForm
+            holds[id(n)] = (variable, n.name == "pi" or n.name in rounded)
+        elif isinstance(n, Num):
+            holds[id(n)] = (False, False)
+        elif isinstance(n, Neg):
+            holds[id(n)] = holds[id(n.operand)]
+        elif isinstance(n, ExpCall):
+            holds[id(n)] = (holds[id(n.arg)][0], True)
+        else:
+            (var_a, rounded_a), (var_b, rounded_b) = holds[id(n.lhs)], holds[id(n.rhs)]
+            if n.op in "*/" and (var_a and rounded_b or rounded_a and var_b):
+                return True, True
+            fractional = n.op == "^" and _as_int(_eval(n.rhs, env, nvars)) is None
+            holds[id(n)] = (var_a or var_b, rounded_a or rounded_b or fractional)
+    return False, holds[id(expr)][1]

@@ -19,7 +19,7 @@ value, so the two paths agree exactly on positively oriented charts.
 Per-flag facts come from one place: verdicts and a grouping's collections
 from ``arrangement.flag_table``; flag classes and their points
 from ``arrangement.terminal_classes``; chart forms, residue steps and the
-closed forms on exact data (``closed_form``) from ``ChartResidues``,
+closed forms (``closed_form``) from ``ChartResidues``,
 whose forms and steps the CLI's arc diagnostics read too.
 """
 
@@ -28,11 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from mpmath import exp, mpc, mpf, pi
+from mpmath import exp, mpc, pi
 
 from .arrangement import (
     Arrangement,
@@ -52,10 +53,10 @@ from .arrangement import (
     terminal_classes,
 )
 from .exact_linalg import (
-    GaussianRational,
     RationalMatrix,
     _gauss_jordan,
     _gaussian,
+    _integer_rows,
     determinant,
     minor_profile,
 )
@@ -67,7 +68,6 @@ from .symfun import (
     _form,
     _parts,
     constant_sum,
-    is_negligible,
     to_mpc,
     working_precision,
 )
@@ -147,13 +147,12 @@ class ChartResidues:
         # prefix -> (residue function, the poles of its steps)
         self._steps: dict[tuple[int, ...], tuple] = {}
         # |det M| where ``closed_form`` takes a simple normal crossing (a flag
-        # table, every s_j and the numerator exact, and no numerator term with
-        # a denominator), and whether it takes a point on every hyperplane
+        # table, and no numerator term with a denominator), and whether it
+        # takes a point on every hyperplane
         num = arr.numerator
-        exact = num.exact and not any(t.denom for t in num.terms)
-        exact = exact and all(h.s.__class__ is GaussianRational for h in arr.hyperplanes)
-        self._weight = abs(poly.det()) if table is not None and exact else None
-        central = exact and num.max_poly_degree() < arr.total_denominator_degree - arr.dim
+        plain = not any(t.denom for t in num.terms)
+        self._weight = abs(poly.det()) if table is not None and plain else None
+        central = plain and num.max_poly_degree() < arr.total_denominator_degree - arr.dim
         self._central = central and not any(any(ab) for t in num.terms for ab in t.expo._v[:-1])
 
     @functools.cached_property
@@ -184,8 +183,8 @@ class ChartResidues:
         return self.step(flag.indices)[0]
 
     def closed_form(self, cls: FlagClass) -> ExpRationalFunction | None:
-        """The iterated residue of ``cls`` in closed form on exact data, else
-        None.  Where its point p lies on every hyperplane, it is 0 when the
+        """The iterated residue of ``cls`` in closed form, else None.  Where
+        its point p lies on every hyperplane, it is 0 when the
         numerator P has no exponent slope and degree < D = sum_j m_j - r: in
         v = p + w the denominator prod (f_j . w)^m_j is homogeneous, each step
         raises a homogeneous degree by 1 in one variable fewer, so P's part of
@@ -244,57 +243,39 @@ def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
     return ChartResidues(arr, poly).function(flag).evaluate(())
 
 
-def _summed(funcs: Sequence[ExpRationalFunction]) -> ExpRationalFunction | None:
-    """The sum of arity-0 residue functions, like terms merged exactly
-    (``constant_sum``), when every one is exact; else None."""
-    if all(f.exact for f in funcs):
-        return constant_sum(funcs)
-    return None
-
-
 def _total(funcs: Sequence[ExpRationalFunction]) -> mpc:
-    """The value of the sum of arity-0 residue functions: exact ones summed
-    exactly (``_summed``) to sum_k c_k exp(lambda_k) and rounded once, as
+    """The value of the sum of arity-0 residue functions: summed exactly
+    (``constant_sum``) to sum_k c_k exp(lambda_k) and rounded once, as
     ``evaluate(())`` would round it without its products by an exact 1 (and
-    exp(0)), rounded ones evaluated one by one and added in order."""
-    total = _summed(funcs)
-    if total is not None:
-        return sum((to_mpc(t.coeff) * exp(t.expo.entry(0)) if any(t.expo._v[0])
-                    else to_mpc(t.coeff) for t in total.terms), mpc(0))
-    return sum((f.evaluate(()) for f in funcs), mpc(0))
+    exp(0))."""
+    return sum((to_mpc(t.coeff) * exp(t.expo.entry(0)) if any(t.expo._v[0])
+                else to_mpc(t.coeff) for t in constant_sum(funcs).terms), mpc(0))
 
 
 def _position(cone: tuple, point):
     """(inside, boundary) for a terminal point: its chart coordinates are
     z = M^-1 p = N p / d for ``cone`` = (N, d), the ``_gauss_jordan`` of
     the cone's basis M, and the polyhedron is the closed region Im z_k >= 0.
-    An exact point's Im z_k has the sign of the integer N_k . (L Im p), L its
-    common denominator; a rounded point's are compared with the noise floor
-    of the largest |z_k|."""
-    rows, d = cone
-    if all(x.__class__ is GaussianRational for x in point):
-        den = math.lcm(*[x._d for x in point])
-        ims = [sum([a * x._b * (den // x._d) for a, x in zip(row, point)]) for row in rows]
-        return min(ims) >= 0, not all(ims)
-    z = [sum([a * x for a, x in zip(row, point)]) / d for row in rows]
-    scale = max([mpf(1)] + [abs(c) for c in z])
-    on_face = [is_negligible(c.imag, scale) for c in z]
-    return all(edge or c.imag > 0 for c, edge in zip(z, on_face)), any(on_face)
+    Im z_k has the sign of the integer N_k . (L Im p), L the point's common
+    denominator."""
+    rows, _ = cone
+    den = math.lcm(*[x._d for x in point])
+    ims = [sum([a * x._b * (den // x._d) for a, x in zip(row, point)]) for row in rows]
+    return min(ims) >= 0, not all(ims)
 
 
 def _bounded_on_cone(func: ExpRationalFunction, poly: Polyhedron) -> bool:
-    """Every exponential factor is non-increasing along i * (each generator)."""
-    gens = poly.generators
+    """Every exponential factor is non-increasing along i * (each generator):
+    Re (i lambda . g) = -Im lambda . g, whose sign is that of the integer
+    -Im (L lambda) . (e g) for the exponent's denominator L and the
+    generator's e."""
+    gens, _ = _integer_rows(poly.generators)
     for term in func.terms:
         if term.denom:
             return False
-        for gen in gens:
-            growth = sum(
-                (to_mpc(c) * mpc(0, 1) * to_mpc(g) for c, g in zip(term.expo.coeffs, gen)),
-                mpc(0),
-            )
-            if growth.real > 0 and not is_negligible(growth.real):
-                return False
+        slopes = [b for _, b in term.expo._v[:-1]]
+        if any(sum(map(operator.mul, slopes, gen)) < 0 for gen in gens):
+            return False
     return True
 
 
@@ -356,7 +337,7 @@ def evaluate_integral(
                 continue
             inside_classes.append(cls)
         # stable flags lie in the open Bruhat cell (every p_k > 0)
-        funcs = _class_functions(arr, inside_classes, ChartResidues(arr, poly, table))
+        funcs, _ = _class_functions(arr, inside_classes, ChartResidues(arr, poly, table))
         contributions = {cls.flags[0]: _total([f]) for cls, f in zip(inside_classes, funcs)}
         total = _total(funcs)
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
@@ -449,9 +430,10 @@ def _soluble_chart(
 def _class_functions(
     arr: Arrangement, classes: list[FlagClass], residues: ChartResidues,
     verdicts: dict | None = None,
-) -> list[ExpRationalFunction]:
+) -> tuple[list[ExpRationalFunction], bool]:
     """The iterated residues of ``classes``, each its first flag's, as
-    functions of no variables; ``_total`` sums them.
+    functions of no variables (``_total`` sums them), and whether every one
+    was taken in the polyhedron's chart.
 
     A class takes its closed form where it has one
     (``ChartResidues.closed_form``).  The others take their first flags'
@@ -464,12 +446,13 @@ def _class_functions(
     """
     funcs = [residues.closed_form(cls) for cls in classes]
     reps = [cls.flags[0] for cls, func in zip(classes, funcs) if func is None]
+    chart = residues.poly
     if verdicts is not None:
         chart = _soluble_chart(arr, reps, residues.poly, verdicts)
         if chart is not residues.poly:
             residues = ChartResidues(arr, chart)
     steps = map(residues.function, reps)
-    return [next(steps) if func is None else func for func in funcs]
+    return [next(steps) if func is None else func for func in funcs], chart is residues.poly
 
 
 def grothendieck_residue(
@@ -496,7 +479,7 @@ def grothendieck_residue(
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _total(_class_functions(arr, at_point, ChartResidues(arr, poly, table), verdicts))
+    return _total(_class_functions(arr, at_point, ChartResidues(arr, poly, table), verdicts)[0])
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -506,10 +489,11 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     grouping's collections are the flag table's flags with H_k in D_k, classed
     once; every stable flag is one, so the stable classes are the stable
     members of those classes.  Both take ``eval``'s per-class values
-    (``_class_functions``), so the defining identity (sum of Grothendieck
-    residues over the grouping's terminal points = sum of stable-class
-    residues) is decided exactly on exact data (``_summed``), and otherwise
-    up to the noise floor.
+    (``_class_functions``), and a stable class whose first flag is its
+    grouping class's, at a point taken in the polyhedron's chart, takes that
+    class's value.  The defining identity (sum of Grothendieck residues over
+    the grouping's terminal points = sum of stable-class residues) is
+    decided exactly (``constant_sum``).
     """
     table = flag_table(arr, poly)
     stable = stable_flags(arr, poly, table)
@@ -521,27 +505,23 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
 
     verdicts = _verdicts(table)
     classes = terminal_classes(arr, _collections(arr, verdicts, grouping))
+    residues = ChartResidues(arr, poly, table)
+    points, point_funcs, charted = [], [], {}  # charted: id of a class -> its function
+    for point, flags, at in _points(classes):
+        funcs, kept = _class_functions(arr, at, residues, verdicts)
+        points.append((point, flags, _total(funcs)))
+        point_funcs += funcs
+        if kept:
+            charted.update(zip(map(id, at), funcs))
     # a class's stable members, in their order, are a stable class
     members = [(s, cls) for cls in classes if (s := [f for f in cls.flags if verdicts[f].stable])]
-    residues = ChartResidues(arr, poly, table)
-    flag_funcs = _class_functions(arr, [c._replace(flags=s) for s, c in sorted(members)], residues)
-    at_points = [
-        (point, flags, _class_functions(arr, at, residues, verdicts))
-        for point, flags, at in _points(classes)
+    flag_funcs = [
+        charted[id(cls)] if s[0] == cls.flags[0] and id(cls) in charted
+        else _class_functions(arr, [cls._replace(flags=s)], residues)[0][0]
+        for s, cls in sorted(members)
     ]
-    points = [(point, flags, _total(funcs)) for point, flags, funcs in at_points]
-    point_funcs = [f for _, _, funcs in at_points for f in funcs]
-    difference = _summed(point_funcs + [f.scale(-1) for f in flag_funcs])
-    if difference is None:
-        flag_sum = _total(flag_funcs)
-        point_sum = sum((res for _, _, res in points), mpc(0))
-        scale = max(mpf(1), abs(point_sum), abs(flag_sum))
-        failed = not is_negligible(abs(point_sum - flag_sum), scale)
-    else:
-        failed = not difference.is_zero()
-        if failed:  # the sums the message prints
-            flag_sum, point_sum = _total(flag_funcs), _total(point_funcs)
-    if failed:
+    if constant_sum(point_funcs + [f.scale(-1) for f in flag_funcs]).terms:
+        flag_sum, point_sum = _total(flag_funcs), _total(point_funcs)
         raise ArithmeticError(
             "grouping identity failed: grouped residues "
             f"{point_sum} != stable flag sum {flag_sum}"

@@ -8,14 +8,14 @@ with P a polynomial, L and each A_i affine.  The class is closed under the
 three operations the residue engine needs: partial differentiation, affine
 substitution, and taking the coefficient of (z_v - pole)^{-1} in one variable.
 
-An operation is exact when its inputs are.  A scalar is exact (an int,
-Fraction or GaussianRational) or rounded (an mpmath complex number); an
-affine form built from exact data is exact, on Python ints (``AffineForm``),
-and a polynomial or term is exact when all its scalars and forms are
-(``Polynomial.exact``, ``Term.exact``).  Where an exact value meets a
-rounded one it is rounded first (``to_mpc``), so data that hold pi or exp()
-take the mpc path throughout.  On exact data every residue step stays in
-Q(i), and a value is rounded once, where it is evaluated.
+Every scalar is exact: an int, Fraction or GaussianRational.  A float,
+complex or mpmath number is taken at its exact binary value (``to_exact``)
+where data enter: ``AffineForm.make``, ``Polynomial``, ``Term.make`` and
+``ExpRationalFunction.from_parts``.  So a constant that holds pi or exp() is
+rounded once, at working precision, where a problem file is lowered, and
+every operation after that stays in Q(i).  An affine form holds its entries
+on Python ints (``AffineForm``).  A value is rounded again only where it is
+evaluated or printed.
 
 A residue at a pole of order n + 1 is read off truncated Taylor series in
 t = z_v - pole rather than by differentiating n times: the t^n coefficient of
@@ -23,25 +23,23 @@ the product of the series of P, of exp(L) and of the non-vanishing factors.
 Factors proportional at the pole form one denominator class, and a class's
 factors fold into one series, prod_i (B_i + a_i t)^{-m_i} from its power
 sums, so a step emits one term per choice of the classes' exponents, a
-number polynomial in n.  Like terms (same exponent, equal when exact and bit
-for bit when rounded, and the same denominator) are merged, and a step that
-would produce more than MAX_RESIDUE_TERMS terms raises TermBudgetExceeded.
+number polynomial in n.  Like terms (same exponent and the same denominator)
+are merged, and a step that would produce more than MAX_RESIDUE_TERMS terms
+raises TermBudgetExceeded.
 A step sets z_v to the pole directly (``restrict``), without unit forms, and
 computes each fact about a form once, in a memo that nothing outlives.
 
-An exact step works in integers: a class's series comes from Newton's
+A step works in integers: a class's series comes from Newton's
 recurrence on Gaussian-integer power sums over one common denominator, and
 each emitted coefficient is carried along its path as an integer pair over
 an integer and brought to normal form once.  A term whose polynomial is a
 constant carries it in its coefficient, so it needs no Taylor chain, and
-its terms share one unit polynomial per step.  A rounded step (data with
-pi, exp() or n^(...)) runs the same recurrence and products on mpc in a
-fixed order, so its values do not depend on this.
+its terms share one unit polynomial per step.
 
-Vanishing and proportionality of exact forms are decided by ``==`` and dict
-keys, with no noise scale; the noise floor (``is_negligible``, ``close_to``)
-decides only for rounded forms, which arise when some s_j holds pi or exp().
-Rounded scalars live at the ambient mpmath precision (``working_precision``).
+Vanishing and proportionality of forms are decided by ``==`` and dict keys,
+with no noise scale; the noise floor (``is_negligible``) serves only
+``ExpRationalFunction.evaluate``, which refuses a point numerically on a pole.
+Rounded values live at the ambient mpmath precision (``working_precision``).
 """
 
 from __future__ import annotations
@@ -56,11 +54,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import exp as mp_exp
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_rational, fzero
+from mpmath.libmp import from_float, from_rational, fzero
 
-from .exact_linalg import GaussianRational, _gaussian
+from .exact_linalg import GaussianRational, _gaussian, _normal
 
 DEFAULT_PRECISION = 128
+
+# the largest binary exponent, in magnitude, of a value taken exactly
+MAX_EXACT_BITS = 1 << 20
 
 
 class IdenticallyZeroDenominator(ValueError):
@@ -69,6 +70,10 @@ class IdenticallyZeroDenominator(ValueError):
 
 class PoleHit(ArithmeticError):
     """Evaluation was requested at (or numerically too near) a pole."""
+
+
+class UnrepresentableScalar(ValueError):
+    """A scalar is not finite, or its binary exponent exceeds MAX_EXACT_BITS."""
 
 
 # Most terms one residue step may produce, counted before like terms merge:
@@ -86,8 +91,39 @@ def working_precision(bits: int):
         yield
 
 
-# the exact scalars; any other (mpc, mpf, float) is rounded
-_EXACT = (int, Fraction, GaussianRational)
+_EXACT = frozenset((int, Fraction, GaussianRational))
+
+
+def to_exact(x):
+    """``x`` as an exact scalar: an int, Fraction or GaussianRational as it
+    is, and a float, complex, mpf or mpc as the GaussianRational of its
+    binary value, (-1)^sign mantissa 2^exponent per part, on integers.
+
+    Raises UnrepresentableScalar when a part is not finite or its binary
+    exponent exceeds MAX_EXACT_BITS in magnitude."""
+    if x.__class__ in _EXACT or isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, (float, complex)):
+        parts = (from_float(x.real), from_float(x.imag))
+    elif isinstance(x, mpc):
+        parts = x._mpc_
+    elif isinstance(x, mpf):
+        parts = (x._mpf_, fzero)
+    else:
+        raise TypeError(f"not a scalar: {x!r}")
+    low = 0
+    for part in parts:
+        _, man, exp, bits = part
+        if not man:
+            if part != fzero:
+                raise UnrepresentableScalar(f"scalar {x} is not finite")
+            continue
+        if max(exp + bits, -exp) > MAX_EXACT_BITS:
+            raise UnrepresentableScalar(f"exact binary value exceeds {MAX_EXACT_BITS} bits")
+        low = min(low, exp)
+    a, b = [int(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in parts]
+    # mpmath keeps mantissas odd, so with low < 0 one of a and b is odd
+    return _normal(a, b, 1 << -low)
 
 
 def to_mpc(x) -> mpc:
@@ -117,22 +153,18 @@ def _noise_floor_at(prec: int) -> mpf:
 
 
 def is_negligible(x, scale=1) -> bool:
-    """x == 0 when x is exact, else |x| within the noise floor of max(1, |scale|)."""
-    if isinstance(x, _EXACT):
-        return not x
+    """|x| within the noise floor of max(1, |scale|): a rounded value's test."""
     return abs(to_mpc(x)) <= _noise_floor() * max(mpf(1), abs(to_mpc(scale)))
 
 
 class AffineForm:
-    """a . z + c, exact or rounded to mpc (``make``) as a whole.
-
-    An exact form holds its entries (coefficients, then constant) as Gaussian
-    integers (re, im) over one positive denominator, in normal form (gcd 1)
-    like ``GaussianRational``, so its arithmetic, ``==`` and ``hash`` are
-    integer products and one gcd.  The read-only ``coeffs`` and ``const``
+    """a . z + c with its entries (coefficients, then constant) held as
+    Gaussian integers (re, im) over one positive denominator, in normal form
+    (gcd 1) like ``GaussianRational``, so its arithmetic, ``==`` and ``hash``
+    are integer products and one gcd.  The read-only ``coeffs`` and ``const``
     read back as given, else as GaussianRationals, coefficients as Fractions
-    in a form built from real ones.  A form with an inexact entry is rounded;
-    a problem file's values may mix the two until ``make`` rounds them.
+    in a form built from real ones.  A float or mpmath entry is taken at its
+    binary value (``to_exact``).
     """
 
     __slots__ = ("_v", "_den", "_gauss", "_given", "_hash")
@@ -140,7 +172,7 @@ class AffineForm:
     def __new__(cls, coeffs: tuple, const):
         parts = [_parts(x) for x in (*coeffs, const)]
         if None in parts:
-            return _form((*coeffs, const), None)
+            return cls(tuple(map(to_exact, coeffs)), to_exact(const))
         d = math.lcm(*[e for _, _, e in parts])
         pairs = [(a, b) if e == d else (a * (d // e), b * (d // e)) for a, b, e in parts]
         gauss = any(x.__class__ is GaussianRational for x in coeffs)
@@ -150,10 +182,8 @@ class AffineForm:
     const = property(lambda self: (self._given or self._read())[1])
 
     def _read(self) -> tuple:
-        """(coeffs, const) read from the entries, and kept when exact."""
+        """(coeffs, const) read from the entries, and kept."""
         v, d = self._v, self._den
-        if d is None:
-            return v[:-1], v[-1]
         read = _gaussian if self._gauss else lambda a, _, d: Fraction(a, d)
         self._given = tuple(read(a, b, d) for a, b in v[:-1]), _gaussian(*v[-1], d)
         return self._given
@@ -171,13 +201,11 @@ class AffineForm:
 
     @classmethod
     def make(cls, coeffs: Iterable, const=0) -> "AffineForm":
-        return _form([*map(to_mpc, coeffs), to_mpc(const)], None)
+        return cls(tuple(coeffs), const)
 
     @classmethod
     def constant(cls, arity: int, value) -> "AffineForm":
-        if isinstance(value, _EXACT):
-            return cls((0,) * arity, value)
-        return cls.make([0] * arity, value)
+        return cls((0,) * arity, value)
 
     @property
     def arity(self) -> int:
@@ -190,13 +218,8 @@ class AffineForm:
 
     def entry(self, j: int) -> mpc:
         """Entry j (the constant at j = arity) rounded, as ``to_mpc`` rounds it."""
-        if self._den is None:
-            return to_mpc(self._v[j])
         (a, b), d, prec = self._v[j], self._den, mp.prec
         return mp.make_mpc((from_rational(a, d, prec, "n"), from_rational(b, d, prec, "n")))
-
-    def rounded(self) -> "AffineForm":
-        return _form([self.entry(j) for j in range(len(self._v))], None)
 
     def evaluate(self, point: Sequence) -> mpc:
         acc = self.entry(self.arity)
@@ -205,40 +228,28 @@ class AffineForm:
         return acc
 
     def max_abs(self) -> mpf:
-        """The largest entry's magnitude, a noise-floor scale: exact entries
+        """The largest entry's magnitude, a noise-floor scale: the entries
         are rounded first, so that none needs to fit a float."""
         return max(abs(self.entry(j)) for j in range(len(self._v)))
 
     def is_zero(self) -> bool:
-        if self._den is None:
-            return self.max_abs() <= _noise_floor()
         return not any(a or b for a, b in self._v)
 
     def scale(self, factor) -> "AffineForm":
-        parts = _parts(factor) if self._den else None
-        if parts is None:
-            form = self if self._den is None else self.rounded()
-            return AffineForm(tuple(c * factor for c in form.coeffs), form.const * factor)
-        (x, y, e), gauss = parts, self._gauss or factor.__class__ is GaussianRational
+        factor = to_exact(factor)
+        (x, y, e), gauss = _parts(factor), self._gauss or factor.__class__ is GaussianRational
         pairs = [(a * x - b * y, a * y + b * x) for a, b in self._v]
         return _form(pairs, self._den * e, gauss)
 
     def add(self, other: "AffineForm") -> "AffineForm":
-        if self._den is None or other._den is None:
-            coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-            return AffineForm(coeffs, self.const + other.const)
         d, e = self._den, other._den
         pairs = [(a * e + c * d, b * e + s * d) for (a, b), (c, s) in zip(self._v, other._v)]
         return _form(pairs, d * e, self._gauss or other._gauss)
 
     def shift(self, value) -> "AffineForm":
-        """self + value for a scalar: an exact value is added to an exact
-        form's constant pair over the common denominator, and the
-        coefficients' pairs are kept."""
-        parts = _parts(value) if self._den else None
-        if parts is None:
-            return AffineForm(self.coeffs, self.const + value)
-        (x, y, e), d = parts, self._den
+        """self + value for a scalar: the value is added to the constant pair
+        over the common denominator, and the coefficients' pairs are kept."""
+        (x, y, e), d = _parts(to_exact(value)), self._den
         *pairs, (a, b) = self._v if e == 1 else [(a * e, b * e) for a, b in self._v]
         return _form([*pairs, (a + x * d, b + y * d)], d * e, self._gauss)
 
@@ -246,13 +257,9 @@ class AffineForm:
         """Substitute z_i = forms[i](w); all forms share one new arity.
 
         Each entry of the result is c + sum_i a_i phi_i, summed in the order
-        of i; a term with a_i == 0 is skipped, since adding it is exact.
-        Unless every form is exact, each is rounded first.
+        of i; a term with a_i == 0 is skipped.
         """
-        exact = self._den is not None and all(f._den is not None for f in forms)
-        if not exact:
-            self, forms = self.rounded(), [f.rounded() for f in forms]
-        coeffs = [0 if exact else to_mpc(0)] * (forms[0].arity if forms else 0)
+        coeffs = [0] * (forms[0].arity if forms else 0)
         const = self.const
         for a, phi in zip(self.coeffs, forms):
             if a == 0:
@@ -269,17 +276,10 @@ class AffineForm:
         without the products that are exactly zero.
         """
         rest = self._v[:var] + self._v[var + 1 :]
-        a = self._v[var]
-        if not (any(a) if self._den else a):  # a == 0
+        (u, w), e = self._v[var], pole._den
+        if not (u or w):  # a == 0
             return _form(rest, self._den, self._gauss)
-        if self._den is None or pole._den is None:  # rounded, each form first
-            form, pole = self.rounded(), pole.rounded()
-            a, p = form.coeffs[var], pole.coeffs[:var] + pole.coeffs[var + 1 :]
-            coeffs = form.coeffs[:var] + form.coeffs[var + 1 :]
-            const = form.const + pole.const * a
-            return AffineForm(tuple(c + x * a for c, x in zip(coeffs, p)), const)
         # c_j / d + (p_j / e)(a / d) = (c_j e + p_j a) / (d e)
-        (u, w), e = a, pole._den
         terms = zip(rest, pole._v[:var] + pole._v[var + 1 :])
         pairs = [(c * e + x * u - y * w, s * e + x * w + y * u) for (c, s), (x, y) in terms]
         return _form(pairs, self._den * e, self._gauss or pole._gauss)
@@ -289,39 +289,26 @@ class AffineForm:
 
         The result has the same arity with a zero coefficient at ``var``.
         """
-        a = self._v[var]
-        if not any(a) if self._den else is_negligible(a, self.max_abs()):
+        ar, ai = self._v[var]
+        if not (ar or ai):
             raise ZeroDivisionError(f"form does not involve variable {var}")
-        if self._den is None:
-            coeffs = [(-c) / a for c in self.coeffs]
-            coeffs[var] = 0 * a
-            return AffineForm(tuple(coeffs), -self.const / a)
         # -c / a = -c conj(a) / |a|^2, with c and a over one denominator
-        ar, ai = a
         pairs = [(-(c * ar + s * ai), c * ai - s * ar) for c, s in self._v]
         pairs[var] = (0, 0)
         return _form(pairs, ar * ar + ai * ai, self._gauss)
 
     def drop_var(self, var: int) -> "AffineForm":
-        """Remove a variable whose coefficient is (numerically) zero."""
-        a = self._v[var]
-        if any(a) if self._den else not is_negligible(a, self.max_abs()):
+        """Remove a variable whose coefficient is zero."""
+        if any(self._v[var]):
             raise ValueError(f"variable {var} still occurs")
         return _form(self._v[:var] + self._v[var + 1 :], self._den, self._gauss)
 
     def normalized(self):
-        """Scale so the first significant entry is 1; returns (form, factor).
+        """Scale so the first nonzero entry is 1; returns (form, factor).
 
-        ``factor`` is the original leading entry, a GaussianRational when the
-        form is exact: self == result.scale(factor).  Proportional exact
-        forms give equal results.
+        ``factor`` is the original leading entry, a GaussianRational:
+        self == result.scale(factor).  Proportional forms give equal results.
         """
-        if self._den is None:
-            floor = _noise_floor() * max(mpf(1), self.max_abs())
-            lead = next((x for x in self._v if abs(x) > floor and x), None)
-            if lead is None:
-                raise IdenticallyZeroDenominator("zero affine form")
-            return AffineForm(tuple(c / lead for c in self.coeffs), self.const / lead), lead
         j = next((j for j, pair in enumerate(self._v) if any(pair)), None)
         if j is None:
             raise IdenticallyZeroDenominator("zero affine form")
@@ -332,28 +319,20 @@ class AffineForm:
         unit = _form(pairs, ar * ar + ai * ai, self._gauss or j == self.arity)
         return unit, _gaussian(ar, ai, self._den)
 
-    def close_to(self, other: "AffineForm") -> bool:
-        scale = max(self.max_abs(), other.max_abs(), mpf(1))
-        diff = max(
-            [abs(a - b) for a, b in zip(self.coeffs, other.coeffs)]
-            + [abs(self.const - other.const)]
-        )
-        return diff <= _noise_floor() * scale
-
 
 def _parts(x) -> tuple[int, int, int] | None:
     """(re, im, denominator) of an exact scalar in normal form, else None."""
     if x.__class__ is GaussianRational:
         return x._a, x._b, x._d
-    if x.__class__ is not mpc and isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator
     return None
 
 
-def _form(v, den: int | None, gauss: bool = False, given=None) -> AffineForm:
-    """The form of entries ``v``: rounded when ``den`` is None, else Gaussian
-    integer pairs over ``den`` > 0, put in normal form unless ``given``."""
-    if den not in (None, 1) and given is None:  # given entries are in normal form
+def _form(v, den: int, gauss: bool = False, given=None) -> AffineForm:
+    """The form of Gaussian integer pairs ``v`` over ``den`` > 0, put in
+    normal form unless ``given``."""
+    if den != 1 and given is None:  # given entries are in normal form
         g = math.gcd(den, *itertools.chain.from_iterable(v))
         if g != 1:
             v, den = [(a // g, b // g) for a, b in v], den // g
@@ -363,38 +342,22 @@ def _form(v, den: int | None, gauss: bool = False, given=None) -> AffineForm:
 
 
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> coefficient.
-
-    Exact, with int, Fraction and GaussianRational coefficients and no zero
-    one, or rounded, with mpc coefficients and no rounding residue: given
-    any rounded coefficient, every one is rounded.  An operation on two
-    polynomials is exact when both are, and otherwise rounds the exact one
-    first (``rounded``).  Immutable by convention; all methods return new
-    instances.  Iteration is in sorted exponent order for determinism.
+    """Sparse polynomial: exponent tuple -> coefficient, an int, Fraction or
+    GaussianRational and never 0; a float or mpmath coefficient is taken at
+    its binary value (``to_exact``).  Immutable by convention; all methods
+    return new instances.  Iteration is in sorted exponent order for
+    determinism.
     """
 
-    __slots__ = ("arity", "_coeffs", "exact")
+    __slots__ = ("arity", "_coeffs")
 
     def __init__(self, arity: int, coeffs: dict | None = None):
         self.arity = arity
-        self.exact = True
-        cleaned = {}
-        if coeffs and all(isinstance(v, _EXACT) for v in coeffs.values()):
-            cleaned = {tuple(e): v for e, v in coeffs.items() if v}
-        elif coeffs:
-            self.exact = False
-            mags = [abs(v) for v in coeffs.values()]
-            # a lone term is rounding residue only when it is 0
-            floor = _noise_floor() * max(mags) if len(mags) > 1 else 0
-            for (e, v), mag in zip(coeffs.items(), mags):
-                if mag > floor:
-                    cleaned[tuple(e)] = to_mpc(v)
-        self._coeffs = cleaned
+        self._coeffs = {tuple(e): to_exact(v) for e, v in (coeffs or {}).items() if v}
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
-        v = value if isinstance(value, _EXACT) else to_mpc(value)
-        return cls(arity, {(0,) * arity: v} if v else {})
+        return _poly(arity, {(0,) * arity: to_exact(value)})
 
     @classmethod
     def from_affine(cls, form: AffineForm) -> "Polynomial":
@@ -403,14 +366,8 @@ class Polynomial:
         for j, a in enumerate(form.coeffs):
             e = tuple(1 if k == j else 0 for k in range(n))
             coeffs[e] = a
-        zero = 0 if form._den is not None else to_mpc(0)
-        coeffs[(0,) * n] = coeffs.get((0,) * n, zero) + form.const
-        return cls(n, coeffs)
-
-    def rounded(self) -> "Polynomial":
-        if not self.exact:
-            return self
-        return Polynomial(self.arity, {e: to_mpc(v) for e, v in self._coeffs.items()})
+        coeffs[(0,) * n] = coeffs.get((0,) * n, 0) + form.const
+        return _poly(n, coeffs)
 
     def items(self):
         return sorted(self._coeffs.items())
@@ -421,42 +378,30 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e in self._coeffs), default=0)
 
-    def _alike(self, other: "Polynomial") -> tuple:
-        """(self, other, zero), both exact or both rounded, and their zero."""
-        if self.exact and other.exact:
-            return self, other, 0
-        return self.rounded(), other.rounded(), to_mpc(0)
-
     def add(self, other: "Polynomial") -> "Polynomial":
-        p, q, zero = self._alike(other)
-        coeffs = dict(p._coeffs)
-        for e, v in q._coeffs.items():
-            coeffs[e] = coeffs.get(e, zero) + v
-        return Polynomial(self.arity, coeffs)
+        coeffs = dict(self._coeffs)
+        for e, v in other._coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) + v
+        return _poly(self.arity, coeffs)
 
     def mul(self, other: "Polynomial") -> "Polynomial":
-        p, q, zero = self._alike(other)
         coeffs: dict = {}
-        for e1, v1 in p._coeffs.items():
-            for e2, v2 in q._coeffs.items():
+        for e1, v1 in self._coeffs.items():
+            for e2, v2 in other._coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[e] = coeffs.get(e, zero) + v1 * v2
-        return Polynomial(self.arity, coeffs)
+                coeffs[e] = coeffs.get(e, 0) + v1 * v2
+        return _poly(self.arity, coeffs)
 
     def scale(self, factor) -> "Polynomial":
-        p = self
-        if not (self.exact and isinstance(factor, _EXACT)):
-            p, factor = self.rounded(), to_mpc(factor)
-        return Polynomial(self.arity, {e: v * factor for e, v in p._coeffs.items()})
+        return _poly(self.arity, {e: v * factor for e, v in self._coeffs.items()})
 
     def differentiate(self, var: int) -> "Polynomial":
-        zero = 0 if self.exact else to_mpc(0)
         coeffs = {}
         for e, v in self._coeffs.items():
             if e[var] > 0:
                 ne = tuple(x - 1 if j == var else x for j, x in enumerate(e))
-                coeffs[ne] = coeffs.get(ne, zero) + v * e[var]
-        return Polynomial(self.arity, coeffs)
+                coeffs[ne] = coeffs.get(ne, 0) + v * e[var]
+        return _poly(self.arity, coeffs)
 
     def evaluate(self, point: Sequence) -> mpc:
         pt = [to_mpc(z) for z in point]
@@ -474,10 +419,10 @@ class Polynomial:
         arithmetic of ``compose`` with the pole and unit forms, in its order,
         where a product by a unit form only moves exponents."""
         if not any(e[var] for e in self._coeffs):  # one dict, exponents moved
-            return Polynomial(self.arity - 1, {e[:var] + e[var + 1 :]: v for e, v in self.items()})
-        basis, acc = Polynomial.from_affine(pole.drop_var(var)), Polynomial(self.arity - 1)
+            return _poly(self.arity - 1, {e[:var] + e[var + 1 :]: v for e, v in self.items()})
+        basis, acc = Polynomial.from_affine(pole.drop_var(var)), _poly(self.arity - 1, {})
         for e, v in self.items():
-            mono = Polynomial(acc.arity, {e[:var] + e[var + 1 :]: v})
+            mono = _poly(acc.arity, {e[:var] + e[var + 1 :]: v})
             for _ in range(e[var]):
                 mono = mono.mul(basis)
             acc = acc.add(mono)
@@ -488,9 +433,9 @@ class Polynomial:
         new_arity = forms[0].arity if forms else 0
         occurring = {i for e in self._coeffs for i, k in enumerate(e) if k}
         basis = {i: Polynomial.from_affine(forms[i]) for i in occurring}
-        acc = Polynomial(new_arity)
+        acc = _poly(new_arity, {})
         for e, v in self.items():
-            mono = Polynomial.constant(new_arity, v)
+            mono = _poly(new_arity, {(0,) * new_arity: v})
             for i, k in enumerate(e):
                 for _ in range(k):
                     mono = mono.mul(basis[i])
@@ -501,84 +446,56 @@ class Polynomial:
         return f"Polynomial({self.arity}, {self._coeffs!r})"
 
 
+def _poly(arity: int, coeffs: dict) -> Polynomial:
+    """The polynomial of exact ``coeffs`` keyed by exponent tuples, its zero
+    coefficients dropped."""
+    p = object.__new__(Polynomial)
+    p.arity, p._coeffs = arity, {e: v for e, v in coeffs.items() if v}
+    return p
+
+
 class Term(NamedTuple):
     """One summand c * P * exp(L) / prod A_i^{m_i}; built via Term.make."""
 
-    coeff: int | Fraction | GaussianRational | mpc  # mpc when the term is rounded
+    coeff: int | Fraction | GaussianRational
     poly: Polynomial
     expo: AffineForm
     denom: tuple  # tuple of (AffineForm, int)
 
     @classmethod
     def make(cls, coeff, poly: Polynomial, expo: AffineForm, denom: Iterable) -> "Term":
-        """Normalize: monic denominator factors, proportional factors merged.
-        The term is exact when every part is, and otherwise rounded."""
-        denom = tuple(denom)
-        term = cls(coeff, poly, expo, denom)
-        exact = term.exact
-        if not exact:
-            term = term.rounded()
-        c = term.coeff
+        """Normalize: monic denominator factors, proportional factors merged;
+        a float or mpmath coefficient is taken at its binary value."""
+        c = to_exact(coeff)
         merged: dict[AffineForm, int] = {}
         for form, mult in denom:
             if mult <= 0:
                 raise ValueError("denominator multiplicities must be positive")
             unit, lead = form.normalized()
-            c = c / (lead**mult if exact else to_mpc(lead) ** mult)
-            unit = _merge_unit(unit, merged)
+            c = c / lead**mult
             merged[unit] = merged.get(unit, 0) + mult
         items = list(merged.items())
         order = _form_order([unit for unit, _ in items])
-        return cls(c, term.poly, term.expo, tuple(items[k] for k in order))
+        return cls(c, poly, expo, tuple(items[k] for k in order))
 
     @property
     def arity(self) -> int:
         return self.expo.arity
 
-    @property
-    def exact(self) -> bool:
-        """Every scalar and form of the term is exact."""
-        return (
-            isinstance(self.coeff, _EXACT)
-            and self.poly.exact
-            and self.expo._den is not None
-            and all(form._den is not None for form, _ in self.denom)
-        )
-
-    def rounded(self) -> "Term":
-        """The term with its coefficient, polynomial and exponent rounded;
-        its denominator forms stay as they are."""
-        expo = self.expo if self.expo._den is None else self.expo.rounded()
-        return Term(to_mpc(self.coeff), self.poly.rounded(), expo, self.denom)
-
     def is_zero(self) -> bool:
         return not self.coeff or self.poly.is_zero()
 
     def scale(self, factor) -> "Term":
-        t = self
-        if not (self.exact and isinstance(factor, _EXACT)):
-            t, factor = self.rounded(), to_mpc(factor)
-        return t._replace(coeff=t.coeff * factor)
+        return self._replace(coeff=self.coeff * factor)
 
 
 def _form_order(forms: Sequence[AffineForm]) -> list[int]:
     """The indices of ``forms`` in the order of their entries, (re, im) of
-    each: exactly, as integers over the lcm of the denominators, when every
-    form is exact, so no entry needs to fit a float; else as floats."""
-    if all(f._den is not None for f in forms):
-        lcm = math.lcm(*(f._den for f in forms))
-        keys = [tuple(x * (lcm // f._den) for pair in f._v for x in pair) for f in forms]
-    else:  # rounded forms, and any set that mixes the two kinds
-        keys = [tuple((float(x.real), float(x.imag)) for x in f.rounded()._v) for f in forms]
+    each, as integers over the lcm of the denominators, so no entry needs to
+    fit a float."""
+    lcm = math.lcm(*(f._den for f in forms))
+    keys = [tuple(x * (lcm // f._den) for pair in f._v for x in pair) for f in forms]
     return sorted(range(len(forms)), key=keys.__getitem__)
-
-
-def _merge_unit(unit: AffineForm, units) -> AffineForm:
-    """The unit of ``units`` that ``unit`` merges with, else ``unit``: exact
-    units merge when equal, a rounded one with the first unit close_to it."""
-    if unit._den is not None:
-        return unit
-    return next((u for u in units if u.close_to(unit)), unit)
 
 
 class ExpRationalFunction:
@@ -623,6 +540,7 @@ class ExpRationalFunction:
         return ExpRationalFunction(self.arity, self.terms + other.terms)
 
     def scale(self, factor) -> "ExpRationalFunction":
+        factor = to_exact(factor)
         return ExpRationalFunction(self.arity, [t.scale(factor) for t in self.terms])
 
     def mul(self, other: "ExpRationalFunction") -> "ExpRationalFunction":
@@ -631,13 +549,9 @@ class ExpRationalFunction:
         out = []
         for a in self.terms:
             for b in other.terms:
-                t1, t2 = (a, b) if a.exact and b.exact else (a.rounded(), b.rounded())
                 out.append(
                     Term.make(
-                        t1.coeff * t2.coeff,
-                        t1.poly.mul(t2.poly),
-                        t1.expo.add(t2.expo),
-                        t1.denom + t2.denom,
+                        a.coeff * b.coeff, a.poly.mul(b.poly), a.expo.add(b.expo), a.denom + b.denom
                     )
                 )
         return ExpRationalFunction(self.arity, out)
@@ -659,7 +573,6 @@ class ExpRationalFunction:
                     continue
                 bumped = list(t.denom)
                 bumped[i] = (form, mult + 1)
-                av = av if t.exact else to_mpc(av)
                 out.append(Term.make(t.coeff * (-mult) * av, t.poly, t.expo, bumped))
         return ExpRationalFunction(self.arity, out)
 
@@ -698,16 +611,14 @@ class ExpRationalFunction:
         ``var``).  Terms with no denominator factor vanishing along
         z_var = pole contribute nothing; a pole of order n + 1 contributes the
         t^n coefficient of ``_series_residue``.  Like terms of the result are
-        merged.  The step is exact when ``pole`` and every term are, and
-        otherwise rounds each term first.  Raises TermBudgetExceeded when the
-        step would produce more than MAX_RESIDUE_TERMS terms.
+        merged.  Raises TermBudgetExceeded when the step would produce more
+        than MAX_RESIDUE_TERMS terms.
         """
         if pole.arity != self.arity:
             raise ValueError("pole arity mismatch")
-        exact = pole._den is not None and self.exact
-        memo = _PoleMemo(var, pole, exact)
+        memo = _PoleMemo(var, pole)
         out: list[Term] = []
-        for t in self.terms if exact else map(Term.rounded, self.terms):
+        for t in self.terms:
             coeff, order, kept = t.coeff, 0, {}  # kept: class -> its factors (k, m)
             for form, mult in t.denom:
                 k, a = memo.factor(form)
@@ -743,10 +654,6 @@ class ExpRationalFunction:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def exact(self) -> bool:
-        return all(t.exact for t in self.terms)
-
     def max_poly_degree(self) -> int:
         return max((t.poly.degree() for t in self.terms), default=0)
 
@@ -757,29 +664,25 @@ class ExpRationalFunction:
 class _PoleMemo:
     """What one residue step at z_var = pole knows of each affine form.
 
-    The step is ``exact`` when the pole and the function are; its scalars
-    then stay in Q(i), and otherwise they are rounded.  ``restrict`` gives
-    an exponent form at ``point``: the pole, rounded in a rounded step, and
-    ``slope`` a form's coefficient of z_var.
+    ``restrict`` gives a form at the pole, and ``slope`` a form's
+    coefficient of z_var, a GaussianRational.
     ``factor`` splits a denominator form as A = B + a t at z_var = pole + t:
     (k, a) with k None when B vanishes, else the index of A in ``leads``,
     B's leading entry, ``slopes``, its a, and ``classes``, the index in
-    ``units`` of B's monic form, which proportional restrictions share
-    (``_merge_unit``).  ``orders`` is the sort order of each set of
-    classes' units (``_form_order``).  Each is computed once per distinct
-    form or set; a memo serves one ``residue_1d`` call and nothing outlives
-    it.  ``class_series``, the Taylor series of the kept factors of one
-    class, is built on each call: a step seldom asks twice for the same
-    one.  ``one`` is the unit polynomial that an exact step's terms from a
-    constant numerator share.
+    ``units`` of B's monic form, which proportional restrictions share.
+    ``orders`` is the sort order of each set of classes' units
+    (``_form_order``).  Each is computed once per distinct form or set; a
+    memo serves one ``residue_1d`` call and nothing outlives it.
+    ``class_series``, the Taylor series of the kept factors of one class, is
+    built on each call: a step seldom asks twice for the same one.  ``one``
+    is the unit polynomial that the step's terms from a constant numerator
+    share.
     """
 
-    def __init__(self, var: int, pole: AffineForm, exact: bool):
+    def __init__(self, var: int, pole: AffineForm):
         self.var = var
         self.pole = pole
-        self.exact = exact
-        self.point = pole if exact else pole.rounded()
-        self.one = Polynomial.constant(pole.arity - 1, 1) if exact else None
+        self.one = Polynomial.constant(pole.arity - 1, 1)
         self.units: list[AffineForm] = []
         self.leads: list = []
         self.slopes: list = []
@@ -792,12 +695,11 @@ class _PoleMemo:
     def restrict(self, form: AffineForm) -> AffineForm:
         base = self._restricted.get(form)
         if base is None:
-            base = self._restricted[form] = form.restrict(self.var, self.point)
+            base = self._restricted[form] = form.restrict(self.var, self.pole)
         return base
 
-    def slope(self, form: AffineForm):
-        """The coefficient of z_var, a GaussianRational in an exact step."""
-        return _gaussian(*form._v[self.var], form._den) if self.exact else form.entry(self.var)
+    def slope(self, form: AffineForm) -> GaussianRational:
+        return _gaussian(*form._v[self.var], form._den)
 
     def factor(self, form: AffineForm) -> tuple:
         got = self._factors.get(form)
@@ -805,11 +707,11 @@ class _PoleMemo:
             base, k, a = form.restrict(self.var, self.pole), None, self.slope(form)
             if not base.is_zero():
                 unit, lead = base.normalized()
-                cls = self._units.setdefault(_merge_unit(unit, self._units), len(self.units))
+                cls = self._units.setdefault(unit, len(self.units))
                 if cls == len(self.units):
                     self.units.append(unit)
                 k = len(self.leads)
-                self.leads.append(lead if self.exact else to_mpc(lead))
+                self.leads.append(lead)
                 self.slopes.append(a)
                 self.classes.append(cls)
             got = self._factors[form] = (k, a)
@@ -822,35 +724,17 @@ class _PoleMemo:
         B_k = lead_k U, U the class's monic unit, and x_k = -a_k / lead_k,
         the product is U^-M F(t / U) / prod lead_k^m, F = prod (1 - x_k u)^-m,
         whose logarithmic derivative gives j F_j = sum_{i=1..j} s_i F_{j-i}
-        with the power sums s_i = sum m x_k^i; c_j = F_j / prod lead_k^m.
-        An exact step runs the recurrence on Gaussian integers
-        (``_gaussian_series``), a rounded one on mpc (``_power_series``)."""
+        with the power sums s_i = sum m x_k^i; c_j = F_j / prod lead_k^m,
+        run on Gaussian integers (``_gaussian_series``)."""
         parts = [(self.leads[k], self.slopes[k] if n else 0, m) for k, m in members]
-        coeffs = (_gaussian_series if self.exact else _power_series)(parts, n)
+        coeffs = _gaussian_series(parts, n)
         unit, degree = self.units[self.classes[members[0][0]]], sum(m for _, m in members)
         return tuple(((unit, degree + j), c) for j, c in enumerate(coeffs))
 
 
-def _power_series(parts: list, n: int) -> list:
-    """c_0 .. c_n of ``_PoleMemo.class_series`` from its (lead, a, m) triples,
-    by the power-sum recurrence in the scalars' own arithmetic; c_0 alone
-    when every a is 0."""
-    lead_power, ms, xs = 1, [], []
-    for lead, a, m in parts:
-        lead_power *= lead**m
-        if a:
-            ms.append(m)
-            xs.append(-a / lead)
-    F, powers, sums = [1 / lead_power], xs, []
-    for j in range(1, n + 1 if xs else 1):
-        sums.append(sum(map(operator.mul, ms, powers)))
-        powers = list(map(operator.mul, powers, xs))
-        F.append(sum(map(operator.mul, sums, reversed(F))) / j)
-    return F
-
-
 def _gaussian_series(parts: list, n: int) -> list:
-    """``_power_series`` for GaussianRational leads and slopes, on Gaussian
+    """c_0 .. c_n of ``_PoleMemo.class_series`` from its (lead, a, m)
+    triples of GaussianRationals, c_0 alone when every a is 0, on Gaussian
     integer pairs.  With x_k = X_k / D over one denominator, the power sums
     S_i = sum m X_k^i and G_0 = 1, G_j = sum_{i=1..j} (j-1)!/(j-i)! S_i G_{j-i}
     give c_j = G_j / (j! D^j prod lead_k^m), one GaussianRational each."""
@@ -908,13 +792,12 @@ def _series_residue(
     ``expo`` is L there.  Raises TermBudgetExceeded rather than emit more
     than ``budget`` terms.
 
-    An exact step carries each coefficient along its path as a Gaussian
-    integer pair over an integer and normalizes it once, as it emits the
-    term; a constant P goes into the coefficient, with no Taylor chain, and
-    its terms share the step's unit polynomial (``memo.one``).  A rounded
-    step multiplies mpc values in path order.
+    Each coefficient is carried along its path as a Gaussian integer pair
+    over an integer and normalized once, as its term is emitted; a constant
+    P goes into the coefficient, with no Taylor chain, and its terms share
+    the step's unit polynomial (``memo.one``).
     """
-    value = _constant_value(term.poly) if memo.exact else None
+    value = _constant_value(term.poly)
     if value is None:
         taylor = []
         p = term.poly
@@ -923,7 +806,7 @@ def _series_residue(
                 p = p.differentiate(var).scale(Fraction(1, j))
                 if p.is_zero():
                     break
-            taylor.append(p.restrict(var, memo.point))
+            taylor.append(p.restrict(var, memo.pole))
         lv, exp_series = memo.slope(term.expo), [1]
         for k in range(1, n + 1):
             exp_series.append(exp_series[-1] * lv / k)
@@ -961,20 +844,6 @@ def _series_residue(
     # depth first over the classes' exponents (j_0, j_1, ...) with sum <= n,
     # j_0 slowest, each coefficient built along its path from the root
     out: list[Term] = []
-    if not memo.exact:
-        stack = [(0, coeff, n, ())]
-        while stack:
-            i, c, left, denom = stack.pop()
-            if i == len(series):
-                if rest[n - left] is not None:
-                    denom = tuple(map(denom.__getitem__, order))
-                    out.append(Term(c, rest[n - left], expo, denom))
-                continue
-            for j in reversed(range(min(len(series[i]), left + 1))):
-                factor, x = series[i][j]
-                if x:
-                    stack.append((i + 1, c * x, left - j, denom + (factor,)))
-        return out
     stack = [(0, _parts(coeff), n, ())]
     while stack:
         i, (a, b, d), left, denom = stack.pop()
@@ -1005,20 +874,12 @@ def _constant_value(poly: Polynomial):
     return None
 
 
-def _form_key(form: AffineForm) -> tuple:
-    """A key equal for equal exact forms, and for rounded ones bit for bit."""
-    if form._den is not None:
-        return form._v, form._den
-    return tuple(x._mpc_ for x in form._v)
-
-
 def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:
-    """Sum the terms with equal exponents (``_form_key``) and the same
-    denominator units, compared by identity: a residue step's units are its
-    memo's ``units``.  The terms are all exact or all rounded."""
+    """Sum the terms with equal exponents and the same denominator units,
+    compared by identity: a residue step's units are its memo's ``units``."""
     groups: dict = {}
     for t in terms:
-        key = (_form_key(t.expo), tuple((id(f), m) for f, m in t.denom))
+        key = (t.expo, tuple((id(f), m) for f, m in t.denom))
         groups.setdefault(key, []).append(t)
     out = []
     for members in groups.values():
@@ -1030,13 +891,12 @@ def _merge_like_terms(terms: Sequence[Term]) -> list[Term]:
         for t in members:
             for e, v in t.poly.items():
                 coeffs[e] = coeffs.get(e, 0) + t.coeff * v
-        poly = Polynomial(first.poly.arity, coeffs)
-        out.append(Term(1 if poly.exact else to_mpc(1), poly, first.expo, first.denom))
+        out.append(Term(1, _poly(first.poly.arity, coeffs), first.expo, first.denom))
     return out
 
 
 def constant_sum(funcs: Sequence["ExpRationalFunction"]) -> "ExpRationalFunction":
-    """The sum of exact functions of arity 0 as sum_k c_k exp(lambda_k).
+    """The sum of functions of arity 0 as sum_k c_k exp(lambda_k).
 
     Each term c P exp(lambda) / prod B^m, its P and every B constants, gives
     c P / prod B^m to the coefficient of its exponent lambda; the sum keeps
@@ -1045,14 +905,11 @@ def constant_sum(funcs: Sequence["ExpRationalFunction"]) -> "ExpRationalFunction
     Lindemann-Weierstrass the sum is 0 exactly when it has no terms.
     """
     coeffs: dict = {}
-    expos: dict = {}
     for f in funcs:
         for t in f.terms:
             c = t.coeff * sum(t.poly._coeffs.values())
             for form, mult in t.denom:
                 c = c / _gaussian(*form._v[-1], form._den) ** mult
-            key = _form_key(t.expo)
-            coeffs[key] = coeffs.get(key, 0) + c
-            expos.setdefault(key, t.expo)
+            coeffs[t.expo] = coeffs.get(t.expo, 0) + c
     one = Polynomial.constant(0, 1)
-    return ExpRationalFunction(0, [Term(c, one, expos[k], ()) for k, c in coeffs.items() if c])
+    return ExpRationalFunction(0, [Term(c, one, expo, ()) for expo, c in coeffs.items() if c])

@@ -3,7 +3,7 @@
 * ``same_flag`` and ``pairwise_flag_classes``: flag identity decided pair by
   pair.  For each k, the first k rows of one collection must be independent
   and span those of the other (``row_combinations``), and the offsets those
-  combinations imply must match the other's within the noise floor.
+  combinations imply must match the other's exactly.
   ``arrangement.flag_classes`` keys each flag once instead; the suite checks
   the two agree.
 * ``torus_residue``: the residue at a terminal point as a float64 average
@@ -13,6 +13,10 @@
   exponents; ``ExpRationalFunction.residue_1d`` folds the factors
   proportional at the pole into one series per class first, and the suite
   checks the two agree exactly, with the same terms after merging.
+* ``power_series``: a class series of ``_PoleMemo.class_series`` by the
+  power-sum recurrence in the GaussianRationals' own arithmetic;
+  ``symfun._gaussian_series`` runs it on Gaussian integer pairs over one
+  denominator instead, and the suite checks the two agree entry for entry.
 * ``substitute_affine``: an exp-rational function with one variable set to
   an affine form in the others, by ``ExpRationalFunction.compose`` with
   ``unit_form``s.
@@ -30,15 +34,20 @@
   ``compose`` and the sort order of denominator units; the suite checks
   the integer forms against it.
 * ``canonicalize_hyperplane``: the canonical (f, s) of a hyperplane in
-  ``GaussianRational`` and ``Fraction`` arithmetic; ``arrangement``'s clears
-  the denominators once and works on Gaussian integers instead, and the
-  suite checks the two agree, errors included.
+  ``GaussianRational`` and ``Fraction`` arithmetic, a float or mpmath
+  constant taken at its binary value through ``Fraction`` (``binary_value``);
+  ``arrangement``'s clears the denominators once and works on Gaussian
+  integers instead, and reads the binary value off the mantissas
+  (``symfun.to_exact``), and the suite checks the two agree, errors included.
 * ``lowered_arrangement``: ``ProblemSpec.arrangement`` with each den
   factor's value read back as GaussianRational coefficients and constant,
   canonicalized by ``canonicalize_hyperplane`` and scaled by the quotient
-  of two GaussianRationals; ``dsl`` lowers an exact factor from its form's
-  own Gaussian-integer pairs instead, and the suite checks the two agree,
-  errors and their positions included.
+  of two GaussianRationals, and the rule on rounded coefficients decided by
+  the kind each subexpression would have if pi, exp(...) and non-integer
+  powers were rounded values (``rounded_kind``); ``dsl`` lowers a factor
+  from its form's own Gaussian-integer pairs and decides the rule by which
+  sides of a product hold variables and rounded leaves instead, and the
+  suite checks the two agree, errors and their positions included.
 * ``keyed_store``: the minors of ``exact_linalg.minor_store`` as a dict
   keyed (rows, column), each pair computed by ``determinant``;
   ``minor_store`` lays them out in one flat list by Laplace expansion
@@ -83,12 +92,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from mpmath import mpc, mpf
+import mpmath
+from mpmath import mpc
+from mpmath.libmp import to_rational
 
 from residuum import dsl, exact_linalg, symfun
 from residuum.arrangement import (
@@ -110,7 +122,7 @@ from residuum.exact_linalg import (
     inverse,
 )
 from residuum.oracle import compile_numeric
-from residuum.symfun import AffineForm, ExpRationalFunction, Term, is_negligible, to_mpc
+from residuum.symfun import AffineForm, ExpRationalFunction, Term
 
 DEFAULT_TORUS_NODES = 256
 
@@ -320,37 +332,42 @@ def fraction_terminal_classes(arr: Arrangement, flags) -> list[FlagClass]:
 
 def fraction_incidence(arr: Arrangement, point) -> frozenset[int]:
     """The hyperplanes H_j through ``point``: f_j . p - i s_j summed in
-    GaussianRationals, exactly 0 when p and s_j are exact, and otherwise
-    within the noise floor of max(1, |s_j|)."""
+    GaussianRationals, exactly 0."""
     i = exact_linalg.GaussianRational(Fraction(0), Fraction(1))
-    point = [x if isinstance(x, exact_linalg.GaussianRational) else to_mpc(x) for x in point]
     return frozenset(
         j
         for j, h in enumerate(arr.hyperplanes)
-        if is_negligible(sum(c * x for c, x in zip(h.f, point)) - i * h.s, h.s)
+        if not sum(c * x for c, x in zip(h.f, point)) - i * h.s
     )
 
 
 def fraction_position(poly, point) -> tuple[bool, bool]:
     """(inside, boundary) of a terminal point p: z = M^-1 p by the
     ``fraction_inverse`` of the cone's basis M, inside when every Im z_k >= 0,
-    on the boundary when one is 0; exact coordinates are compared exactly,
-    rounded ones with the noise floor of the largest |z_k|."""
+    on the boundary when one is 0."""
     inv = fraction_inverse(poly.basis_matrix().entries)
-    z = [sum(b * c for b, c in zip(point, row)) for row in inv]
-    scale = max([mpf(1)] + [abs(c) for c in z if isinstance(c, mpc)])
-    ims = [c.im if isinstance(c, exact_linalg.GaussianRational) else c.imag for c in z]
-    on_face = [is_negligible(y, scale) for y in ims]
-    return all(edge or y > 0 for y, edge in zip(ims, on_face)), any(on_face)
+    ims = [sum(b * c for b, c in zip(point, row)).im for row in inv]
+    return all(y >= 0 for y in ims), not all(ims)
 
 
 def _exact_scalar(x) -> exact_linalg.GaussianRational:
     if isinstance(x, complex):
-        return exact_linalg.GaussianRational(Fraction(x.real), Fraction(x.imag))
+        return binary_value(x)
     if isinstance(x, (int, Fraction, exact_linalg.GaussianRational)):
         return exact_linalg.GaussianRational() + x
     raise TypeError(
         f"hyperplane linear parts must be exact rational data, got {x!r}"
+    )
+
+
+def binary_value(x) -> exact_linalg.GaussianRational:
+    """A float, complex, mpf or mpc as the GaussianRational of its binary
+    value, each part a Fraction: Python's of a float, mpmath's of a part."""
+    if isinstance(x, (float, complex)):
+        return exact_linalg.GaussianRational(Fraction(x.real), Fraction(x.imag))
+    z = mpmath.mpmathify(x)
+    return exact_linalg.GaussianRational(
+        *(Fraction(*to_rational(part._mpf_)) for part in (z.real, z.imag))
     )
 
 
@@ -376,10 +393,10 @@ def canonicalize_hyperplane(linear_coeffs, constant) -> Hyperplane:
     mu = Fraction(den_lcm, g)
     # f(v) = i s with i s = -mu * lam * b, so s = i * mu * lam * b
     lam_total = exact_linalg.GaussianRational(lam.re * mu, lam.im * mu)
-    exact = isinstance(constant, (int, Fraction, complex, exact_linalg.GaussianRational))
+    exact = isinstance(constant, (int, Fraction, exact_linalg.GaussianRational))
     i = exact_linalg.GaussianRational(Fraction(0), Fraction(1))
-    s = (_exact_scalar(constant) if exact else to_mpc(constant)) * lam_total * i
-    if is_negligible(s.real, s):
+    s = (_exact_scalar(constant) if exact else binary_value(constant)) * lam_total * i
+    if s.real == 0:
         raise MeetsRealLocus("hyperplane meets the real locus (Re s = 0)")
     if s.real < 0:
         ints = [-n for n in ints]
@@ -391,17 +408,21 @@ def lowered_arrangement(spec) -> Arrangement:
     """``spec.arrangement()``: each den factor written c (f(v) - i s) is the
     canonical hyperplane of its value's ``coeffs`` and ``const``, and c the
     quotient of its first nonzero coefficient by f's; c^-m is left in the
-    numerator."""
+    numerator.  A factor whose ``rounded_kind`` is a rounded form is
+    refused."""
     env, nvars = spec._environment(), spec.dim
     one = exact_linalg.GaussianRational.of(1)
     hyperplanes, scale = [], one
+    kinds = {name: "form" for name in spec.variables}
+    for name, expr in spec.parameters:
+        kinds[name] = rounded_kind(expr, kinds, env, nvars)
     for expr, mult in spec.denominator:
         value = dsl._eval(expr, env, nvars)
         if isinstance(value, ExpRationalFunction):
             raise dsl.ProblemError("denominator factor is not affine in the variables", *expr.pos)
         if dsl._is_scalar(value) or not any(value.coeffs):
             raise dsl.ProblemError("denominator factor is constant in the variables", *expr.pos)
-        if not all(isinstance(c, exact_linalg.GaussianRational) for c in value.coeffs):
+        if rounded_kind(expr, kinds, env, nvars) == "rounded form":
             raise dsl.ProblemError(
                 "denominator coefficients must be exact rationals "
                 "(rational multiples of 1 and i; pi and exp are not allowed)",
@@ -426,9 +447,37 @@ def lowered_arrangement(spec) -> Arrangement:
     return Arrangement.build(nvars, hyperplanes, numerator=numerator, multiplicities=mults)
 
 
+def rounded_kind(expr, kinds: dict, env: dict, nvars: int) -> str:
+    """The kind of an expression's value were pi, exp(...) and non-integer
+    powers rounded values: "exact" or "rounded" for a scalar, "form" for an
+    affine form with exact coefficients and "rounded form" for one that a
+    rounded scalar multiplied or divided.  ``kinds`` holds the variables'
+    and parameters' kinds; an expression whose value is not affine has some
+    kind, which no one reads."""
+    if isinstance(expr, dsl.Num):
+        return "exact"
+    if isinstance(expr, dsl.Name):
+        return "rounded" if expr.name == "pi" else kinds.get(expr.name, "exact")
+    if isinstance(expr, dsl.Neg):
+        return rounded_kind(expr.operand, kinds, env, nvars)
+    if isinstance(expr, dsl.ExpCall):
+        return "rounded"
+    a, b = (rounded_kind(x, kinds, env, nvars) for x in (expr.lhs, expr.rhs))
+    forms = [k for k in (a, b) if k.endswith("form")]
+    if expr.op in "+-":
+        return ("rounded form" if "rounded form" in forms else "form") if forms else max(a, b)
+    if expr.op in "*/":
+        if not forms:
+            return max(a, b)
+        return "rounded form" if "rounded" in (a, b) or "rounded form" in forms else "form"
+    if dsl._as_int(dsl._eval(expr.rhs, env, nvars)) is None:
+        return "rounded"
+    return a
+
+
 def defining_form(h: Hyperplane) -> AffineForm:
     """g = f(v) - i s, the affine function cutting out H."""
-    return AffineForm.make(h.f, -to_mpc(h.s) * mpc(0, 1))
+    return AffineForm(h.f, -h.s * exact_linalg.GaussianRational(0, 1))
 
 
 class ForeignPoleInsideTorus(Exception):
@@ -460,13 +509,10 @@ def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
 
     Level by level: the first k linear forms of ``a`` must be independent and
     span those of ``b`` exactly, and the affine offsets must be consistent
-    (each equation of ``b``'s prefix is implied by ``a``'s): equal when every
-    s is exact, else equal to the noise floor.
+    (each equation of ``b``'s prefix is implied by ``a``'s), exactly.
     """
     if len(a) != len(b):
         return False
-    exact = all(isinstance(h.s, exact_linalg.GaussianRational) for h in arr.hyperplanes)
-    scalar = (lambda x: x) if exact else to_mpc
 
     def f_rows(indices) -> RationalMatrix:
         return RationalMatrix(tuple(arr.hyperplanes[i].f for i in indices))
@@ -476,15 +522,8 @@ def same_flag(arr: Arrangement, a: Flag, b: Flag) -> bool:
         if combos is None:
             return False
         for idx, coeffs in zip(b.indices[:k], combos):
-            implied = sum(
-                (
-                    scalar(c) * scalar(arr.hyperplanes[j].s)
-                    for c, j in zip(coeffs, a.indices[:k])
-                ),
-                start=scalar(0),
-            )
-            target = scalar(arr.hyperplanes[idx].s)
-            if not is_negligible(implied - target, abs(target)):
+            implied = sum(c * arr.hyperplanes[j].s for c, j in zip(coeffs, a.indices[:k]))
+            if implied != arr.hyperplanes[idx].s:
                 return False
     return True
 
@@ -574,7 +613,7 @@ def torus_residue(
 
 
 def unit_form(arity: int, index: int) -> AffineForm:
-    """z_index as a rounded form of ``arity`` variables."""
+    """z_index as a form of ``arity`` variables."""
     return AffineForm.make([int(j == index) for j in range(arity)])
 
 
@@ -587,7 +626,7 @@ def substitute_affine(
     """
     if repl.arity != func.arity:
         raise ValueError("replacement arity mismatch")
-    if not is_negligible(repl.coeffs[var], repl.max_abs()):
+    if repl.coeffs[var]:
         raise ValueError("replacement must not involve the variable it defines")
     forms = []
     for i in range(func.arity):
@@ -611,10 +650,9 @@ def per_factor_residue(
     degrees of proportional factors added on their shared unit.  Shares
     ``residue_1d``'s memo of forms and its merge of like terms; no term cap.
     """
-    exact = pole._den is not None and func.exact
-    memo = symfun._PoleMemo(var, pole, exact)
+    memo = symfun._PoleMemo(var, pole)
     out: list[Term] = []
-    for t in func.terms if exact else map(Term.rounded, func.terms):
+    for t in func.terms:
         coeff, order, kept = t.coeff, 0, []
         for form, mult in t.denom:
             k, a = memo.factor(form)
@@ -639,11 +677,8 @@ def _per_factor_terms(
             p = p.differentiate(var).scale(Fraction(1, j))
             if p.is_zero():
                 break
-        taylor.append(p.restrict(var, memo.point))
-    if memo.exact:
-        lv, exp_series = exact_linalg._gaussian(*term.expo._v[var], term.expo._den), [1]
-    else:
-        lv, exp_series = term.expo.coeffs[var], [to_mpc(1)]
+        taylor.append(p.restrict(var, memo.pole))
+    lv, exp_series = exact_linalg._gaussian(*term.expo._v[var], term.expo._den), [1]
     for k in range(1, n + 1):
         exp_series.append(exp_series[-1] * lv / k)
     rest = []  # rest[s]: the polynomial multiplying the kept factors' t^s part
@@ -685,6 +720,24 @@ def _per_factor_terms(
             child = c / lead_power if j == 0 else c * series[j - 1]
             stack.append((i + 1, child, left - j, js + (j,)))
     return out
+
+
+def power_series(parts: list, n: int) -> list:
+    """c_0 .. c_n of ``_PoleMemo.class_series`` from its (lead, a, m)
+    triples, by the power-sum recurrence in the scalars' own arithmetic;
+    c_0 alone when every a is 0."""
+    lead_power, ms, xs = 1, [], []
+    for lead, a, m in parts:
+        lead_power *= lead**m
+        if a:
+            ms.append(m)
+            xs.append(-a / lead)
+    F, powers, sums = [1 / lead_power], xs, []
+    for j in range(1, n + 1 if xs else 1):
+        sums.append(sum(map(operator.mul, ms, powers)))
+        powers = list(map(operator.mul, powers, xs))
+        F.append(sum(map(operator.mul, sums, reversed(F))) / j)
+    return F
 
 
 def stability_rows(table, with_jacobian: bool) -> tuple:

@@ -667,20 +667,16 @@ def _sheared_arrangement(draw):
 
 @given(_sheared_arrangement())
 @settings(max_examples=60, deadline=None)
-def test_chart_factors_are_exact_rows_rounded_once(case):
+def test_chart_factors_are_exact_rows(case):
     """Each factor of the chart integrand is row j of the exact F M over its
-    first nonzero entry, every coefficient rounded once from that exact
-    quotient: bit for bit to_mpc of it."""
+    first nonzero entry, F M taken in Fractions (``reference.fraction_chart``)."""
     arr, poly = case
-    with working_precision(128):
-        expected = set()
-        for h in arr.hyperplanes:
-            row = [sum(a * c for a, c in zip(h.f, col)) for col in poly.generators]
-            lead = next(x for x in row if x)
-            expected.add(tuple(to_mpc(Fraction(x, lead))._mpc_ for x in row))
-        (term,) = arr.integrand_in(poly).terms
-    got = {tuple(c._mpc_ for c in form.coeffs) for form, _ in term.denom}
-    assert got == expected
+    expected = set()
+    for row in reference.fraction_chart(arr, range(len(arr.hyperplanes)), poly).entries:
+        lead = next(x for x in row if x)
+        expected.add(tuple(x / lead for x in row))
+    (term,) = arr.integrand_in(poly).terms
+    assert {form.coeffs for form, _ in term.denom} == expected
 
 
 def test_one_normalization_per_chart_factor(monkeypatch):

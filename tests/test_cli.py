@@ -61,7 +61,7 @@ from residuum.residue_engine import (
     canonical_grouping_points,
     evaluate_integral,
 )
-from residuum.symfun import AffineForm, ExpRationalFunction, constant_sum, working_precision
+from residuum.symfun import ExpRationalFunction, constant_sum, working_precision
 
 SAMPLES = Path(__file__).resolve().parents[1] / "problems"
 
@@ -552,6 +552,63 @@ def test_grouping_of_generic_data_takes_no_residue_step(monkeypatch, tmp_path, c
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GENERIC_3_6_GROUPING
 
 
+def test_grouping_takes_each_class_closed_form_once(monkeypatch, tmp_path, capsys):
+    """grouping takes the closed form of each of the 10 classes of
+    GENERIC_3_6 once: a stable class whose first flag is its grouping
+    class's reuses that class's function for the stable-class sum, where
+    taking it again made 14 calls; the report keeps its bytes."""
+    calls = []
+    original = ChartResidues.closed_form
+    monkeypatch.setattr(
+        ChartResidues, "closed_form", lambda self, cls: calls.append(cls) or original(self, cls)
+    )
+    assert main(["grouping", _write(tmp_path, GENERIC_3_6), "--json"]) == 0
+    assert len(calls) == 10
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GENERIC_3_6_GROUPING
+
+
+# hyperplanes whose s_j are rational multiples of pi, so that H1, H3 and H4
+# meet in one point only because pi/3 + pi/6 = pi/2 and pi/3 - pi/6 = pi/6
+PI_RELATION = """\
+vars x y;
+cone (1,0) (0,1);
+den (x - pi/3*i)^2 (y - pi/6*i) (x + y - pi/2*i) (x - y - pi/6*i);
+"""
+# sha256 of its grouping and eval --json reports, at 128 and 256 bits alike,
+# as recorded when pi took a rounded path: one point (H1H3H4,H2), residue 0
+PI_RELATION_REPORTS = {
+    "grouping": "bbd6bdd19696c941679031b992188aaf6b89a125ad6f2dc101f46e8ee4287bf0",
+    "eval": "e66ea1e221f2b83c6b1e9f6e137af49b68bda79d7d3657c92e1a7c462a418730",
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_pi_relations_hold_exactly(tmp_path, capsys, bits):
+    """pi enters once, as the binary value of its rounding, before any
+    arithmetic, so the identities pi/3 + pi/6 = pi/2 and pi/3 - pi/6 = pi/6
+    hold exactly: H1, H3 and H4 meet at one point, the grouping has that
+    one point with residue 0, and both reports are the recorded bytes."""
+    path = _write(tmp_path, PI_RELATION)
+    for command, digest in PI_RELATION_REPORTS.items():
+        assert main([command, path, "--json", "--precision", str(bits)]) in (0, 1)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    with working_precision(bits):
+        spec = parse_problem(PI_RELATION)
+        grouping, points = canonical_grouping_points(spec.arrangement(), spec.polyhedron())
+    assert grouping.label(spec.arrangement()) == "(H1H3H4,H2)"
+    assert [residue for _, _, residue in points] == [0]
+
+
+def test_rounded_value_past_the_cap_is_a_usage_error(tmp_path, capsys):
+    """exp(10^7) is about 2^14426950: its binary value is past the cap, so
+    the problem is refused (exit 2) with the cap in the message."""
+    path = _write(tmp_path, "vars x; cone (1); num exp(10^7); den (x - i) (-x - i);")
+    assert main(["eval", path, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: line 1, column 23: exact binary value exceeds {1 << 20} bits")
+
+
 @pytest.mark.parametrize(
     "text",
     [(SAMPLES / "coincident_point.rsd").read_text(), SQUARED_POLES, CUBED_POLES],
@@ -648,17 +705,10 @@ def _engine_outcome(text):
 
 @pytest.mark.parametrize("name", sorted(EXACT_PROBLEMS))
 def test_exact_data_makes_no_tolerance_decision(monkeypatch, name):
-    """With exact s, evaluation and grouping never compare forms within a
-    tolerance, and with the noise floor at 0 they give the same classes,
-    certificate, contributing flags, grouping and points, with values
-    within 1e-25."""
-    calls = []
-    close_to = AffineForm.close_to
-    monkeypatch.setattr(
-        AffineForm, "close_to", lambda self, other: calls.append(self) or close_to(self, other)
-    )
+    """Evaluation and grouping make no decision within a tolerance: with the
+    noise floor at 0 they give the same classes, certificate, contributing
+    flags, grouping and points, with values within 1e-25."""
     classes, result, grouping, points = _engine_outcome(EXACT_PROBLEMS[name])
-    assert calls == []
     monkeypatch.setattr(symfun, "_noise_floor", lambda: mpf(0))
     classes_0, result_0, grouping_0, points_0 = _engine_outcome(EXACT_PROBLEMS[name])
     assert classes_0 == classes
@@ -1288,9 +1338,8 @@ def test_engine_is_invariant_under_coordinate_changes(name, seed):
     of the hyperplanes (``conftest.disguise``; the cone's generators become
     U^-1 v_k): the chart F M only permutes its rows, so the relabelled
     verdict table, the certificate and the number of contributions do not
-    change, and neither does the value: exactly on exact data (the exact
-    residues' ``constant_sum`` of the difference has no term), and else to
-    1e-22 of the sum of the contributions' magnitudes.  This reads both the
+    change, and neither does the value, exactly: the residues'
+    ``constant_sum`` of the difference has no term.  This reads both the
     flag table and the lowering of every case."""
     spec = parse_problem(_INVARIANCE_CASES[name])
     with working_precision(128):
@@ -1316,9 +1365,5 @@ def test_engine_is_invariant_under_coordinate_changes(name, seed):
         for a, p, result in ((arr, poly, want), (other, other_poly, got))
         for flag in result.flag_contributions
     ]
-    if all(f.exact for f in funcs):
-        n = len(want.flag_contributions)
-        assert not constant_sum(funcs[:n] + [f.scale(-1) for f in funcs[n:]]).terms
-    else:
-        scale = sum(abs(x) for x in want.flag_contributions.values())
-        assert abs(got.value - want.value) <= mpf("1e-22") * scale * (2 * pi) ** arr.dim
+    n = len(want.flag_contributions)
+    assert not constant_sum(funcs[:n] + [f.scale(-1) for f in funcs[n:]]).terms

@@ -7,6 +7,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from residuum.arrangement import Polyhedron
+from residuum.arrangement import Arrangement, Polyhedron, canonicalize_hyperplane
 from residuum.dsl import (
     MAX_NESTING,
     Bin,
@@ -705,6 +706,40 @@ def _lowered(lower, spec):
         return type(exc), str(exc), exc.line, exc.col
     kinds = [type(h.s) for h in arr.hyperplanes]
     return arr.dim, arr.hyperplanes, kinds, arr.multiplicities, repr(arr.numerator.terms)
+
+
+_EXACT_KINDS = (int, Fraction, GaussianRational)
+
+
+def _exact_data(arr) -> bool:
+    """Every s_j a GaussianRational, and every coefficient of the numerator's
+    and the identity chart integrand's terms, polynomial ones included, an
+    exact scalar."""
+    terms = arr.numerator.terms + arr.integrand().terms
+    return all(h.s.__class__ is GaussianRational for h in arr.hyperplanes) and all(
+        isinstance(c, _EXACT_KINDS) for t in terms for c in (t.coeff, *t.poly._coeffs.values())
+    )
+
+
+def test_lowered_data_are_exact():
+    """The five samples (three of them with pi or exp()), every corpus text
+    that lowers and a hyperplane given an mpmath constant hold only exact
+    values: pi, exp() and n^(...) enter at their binary values."""
+    samples = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.rsd"))
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    lowered = 0
+    with working_precision(128):
+        for text in [path.read_text() for path in samples] + [e["text"] for e in corpus["entries"]]:
+            try:
+                arr = parse_problem(text).arrangement()
+            except ProblemError:
+                continue
+            assert _exact_data(arr), text
+            lowered += 1
+        h = canonicalize_hyperplane([1], mpc(0, -1))
+        assert h.s == GaussianRational.of(1)
+        assert _exact_data(Arrangement.build(1, [h, h._replace(f=(-1,))]))
+    assert lowered >= 45
 
 
 def test_corpus_lowers_as_the_reference_route():

@@ -83,7 +83,6 @@ from residuum.symfun import (
     ExpRationalFunction,
     Polynomial,
     Term,
-    _form_key,
     constant_sum,
     to_mpc,
     working_precision,
@@ -964,8 +963,8 @@ def test_crossing_matches_the_steps(case):
     for cls in classes[:: -(-len(classes) // 6)]:
         got = constant_sum([closed.closed_form(cls)])
         want = constant_sum([steps.function(cls.flags[0])])
-        assert [(t.coeff, _form_key(t.expo)) for t in got.terms] == [
-            (t.coeff, _form_key(t.expo)) for t in want.terms
+        assert [(t.coeff, t.expo) for t in got.terms] == [
+            (t.coeff, t.expo) for t in want.terms
         ]
         for bits in (128, 256):
             with working_precision(bits):
@@ -1105,3 +1104,48 @@ def test_certified_values_do_not_depend_on_the_cone(case):
         for value, size in rest:
             assert abs(value - first) <= mpf("1e-30") * max(size, first_size)
     assert compared
+
+
+_PI_OFFSETS = ("1", "2", "3/2", "pi", "pi/2", "2*pi/3")
+
+
+@st.composite
+def _transcendental_texts(draw):
+    """A problem in r <= 3 variables with pi in some s_j, multiplicities 1
+    and 2, and pi, exp(c) and n^(affine) in its numerator.  Its first rows are the unit rows, so
+    that in the identity cone some flag is stable."""
+    r = draw(st.integers(1, 3))
+    names = [f"v{k + 1}" for k in range(r)]
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    units = [[int(i == j) for j in range(r)] for i in range(r)]
+    rows = units + draw(st.lists(row, min_size=1, max_size=2))
+
+    def linear(coeffs):
+        return " + ".join(f"({a})*{v}" for a, v in zip(coeffs, names))
+
+    offsets = ["pi"] + [draw(st.sampled_from(_PI_OFFSETS)) for _ in rows[1:]]
+    mults = [draw(st.sampled_from(["", "^2"])) for _ in rows]
+    den = " ".join(f"({linear(f)} - ({s})*i){m}" for f, s, m in zip(rows, offsets, mults))
+    base = draw(st.sampled_from(["2", "3", "(1/2)"]))
+    c = draw(st.sampled_from(["1/2", "-1", "i", "pi"]))
+    slope = draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r))
+    num = f"pi*exp({c})*{base}^(i*({linear(slope)}))"
+    cone = " ".join("(" + ",".join(str(int(i == j)) for j in range(r)) + ")" for i in range(r))
+    return f"vars {' '.join(names)};\ncone {cone};\nnum {num};\nden {den};\n"
+
+
+@given(_transcendental_texts())
+@settings(max_examples=30, deadline=None)
+def test_transcendental_data_agree_across_precisions(text):
+    """pi, exp(c) and n^(affine) enter as the binary values of their
+    roundings, and everything after that is exact, so eval's value at 256
+    bits agrees with that at 512 bits to 1e-70 of the contributions' size."""
+    spec = parse_problem(text)
+    values = []
+    for bits in (256, 512):
+        with working_precision(bits):
+            result = evaluate_integral(spec.arrangement(), spec.polyhedron())
+            scale = max([mpf(1)] + [abs(x) for x in result.flag_contributions.values()])
+            values.append(result.value)
+    with working_precision(512):
+        assert abs(values[0] - values[1]) <= mpf("1e-70") * scale * (2 * pi) ** spec.dim

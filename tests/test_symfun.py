@@ -14,9 +14,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import exp, mp, mpc, mpf, pi, quad
+from mpmath.libmp import to_rational
 
-from reference import FractionForm, matrix, per_factor_residue, substitute_affine, unit_form
+from reference import (
+    FractionForm,
+    matrix,
+    per_factor_residue,
+    power_series,
+    substitute_affine,
+    unit_form,
+)
 from residuum import dsl, symfun
 from residuum.exact_linalg import GaussianRational, determinant
 from residuum.symfun import (
@@ -27,7 +36,6 @@ from residuum.symfun import (
     Polynomial,
     Term,
     TermBudgetExceeded,
-    _form_key,
     _form_order,
     to_mpc,
     working_precision,
@@ -324,7 +332,7 @@ def restrict_cases(draw):
 def test_compose_matches_oracle_bit_for_bit(case, prec):
     with working_precision(prec):
         form, forms = AffineForm.make(*case[0]), [AffineForm.make(*f) for f in case[1]]
-        assert _form_key(form.compose(forms)) == _form_key(compose_oracle(form, forms))
+        assert form.compose(forms) == compose_oracle(form, forms)
 
 
 @given(restrict_cases(), st.sampled_from([53, 128]))
@@ -334,7 +342,7 @@ def test_restrict_matches_oracle_bit_for_bit(case, prec):
     with working_precision(prec):
         form, var, pole = AffineForm.make(*case[0]), case[1], AffineForm.make(*case[2])
         want = restrict_oracle(form, var, pole)
-        assert _form_key(form.restrict(var, pole)) == _form_key(want)
+        assert form.restrict(var, pole) == want
 
 
 def test_one_normalization_per_restricted_factor(monkeypatch):
@@ -361,12 +369,12 @@ def test_one_normalization_per_restricted_factor(monkeypatch):
         at_pole = [
             restrict_oracle(form, 0, pole) for t in f.terms for form, _ in t.denom
         ]
-        restricted = {_form_key(form) for form in at_pole if not form.is_zero()}
+        restricted = {form for form in at_pole if not form.is_zero()}
         calls = []
         original = AffineForm.normalized
 
         def counted(self):
-            calls.append(_form_key(self))
+            calls.append(self)
             return original(self)
 
         monkeypatch.setattr(AffineForm, "normalized", counted)
@@ -414,51 +422,6 @@ def test_one_series_per_denominator_class(monkeypatch):
 
 
 _small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
-@st.composite
-def _exact_forms(draw, arity: int) -> AffineForm:
-    coeffs = draw(st.lists(_small_fractions, min_size=arity, max_size=arity))
-    const = GaussianRational(draw(_small_fractions), draw(_small_fractions))
-    return AffineForm(tuple(coeffs), const)
-
-
-def _agrees(exact: AffineForm, rounded: AffineForm, scale=None) -> bool:
-    """Every entry of ``exact``, rounded, within 1e-30 times ``scale`` (by
-    default the largest entry of ``rounded``) of the entry of ``rounded``."""
-    got = AffineForm.make(exact.coeffs, exact.const)
-    scale = rounded.max_abs() if scale is None else scale
-    return all(
-        abs(a - b) <= mpf("1e-30") * scale
-        for a, b in zip((*got.coeffs, got.const), (*rounded.coeffs, rounded.const))
-    )
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_exact_form_kernel_matches_rounded_kernel(data):
-    """``solve_for``, ``restrict`` and ``normalized`` on exact forms, rounded
-    at 128 bits, agree to 1e-30 relative with the same steps on the forms
-    rounded first.  A restriction is relative to the size of its operands,
-    since it may cancel to exactly 0."""
-    arity = data.draw(st.integers(1, 4))
-    var = data.draw(st.integers(0, arity - 1))
-    pole_form = data.draw(_exact_forms(arity).filter(lambda f: f.coeffs[var] != 0))
-    form = data.draw(_exact_forms(arity))
-    with working_precision(128):
-        rounded = {f: AffineForm.make(f.coeffs, f.const) for f in (pole_form, form)}
-        pole, pole_r = pole_form.solve_for(var), rounded[pole_form].solve_for(var)
-        assert _agrees(pole, pole_r)
-        base, base_r = form.restrict(var, pole), rounded[form].restrict(var, pole_r)
-        assert _agrees(base, base_r, rounded[form].max_abs() * max(1, pole_r.max_abs()))
-        for exact, approx in ((form, rounded[form]), (base, base_r)):
-            if exact.is_zero():
-                continue
-            (unit, lead), (unit_r, lead_r) = exact.normalized(), approx.normalized()
-            assert _agrees(unit, unit_r)
-            assert abs(to_mpc(lead) - lead_r) <= mpf("1e-30") * abs(lead_r)
-
-
 _small_gaussians = st.builds(GaussianRational, _small_fractions, _small_fractions)
 
 
@@ -474,14 +437,13 @@ def _form_pairs(draw, arity: int, gauss: bool):
 
 
 def _same(form: AffineForm, ref: FractionForm) -> bool:
-    """Equal entries of the same kinds, rounded bit for bit alike."""
-    rounded = AffineForm.make(ref.coeffs, ref.const)
-    return (form.coeffs, form.const) == ref and _form_key(form.rounded()) == _form_key(rounded)
+    """Equal entries of the same kinds, and equal to the form built from them."""
+    return (form.coeffs, form.const) == ref and form == AffineForm(ref.coeffs, ref.const)
 
 
 def _same_lead(lead, ref_lead) -> bool:
     exact = ref_lead if isinstance(ref_lead, GaussianRational) else GaussianRational.of(ref_lead)
-    return lead == exact and to_mpc(lead)._mpc_ == to_mpc(ref_lead)._mpc_
+    return lead == exact
 
 
 def _check_against_reference(form: AffineForm, ref: FractionForm, data) -> None:
@@ -525,11 +487,10 @@ def _check_against_reference(form: AffineForm, ref: FractionForm, data) -> None:
 def test_integer_forms_match_fraction_reference(data):
     """Exact forms on Gaussian integers over one denominator give the rationals
     of the Fraction arithmetic they replace, of the same kinds (Fraction or
-    GaussianRational coefficients), rounded bit for bit alike, at every
-    step; proportional forms have equal units of equal hash; and exact units
-    sort in the exact order of their (re, im) entries.  Zero and negative
-    leads, zero coefficients and constant-only forms (arity 0, or every
-    coefficient 0) are drawn."""
+    GaussianRational coefficients), at every step; proportional forms have
+    equal units of equal hash; and exact units sort in the exact order of
+    their (re, im) entries.  Zero and negative leads, zero coefficients and
+    constant-only forms (arity 0, or every coefficient 0) are drawn."""
     prec = data.draw(st.sampled_from([53, 128]))
     arity = data.draw(st.integers(0, 4))
     with working_precision(prec):
@@ -759,23 +720,14 @@ def _coincident_data(draw, extra=(0, 2), max_mult=3):
 
 
 def _coincident_residue(
-    data, exact: bool, step=ExpRationalFunction.residue_1d, poly: Polynomial | None = None
+    data, step=ExpRationalFunction.residue_1d, poly: Polynomial | None = None
 ) -> list:
     """The iterated residue along the first r hyperplanes, as the engine's
-    chart steps take it, from exact data or from data rounded first
-    (``AffineForm.make`` and ``to_mpc``): the function left after each
-    ``step``.  The numerator is coeff * poly * exp(i w . z), poly 1 unless
-    given (exact)."""
+    chart steps take it: the function left after each ``step``.  The
+    numerator is coeff * poly * exp(i w . z), poly 1 unless given."""
     r, rows, s, mult, freq, coeff = data
-    if exact:
-        forms = [AffineForm(f, GaussianRational(0, -v)) for f, v in zip(rows, s)]
-        expo = AffineForm(tuple(GaussianRational(0, w) for w in freq), 0)
-    else:
-        forms = [AffineForm.make(f, mpc(0, -v)) for f, v in zip(rows, s)]
-        expo = AffineForm.make([mpc(0, w) for w in freq], 0)
-        coeff = to_mpc(coeff)
-    if poly is not None and not exact:
-        poly = poly.rounded()
+    forms = [AffineForm(f, GaussianRational(0, -v)) for f, v in zip(rows, s)]
+    expo = AffineForm(tuple(GaussianRational(0, w) for w in freq), 0)
     func = ExpRationalFunction.from_parts(
         r, coeff=coeff, poly=poly, expo=expo, denom=zip(forms, mult)
     )
@@ -786,35 +738,6 @@ def _coincident_residue(
         poles.append(form.solve_for(0))
         steps.append(step(steps[-1] if steps else func, 0, poles[-1]))
     return steps
-
-
-def _unmerged_scale(data) -> mpf:
-    """The sum of the magnitudes of the rounded steps' terms with like terms
-    left unmerged: the size of what the value sums before any cancellation."""
-    merge = symfun._merge_like_terms
-    symfun._merge_like_terms = list
-    try:
-        terms = _coincident_residue(data, exact=False)[-1].terms
-    finally:
-        symfun._merge_like_terms = merge
-    return sum((abs(ExpRationalFunction(0, [t]).evaluate(())) for t in terms), mpf(0))
-
-
-@given(_coincident_data())
-@settings(max_examples=100, deadline=None)
-def test_exact_residue_steps_match_rounded_steps(data):
-    """Residue steps on exact data stay exact, and their value agrees at 256
-    bits with the same steps on the data rounded first, to 1e-70 relative
-    to the sum of the magnitudes of the terms (``_unmerged_scale``); so does
-    ``constant_sum``, which merges them exactly."""
-    with working_precision(256):
-        exact = _coincident_residue(data, exact=True)[-1]
-        rounded = _coincident_residue(data, exact=False)[-1]
-        assert exact.exact and not any(t.exact for t in rounded.terms)
-        tolerance = mpf("1e-70") * _unmerged_scale(data)
-        want = rounded.evaluate(())
-        assert abs(exact.evaluate(()) - want) <= tolerance
-        assert abs(symfun.constant_sum([exact]).evaluate(()) - want) <= tolerance
 
 
 # numerator polynomials in the first two variables: none (1), a constant,
@@ -836,11 +759,10 @@ def test_folded_steps_match_per_factor_steps(data, poly):
     expands in its Taylor chain."""
     r = data[0]
     numerator = Polynomial(r, {e + (0,) * (r - 2): v for e, v in poly.items()}) if poly else None
-    folded = _coincident_residue(data, exact=True, poly=numerator)
-    expanded = _coincident_residue(data, exact=True, step=per_factor_residue, poly=numerator)
+    folded = _coincident_residue(data, poly=numerator)
+    expanded = _coincident_residue(data, step=per_factor_residue, poly=numerator)
     assert [len(f.terms) for f in folded] == [len(f.terms) for f in expanded]
     assert list(map(_exact_terms, folded)) == list(map(_exact_terms, expanded))
-    assert folded[-1].exact and expanded[-1].exact
     assert symfun.constant_sum([folded[-1], expanded[-1].scale(-1)]).is_zero()
 
 
@@ -857,12 +779,12 @@ _series_slopes = _small_gaussians | st.just(GaussianRational(0))
 )
 @settings(max_examples=100, deadline=None)
 def test_integer_class_series_matches_power_sum_recurrence(parts, n):
-    """The class series of an exact step (``_gaussian_series``, on Gaussian
-    integers) equals, entry for entry, the power-sum recurrence that rounded
-    steps keep (``_power_series``) run on the same GaussianRationals: for
+    """The class series of a step (``_gaussian_series``, on Gaussian
+    integers) equals, entry for entry, the power-sum recurrence in the
+    GaussianRationals' own arithmetic (``reference.power_series``): for
     1-5 factors (lead, slope, m), leads with denominators, some slopes 0."""
     exact = symfun._gaussian_series(parts, n)
-    assert exact == symfun._power_series(parts, n)
+    assert exact == power_series(parts, n)
     assert len(exact) == (n + 1 if any(a for _, a, _ in parts) else 1)
 
 
@@ -870,8 +792,40 @@ def _exact_terms(f: ExpRationalFunction) -> dict:
     """An exact function's terms by exponent and denominator, each as its
     coefficient times its polynomial."""
     return {
-        (_form_key(t.expo), tuple((_form_key(u), m) for u, m in t.denom)): {
+        (t.expo, t.denom): {
             e: t.coeff * v for e, v in t.poly.items()
         }
         for t in f.terms
     }
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.complex_numbers(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([mpf("0.1"), mpc("1e-30", "-7.5"), mpf(2) ** 1000, +mp.pi]),
+    st.sampled_from([53, 128, 256]),
+)
+@settings(max_examples=100, deadline=None)
+def test_to_exact_takes_the_binary_value(x, prec):
+    """``to_exact`` gives a float, complex, mpf or mpc as the GaussianRational
+    of its binary value: the Fractions Python and mpmath read off it, and
+    rounded back, the same bits at any precision."""
+    with working_precision(prec):
+        got = symfun.to_exact(x)
+        z = mpmath.mpmathify(x)
+        parts = (Fraction(*to_rational(part._mpf_)) for part in (z.real, z.imag))
+        assert got == GaussianRational(*parts)
+    with working_precision(max(prec, 1200)):
+        assert to_mpc(got) == z
+
+
+def test_to_exact_refuses_what_it_cannot_hold():
+    """Exact scalars pass unchanged; a value that is not finite, or whose
+    binary exponent is past MAX_EXACT_BITS either way, is refused."""
+    for x in (3, Fraction(1, 3), GaussianRational(1, 2)):
+        assert symfun.to_exact(x) is x
+    with working_precision(128):
+        big = mpf(2) ** (symfun.MAX_EXACT_BITS + 1)
+        for x in (float("inf"), complex(0, float("nan")), big, 1 / big):
+            with pytest.raises(symfun.UnrepresentableScalar):
+                symfun.to_exact(x)
