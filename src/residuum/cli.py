@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import NamedTuple
@@ -426,13 +427,13 @@ def _divergence_diagnostics(arr: Arrangement, poly: Polyhedron, table: FlagTable
     if arr.dim == 1:
         candidates = [("the integrand's", integrand)]
     else:
-        sample = mpf("0.37109375")
+        sample = Fraction(95, 256)
         candidates = []
         for j, g in forms.items():
             if not g.coeffs[0]:  # the exact chart row does not involve z_1
                 continue
-            pole = g.solve_for(0)
-            if mpmath.im(pole.evaluate([0, sample])) <= 0:
+            pole = g.solve_for(0)  # z_1 at the pole, exactly, at z_2 = sample
+            if (pole.coeffs[1] * sample + pole.const).imag <= 0:
                 continue
             candidates.append((f"H{j + 1}", residues.step((j,))[0]))
     entries = []

@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -421,17 +420,8 @@ class GaussianRational:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._d == o._d
 
-    def __hash__(self) -> int:
-        """hash((re, im)) without building them.  By Python's rule for the
-        hash of a rational (sys.hash_info), n / d hashes like the int n times
-        the inverse of d modulo the prime modulus, when that inverse exists."""
-        a, b, d = self._a, self._b, self._d
-        if d == 1:
-            return hash((a, b))
-        if d % _MODULUS:
-            inv = pow(d, -1, _MODULUS)
-            return hash((a * inv, b * inv))
-        return hash((_ratio_hash(a, d), _ratio_hash(b, d)))
+    def __hash__(self) -> int:  # equals only its own kind, in normal form
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, o):
         a, b, d = self._a, self._b, self._d
@@ -531,17 +521,6 @@ class GaussianRational:
 
 
 _new = object.__new__
-_MODULUS = sys.hash_info.modulus
-
-
-def _ratio_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0 a multiple of the hash modulus: in
-    lowest terms d may have an inverse; if not, n / d hashes as +-inf."""
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    if d % _MODULUS:
-        return hash(n * pow(d, -1, _MODULUS))
-    return hash(sys.hash_info.inf if n >= 0 else -sys.hash_info.inf)
 
 
 def _normal(a: int, b: int, d: int) -> GaussianRational:

@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from mpmath import exp, mpc, pi
+from mpmath import mpc, pi
 
 from .arrangement import (
     Arrangement,
@@ -68,7 +68,7 @@ from .symfun import (
     _form,
     _parts,
     constant_sum,
-    to_mpc,
+    rounded_sum,
     working_precision,
 )
 
@@ -240,16 +240,7 @@ def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:
         raise InsolubleFlag(
             f"flag {flag.label()} has a vanishing leading principal minor"
         )
-    return ChartResidues(arr, poly).function(flag).evaluate(())
-
-
-def _total(funcs: Sequence[ExpRationalFunction]) -> mpc:
-    """The value of the sum of arity-0 residue functions: summed exactly
-    (``constant_sum``) to sum_k c_k exp(lambda_k) and rounded once, as
-    ``evaluate(())`` would round it without its products by an exact 1 (and
-    exp(0))."""
-    return sum((to_mpc(t.coeff) * exp(t.expo.entry(0)) if any(t.expo._v[0])
-                else to_mpc(t.coeff) for t in constant_sum(funcs).terms), mpc(0))
+    return rounded_sum([ChartResidues(arr, poly).function(flag)])
 
 
 def _position(cone: tuple, point):
@@ -338,8 +329,8 @@ def evaluate_integral(
             inside_classes.append(cls)
         # stable flags lie in the open Bruhat cell (every p_k > 0)
         funcs, _ = _class_functions(arr, inside_classes, ChartResidues(arr, poly, table))
-        contributions = {cls.flags[0]: _total([f]) for cls, f in zip(inside_classes, funcs)}
-        total = _total(funcs)
+        contributions = {cls.flags[0]: rounded_sum([f]) for cls, f in zip(inside_classes, funcs)}
+        total = rounded_sum(funcs)
         scale = (2 * pi * mpc(0, 1)) ** arr.dim
         certificate = Certificate(
             all_compatible=audit.all_compatible,
@@ -432,8 +423,8 @@ def _class_functions(
     verdicts: dict | None = None,
 ) -> tuple[list[ExpRationalFunction], bool]:
     """The iterated residues of ``classes``, each its first flag's, as
-    functions of no variables (``_total`` sums them), and whether every one
-    was taken in the polyhedron's chart.
+    functions of no variables (``rounded_sum`` sums them), and whether every
+    one was taken in the polyhedron's chart.
 
     A class takes its closed form where it has one
     (``ChartResidues.closed_form``).  The others take their first flags'
@@ -479,7 +470,8 @@ def grothendieck_residue(
     at_point = [cls for cls in classes if cls.incidence == through]
     if not at_point:
         raise ValueError("no flag of the grouping terminates at the point")
-    return _total(_class_functions(arr, at_point, ChartResidues(arr, poly, table), verdicts)[0])
+    residues = ChartResidues(arr, poly, table)
+    return rounded_sum(_class_functions(arr, at_point, residues, verdicts)[0])
 
 
 def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
@@ -509,7 +501,7 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
     points, point_funcs, charted = [], [], {}  # charted: id of a class -> its function
     for point, flags, at in _points(classes):
         funcs, kept = _class_functions(arr, at, residues, verdicts)
-        points.append((point, flags, _total(funcs)))
+        points.append((point, flags, rounded_sum(funcs)))
         point_funcs += funcs
         if kept:
             charted.update(zip(map(id, at), funcs))
@@ -521,7 +513,7 @@ def canonical_grouping_points(arr: Arrangement, poly: Polyhedron):
         for s, cls in sorted(members)
     ]
     if constant_sum(point_funcs + [f.scale(-1) for f in flag_funcs]).terms:
-        flag_sum, point_sum = _total(flag_funcs), _total(point_funcs)
+        flag_sum, point_sum = rounded_sum(flag_funcs), rounded_sum(point_funcs)
         raise ArithmeticError(
             "grouping identity failed: grouped residues "
             f"{point_sum} != stable flag sum {flag_sum}"

@@ -37,14 +37,15 @@ constant carries it in its coefficient, so it needs no Taylor chain, and
 its terms share one unit polynomial per step.
 
 Vanishing and proportionality of forms are decided by ``==`` and dict keys,
-with no noise scale; the noise floor (``is_negligible``) serves only
-``ExpRationalFunction.evaluate``, which refuses a point numerically on a pole.
-Rounded values live at the ambient mpmath precision (``working_precision``).
+with no noise scale.  Evaluation substitutes the point, its coordinates at
+their binary values, exactly (``compose``), so a point is on a pole only
+when a factor vanishes there exactly.  Every value of no variables is
+rounded once, at the ambient mpmath precision (``working_precision``), by
+``rounded_sum``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -69,7 +70,7 @@ class IdenticallyZeroDenominator(ValueError):
 
 
 class PoleHit(ArithmeticError):
-    """Evaluation was requested at (or numerically too near) a pole."""
+    """Evaluation was requested at a point exactly on a pole."""
 
 
 class UnrepresentableScalar(ValueError):
@@ -137,26 +138,6 @@ def to_mpc(x) -> mpc:
     return mpc(x)
 
 
-def _noise_floor() -> mpf:
-    """Magnitudes below this (relative to scale 1) are rounding residue.
-
-    Half the ambient mantissa is far below any genuine quantity in this
-    package and far above accumulated rounding error of short computations.
-    """
-    return _noise_floor_at(mp.prec)
-
-
-@functools.cache
-def _noise_floor_at(prec: int) -> mpf:
-    # a power of two, exact at every precision: one value per precision
-    return mpf(2) ** (-(prec // 2))
-
-
-def is_negligible(x, scale=1) -> bool:
-    """|x| within the noise floor of max(1, |scale|): a rounded value's test."""
-    return abs(to_mpc(x)) <= _noise_floor() * max(mpf(1), abs(to_mpc(scale)))
-
-
 class AffineForm:
     """a . z + c with its entries (coefficients, then constant) held as
     Gaussian integers (re, im) over one positive denominator, in normal form
@@ -222,15 +203,8 @@ class AffineForm:
         return mp.make_mpc((from_rational(a, d, prec, "n"), from_rational(b, d, prec, "n")))
 
     def evaluate(self, point: Sequence) -> mpc:
-        acc = self.entry(self.arity)
-        for j, z in enumerate(point):
-            acc = acc + self.entry(j) * to_mpc(z)
-        return acc
-
-    def max_abs(self) -> mpf:
-        """The largest entry's magnitude, a noise-floor scale: the entries
-        are rounded first, so that none needs to fit a float."""
-        return max(abs(self.entry(j)) for j in range(len(self._v)))
+        """The value at ``point``, substituted exactly and rounded once."""
+        return self.compose(_constants(point)).entry(0)
 
     def is_zero(self) -> bool:
         return not any(a or b for a, b in self._v)
@@ -257,12 +231,12 @@ class AffineForm:
         """Substitute z_i = forms[i](w); all forms share one new arity.
 
         Each entry of the result is c + sum_i a_i phi_i, summed in the order
-        of i; a term with a_i == 0 is skipped.
+        of i; a term with a_i zero is skipped.
         """
         coeffs = [0] * (forms[0].arity if forms else 0)
         const = self.const
         for a, phi in zip(self.coeffs, forms):
-            if a == 0:
+            if not a:
                 continue
             coeffs = [c + x * a for c, x in zip(coeffs, phi.coeffs)]
             const = const + phi.const * a
@@ -402,17 +376,6 @@ class Polynomial:
                 ne = tuple(x - 1 if j == var else x for j, x in enumerate(e))
                 coeffs[ne] = coeffs.get(ne, 0) + v * e[var]
         return _poly(self.arity, coeffs)
-
-    def evaluate(self, point: Sequence) -> mpc:
-        pt = [to_mpc(z) for z in point]
-        acc = to_mpc(0)
-        for e, v in self.items():
-            mono = to_mpc(v)
-            for z, k in zip(pt, e):
-                for _ in range(k):
-                    mono = mono * z
-            acc = acc + mono
-        return acc
 
     def restrict(self, var: int, pole: AffineForm) -> "Polynomial":
         """Set z_var = pole (zero coefficient at ``var``); drop z_var: the
@@ -565,11 +528,11 @@ class ExpRationalFunction:
             if not dp.is_zero():
                 out.append(Term.make(t.coeff, dp, t.expo, t.denom))
             lv = t.expo.coeffs[var]
-            if lv != 0:
+            if lv:
                 out.append(Term.make(t.coeff * lv, t.poly, t.expo, t.denom))
             for i, (form, mult) in enumerate(t.denom):
                 av = form.coeffs[var]
-                if av == 0:
+                if not av:
                     continue
                 bumped = list(t.denom)
                 bumped[i] = (form, mult + 1)
@@ -637,19 +600,15 @@ class ExpRationalFunction:
     # ---- evaluation ------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> mpc:
-        if len(point) != self.arity:
-            raise ValueError("point arity mismatch")
-        pt = [to_mpc(z) for z in point]
-        acc = to_mpc(0)
-        for t in self.terms:
-            den = to_mpc(1)
-            for form, mult in t.denom:
-                v = form.evaluate(pt)
-                if is_negligible(v, form.max_abs()):
-                    raise PoleHit("evaluation point is on a pole hyperplane")
-                den = den * (v ** mult)
-            acc = acc + to_mpc(t.coeff) * t.poly.evaluate(pt) * mp_exp(t.expo.evaluate(pt)) / den
-        return acc
+        """The value at ``point``, substituted exactly and rounded once
+        (``rounded_sum``).  Raises PoleHit where a denominator factor
+        vanishes exactly, and UnrepresentableScalar for a coordinate that
+        ``to_exact`` refuses."""
+        try:
+            at = self.compose(_constants(point))
+        except IdenticallyZeroDenominator:
+            raise PoleHit("evaluation point is on a pole hyperplane") from None
+        return rounded_sum([at])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -913,3 +872,16 @@ def constant_sum(funcs: Sequence["ExpRationalFunction"]) -> "ExpRationalFunction
             coeffs[t.expo] = coeffs.get(t.expo, 0) + c
     one = Polynomial.constant(0, 1)
     return ExpRationalFunction(0, [Term(c, one, expo, ()) for expo, c in coeffs.items() if c])
+
+
+def rounded_sum(funcs: Sequence["ExpRationalFunction"]) -> mpc:
+    """The value of a sum of functions of arity 0: summed exactly
+    (``constant_sum``) to sum_k c_k exp(lambda_k) and rounded once."""
+    return sum((to_mpc(t.coeff) * mp_exp(t.expo.entry(0)) if any(t.expo._v[0])
+                else to_mpc(t.coeff) for t in constant_sum(funcs).terms), mpc(0))
+
+
+def _constants(point: Sequence) -> list[AffineForm]:
+    """Each coordinate of ``point`` at its binary value, as a form of no
+    variables."""
+    return [AffineForm.constant(0, to_exact(z)) for z in point]

@@ -37,7 +37,7 @@ from residuum.arrangement import (
     jacobian,
 )
 from residuum.exact_linalg import GaussianRational, MinorProfile, minor_profile
-from residuum.symfun import AffineForm, ExpRationalFunction, is_negligible, to_mpc
+from residuum.symfun import AffineForm, ExpRationalFunction, to_mpc
 
 
 def cone(*generators) -> Polyhedron:
@@ -285,7 +285,8 @@ def z_star(
             total = total - xs[l - 1] * to_mpc(q_map[(k, l)])
         zk = total / to_mpc(prof.p[k - 1])
         values.append(zk)
-        if is_negligible(zk.imag, abs(zk)):
+        # within the noise floor 2^-(prec/2) of max(1, |z_k|)
+        if abs(zk.imag) <= mpf(2) ** -(mpmath.mp.prec // 2) * max(mpf(1), abs(zk)):
             boundary = True
             arises = False
         elif zk.imag < 0:

@@ -901,7 +901,7 @@ class FractionForm(NamedTuple):
         coeffs = [0] * (len(forms[0].coeffs) if forms else 0)
         const = self.const
         for a, phi in zip(self.coeffs, forms):
-            if a == 0:
+            if not a:
                 continue
             coeffs = [c + x * a for c, x in zip(coeffs, phi.coeffs)]
             const = const + phi.const * a

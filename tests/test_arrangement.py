@@ -20,7 +20,6 @@ from conftest import (
 )
 import reference
 from reference import matrix, pairwise_flag_classes, same_flag
-from residuum import symfun
 from residuum.arrangement import (
     Arrangement,
     Flag,
@@ -422,23 +421,13 @@ def _same(arr, a, b) -> bool:
     st.tuples(st.integers(1, 3), st.integers(1, 3)),
     st.tuples(st.integers(1, 5), st.integers(1, 5)),
 )
+@example((0, 0, 1), (3, 0, 0), (0, 1, 0), (1, 1), (1, 2))
 @settings(max_examples=60, deadline=None)
 def test_same_flag_equal_and_unequal_spans(f1, f2, f3, c, s):
     """(H1,H2,H5) and (H1,H,H5) agree exactly when H lies on the span of H1
-    and H2 and through their intersection."""
+    and H2 and through their intersection: exact s are compared by ==, by
+    ``flag_classes`` and by the pairwise reference alike, both ways round."""
     assume(rank(matrix([f1, f2, f3])) == 3)
-    _check_spans(f1, f2, f3, c, s)
-
-
-def test_same_flag_on_exact_data_needs_no_noise_floor(monkeypatch):
-    """Exact s are compared by ==, by ``flag_classes`` and by the pairwise
-    reference alike, so with the noise floor at 0 they still agree, both
-    ways round."""
-    monkeypatch.setattr(symfun, "_noise_floor", lambda: mpf(0))
-    _check_spans((0, 0, 1), (3, 0, 0), (0, 1, 0), (1, 1), (1, 2))
-
-
-def _check_spans(f1, f2, f3, c, s):
     combo = [c[0] * a + c[1] * b for a, b in zip(f1, f2)]
     offset = c[0] * s[0] + c[1] * s[1]
     hps = [

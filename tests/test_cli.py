@@ -691,11 +691,11 @@ EXACT_PROBLEMS = {
 }
 
 
-def _engine_outcome(text):
+def _engine_outcome(text, bits):
     """The stable flag classes and ``evaluate_integral``'s result, and the
-    grouping and points of ``canonical_grouping_points``, at 128 bits."""
+    grouping and points of ``canonical_grouping_points``, at ``bits``."""
     spec = parse_problem(text)
-    with mp.workprec(128):
+    with mp.workprec(bits):
         arr, poly = spec.arrangement(), spec.polyhedron()
         classes = [(c.incidence, c.flags) for c in terminal_classes(arr, stable_flags(arr, poly))]
         result = evaluate_integral(arr, poly)
@@ -704,20 +704,19 @@ def _engine_outcome(text):
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_PROBLEMS))
-def test_exact_data_makes_no_tolerance_decision(monkeypatch, name):
-    """Evaluation and grouping make no decision within a tolerance: with the
-    noise floor at 0 they give the same classes, certificate, contributing
+def test_exact_data_makes_no_tolerance_decision(name):
+    """Evaluation and grouping make no decision within a tolerance: at 128
+    and at 256 bits they give the same classes, certificate, contributing
     flags, grouping and points, with values within 1e-25."""
-    classes, result, grouping, points = _engine_outcome(EXACT_PROBLEMS[name])
-    monkeypatch.setattr(symfun, "_noise_floor", lambda: mpf(0))
-    classes_0, result_0, grouping_0, points_0 = _engine_outcome(EXACT_PROBLEMS[name])
-    assert classes_0 == classes
-    assert result_0.certificate == result.certificate
-    assert list(result_0.flag_contributions) == list(result.flag_contributions)
-    assert grouping_0 == grouping
-    assert [(p, f) for p, f, _ in points_0] == [(p, f) for p, f, _ in points]
-    values = [(result_0.value, result.value)] + [
-        (a, b) for (_, _, a), (_, _, b) in zip(points_0, points)
+    classes, result, grouping, points = _engine_outcome(EXACT_PROBLEMS[name], 128)
+    classes_2, result_2, grouping_2, points_2 = _engine_outcome(EXACT_PROBLEMS[name], 256)
+    assert classes_2 == classes
+    assert result_2.certificate == result.certificate
+    assert list(result_2.flag_contributions) == list(result.flag_contributions)
+    assert grouping_2 == grouping
+    assert [(p, f) for p, f, _ in points_2] == [(p, f) for p, f, _ in points]
+    values = [(result_2.value, result.value)] + [
+        (a, b) for (_, _, a), (_, _, b) in zip(points_2, points)
     ]
     assert all(abs(a - b) <= mpf("1e-25") * max(1, abs(b)) for a, b in values)
 

@@ -69,7 +69,6 @@ from residuum.residue_engine import (
     EmptyStableSet,
     ChartResidues,
     _soluble_chart,
-    _total,
     canonical_grouping,
     canonical_grouping_points,
     convergence_heuristic,
@@ -84,6 +83,7 @@ from residuum.symfun import (
     Polynomial,
     Term,
     constant_sum,
+    rounded_sum,
     to_mpc,
     working_precision,
 )
@@ -947,7 +947,7 @@ def test_crossing_matches_the_steps(case):
     exact data, at a simple normal crossing or at a point on every
     hyperplane (there it has no term), it gives the steps' residue: the
     same ``constant_sum`` terms, coefficient and exponent, in the same
-    order, and, at 128 and 256 bits, a rounded contribution (``_total``)
+    order, and, at 128 and 256 bits, a rounded contribution (``rounded_sum``)
     bit for bit that of the steps' exact sum evaluated (``evaluate(())``).
     Up to six classes per draw are compared, each in the chart of the cone
     when its flag is soluble there."""
@@ -968,9 +968,9 @@ def test_crossing_matches_the_steps(case):
         ]
         for bits in (128, 256):
             with working_precision(bits):
-                value = _total([closed.closed_form(cls)])
+                value = rounded_sum([closed.closed_form(cls)])
                 assert value._mpc_ == want.evaluate(())._mpc_
-                assert value._mpc_ == _total([steps.function(cls.flags[0])])._mpc_
+                assert value._mpc_ == rounded_sum([steps.function(cls.flags[0])])._mpc_
 
 
 @pytest.mark.parametrize(

@@ -542,6 +542,46 @@ def test_pole_hit_on_evaluation():
             f.evaluate([1])
 
 
+def test_pole_hit_exactly_on_a_pole():
+    """A point exactly on x = 5y, its coordinates near 10^50: rounded at
+    128 bits, x - 5y would miss the pole by far more than 2^-64, and
+    substituted exactly it hits it."""
+    f = ExpRationalFunction.from_parts(2, denom=[(AffineForm.make([1, -5], 0), 1)])
+    y = Fraction(10**50, 3)
+    with working_precision(128):
+        assert abs(to_mpc(5 * y) - 5 * to_mpc(y)) > 1
+        with pytest.raises(PoleHit):
+            f.evaluate([5 * y, y])
+
+
+def test_point_near_a_pole_gets_its_value():
+    """1/(x - 1) at x = 1 + 2^-100, nearer the pole than 2^-(prec/2) at
+    128 bits, is 2^100, substituted exactly and rounded once."""
+    f = ExpRationalFunction.from_parts(1, denom=[(AffineForm.make([1], -1), 1)])
+    with working_precision(512):
+        want = 1 / (mpf(1) + mpf(2) ** -100 - 1)
+    with working_precision(128):
+        got = f.evaluate([mpf(1) + mpf(2) ** -100])
+    assert abs(got - want) <= mpf("1e-25") * abs(want)
+
+
+def test_differentiate_skips_a_zero_gaussian_slope(monkeypatch):
+    """d/dy of exp(i x) / ((x - i)(y - i)), the exponent's y slope a
+    GaussianRational 0, makes one term and builds no other: a zero slope
+    is skipped whatever its type."""
+    i = GaussianRational(0, 1)
+    f = ExpRationalFunction.from_parts(
+        2,
+        expo=AffineForm((i, GaussianRational.of(0)), 0),
+        denom=[(AffineForm.make([1, 0], -i), 1), (AffineForm.make([0, 1], -i), 1)],
+    )
+    calls, make = [], Term.make
+    monkeypatch.setattr(Term, "make", lambda *args: calls.append(args) or make(*args))
+    (term,) = f.differentiate(1).terms
+    assert len(calls) == 1
+    assert sorted(m for _, m in term.denom) == [1, 2]
+
+
 def test_fraction_scalars_are_exact():
     with working_precision(128):
         f = ExpRationalFunction.from_parts(
