@@ -483,6 +483,8 @@ def cmd_verify(
                 "tolerance": _fmt(tol),
                 "within_tolerance": within,
             }
+            if quad.peeled is not None:
+                oracle["peeled"] = f"w{quad.peeled + 1}"
         except (NonDecaying, BudgetExceeded, OutOfFloatRange, ValueError) as exc:
             oracle = {"error": str(exc)}
             notes.append(f"numerical verification unavailable: {exc}")

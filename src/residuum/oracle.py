@@ -1,32 +1,38 @@
 """Numerical verification layer: full-space quadrature and semicircle arc
 diagnostics.
 
-The oracle is independent of the exact residue machinery; the only shared
-ingredient is the symbolic function container.  Its terms are read once
-into float64 data, one spec per term (_term_specs), and the work falls in
-two stages.
+The oracle is independent of the exact residue machinery: it shares the
+symbolic function container and its one-variable residue, and uses no
+flag, stability, cone or chart search.  A function with a coupled factor (a
+linear factor whose row has two or more nonzero entries) in r >= 2
+variables first goes to the peel (_peel): its integral over one axis, the
+first that the closing rule admits, is 2 pi i times a sum of exact
+residues, and the remaining r - 1 variables go on as below.  A function's
+terms are read once into float64 data, one spec per term (_term_specs), and
+the work falls in two stages.
 
 * The per-axis stage, in plain Python floats: each axis' nodes and weights
   (_tan_axis, _window_axis) and, per term of a tensor sum, one vector per
   axis (_axis_vectors), with the exponential and every linear factor that
   depends on that axis alone folded in.  A term with no factor left sums
-  to a product of 1-D sums.  A function with no coupled factor (a linear
-  factor whose row has two or more nonzero entries) is also sampled on the
-  shell-tail faces here (_face_values).
+  to a product of 1-D sums.  A function with no coupled factor is also
+  sampled on the shell-tail faces here (_face_values), and so are the arcs
+  of semicircle_check.
 * The grid stage, in numpy: the block kernel _term_block for a term's
-  remaining factors on a tensor grid (_grid_stage), the pointwise closure
-  of compile_numeric for the shell-tail faces of a function with a coupled
-  factor, and semicircle_check.
+  remaining factors on a tensor grid (_grid_stage), and the pointwise
+  closure of compile_numeric for the shell-tail faces of a function with a
+  coupled factor.
 
 numpy is imported on entering the grid stage, never at module level.  So
 importing this module, and residuum with it, loads none of it; neither do
-analyze, eval and grouping, nor a verify whose chart integrand has no
-coupled factor.  The per-axis stage is plain Python float and complex
-arithmetic, chained through map over builtins so that no Python code runs
-per node.  It does not round as numpy does: Python divides without numpy's
-reciprocal and the builtin sum adds left to right, so a sum, or a face
-value, may differ from numpy's in its last bits.  A value that leaves
-float64's range in either stage raises OutOfFloatRange.
+analyze, eval and grouping, nor a verify in two variables that the peel
+takes, nor one whose chart integrand has no coupled factor.  The per-axis
+stage is plain Python float and complex arithmetic, chained through map
+over builtins so that no Python code runs per node.  It does not round as
+numpy does: Python divides without numpy's reciprocal and the builtin sum
+adds left to right, so a sum, or a face value, may differ from numpy's in
+its last bits.  A value that leaves float64's range in either stage raises
+OutOfFloatRange.
 
 quad_integral integrates in hyperplane coordinates w = F_B v, F_B holding
 the rows f_j of r hyperplanes with the largest |det F_B|: the trapezoid rule
@@ -37,7 +43,8 @@ Arrangement.integrand_in of the chart F_B^-1, and every node and sum, does
 not depend on how the problem is written.  Box lengths are lengths in w.
 In these coordinates the chosen hyperplanes' own factors depend on one
 axis each, since their rows f_j F_B^-1 are exact unit vectors: a product
-of one-variable factors has no coupled factor however it is written.
+of one-variable factors has no coupled factor however it is written.  The
+peel tries the axes in the chart's order, which is canonical too.
 
 In r <= 3 variables one rule serves every integral: the trapezoid
 (midpoint) sum on a uniform tensor grid, under one of two maps.
@@ -131,6 +138,7 @@ class QuadratureReport(NamedTuple):
     box_halfwidth: float
     nodes_per_axis: int
     tail_estimate: float
+    peeled: int | None = None  # the axis _peel integrated by residues
 
 
 class SemicircleDiagnostic(NamedTuple):
@@ -283,8 +291,14 @@ def _axis_vectors(xs, ws, boxes, expo, expo_0, denom):
                 folded[k].append((row[k], const, copies))
         if copies < mult:
             left.append((row, const, mult - copies))
-    g = []
+    g, built = [], {}
     for x, w, a, c, factors in zip(xs, ws, a_s, c_s, folded):
+        # an axis with an earlier one's nodes, weights, exponent slope and
+        # folded factors, neither with an exponent constant, shares its vector
+        key = (id(x), id(w), a, tuple(factors))
+        if not c and key in built:
+            g.append(built[key])
+            continue
         vec = map(mul, w, map(cmath.exp, map(c.__add__, map(a.__mul__, x)))) if a or c else w
         prod = None
         for b, const, copies in factors:
@@ -295,6 +309,8 @@ def _axis_vectors(xs, ws, boxes, expo, expo_0, denom):
         if prod is not None:
             vec = map(truediv, vec, prod)
         g.append(vec if vec is w else list(vec))
+        if not c:
+            built[key] = g[-1]
     return g, left
 
 
@@ -804,24 +820,57 @@ def _windowed_quad(func, specs, r, freqs, decay, box, tol, budget):
     )
 
 
-def quad_integral(
-    arr: Arrangement,
-    box: float = DEFAULT_BOX,
-    tol: float = DEFAULT_TOL,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> QuadratureReport:
-    """Direct quadrature of the integral over the whole space, in the
-    coordinates of _hyperplane_chart; box is a length in them.  Raises
-    OutOfFloatRange when a value or a sum leaves float64's range."""
-    for name, value in (("box", box), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    r = arr.dim
-    if r > 3:
-        raise ValueError("quadrature supports at most three variables")
-    if arr.numerator.is_zero():
+def _peel(func: ExpRationalFunction, k: int):
+    """The integral of func over axis k by residues: the function G of the
+    other r - 1 axes with int f dw_k = 2 pi i G at each of their real
+    points, or None where the closing rule refuses.
+
+    Decided exactly on each entry's integer pair.  A term closes upward
+    when Im lambda_k > 0, downward when it is < 0, each with a w_k-degree
+    gap (the multiplicities of the factors in w_k less P's degree in w_k)
+    of at least 1, and upward with a gap of at least 2 when lambda_k = 0;
+    a real part of lambda_k refuses.  Where a factor's pole w_k =
+    solve_for(k) has real slopes, the sign of its constant's imaginary part
+    places it in a half plane for every real point; a pole with a slope
+    off the real line, or on the real axis, refuses.  G sums the residues
+    of the upward terms at the upper poles less those of the downward
+    terms at the lower poles, each distinct pole taken once; a factor of G
+    with a real zero refuses too.
+    """
+    sides, poles = ([], []), ({}, {})  # (upward, downward), poles as dict keys
+    for t in func.terms:
+        lam_re, lam_im = t.expo._v[k]
+        down = lam_im < 0
+        on = [(f, m) for f, m in t.denom if any(f._v[k])]
+        gap = sum(m for _, m in on) - max(e[k] for e, _ in t.poly.items())
+        if lam_re or gap < (1 if lam_im else 2):
+            return None
+        sides[down].append(t)
+        for f, _ in on:
+            pole = f.solve_for(k)
+            *slope, (_, im) = pole._v
+            if im == 0 or any(b for _, b in slope):
+                return None
+            if (im < 0) == down:
+                poles[down][pole] = None
+    rest = ExpRationalFunction(func.arity - 1)
+    for down, terms in enumerate(sides):
+        for pole in poles[down]:
+            res = ExpRationalFunction(func.arity, terms).residue_1d(k, pole)
+            rest = rest.add(res.scale(-1) if down else res)
+    for t in rest.terms:
+        for f, _ in t.denom:
+            *slope, (_, im) = f._v
+            if im == 0 and any(a for a, _ in slope) and not any(b for _, b in slope):
+                return None
+    return rest
+
+
+def _quadrature(func: ExpRationalFunction, box: float, tol: float, node_budget: int):
+    """The per-axis or grid stage on a function of 1 to 3 variables."""
+    r = func.arity
+    if func.is_zero():
         return QuadratureReport(mpc(0), 0.0, float(box), 0, 0.0)
-    func = arr._pullback(*_hyperplane_chart(arr))[0]
     freqs, decay = _decay_profile(func)
     specs = _term_specs(func)
     # a level of a sum with no coupled factor costs r n, not n**r, evaluations
@@ -836,25 +885,77 @@ def quad_integral(
         raise OutOfFloatRange("the integrand leaves the float64 range") from None
 
 
+def quad_integral(
+    arr: Arrangement,
+    box: float = DEFAULT_BOX,
+    tol: float = DEFAULT_TOL,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> QuadratureReport:
+    """Direct quadrature of the integral over the whole space, in the
+    coordinates of _hyperplane_chart; box is a length in them.  A function
+    with a coupled factor in two or three variables is integrated over the
+    first axis that _peel takes and whose remainder _decay_profile admits,
+    then over the others to tol / 2 pi; with no such axis, on the grid.
+    Raises OutOfFloatRange when a value or a sum leaves float64's range."""
+    for name, value in (("box", box), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    r = arr.dim
+    if r > 3:
+        raise ValueError("quadrature supports at most three variables")
+    if arr.numerator.is_zero():
+        return QuadratureReport(mpc(0), 0.0, float(box), 0, 0.0)
+    func = arr._pullback(*_hyperplane_chart(arr))[0]
+    if r > 1 and _is_coupled(_term_specs(func)):
+        for k in range(r):
+            rest = _peel(func, k)
+            if rest is None:
+                continue
+            try:
+                q = _quadrature(rest, box, tol / (2.0 * math.pi), node_budget)
+            except NonDecaying:
+                continue
+            two_pi = 2.0 * math.pi
+            return QuadratureReport(
+                mpc(complex(q.estimate) * 1j * two_pi), two_pi * q.error_bound,
+                q.box_halfwidth, q.nodes_per_axis, two_pi * q.tail_estimate, k,
+            )
+    return _quadrature(func, box, tol, node_budget)
+
+
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending: each
+    node by Newton's method on P_n from -cos(pi (i + 3/4) / (n + 1/2)), its
+    weight 2 / ((1 - x^2) P_n'(x)^2)."""
+    nodes, weights = [], []
+    for i in range(n):
+        x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(6):
+            p, q = x, 1.0  # P_j and P_(j-1) at x, by Bonnet's recurrence
+            for j in range(2, n + 1):
+                p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+            slope = n * (x * p - q) / (x * x - 1.0)
+            x -= p / slope
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * slope * slope))
+    return nodes, weights
+
+
 def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:
     """Arc integrals over centered upper semicircles, one magnitude per radius.
 
     Supports the contour-closing diagnostic: decay of the magnitudes
     backs the residue expansion, growth flags divergence.  A radius whose
     arc sum is below its rounding floor takes no part in that verdict.
+    The arc sums are taken in the per-axis stage (_face_values); an arc on
+    which a value leaves float64's range has infinite magnitude and peak.
     """
-    import numpy as np
-
     if func.arity != 1:
         raise ValueError("semicircle diagnostics are one-variable only")
-    fn = compile_numeric(func)
-    forms = []
-    freq = 0.0
-    for t in func.terms:
-        freq = max(freq, abs(complex(t.expo.coeffs[0])))
-        for f, _ in t.denom:
-            forms.append((complex(f.coeffs[0]), complex(f.const)))
-    xg, wg = np.polynomial.legendre.leggauss(_PER_PANEL)
+    specs = _term_specs(func)
+    forms = [(row[0], const) for *_, denom in specs for row, const, _ in denom if row[0]]
+    freq = max((abs(expo[0]) for _, _, expo, _, _ in specs if expo), default=0.0)
+    xg, wg = _gauss_legendre(_PER_PANEL)
     sampled = []
     mags = []
     peaks = []
@@ -864,33 +965,32 @@ def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:
         for attempt in (0, 1):
             n = int(min(200_000, max(256, 8 * (1 + freq * r_eff))))
             panels = max(8, int(math.ceil(n / _PER_PANEL)))
-            bounds = np.linspace(0.0, np.pi, panels + 1)
-            half = (bounds[1:] - bounds[:-1]) / 2.0
-            centers = (bounds[1:] + bounds[:-1]) / 2.0
-            theta = (centers[:, None] + half[:, None] * xg[None, :]).ravel()
-            wts = (half[:, None] * wg[None, :]).ravel()
-            z = r_eff * np.exp(1j * theta)
-            spacing = r_eff * np.pi / (panels * _PER_PANEL)
-            hit = False
-            for a, c in forms:
-                if a == 0:
-                    continue
-                dist = float(np.min(np.abs(a * z + c))) / abs(a)
-                if dist < 3.0 * spacing:
-                    hit = True
-                    break
-            if hit:
+            bounds = [j * (math.pi / panels) for j in range(panels)] + [math.pi]
+            theta, wts = [], []
+            for lo, hi in zip(bounds, bounds[1:]):
+                half, center = (hi - lo) / 2.0, (hi + lo) / 2.0
+                theta += [center + half * x for x in xg]
+                wts += [half * w for w in wg]
+            z = [r_eff * cmath.exp(complex(0.0, t)) for t in theta]
+            spacing = r_eff * math.pi / (panels * _PER_PANEL)
+            if any(min(abs(a * x + c) for x in z) / abs(a) < 3.0 * spacing for a, c in forms):
                 if attempt == 0:
                     r_eff *= 1.07
                     continue
                 raise PoleOnArc(
                     f"a pole sits on the arc near radius {radius}"
                 )
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = fn(z[None, :]) * (1j * z)
-                est = complex(np.sum(vals * wts))
-                peak = float(np.max(np.abs(vals)))
-                floor = _ARC_FLOOR * float(np.sum(np.abs(vals * wts)))
+            re, im = [x.real for x in z], [x.imag for x in z]
+            try:
+                vals = _face_values(specs, [z], [(min(re), max(re), min(im), max(im))])
+                vals = [v * (1j * x) for v, x in zip(vals, z)]
+                est = sum(map(mul, vals, wts))
+                sizes = list(map(abs, vals))
+                # max() may pass over a nan, which np.max would return
+                peak = math.nan if any(map(math.isnan, sizes)) else max(sizes)
+                floor = _ARC_FLOOR * sum(abs(v * w) for v, w in zip(vals, wts))
+            except (OverflowError, ZeroDivisionError):
+                est, peak, floor = math.inf, math.inf, 0.0
             break
         sampled.append(r_eff)
         mags.append(
@@ -913,4 +1013,3 @@ def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:
         trending_to_zero=trending,
         sampled_radii=tuple(sampled),
     )
-

@@ -233,6 +233,8 @@ class AffineForm:
         Each entry of the result is c + sum_i a_i phi_i, summed in the order
         of i; a term with a_i zero is skipped.
         """
+        if len(forms) != self.arity:
+            raise ValueError("one form per variable required")
         coeffs = [0] * (forms[0].arity if forms else 0)
         const = self.const
         for a, phi in zip(self.coeffs, forms):

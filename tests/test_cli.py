@@ -380,8 +380,9 @@ print(json.dumps(loaded))
 
 def test_numpy_loads_only_for_verify():
     """``import residuum`` and analyze, eval and grouping leave numpy
-    unloaded; the oracle module is loaded with the package, and verify
-    loads numpy."""
+    unloaded, and so does verify of a coupled two-variable sample, whose
+    remainder after the oracle's exact residue in one axis is 1-D; the
+    oracle module is loaded with the package."""
     env = dict(os.environ)
     src = str(SAMPLES.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -398,7 +399,7 @@ def test_numpy_loads_only_for_verify():
         "analyze": [0, False],
         "eval": [0, False],
         "grouping": [0, False],
-        "verify": [0, True],
+        "verify": [0, False],
     }
 
 
@@ -421,16 +422,33 @@ print(json.dumps([code, "numpy" in sys.modules]))
 """
 
 
+# six simple planes in three variables through one point, coupled in any
+# chart: the remainder of the residue in w1 is a coupled 2-D integrand
+COUPLED_3D = """\
+vars v1 v2 v3;
+cone (1,0,0) (0,1,0) (0,0,1);
+den (2*v2 + v3 - 5*i) (v1 + v3 - 3*i) (2*v2 - v3 - 3*i) (2*v1 - v2 - 2*i)
+    (v1 + 2*v3 - 4*i) (-v1 + 2*v2 + v3 - 3*i);
+"""
+
+
 @pytest.mark.parametrize(
     "name, loads",
-    [("arctangent", False), ("sheared_product", False), ("three_planes_left", True)],
+    [
+        ("arctangent", False),
+        ("sheared_product", False),
+        ("three_planes_left", False),
+        ("coupled_3d", True),
+    ],
 )
 def test_verify_loads_numpy_only_for_coupled_factors(tmp_path, name, loads):
     """verify passes without numpy when no factor of the chart integrand
-    couples two axes, however the problem is written; a coupled factor
-    takes the grid stage, which loads it."""
-    if name == "sheared_product":
-        path = _write(tmp_path, SHEARED_PRODUCT)
+    couples two axes, however the problem is written, and when one does in
+    two variables: the exact residue in one axis leaves a 1-D remainder.
+    Only a coupled remainder in two variables takes the grid stage, which
+    loads it."""
+    if name in ("sheared_product", "coupled_3d"):
+        path = _write(tmp_path, SHEARED_PRODUCT if name == "sheared_product" else COUPLED_3D)
     else:
         path = str(SAMPLES / f"{name}.rsd")
     env = dict(os.environ)

@@ -89,6 +89,19 @@ def test_affine_solve_and_drop():
     assert abs(dropped.evaluate([pt[0], pt[2]]) - pt[1]) < 1e-12
 
 
+
+def test_affine_form_refuses_a_point_of_another_arity():
+    """A point, or a substitution, shorter or longer than the form's arity
+    is a ValueError, not a point padded with zeros or cut short."""
+    form = AffineForm.make([1, 1], 0)
+    assert form.evaluate([2, 3]) == 5
+    for point in ([2], [2, 3, 4]):
+        with pytest.raises(ValueError):
+            form.evaluate(point)
+        with pytest.raises(ValueError):
+            form.compose([AffineForm.constant(1, x) for x in point])
+
+
 def test_evaluate_matches_hand_formula():
     # f = (3 + z0 z1) exp(i z0) / ((z0 + z1 + i)(z1 - 2i)^2)
     with working_precision(128):

@@ -57,6 +57,7 @@ FIELDS = {
     ProblemSpec: ("variables", "cone", "parameters", "numerator", "denominator"),
     QuadratureReport: (
         "estimate", "error_bound", "box_halfwidth", "nodes_per_axis", "tail_estimate",
+        "peeled",
     ),
     SemicircleDiagnostic: (
         "radii", "magnitudes", "peak_magnitudes", "trending_to_zero", "sampled_radii",
