@@ -17,11 +17,14 @@ interpreter (3.12's fractions module builds its results without calling
 calls of ``exact_linalg._normal``, through which every operation's result
 is made, and of ``GaussianRational.__init__``), how many terms its
 residue steps build before like terms merge (the terms passed to
-``symfun._merge_like_terms``), and how many per-axis node entries the
-oracle's sums take (over every ``oracle._tensor_sum`` call, its terms
-times the sum of its axes' node counts).  With --max-fractions N,
---max-gaussians N, --max-terms N or --max-axis-nodes N the script exits 1
-when that count exceeds N.  It also exits 1, naming the operation, when a
+``symfun._merge_like_terms``), how many ``residue_1d`` calls it makes, by
+the arity of the function they take the residue of (a closed form's one
+residue in s on a flag's line has arity 1), and how many per-axis node
+entries the oracle's sums take (over every ``oracle._tensor_sum`` call, its
+terms times the sum of its axes' node counts).  With --max-fractions N,
+--max-gaussians N, --max-terms N, --max-steps N (``residue_1d`` calls of
+every arity) or --max-axis-nodes N the script exits 1 when that count
+exceeds N.  It also exits 1, naming the operation, when a
 report's stdout is not ``json.dumps(json.loads(out), sort_keys=True,
 indent=2)`` and a newline: the streamed JSON writer checked against the
 standard library's on every report of the round.  The last line of a flags or poles round is its
@@ -32,7 +35,8 @@ round prints none, as the oracle's last digits depend on the platform's
 libm.
 
 Usage: python scripts/profile_round.py flags|poles|verify [--top N]
-    [--max-fractions N] [--max-gaussians N] [--max-terms N] [--max-axis-nodes N]
+    [--max-fractions N] [--max-gaussians N] [--max-terms N] [--max-steps N]
+    [--max-axis-nodes N]
 """
 
 import argparse
@@ -45,6 +49,7 @@ import pstats
 import random
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -69,16 +74,17 @@ def build_round(workload: str, directory: Path) -> list:
     return [(op.cmd, op.path) for op in ops]
 
 
-def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, tuple, list]:
+def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, Counter, tuple, list]:
     """Run every operation under one profiler: (stats, wall seconds, crashes,
     the round's digest, the terms the residue steps passed to the merge of
-    like terms, the oracle's (per-axis node entries, sums), each
-    operation's (command, path, stdout))."""
+    like terms, the ``residue_1d`` calls by arity, the oracle's (per-axis
+    node entries, sums), each operation's (command, path, stdout))."""
     profiler = cProfile.Profile()
     digest = hashlib.sha256()
     crashes = terms = axis_nodes = sums = 0
-    outputs = []
+    outputs, arities = [], Counter()
     merge, tensor_sum = symfun._merge_like_terms, oracle._tensor_sum
+    residue_1d = symfun.ExpRationalFunction.residue_1d
 
     def counted_merge(batch):
         nonlocal terms
@@ -91,7 +97,12 @@ def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, tuple, l
         sums += 1
         return tensor_sum(specs, axes, *args)
 
+    def counted_residue(func, var, pole):
+        arities[func.arity] += 1
+        return residue_1d(func, var, pole)
+
     symfun._merge_like_terms, oracle._tensor_sum = counted_merge, counted_sum
+    symfun.ExpRationalFunction.residue_1d = counted_residue
     start = perf_counter()
     for cmd, path in ops:
         out = io.StringIO()
@@ -108,8 +119,9 @@ def profile_ops(ops: list) -> tuple[pstats.Stats, float, int, str, int, tuple, l
         outputs.append((cmd, path, out.getvalue()))
     wall = perf_counter() - start
     symfun._merge_like_terms, oracle._tensor_sum = merge, tensor_sum
+    symfun.ExpRationalFunction.residue_1d = residue_1d
     stats = pstats.Stats(profiler)
-    return stats, wall, crashes, digest.hexdigest(), terms, (axis_nodes, sums), outputs
+    return stats, wall, crashes, digest.hexdigest(), terms, arities, (axis_nodes, sums), outputs
 
 
 def misprinted(outputs: list) -> list[str]:
@@ -171,11 +183,12 @@ def main() -> None:
     parser.add_argument("--max-fractions", type=int, default=None)
     parser.add_argument("--max-gaussians", type=int, default=None)
     parser.add_argument("--max-terms", type=int, default=None)
+    parser.add_argument("--max-steps", type=int, default=None)
     parser.add_argument("--max-axis-nodes", type=int, default=None)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         ops = build_round(args.workload, Path(tmp))
-        stats, wall, crashes, digest, terms, (axis_nodes, sums), outputs = profile_ops(ops)
+        stats, wall, crashes, digest, terms, arities, (axis_nodes, sums), outputs = profile_ops(ops)
     fractions = call_count(stats, Fraction.__new__)
     gaussians = call_count(stats, exact_linalg._normal, exact_linalg.GaussianRational.__init__)
     print(
@@ -184,6 +197,9 @@ def main() -> None:
         f"{gaussians} GaussianRationals built, {terms} residue terms before merging, "
         f"{axis_nodes} per-axis node entries over {sums} oracle sums"
     )
+    steps = sum(arities.values())
+    by_arity = ", ".join(f"{n} at arity {a}" for a, n in sorted(arities.items())) or "none"
+    print(f"residue_1d calls: {steps} ({by_arity})")
     inside, outside = hot_spots(stats, args.top)
     _print_rows("residuum:", inside)
     _print_rows("outside residuum:", outside)
@@ -201,6 +217,9 @@ def main() -> None:
         failed = True
     if args.max_terms is not None and terms > args.max_terms:
         print(f"more than {args.max_terms} residue terms before merging", file=sys.stderr)
+        failed = True
+    if args.max_steps is not None and steps > args.max_steps:
+        print(f"more than {args.max_steps} residue_1d calls", file=sys.stderr)
         failed = True
     if args.max_axis_nodes is not None and axis_nodes > args.max_axis_nodes:
         print(f"more than {args.max_axis_nodes} per-axis node entries", file=sys.stderr)

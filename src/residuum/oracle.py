@@ -947,8 +947,11 @@ def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:
     Supports the contour-closing diagnostic: decay of the magnitudes
     backs the residue expansion, growth flags divergence.  A radius whose
     arc sum is below its rounding floor takes no part in that verdict.
-    The arc sums are taken in the per-axis stage (_face_values); an arc on
-    which a value leaves float64's range has infinite magnitude and peak.
+    The arc's values are taken in the per-axis stage (_face_values) and
+    summed by ``math.fsum``, real and imaginary parts apart, so a cancelling
+    arc sum is its terms' correctly rounded sum, whatever their order; an
+    arc on which a value leaves float64's range (or sums to inf - inf) has
+    infinite magnitude and peak.
     """
     if func.arity != 1:
         raise ValueError("semicircle diagnostics are one-variable only")
@@ -984,12 +987,13 @@ def semicircle_check(func: ExpRationalFunction, radii) -> SemicircleDiagnostic:
             try:
                 vals = _face_values(specs, [z], [(min(re), max(re), min(im), max(im))])
                 vals = [v * (1j * x) for v, x in zip(vals, z)]
-                est = sum(map(mul, vals, wts))
+                terms = list(map(mul, vals, wts))
+                est = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
                 sizes = list(map(abs, vals))
                 # max() may pass over a nan, which np.max would return
                 peak = math.nan if any(map(math.isnan, sizes)) else max(sizes)
                 floor = _ARC_FLOOR * sum(abs(v * w) for v, w in zip(vals, wts))
-            except (OverflowError, ZeroDivisionError):
+            except (OverflowError, ValueError, ZeroDivisionError):
                 est, peak, floor = math.inf, math.inf, 0.0
             break
         sampled.append(r_eff)

@@ -54,6 +54,7 @@ from .arrangement import (
 )
 from .exact_linalg import (
     RationalMatrix,
+    _bareiss,
     _gauss_jordan,
     _gaussian,
     _integer_rows,
@@ -65,6 +66,7 @@ from .symfun import (
     ExpRationalFunction,
     Polynomial,
     Term,
+    _constant_value,
     _form,
     _parts,
     constant_sum,
@@ -146,9 +148,9 @@ class ChartResidues:
         self._chart = None if table is None else table.chart
         # prefix -> (residue function, the poles of its steps)
         self._steps: dict[tuple[int, ...], tuple] = {}
-        # |det M| where ``closed_form`` takes a simple normal crossing (a flag
-        # table, and no numerator term with a denominator), and whether it
-        # takes a point on every hyperplane
+        # |det M| where ``closed_form`` takes a residue on a flag's line (a
+        # flag table, and no numerator term with a denominator), and whether
+        # it takes a point on every hyperplane as 0
         num = arr.numerator
         plain = not any(t.denom for t in num.terms)
         self._weight = abs(poly.det()) if table is not None and plain else None
@@ -190,35 +192,58 @@ class ChartResidues:
         raises a homogeneous degree by 1 in one variable fewer, so P's part of
         degree e ends as a constant of degree e - D, 0 unless e = D (the
         homogeneity behind Brion and Vergne's vanishing of the Jeffrey-Kirwan
-        residue off degree -r).  Where it ends at a simple normal crossing
-        (only its r hyperplanes S meet at p, each of multiplicity 1) with a
-        flag table, it is |det M| times
-        sum_t c_t P_t(p) e^(lambda_t(p)) / (p_r prod_(k not in S) (f_k . p - i s_k)^m_k)
-        with p_r from the flag table (the steps divide by p_1 (p_2 / p_1) ... = p_r),
-        on Gaussian-integer pairs over p's common denominator e, one term per
-        numerator term in its order, as the steps keep them."""
+        residue off degree -r).  Else, with a flag table, no numerator term
+        with a denominator and simple poles sigma_1 .. sigma_(r-1) in the
+        first flag sigma, those steps only restrict to the line
+        L = {v = p + s ray / q} (f_sigma_i . ray = 0 for i < r, q = f_sigma_r . ray)
+        and divide by p_(r-1).  So where no other hyperplane through p holds
+        L, the residue is |det M| / p_r times the sum over numerator terms of
+        Res_(s=0) c_t P_t(v) e^(lambda_t(v)) / prod_(k not in sigma_(<r)) (f_k . v - i s_k)^m_k,
+        with p_r from the flag table: at a pole of order n = 1 (only r simple
+        hyperplanes S meet at p) it is c_t P_t(p) e^(lambda_t(p)) over
+        prod_(k not in S) (f_k . p - i s_k)^m_k, one term per numerator term
+        in its order, as the steps keep them, and above 1 one ``residue_1d``
+        in s.  Both are built on Gaussian-integer pairs over p's common
+        denominator e, ray (F_sigma's last-row cofactors, up to sign) from one
+        fraction-free Gauss-Jordan of [F_sigma | e_r]."""
         arr, through, weight = self.arr, cls.incidence, self._weight
         if self._central and len(through) == len(arr.hyperplanes):
             return ExpRationalFunction(0)
-        simple = len(through) == arr.dim and all(arr.multiplicities[j] == 1 for j in through)
-        if weight is None or not simple:
+        flag, hps, mults = cls.flags[0].indices, arr.hyperplanes, arr.multiplicities
+        if weight is None or any(mults[j] != 1 for j in flag[:-1]):
             return None
+        top = self._table.top_minor(cls.flags[0])
+        # (u + v i) / w = p_r / |det M| times, for n > 1, prod_(k in rest) (f_k . ray / q)^m_k,
+        # and for n = 1 prod_(k not through p) (f_k . p - i s_k)^m_k
+        u, v, w = top.numerator * weight.denominator, 0, top.denominator * weight.numerator
+        rest = through.difference(flag[:-1])
+        n, q, denom = sum(mults[j] for j in rest), 1, ()
+        if n > 1:  # Gauss-Jordan leaves +-det F_sigma F_sigma^-1 e_r in the last column
+            rows = [[*hps[j].f, int(j == flag[-1])] for j in flag]
+            _bareiss(rows, arr.dim, reduce=True)
+            ray = [row[-1] if rows[0][0] > 0 else -row[-1] for row in rows]
+            slopes = {j: sum(map(operator.mul, h.f, ray)) for j, h in enumerate(hps)}  # f_k . ray
+            if not all(slopes[j] for j in rest):
+                return None  # L lies on another hyperplane
+            q, denom = slopes[flag[-1]], [(_form([(1, 0), (0, 0)], 1), n)]  # s^n
+            for j in rest:
+                u, w = u * slopes[j] ** mults[j], w * q ** mults[j]
         e = math.lcm(*[x._d for x in cls.point])
         p = [(x._a * (e // x._d), x._b * (e // x._d)) for x in cls.point]
-        top = self._table.top_minor(cls.flags[0])
-        # (u + v i) / w = p_r prod_(k not in S) (f_k . p - i s_k)^m_k / |det M|
-        u, v, w = top.numerator * weight.denominator, 0, top.denominator * weight.numerator
-        for j, (h, m) in enumerate(zip(arr.hyperplanes, arr.multiplicities)):
+        for j, (h, m) in enumerate(zip(hps, mults)):
             if j not in through:  # f . p - i (a + b i) / d = (x + y i) / (d e)
                 a, b, d = h.s._a, h.s._b, h.s._d
                 x = d * sum([f * re for f, (re, _) in zip(h.f, p)]) + b * e
                 y = d * sum([f * im for f, (_, im) in zip(h.f, p)]) - a * e
-                for _ in range(m):
+                if n > 1:  # the factor f . v - i s at v = p + s ray / q
+                    denom.append((_form([(slopes[j] * d * e, 0), (x * q, y * q)], d * e * q), m))
+                for _ in range(m if n == 1 else 0):
                     u, v, w = u * x - v * y, u * y + v * x, w * d * e
-        one, terms = Polynomial.constant(0, 1), []
+        one, terms, denom = Polynomial.constant(0 if n == 1 else 1, 1), [], tuple(denom)
         for t in arr.numerator.terms:
-            a, b, d = 0, 0, 1  # P(p) = (a + b i) / d, then c P(p)
-            for powers, c in t.poly._coeffs.items():
+            moves = n > 1 and _constant_value(t.poly) is None  # P varies along L
+            a, b, d = 0, 0, 1  # P(p) = (a + b i) / d (1 where P moves), then c P(p)
+            for powers, c in [((), 1)] if moves else t.poly._coeffs.items():
                 x, y, f = _parts(c)
                 for (re, im), k in zip(p, powers):
                     for _ in range(k):
@@ -227,11 +252,18 @@ class ChartResidues:
             x, y, f = _parts(t.coeff)
             a, b, d = x * a - y * b, x * b + y * a, f * d
             coeff = _gaussian(w * (a * u + b * v), w * (b * u - a * v), d * (u * u + v * v))
-            *lam, (x, y) = t.expo._v  # lambda(p) = (x + y i) / (den e)
+            *lam, (x, y) = t.expo._v  # lambda(p) = (x + y i) / (den e), lambda . ray / (den q)
             x = sum([c * re - s * im for (c, s), (re, im) in zip(lam, p)]) + x * e
             y = sum([c * im + s * re for (c, s), (re, im) in zip(lam, p)]) + y * e
-            terms.append(Term(coeff, one, _form([(x, y)], t.expo._den * e), ()))
-        return ExpRationalFunction(0, terms)
+            slope = [tuple(e * sum(map(operator.mul, c, ray)) for c in zip(*lam))] if n > 1 else []
+            expo = _form([*slope, (x * q, y * q)], t.expo._den * e * q, t.expo._gauss)
+            poly = one
+            if moves:  # P(p + s ray / q)
+                line = [_form([(a * e, 0), (re * q, im * q)], e * q) for a, (re, im) in zip(ray, p)]
+                poly = t.poly.compose(line)
+            terms.append(Term(coeff, poly, expo, denom))
+        func = ExpRationalFunction(0 if n == 1 else 1, terms)
+        return func if n == 1 else func.residue_1d(0, _form([(0, 0), (0, 0)], 1))
 
 
 def iterated_residue(arr: Arrangement, flag: Flag, poly: Polyhedron) -> mpc:

@@ -61,7 +61,7 @@ from residuum.residue_engine import (
     canonical_grouping_points,
     evaluate_integral,
 )
-from residuum.symfun import ExpRationalFunction, constant_sum, working_precision
+from residuum.symfun import ExpRationalFunction, constant_sum, rounded_sum, working_precision
 
 SAMPLES = Path(__file__).resolve().parents[1] / "problems"
 
@@ -494,7 +494,7 @@ def test_import_loads_no_class_generator():
 @pytest.mark.parametrize(
     "text, stepped",
     [
-        ((SAMPLES / "coincident_point.rsd").read_text(), True),
+        ((SAMPLES / "coincident_point.rsd").read_text(), False),
         (SQUARED_POLES, True),
         (CUBED_POLES, False),
         (MIXED_POLES, True),
@@ -504,9 +504,13 @@ def test_import_loads_no_class_generator():
 def test_one_residue_step_per_flag_prefix(monkeypatch, text, stepped):
     """eval and grouping take each flag prefix's residue once per chart, and
     only for the classes without a closed form (``ChartResidues.closed_form``):
-    cubed's six planes through one point, with numerator 1, take none, while
-    the rounded data of coincident_point and the oscillatory numerators of
-    squared and mixed (a triple pole among them) take their steps."""
+    cubed's six planes through one point, with numerator 1, take none, and
+    neither do coincident_point's three simple lines through one point,
+    while the double poles of squared and mixed (a triple pole among them)
+    take their steps.  A closed form whose pole on the class's line has
+    order above 1 takes one ``residue_1d`` of its own, once per class each
+    command takes it for: grouping reuses an arriving class's value for
+    the stable class with the same first flag."""
     spec = parse_problem(text)
     arr, poly = spec.arrangement(), spec.polyhedron()
     with mp.workprec(128):
@@ -525,6 +529,21 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text, stepped):
             if cls.flags[0] in inside and closed.closed_form(cls) is None
         ]
         grouped = [cls.flags[0] for cls in stable + arriving if closed.closed_form(cls) is None]
+
+        def on_line(cls) -> bool:
+            """The closed form takes a residue in s: the pole order on the
+            line of the first flag's first r - 1 planes is above 1."""
+            sigma = cls.flags[0].indices
+            order = sum(arr.multiplicities[j] for j in cls.incidence.difference(sigma[:-1]))
+            central = closed._central and len(cls.incidence) == len(arr.hyperplanes)
+            return closed.closed_form(cls) is not None and order > 1 and not central
+
+        firsts = {cls.flags[0] for cls in arriving}
+        widened = {
+            cmd_eval: [cls for cls in stable if cls.flags[0] in inside and on_line(cls)],
+            cmd_grouping: [cls for cls in arriving if on_line(cls)]
+            + [cls for cls in stable if cls.flags[0] not in firsts and on_line(cls)],
+        }
     assert bool(contributing) == bool(grouped) == stepped
     original = ExpRationalFunction.residue_1d
     calls = []
@@ -539,7 +558,47 @@ def test_one_residue_step_per_flag_prefix(monkeypatch, text, stepped):
         calls.clear()
         with mp.workprec(128):
             command(spec)
-        assert len(calls) == len(prefixes), command.__name__
+        assert len(calls) == len(prefixes) + len(widened[command]), command.__name__
+    if text == (SAMPLES / "coincident_point.rsd").read_text():
+        assert widened[cmd_eval] and widened[cmd_grouping]
+
+
+# coincident ((1, 1, 1, 1, 1, 1), True) #1 of the benchmark's pool 1: six
+# simple planes through one point with an oscillatory numerator
+SIX_SIMPLE = """\
+vars v1 v2 v3;
+cone (1,2,0) (0,1,0) (0,1,1);
+num 1*exp(i*(-v1 + v3));
+den (2*v1 + v3 - 3*i) (v2 + v3 - 5*i) (-2*v1 + 2*v2 - v3 - 5*i) (-v1 + 2*v3 - 1*i) \
+(-2*v1 + v2 + v3 - 3*i) (-2*v1 + 2*v2 - 3*v3 - 3*i);
+"""
+
+
+def test_simple_oscillatory_poles_take_one_residue_per_class(monkeypatch):
+    """With six simple planes through one point and numerator exp(i(v3 - v1)),
+    every class's first two planes are simple poles along a line that no
+    other plane holds, so eval takes no residue step: one ``residue_1d`` per
+    contributing class, each of a function of one variable (s on the
+    class's line), each contribution bit for bit the steps' one."""
+    spec = parse_problem(SIX_SIMPLE)
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    steps = ChartResidues(arr, poly)
+    with mp.workprec(128):
+        result = evaluate_integral(arr, poly)
+        for flag, value in result.flag_contributions.items():
+            assert value == rounded_sum([steps.function(flag)])
+    assert len(result.flag_contributions) == 4
+    original = ExpRationalFunction.residue_1d
+    arities = []
+
+    def counted(self, var, pole):
+        arities.append(self.arity)
+        return original(self, var, pole)
+
+    monkeypatch.setattr(ExpRationalFunction, "residue_1d", counted)
+    with mp.workprec(128):
+        cmd_eval(spec)
+    assert arities == [1] * len(result.flag_contributions)
 
 
 # generic (3, 6) of the benchmark's problems module, drawn with Random(1):

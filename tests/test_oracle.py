@@ -38,6 +38,7 @@ from residuum.arrangement import (
     Flag,
     Polyhedron,
     canonicalize_hyperplane,
+    flag_table,
     jacobian,
 )
 from residuum.dsl import parse_problem
@@ -50,7 +51,7 @@ from residuum.oracle import (
     quad_integral,
     semicircle_check,
 )
-from residuum.residue_engine import evaluate_integral, iterated_residue
+from residuum.residue_engine import ChartResidues, evaluate_integral, iterated_residue
 from residuum.symfun import (
     AffineForm,
     ExpRationalFunction,
@@ -696,6 +697,25 @@ def test_semicircle_matches_numpy_on_well_conditioned_arcs():
                 assert abs(mag - ref) <= 1e-12 * ref
                 compared += 1
     assert compared >= 6
+
+
+def test_cancelling_arc_sum_does_not_depend_on_order(monkeypatch):
+    """three_planes_upper's arc after H3 at R = 90 sums terms of total
+    magnitude about 1.8e12 to about 0.18.  Each arc is summed by math.fsum,
+    so its magnitude is the correctly rounded sum of its terms: taking
+    every panel's nodes in reverse order gives the same bits at every
+    radius, where a left-to-right sum moves the last one by about 3e-4."""
+    spec = parse_problem((_SAMPLES / "three_planes_upper.rsd").read_text())
+    with mpmath.workprec(128):
+        arr, poly = spec.arrangement(), spec.polyhedron()
+        func = ChartResidues(arr, poly, flag_table(arr, poly)).step((2,))[0]
+    radii = (10.0, 30.0, 90.0)
+    forward = semicircle_check(func, radii)
+    rule = oracle._gauss_legendre
+    monkeypatch.setattr(oracle, "_gauss_legendre", lambda n: [x[::-1] for x in rule(n)])
+    backward = semicircle_check(func, radii)
+    assert forward.magnitudes == backward.magnitudes
+    assert forward.magnitudes[-1] < 1e-12 * forward.peak_magnitudes[-1]
 
 
 def _reference_closure(func):

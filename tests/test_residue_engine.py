@@ -68,7 +68,9 @@ from residuum.residue_engine import (
     DivisorGrouping,
     EmptyStableSet,
     ChartResidues,
+    _class_functions,
     _soluble_chart,
+    _verdicts,
     canonical_grouping,
     canonical_grouping_points,
     convergence_heuristic,
@@ -893,24 +895,30 @@ def crossing_draws(draw):
     (entries in -2..2, not all 0) and s Gaussian rationals with Re s != 0.
     Generic ones take multiplicities 1 to 3 (on the first r rows at most 1);
     central ones all pass through one Gaussian-rational point P,
-    s = -i f . P, with multiplicities 1 to 3.  A numerator that is a
+    s = -i f . P, and coincident ones have more than r of them (three or
+    more) through P and the rest generic; both take multiplicities 1
+    (drawn three times as often), 2 or 3.  A numerator that is a
     constant, a polynomial of degree <= 2, or a sum of 1 to 3 terms
     c exp(lambda) with lambda Gaussian affine; and a unimodular cone, the
     columns of an integer shear, the first scaled by 1, -1, 1/2 or -3/2."""
     r = draw(st.integers(1, 4))
     big_r = draw(st.integers(r, 8))
     row = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
-    if draw(st.booleans()):  # central
-        points = st.lists(_gaussians, min_size=r, max_size=r)
-        point = draw(points.filter(lambda p: any(x.im for x in p)))
-        dot = lambda f: sum((x * c for x, c in zip(point, f)), GaussianRational(0))
-        rows = draw(st.lists(row.filter(lambda f: dot(f).im), min_size=big_r, max_size=big_r))
-        s = [GaussianRational(dot(f).im, -dot(f).re) for f in rows]
-        mult = draw(st.lists(st.integers(1, 3), min_size=big_r, max_size=big_r))
-    else:
+    layout = draw(st.sampled_from(["generic", "central", "coincident"]))
+    if layout == "generic":
         rows = draw(st.lists(row, min_size=big_r, max_size=big_r))
         s = draw(st.lists(_gaussians.filter(lambda x: x.re), min_size=big_r, max_size=big_r))
         mult = [1] * r + draw(st.lists(st.integers(1, 3), min_size=big_r - r, max_size=big_r - r))
+    else:
+        points = st.lists(_gaussians, min_size=r, max_size=r)
+        point = draw(points.filter(lambda p: any(x.im for x in p)))
+        dot = lambda f: sum((x * c for x, c in zip(point, f)), GaussianRational(0))
+        on = big_r if layout == "central" else draw(st.integers(min(max(3, r + 1), big_r), big_r))
+        rows = draw(st.lists(row.filter(lambda f: dot(f).im), min_size=on, max_size=on))
+        s = [GaussianRational(dot(f).im, -dot(f).re) for f in rows]
+        rows += draw(st.lists(row, min_size=big_r - on, max_size=big_r - on))
+        s += draw(st.lists(_gaussians.filter(lambda x: x.re), min_size=big_r - on, max_size=big_r - on))
+        mult = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=big_r, max_size=big_r))
     kind = draw(st.sampled_from(["constant", "polynomial", "exp"]))
     monomial = st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(lambda e: sum(e) <= 2)
     terms = []
@@ -941,28 +949,34 @@ def crossing_draws(draw):
 
 
 @given(crossing_draws())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_crossing_matches_the_steps(case):
     """Where the closed form (``ChartResidues.closed_form``) applies on
-    exact data, at a simple normal crossing or at a point on every
-    hyperplane (there it has no term), it gives the steps' residue: the
-    same ``constant_sum`` terms, coefficient and exponent, in the same
-    order, and, at 128 and 256 bits, a rounded contribution (``rounded_sum``)
-    bit for bit that of the steps' exact sum evaluated (``evaluate(())``).
-    Up to six classes per draw are compared, each in the chart of the cone
-    when its flag is soluble there."""
+    exact data (at a simple normal crossing, at a point on every
+    hyperplane, where it has no term, or on the line of a class whose
+    first r - 1 planes are simple poles, by one residue in s) it gives the
+    steps' residue: the same ``constant_sum`` terms, coefficient and
+    exponent, in the same order, and, at 128 and 256 bits, a rounded
+    contribution (``rounded_sum``) bit for bit that of the steps' exact sum
+    evaluated (``evaluate(())``).  Up to eight classes per draw are
+    compared, those on a line first; a class whose first flag is insoluble
+    in the cone's chart against its steps in ``_soluble_chart``'s chart."""
     arr, poly = case
     table = flag_table(arr, poly)
-    verdicts = dict(zip(table.indices, table.verdicts))
+    verdicts = _verdicts(table)
     closed, steps = ChartResidues(arr, poly, table), ChartResidues(arr, poly)
     classes = [
         cls for cls in terminal_classes(arr, list(map(Flag, table.indices)))
-        if verdicts[cls.flags[0].indices].in_bruhat_cell and closed.closed_form(cls) is not None
+        if closed.closed_form(cls) is not None
     ]
     assume(classes)
-    for cls in classes[:: -(-len(classes) // 6)]:
-        got = constant_sum([closed.closed_form(cls)])
-        want = constant_sum([steps.function(cls.flags[0])])
+    # on a line: more than the first flag's own r planes pass through p
+    classes.sort(key=lambda cls: len(cls.incidence) == arr.dim)
+    for cls in classes[:8]:
+        rep = cls.flags[0]
+        chart = _soluble_chart(arr, [rep], poly, verdicts)
+        func = (steps if chart is poly else ChartResidues(arr, chart)).function(rep)
+        got, want = constant_sum([closed.closed_form(cls)]), constant_sum([func])
         assert [(t.coeff, t.expo) for t in got.terms] == [
             (t.coeff, t.expo) for t in want.terms
         ]
@@ -970,7 +984,36 @@ def test_crossing_matches_the_steps(case):
             with working_precision(bits):
                 value = rounded_sum([closed.closed_form(cls)])
                 assert value._mpc_ == want.evaluate(())._mpc_
-                assert value._mpc_ == rounded_sum([steps.function(cls.flags[0])])._mpc_
+                assert value._mpc_ == rounded_sum([func])._mpc_
+
+
+@pytest.mark.parametrize(
+    "den",
+    [
+        "(v1 - i) (v2 - i) (v1 + v2 - 2*i) (v3 - i)",
+        "(v1 - i)^2 (v2 - i) (v3 - i) (v1 + v2 + v3 - 3*i)",
+    ],
+    ids=["three_planes_through_a_line", "double_pole_first"],
+)
+def test_line_closed_form_declines(den):
+    """r = 3, numerator exp(i v3), every plane through p = (i, i, i).  The
+    class led by (H1, H2) declines (None) when a third plane holds its line
+    v1 = v2 = i, or when H1 is a double pole, and takes its steps."""
+    spec = parse_problem(
+        f"vars v1 v2 v3;\ncone (1,0,0) (0,1,0) (0,0,1);\nnum exp(i*v3);\nden {den};\n"
+    )
+    arr, poly = spec.arrangement(), spec.polyhedron()
+    table = flag_table(arr, poly)
+    closed, steps = ChartResidues(arr, poly, table), ChartResidues(arr, poly)
+    (cls,) = [
+        cls for cls in terminal_classes(arr, list(map(Flag, table.indices)))
+        if cls.flags[0].indices[:2] == (0, 1)
+    ]
+    assert len(cls.incidence) == len(arr.hyperplanes) == 4
+    assert closed.closed_form(cls) is None
+    got = constant_sum(_class_functions(arr, [cls], closed)[0])
+    want = constant_sum([steps.function(cls.flags[0])])
+    assert [(t.coeff, t.expo) for t in got.terms] == [(t.coeff, t.expo) for t in want.terms]
 
 
 @pytest.mark.parametrize(
@@ -981,8 +1024,11 @@ def test_central_closed_form_needs_low_degree_and_no_slope(num, zero):
     """Three lines through p = (i, 2i) in r = 2, the first a double pole, so
     D = sum m_j - r = 2.  Below degree D, with no exponent slope, each
     class's closed form is the empty function and its steps give exact 0.
-    At degree D, or with exp(i v1), the closed form declines (None) and the
-    steps give a nonzero residue for some class."""
+    At degree D, or with exp(i v1), the class led by the double pole
+    declines (None) and the steps give a nonzero residue for some class;
+    the other class, led by the simple v2 - 2i, takes its residue in s on
+    the line v2 = 2i, which the other two lines cross at p, and gives its
+    steps' terms."""
     spec = parse_problem(
         f"vars v1 v2;\ncone (1,0) (0,1);\nnum {num};\n"
         "den (v1 - i)^2 (v2 - 2*i) (v1 + v2 - 3*i);\n"
@@ -1001,7 +1047,12 @@ def test_central_closed_form_needs_low_degree_and_no_slope(num, zero):
         assert all(closed.closed_form(cls).is_zero() for cls in classes)
         assert all(value.is_zero() for value in values)
     else:
-        assert all(closed.closed_form(cls) is None for cls in classes)
+        double, simple = sorted(classes, key=lambda cls: -arr.multiplicities[cls.flags[0].indices[0]])
+        assert arr.multiplicities[double.flags[0].indices[0]] == 2
+        assert closed.closed_form(double) is None
+        got = constant_sum([closed.closed_form(simple)])
+        want = values[classes.index(simple)]
+        assert [(t.coeff, t.expo) for t in got.terms] == [(t.coeff, t.expo) for t in want.terms]
         assert not all(value.is_zero() for value in values)
 
 
